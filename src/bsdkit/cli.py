@@ -21,7 +21,7 @@ from .autgroups import aut_from_json, aut_to_json, act, check_membership
 from .domains import classify_point, generic_norm, parse_spec, sample_point
 from .errors import BsdkitError, ParameterError
 from .invariants import distinguish, invariant_spectrum
-from .polymaps import catalog, eval_map, polymap_from_json, polymap_to_json
+from .polymaps import catalog, eval_map, polymap_from_json, polymap_to_json, source_positions
 from .verify import run_all, summarize
 
 USAGE_EXIT = 2
@@ -206,7 +206,7 @@ def _cmd_verify(args) -> int:
             tol=args.tol if args.tol is not None else 1e-8))
     elif args.what == "coeff":
         spec = parse_spec(args.domain or "I:2,2")
-        for i, j in verify._coefficient_indices(spec):
+        for i, j in source_positions(spec):
             reports.append(verify.check_coefficient_lemma(
                 spec, i, j, n_bases=samples or 20, seed=seed,
                 tol=args.tol if args.tol is not None else 1e-6))

@@ -4,8 +4,15 @@ A map stores, for every nonzero target entry, a dictionary from monomial
 exponent vectors (over the independent source variables) to complex
 coefficients.  Independent variables are the full entry grid for kind I,
 the strict upper triangle for kind II, the inclusive upper triangle for
-kind III, and the n coordinates for kind IV; dependent entries are derived
-at evaluation time.
+kind III, and the n coordinates for kind IV; dependent source entries never
+enter a monomial, and dependent target entries are stored as mirrors.
+
+Evaluation uses a compiled form of the map: the source and target index
+arrays, an exponent matrix E (monomials x source variables) and a
+coefficient matrix C (target entries x monomials), so that the image
+entries are ``C @ prod(vals ** E, axis=1)``.  It is built lazily, on a
+map's first evaluation, and cached on the instance; this relies on
+``entries`` never being changed after construction.
 
 The catalog holds the proper polynomial map families used throughout:
 standard block embeddings, ball Whitney and one-parameter ball families,
@@ -15,6 +22,8 @@ and the one-parameter families f_t, g_t, G_t, h_t connecting them.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,9 +68,25 @@ def variable_names(spec: DomainSpec) -> list:
     return [f"z{i + 1}{j + 1}" for i, j in source_positions(spec)]
 
 
+class _CompiledMap(NamedTuple):
+    source_index: tuple     # (rows, cols) of the independent source variables
+    exponents: np.ndarray   # E: monomials x source variables
+    coeffs: np.ndarray      # C: target entries x monomials
+    target_index: tuple     # (rows, cols) of the stored target entries
+
+
+def _index_arrays(positions) -> tuple:
+    rows_cols = np.array(positions, dtype=int).reshape(-1, 2)
+    return rows_cols[:, 0], rows_cols[:, 1]
+
+
 @dataclass(frozen=True)
 class PolyMap:
-    """Immutable-by-convention sparse polynomial map between two domains."""
+    """Immutable-by-convention sparse polynomial map between two domains.
+
+    ``entries`` must not be changed after construction: the compiled form
+    that :func:`eval_map` uses is built from it once and cached.
+    """
 
     source: DomainSpec
     target: DomainSpec
@@ -70,6 +95,19 @@ class PolyMap:
     @property
     def nvars(self) -> int:
         return len(source_positions(self.source))
+
+    @cached_property
+    def _compiled(self) -> _CompiledMap:
+        # A cached property, not a field: equality, repr and JSON see entries only.
+        monomials = sorted({exps for terms in self.entries.values() for exps in terms})
+        column = {exps: k for k, exps in enumerate(monomials)}
+        coeffs = np.zeros((len(self.entries), len(monomials)), dtype=complex)
+        for row, terms in enumerate(self.entries.values()):
+            for exps, coeff in terms.items():
+                coeffs[row, column[exps]] = coeff
+        exponents = np.array(monomials, dtype=int).reshape(len(monomials), self.nvars)
+        return _CompiledMap(_index_arrays(source_positions(self.source)), exponents, coeffs,
+                            _index_arrays(list(self.entries)))
 
 
 def polymap(source: DomainSpec, target: DomainSpec, entries: dict) -> PolyMap:
@@ -348,21 +386,15 @@ def catalog(map_id: str, **params) -> PolyMap:
         raise ParameterError(f"bad parameters for catalog map {map_id!r}: {exc}") from None
 
 
-def _source_values(f: PolyMap, p: Point) -> np.ndarray:
-    return np.array([p.value[pos] for pos in source_positions(f.source)])
-
-
 def eval_map(f: PolyMap, p: Point) -> Point:
-    """Evaluate by direct monomial summation; returns a target point."""
+    """Evaluate through the map's compiled form, ``C @ prod(vals ** E)``
+    (built on the first call and cached); returns a target point."""
     if p.spec != f.source:
         raise ShapeError(f"point of {p.spec} fed to map from {f.source}")
-    vals = _source_values(f, p)
+    c = f._compiled
+    vals = p.value[c.source_index]
     out = np.zeros(f.target.shape, dtype=complex)
-    for (i, j), terms in f.entries.items():
-        acc = 0j
-        for exps, coeff in terms.items():
-            acc += coeff * np.prod(vals ** np.asarray(exps))
-        out[i, j] = acc
+    out[c.target_index] = c.coeffs @ np.prod(vals ** c.exponents, axis=1)
     return Point(f.target, out)
 
 

@@ -7,7 +7,6 @@ exactly when its max residual is at most its tolerance.
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -21,14 +20,14 @@ from .autgroups import (
 )
 from .domains import (
     DomainSpec,
-    Point,
     classify_point,
     generic_norm,
+    parse_spec,
     polarized_norm,
     sample_point,
 )
 from .errors import ConfigurationError, ParameterError, ShapeError
-from .invariants import INDISTINGUISHABLE, distinguish, invariant_spectrum
+from .invariants import INDISTINGUISHABLE, distinguish, invariant_spectrum, monomials_of_degree
 from .polymaps import (
     PolyMap,
     catalog,
@@ -114,17 +113,6 @@ def check_properness(f: PolyMap, n_samples: int = 500, tol: float = 1e-7, seed: 
                               worst, tol, worst <= tol, notes)
 
 
-def _monomial_basis(nvars: int, max_degree: int) -> list:
-    basis = [tuple([0] * nvars)]
-    for d in range(1, max_degree + 1):
-        for combo in combinations_with_replacement(range(nvars), d):
-            exps = [0] * nvars
-            for k in combo:
-                exps[k] += 1
-            basis.append(tuple(exps))
-    return basis
-
-
 def _sample_pair(spec: DomainSpec, seed, k: int, threshold: float):
     for attempt in range(64):
         z = sample_point(spec, "interior", [seed, k, 2 * attempt])
@@ -144,37 +132,39 @@ def check_factorization(f: PolyMap, degree_bound: int = 4, grid_size: int = None
     Returns (report, coefficients); the fit must also hold on a held-out
     sample set with a looser conditioning threshold.
     """
-    nvars = len(source_positions(f.source))
-    basis = _monomial_basis(2 * nvars, degree_bound)
+    positions = source_positions(f.source)
+    nvars = len(positions)
+    basis = [e for d in range(degree_bound + 1) for e in monomials_of_degree(2 * nvars, d)]
+    exponents = np.array(basis)
     ncoeff = len(basis)
     n_train = 3 * ncoeff if grid_size is None else grid_size
     if n_train < ncoeff:
         raise ConfigurationError(f"fit needs at least {ncoeff} samples, got {n_train}")
 
-    def design_row(z: Point, w: Point) -> np.ndarray:
-        zvals = np.array([z.value[p] for p in source_positions(f.source)])
-        wvals = np.conj([w.value[p] for p in source_positions(f.source)])
-        joint = np.concatenate([zvals, wvals])
-        return np.array([np.prod(joint ** np.asarray(e)) for e in basis])
+    def fit_data(stream: int, count: int, threshold: float):
+        """Design matrix over the joint (z, conj w) vectors of ``count``
+        sample pairs, and the norm ratios it must reproduce."""
+        joint = np.empty((count, 2 * nvars), dtype=complex)
+        ratios = np.empty(count, dtype=complex)
+        for k in range(count):
+            z, w, s1 = _sample_pair(f.source, [seed, stream], k, threshold)
+            joint[k, :nvars] = [z.value[p] for p in positions]
+            joint[k, nvars:] = np.conj([w.value[p] for p in positions])
+            ratios[k] = polarized_norm(eval_map(f, z), eval_map(f, w)) / s1
+        # One joint variable at a time, so no samples x monomials x variables temporary.
+        design = np.ones((count, ncoeff), dtype=complex)
+        for v in range(2 * nvars):
+            design *= joint[:, v, None] ** exponents[:, v]
+        return design, ratios
 
-    rows, rhs = [], []
-    for k in range(n_train):
-        z, w, s1 = _sample_pair(f.source, [seed, 0], k, 0.1)
-        s2 = polarized_norm(eval_map(f, z), eval_map(f, w))
-        rows.append(design_row(z, w))
-        rhs.append(s2 / s1)
-    a = np.array(rows)
-    b = np.array(rhs)
+    a, b = fit_data(0, n_train, 0.1)
     coeffs, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
     if rank < ncoeff:
         raise ConfigurationError(f"rank-deficient fit: rank {rank} < {ncoeff} coefficients")
-    worst = float(np.max(np.abs(a @ coeffs - b) / np.maximum(1.0, np.abs(b))))
     n_hold = max(20, n_train // 4)
-    for k in range(n_hold):
-        z, w, s1 = _sample_pair(f.source, [seed, 1], k, 0.01)
-        s2 = polarized_norm(eval_map(f, z), eval_map(f, w))
-        pred = complex(design_row(z, w) @ coeffs)
-        worst = max(worst, _rel(abs(pred - s2 / s1), abs(s2 / s1)))
+    a_hold, b_hold = fit_data(1, n_hold, 0.01)
+    worst = max(float(np.max(np.abs(m @ coeffs - r) / np.maximum(1.0, np.abs(r))))
+                for m, r in ((a, b), (a_hold, b_hold)))
 
     names = variable_names(f.source)
     joint_names = names + [f"conj(w{n[1:]})" for n in names]
@@ -291,7 +281,7 @@ def _minor(value: np.ndarray, drop_rows, drop_cols) -> np.ndarray:
     return value[np.ix_(keep_r, keep_c)]
 
 
-def _norm_square_poly_value(spec: DomainSpec, value: np.ndarray) -> float:
+def _norm_square_poly_value(value: np.ndarray) -> float:
     gram = np.eye(value.shape[0]) - value @ value.conj().T
     return float(np.real(np.linalg.det(gram)))
 
@@ -351,7 +341,7 @@ def check_coefficient_lemma(spec: DomainSpec, i: int, j: int, n_bases: int = 20,
                 z[j, i] = -z[i, j]
             elif spec.kind == "III" and i != j:
                 z[j, i] = z[i, j]
-            values.append(_norm_square_poly_value(spec, z))
+            values.append(_norm_square_poly_value(z))
         lead = float(np.polyfit(nodes, values, degree)[0])
         worst = max(worst, abs(lead - expected) / abs(expected))
         bases_done += 1
@@ -487,14 +477,14 @@ def run_all(seed: int = 42, properness_samples: int = 500, fu_samples: int = 200
     reports = []
     for text in ("I:2,2", "I:2,3", "I:3,3", "III:2", "III:3",
                  "II:3", "II:4", "II:5", "IV:3", "IV:4"):
-        spec = _parse(text)
+        spec = parse_spec(text)
         reports.append(check_F_U_lemma(spec, n_samples=fu_samples, seed=seed))
     for label, f in _properness_targets(seed):
         reports.append(check_properness(f, n_samples=properness_samples, seed=seed,
                                         check_id=f"properness:{label}"))
     for text in ("I:2,2", "I:2,3", "I:3,3", "II:4", "II:5", "III:2", "III:3"):
-        spec = _parse(text)
-        for i, j in _coefficient_indices(spec):
+        spec = parse_spec(text)
+        for i, j in source_positions(spec):
             reports.append(check_coefficient_lemma(spec, i, j, seed=seed))
     reports.append(check_composition_rule(
         catalog("standard", r=1, s=3, r2=1, s2=5), catalog("whitney-ball", n=2),
@@ -520,17 +510,3 @@ def run_all(seed: int = 42, properness_samples: int = 500, fu_samples: int = 200
         reports.append(check_family_continuity(family, grid))
     reports.append(check_family_continuity("G_t", grid, dims=(2, 2), check_id="continuity:G_t(2,2)"))
     return reports
-
-
-def _coefficient_indices(spec: DomainSpec):
-    if spec.kind == "I":
-        return [(i, j) for i in range(spec.r) for j in range(spec.s)]
-    if spec.kind == "II":
-        return [(i, j) for i in range(spec.n) for j in range(i + 1, spec.n)]
-    return [(i, j) for i in range(spec.n) for j in range(i, spec.n)]
-
-
-def _parse(text: str) -> DomainSpec:
-    from .domains import parse_spec
-
-    return parse_spec(text)

@@ -37,6 +37,27 @@ CATALOG_INSTANCES = [
     catalog("h_t", t=0.35),
 ]
 
+HAND_BUILT = [
+    polymap(parse_spec("II:3"), parse_spec("I:1,3"),
+            {(0, 0): {(1, 0, 0): 1.0, (0, 1, 1): 0.5j}, (0, 2): {(2, 0, 1): -1.5}}),
+    polymap(parse_spec("III:2"), parse_spec("III:2"),
+            {(0, 1): {(1, 1, 0): 2.0}, (1, 1): {(0, 0, 3): 1j, (1, 0, 0): 0.3}}),
+    polymap(parse_spec("IV:3"), parse_spec("IV:3"),
+            {(0, 0): {(1, 0, 0): 1.0}, (0, 2): {(1, 1, 1): 0.25, (0, 0, 2): -0.5}}),
+    polymap(parse_spec("I:1,1"), parse_spec("I:1,2"), {(0, 0): {(1,): 1.0}, (0, 1): {(3,): 0.5}}),
+    polymap(parse_spec("I:2,2"), parse_spec("I:3,3"), {}),  # must map to zeros
+]
+
+
+def direct_monomial_sum(f, p):
+    """Reference evaluation: every term of every entry summed one by one."""
+    vals = [p.value[pos] for pos in source_positions(f.source)]
+    out = np.zeros(f.target.shape, dtype=complex)
+    for (i, j), terms in f.entries.items():
+        for exps, coeff in terms.items():
+            out[i, j] += coeff * math.prod(v ** e for v, e in zip(vals, exps))
+    return out
+
 
 class TestEval:
     @pytest.mark.parametrize("f", CATALOG_INSTANCES, ids=lambda f: f"{f.source}->{f.target}")
@@ -60,6 +81,24 @@ class TestEval:
         f = catalog("f-sec4")
         with pytest.raises(ShapeError):
             eval_map(f, origin(parse_spec("I:2,3")))
+
+    @pytest.mark.parametrize("f", CATALOG_INSTANCES + HAND_BUILT,
+                             ids=lambda f: f"{f.source}->{f.target}")
+    def test_agrees_with_direct_monomial_sum(self, f):
+        for k in range(10):
+            z = sample_point(f.source, "interior", [21, k])
+            assert np.max(np.abs(eval_map(f, z).value - direct_monomial_sum(f, z))) <= 1e-13
+
+    @pytest.mark.parametrize("f", CATALOG_INSTANCES + HAND_BUILT,
+                             ids=lambda f: f"{f.source}->{f.target}")
+    def test_evaluation_leaves_value_semantics_unchanged(self, f):
+        fresh = polymap_from_json(polymap_to_json(f))
+        g = polymap_from_json(polymap_to_json(f))
+        text, data = repr(g), polymap_to_json(g)
+        eval_map(g, sample_point(g.source, "interior", 23))
+        assert g == fresh and repr(g) == text
+        assert polymap_to_json(g) == data
+        assert polymap_from_json(json.loads(json.dumps(polymap_to_json(g)))) == g
 
 
 class TestCatalogCoefficients:
