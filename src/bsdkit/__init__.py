@@ -78,6 +78,7 @@ from .polymaps import (
     polymap,
     polymap_from_json,
     polymap_to_json,
+    select_map,
 )
 from .verify import (
     VerificationReport,

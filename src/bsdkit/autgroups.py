@@ -2,8 +2,12 @@
 
 Elements are stored as a single block matrix together with the domain spec.
 Kinds I/II/III act by the fractional-linear rule Z -> (A + ZC)^{-1}(B + ZD)
-in the row convention [X] -> [XM]; kind IV acts through the quadric lift
-with denominator lambda(Z) = (-2iZB + Z'D)(i,1)^t, Z' = (1+ZZ^t, i-iZZ^t).
+in the row convention [X] -> [XM].  Kind IV acts through the quadric lift
+l(Z) = (-2iZ, 1 + ZZ^t, i(1 - ZZ^t)) of ``domains.borel_lift_iv``: l(Z) is
+the point of the quadric sum_k x_k^2 = 0 with first entries -2iZ and
+i x_{n+1} + x_{n+2} = 2i.  M^t M = I keeps x = l(Z) M on the quadric, so
+with lambda(Z) = i x_{n+1} + x_{n+2} the image is MZ = -x_{1..n} / lambda(Z)
+and l(MZ) = (2i / lambda(Z)) l(Z) M; the identity has lambda = 2i.
 
 Defining relations checked for membership:
 
@@ -18,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .domains import DomainSpec, Point, classify_point, parse_spec, point
+from .domains import (DomainSpec, Point, borel_lift_iv, classify_point, parse_spec, point,
+                      sample_point)
 from .errors import ActionSingularityError, DomainError, ParameterError, ShapeError
 from .linalg import as_matrix, hybrid_tol, psd_inv_sqrt, random_orthogonal, random_unitary
 
@@ -57,11 +62,7 @@ def matrix_size(spec: DomainSpec) -> int:
 
 def _block_split(spec: DomainSpec) -> int:
     # row/column index separating the A|B blocks from C|D
-    if spec.kind == "I":
-        return spec.r
-    if spec.kind == "IV":
-        return spec.n
-    return spec.n
+    return spec.r if spec.kind == "I" else spec.n
 
 
 @dataclass(frozen=True)
@@ -137,14 +138,15 @@ def check_membership(e: AutElement, tol: float = 1e-8) -> MembershipReport:
     return MembershipReport(residuals, worst, tol, worst <= hybrid_tol(tol, scale))
 
 
+def _iv_lifted_image(e: AutElement, p: Point) -> tuple:
+    """x = l(Z) M and lambda(Z) = i x_{n+1} + x_{n+2} for a kind IV element."""
+    x = borel_lift_iv(p) @ e.matrix
+    return x, complex(1j * x[-2] + x[-1])
+
+
 def iv_action_denominator(e: AutElement, p: Point) -> complex:
-    """lambda(Z) = (-2iZB + Z'D)(i,1)^t for a kind IV element."""
-    _, b, _, d = e.blocks
-    z = p.value
-    zzt = complex((z @ z.T)[0, 0])
-    z_prime = np.array([[1.0 + zzt, 1j * (1.0 - zzt)]])
-    row = -2j * z @ b + z_prime @ d
-    return complex(row[0, 0] * 1j + row[0, 1])
+    """lambda(Z) = i x_{n+1} + x_{n+2}, x = borel_lift_iv(Z) M, for a kind IV element."""
+    return _iv_lifted_image(e, p)[1]
 
 
 def act(e: AutElement, p: Point) -> Point:
@@ -156,16 +158,13 @@ def act(e: AutElement, p: Point) -> Point:
     """
     if e.spec != p.spec:
         raise ShapeError(f"element of {e.spec} cannot act on point of {p.spec}")
-    a, b, c, d = e.blocks
-    z = p.value
     if e.spec.kind == "IV":
-        lam = iv_action_denominator(e, p)
+        x, lam = _iv_lifted_image(e, p)
         if abs(lam) < 1e-14:
             raise ActionSingularityError("vanishing kind IV action denominator")
-        zzt = complex((z @ z.T)[0, 0])
-        z_prime = np.array([[1.0 + zzt, 1j * (1.0 - zzt)]])
-        w = (2j * z @ a - z_prime @ c) / lam
-        return Point(p.spec, w)
+        return Point(p.spec, -x[None, :-2] / lam)
+    a, b, c, d = e.blocks
+    z = p.value
     try:
         w = np.linalg.solve(a + z @ c, b + z @ d)
     except np.linalg.LinAlgError as exc:
@@ -288,8 +287,6 @@ def random_automorphism(spec: DomainSpec, seed, flavor: str = "mixed") -> AutEle
     if flavor == "isotropy":
         return iso
     if flavor == "transvection":
-        from .domains import sample_point
-
         z0 = sample_point(spec, "interior", rng)
         return product(transvection_type1(z0), iso)
     exp = AutElement(spec, expm(_random_algebra_element(spec, rng)))

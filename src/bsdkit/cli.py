@@ -6,6 +6,13 @@ Commands: ``verify all|fu|composition|coeff|properness|factorization``,
 a usage or configuration problem.  All randomness is seeded (default 42,
 overridable with the BSDKIT_SEED environment variable or ``--seed``); with
 ``--no-timestamp`` a repeated invocation is byte-identical.
+
+Maps are selected as ``name[:v1,v2,...]`` (see ``polymaps.select_map``):
+``--dims`` fills a map's integer parameters in order, ``--t``/``--theta``
+(where a command has them) fill the parameter of that name, and the
+selector's values fill the rest in the order of the catalog builder's
+signature.  ``dangelo:3,0.5`` is the D'Angelo map with n = 3 and
+theta = 0.5, the same map as ``dangelo:3 --theta 0.5``.
 """
 
 import argparse
@@ -21,7 +28,8 @@ from .autgroups import aut_from_json, aut_to_json, act, check_membership
 from .domains import classify_point, generic_norm, parse_spec, sample_point
 from .errors import BsdkitError, ParameterError
 from .invariants import distinguish, invariant_spectrum
-from .polymaps import catalog, eval_map, polymap_from_json, polymap_to_json, source_positions
+from .polymaps import (catalog, eval_map, polymap_from_json, polymap_to_json, select_map,
+                       source_positions)
 from .verify import run_all, summarize
 
 USAGE_EXIT = 2
@@ -100,57 +108,16 @@ def _parse_dims(text):
         raise ParameterError(f"malformed --dims {text!r}") from None
 
 
-def _resolve_map(selector, dims=None, t=None, theta=None, map_file=None):
-    """Map selector grammar: name[:param] with --dims/--t/--theta flags."""
-    if map_file:
-        with open(map_file) as fh:
+def _resolve_map(args, selector):
+    """The map of ``--map-file`` if given, else ``polymaps.select_map`` of the
+    selector with the command's ``--dims``, ``--t`` and ``--theta``."""
+    opts = vars(args)
+    if opts.get("map_file"):
+        with open(opts["map_file"]) as fh:
             return polymap_from_json(json.load(fh))
     if selector is None:
         raise ParameterError("a map selector (--map-a/--map-b) or --map-file is required")
-    name, _, param = selector.partition(":")
-    dims = _parse_dims(dims) if isinstance(dims, str) else dims
-    params = {}
-    if name == "standard":
-        d = dims or (_ints(param) if param else None)
-        if not d or len(d) != 4:
-            raise ParameterError("standard needs --dims r,s,r2,s2")
-        params = dict(zip(("r", "s", "r2", "s2"), d))
-    elif name in ("whitney-ball", "whitney_ball"):
-        n = (dims or _ints(param))[0] if (dims or param) else None
-        if n is None:
-            raise ParameterError("whitney-ball needs a dimension, e.g. whitney-ball:2")
-        params = {"n": n}
-        name = "whitney-ball"
-    elif name == "dangelo":
-        n = dims[0] if dims else (_ints(param)[0] if param else None)
-        if n is None or theta is None:
-            raise ParameterError("dangelo needs a dimension and --theta")
-        params = {"n": n, "theta": theta}
-    elif name in ("gen-whitney", "gen_whitney"):
-        d = dims or (_ints(param) if param else None)
-        if not d or len(d) != 2:
-            raise ParameterError("gen-whitney needs --dims r,s")
-        params = dict(zip(("r", "s"), d))
-        name = "gen-whitney"
-    elif name in ("f-sec4", "g-sec4", "f_sec4", "g_sec4"):
-        name = name.replace("_", "-")
-    elif name in ("f_t", "g_t", "h_t"):
-        tval = float(param) if param else t
-        if tval is None:
-            raise ParameterError(f"{name} needs a parameter, e.g. {name}:0.5")
-        params = {"t": tval}
-    elif name == "G_t":
-        tval = float(param) if param else t
-        if tval is None or not dims or len(dims) != 2:
-            raise ParameterError("G_t needs a parameter and --dims r,s")
-        params = {"r": dims[0], "s": dims[1], "t": tval}
-    else:
-        raise ParameterError(f"unknown map id {name!r}")
-    return catalog(name, **params)
-
-
-def _ints(text):
-    return tuple(int(x) for x in text.split(","))
+    return select_map(selector, _parse_dims(args.dims), t=opts.get("t"), theta=opts.get("theta"))
 
 
 def _matrix_json(m: np.ndarray):
@@ -211,14 +178,12 @@ def _cmd_verify(args) -> int:
                 spec, i, j, n_bases=samples or 20, seed=seed,
                 tol=args.tol if args.tol is not None else 1e-6))
     elif args.what == "properness":
-        f = _resolve_map(args.map_a, dims=_parse_dims(args.dims), t=args.t,
-                         theta=args.theta, map_file=args.map_file)
+        f = _resolve_map(args, args.map_a)
         reports.append(verify.check_properness(
             f, n_samples=samples or 500, seed=seed,
             tol=args.tol if args.tol is not None else 1e-7))
     elif args.what == "factorization":
-        f = _resolve_map(args.map_a, dims=_parse_dims(args.dims), t=args.t,
-                         theta=args.theta, map_file=args.map_file)
+        f = _resolve_map(args, args.map_a)
         report, _ = verify.check_factorization(
             f, grid_size=samples, seed=seed,
             tol=args.tol if args.tol is not None else 1e-7)
@@ -236,8 +201,7 @@ def _spectrum_payload(f) -> dict:
 
 
 def _cmd_invariants(args) -> int:
-    f = _resolve_map(args.map_a, dims=_parse_dims(args.dims), t=args.t,
-                     theta=args.theta, map_file=args.map_file)
+    f = _resolve_map(args, args.map_a)
     payload = _spectrum_payload(f)
     payload["source"] = str(f.source)
     payload["target"] = str(f.target)
@@ -246,9 +210,8 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_distinguish(args) -> int:
-    dims = _parse_dims(args.dims)
-    fa = _resolve_map(args.map_a, dims=dims)
-    fb = _resolve_map(args.map_b, dims=dims)
+    fa = _resolve_map(args, args.map_a)
+    fb = _resolve_map(args, args.map_b)
     result = distinguish(fa, fb, tol=args.tol if args.tol is not None else 1e-8)
     _emit({
         "verdict": result.verdict,
@@ -322,8 +285,7 @@ def _cmd_eval(args) -> int:
             "image": _matrix_json(image.value),
         })
     else:
-        f = _resolve_map(args.map_a, dims=_parse_dims(args.dims), t=args.t,
-                         theta=args.theta, map_file=args.map_file)
+        f = _resolve_map(args, args.map_a)
         p = sample_point(f.source, "interior", seed)
         image = eval_map(f, p)
         payload.update({

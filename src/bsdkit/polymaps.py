@@ -20,6 +20,7 @@ the generalized Whitney map, two quadratic maps between 2x2-block domains,
 and the one-parameter families f_t, g_t, G_t, h_t connecting them.
 """
 
+import inspect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,6 +39,7 @@ __all__ = [
     "variable_names",
     "catalog",
     "CATALOG_IDS",
+    "select_map",
     "eval_map",
     "map_constant",
     "homogeneous_parts",
@@ -343,47 +345,76 @@ def _build_h_t(t: float) -> PolyMap:
     return polymap(source, target, entries)
 
 
-CATALOG_IDS = (
-    "standard",
-    "whitney-ball",
-    "dangelo",
-    "gen-whitney",
-    "f-sec4",
-    "g-sec4",
-    "f_t",
-    "g_t",
-    "G_t",
-    "h_t",
-)
+_BUILDERS = {
+    "standard": _build_standard,
+    "whitney-ball": _build_whitney_ball,
+    "dangelo": _build_dangelo,
+    "gen-whitney": _build_gen_whitney,
+    "f-sec4": _build_f_sec4,
+    "g-sec4": _build_g_sec4,
+    "f_t": _build_f_t,
+    "g_t": _build_g_t,
+    "G_t": _build_G_t,
+    "h_t": _build_h_t,
+}
+CATALOG_IDS = tuple(_BUILDERS)
+
+
+def _builder(map_id: str) -> tuple:
+    """(catalog id, builder) for an id, accepting ``_`` for ``-`` (``gen_whitney``)."""
+    key = map_id if map_id in _BUILDERS else map_id.replace("_", "-")
+    if key not in _BUILDERS:
+        raise ParameterError(f"unknown catalog map id {map_id!r}")
+    return key, _BUILDERS[key]
 
 
 def catalog(map_id: str, **params) -> PolyMap:
-    """Construct a catalog map by id.
-
-    Parameters by id: ``standard(r, s, r2, s2)``, ``whitney-ball(n)``,
-    ``dangelo(n, theta)``, ``gen-whitney(r, s)``, ``f-sec4()``, ``g-sec4()``,
-    ``f_t(t)``, ``g_t(t)``, ``G_t(r, s, t)``, ``h_t(t)``.
-    """
-    key = map_id if map_id in CATALOG_IDS else map_id.replace("_", "-")
-    try:
-        builder = {
-            "standard": _build_standard,
-            "whitney-ball": _build_whitney_ball,
-            "dangelo": _build_dangelo,
-            "gen-whitney": _build_gen_whitney,
-            "f-sec4": _build_f_sec4,
-            "g-sec4": _build_g_sec4,
-            "f_t": _build_f_t,
-            "g_t": _build_g_t,
-            "G_t": _build_G_t,
-            "h_t": _build_h_t,
-        }[key]
-    except KeyError:
-        raise ParameterError(f"unknown catalog map id {map_id!r}") from None
+    """Construct a catalog map by id, passing the keyword parameters of its
+    ``_build_*`` function, e.g. ``catalog("G_t", r=2, s=3, t=0.5)``."""
+    _, builder = _builder(map_id)
     try:
         return builder(**params)
     except TypeError as exc:
         raise ParameterError(f"bad parameters for catalog map {map_id!r}: {exc}") from None
+
+
+def select_map(selector: str, dims=None, **flags) -> PolyMap:
+    """Construct a catalog map from a selector ``name[:v1,v2,...]``.
+
+    The builder's signature gives the parameter names and their int/float
+    types.  ``dims`` fills the integer parameters in order, a flag such as
+    ``t`` or ``theta`` fills the parameter of that name (flags that are None
+    or name a parameter the map does not take are ignored), and the
+    selector's values fill the remaining parameters in signature order, so
+    ``dangelo:2,0.5``, ``dangelo:0.5`` with ``dims=(2,)`` and ``dangelo:2``
+    with ``theta=0.5`` are the same map.
+    """
+    name, _, text = selector.partition(":")
+    key, builder = _builder(name)
+    params = inspect.signature(builder).parameters
+    ints = [p for p, v in params.items() if v.annotation is int]
+    hints = [f"--{p}" for p, v in params.items() if v.annotation is float]
+    if ints:
+        hints.insert(0, "a dimension" if len(ints) == 1 else f"--dims {','.join(ints)}")
+    needs = f"{key} needs {' and '.join(hints)}"
+    values = {p: v for p, v in flags.items() if p in params and v is not None}
+    if dims is not None:
+        if len(dims) != len(ints):
+            raise ParameterError(f"{key} takes {len(ints)} dimensions, got {len(dims)} in --dims")
+        values.update(zip(ints, dims))
+    rest = [p for p in params if p not in values]
+    given = text.split(",") if text else []
+    if len(given) > len(rest):
+        raise ParameterError(f"map selector {selector!r} has more values than {key} takes")
+    for p, v in zip(rest, given):
+        try:
+            values[p] = params[p].annotation(v)
+        except ValueError:
+            msg = f"malformed {p} {v!r} in map selector {selector!r}; {needs}"
+            raise ParameterError(msg) from None
+    if len(values) < len(params):
+        raise ParameterError(needs)
+    return builder(**values)
 
 
 def eval_map(f: PolyMap, p: Point) -> Point:

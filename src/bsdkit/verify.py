@@ -327,7 +327,7 @@ def check_coefficient_lemma(spec: DomainSpec, i: int, j: int, n_bases: int = 20,
         base = sample_point(spec, "interior", [seed, attempt]).value.copy()
         attempt += 1
         minor = _minor(base, *drops)
-        expected = sign * float(np.real(np.linalg.det(np.eye(minor.shape[0]) - minor @ minor.conj().T)))
+        expected = sign * _norm_square_poly_value(minor)
         if abs(expected) < 1e-2:
             resamples += 1
             if resamples > 50 * n_bases:

@@ -19,7 +19,9 @@ from bsdkit.autgroups import (
     random_isotropy_params,
     transvection_type1,
 )
-from bsdkit.domains import classify_point, origin, parse_spec, point, polarized_norm, sample_point
+from bsdkit.domains import (
+    borel_lift_iv, classify_point, origin, parse_spec, point, polarized_norm, sample_point,
+)
 from bsdkit.errors import ActionSingularityError, DomainError, ParameterError, ShapeError
 from bsdkit.linalg import random_unitary
 
@@ -103,6 +105,18 @@ class TestAct:
         e = identity_element(spec)
         assert iv_action_denominator(e, z) == pytest.approx(2j)
         assert np.allclose(act(e, z).value, z.value)
+
+    @pytest.mark.parametrize("text", ["IV:1", "IV:3", "IV:4"])
+    @pytest.mark.parametrize("region", ["interior", "boundary"])
+    def test_kind_iv_lift_covariance(self, text, region):
+        # l(MZ) = (2i / lambda(Z)) l(Z) M for the quadric lift l
+        spec = parse_spec(text)
+        for k in range(20):
+            e = random_automorphism(spec, [41, k])
+            z = sample_point(spec, region, [42, k])
+            lhs = borel_lift_iv(act(e, z))
+            rhs = 2j / iv_action_denominator(e, z) * borel_lift_iv(z) @ e.matrix
+            assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
     @pytest.mark.parametrize("text", ALL_SPECS)
     def test_row_convention_composition(self, text):

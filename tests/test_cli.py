@@ -7,7 +7,7 @@ import pytest
 from bsdkit.autgroups import aut_to_json, random_automorphism
 from bsdkit.cli import main
 from bsdkit.domains import parse_spec
-from bsdkit.polymaps import catalog, polymap_to_json
+from bsdkit.polymaps import catalog, coeff_distance, polymap_from_json, polymap_to_json
 
 
 def run(tmp_path, *argv, name="out.json"):
@@ -70,6 +70,17 @@ class TestDistinguishCommand:
         assert rc == 0
         assert json.loads(out.read_text())["verdict"] == "indistinguishable-by-invariants"
 
+    def test_dangelo_selector_carries_theta(self, tmp_path):
+        rc, out = run(tmp_path, "distinguish", "--map-a", "dangelo:2,0.5",
+                      "--map-b", "dangelo:2,0.5", "--no-timestamp")
+        assert rc == 0
+        assert json.loads(out.read_text())["verdict"] == "indistinguishable-by-invariants"
+
+    def test_dangelo_without_theta_names_what_is_missing(self, tmp_path, capsys):
+        rc, _ = run(tmp_path, "distinguish", "--map-a", "dangelo:2", "--map-b", "dangelo:2")
+        assert rc == 2
+        assert "dangelo needs a dimension and --theta" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def read_matrix(self, path):
@@ -115,6 +126,20 @@ class TestSampleEval:
         data = json.loads(out.read_text())
         assert data["image_classification"] == "interior"
         assert data["map"]["source"] == "I:1,2"
+
+    @pytest.mark.parametrize("positional,flag_form", [
+        (["G_t:2,2,0.5"], ["G_t:0.5", "--dims", "2,2"]),
+        (["G_t:2,2,0.5"], ["G_t", "--dims", "2,2", "--t", "0.5"]),
+        (["standard:2,2,3,3"], ["standard", "--dims", "2,2,3,3"]),
+        (["dangelo:3,0.5"], ["dangelo:3", "--theta", "0.5"]),
+    ])
+    def test_eval_positional_and_flag_forms_agree(self, tmp_path, positional, flag_form):
+        maps = []
+        for name, selector in (("a.json", positional), ("b.json", flag_form)):
+            rc, out = run(tmp_path, "eval", "--map-a", *selector, "--no-timestamp", name=name)
+            assert rc == 0
+            maps.append(polymap_from_json(json.loads(out.read_text())["map"]))
+        assert coeff_distance(*maps) == 0.0
 
     def test_eval_map_file_roundtrip(self, tmp_path):
         payload = polymap_to_json(catalog("f_t", t=0.25))
@@ -163,6 +188,9 @@ class TestDeterminismAndErrors:
         ["sample", "--domain", "V:3"],
         ["sweep", "--family", "f_t", "--grid", "oops"],
         ["verify", "nothing"],
+        ["invariants", "--map-a", "f-sec4:1"],
+        ["invariants", "--map-a", "whitney-ball:2,3"],
+        ["verify", "properness", "--map-a", "gen-whitney", "--dims", "2,2,2"],
     ])
     def test_usage_errors_exit_two(self, argv, capsys):
         assert main([*argv, "--no-timestamp"]) == 2

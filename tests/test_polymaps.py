@@ -8,6 +8,7 @@ from bsdkit.autgroups import act, identity_element, isotropy, random_isotropy_pa
 from bsdkit.domains import DomainSpec, classify_point, origin, parse_spec, point, sample_point
 from bsdkit.errors import ParameterError, ShapeError
 from bsdkit.polymaps import (
+    CATALOG_IDS,
     catalog,
     coeff_distance,
     compose_pointwise,
@@ -20,6 +21,7 @@ from bsdkit.polymaps import (
     polymap,
     polymap_from_json,
     polymap_to_json,
+    select_map,
     source_positions,
     variable_names,
 )
@@ -171,6 +173,54 @@ class TestCatalogCoefficients:
     def test_unknown_id(self):
         with pytest.raises(ParameterError):
             catalog("whitney")
+
+
+SELECTED = [
+    ("standard:2,2,3,3", "standard", {"r": 2, "s": 2, "r2": 3, "s2": 3}),
+    ("whitney-ball:3", "whitney-ball", {"n": 3}),
+    ("dangelo:3,0.5", "dangelo", {"n": 3, "theta": 0.5}),
+    ("gen_whitney:2,3", "gen-whitney", {"r": 2, "s": 3}),
+    ("f-sec4", "f-sec4", {}),
+    ("g_sec4", "g-sec4", {}),
+    ("f_t:0.35", "f_t", {"t": 0.35}),
+    ("g_t:0.35", "g_t", {"t": 0.35}),
+    ("G_t:2,3,0.35", "G_t", {"r": 2, "s": 3, "t": 0.35}),
+    ("h_t:0.35", "h_t", {"t": 0.35}),
+]
+
+
+class TestSelectMap:
+    def test_covers_catalog(self):
+        assert sorted(map_id for _, map_id, _ in SELECTED) == sorted(CATALOG_IDS)
+
+    @pytest.mark.parametrize("selector,map_id,params", SELECTED, ids=[s for s, _, _ in SELECTED])
+    def test_selector_reaches_catalog_map(self, selector, map_id, params):
+        assert coeff_distance(select_map(selector), catalog(map_id, **params)) == 0.0
+
+    @pytest.mark.parametrize("positional,selector,dims,flags", [
+        ("G_t:2,2,0.5", "G_t:0.5", (2, 2), {}),
+        ("G_t:2,2,0.5", "G_t", (2, 2), {"t": 0.5}),
+        ("standard:2,2,3,3", "standard", (2, 2, 3, 3), {}),
+        ("dangelo:2,0.5", "dangelo:2", None, {"theta": 0.5}),
+        ("dangelo:2,0.5", "dangelo:0.5", (2,), {}),
+        ("f_t:0.5", "f_t:0.5", None, {"theta": 0.1}),  # a flag the map does not take
+    ])
+    def test_positional_and_flag_forms_agree(self, positional, selector, dims, flags):
+        assert coeff_distance(select_map(positional), select_map(selector, dims, **flags)) == 0.0
+
+    @pytest.mark.parametrize("selector,dims,message", [
+        ("standard", None, "standard needs --dims r,s,r2,s2"),
+        ("gen-whitney", None, "gen-whitney needs --dims r,s"),
+        ("dangelo:2", None, "dangelo needs a dimension and --theta"),
+        ("gen-whitney", (2, 2, 2), "gen-whitney takes 2 dimensions"),
+        ("f-sec4:1", None, "more values than f-sec4 takes"),
+        ("whitney-ball:2,3", None, "more values than whitney-ball takes"),
+        ("standard:2,x", None, "malformed s 'x'"),
+        ("whitney:2", None, "unknown catalog map id"),
+    ])
+    def test_rejects_bad_selectors(self, selector, dims, message):
+        with pytest.raises(ParameterError, match=message):
+            select_map(selector, dims)
 
 
 class TestHomogeneousParts:
