@@ -2,7 +2,11 @@
 
 Elements are stored as a single block matrix together with the domain spec.
 Kinds I/II/III act by the fractional-linear rule Z -> (A + ZC)^{-1}(B + ZD)
-in the row convention [X] -> [XM].  Kind IV acts through the quadric lift
+in the row convention [X] -> [XM].  The action and its denominators
+(``act_points``, ``automorphy_denominators``) take point stacks with leading
+axes, and an element whose matrix has leading axes is a stack of elements
+broadcast against them; ``act`` and ``automorphy_denominator`` are the same
+kernels on one point.  Kind IV acts through the quadric lift
 l(Z) = (-2iZ, 1 + ZZ^t, i(1 - ZZ^t)) of ``domains.borel_lift_iv``: l(Z) is
 the point of the quadric sum_k x_k^2 = 0 with first entries -2iZ and
 i x_{n+1} + x_{n+2} = 2i.  M^t M = I keeps x = l(Z) M on the quadric, so
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .domains import (DomainSpec, Point, borel_lift_iv, classify_point, parse_spec, point,
+from .domains import (DomainSpec, Point, borel_lifts, check_shapes, classify_point, parse_spec,
                       sample_point)
 from .errors import ActionSingularityError, DomainError, ParameterError, ShapeError
 from .linalg import as_matrix, hybrid_tol, psd_inv_sqrt, random_orthogonal, random_unitary
@@ -32,6 +36,7 @@ __all__ = [
     "MembershipReport",
     "aut_element",
     "check_membership",
+    "act_points",
     "act",
     "product",
     "identity_element",
@@ -40,6 +45,8 @@ __all__ = [
     "transvection_type1",
     "random_automorphism",
     "automorphy_factor",
+    "automorphy_denominators",
+    "automorphy_denominator",
     "iv_action_denominator",
     "IV_FACTOR_CANDIDATES",
     "aut_to_json",
@@ -67,6 +74,10 @@ def _block_split(spec: DomainSpec) -> int:
 
 @dataclass(frozen=True)
 class AutElement:
+    """A group element, or a stack of them when ``matrix`` has leading axes
+    (shape ``(..., N, N)``); the stacked kernels :func:`act_points` and
+    :func:`automorphy_denominators` broadcast those axes against a point stack."""
+
     spec: DomainSpec
     matrix: np.ndarray
 
@@ -74,7 +85,7 @@ class AutElement:
     def blocks(self):
         k = _block_split(self.spec)
         m = self.matrix
-        return m[:k, :k], m[:k, k:], m[k:, :k], m[k:, k:]
+        return m[..., :k, :k], m[..., :k, k:], m[..., k:, :k], m[..., k:, k:]
 
 
 def aut_element(spec: DomainSpec, matrix) -> AutElement:
@@ -138,38 +149,50 @@ def check_membership(e: AutElement, tol: float = 1e-8) -> MembershipReport:
     return MembershipReport(residuals, worst, tol, worst <= hybrid_tol(tol, scale))
 
 
-def _iv_lifted_image(e: AutElement, p: Point) -> tuple:
-    """x = l(Z) M and lambda(Z) = i x_{n+1} + x_{n+2} for a kind IV element."""
-    x = borel_lift_iv(p) @ e.matrix
-    return x, complex(1j * x[-2] + x[-1])
+def _iv_lifted_images(e: AutElement, z: np.ndarray) -> tuple:
+    """x = l(Z) M and lambda(Z) = i x_{n+1} + x_{n+2} over a kind IV point stack."""
+    x = (borel_lifts(z)[..., None, :] @ e.matrix)[..., 0, :]
+    return x, 1j * x[..., -2] + x[..., -1]
 
 
 def iv_action_denominator(e: AutElement, p: Point) -> complex:
     """lambda(Z) = i x_{n+1} + x_{n+2}, x = borel_lift_iv(Z) M, for a kind IV element."""
-    return _iv_lifted_image(e, p)[1]
+    return complex(_iv_lifted_images(e, p.value)[1])
 
 
-def act(e: AutElement, p: Point) -> Point:
-    """Apply the automorphism to a point of the closed domain.
+def act_points(e: AutElement, z: np.ndarray) -> np.ndarray:
+    """Apply the element (or element stack) to the point stack ``z`` of shape
+    ``(..., *spec.shape)``; returns the image stack.
 
-    Composition follows the row convention: act(product(M, N), Z) equals
-    act(N, act(M, Z)).  Raises :class:`ActionSingularityError` when the
-    denominator degenerates (possible only off the closed domain).
+    Kinds I/II/III solve (A + ZC) W = B + ZD and check every image for the
+    kind's symmetry; kind IV divides the lifted image by lambda(Z).  Raises
+    :class:`ActionSingularityError` when a denominator degenerates (possible
+    only off the closed domain).
     """
-    if e.spec != p.spec:
-        raise ShapeError(f"element of {e.spec} cannot act on point of {p.spec}")
     if e.spec.kind == "IV":
-        x, lam = _iv_lifted_image(e, p)
-        if abs(lam) < 1e-14:
+        x, lam = _iv_lifted_images(e, z)
+        if np.any(np.abs(lam) < 1e-14):
             raise ActionSingularityError("vanishing kind IV action denominator")
-        return Point(p.spec, -x[None, :-2] / lam)
+        return -x[..., None, :-2] / lam[..., None, None]
     a, b, c, d = e.blocks
-    z = p.value
     try:
         w = np.linalg.solve(a + z @ c, b + z @ d)
     except np.linalg.LinAlgError as exc:
         raise ActionSingularityError("singular A + ZC in fractional-linear action") from exc
-    return point(p.spec, w, tol=1e-10)
+    check_shapes(e.spec, w, tol=1e-10)
+    return w
+
+
+def act(e: AutElement, p: Point) -> Point:
+    """Apply the automorphism to a point of the closed domain (see
+    :func:`act_points`).
+
+    Composition follows the row convention: act(product(M, N), Z) equals
+    act(N, act(M, Z)).
+    """
+    if e.spec != p.spec:
+        raise ShapeError(f"element of {e.spec} cannot act on point of {p.spec}")
+    return Point(p.spec, act_points(e, p.value))
 
 
 def isotropy(spec: DomainSpec, params) -> AutElement:
@@ -304,27 +327,27 @@ def automorphy_factor(e: AutElement, p: Point, q: Point):
     """
     if e.spec != p.spec or e.spec != q.spec:
         raise ShapeError("element and points must share one domain spec")
-    if e.spec.kind == "IV":
-        lam_z = iv_action_denominator(e, p)
-        lam_w = iv_action_denominator(e, q)
-        if abs(lam_z) < 1e-14 or abs(lam_w) < 1e-14:
-            raise ActionSingularityError("vanishing kind IV action denominator")
-        base = 1.0 / (lam_z * np.conj(lam_w))
-        return tuple(c * base for c in IV_FACTOR_CANDIDATES)
-    a, _, c, _ = e.blocks
-    dz = complex(np.linalg.det(a + p.value @ c))
-    dw = complex(np.linalg.det(a + q.value @ c))
+    dz, dw = automorphy_denominator(e, p), automorphy_denominator(e, q)
     if abs(dz) < 1e-14 or abs(dw) < 1e-14:
-        raise ActionSingularityError("vanishing det(A + ZC) in automorphy factor")
-    return 1.0 / (dz * np.conj(dw))
+        raise ActionSingularityError("vanishing automorphy denominator")
+    base = 1.0 / (dz * np.conj(dw))
+    if e.spec.kind == "IV":
+        return tuple(c * base for c in IV_FACTOR_CANDIDATES)
+    return base
+
+
+def automorphy_denominators(e: AutElement, z: np.ndarray) -> np.ndarray:
+    """det(A + ZC) for kinds I/II/III, lambda(Z) for kind IV, over the point
+    stack ``z`` (and the element stack, if ``e`` is one)."""
+    if e.spec.kind == "IV":
+        return _iv_lifted_images(e, z)[1]
+    a, _, c, _ = e.blocks
+    return np.linalg.det(a + z @ c)
 
 
 def automorphy_denominator(e: AutElement, p: Point) -> complex:
     """det(A + ZC) for kinds I/II/III, lambda(Z) for kind IV."""
-    if e.spec.kind == "IV":
-        return iv_action_denominator(e, p)
-    a, _, c, _ = e.blocks
-    return complex(np.linalg.det(a + p.value @ c))
+    return complex(automorphy_denominators(e, p.value))
 
 
 def aut_to_json(e: AutElement) -> dict:

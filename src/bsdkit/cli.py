@@ -238,7 +238,7 @@ def _cmd_sweep(args) -> int:
     if any(t < 0.0 or t > 1.0 for t in grid):
         raise ParameterError("sweep grid must lie in [0, 1]")
     dims = _parse_dims(args.dims)
-    maps = [verify._family_map(args.family, t, dims) for t in grid]
+    maps = [select_map(args.family, dims=dims, t=t) for t in grid]
     n = len(grid)
     matrix = np.zeros((n, n))
     for a in range(n):

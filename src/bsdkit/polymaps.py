@@ -10,9 +10,12 @@ enter a monomial, and dependent target entries are stored as mirrors.
 Evaluation uses a compiled form of the map: the source and target index
 arrays, an exponent matrix E (monomials x source variables) and a
 coefficient matrix C (target entries x monomials), so that the image
-entries are ``C @ prod(vals ** E, axis=1)``.  It is built lazily, on a
-map's first evaluation, and cached on the instance; this relies on
-``entries`` never being changed after construction.
+entries are ``C @ prod(vals ** E)``.  It is built lazily, on a map's first
+evaluation, and cached on the instance; this relies on ``entries`` never
+being changed after construction.  ``eval_points`` evaluates a stack of
+source points (leading axes, one sample per row, each drawn from its own
+``[seed, k, ...]`` RNG key by the verification harness) in one call;
+``eval_map`` is the same kernel on one point.
 
 The catalog holds the proper polynomial map families used throughout:
 standard block embeddings, ball Whitney and one-parameter ball families,
@@ -40,6 +43,7 @@ __all__ = [
     "catalog",
     "CATALOG_IDS",
     "select_map",
+    "eval_points",
     "eval_map",
     "map_constant",
     "homogeneous_parts",
@@ -417,16 +421,23 @@ def select_map(selector: str, dims=None, **flags) -> PolyMap:
     return builder(**values)
 
 
+def eval_points(f: PolyMap, z: np.ndarray) -> np.ndarray:
+    """Evaluate the map on the source point stack ``z`` (shape
+    ``(..., *f.source.shape)``) through its compiled form,
+    ``C @ prod(vals ** E)`` per point (built on the first call and cached);
+    returns the target stack."""
+    c = f._compiled
+    vals = z[(..., *c.source_index)]
+    out = np.zeros(z.shape[:-2] + f.target.shape, dtype=complex)
+    out[(..., *c.target_index)] = np.prod(vals[..., None, :] ** c.exponents, axis=-1) @ c.coeffs.T
+    return out
+
+
 def eval_map(f: PolyMap, p: Point) -> Point:
-    """Evaluate through the map's compiled form, ``C @ prod(vals ** E)``
-    (built on the first call and cached); returns a target point."""
+    """Evaluate at one point (see :func:`eval_points`); returns a target point."""
     if p.spec != f.source:
         raise ShapeError(f"point of {p.spec} fed to map from {f.source}")
-    c = f._compiled
-    vals = p.value[c.source_index]
-    out = np.zeros(f.target.shape, dtype=complex)
-    out[c.target_index] = c.coeffs @ np.prod(vals ** c.exponents, axis=1)
-    return Point(f.target, out)
+    return Point(f.target, eval_points(f, p.value))
 
 
 def map_constant(f: PolyMap) -> np.ndarray:

@@ -3,6 +3,15 @@
 Every check draws its randomness from substreams keyed by (seed, sample
 index), so a report is a pure function of its arguments.  A report passes
 exactly when its max residual is at most its tolerance.
+
+The sampling checks (properness, factorization, F_U, composition and the
+coefficient lemma) draw all samples of a report as one stack and push it
+through the stacked kernels of ``domains``, ``polymaps`` and ``autgroups``
+(arrays with a leading sample axis) in one call each.  Every sample still
+has its own RNG key, ``[seed, k, ...]``, and a rejected sample is redrawn
+from its own key's stream only, so a sample is the same whatever else is in
+its stack.  Only the random automorphisms of the F_U check are drawn one key
+at a time; their matrices are then stacked too.
 """
 
 import math
@@ -12,19 +21,21 @@ import numpy as np
 
 from .autgroups import (
     IV_FACTOR_CANDIDATES,
-    act,
-    automorphy_denominator,
-    iv_action_denominator,
+    AutElement,
+    act_points,
+    automorphy_denominators,
+    matrix_size,
     random_automorphism,
     random_isotropy_params,
 )
 from .domains import (
     DomainSpec,
-    classify_point,
-    generic_norm,
+    classify_points,
+    generic_norms,
+    norm_gram,
     parse_spec,
-    polarized_norm,
-    sample_point,
+    polarized_norms,
+    sample_points,
 )
 from .errors import ConfigurationError, ParameterError, ShapeError
 from .invariants import INDISTINGUISHABLE, distinguish, invariant_spectrum, monomials_of_degree
@@ -34,8 +45,9 @@ from .polymaps import (
     coeff_distance,
     conjugate,
     embed_map,
-    eval_map,
+    eval_points,
     pad_map,
+    select_map,
     source_positions,
     variable_names,
 )
@@ -83,10 +95,6 @@ def summarize(reports) -> dict:
     return {"total": len(reports), "passed": passed, "failed": len(reports) - passed}
 
 
-def _rel(err: float, scale: float) -> float:
-    return err / max(1.0, abs(scale))
-
-
 def check_properness(f: PolyMap, n_samples: int = 500, tol: float = 1e-7, seed: int = 42,
                      check_id: str = "properness") -> VerificationReport:
     """Boundary points of the source must map to boundary points of the target.
@@ -95,32 +103,44 @@ def check_properness(f: PolyMap, n_samples: int = 500, tol: float = 1e-7, seed: 
     classification margin when the image is not classified as boundary at
     10x the tolerance.
     """
+    z = sample_points(f.source, "boundary", [[seed, k] for k in range(n_samples)])
+    y = eval_points(f, z)
+    gram = norm_gram(y, y)
+    res = np.abs(generic_norms(f.target, y, gram=gram))
+    regions, margins = classify_points(f.target, y, 10.0 * tol, gram=gram)
+    off = regions != "boundary"
+    res[off] = np.maximum(res[off], np.abs(margins[off]))
+    worst = float(np.max(res, initial=0.0))
+    misclassified = int(np.count_nonzero(off))
     notes = []
-    worst = 0.0
-    misclassified = 0
-    for k in range(n_samples):
-        z = sample_point(f.source, "boundary", [seed, k])
-        y = eval_map(f, z)
-        res = abs(generic_norm(y))
-        cls = classify_point(y, 10.0 * tol)
-        if cls.region != "boundary":
-            misclassified += 1
-            res = max(res, abs(cls.margin))
-        worst = max(worst, res)
     if misclassified:
         notes.append(f"{misclassified} images not classified as boundary at {10.0 * tol:g}")
     return VerificationReport(check_id, [str(f.source), str(f.target)], n_samples, seed,
                               worst, tol, worst <= tol, notes)
 
 
-def _sample_pair(spec: DomainSpec, seed, k: int, threshold: float):
+def _sample_pairs(spec: DomainSpec, prefixes, threshold: float) -> tuple:
+    """Interior pairs (z, w) with |S1(z, w)| >= threshold, stacked, and their
+    S1 values: for each key prefix p, attempt a draws z from ``[*p, 2a]`` and
+    w from ``[*p, 2a + 1]``, and only the prefixes still rejected go on to
+    the next attempt."""
+    count = len(prefixes)
+    z = np.empty((count, *spec.shape), dtype=complex)
+    w = np.empty_like(z)
+    s1 = np.empty(count, dtype=complex)
+    pending = np.arange(count)
     for attempt in range(64):
-        z = sample_point(spec, "interior", [seed, k, 2 * attempt])
-        w = sample_point(spec, "interior", [seed, k, 2 * attempt + 1])
-        s1 = polarized_norm(z, w)
-        if abs(s1) >= threshold:
+        if not pending.size:
             return z, w, s1
-    raise ConfigurationError(f"could not sample a pair with |S1| >= {threshold}")
+        zs = sample_points(spec, "interior", [[*prefixes[k], 2 * attempt] for k in pending])
+        ws = sample_points(spec, "interior", [[*prefixes[k], 2 * attempt + 1] for k in pending])
+        ss = polarized_norms(spec, zs, ws)
+        ok = np.abs(ss) >= threshold
+        z[pending[ok]], w[pending[ok]], s1[pending[ok]] = zs[ok], ws[ok], ss[ok]
+        pending = pending[~ok]
+    if pending.size:
+        raise ConfigurationError(f"could not sample a pair with |S1| >= {threshold}")
+    return z, w, s1
 
 
 def check_factorization(f: PolyMap, degree_bound: int = 4, grid_size: int = None,
@@ -141,16 +161,14 @@ def check_factorization(f: PolyMap, degree_bound: int = 4, grid_size: int = None
     if n_train < ncoeff:
         raise ConfigurationError(f"fit needs at least {ncoeff} samples, got {n_train}")
 
+    rows, cols = zip(*positions)
+
     def fit_data(stream: int, count: int, threshold: float):
         """Design matrix over the joint (z, conj w) vectors of ``count``
         sample pairs, and the norm ratios it must reproduce."""
-        joint = np.empty((count, 2 * nvars), dtype=complex)
-        ratios = np.empty(count, dtype=complex)
-        for k in range(count):
-            z, w, s1 = _sample_pair(f.source, [seed, stream], k, threshold)
-            joint[k, :nvars] = [z.value[p] for p in positions]
-            joint[k, nvars:] = np.conj([w.value[p] for p in positions])
-            ratios[k] = polarized_norm(eval_map(f, z), eval_map(f, w)) / s1
+        z, w, s1 = _sample_pairs(f.source, [[[seed, stream], k] for k in range(count)], threshold)
+        joint = np.concatenate([z[:, rows, cols], np.conj(w[:, rows, cols])], axis=1)
+        ratios = polarized_norms(f.target, eval_points(f, z), eval_points(f, w)) / s1
         # One joint variable at a time, so no samples x monomials x variables temporary.
         design = np.ones((count, ncoeff), dtype=complex)
         for v in range(2 * nvars):
@@ -195,29 +213,28 @@ def check_F_U_lemma(spec: DomainSpec, n_samples: int = 200, tol: float = 1e-9,
     """
     check_id = check_id or f"fu:{spec}"
     notes = []
+    ks = np.arange(n_samples)
+    size = matrix_size(spec)
+    e = AutElement(spec, np.array([random_automorphism(spec, [seed, k, 0]).matrix for k in ks],
+                                  dtype=complex).reshape(n_samples, size, size))
+    period = 4 if spec.kind == "IV" else 5
+    on_boundary = ks % period == period - 1
+    z = np.empty((n_samples, *spec.shape), dtype=complex)
+    for region, mask in (("boundary", on_boundary), ("interior", ~on_boundary)):
+        z[mask] = sample_points(spec, region, [[seed, k, 1] for k in ks[mask]])
     if spec.kind == "IV":
-        cand_worst = {c: 0.0 for c in IV_FACTOR_CANDIDATES}
-        ratios = []
-        boundary_total = flat_boundary = 0
-        for k in range(n_samples):
-            e = random_automorphism(spec, [seed, k, 0])
-            region = "boundary" if k % 4 == 3 else "interior"
-            z = sample_point(spec, region, [seed, k, 1])
-            s_z = generic_norm(z)
-            if region == "boundary":
-                boundary_total += 1
-                zz = float(np.real(z.value @ z.value.conj().T)[0, 0])
-                if zz >= 1.0 - 1e-9 and s_z >= -1e-9:
-                    flat_boundary += 1
-            s_az = generic_norm(act(e, z))
-            lam_sq = abs(iv_action_denominator(e, z)) ** 2
-            for c in cand_worst:
-                cand_worst[c] = max(cand_worst[c], _rel(abs(s_az * lam_sq - c * s_z), s_z))
-            if abs(s_z) > 0.1:
-                ratios.append(s_az * lam_sq / s_z)
+        s_z = generic_norms(spec, z)
+        zz = np.real(z @ np.conj(z).swapaxes(-1, -2))[:, 0, 0]
+        flat_boundary = int(np.count_nonzero(on_boundary & (zz >= 1.0 - 1e-9) & (s_z >= -1e-9)))
+        scaled = generic_norms(spec, act_points(e, z)) * np.abs(automorphy_denominators(e, z)) ** 2
+        scale = np.maximum(1.0, np.abs(s_z))
+        cand_worst = {c: float(np.max(np.abs(scaled - c * s_z) / scale, initial=0.0))
+                      for c in IV_FACTOR_CANDIDATES}
+        kept = np.abs(s_z) > 0.1
+        ratios = scaled[kept] / s_z[kept]
         fits = [c for c in IV_FACTOR_CANDIDATES if cand_worst[c] <= tol]
         notes.append(f"boundary samples with ZZ* = 1 and nonnegative norm: "
-                     f"{flat_boundary} of {boundary_total}")
+                     f"{flat_boundary} of {int(np.count_nonzero(on_boundary))}")
         notes.append(f"empirical constant: {float(np.median(ratios)):.12g}")
         for c in IV_FACTOR_CANDIDATES:
             notes.append(f"candidate {c:g}: max residual {cand_worst[c]:.6e}")
@@ -232,17 +249,12 @@ def check_F_U_lemma(spec: DomainSpec, n_samples: int = 200, tol: float = 1e-9,
             passed = False
         return VerificationReport(check_id, [str(spec)], n_samples, seed, worst, tol, passed, notes)
 
-    worst = 0.0
-    for k in range(n_samples):
-        e = random_automorphism(spec, [seed, k, 0])
-        region_z = "boundary" if k % 5 == 4 else "interior"
-        z = sample_point(spec, region_z, [seed, k, 1])
-        w = sample_point(spec, "interior", [seed, k, 2])
-        s_before = polarized_norm(z, w)
-        s_after = polarized_norm(act(e, z), act(e, w))
-        dz = automorphy_denominator(e, z)
-        dw = automorphy_denominator(e, w)
-        worst = max(worst, _rel(abs(s_after * dz * np.conj(dw) - s_before), abs(s_before)))
+    w = sample_points(spec, "interior", [[seed, k, 2] for k in ks])
+    s_before = polarized_norms(spec, z, w)
+    s_after = polarized_norms(spec, act_points(e, z), act_points(e, w))
+    dz, dw = automorphy_denominators(e, z), automorphy_denominators(e, w)
+    res = np.abs(s_after * dz * np.conj(dw) - s_before) / np.maximum(1.0, np.abs(s_before))
+    worst = float(np.max(res, initial=0.0))
     if spec.kind == "II":
         notes.append("kind II identity verified in squared (determinant) form")
     return VerificationReport(check_id, [str(spec)], n_samples, seed, worst, tol,
@@ -256,34 +268,38 @@ def check_composition_rule(f: PolyMap, g: PolyMap, n_samples: int = 100, tol: fl
     at interior pairs kept away from the norm zero sets."""
     if g.target != f.source:
         raise ShapeError(f"maps do not compose: {g.target} vs {f.source}")
-    worst = 0.0
-    for k in range(n_samples):
-        for attempt in range(64):
-            z, w, s1 = _sample_pair(g.source, [seed, k], attempt, 0.1)
-            gz, gw = eval_map(g, z), eval_map(g, w)
-            s2 = polarized_norm(gz, gw)
-            if abs(s2) >= 0.01:
-                break
-        else:
-            raise ConfigurationError("could not sample a pair with |S2(gZ, gW)| >= 0.01")
-        s3 = polarized_norm(eval_map(f, gz), eval_map(f, gw))
-        f_total = s3 / s1
-        f_inner = s2 / s1
-        f_outer = s3 / s2
-        worst = max(worst, _rel(abs(f_total - f_inner * f_outer), abs(f_total)))
+    z = np.empty((n_samples, *g.source.shape), dtype=complex)
+    w = np.empty_like(z)
+    s1 = np.empty(n_samples, dtype=complex)
+    pending = np.arange(n_samples)
+    for attempt in range(64):
+        if not pending.size:
+            break
+        zs, ws, ss = _sample_pairs(g.source, [[[seed, k], attempt] for k in pending], 0.1)
+        s2 = polarized_norms(g.target, eval_points(g, zs), eval_points(g, ws))
+        ok = np.abs(s2) >= 0.01
+        z[pending[ok]], w[pending[ok]], s1[pending[ok]] = zs[ok], ws[ok], ss[ok]
+        pending = pending[~ok]
+    if pending.size:
+        raise ConfigurationError("could not sample a pair with |S2(gZ, gW)| >= 0.01")
+    gz, gw = eval_points(g, z), eval_points(g, w)
+    s2 = polarized_norms(g.target, gz, gw)
+    s3 = polarized_norms(f.target, eval_points(f, gz), eval_points(f, gw))
+    f_total = s3 / s1
+    res = np.abs(f_total - (s2 / s1) * (s3 / s2)) / np.maximum(1.0, np.abs(f_total))
+    worst = float(np.max(res, initial=0.0))
     return VerificationReport(check_id, [str(g.source), str(g.target), str(f.target)],
                               n_samples, seed, worst, tol, worst <= tol, [])
 
 
 def _minor(value: np.ndarray, drop_rows, drop_cols) -> np.ndarray:
-    keep_r = [r for r in range(value.shape[0]) if r not in drop_rows]
-    keep_c = [c for c in range(value.shape[1]) if c not in drop_cols]
-    return value[np.ix_(keep_r, keep_c)]
+    keep_r = [r for r in range(value.shape[-2]) if r not in drop_rows]
+    keep_c = [c for c in range(value.shape[-1]) if c not in drop_cols]
+    return value[(..., *np.ix_(keep_r, keep_c))]
 
 
-def _norm_square_poly_value(value: np.ndarray) -> float:
-    gram = np.eye(value.shape[0]) - value @ value.conj().T
-    return float(np.real(np.linalg.det(gram)))
+def _norm_square_poly_values(value: np.ndarray) -> np.ndarray:
+    return np.real(np.linalg.det(norm_gram(value, value)))
 
 
 def check_coefficient_lemma(spec: DomainSpec, i: int, j: int, n_bases: int = 20,
@@ -319,32 +335,28 @@ def check_coefficient_lemma(spec: DomainSpec, i: int, j: int, n_bases: int = 20,
         raise ParameterError(f"invalid index ({i}, {j}) for {spec}")
 
     nodes = np.linspace(-0.7, 0.7, degree + 3)
-    worst = 0.0
+    bases = np.empty((0, *spec.shape), dtype=complex)
+    expected = np.empty(0)
     resamples = 0
-    attempt = 0
-    bases_done = 0
-    while bases_done < n_bases:
-        base = sample_point(spec, "interior", [seed, attempt]).value.copy()
-        attempt += 1
-        minor = _minor(base, *drops)
-        expected = sign * _norm_square_poly_value(minor)
-        if abs(expected) < 1e-2:
-            resamples += 1
-            if resamples > 50 * n_bases:
-                raise ConfigurationError("too many degenerate bases while sampling")
-            continue
-        values = []
-        for x in nodes:
-            z = base.copy()
-            z[i, j] = x + 1j * z[i, j].imag
-            if spec.kind == "II" and i != j:
-                z[j, i] = -z[i, j]
-            elif spec.kind == "III" and i != j:
-                z[j, i] = z[i, j]
-            values.append(_norm_square_poly_value(z))
-        lead = float(np.polyfit(nodes, values, degree)[0])
-        worst = max(worst, abs(lead - expected) / abs(expected))
-        bases_done += 1
+    while len(bases) < n_bases:
+        # Keys [seed, a] in order; a degenerate base is replaced by the next key.
+        keys = [[seed, a] for a in range(len(bases) + resamples, n_bases + resamples)]
+        drawn = sample_points(spec, "interior", keys)
+        minors = sign * _norm_square_poly_values(_minor(drawn, *drops))
+        kept = np.abs(minors) >= 1e-2
+        resamples += int(np.count_nonzero(~kept))
+        if resamples > 50 * n_bases:
+            raise ConfigurationError("too many degenerate bases while sampling")
+        bases = np.concatenate([bases, drawn[kept]])
+        expected = np.concatenate([expected, minors[kept]])
+    z = np.repeat(bases[:, None], len(nodes), axis=1)
+    z[:, :, i, j] = nodes + 1j * z[:, :, i, j].imag
+    if spec.kind == "II" and i != j:
+        z[:, :, j, i] = -z[:, :, i, j]
+    elif spec.kind == "III" and i != j:
+        z[:, :, j, i] = z[:, :, i, j]
+    lead = np.polyfit(nodes, _norm_square_poly_values(z).T, degree)[0]
+    worst = float(np.max(np.abs(lead - expected) / np.abs(expected), initial=0.0))
     notes = [f"{resamples} degenerate bases resampled"] if resamples else []
     return VerificationReport(check_id, [str(spec)], n_bases, seed, worst, tol,
                               worst <= tol, notes)
@@ -371,13 +383,6 @@ def check_isotropy_consistency(f: PolyMap, n_trials: int = 100, tol: float = 1e-
 _FAMILIES = {"f_t", "g_t", "G_t", "h_t"}
 
 
-def _family_map(family: str, t: float, dims=None) -> PolyMap:
-    if family == "G_t":
-        r, s = dims if dims else (2, 2)
-        return catalog("G_t", r=r, s=s, t=t)
-    return catalog(family, t=t)
-
-
 def check_family_continuity(family: str, t_grid, tol: float = 3.0, dims=None,
                             check_id: str = None) -> VerificationReport:
     """Hoelder-1/2 continuity of family coefficients along a parameter grid.
@@ -395,7 +400,7 @@ def check_family_continuity(family: str, t_grid, tol: float = 3.0, dims=None,
         raise ParameterError("empty parameter grid")
     if grid[0] < 0.0 or grid[-1] > 1.0:
         raise ParameterError("grid must lie in [0, 1]")
-    maps = [_family_map(family, t, dims) for t in grid]
+    maps = [select_map(family, dims=dims, t=t) for t in grid]
     worst = 0.0
     for (t0, m0), (t1, m1) in zip(zip(grid, maps), zip(grid[1:], maps[1:])):
         dt = t1 - t0

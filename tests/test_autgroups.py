@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from bsdkit.autgroups import (
+    AutElement,
     act,
+    act_points,
     aut_element,
     aut_from_json,
     aut_to_json,
     automorphy_denominator,
+    automorphy_denominators,
     automorphy_factor,
     check_membership,
     identity_element,
@@ -20,7 +23,8 @@ from bsdkit.autgroups import (
     transvection_type1,
 )
 from bsdkit.domains import (
-    borel_lift_iv, classify_point, origin, parse_spec, point, polarized_norm, sample_point,
+    Point, borel_lift_iv, classify_point, origin, parse_spec, point, polarized_norm, sample_point,
+    sample_points,
 )
 from bsdkit.errors import ActionSingularityError, DomainError, ParameterError, ShapeError
 from bsdkit.linalg import random_unitary
@@ -152,6 +156,40 @@ class TestAct:
         # A + zC vanishes at z = -A/C = -2, far outside the closed disc
         with pytest.raises(ActionSingularityError):
             act(e, point(spec, [[-2.0]]))
+
+
+class TestStackedAction:
+    @pytest.mark.parametrize("text", ALL_SPECS + ["I:1,1", "IV:1"])
+    def test_element_stack_agrees_with_per_point_action(self, text):
+        spec = parse_spec(text)
+        elements = [random_automorphism(spec, [36, k]) for k in range(8)]
+        stack = AutElement(spec, np.array([e.matrix for e in elements]))
+        z = np.concatenate([sample_points(spec, "interior", [[37, k] for k in range(4)]),
+                            sample_points(spec, "boundary", [[37, k] for k in range(4, 8)])])
+        images = act_points(stack, z)
+        dens = automorphy_denominators(stack, z)
+        for k, e in enumerate(elements):
+            p = Point(spec, z[k])
+            assert np.max(np.abs(images[k] - act(e, p).value)) <= 1e-13
+            assert abs(dens[k] - automorphy_denominator(e, p)) <= 1e-13
+        # one element against a point stack
+        one = act_points(elements[0], z)
+        for k in range(len(z)):
+            assert np.max(np.abs(one[k] - act(elements[0], Point(spec, z[k])).value)) <= 1e-13
+
+    @pytest.mark.parametrize("text", ["II:3", "III:2"])
+    def test_asymmetric_image_in_stack_raises(self, text):
+        spec = parse_spec(text)
+        n = spec.n
+        good = random_automorphism(spec, 38).matrix
+        bad = np.eye(2 * n, dtype=complex)
+        bad[0, n + 1] = 0.25  # B block neither symmetric nor antisymmetric
+        z = sample_points(spec, "interior", [[39, k] for k in range(4)])
+        act_points(AutElement(spec, np.array([good] * 4)), z)
+        with pytest.raises(ShapeError):
+            act_points(AutElement(spec, np.array([good, good, bad, good])), z)
+        with pytest.raises(ShapeError):
+            act(aut_element(spec, bad), Point(spec, z[0]))
 
 
 class TestIsotropy:

@@ -109,6 +109,16 @@ class TestSweepCommand:
         assert rc == 0
         assert np.max(np.abs(self.read_matrix(out_g) - self.read_matrix(out_l))) <= 1e-12
 
+    def test_dims_for_a_family_without_dims_exits_two(self, tmp_path):
+        rc, _ = run(tmp_path, "sweep", "--family", "f_t", "--dims", "9,9",
+                    "--grid", "0:1:0.5", name="m.csv")
+        assert rc == 2
+
+    def test_G_t_without_dims_names_them(self, tmp_path, capsys):
+        rc, _ = run(tmp_path, "sweep", "--family", "G_t", "--grid", "0:1:0.5", name="m.csv")
+        assert rc == 2
+        assert "--dims r,s" in capsys.readouterr().err
+
 
 class TestSampleEval:
     def test_sample_interior(self, tmp_path):

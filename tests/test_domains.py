@@ -1,20 +1,26 @@
 import numpy as np
 import pytest
 
+from bsdkit import domains
 from bsdkit.domains import (
     DomainSpec,
+    Point,
     borel_lift_iv,
     classify_point,
+    classify_points,
     format_spec,
     generic_norm,
+    generic_norms,
     origin,
     parse_spec,
     point,
     polarized_norm,
     polarized_norm_is_squared,
+    polarized_norms,
     sample_point,
+    sample_points,
 )
-from bsdkit.errors import DomainError, ParameterError, ShapeError
+from bsdkit.errors import DomainError, ParameterError, SamplingError, ShapeError
 
 ALL_SPECS = ["I:2,2", "I:2,3", "II:3", "II:4", "III:2", "III:3", "IV:2", "IV:3"]
 
@@ -212,3 +218,124 @@ class TestBorelLift:
     def test_rejects_other_kinds(self):
         with pytest.raises(ShapeError):
             borel_lift_iv(origin(parse_spec("I:2,2")))
+
+
+REFERENCE_SPECS = ["I:1,1", "I:2,3", "II:2", "II:5", "III:1", "III:3", "IV:1", "IV:4"]
+REFERENCE_KEYS = [[[42, 0], k, 1] if k % 2 else [42, k] for k in range(200)]
+
+
+def reference_sample(spec, region, seed):
+    """One key at a time: Gaussian shape-projected direction, radial scaling
+    (kind IV: the smallest positive root of the radial quadratic), then
+    classification, redrawing from the same stream up to 64 times."""
+    rng = np.random.default_rng(seed)
+    for _ in range(64):
+        g = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
+        if spec.kind == "II":
+            g = g - g.T
+        elif spec.kind == "III":
+            g = (g + g.T) / 2.0
+        if spec.kind == "IV":
+            dd_star = float(np.real(g @ g.conj().T)[0, 0])
+            dd_t = abs(complex((g @ g.T)[0, 0]))
+            if dd_star <= 0.0:
+                continue
+            if dd_t**2 <= 1e-300:
+                radius = float(np.sqrt(1.0 / (2.0 * dd_star)))
+            else:
+                disc = max(dd_star**2 - dd_t**2, 0.0)
+                radius = float(np.sqrt((dd_star - np.sqrt(disc)) / dd_t**2))
+            scale = radius if region == "boundary" else radius * rng.uniform()
+        else:
+            top = np.linalg.svd(g, compute_uv=False)[0]
+            if top <= 0.0:
+                continue
+            scale = (1.0 if region == "boundary" else rng.uniform()) / top
+        if classify_point(Point(spec, g * scale), 1e-9).region == region:
+            return g * scale
+    raise SamplingError(f"could not sample a {region} point of {spec}")
+
+
+class TestStackedSampler:
+    @pytest.mark.parametrize("text", REFERENCE_SPECS)
+    @pytest.mark.parametrize("region", ["interior", "boundary"])
+    def test_matches_reference_bit_for_bit(self, text, region):
+        spec = parse_spec(text)
+        ref = np.array([reference_sample(spec, region, key) for key in REFERENCE_KEYS])
+        got = sample_points(spec, region, REFERENCE_KEYS)
+        assert got.shape == (len(REFERENCE_KEYS), *spec.shape)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(sample_point(spec, region, REFERENCE_KEYS[7]).value, ref[7])
+
+    @pytest.mark.parametrize("text", REFERENCE_SPECS)
+    @pytest.mark.parametrize("region", ["interior", "boundary"])
+    def test_rejected_keys_redraw_from_their_own_stream(self, text, region, monkeypatch):
+        # Reject every candidate whose corner entry has a positive real part,
+        # so about half the keys are redrawn at least once.
+        classify = domains.classify_points
+        rejected = []
+
+        def corner_rule(spec, z, tol=1e-9, gram=None):
+            regions, margins = classify(spec, z, tol, gram)
+            bad = z[..., 0, -1].real > 0.0
+            rejected.append(int(np.count_nonzero(bad)))
+            return np.where(bad, "exterior", regions), margins
+
+        monkeypatch.setattr(domains, "classify_points", corner_rule)
+        spec = parse_spec(text)
+        keys = REFERENCE_KEYS[:50]
+        got = sample_points(spec, region, keys)
+        assert sum(rejected) > 0
+        assert np.all(got[:, 0, -1].real <= 0.0)
+        assert np.array_equal(got, np.array([reference_sample(spec, region, key) for key in keys]))
+
+    def test_generator_seed_carries_on(self):
+        spec = parse_spec("I:2,2")
+        mine, theirs = np.random.default_rng(17), np.random.default_rng(17)
+        p = sample_point(spec, "interior", mine)
+        assert np.array_equal(p.value, reference_sample(spec, "interior", theirs))
+        assert mine.random() == theirs.random()
+
+    def test_empty_key_list(self):
+        assert sample_points(parse_spec("II:3"), "boundary", []).shape == (0, 3, 3)
+
+    def test_rejects_unknown_region(self):
+        with pytest.raises(ParameterError):
+            sample_points(parse_spec("I:2,2"), "surface", [0])
+
+
+class TestStackedKernels:
+    @pytest.mark.parametrize("text", ALL_SPECS + ["I:1,1", "II:2", "III:1", "IV:1"])
+    def test_agree_with_point_functions(self, text):
+        spec = parse_spec(text)
+        keys = [[31, k] for k in range(12)]
+        z = np.concatenate([sample_points(spec, "interior", keys),
+                            sample_points(spec, "boundary", keys)])
+        w = sample_points(spec, "interior", [[32, k] for k in range(len(z))])
+        outside = 1.5 * sample_points(spec, "boundary", keys)
+        everywhere = np.concatenate([z, outside])
+        regions, margins = classify_points(spec, everywhere)
+        for k, v in enumerate(everywhere):
+            cls = classify_point(Point(spec, v))
+            assert regions[k] == cls.region
+            assert margins[k] == pytest.approx(cls.margin, abs=1e-15)
+        assert set(regions) == {"interior", "boundary", "exterior"}
+        norms = generic_norms(spec, z)
+        assert np.max(np.abs(norms - [generic_norm(Point(spec, v)) for v in z])) <= 1e-14
+        pol = polarized_norms(spec, z, w)
+        scalar = [polarized_norm(Point(spec, a), Point(spec, b)) for a, b in zip(z, w)]
+        assert np.max(np.abs(pol - scalar)) <= 1e-14
+        # any number of leading axes
+        grid = z.reshape(2, len(keys), *spec.shape)
+        assert np.allclose(generic_norms(spec, grid).ravel(), norms, rtol=0, atol=1e-14)
+        assert np.array_equal(classify_points(spec, grid)[0].ravel(), regions[:len(z)])
+        wgrid = w.reshape(grid.shape)
+        assert np.allclose(polarized_norms(spec, grid, wgrid).ravel(), pol, rtol=0, atol=1e-14)
+
+    def test_kind_ii_exterior_point_in_stack_raises(self):
+        spec = parse_spec("II:3")
+        z = sample_points(spec, "boundary", [[33, k] for k in range(5)])
+        generic_norms(spec, z)
+        z[3] *= 1.5
+        with pytest.raises(DomainError):
+            generic_norms(spec, z)

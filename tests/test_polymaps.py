@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from bsdkit.autgroups import act, identity_element, isotropy, random_isotropy_params, transvection_type1
-from bsdkit.domains import DomainSpec, classify_point, origin, parse_spec, point, sample_point
+from bsdkit.domains import (DomainSpec, Point, classify_point, origin, parse_spec, point,
+                            sample_point, sample_points)
 from bsdkit.errors import ParameterError, ShapeError
 from bsdkit.polymaps import (
     CATALOG_IDS,
@@ -15,6 +16,7 @@ from bsdkit.polymaps import (
     conjugate,
     embed_map,
     eval_map,
+    eval_points,
     homogeneous_parts,
     map_constant,
     pad_map,
@@ -196,6 +198,17 @@ class TestSelectMap:
     @pytest.mark.parametrize("selector,map_id,params", SELECTED, ids=[s for s, _, _ in SELECTED])
     def test_selector_reaches_catalog_map(self, selector, map_id, params):
         assert coeff_distance(select_map(selector), catalog(map_id, **params)) == 0.0
+
+    @pytest.mark.parametrize("selector", [s for s, _, _ in SELECTED])
+    def test_stacked_evaluation_agrees_with_points(self, selector):
+        f = select_map(selector)
+        z = sample_points(f.source, "interior", [[24, k] for k in range(12)])
+        stacked = eval_points(f, z)
+        assert stacked.shape == (12, *f.target.shape)
+        per_point = np.array([eval_map(f, Point(f.source, v)).value for v in z])
+        assert np.max(np.abs(stacked - per_point)) <= 1e-13
+        grid = eval_points(f, z.reshape(3, 4, *f.source.shape))
+        assert np.max(np.abs(grid.reshape(stacked.shape) - stacked)) <= 1e-13
 
     @pytest.mark.parametrize("positional,selector,dims,flags", [
         ("G_t:2,2,0.5", "G_t:0.5", (2, 2), {}),

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from bsdkit.domains import parse_spec
+from bsdkit.domains import parse_spec, polarized_norm, sample_point
 from bsdkit.errors import ConfigurationError, ParameterError, ShapeError
 from bsdkit.polymaps import catalog
 from bsdkit.verify import (
+    _sample_pairs,
     check_F_U_lemma,
     check_coefficient_lemma,
     check_composition_rule,
@@ -189,3 +190,34 @@ class TestSuite:
         ja = json.dumps([r.to_dict() for r in a], sort_keys=True)
         jb = json.dumps([r.to_dict() for r in b], sort_keys=True)
         assert ja == jb
+
+
+def reference_pair(spec, seed, k, threshold):
+    """One key at a time: attempt a draws z from [seed, k, 2a] and w from
+    [seed, k, 2a + 1] until |S1(z, w)| reaches the threshold."""
+    for attempt in range(64):
+        z = sample_point(spec, "interior", [seed, k, 2 * attempt])
+        w = sample_point(spec, "interior", [seed, k, 2 * attempt + 1])
+        s1 = polarized_norm(z, w)
+        if abs(s1) >= threshold:
+            return z.value, w.value, s1, attempt
+    raise ConfigurationError(f"could not sample a pair with |S1| >= {threshold}")
+
+
+class TestStackedPairSampler:
+    @pytest.mark.parametrize("text", ["I:1,1", "I:2,2", "II:4", "III:2", "IV:3"])
+    def test_matches_per_key_rule_where_first_attempts_are_rejected(self, text):
+        spec = parse_spec(text)
+        seed, threshold = [42, 0], 0.9
+        z, w, s1 = _sample_pairs(spec, [[seed, k] for k in range(60)], threshold)
+        retried = 0
+        for k in range(60):
+            ref_z, ref_w, ref_s1, attempt = reference_pair(spec, seed, k, threshold)
+            assert np.array_equal(z[k], ref_z) and np.array_equal(w[k], ref_w)
+            assert s1[k] == ref_s1
+            retried += attempt > 0
+        assert retried > 0
+
+    def test_exhausted_attempts_raise(self):
+        with pytest.raises(ConfigurationError):
+            _sample_pairs(parse_spec("I:2,2"), [[1, 0]], 5.0)  # |det(I - ZW*)| < 4
