@@ -24,7 +24,6 @@ Defining relations checked for membership:
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .domains import (DomainSpec, Point, borel_lifts, check_shapes, classify_point, parse_spec,
                       sample_point)
@@ -295,6 +294,12 @@ def _random_algebra_element(spec: DomainSpec, rng, strength: float = 0.4) -> np.
     return x * (strength / max(1.0, np.linalg.norm(x, 2)))
 
 
+def expm(a: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm, imported on first use: that import costs about 27 MB and 0.1 s."""
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(a)
+
+
 def random_automorphism(spec: DomainSpec, seed, flavor: str = "mixed") -> AutElement:
     """Random group element: an isotropy, a one-parameter exponential, a
     transvection (kind I), or a product of those, deterministic per seed."""
@@ -359,9 +364,15 @@ def aut_to_json(e: AutElement) -> dict:
 
 
 def aut_from_json(data: dict) -> AutElement:
-    spec = parse_spec(data["spec"])
+    """Inverse of :func:`aut_to_json`; a missing key or a non-numeric entry
+    raises ``ParameterError``."""
+    try:
+        text = data["spec"]
+        flat = np.array([complex(re, im) for re, im in data["matrix"]])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParameterError(f"malformed automorphism data: {exc!r}") from None
+    spec = parse_spec(str(text))
     n = matrix_size(spec)
-    flat = np.array([complex(re, im) for re, im in data["matrix"]])
     if flat.size != n * n:
         raise ShapeError(f"matrix for {spec} must have {n * n} entries, got {flat.size}")
     return AutElement(spec, flat.reshape(n, n))

@@ -108,13 +108,21 @@ def _parse_dims(text):
         raise ParameterError(f"malformed --dims {text!r}") from None
 
 
+def _load_json(path):
+    """The JSON document in a file; a file that is not JSON is a usage error."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ParameterError(f"{path} is not a JSON file: {exc}") from None
+
+
 def _resolve_map(args, selector):
     """The map of ``--map-file`` if given, else ``polymaps.select_map`` of the
     selector with the command's ``--dims``, ``--t`` and ``--theta``."""
     opts = vars(args)
     if opts.get("map_file"):
-        with open(opts["map_file"]) as fh:
-            return polymap_from_json(json.load(fh))
+        return polymap_from_json(_load_json(opts["map_file"]))
     if selector is None:
         raise ParameterError("a map selector (--map-a/--map-b) or --map-file is required")
     return select_map(selector, _parse_dims(args.dims), t=opts.get("t"), theta=opts.get("theta"))
@@ -195,17 +203,10 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else FAIL_EXIT
 
 
-def _spectrum_payload(f) -> dict:
-    spectra = invariant_spectrum(f)
-    return {"degrees": {str(d): [float(v) for v in vals] for d, vals in spectra.items()}}
-
-
 def _cmd_invariants(args) -> int:
     f = _resolve_map(args, args.map_a)
-    payload = _spectrum_payload(f)
-    payload["source"] = str(f.source)
-    payload["target"] = str(f.target)
-    _emit(payload, args)
+    degrees = {str(d): [float(v) for v in vals] for d, vals in invariant_spectrum(f).items()}
+    _emit({"degrees": degrees, "source": str(f.source), "target": str(f.target)}, args)
     return 0
 
 
@@ -272,8 +273,7 @@ def _cmd_eval(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     payload = {}
     if args.aut_file:
-        with open(args.aut_file) as fh:
-            element = aut_from_json(json.load(fh))
+        element = aut_from_json(_load_json(args.aut_file))
         p = sample_point(element.spec, "interior", seed)
         membership = check_membership(element)
         image = act(element, p)

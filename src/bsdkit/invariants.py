@@ -12,18 +12,28 @@ product (under which the isotropy substitutions are honest unitaries).
 The per-degree singular values of these operators are therefore invariant
 under isotropic conjugation, which makes mismatched spectra a sound
 certificate of inequivalence for origin-preserving proper polynomial maps;
-matching spectra certify nothing.
+matching spectra certify nothing.  Soundness: two origin-preserving proper
+polynomial maps are equivalent exactly when they are isotropically
+equivalent, and by H. Cartan's theorem an automorphism fixing 0 of a bounded
+circular domain is linear, so the isotropies are the maps Z -> L Z R of
+``polymaps.conjugate``.  On the degree-d block such a source isotropy acts
+by P_d(S), which is unitary in these coordinates, and a target isotropy by
+a unitary on the rows, so the singular values do not change.  The Fischer
+inner product is that of H. S. Shapiro, "An algebraic theorem of E.
+Fischer, and the holomorphic Goursat problem", Bull. LMS 21 (1989).
+
+The operators are read from a map's compiled arrays (``PolyMap._compiled``):
+each degree's columns of C are scattered into the columns of
+``monomials_of_degree`` with their Fischer weights, one scatter per degree.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .domains import DomainSpec
 from .errors import ParameterError, ShapeError
-from .polymaps import PolyMap, homogeneous_parts, source_positions
+from .polymaps import PolyMap, monomials_of_degree
 
 __all__ = [
     "monomials_of_degree",
@@ -39,28 +49,8 @@ INEQUIVALENT = "inequivalent"
 INDISTINGUISHABLE = "indistinguishable-by-invariants"
 
 
-def monomials_of_degree(nvars: int, degree: int) -> list:
-    """All exponent vectors over ``nvars`` variables of total degree ``degree``,
-    in a fixed deterministic order."""
-    out = []
-    for combo in combinations_with_replacement(range(nvars), degree):
-        exps = [0] * nvars
-        for k in combo:
-            exps[k] += 1
-        out.append(tuple(exps))
-    return out
-
-
-def _entry_weights(spec: DomainSpec) -> np.ndarray:
-    """Frobenius weights of the independent entries (sqrt(2) where the entry
-    also occupies a mirrored position)."""
-    if spec.kind in ("II", "III"):
-        return np.array([math.sqrt(2.0) if i != j else 1.0 for i, j in source_positions(spec)])
-    return np.ones(len(source_positions(spec)))
-
-
-def _check_supported(spec: DomainSpec):
-    if spec.kind == "IV":
+def _check_supported(f: PolyMap):
+    if "IV" in (f.source.kind, f.target.kind):
         raise ParameterError("spectral invariants are not defined for kind IV maps here")
 
 
@@ -71,40 +61,34 @@ def coefficient_operator(f_d: PolyMap, degree: int = None) -> np.ndarray:
     target entry, times sqrt(alpha!) and the Frobenius weights described in
     the module docstring.  Raises on non-homogeneous input.
     """
-    _check_supported(f_d.source)
-    _check_supported(f_d.target)
-    degrees = {sum(exps) for terms in f_d.entries.values() for exps in terms}
-    if len(degrees) > 1:
-        raise ShapeError(f"map is not homogeneous (degrees {sorted(degrees)})")
+    _check_supported(f_d)
+    blocks = f_d._compiled.degrees
+    if len(blocks) > 1:
+        raise ShapeError(f"map is not homogeneous (degrees {[d for d, _, _ in blocks]})")
     if degree is None:
-        if not degrees:
+        if not blocks:
             raise ShapeError("empty map needs an explicit degree")
-        degree = degrees.pop()
-    elif degrees and degrees != {degree}:
-        raise ShapeError(f"map has degree {degrees.pop()}, not {degree}")
+        degree = blocks[0][0]
+    elif blocks and blocks[0][0] != degree:
+        raise ShapeError(f"map has degree {blocks[0][0]}, not {degree}")
 
-    src_weights = _entry_weights(f_d.source)
-    tgt_positions = source_positions(f_d.target)
-    tgt_weights = _entry_weights(f_d.target)
-    monomials = monomials_of_degree(f_d.nvars, degree)
-    col_of = {m: k for k, m in enumerate(monomials)}
-    op = np.zeros((len(tgt_positions), len(monomials)), dtype=complex)
-    for row, pos in enumerate(tgt_positions):
-        for exps, coeff in f_d.entries.get(pos, {}).items():
-            fischer = math.sqrt(math.prod(math.factorial(e) for e in exps))
-            rescale = math.prod(w ** -e for w, e in zip(src_weights, exps))
-            op[row, col_of[exps]] = coeff * fischer * rescale * tgt_weights[row]
+    return _operator(f_d, degree, *(blocks[0][1:] if blocks else ([], [])))
+
+
+def _operator(f: PolyMap, degree: int, columns: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """The degree-``degree`` operator of f: its weighted ``columns`` scattered
+    into the monomial ``ranks``."""
+    op = np.zeros((len(f._compiled.target_rows), math.comb(f.nvars + degree - 1, degree)),
+                  dtype=complex)
+    op[:, ranks] = f._compiled.weighted[:, columns]
     return op
 
 
 def invariant_spectrum(f: PolyMap) -> dict:
     """Per-degree descending singular values of the coefficient operators."""
-    _check_supported(f.source)
-    _check_supported(f.target)
-    return {
-        d: np.linalg.svd(coefficient_operator(part, d), compute_uv=False)
-        for d, part in homogeneous_parts(f).items()
-    }
+    _check_supported(f)
+    return {d: np.linalg.svd(_operator(f, d, columns, ranks), compute_uv=False)
+            for d, columns, ranks in f._compiled.degrees}
 
 
 @dataclass(frozen=True)
@@ -139,20 +123,14 @@ def distinguish(f: PolyMap, g: PolyMap, tol: float = 1e-8) -> DistinguishResult:
     """
     if f.source != g.source or f.target != g.target:
         raise ShapeError("maps must share source and target specs")
-    zero_f = tuple([0] * f.nvars)
     for name, m in (("first", f), ("second", g)):
-        if any(zero_f in terms for terms in m.entries.values()):
+        if any(d == 0 for d, _, _ in m._compiled.degrees):
             raise ParameterError(f"{name} map does not preserve the origin")
     spec_f = invariant_spectrum(f)
     spec_g = invariant_spectrum(g)
-    distances = {}
-    mismatch = False
-    for d in sorted(set(spec_f) | set(spec_g)):
-        a = spec_f.get(d, np.zeros(0))
-        b = spec_g.get(d, np.zeros(0))
-        if (d in spec_f) != (d in spec_g):
-            mismatch = True
-        distances[d] = _spectrum_distance(a, b)
+    distances = {d: _spectrum_distance(spec_f.get(d, ()), spec_g.get(d, ()))
+                 for d in sorted(set(spec_f) | set(spec_g))}
     worst = max(distances.values(), default=0.0)
+    mismatch = set(spec_f) != set(spec_g)
     verdict = INEQUIVALENT if (mismatch or worst > tol) else INDISTINGUISHABLE
     return DistinguishResult(verdict, distances, worst)

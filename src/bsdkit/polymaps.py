@@ -1,21 +1,24 @@
 """Sparse holomorphic polynomial maps between classical domains.
 
-A map stores, for every nonzero target entry, a dictionary from monomial
-exponent vectors (over the independent source variables) to complex
-coefficients.  Independent variables are the full entry grid for kind I,
-the strict upper triangle for kind II, the inclusive upper triangle for
-kind III, and the n coordinates for kind IV; dependent source entries never
-enter a monomial, and dependent target entries are stored as mirrors.
+A map's ``entries``, its validated constructor input and wire form, hold
+for every nonzero target entry a dictionary from monomial exponent vectors
+(over the independent source variables) to complex coefficients.
+Independent variables are the full entry grid for kind I, the strict upper
+triangle for kind II, the inclusive upper triangle for kind III, and the n
+coordinates for kind IV; dependent source entries never enter a monomial,
+and dependent target entries are stored as mirrors.
 
-Evaluation uses a compiled form of the map: the source and target index
-arrays, an exponent matrix E (monomials x source variables) and a
-coefficient matrix C (target entries x monomials), so that the image
-entries are ``C @ prod(vals ** E)``.  It is built lazily, on a map's first
-evaluation, and cached on the instance; this relies on ``entries`` never
-being changed after construction.  ``eval_points`` evaluates a stack of
-source points (leading axes, one sample per row, each drawn from its own
-``[seed, k, ...]`` RNG key by the verification harness) in one call;
-``eval_map`` is the same kernel on one point.
+Evaluation, conjugation and the coefficient operators of ``invariants``
+read one compiled form, built on first use and cached on the instance (so
+``entries`` must never change after construction): an exponent matrix E
+(monomials x source variables), a coefficient matrix C (row-major target
+positions x monomials) and per-degree index arrays.  ``eval_points``
+evaluates a stack of source points (leading axes, one sample per row, each
+drawn from its own ``[seed, k, ...]`` RNG key by the verification harness)
+as ``C @ prod(vals ** E)``; ``eval_map`` is the one-point case.
+``conjugate`` turns each degree-d block into ``C_d @ P_d(S)``, S the source
+isotropy on the independent variables, and applies the target isotropy as
+one product over the full target grid.
 
 The catalog holds the proper polynomial map families used throughout:
 standard block embeddings, ball Whitney and one-parameter ball families,
@@ -26,20 +29,22 @@ and the one-parameter families f_t, g_t, G_t, h_t connecting them.
 import inspect
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 import numpy as np
 
 from .autgroups import AutElement, act
 from .domains import DomainSpec, Point, parse_spec
-from .errors import ParameterError, ShapeError
+from .errors import BsdkitError, ParameterError, ShapeError
 
 __all__ = [
     "PolyMap",
     "polymap",
     "source_positions",
     "variable_names",
+    "monomials_of_degree",
     "catalog",
     "CATALOG_IDS",
     "select_map",
@@ -74,16 +79,78 @@ def variable_names(spec: DomainSpec) -> list:
     return [f"z{i + 1}{j + 1}" for i, j in source_positions(spec)]
 
 
+@lru_cache(maxsize=None)
+def _monomial_table(nvars: int, degree: int) -> tuple:
+    """(monomials, rank, var, lower) of one degree.
+
+    ``monomials`` is the fixed enumeration order and ``rank`` its inverse.
+    var[beta] lists the distinct variables x_j dividing beta, smallest first,
+    and lower[beta] the ranks of beta / x_j among the degree - 1 monomials,
+    both padded to the degree with (0, count of degree - 1 monomials).
+    """
+    combos = list(combinations_with_replacement(range(nvars), degree))
+    monomials = tuple(tuple(combo.count(k) for k in range(nvars)) for combo in combos)
+    rank = {m: k for k, m in enumerate(monomials)}
+    if degree == 0:
+        return monomials, rank, None, None
+    below = _monomial_table(nvars, degree - 1)[1]
+    var, lower = [], []
+    for m, combo in zip(monomials, combos):
+        js = sorted(set(combo))
+        pad = degree - len(js)
+        var.append(js + [0] * pad)
+        lower.append([below[m[:j] + (m[j] - 1,) + m[j + 1:]] for j in js] + [len(below)] * pad)
+    return monomials, rank, np.array(var), np.array(lower)
+
+
+def monomials_of_degree(nvars: int, degree: int) -> list:
+    """All exponent vectors over ``nvars`` variables of total degree ``degree``,
+    in a fixed deterministic order."""
+    return list(_monomial_table(nvars, degree)[0])
+
+
+def _power_actions(s: np.ndarray, top: int) -> list:
+    """[P_0(S), ..., P_top(S)]: P_d(S)[alpha, beta] is the coefficient of x^beta
+    in prod_k (S x)_k ** alpha_k.  With t = var[alpha, 0] and the parent
+    alpha / x_t = lower[alpha, 0], row alpha of P_d holds
+    sum_j P_{d-1}[parent, beta / x_j] S[t, j] at x^beta (``_monomial_table``)."""
+    powers = [np.ones((1, 1), dtype=complex)]
+    for d in range(1, top + 1):
+        _, _, var, lower = _monomial_table(len(s), d)
+        prev = np.hstack([powers[-1], np.zeros((len(powers[-1]), 1))])  # padding reads this zero column
+        powers.append((prev[lower[:, 0]][:, lower] * s[var[:, 0]][:, var]).sum(axis=-1))
+    return powers
+
+
+def _independent_index(spec: DomainSpec) -> tuple:
+    """(rows, cols) index arrays of the independent variables of a domain."""
+    rows_cols = np.array(source_positions(spec), dtype=int).reshape(-1, 2)
+    return rows_cols[:, 0], rows_cols[:, 1]
+
+
+@lru_cache(maxsize=None)
+def _embedding(spec: DomainSpec) -> np.ndarray:
+    """B of shape ``(*spec.shape, nvars)`` with ``Z = B @ x`` for the independent
+    variables x: 1 at each independent position, and -1 (kind II) or +1
+    (kind III) at its mirror.  Its column norms are the Frobenius weights of
+    the independent variables."""
+    rows, cols = _independent_index(spec)
+    var = np.arange(len(rows))
+    b = np.zeros((*spec.shape, len(var)))
+    if spec.kind in ("II", "III"):
+        b[cols, rows, var] = -1.0 if spec.kind == "II" else 1.0
+    b[rows, cols, var] = 1.0
+    b.flags.writeable = False
+    return b
+
+
 class _CompiledMap(NamedTuple):
     source_index: tuple     # (rows, cols) of the independent source variables
     exponents: np.ndarray   # E: monomials x source variables
-    coeffs: np.ndarray      # C: target entries x monomials
-    target_index: tuple     # (rows, cols) of the stored target entries
-
-
-def _index_arrays(positions) -> tuple:
-    rows_cols = np.array(positions, dtype=int).reshape(-1, 2)
-    return rows_cols[:, 0], rows_cols[:, 1]
+    coeffs: np.ndarray      # C: row-major target positions (mirrors included) x monomials
+    target_rows: np.ndarray  # rows of C at the independent target positions, in order
+    degrees: tuple          # per degree d: (d, its columns of C, their ranks among its monomials)
+    weighted: np.ndarray    # C[target_rows] times Frobenius row and Fischer column weights
 
 
 @dataclass(frozen=True)
@@ -91,7 +158,8 @@ class PolyMap:
     """Immutable-by-convention sparse polynomial map between two domains.
 
     ``entries`` must not be changed after construction: the compiled form
-    that :func:`eval_map` uses is built from it once and cached.
+    that evaluation, conjugation and the coefficient operators read is built
+    from it once and cached.
     """
 
     source: DomainSpec
@@ -105,15 +173,30 @@ class PolyMap:
     @cached_property
     def _compiled(self) -> _CompiledMap:
         # A cached property, not a field: equality, repr and JSON see entries only.
+        source_index = _independent_index(self.source)
         monomials = sorted({exps for terms in self.entries.values() for exps in terms})
         column = {exps: k for k, exps in enumerate(monomials)}
-        coeffs = np.zeros((len(self.entries), len(monomials)), dtype=complex)
-        for row, terms in enumerate(self.entries.values()):
-            for exps, coeff in terms.items():
-                coeffs[row, column[exps]] = coeff
-        exponents = np.array(monomials, dtype=int).reshape(len(monomials), self.nvars)
-        return _CompiledMap(_index_arrays(source_positions(self.source)), exponents, coeffs,
-                            _index_arrays(list(self.entries)))
+        rows, cols = self.target.shape
+        count = len(monomials)
+        coeffs = np.zeros((rows * cols, count), dtype=complex)
+        np.put(coeffs, [(i * cols + j) * count + column[exps]
+                        for (i, j), terms in self.entries.items() for exps in terms],
+               [c for terms in self.entries.values() for c in terms.values()])
+        exponents = np.array(monomials, dtype=int).reshape(count, len(source_index[0]))
+        total = exponents.sum(axis=1)
+        degrees = []
+        for d in sorted(set(total.tolist())):
+            columns = np.flatnonzero(total == d)
+            rank = _monomial_table(exponents.shape[1], d)[1]
+            degrees.append((d, columns, np.array([rank[monomials[k]] for k in columns])))
+        target_rows = np.ravel_multi_index(_independent_index(self.target), self.target.shape)
+        w_source, w_target = (np.sqrt(np.square(_embedding(spec)).sum(axis=(0, 1)))
+                              for spec in (self.source, self.target))
+        factorials = np.cumprod(np.maximum(np.arange(exponents.max(initial=0) + 1), 1), dtype=float)
+        # column alpha: sqrt(alpha!) prod(w ** -alpha), w the Frobenius weights (column norms of B)
+        fischer = np.sqrt(factorials[exponents].prod(axis=1)) * (w_source ** -exponents).prod(axis=1)
+        weighted = coeffs[target_rows] * np.outer(w_target, fischer)
+        return _CompiledMap(source_index, exponents, coeffs, target_rows, tuple(degrees), weighted)
 
 
 def polymap(source: DomainSpec, target: DomainSpec, entries: dict) -> PolyMap:
@@ -124,15 +207,16 @@ def polymap(source: DomainSpec, target: DomainSpec, entries: dict) -> PolyMap:
     for pos, terms in entries.items():
         kept = {}
         for exps, coeff in terms.items():
-            if len(exps) != nvars:
-                raise ShapeError(f"monomial {exps} has {len(exps)} exponents, expected {nvars}")
-            if any(e < 0 for e in exps):
-                raise ShapeError(f"negative exponent in monomial {exps}")
             c = complex(coeff)
             if c != 0:
                 kept[tuple(exps)] = c
         if kept:
             clean[pos] = kept
+    for exps in {exps for terms in entries.values() for exps in terms}:  # each monomial once
+        if len(exps) != nvars:
+            raise ShapeError(f"monomial {exps} has {len(exps)} exponents, expected {nvars}")
+        if any(e < 0 for e in exps):
+            raise ShapeError(f"negative exponent in monomial {exps}")
     rows, cols = target.shape
     for i, j in clean:
         if not (0 <= i < rows and 0 <= j < cols):
@@ -143,18 +227,10 @@ def polymap(source: DomainSpec, target: DomainSpec, entries: dict) -> PolyMap:
         for (i, j), terms in clean.items():
             if i == j and target.kind == "II":
                 raise ShapeError("kind II target must have zero diagonal")
-            if i <= j:
-                mirrored[(i, j)] = terms
-                if i != j:
-                    mirrored[(j, i)] = {e: sign * c for e, c in terms.items()}
-        for (i, j), terms in clean.items():
-            if i > j:
-                expect = {e: sign * c for e, c in clean.get((j, i), {}).items()}
-                if (j, i) not in clean:
-                    mirrored[(j, i)] = {e: sign * c for e, c in terms.items()}
-                    mirrored[(i, j)] = terms
-                elif expect != terms:
-                    raise ShapeError(f"kind {target.kind} target entries {(i, j)}/{(j, i)} are inconsistent")
+            flipped = {e: sign * c for e, c in terms.items()}
+            if i > j and clean.get((j, i), flipped) != flipped:
+                raise ShapeError(f"kind {target.kind} target entries {(i, j)}/{(j, i)} are inconsistent")
+            mirrored[(i, j)], mirrored[(j, i)] = terms, flipped
         clean = mirrored
     return PolyMap(source, target, clean)
 
@@ -428,9 +504,8 @@ def eval_points(f: PolyMap, z: np.ndarray) -> np.ndarray:
     returns the target stack."""
     c = f._compiled
     vals = z[(..., *c.source_index)]
-    out = np.zeros(z.shape[:-2] + f.target.shape, dtype=complex)
-    out[(..., *c.target_index)] = np.prod(vals[..., None, :] ** c.exponents, axis=-1) @ c.coeffs.T
-    return out
+    image = np.prod(vals[..., None, :] ** c.exponents, axis=-1) @ c.coeffs.T
+    return image.reshape(z.shape[:-2] + f.target.shape)
 
 
 def eval_map(f: PolyMap, p: Point) -> Point:
@@ -441,12 +516,8 @@ def eval_map(f: PolyMap, p: Point) -> Point:
 
 
 def map_constant(f: PolyMap) -> np.ndarray:
-    """The value f(0), read off the degree-0 coefficients."""
-    zero = tuple([0] * f.nvars)
-    out = np.zeros(f.target.shape, dtype=complex)
-    for (i, j), terms in f.entries.items():
-        out[i, j] = terms.get(zero, 0j)
-    return out
+    """The value f(0), the degree-0 coefficients."""
+    return eval_points(f, np.zeros(f.source.shape, dtype=complex))
 
 
 def homogeneous_parts(f: PolyMap) -> dict:
@@ -457,28 +528,6 @@ def homogeneous_parts(f: PolyMap) -> dict:
             d = sum(exps)
             parts.setdefault(d, {}).setdefault(pos, {})[exps] = coeff
     return {d: PolyMap(f.source, f.target, entries) for d, entries in sorted(parts.items())}
-
-
-def _poly_mul(p: dict, q: dict) -> dict:
-    out = {}
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            out[key] = out.get(key, 0j) + ca * cb
-    return out
-
-
-def _substitute(terms: dict, linear_forms: list, nvars: int) -> dict:
-    """Substitute degree-1 polynomials for each variable of a polynomial."""
-    result = {}
-    for exps, coeff in terms.items():
-        prod = {tuple([0] * nvars): 1.0 + 0j}
-        for var, e in enumerate(exps):
-            for _ in range(e):
-                prod = _poly_mul(prod, linear_forms[var])
-        for ev, cv in prod.items():
-            result[ev] = result.get(ev, 0j) + coeff * cv
-    return result
 
 
 def _isotropy_matrices(spec: DomainSpec, params):
@@ -492,72 +541,29 @@ def _isotropy_matrices(spec: DomainSpec, params):
     raise ShapeError("linear isotropy action is implemented for kinds I/II/III only")
 
 
-def _substitution_forms(spec: DomainSpec, params) -> list:
-    """Degree-1 polynomials expressing sigma(Z) entries over the independent variables."""
-    left, right = _isotropy_matrices(spec, params)
-    positions = source_positions(spec)
-    var_of = {pos: k for k, pos in enumerate(positions)}
-    nvars = len(positions)
-    forms = []
-    for i, j in positions:
-        form = {}
-
-        def add(a, b, coeff):
-            if coeff == 0:
-                return
-            key = _unit(nvars, var_of[(a, b)])
-            form[key] = form.get(key, 0j) + coeff
-
-        for a in range(spec.shape[0]):
-            for b in range(spec.shape[1]):
-                coeff = left[i, a] * right[b, j]
-                if spec.kind == "II":
-                    if a < b:
-                        add(a, b, coeff)
-                    elif a > b:
-                        add(b, a, -coeff)
-                elif spec.kind == "III":
-                    if a <= b:
-                        add(a, b, coeff)
-                    else:
-                        add(b, a, coeff)
-                else:
-                    add(a, b, coeff)
-        forms.append(form)
-    return forms
-
-
 def conjugate(f: PolyMap, pre_params, post_params) -> PolyMap:
     """Conjugate by origin isotropies: the polynomial map Z -> L f(sigma(Z)) M.
 
     ``pre_params`` are source isotropy parameters (sigma is the linear action
     Z -> U^{-1} Z V for kind I, Z -> A* Z conj(A) for kinds II/III), and
     ``post_params`` are target isotropy parameters applied the same way to
-    the image.  Preserves degree profile and the origin.
+    the image.  Preserves degree profile and the origin.  Kind IV maps raise
+    ``ShapeError``.
     """
-    if f.source.kind == "IV" or f.target.kind == "IV":
-        raise ShapeError("conjugation by isotropies is implemented for kinds I/II/III only")
-    forms = _substitution_forms(f.source, pre_params)
-    nvars = f.nvars
-    substituted = {pos: _substitute(terms, forms, nvars) for pos, terms in f.entries.items()}
+    left, right = _isotropy_matrices(f.source, pre_params)
+    c = f._compiled
+    s = np.einsum("ia,abv,bj->ijv", left, _embedding(f.source), right)[c.source_index]
     left, right = _isotropy_matrices(f.target, post_params)
-    rows, cols = f.target.shape
-    out_positions = (
-        [(i, j) for i in range(rows) for j in range(i, cols)]
-        if f.target.kind in ("II", "III")
-        else [(i, j) for i in range(rows) for j in range(cols)]
-    )
-    entries = {}
-    for i, j in out_positions:
-        acc = {}
-        for (k, l), poly in substituted.items():
-            w = left[i, k] * right[l, j]
-            if w == 0:
-                continue
-            for exps, coeff in poly.items():
-                acc[exps] = acc.get(exps, 0j) + w * coeff
-        if acc:
-            entries[(i, j)] = acc
+    image = np.einsum("ia,abm,bj->ijm", left, c.coeffs.reshape(*f.target.shape, -1), right)
+    image = image.reshape(len(c.coeffs), -1)[c.target_rows]
+    powers = _power_actions(s, max((d for d, _, _ in c.degrees), default=0))
+    entries = {pos: {} for pos in source_positions(f.target)}
+    for d, columns, ranks in c.degrees:
+        monomials = _monomial_table(f.nvars, d)[0]
+        block = np.zeros((len(entries), len(monomials)), dtype=complex)
+        block[:, ranks] = image[:, columns]
+        for terms, row in zip(entries.values(), (block @ powers[d]).tolist()):
+            terms.update(zip(monomials, row))
     return polymap(f.source, f.target, entries)
 
 
@@ -627,21 +633,24 @@ def polymap_to_json(f: PolyMap) -> dict:
 
 
 def polymap_from_json(data: dict) -> PolyMap:
-    source = parse_spec(data["source"])
-    target = parse_spec(data["target"])
-    names = variable_names(source)
-    index = {name: k for k, name in enumerate(names)}
-    nvars = len(names)
-    entries = {}
-    for item in data["entries"]:
-        pos = (int(item["row"]) - 1, int(item["col"]) - 1)
-        terms = {}
-        for term in item["terms"]:
-            exps = [0] * nvars
-            for name, e in term["exps"].items():
-                if name not in index:
-                    raise ShapeError(f"unknown variable {name!r} for source {source}")
-                exps[index[name]] = int(e)
-            terms[tuple(exps)] = complex(term["re"], term.get("im", 0.0))
-        entries[pos] = terms
+    """Inverse of :func:`polymap_to_json`; a missing key or a non-numeric
+    value raises ``ParameterError``, an unknown variable ``ShapeError``."""
+    try:
+        source = parse_spec(data["source"])
+        target = parse_spec(data["target"])
+        index = {name: k for k, name in enumerate(variable_names(source))}
+        entries = {}
+        for item in data["entries"]:
+            terms = entries[(int(item["row"]) - 1, int(item["col"]) - 1)] = {}
+            for term in item["terms"]:
+                exps = [0] * len(index)
+                for name, e in term["exps"].items():
+                    if name not in index:
+                        raise ShapeError(f"unknown variable {name!r} for source {source}")
+                    exps[index[name]] = int(e)
+                terms[tuple(exps)] = complex(term["re"], term.get("im", 0.0))
+    except BsdkitError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ParameterError(f"malformed map data: {exc!r}") from None
     return polymap(source, target, entries)

@@ -204,3 +204,28 @@ class TestDeterminismAndErrors:
     ])
     def test_usage_errors_exit_two(self, argv, capsys):
         assert main([*argv, "--no-timestamp"]) == 2
+
+
+class TestMalformedFiles:
+    MAP = {"source": "I:1,2", "target": "I:1,3",
+           "entries": [{"row": 1, "col": 1, "terms": [{"exps": {"z11": 1}, "re": 1.0}]}]}
+
+    @pytest.mark.parametrize("option,text", [
+        ("--map-file", json.dumps({"source": "I:1,2", "target": "I:1,3"})),
+        ("--map-file", "this is not JSON {"),
+        ("--map-file", json.dumps({**MAP, "entries": [
+            {"row": 1, "col": 1, "terms": [{"exps": {"z11": 1}, "re": "x"}]}]})),
+        ("--aut-file", json.dumps({"spec": "I:1,2"})),
+    ], ids=["map-without-entries", "map-not-json", "map-non-numeric-re", "aut-without-matrix"])
+    def test_exits_two_with_an_error_line(self, tmp_path, capsys, option, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        rc, _ = run(tmp_path, "eval", option, str(path), "--no-timestamp")
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_well_formed_map_still_loads(self, tmp_path):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(self.MAP))
+        rc, _ = run(tmp_path, "eval", "--map-file", str(path), "--no-timestamp")
+        assert rc == 0

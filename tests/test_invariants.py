@@ -14,7 +14,40 @@ from bsdkit.invariants import (
     invariant_spectrum,
     monomials_of_degree,
 )
-from bsdkit.polymaps import catalog, conjugate, homogeneous_parts, pad_map, polymap
+from bsdkit.polymaps import (catalog, conjugate, homogeneous_parts, pad_map, polymap,
+                             source_positions)
+
+CATALOG_MAPS = [
+    catalog("standard", r=2, s=2, r2=3, s2=3),
+    catalog("whitney-ball", n=3),
+    catalog("dangelo", n=3, theta=0.7),
+    catalog("gen-whitney", r=2, s=3),
+    catalog("f-sec4"),
+    catalog("g-sec4"),
+    catalog("f_t", t=0.35),
+    catalog("g_t", t=0.35),
+    catalog("G_t", r=2, s=3, t=0.35),
+    catalog("h_t", t=0.35),
+]
+
+
+def reference_operator(f_d, degree):
+    """The coefficient operator term by term: coefficient times sqrt(alpha!),
+    prod(w ** -alpha) over the source weights and the row's target weight,
+    with w = sqrt(2) at off-diagonal kind II/III positions."""
+    def weights(spec):
+        return [math.sqrt(2.0) if spec.kind in ("II", "III") and i != j else 1.0
+                for i, j in source_positions(spec)]
+
+    w_src, w_tgt = weights(f_d.source), weights(f_d.target)
+    column = {m: k for k, m in enumerate(monomials_of_degree(f_d.nvars, degree))}
+    op = np.zeros((len(w_tgt), len(column)), dtype=complex)
+    for row, pos in enumerate(source_positions(f_d.target)):
+        for exps, coeff in f_d.entries.get(pos, {}).items():
+            fischer = math.sqrt(math.prod(math.factorial(e) for e in exps))
+            rescale = math.prod(w ** -e for w, e in zip(w_src, exps))
+            op[row, column[exps]] = coeff * fischer * rescale * w_tgt[row]
+    return op
 
 
 def f_t_degree1_expected(t):
@@ -46,6 +79,20 @@ class TestCoefficientOperator:
     def test_rejects_non_homogeneous(self):
         with pytest.raises(ShapeError):
             coefficient_operator(catalog("f_t", t=0.5))
+
+
+    @pytest.mark.parametrize("f", CATALOG_MAPS, ids=lambda f: f"{f.source}->{f.target}")
+    def test_matches_term_by_term_reference(self, f):
+        g = conjugate(f, random_isotropy_params(f.source, [41, 0]),
+                      random_isotropy_params(f.target, [41, 1]))
+        for m in (f, g):
+            spectrum = invariant_spectrum(m)
+            parts = homogeneous_parts(m)
+            assert sorted(spectrum) == sorted(parts)
+            for d, part in parts.items():
+                reference = reference_operator(part, d)
+                assert np.max(np.abs(coefficient_operator(part, d) - reference)) <= 1e-13
+                assert np.max(np.abs(spectrum[d] - np.linalg.svd(reference, compute_uv=False))) <= 1e-12
 
 
 class TestInvariantSpectrum:

@@ -8,8 +8,10 @@ from bsdkit.autgroups import act, identity_element, isotropy, random_isotropy_pa
 from bsdkit.domains import (DomainSpec, Point, classify_point, origin, parse_spec, point,
                             sample_point, sample_points)
 from bsdkit.errors import ParameterError, ShapeError
+from bsdkit.invariants import monomials_of_degree as invariants_monomials_of_degree
 from bsdkit.polymaps import (
     CATALOG_IDS,
+    _power_actions,
     catalog,
     coeff_distance,
     compose_pointwise,
@@ -19,6 +21,7 @@ from bsdkit.polymaps import (
     eval_points,
     homogeneous_parts,
     map_constant,
+    monomials_of_degree,
     pad_map,
     polymap,
     polymap_from_json,
@@ -285,6 +288,120 @@ class TestConjugate:
         f = polymap(spec, spec, {(0, 0): {(1, 0): 1.0}, (0, 1): {(0, 1): 1.0}})
         with pytest.raises(ShapeError):
             conjugate(f, None, None)
+
+
+def isotropy_factors(spec, params):
+    """(L, R) of the origin isotropy Z -> L Z R: (U*, V) for kind I, (A*, conj A)
+    for kinds II/III, as ``conjugate`` documents them."""
+    if spec.kind == "I":
+        u, v = params
+        return np.conj(u).T, np.asarray(v)
+    return np.conj(params).T, np.conj(params)
+
+
+def basis_matrix(spec, v):
+    """Z for the v-th independent variable set to 1 and the others to 0."""
+    i, j = source_positions(spec)[v]
+    m = np.zeros(spec.shape)
+    if spec.kind in ("II", "III"):
+        m[j, i] = -1.0 if spec.kind == "II" else 1.0
+    m[i, j] = 1.0
+    return m
+
+
+def substitution(spec, params):
+    """S with sigma(Z) = S x on the independent variables: S[k, v] is entry k of
+    L B_v R for the basis matrix B_v."""
+    left, right = isotropy_factors(spec, params)
+    positions = source_positions(spec)
+    return np.array([[(left @ basis_matrix(spec, v) @ right)[pos] for v in range(len(positions))]
+                     for pos in positions])
+
+
+def reference_conjugate(f, pre, post):
+    """Z -> L f(sigma(Z)) R expanded term by term: each monomial is multiplied
+    out over the linear forms of sigma with dict polynomials, then the target
+    isotropy is summed over every stored target entry."""
+    nvars = f.nvars
+    s = substitution(f.source, pre)
+    forms = [{tuple(int(w == v) for w in range(nvars)): s[k, v] for v in range(nvars)}
+             for k in range(nvars)]
+
+    def mul(p, q):
+        out = {}
+        for ea, ca in p.items():
+            for eb, cb in q.items():
+                key = tuple(x + y for x, y in zip(ea, eb))
+                out[key] = out.get(key, 0j) + ca * cb
+        return out
+
+    substituted = {}
+    for pos, terms in f.entries.items():
+        poly = substituted.setdefault(pos, {})
+        for exps, coeff in terms.items():
+            product = {tuple([0] * nvars): coeff}
+            for k, e in enumerate(exps):
+                for _ in range(e):
+                    product = mul(product, forms[k])
+            for key, c in product.items():
+                poly[key] = poly.get(key, 0j) + c
+    left, right = isotropy_factors(f.target, post)
+    entries = {}
+    for i, j in source_positions(f.target):
+        acc = entries.setdefault((i, j), {})
+        for (k, l), poly in substituted.items():
+            for exps, c in poly.items():
+                acc[exps] = acc.get(exps, 0j) + left[i, k] * c * right[l, j]
+    return polymap(f.source, f.target, entries)
+
+
+def frobenius_weights(spec):
+    return [math.sqrt(2.0) if spec.kind in ("II", "III") and i != j else 1.0
+            for i, j in source_positions(spec)]
+
+
+REFERENCE_MAPS = [
+    catalog("f_t", t=0.3),
+    catalog("h_t", t=0.3),
+    catalog("gen-whitney", r=2, s=2),
+    polymap(parse_spec("II:3"), parse_spec("II:4"),
+            {(0, 1): {(1, 0, 0): 1.0}, (0, 2): {(0, 1, 0): 1.0}, (1, 2): {(0, 0, 1): 1.0}}),
+    polymap(parse_spec("III:2"), parse_spec("II:3"),
+            {(0, 1): {(1, 0, 0): 1.0, (0, 1, 1): 0.5}, (1, 2): {(0, 0, 2): 0.3j, (1, 1, 1): -0.2}}),
+    polymap(parse_spec("I:1,1"), parse_spec("I:1,2"), {(0, 0): {(1,): 1.0}, (0, 1): {(3,): 0.5}}),
+    polymap(parse_spec("II:2"), parse_spec("II:3"), {(0, 1): {(1,): 0.8}, (1, 2): {(2,): 0.6}}),
+    polymap(parse_spec("III:1"), parse_spec("III:2"),
+            {(0, 0): {(1,): 1.0}, (0, 1): {(2,): 0.5j}, (1, 1): {(3,): 0.25}}),
+]
+
+
+class TestArrayAlgebra:
+    @pytest.mark.parametrize("f", REFERENCE_MAPS, ids=lambda f: f"{f.source}->{f.target}")
+    def test_conjugate_matches_term_by_term_reference(self, f):
+        for k in range(5):
+            pre = random_isotropy_params(f.source, [31, k])
+            post = random_isotropy_params(f.target, [32, k])
+            assert coeff_distance(conjugate(f, pre, post), reference_conjugate(f, pre, post)) <= 1e-13
+
+    @pytest.mark.parametrize("spec_text", ["I:1,1", "I:2,3", "II:2", "II:4", "III:1", "III:3"])
+    def test_power_action_is_unitary_in_fischer_coordinates(self, spec_text):
+        # The invariance claim of the invariants docstring: in Fischer and
+        # Frobenius coordinates a source isotropy acts on each degree unitarily.
+        spec = parse_spec(spec_text)
+        nvars = len(source_positions(spec))
+        w = frobenius_weights(spec)
+        for k in range(5):
+            powers = _power_actions(substitution(spec, random_isotropy_params(spec, [33, k])), 3)
+            for d in (1, 2, 3):
+                phi = np.array([math.sqrt(math.prod(math.factorial(e) for e in m))
+                                * math.prod(x ** -e for x, e in zip(w, m))
+                                for m in monomials_of_degree(nvars, d)])
+                u = powers[d] * phi[None, :] / phi[:, None]
+                assert np.max(np.abs(u @ u.conj().T - np.eye(len(phi)))) <= 1e-12
+
+    def test_one_monomial_enumerator(self):
+        assert invariants_monomials_of_degree is monomials_of_degree
+        assert monomials_of_degree(3, 2) == [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
 
 
 class TestComposePointwise:
