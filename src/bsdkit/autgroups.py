@@ -16,8 +16,8 @@ and l(MZ) = (2i / lambda(Z)) l(Z) M; the identity has lambda = 2i.
 Defining relations checked for membership:
 
 * kind I   -- M diag(-I_r, I_s) M* = diag(-I_r, I_s)
-* kind II  -- the kind I relation (r=s=n) and M^t [[0,I],[I,0]] M = [[0,I],[I,0]]
-* kind III -- the kind I relation (r=s=n) and M^t [[0,I],[-I,0]] M = [[0,I],[-I,0]]
+* kinds II/III -- the kind I relation (r=s=n) and M^t K M = K with
+  K = [[0,I],[-eps I,0]], eps = ``spec.mirror`` (-1 for II, +1 for III)
 * kind IV  -- M^t M = I and M diag(-I_n, I_2) M* = diag(-I_n, I_2)
 """
 
@@ -133,13 +133,8 @@ def check_membership(e: AutElement, tol: float = 1e-8) -> MembershipReport:
         raise ShapeError(f"matrix for {e.spec} must be {n}x{n}, got {m.shape}")
     j = _signature_matrix(e.spec)
     residuals = {"signature": float(np.linalg.norm(m @ j @ m.conj().T - j))}
-    if e.spec.kind == "II":
-        k = np.block([[np.zeros((e.spec.n, e.spec.n)), np.eye(e.spec.n)],
-                      [np.eye(e.spec.n), np.zeros((e.spec.n, e.spec.n))]])
-        residuals["bilinear"] = float(np.linalg.norm(m.T @ k @ m - k))
-    elif e.spec.kind == "III":
-        k = np.block([[np.zeros((e.spec.n, e.spec.n)), np.eye(e.spec.n)],
-                      [-np.eye(e.spec.n), np.zeros((e.spec.n, e.spec.n))]])
+    if e.spec.mirror:
+        k = np.kron([[0.0, 1.0], [-e.spec.mirror, 0.0]], np.eye(e.spec.n))
         residuals["bilinear"] = float(np.linalg.norm(m.T @ k @ m - k))
     elif e.spec.kind == "IV":
         residuals["orthogonal"] = float(np.linalg.norm(m.T @ m - np.eye(n)))
@@ -277,11 +272,11 @@ def _random_algebra_element(spec: DomainSpec, rng, strength: float = 0.4) -> np.
         r, s = spec.r, spec.s
         y = rng.standard_normal((r, s)) + 1j * rng.standard_normal((r, s))
         x = np.block([[skew_hermitian(r), y], [y.conj().T, skew_hermitian(s)]])
-    elif spec.kind in ("II", "III"):
+    elif spec.mirror:
         n = spec.n
         s_blk = skew_hermitian(n)
         y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        y = (y - y.T) / 2.0 if spec.kind == "II" else (y + y.T) / 2.0
+        y = (y + spec.mirror * y.T) / 2.0
         x = np.block([[s_blk, y], [y.conj().T, s_blk.conj()]])
     else:
         n = spec.n

@@ -164,38 +164,33 @@ def _reports_csv(reports) -> str:
 
 def _cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    samples = args.samples
+
+    def given(samples: str) -> dict:
+        """The seed, plus ``--tol`` and ``--samples`` (as keyword ``samples``) where
+        given: each check default lives once, in the signature in ``verify``."""
+        flags = (("tol", args.tol), (samples, args.samples))
+        return {"seed": seed, **{k: v for k, v in flags if v is not None}}
+
     reports = []
     if args.what == "all":
         reports = run_all(seed=seed)
     elif args.what == "fu":
         specs = [args.domain] if args.domain else ["I:2,2", "I:2,3", "II:3", "III:2", "IV:3"]
-        for text in specs:
-            reports.append(verify.check_F_U_lemma(
-                parse_spec(text), n_samples=samples or 200, seed=seed,
-                tol=args.tol if args.tol is not None else 1e-9))
+        reports = [verify.check_F_U_lemma(parse_spec(text), **given("n_samples")) for text in specs]
     elif args.what == "composition":
         reports.append(verify.check_composition_rule(
             catalog("standard", r=1, s=3, r2=1, s2=5), catalog("whitney-ball", n=2),
-            n_samples=samples or 100, seed=seed,
-            tol=args.tol if args.tol is not None else 1e-8))
+            **given("n_samples")))
     elif args.what == "coeff":
         spec = parse_spec(args.domain or "I:2,2")
-        for i, j in source_positions(spec):
-            reports.append(verify.check_coefficient_lemma(
-                spec, i, j, n_bases=samples or 20, seed=seed,
-                tol=args.tol if args.tol is not None else 1e-6))
+        reports = [verify.check_coefficient_lemma(spec, i, j, **given("n_bases"))
+                   for i, j in source_positions(spec)]
     elif args.what == "properness":
         f = _resolve_map(args, args.map_a)
-        reports.append(verify.check_properness(
-            f, n_samples=samples or 500, seed=seed,
-            tol=args.tol if args.tol is not None else 1e-7))
+        reports.append(verify.check_properness(f, **given("n_samples")))
     elif args.what == "factorization":
         f = _resolve_map(args, args.map_a)
-        report, _ = verify.check_factorization(
-            f, grid_size=samples, seed=seed,
-            tol=args.tol if args.tol is not None else 1e-7)
-        reports.append(report)
+        reports.append(verify.check_factorization(f, **given("grid_size"))[0])
     if args.format == "csv":
         _write(_reports_csv(reports), args.out)
     else:

@@ -18,6 +18,13 @@ Domain kinds and their point shapes:
 * kind II  -- antisymmetric n x n matrices with I - ZZ* > 0
 * kind III -- symmetric n x n matrices with I - ZZ* > 0
 * kind IV  -- row vectors Z in C^n with ZZ* < 1 and 1 - 2ZZ* + |ZZ^t|^2 > 0
+
+Kinds II/III are the slices Z^t = eps Z of kind I (r = s = n), eps =
+``DomainSpec.mirror`` (-1 for II, +1 for III, 0 for I and IV).  The shape
+check, the groups' bilinear form and Lie algebra, a map's independent and
+mirror entries and the coefficient lemma read that one sign.  The sampler
+keeps its own projection: its kind II g - g^t is not halved, and halving it
+would move every pinned sample.
 """
 
 from dataclasses import dataclass
@@ -52,6 +59,7 @@ __all__ = [
 KINDS = ("I", "II", "III", "IV")
 
 SHAPE_TOL = 1e-12
+_MIRROR = {"II": -1.0, "III": 1.0}
 
 
 @dataclass(frozen=True)
@@ -78,6 +86,12 @@ class DomainSpec:
         else:
             if self.n < 1:
                 raise ParameterError(f"kind {self.kind} needs n >= 1")
+
+    @property
+    def mirror(self) -> float:
+        """The sign eps of Z^t = eps Z: -1.0 for kind II, +1.0 for kind III, 0.0
+        for kinds I and IV, which have no mirror relation."""
+        return _MIRROR.get(self.kind, 0.0)
 
     @property
     def shape(self) -> tuple:
@@ -128,17 +142,16 @@ class Point:
 
 def check_shapes(spec: DomainSpec, values: np.ndarray, tol: float = SHAPE_TOL) -> None:
     """Raise :class:`ShapeError` unless every matrix of the stack ``values``
-    (shape ``(..., *spec.shape)``) is finite and, for kind II/III, antisymmetric
-    or symmetric within ``tol * max(1, |Z|)``."""
+    (shape ``(..., *spec.shape)``) is finite and, for kind II/III, satisfies
+    Z^t = eps Z (``spec.mirror``) within ``tol * max(1, |Z|)``."""
     if not np.all(np.isfinite(values)):
         raise ShapeError("matrix contains non-finite entries")
-    if spec.kind not in ("II", "III"):
+    if not spec.mirror:
         return
-    mirror = values.swapaxes(-1, -2)
-    res = np.linalg.norm(values + mirror if spec.kind == "II" else values - mirror, axis=(-2, -1))
+    res = np.linalg.norm(values.swapaxes(-1, -2) - spec.mirror * values, axis=(-2, -1))
     bad = res > tol * np.maximum(1.0, np.linalg.norm(values, axis=(-2, -1)))
     if np.any(bad):
-        word = "antisymmetric" if spec.kind == "II" else "symmetric"
+        word = "antisymmetric" if spec.mirror < 0 else "symmetric"
         raise ShapeError(f"kind {spec.kind} point is not {word} (residual {np.max(res[bad]):.3e})")
 
 

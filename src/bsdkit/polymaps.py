@@ -63,14 +63,13 @@ __all__ = [
 
 
 def source_positions(spec: DomainSpec) -> list:
-    """Matrix positions of the independent variables of a domain."""
-    if spec.kind == "I":
-        return [(i, j) for i in range(spec.r) for j in range(spec.s)]
-    if spec.kind == "II":
-        return [(i, j) for i in range(spec.n) for j in range(i + 1, spec.n)]
-    if spec.kind == "III":
-        return [(i, j) for i in range(spec.n) for j in range(i, spec.n)]
-    return [(0, j) for j in range(spec.n)]
+    """Matrix positions of the independent variables of a domain: the upper
+    triangle, strict when eps = ``spec.mirror`` < 0, else the full grid."""
+    rows, cols = spec.shape
+    eps = spec.mirror
+    if not eps:
+        return [(i, j) for i in range(rows) for j in range(cols)]
+    return [(i, j) for i in range(rows) for j in range(i + int(eps < 0), cols)]
 
 
 def variable_names(spec: DomainSpec) -> list:
@@ -131,14 +130,14 @@ def _independent_index(spec: DomainSpec) -> tuple:
 @lru_cache(maxsize=None)
 def _embedding(spec: DomainSpec) -> np.ndarray:
     """B of shape ``(*spec.shape, nvars)`` with ``Z = B @ x`` for the independent
-    variables x: 1 at each independent position, and -1 (kind II) or +1
-    (kind III) at its mirror.  Its column norms are the Frobenius weights of
-    the independent variables."""
+    variables x: 1 at each independent position, and eps = ``spec.mirror`` at
+    its mirror.  Its column norms are the Frobenius weights of the
+    independent variables."""
     rows, cols = _independent_index(spec)
     var = np.arange(len(rows))
     b = np.zeros((*spec.shape, len(var)))
-    if spec.kind in ("II", "III"):
-        b[cols, rows, var] = -1.0 if spec.kind == "II" else 1.0
+    if spec.mirror:
+        b[cols, rows, var] = spec.mirror
     b[rows, cols, var] = 1.0
     b.flags.writeable = False
     return b
@@ -221,12 +220,12 @@ def polymap(source: DomainSpec, target: DomainSpec, entries: dict) -> PolyMap:
     for i, j in clean:
         if not (0 <= i < rows and 0 <= j < cols):
             raise ShapeError(f"entry position {(i, j)} outside target shape {(rows, cols)}")
-    if target.kind in ("II", "III"):
-        sign = -1.0 if target.kind == "II" else 1.0
+    sign = target.mirror
+    if sign:
         mirrored = {}
         for (i, j), terms in clean.items():
-            if i == j and target.kind == "II":
-                raise ShapeError("kind II target must have zero diagonal")
+            if i == j and sign < 0:
+                raise ShapeError(f"kind {target.kind} target must have zero diagonal")
             flipped = {e: sign * c for e, c in terms.items()}
             if i > j and clean.get((j, i), flipped) != flipped:
                 raise ShapeError(f"kind {target.kind} target entries {(i, j)}/{(j, i)} are inconsistent")
@@ -594,7 +593,7 @@ def embed_map(f: PolyMap, target: DomainSpec, rows: list, cols: list) -> PolyMap
     """Embed into a larger target along explicit row/column positions."""
     if target.kind != f.target.kind:
         raise ShapeError(f"cannot embed a {f.target.kind}-target map into {target}")
-    if target.kind in ("II", "III") and list(rows) != list(cols):
+    if target.mirror and list(rows) != list(cols):
         raise ShapeError("embedding a symmetric-kind target needs matching row/col positions")
     entries = {}
     for (i, j), terms in f.entries.items():

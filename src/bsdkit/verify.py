@@ -34,6 +34,7 @@ from .domains import (
     generic_norms,
     norm_gram,
     parse_spec,
+    polarized_norm_is_squared,
     polarized_norms,
     sample_points,
 )
@@ -95,6 +96,11 @@ def summarize(reports) -> dict:
     return {"total": len(reports), "passed": passed, "failed": len(reports) - passed}
 
 
+def _require_positive(name: str, count: int) -> None:
+    if count <= 0:  # a report over no samples would pass with max_residual 0.0
+        raise ParameterError(f"{name} must be positive, got {count}")
+
+
 def check_properness(f: PolyMap, n_samples: int = 500, tol: float = 1e-7, seed: int = 42,
                      check_id: str = "properness") -> VerificationReport:
     """Boundary points of the source must map to boundary points of the target.
@@ -103,6 +109,7 @@ def check_properness(f: PolyMap, n_samples: int = 500, tol: float = 1e-7, seed: 
     classification margin when the image is not classified as boundary at
     10x the tolerance.
     """
+    _require_positive("n_samples", n_samples)
     z = sample_points(f.source, "boundary", [[seed, k] for k in range(n_samples)])
     y = eval_points(f, z)
     gram = norm_gram(y, y)
@@ -212,6 +219,7 @@ def check_F_U_lemma(spec: DomainSpec, n_samples: int = 200, tol: float = 1e-9,
     the empirically fitted constant either way.
     """
     check_id = check_id or f"fu:{spec}"
+    _require_positive("n_samples", n_samples)
     notes = []
     ks = np.arange(n_samples)
     size = matrix_size(spec)
@@ -255,8 +263,8 @@ def check_F_U_lemma(spec: DomainSpec, n_samples: int = 200, tol: float = 1e-9,
     dz, dw = automorphy_denominators(e, z), automorphy_denominators(e, w)
     res = np.abs(s_after * dz * np.conj(dw) - s_before) / np.maximum(1.0, np.abs(s_before))
     worst = float(np.max(res, initial=0.0))
-    if spec.kind == "II":
-        notes.append("kind II identity verified in squared (determinant) form")
+    if polarized_norm_is_squared(spec):
+        notes.append(f"kind {spec.kind} identity verified in squared (determinant) form")
     return VerificationReport(check_id, [str(spec)], n_samples, seed, worst, tol,
                               worst <= tol, notes)
 
@@ -268,6 +276,7 @@ def check_composition_rule(f: PolyMap, g: PolyMap, n_samples: int = 100, tol: fl
     at interior pairs kept away from the norm zero sets."""
     if g.target != f.source:
         raise ShapeError(f"maps do not compose: {g.target} vs {f.source}")
+    _require_positive("n_samples", n_samples)
     z = np.empty((n_samples, *g.source.shape), dtype=complex)
     w = np.empty_like(z)
     s1 = np.empty(n_samples, dtype=complex)
@@ -309,30 +318,20 @@ def check_coefficient_lemma(spec: DomainSpec, i: int, j: int, n_bases: int = 20,
 
     At random interior base points, the norm polynomial is fitted in the
     single real variable Re z_ij and its leading coefficient is compared to
-    the predicted signed minor determinant: degree 2 with -det(I - Z'Z'*)
-    for kind I entries and kind III diagonal entries (Z' the (i, j) minor),
-    degree 4 with +det(I - Z''Z''*) for kind II and kind III off-diagonal
-    entries (Z'' drops rows and columns i and j).  Kind II uses the square
-    of its generic norm, which is the determinant itself.
+    the predicted signed minor determinant: degree 4 with +det(I - Z''Z''*)
+    when (i, j) is off the diagonal and its mirror z_ji = eps z_ij moves too
+    (eps = ``spec.mirror`` != 0; Z'' drops rows and columns i and j), else
+    degree 2 with -det(I - Z'Z'*) (Z' the (i, j) minor).  Kind II uses the
+    square of its generic norm, which is the determinant itself.
     """
     check_id = check_id or f"coeff:{spec}:({i + 1},{j + 1})"
-    rows, cols = spec.shape
-    if spec.kind == "I":
-        valid = 0 <= i < rows and 0 <= j < cols
-        degree, sign, drops = 2, -1.0, ({i}, {j})
-    elif spec.kind == "II":
-        valid = 0 <= i < j < spec.n
-        degree, sign, drops = 4, 1.0, ({i, j}, {i, j})
-    elif spec.kind == "III":
-        valid = 0 <= i <= j < spec.n
-        if i == j:
-            degree, sign, drops = 2, -1.0, ({i}, {i})
-        else:
-            degree, sign, drops = 4, 1.0, ({i, j}, {i, j})
-    else:
+    if spec.kind == "IV":
         raise ParameterError("coefficient lemma applies to kinds I/II/III")
-    if not valid:
+    if (i, j) not in source_positions(spec):
         raise ParameterError(f"invalid index ({i}, {j}) for {spec}")
+    _require_positive("n_bases", n_bases)
+    mirror = spec.mirror if i != j else 0.0
+    degree, sign, drops = (4, 1.0, ({i, j}, {i, j})) if mirror else (2, -1.0, ({i}, {j}))
 
     nodes = np.linspace(-0.7, 0.7, degree + 3)
     bases = np.empty((0, *spec.shape), dtype=complex)
@@ -351,10 +350,8 @@ def check_coefficient_lemma(spec: DomainSpec, i: int, j: int, n_bases: int = 20,
         expected = np.concatenate([expected, minors[kept]])
     z = np.repeat(bases[:, None], len(nodes), axis=1)
     z[:, :, i, j] = nodes + 1j * z[:, :, i, j].imag
-    if spec.kind == "II" and i != j:
-        z[:, :, j, i] = -z[:, :, i, j]
-    elif spec.kind == "III" and i != j:
-        z[:, :, j, i] = z[:, :, i, j]
+    if mirror:
+        z[:, :, j, i] = mirror * z[:, :, i, j]
     lead = np.polyfit(nodes, _norm_square_poly_values(z).T, degree)[0]
     worst = float(np.max(np.abs(lead - expected) / np.abs(expected), initial=0.0))
     notes = [f"{resamples} degenerate bases resampled"] if resamples else []
@@ -366,6 +363,7 @@ def check_isotropy_consistency(f: PolyMap, n_trials: int = 100, tol: float = 1e-
                                seed: int = 42, check_id: str = "isotropy") -> VerificationReport:
     """Conjugating by random origin isotropies must leave every per-degree
     spectrum unchanged, so the distinguisher must report indistinguishable."""
+    _require_positive("n_trials", n_trials)
     worst = 0.0
     failures = 0
     for k in range(n_trials):
@@ -407,10 +405,8 @@ def check_family_continuity(family: str, t_grid, tol: float = 3.0, dims=None,
         if dt > 0.0:
             worst = max(worst, coeff_distance(m0, m1) / math.sqrt(dt))
     notes = []
-    if family in ("h_t",):
-        asym = max(
-            (0.0 if _symmetric_entries(m) else 1.0) for m in maps
-        )
+    if family == "h_t":
+        asym = 0.0 if all(_symmetric_entries(m) for m in maps) else 1.0
         notes.append("symmetric target structure maintained across grid"
                      if asym == 0.0 else "SYMMETRY VIOLATION in target entries")
         worst = max(worst, asym)

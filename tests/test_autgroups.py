@@ -79,6 +79,17 @@ class TestMembership:
         with pytest.raises(ShapeError):
             aut_element(parse_spec("I:2,2"), np.eye(3))
 
+    @pytest.mark.parametrize("own,other", [("III", "II"), ("II", "III")])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_other_kinds_element_fails_only_the_bilinear_form(self, own, other, n):
+        # An exponential of one kind's algebra keeps the kind I signature form
+        # but breaks the other kind's bilinear form [[0, I], [-eps I, 0]].
+        m = random_automorphism(parse_spec(f"{own}:{n}"), [3, n], flavor="exponential").matrix
+        rep = check_membership(AutElement(parse_spec(f"{other}:{n}"), m))
+        assert not rep.passed
+        assert rep.residuals["signature"] <= 1e-12
+        assert rep.residuals["bilinear"] > 1e-3
+
 
 class TestAct:
     @pytest.mark.parametrize("text", ALL_SPECS)

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 
 import numpy as np
@@ -8,6 +9,8 @@ from bsdkit.autgroups import aut_to_json, random_automorphism
 from bsdkit.cli import main
 from bsdkit.domains import parse_spec
 from bsdkit.polymaps import catalog, coeff_distance, polymap_from_json, polymap_to_json
+from bsdkit.verify import (check_coefficient_lemma, check_composition_rule, check_F_U_lemma,
+                           check_properness)
 
 
 def run(tmp_path, *argv, name="out.json"):
@@ -204,6 +207,42 @@ class TestDeterminismAndErrors:
     ])
     def test_usage_errors_exit_two(self, argv, capsys):
         assert main([*argv, "--no-timestamp"]) == 2
+
+
+class TestCheckFlags:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "coeff", "--samples", "-1"],
+        ["verify", "coeff", "--samples", "0"],
+        ["verify", "properness", "--map-a", "f-sec4", "--samples", "0"],
+        ["verify", "properness", "--map-a", "f-sec4", "--samples", "-3"],
+        ["verify", "fu", "--domain", "I:2,2", "--samples", "-5"],
+        ["verify", "composition", "--samples", "0"],
+    ])
+    def test_non_positive_samples_exit_two_with_an_error_line(self, argv, capsys):
+        assert main([*argv, "--no-timestamp"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
+    @pytest.mark.parametrize("argv,check,count", [
+        (["verify", "fu", "--domain", "III:2"], check_F_U_lemma, "n_samples"),
+        (["verify", "composition"], check_composition_rule, "n_samples"),
+        (["verify", "coeff", "--domain", "II:4"], check_coefficient_lemma, "n_bases"),
+        (["verify", "properness", "--map-a", "whitney-ball:2"], check_properness, "n_samples"),
+    ])
+    def test_defaults_come_from_the_check_signature(self, tmp_path, argv, check, count):
+        params = inspect.signature(check).parameters
+        rc, out = run(tmp_path, *argv, "--no-timestamp")
+        assert rc == 0
+        for report in json.loads(out.read_text())["reports"]:
+            assert report["samples"] == params[count].default
+            assert report["tolerance"] == params["tol"].default
+
+    def test_given_flags_reach_the_check(self, tmp_path):
+        rc, out = run(tmp_path, "verify", "coeff", "--domain", "III:2", "--samples", "3",
+                      "--tol", "0.5", "--no-timestamp")
+        assert rc == 0
+        reports = json.loads(out.read_text())["reports"]
+        assert [(r["samples"], r["tolerance"]) for r in reports] == [(3, 0.5)] * 3
 
 
 class TestMalformedFiles:

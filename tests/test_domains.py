@@ -40,6 +40,10 @@ class TestDomainSpec:
         assert parse_spec("II:4").shape == (4, 4)
         assert parse_spec("IV:5").shape == (1, 5)
 
+    def test_mirror_sign(self):
+        assert [parse_spec(t).mirror for t in ("I:2,3", "II:4", "III:2", "IV:5")] == \
+            [0.0, -1.0, 1.0, 0.0]
+
 
 class TestPointValidation:
     def test_rejects_wrong_shape(self):

@@ -11,6 +11,7 @@ from bsdkit.errors import ParameterError, ShapeError
 from bsdkit.invariants import monomials_of_degree as invariants_monomials_of_degree
 from bsdkit.polymaps import (
     CATALOG_IDS,
+    _embedding,
     _power_actions,
     catalog,
     coeff_distance,
@@ -64,6 +65,24 @@ def direct_monomial_sum(f, p):
         for exps, coeff in terms.items():
             out[i, j] += coeff * math.prod(v ** e for v, e in zip(vals, exps))
     return out
+
+
+class TestSourcePositions:
+    @pytest.mark.parametrize("text,positions", [
+        ("I:1,2", [(0, 0), (0, 1)]),
+        ("II:3", [(0, 1), (0, 2), (1, 2)]),
+        ("III:2", [(0, 0), (0, 1), (1, 1)]),
+        ("IV:3", [(0, 0), (0, 1), (0, 2)]),
+    ])
+    def test_independent_positions(self, text, positions):
+        assert source_positions(parse_spec(text)) == positions
+
+    @pytest.mark.parametrize("text", ["I:2,3", "II:2", "II:4", "III:1", "III:3", "IV:3"])
+    def test_embedding_rebuilds_a_point_from_its_independent_entries(self, text):
+        spec = parse_spec(text)
+        z = sample_point(spec, "interior", 5).value
+        x = np.array([z[pos] for pos in source_positions(spec)])
+        assert np.array_equal(_embedding(spec) @ x, z)
 
 
 class TestEval:

@@ -141,6 +141,32 @@ class TestCoefficientLemma:
         with pytest.raises(ParameterError):
             check_coefficient_lemma(parse_spec("I:2,2"), 2, 0)
 
+    @pytest.mark.parametrize("text,i,j", [("II:3", 1, 1), ("III:3", 2, 0), ("IV:3", 0, 0)])
+    def test_rejects_dependent_positions_and_kind_iv(self, text, i, j):
+        with pytest.raises(ParameterError):
+            check_coefficient_lemma(parse_spec(text), i, j)
+
+
+class TestSampleCounts:
+    CHECKS = {
+        "properness": lambda k: check_properness(catalog("f-sec4"), n_samples=k),
+        "isotropy": lambda k: check_isotropy_consistency(catalog("f_t", t=0.3), n_trials=k),
+        "coeff": lambda k: check_coefficient_lemma(parse_spec("I:2,2"), 0, 0, n_bases=k),
+        "fu": lambda k: check_F_U_lemma(parse_spec("I:2,2"), n_samples=k),
+        "composition": lambda k: check_composition_rule(
+            catalog("standard", r=1, s=3, r2=1, s2=5), catalog("whitney-ball", n=2), n_samples=k),
+    }
+
+    @pytest.mark.parametrize("count", [0, -1])
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    def test_non_positive_count_is_a_parameter_error(self, check, count):
+        with pytest.raises(ParameterError, match="must be positive"):
+            self.CHECKS[check](count)
+
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    def test_one_sample_runs(self, check):
+        assert self.CHECKS[check](1).samples == 1
+
 
 class TestIsotropyConsistency:
     def test_f_t_invariance(self):
