@@ -13,6 +13,15 @@ i x_{n+1} + x_{n+2} = 2i.  M^t M = I keeps x = l(Z) M on the quadric, so
 with lambda(Z) = i x_{n+1} + x_{n+2} the image is MZ = -x_{1..n} / lambda(Z)
 and l(MZ) = (2i / lambda(Z)) l(Z) M; the identity has lambda = 2i.
 
+The isotropies (elements fixing 0) are linear by H. Cartan's theorem on
+bounded circular domains; ``isotropy_factors`` reads their parameters as
+the factors of the action Z -> L Z R, the one statement of that convention:
+
+* kind I   -- params (U, V), U in U(r), V in U(s): (L, R) = (U*, V)
+* kinds II/III -- params A in U(n): (L, R) = (A*, conj A)
+* kind IV  -- params (P, theta), P in O(n): (L, R) = ([[e^{-i theta}]], P),
+  as diag(P, R_theta) has lambda(Z) = e^{i theta} 2i.
+
 Defining relations checked for membership:
 
 * kind I   -- M diag(-I_r, I_s) M* = diag(-I_r, I_s)
@@ -40,6 +49,7 @@ __all__ = [
     "product",
     "identity_element",
     "isotropy",
+    "isotropy_factors",
     "random_isotropy_params",
     "transvection_type1",
     "random_automorphism",
@@ -189,35 +199,37 @@ def act(e: AutElement, p: Point) -> Point:
     return Point(p.spec, act_points(e, p.value))
 
 
-def isotropy(spec: DomainSpec, params) -> AutElement:
-    """Isotropy element at the origin from its parameters.
-
-    * kind I: params = (U, V) with U in U(r), V in U(s); the element is
-      diag(U, V) acting by Z -> U^{-1} Z V.
-    * kinds II/III: params = A in U(n); the element is diag(A, conj(A))
-      acting by Z -> A* Z conj(A).
-    * kind IV: params = (P, theta) with P in O(n) real and a rotation angle;
-      the element is diag(P, R_theta).  Only the rotation component of O(2)
-      is constructed.
-    """
+def isotropy_factors(spec: DomainSpec, params) -> tuple:
+    """(L, R) of the isotropy ``params``, acting by Z -> L Z R (table in the
+    module docstring); :func:`isotropy` validates the parameters."""
     if spec.kind == "I":
         u, v = (as_matrix(x) for x in params)
-        _require_unitary(u, spec.r, "U")
-        _require_unitary(v, spec.s, "V")
-        m = _direct_sum(u, v)
-    elif spec.kind in ("II", "III"):
-        a = as_matrix(params)
-        _require_unitary(a, spec.n, "A")
-        m = _direct_sum(a, a.conj())
-    else:
-        p, theta = params
-        p = as_matrix(p)
-        _require_unitary(p, spec.n, "P")
-        if np.linalg.norm(p.imag) > 1e-10:
+        return u.conj().T, v
+    if spec.mirror:
+        a_bar = as_matrix(params).conj()
+        return a_bar.T, a_bar
+    p, theta = params
+    return np.exp([[-1j * theta]]), as_matrix(p)
+
+
+def isotropy(spec: DomainSpec, params) -> AutElement:
+    """The isotropy element of validated ``params``: diag(L*, R) with (L, R)
+    of :func:`isotropy_factors` for kinds I/II/III, diag(P, R_theta) for
+    kind IV (the rotation component of O(2) only)."""
+    left, right = isotropy_factors(spec, params)
+    if spec.kind == "IV":
+        _require_unitary(right, spec.n, "P")
+        if np.linalg.norm(right.imag) > 1e-10:
             raise ParameterError("kind IV isotropy needs a real orthogonal P")
-        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        m = _direct_sum(p.real, rot)
-    return AutElement(spec, m)
+        c, s = np.cos(params[1]), np.sin(params[1])
+        return AutElement(spec, _direct_sum(right.real, np.array([[c, -s], [s, c]])))
+    u = left.conj().T
+    if spec.kind == "I":
+        _require_unitary(u, spec.r, "U")
+        _require_unitary(right, spec.s, "V")
+    else:
+        _require_unitary(u, spec.n, "A")
+    return AutElement(spec, _direct_sum(u, right))
 
 
 def _require_unitary(u: np.ndarray, n: int, name: str, tol: float = 1e-10):

@@ -3,8 +3,9 @@
 Commands: ``verify all|fu|composition|coeff|properness|factorization``,
 ``invariants``, ``distinguish``, ``sweep``, ``sample``, ``eval``.  Exit code
 0 means every requested check passed, 1 means at least one failed, 2 means
-a usage or configuration problem.  All randomness is seeded (default 42,
-overridable with the BSDKIT_SEED environment variable or ``--seed``); with
+a usage or configuration problem.  A command takes only the options it reads.
+All randomness is seeded (``--seed`` of ``verify``, ``sample`` and ``eval``,
+else the BSDKIT_SEED environment variable, else 42); with
 ``--no-timestamp`` a repeated invocation is byte-identical.
 
 Maps are selected as ``name[:v1,v2,...]`` (see ``polymaps.select_map``):
@@ -36,8 +37,13 @@ USAGE_EXIT = 2
 FAIL_EXIT = 1
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("BSDKIT_SEED", "42"))
+def _seed(args) -> int:
+    """``--seed`` if given, else the BSDKIT_SEED environment variable, else 42."""
+    text = os.environ.get("BSDKIT_SEED", "42")
+    try:
+        return args.seed if args.seed is not None else int(text)
+    except ValueError:
+        raise ParameterError(f"BSDKIT_SEED must be an integer, got {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,11 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--samples", type=int, default=None)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--no-timestamp", action="store_true")
 
     p = sub.add_parser("verify", help="run verification checks")
@@ -60,6 +62,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--dims", type=str, default=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     common(p)
 
     p = sub.add_parser("invariants", help="per-degree singular spectra of a map")
@@ -74,6 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map-a", type=str, required=True)
     p.add_argument("--map-b", type=str, required=True)
     p.add_argument("--dims", type=str, default=None)
+    p.add_argument("--tol", type=float, default=None)
     common(p)
 
     p = sub.add_parser("sweep", help="pairwise spectral distance matrix over a parameter grid")
@@ -85,16 +92,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="sample a domain point")
     p.add_argument("--domain", type=str, required=True)
     p.add_argument("--region", choices=("interior", "boundary"), default="interior")
+    p.add_argument("--seed", type=int, default=None)
     common(p)
 
     p = sub.add_parser("eval", help="evaluate a map at a sampled point, or act an element on it")
     p.add_argument("--map-a", type=str, default=None)
     p.add_argument("--map-file", type=str, default=None)
     p.add_argument("--aut-file", type=str, default=None)
-    p.add_argument("--domain", type=str, default=None)
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--dims", type=str, default=None)
+    p.add_argument("--seed", type=int, default=None)
     common(p)
     return parser
 
@@ -163,7 +171,7 @@ def _reports_csv(reports) -> str:
 
 
 def _cmd_verify(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
 
     def given(samples: str) -> dict:
         """The seed, plus ``--tol`` and ``--samples`` (as keyword ``samples``) where
@@ -250,9 +258,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     spec = parse_spec(args.domain)
-    p = sample_point(spec, args.region, seed)
+    p = sample_point(spec, args.region, _seed(args))
     cls = classify_point(p)
     _emit({
         "spec": str(spec),
@@ -265,7 +272,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     payload = {}
     if args.aut_file:
         element = aut_from_json(_load_json(args.aut_file))

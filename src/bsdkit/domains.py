@@ -21,10 +21,10 @@ Domain kinds and their point shapes:
 
 Kinds II/III are the slices Z^t = eps Z of kind I (r = s = n), eps =
 ``DomainSpec.mirror`` (-1 for II, +1 for III, 0 for I and IV).  The shape
-check, the groups' bilinear form and Lie algebra, a map's independent and
-mirror entries and the coefficient lemma read that one sign.  The sampler
-keeps its own projection: its kind II g - g^t is not halved, and halving it
-would move every pinned sample.
+check, the sampler's projection (g + eps g^t) / 2, the groups' bilinear form
+and Lie algebra, a map's independent and mirror entries and the coefficient
+lemma read that one sign.  The sampler rescales each direction by its
+largest singular value, so the halving is exact and moves no sample.
 """
 
 from dataclasses import dataclass
@@ -282,10 +282,8 @@ _SAMPLE_RETRIES = 64
 def _gaussian_directions(spec: DomainSpec, rngs) -> np.ndarray:
     g = np.array([rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
                   for rng in rngs])
-    if spec.kind == "II":
-        g = g - g.swapaxes(-1, -2)
-    elif spec.kind == "III":
-        g = (g + g.swapaxes(-1, -2)) / 2.0
+    if spec.mirror:
+        g = (g + spec.mirror * g.swapaxes(-1, -2)) / 2.0
     return g
 
 

@@ -8,19 +8,23 @@ normalization sqrt(alpha!) and, for kinds II/III, source variables and
 target entries are rescaled by sqrt(2) on off-diagonal positions so that
 the independent-entry coordinates are orthonormal for the Frobenius inner
 product (under which the isotropy substitutions are honest unitaries).
+Kinds I and IV have unit weights: every entry is independent.
 
 The per-degree singular values of these operators are therefore invariant
 under isotropic conjugation, which makes mismatched spectra a sound
-certificate of inequivalence for origin-preserving proper polynomial maps;
-matching spectra certify nothing.  Soundness: two origin-preserving proper
-polynomial maps are equivalent exactly when they are isotropically
-equivalent, and by H. Cartan's theorem an automorphism fixing 0 of a bounded
-circular domain is linear, so the isotropies are the maps Z -> L Z R of
-``polymaps.conjugate``.  On the degree-d block such a source isotropy acts
-by P_d(S), which is unitary in these coordinates, and a target isotropy by
-a unitary on the rows, so the singular values do not change.  The Fischer
-inner product is that of H. S. Shapiro, "An algebraic theorem of E.
-Fischer, and the holomorphic Goursat problem", Bull. LMS 21 (1989).
+certificate of inequivalence for origin-preserving proper polynomial maps
+between domains of any of the four kinds; matching spectra certify nothing.
+Soundness: two origin-preserving proper polynomial maps are equivalent
+exactly when they are isotropically equivalent, and by H. Cartan's theorem
+an automorphism fixing 0 of a bounded circular domain is linear, so the
+isotropies are the maps Z -> L Z R of ``autgroups.isotropy_factors`` with
+L, R unitary.  For kind IV these are Z -> e^{-i theta} Z P, the group
+e^{i theta} O(n) inside U(n), which acts unitarily on the n unit-weight
+coordinates.  On the degree-d block such a source isotropy acts by P_d(S),
+which is unitary in these coordinates, and a target isotropy by a unitary
+on the rows, so the singular values do not change.  The Fischer inner
+product is that of H. S. Shapiro, "An algebraic theorem of E. Fischer, and
+the holomorphic Goursat problem", Bull. LMS 21 (1989).
 
 The operators are read from a map's compiled arrays (``PolyMap._compiled``):
 each degree's columns of C are scattered into the columns of
@@ -49,11 +53,6 @@ INEQUIVALENT = "inequivalent"
 INDISTINGUISHABLE = "indistinguishable-by-invariants"
 
 
-def _check_supported(f: PolyMap):
-    if "IV" in (f.source.kind, f.target.kind):
-        raise ParameterError("spectral invariants are not defined for kind IV maps here")
-
-
 def coefficient_operator(f_d: PolyMap, degree: int = None) -> np.ndarray:
     """Coefficient operator of a homogeneous map piece.
 
@@ -61,7 +60,6 @@ def coefficient_operator(f_d: PolyMap, degree: int = None) -> np.ndarray:
     target entry, times sqrt(alpha!) and the Frobenius weights described in
     the module docstring.  Raises on non-homogeneous input.
     """
-    _check_supported(f_d)
     blocks = f_d._compiled.degrees
     if len(blocks) > 1:
         raise ShapeError(f"map is not homogeneous (degrees {[d for d, _, _ in blocks]})")
@@ -86,7 +84,6 @@ def _operator(f: PolyMap, degree: int, columns: np.ndarray, ranks: np.ndarray) -
 
 def invariant_spectrum(f: PolyMap) -> dict:
     """Per-degree descending singular values of the coefficient operators."""
-    _check_supported(f)
     return {d: np.linalg.svd(_operator(f, d, columns, ranks), compute_uv=False)
             for d, columns, ranks in f._compiled.degrees}
 

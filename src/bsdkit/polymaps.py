@@ -18,7 +18,8 @@ drawn from its own ``[seed, k, ...]`` RNG key by the verification harness)
 as ``C @ prod(vals ** E)``; ``eval_map`` is the one-point case.
 ``conjugate`` turns each degree-d block into ``C_d @ P_d(S)``, S the source
 isotropy on the independent variables, and applies the target isotropy as
-one product over the full target grid.
+one product over the full target grid; both isotropies act by
+Z -> L Z R with the factors of ``autgroups.isotropy_factors``.
 
 The catalog holds the proper polynomial map families used throughout:
 standard block embeddings, ball Whitney and one-parameter ball families,
@@ -35,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autgroups import AutElement, act
+from .autgroups import AutElement, act, isotropy_factors
 from .domains import DomainSpec, Point, parse_spec
 from .errors import BsdkitError, ParameterError, ShapeError
 
@@ -307,20 +308,8 @@ def _build_gen_whitney(r: int, s: int) -> PolyMap:
 
 
 def _build_f_sec4() -> PolyMap:
-    source = DomainSpec("I", r=2, s=2)
-    target = DomainSpec("I", r=3, s=3)
-    # variables z1..z4 = row-major entries of the 2x2 source
-    entries = {
-        (0, 0): {_unit(4, 0, 0): 1.0},
-        (0, 1): {_unit(4, 0, 1): 1.0},
-        (0, 2): {_unit(4, 1): 1.0},
-        (1, 0): {_unit(4, 0, 2): 1.0},
-        (1, 1): {_unit(4, 1, 2): 1.0},
-        (1, 2): {_unit(4, 3): 1.0},
-        (2, 0): {_unit(4, 2): 1.0},
-        (2, 1): {_unit(4, 3): 1.0},
-    }
-    return polymap(source, target, entries)
+    """The quadratic map of I:2,2 into I:3,3, which is gen-whitney(2, 2)."""
+    return _build_gen_whitney(2, 2)
 
 
 def _build_g_sec4() -> PolyMap:
@@ -363,26 +352,6 @@ def _build_f_t(t: float) -> PolyMap:
     return polymap(source, target, entries)
 
 
-def _build_g_t(t: float) -> PolyMap:
-    t = _efmt(t)
-    source = DomainSpec("I", r=2, s=2)
-    target = DomainSpec("I", r=3, s=4)
-    rt, rmt = math.sqrt(t), math.sqrt(1.0 - t)
-    entries = {
-        (0, 0): {_unit(4, 0, 0): rt},
-        (0, 1): {_unit(4, 0, 1): rt},
-        (0, 2): {_unit(4, 0): rmt},
-        (0, 3): {_unit(4, 1): 1.0},
-        (1, 0): {_unit(4, 0, 2): rt},
-        (1, 1): {_unit(4, 1, 2): rt},
-        (1, 2): {_unit(4, 2): rmt},
-        (1, 3): {_unit(4, 3): 1.0},
-        (2, 0): {_unit(4, 2): 1.0},
-        (2, 1): {_unit(4, 3): 1.0},
-    }
-    return polymap(source, target, entries)
-
-
 def _build_G_t(r: int, s: int, t: float) -> PolyMap:
     t = _efmt(t)
     source = DomainSpec("I", r=r, s=s)
@@ -404,6 +373,11 @@ def _build_G_t(r: int, s: int, t: float) -> PolyMap:
         for j in range(s):
             entries[(r - 1 + k, j)] = {_unit(nv, var(k, j)): 1.0}
     return polymap(source, target, entries)
+
+
+def _build_g_t(t: float) -> PolyMap:
+    """The family of I:2,2 into I:3,4, which is G_t(2, 2, t)."""
+    return _build_G_t(2, 2, t)
 
 
 def _build_h_t(t: float) -> PolyMap:
@@ -529,30 +503,18 @@ def homogeneous_parts(f: PolyMap) -> dict:
     return {d: PolyMap(f.source, f.target, entries) for d, entries in sorted(parts.items())}
 
 
-def _isotropy_matrices(spec: DomainSpec, params):
-    """(L, R) such that the origin-fixing action is Z -> L Z R."""
-    if spec.kind == "I":
-        u, v = params
-        return np.asarray(u, dtype=complex).conj().T, np.asarray(v, dtype=complex)
-    if spec.kind in ("II", "III"):
-        a = np.asarray(params, dtype=complex)
-        return a.conj().T, a.conj()
-    raise ShapeError("linear isotropy action is implemented for kinds I/II/III only")
-
-
 def conjugate(f: PolyMap, pre_params, post_params) -> PolyMap:
-    """Conjugate by origin isotropies: the polynomial map Z -> L f(sigma(Z)) M.
+    """Conjugate by origin isotropies: the polynomial map Z -> L' f(L Z R) R'.
 
-    ``pre_params`` are source isotropy parameters (sigma is the linear action
-    Z -> U^{-1} Z V for kind I, Z -> A* Z conj(A) for kinds II/III), and
-    ``post_params`` are target isotropy parameters applied the same way to
-    the image.  Preserves degree profile and the origin.  Kind IV maps raise
-    ``ShapeError``.
+    (L, R) are ``autgroups.isotropy_factors`` of the source isotropy
+    parameters ``pre_params`` and (L', R') those of the target parameters
+    ``post_params`` (see the table in the ``autgroups`` docstring), for all
+    four kinds.  Preserves degree profile and the origin.
     """
-    left, right = _isotropy_matrices(f.source, pre_params)
+    left, right = isotropy_factors(f.source, pre_params)
     c = f._compiled
     s = np.einsum("ia,abv,bj->ijv", left, _embedding(f.source), right)[c.source_index]
-    left, right = _isotropy_matrices(f.target, post_params)
+    left, right = isotropy_factors(f.target, post_params)
     image = np.einsum("ia,abm,bj->ijm", left, c.coeffs.reshape(*f.target.shape, -1), right)
     image = image.reshape(len(c.coeffs), -1)[c.target_rows]
     powers = _power_actions(s, max((d for d, _, _ in c.degrees), default=0))

@@ -195,11 +195,8 @@ def check_factorization(f: PolyMap, degree_bound: int = 4, grid_size: int = None
     joint_names = names + [f"conj(w{n[1:]})" for n in names]
 
     def monomial_name(exps) -> str:
-        factors = []
-        for k, e in enumerate(exps):
-            if e:
-                factors.append(joint_names[k] if e == 1 else f"{joint_names[k]}^{e}")
-        return "*".join(factors) if factors else "1"
+        return "*".join(joint_names[k] if e == 1 else f"{joint_names[k]}^{e}"
+                        for k, e in enumerate(exps) if e) or "1"
 
     fitted = {monomial_name(e): complex(c) for e, c in zip(basis, coeffs) if abs(c) > 1e-9}
     notes = [f"{name}: {c.real:.12g}{c.imag:+.3e}j" for name, c in sorted(fitted.items())]
@@ -405,20 +402,11 @@ def check_family_continuity(family: str, t_grid, tol: float = 3.0, dims=None,
         if dt > 0.0:
             worst = max(worst, coeff_distance(m0, m1) / math.sqrt(dt))
     notes = []
-    if family == "h_t":
-        asym = 0.0 if all(_symmetric_entries(m) for m in maps) else 1.0
-        notes.append("symmetric target structure maintained across grid"
-                     if asym == 0.0 else "SYMMETRY VIOLATION in target entries")
-        worst = max(worst, asym)
     if family == "f_t" and math.isclose(grid[0], 0.0) and math.isclose(grid[-1], 1.0):
         notes.extend(_f_t_endpoint_notes(maps[0], maps[-1]))
     return VerificationReport(check_id or f"continuity:{family}",
                               [str(maps[0].source), str(maps[0].target)],
                               len(grid), 0, worst, tol, worst <= tol, notes)
-
-
-def _symmetric_entries(m: PolyMap) -> bool:
-    return all(m.entries.get((j, i)) == terms for (i, j), terms in m.entries.items())
 
 
 def _discrepancies(a: PolyMap, b: PolyMap) -> list:

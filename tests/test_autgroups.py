@@ -16,6 +16,7 @@ from bsdkit.autgroups import (
     check_membership,
     identity_element,
     isotropy,
+    isotropy_factors,
     iv_action_denominator,
     product,
     random_automorphism,
@@ -113,6 +114,24 @@ class TestAct:
         expected = a.conj().T @ z.value @ a.conj()
         assert np.allclose(image.value, expected, atol=1e-12)
         assert np.linalg.norm(image.value - image.value.T) <= 1e-12
+
+    @pytest.mark.parametrize("text", ["IV:1", "IV:3", "IV:4"])
+    def test_kind_iv_isotropy_is_a_phase_times_an_orthogonal(self, text):
+        spec = parse_spec(text)
+        for k in range(5):
+            p, theta = random_isotropy_params(spec, [15, k])
+            z = sample_point(spec, "interior", [16, k])
+            image = act(isotropy(spec, (p, theta)), z)
+            assert np.max(np.abs(image.value - np.exp(-1j * theta) * z.value @ p)) <= 1e-14
+
+    @pytest.mark.parametrize("text", ALL_SPECS)
+    def test_isotropy_acts_by_its_factors(self, text):
+        spec = parse_spec(text)
+        params = random_isotropy_params(spec, 17)
+        left, right = isotropy_factors(spec, params)
+        z = sample_point(spec, "interior", 18)
+        image = act(isotropy(spec, params), z)
+        assert np.max(np.abs(image.value - left @ z.value @ right)) <= 1e-13
 
     def test_kind_iv_identity_denominator(self):
         spec = parse_spec("IV:3")

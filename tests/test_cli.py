@@ -196,6 +196,19 @@ class TestDeterminismAndErrors:
         assert out1.read_text() != out2.read_text()
 
     @pytest.mark.parametrize("argv", [
+        ["sample", "--domain", "I:2,2"],
+        ["eval", "--map-a", "whitney-ball:2"],
+        ["verify", "fu", "--domain", "I:2,2", "--samples", "5"],
+    ])
+    def test_malformed_seed_env_exits_two_with_an_error_line(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("BSDKIT_SEED", "abc")
+        assert main([*argv, "--no-timestamp"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: BSDKIT_SEED must be an integer, got 'abc'\n"
+        assert captured.out == ""
+        assert main([*argv, "--seed", "3", "--no-timestamp"]) == 0  # --seed wins
+
+    @pytest.mark.parametrize("argv", [
         ["distinguish", "--map-a", "nope:1", "--map-b", "f_t:0.5"],
         ["invariants", "--map-a", "f_t:1.5"],
         ["sample", "--domain", "V:3"],
@@ -268,3 +281,33 @@ class TestMalformedFiles:
         path.write_text(json.dumps(self.MAP))
         rc, _ = run(tmp_path, "eval", "--map-file", str(path), "--no-timestamp")
         assert rc == 0
+
+
+class TestOptionsWhereRead:
+    COMMANDS = {
+        "invariants": ["invariants", "--map-a", "f_t:0.3"],
+        "distinguish": ["distinguish", "--map-a", "f_t:0.3", "--map-b", "f_t:0.4"],
+        "sweep": ["sweep", "--family", "f_t", "--grid", "0:1:0.5"],
+        "sample": ["sample", "--domain", "I:2,2"],
+        "eval": ["eval", "--map-a", "whitney-ball:2"],
+    }
+    REMOVED = {
+        "invariants": ["--seed", "--tol", "--samples", "--format"],
+        "distinguish": ["--seed", "--samples", "--format"],
+        "sweep": ["--seed", "--tol", "--samples", "--format"],
+        "sample": ["--tol", "--samples", "--format"],
+        "eval": ["--tol", "--samples", "--format", "--domain"],
+    }
+
+    @pytest.mark.parametrize("command,option", [(c, o) for c, opts in REMOVED.items() for o in opts])
+    def test_option_a_command_does_not_read_exits_two(self, tmp_path, capsys, command, option):
+        value = "csv" if option == "--format" else "IV:3" if option == "--domain" else "1"
+        rc, out = run(tmp_path, *self.COMMANDS[command], option, value, "--no-timestamp")
+        assert rc == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_command_runs_without_them(self, tmp_path, command):
+        rc, out = run(tmp_path, *self.COMMANDS[command], "--no-timestamp")
+        assert rc == 0 and out.exists()

@@ -154,11 +154,15 @@ class TestInvariantSpectrum:
             trimmed = sp[d][np.abs(sp[d]) > 1e-14]
             assert trimmed == pytest.approx(sf[d][np.abs(sf[d]) > 1e-14])
 
-    def test_rejects_kind_iv(self):
+    def test_kind_iv_unit_weights(self):
+        # every kind IV coordinate has Frobenius weight 1: swapping the two
+        # coordinates gives the operator [[0, 1], [1, 0]], and z1 z2 one entry 1
         spec = parse_spec("IV:2")
-        f = polymap(spec, spec, {(0, 0): {(1, 0): 1.0}, (0, 1): {(0, 1): 1.0}})
-        with pytest.raises(ParameterError):
-            invariant_spectrum(f)
+        f = polymap(spec, spec, {(0, 0): {(0, 1): 1.0}, (0, 1): {(1, 0): 1.0, (1, 1): 1.0}})
+        spectrum = invariant_spectrum(f)
+        assert sorted(spectrum) == [1, 2]
+        assert np.array_equal(spectrum[1], [1.0, 1.0])
+        assert np.array_equal(spectrum[2], [1.0, 0.0])
 
 
 class TestDistinguish:
@@ -183,6 +187,18 @@ class TestDistinguish:
         result = distinguish(catalog("f_t", t=0.0), catalog("f_t", t=0.5), tol=1e-6)
         assert result.verdict == INEQUIVALENT
         assert result.distances[1] == pytest.approx(f_t_degree1_expected(0.5)[0])
+
+    def test_separates_kind_iv_inclusion_from_added_terms(self):
+        source, target = parse_spec("IV:3"), parse_spec("IV:4")
+        linear = {(0, 0): {(1, 0, 0): 1.0}, (0, 1): {(0, 1, 0): 1.0}, (0, 2): {(0, 0, 1): 1.0}}
+        inclusion = polymap(source, target, linear)
+        one_term = polymap(source, target, {**linear, (0, 3): {(1, 1, 0): 0.5}})
+        f = polymap(source, target, {**linear, (0, 3): {(1, 1, 0): 0.5, (0, 0, 2): 0.25j}})
+        assert distinguish(inclusion, f, tol=1e-8).verdict == INEQUIVALENT
+        result = distinguish(one_term, f, tol=1e-8)
+        assert result.verdict == INEQUIVALENT and result.distances[1] == 0.0
+        g = conjugate(f, random_isotropy_params(f.source, 7), random_isotropy_params(f.target, 8))
+        assert distinguish(f, g, tol=1e-10).verdict == INDISTINGUISHABLE
 
     def test_rejects_spec_mismatch(self):
         with pytest.raises(ShapeError):

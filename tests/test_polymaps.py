@@ -31,6 +31,7 @@ from bsdkit.polymaps import (
     source_positions,
     variable_names,
 )
+from bsdkit.verify import check_isotropy_consistency
 
 CATALOG_INSTANCES = [
     catalog("standard", r=2, s=2, r2=3, s2=3),
@@ -277,15 +278,28 @@ class TestHomogeneousParts:
             assert np.linalg.norm(total - eval_map(f, z).value) <= 1e-12
 
 
+# kind IV maps for conjugation: the inclusion of IV:3 into IV:4 plus a
+# quadratic term, and a map of IV:3 into the ball I:1,3 with a quadratic term
+KIND_IV_MAPS = {
+    "IV:3->IV:4": polymap(parse_spec("IV:3"), parse_spec("IV:4"), {
+        (0, 0): {(1, 0, 0): 1.0}, (0, 1): {(0, 1, 0): 1.0}, (0, 2): {(0, 0, 1): 1.0},
+        (0, 3): {(1, 1, 0): 0.5, (0, 0, 2): 0.25j}}),
+    "IV:3->I:1,3": polymap(parse_spec("IV:3"), parse_spec("I:1,3"), {
+        (0, 0): {(1, 0, 0): 0.8}, (0, 1): {(0, 1, 0): 0.8, (1, 0, 1): 0.3},
+        (0, 2): {(0, 0, 1): 0.6j, (2, 0, 0): -0.2}}),
+}
+
+
 class TestConjugate:
     def test_identity_isotropies_fix_coefficients(self):
         f = catalog("f_t", t=0.3)
         g = conjugate(f, (np.eye(2), np.eye(2)), (np.eye(4), np.eye(4)))
         assert coeff_distance(f, g) == 0.0
 
-    @pytest.mark.parametrize("map_id,params", [("f_t", {"t": 0.3}), ("h_t", {"t": 0.3})])
+    @pytest.mark.parametrize("map_id,params", [("f_t", {"t": 0.3}), ("h_t", {"t": 0.3}),
+                                               *((key, {}) for key in KIND_IV_MAPS)])
     def test_defining_property(self, map_id, params):
-        f = catalog(map_id, **params)
+        f = KIND_IV_MAPS[map_id] if map_id in KIND_IV_MAPS else catalog(map_id, **params)
         pre = random_isotropy_params(f.source, 3)
         post = random_isotropy_params(f.target, 4)
         g = conjugate(f, pre, post)
@@ -302,19 +316,27 @@ class TestConjugate:
         assert sorted(homogeneous_parts(f)) == sorted(homogeneous_parts(g))
         assert not np.any(map_constant(g))
 
-    def test_rejects_kind_iv(self):
+    @pytest.mark.parametrize("key", sorted(KIND_IV_MAPS))
+    def test_isotropy_consistency_check_passes_on_kind_iv_maps(self, key):
+        rep = check_isotropy_consistency(KIND_IV_MAPS[key], n_trials=50, tol=1e-10, seed=19)
+        assert rep.passed and rep.samples == 50
+
+    def test_kind_iv_identity_isotropies_fix_coefficients(self):
         spec = parse_spec("IV:2")
-        f = polymap(spec, spec, {(0, 0): {(1, 0): 1.0}, (0, 1): {(0, 1): 1.0}})
-        with pytest.raises(ShapeError):
-            conjugate(f, None, None)
+        f = polymap(spec, spec, {(0, 0): {(1, 0): 1.0}, (0, 1): {(0, 1): 1.0, (1, 1): 0.5}})
+        assert coeff_distance(f, conjugate(f, (np.eye(2), 0.0), (np.eye(2), 0.0))) == 0.0
 
 
 def isotropy_factors(spec, params):
     """(L, R) of the origin isotropy Z -> L Z R: (U*, V) for kind I, (A*, conj A)
-    for kinds II/III, as ``conjugate`` documents them."""
+    for kinds II/III, (e^{-i theta}, P) for kind IV, as the ``autgroups``
+    docstring states them."""
     if spec.kind == "I":
         u, v = params
         return np.conj(u).T, np.asarray(v)
+    if spec.kind == "IV":
+        p, theta = params
+        return np.array([[np.exp(-1j * theta)]]), np.asarray(p)
     return np.conj(params).T, np.conj(params)
 
 
@@ -391,6 +413,7 @@ REFERENCE_MAPS = [
     polymap(parse_spec("II:2"), parse_spec("II:3"), {(0, 1): {(1,): 0.8}, (1, 2): {(2,): 0.6}}),
     polymap(parse_spec("III:1"), parse_spec("III:2"),
             {(0, 0): {(1,): 1.0}, (0, 1): {(2,): 0.5j}, (1, 1): {(3,): 0.25}}),
+    *KIND_IV_MAPS.values(),
 ]
 
 
@@ -402,7 +425,8 @@ class TestArrayAlgebra:
             post = random_isotropy_params(f.target, [32, k])
             assert coeff_distance(conjugate(f, pre, post), reference_conjugate(f, pre, post)) <= 1e-13
 
-    @pytest.mark.parametrize("spec_text", ["I:1,1", "I:2,3", "II:2", "II:4", "III:1", "III:3"])
+    @pytest.mark.parametrize("spec_text", ["I:1,1", "I:2,3", "II:2", "II:4", "III:1", "III:3",
+                                           "IV:1", "IV:3"])
     def test_power_action_is_unitary_in_fischer_coordinates(self, spec_text):
         # The invariance claim of the invariants docstring: in Fischer and
         # Frobenius coordinates a source isotropy acts on each degree unitarily.

@@ -193,7 +193,6 @@ class TestFamilyContinuity:
     def test_h_t_symmetry_note(self):
         rep = check_family_continuity("h_t", [k / 10 for k in range(11)])
         assert rep.passed
-        assert any("symmetric target structure maintained" in n for n in rep.notes)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ParameterError):
