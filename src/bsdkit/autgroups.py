@@ -22,6 +22,15 @@ the factors of the action Z -> L Z R, the one statement of that convention:
 * kind IV  -- params (P, theta), P in O(n): (L, R) = ([[e^{-i theta}]], P),
   as diag(P, R_theta) has lambda(Z) = e^{i theta} 2i.
 
+Parameters with leading stack axes give factors, and ``isotropy`` elements,
+with the same axes.
+
+Random elements come as stacks: ``random_automorphisms(spec, keys)`` draws
+each key's parameters from that key's own generator, then builds every
+matrix at once (stacked QR for the Haar factors, SVD for the algebra scale,
+``expm`` and ``eigh``), so an element depends on its key only;
+``random_automorphism`` is its one-key case.
+
 Defining relations checked for membership:
 
 * kind I   -- M diag(-I_r, I_s) M* = diag(-I_r, I_s)
@@ -34,10 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import (DomainSpec, Point, borel_lifts, check_shapes, classify_point, parse_spec,
-                      sample_point)
+from .domains import (DomainSpec, Point, borel_lifts, check_shapes, classify_points, parse_spec,
+                      sample_points)
 from .errors import ActionSingularityError, DomainError, ParameterError, ShapeError
-from .linalg import as_matrix, hybrid_tol, psd_inv_sqrt, random_orthogonal, random_unitary
+from .linalg import as_matrix, haar_normalize, hybrid_tol, psd_inv_sqrt
 
 __all__ = [
     "AutElement",
@@ -52,6 +61,7 @@ __all__ = [
     "isotropy_factors",
     "random_isotropy_params",
     "transvection_type1",
+    "random_automorphisms",
     "random_automorphism",
     "automorphy_factor",
     "automorphy_denominators",
@@ -150,7 +160,7 @@ def check_membership(e: AutElement, tol: float = 1e-8) -> MembershipReport:
         residuals["orthogonal"] = float(np.linalg.norm(m.T @ m - np.eye(n)))
     worst = max(residuals.values())
     scale = float(np.linalg.norm(m, 2)) ** 2
-    return MembershipReport(residuals, worst, tol, worst <= hybrid_tol(tol, scale))
+    return MembershipReport(residuals, worst, tol, bool(worst <= hybrid_tol(tol, scale)))
 
 
 def _iv_lifted_images(e: AutElement, z: np.ndarray) -> tuple:
@@ -201,29 +211,35 @@ def act(e: AutElement, p: Point) -> Point:
 
 def isotropy_factors(spec: DomainSpec, params) -> tuple:
     """(L, R) of the isotropy ``params``, acting by Z -> L Z R (table in the
-    module docstring); :func:`isotropy` validates the parameters."""
+    module docstring), with the leading stack axes of the parameters, if
+    any; :func:`isotropy` validates the parameters."""
     if spec.kind == "I":
-        u, v = (as_matrix(x) for x in params)
-        return u.conj().T, v
+        u, v = (as_matrix(x, stack=True) for x in params)
+        return u.conj().swapaxes(-1, -2), v
     if spec.mirror:
-        a_bar = as_matrix(params).conj()
-        return a_bar.T, a_bar
+        a_bar = as_matrix(params, stack=True).conj()
+        return a_bar.swapaxes(-1, -2), a_bar
     p, theta = params
-    return np.exp([[-1j * theta]]), as_matrix(p)
+    return np.exp(-1j * np.asarray(theta))[..., None, None], as_matrix(p, stack=True)
 
 
 def isotropy(spec: DomainSpec, params) -> AutElement:
     """The isotropy element of validated ``params``: diag(L*, R) with (L, R)
     of :func:`isotropy_factors` for kinds I/II/III, diag(P, R_theta) for
-    kind IV (the rotation component of O(2) only)."""
+    kind IV (the rotation component of O(2) only); parameter stacks give an
+    element stack."""
     left, right = isotropy_factors(spec, params)
     if spec.kind == "IV":
         _require_unitary(right, spec.n, "P")
         if np.linalg.norm(right.imag) > 1e-10:
             raise ParameterError("kind IV isotropy needs a real orthogonal P")
-        c, s = np.cos(params[1]), np.sin(params[1])
-        return AutElement(spec, _direct_sum(right.real, np.array([[c, -s], [s, c]])))
-    u = left.conj().T
+        theta = params[1]
+        rotation = np.empty((*np.shape(theta), 2, 2))
+        rotation[..., 0, 0] = rotation[..., 1, 1] = np.cos(theta)
+        rotation[..., 1, 0] = np.sin(theta)
+        rotation[..., 0, 1] = -rotation[..., 1, 0]
+        return AutElement(spec, _direct_sum(right.real, rotation))
+    u = left.conj().swapaxes(-1, -2)
     if spec.kind == "I":
         _require_unitary(u, spec.r, "U")
         _require_unitary(right, spec.s, "V")
@@ -233,27 +249,48 @@ def isotropy(spec: DomainSpec, params) -> AutElement:
 
 
 def _require_unitary(u: np.ndarray, n: int, name: str, tol: float = 1e-10):
-    if u.shape != (n, n):
+    if u.shape[-2:] != (n, n):
         raise ParameterError(f"{name} must be {n}x{n}, got {u.shape}")
-    if np.linalg.norm(u @ u.conj().T - np.eye(n)) > tol:
+    if np.any(np.linalg.norm(u @ u.conj().swapaxes(-1, -2) - np.eye(n), axis=(-2, -1)) > tol):
         raise ParameterError(f"{name} is not unitary within {tol}")
 
 
 def _direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
-    out[:a.shape[0], :a.shape[1]] = a
-    out[a.shape[0]:, a.shape[1]:] = b
+    """diag(a, b) over the leading stack axes that ``a`` and ``b`` share."""
+    (ra, ca), (rb, cb) = a.shape[-2:], b.shape[-2:]
+    out = np.zeros((*a.shape[:-2], ra + rb, ca + cb), dtype=complex)
+    out[..., :ra, :ca] = a
+    out[..., ra:, ca:] = b
     return out
+
+
+def _complex_gaussian(rng, shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _isotropy_draws(spec: DomainSpec, rng) -> tuple:
+    """One key's Gaussians behind its isotropy parameters, in stream order:
+    the U and V sources (kind I), the A source (kinds II/III), or the real P
+    source and the angle theta (kind IV)."""
+    if spec.kind == "I":
+        return _complex_gaussian(rng, (spec.r, spec.r)), _complex_gaussian(rng, (spec.s, spec.s))
+    if spec.mirror:
+        return (_complex_gaussian(rng, (spec.n, spec.n)),)
+    return rng.standard_normal((spec.n, spec.n)), rng.uniform(0.0, 2.0 * np.pi)
+
+
+def _isotropy_params(spec: DomainSpec, draws):
+    """Isotropy parameters from :func:`_isotropy_draws`, one key's or stacked
+    component by component: Haar normalization of every Gaussian matrix."""
+    if spec.kind == "IV":
+        return haar_normalize(draws[0]), draws[1]
+    params = tuple(map(haar_normalize, draws))
+    return params if spec.kind == "I" else params[0]
 
 
 def random_isotropy_params(spec: DomainSpec, seed):
     """Random isotropy parameters in the format accepted by :func:`isotropy`."""
-    rng = np.random.default_rng(seed)
-    if spec.kind == "I":
-        return (random_unitary(spec.r, rng), random_unitary(spec.s, rng))
-    if spec.kind in ("II", "III"):
-        return random_unitary(spec.n, rng)
-    return (random_orthogonal(spec.n, rng), float(rng.uniform(0.0, 2.0 * np.pi)))
+    return _isotropy_params(spec, _isotropy_draws(spec, np.random.default_rng(seed)))
 
 
 def transvection_type1(z0: Point) -> AutElement:
@@ -264,41 +301,56 @@ def transvection_type1(z0: Point) -> AutElement:
     """
     if z0.spec.kind != "I":
         raise ShapeError("transvection_type1 is defined for kind I only")
-    if classify_point(z0, 1e-8).region != "interior":
+    return AutElement(z0.spec, _transvections(z0.spec, z0.value))
+
+
+def _transvections(spec: DomainSpec, z: np.ndarray) -> np.ndarray:
+    """The matrices of :func:`transvection_type1` over the kind I point stack ``z``."""
+    if np.any(classify_points(spec, z, 1e-8)[0] != "interior"):
         raise DomainError("transvection base point must be interior")
-    z = z0.value
-    p = psd_inv_sqrt(np.eye(z0.spec.r) - z @ z.conj().T)
-    q = psd_inv_sqrt(np.eye(z0.spec.s) - z.conj().T @ z)
-    m = np.block([[p, p @ z], [q @ z.conj().T, q]])
-    return AutElement(z0.spec, m)
+    z_star = z.conj().swapaxes(-1, -2)
+    p = psd_inv_sqrt(np.eye(spec.r) - z @ z_star)
+    q = psd_inv_sqrt(np.eye(spec.s) - z_star @ z)
+    return np.block([[p, p @ z], [q @ z_star, q]])
 
 
-def _random_algebra_element(spec: DomainSpec, rng, strength: float = 0.4) -> np.ndarray:
-    """Random element of the Lie algebra of the defining relations."""
-
-    def skew_hermitian(n):
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        return (g - g.conj().T) / 2.0
-
+def _algebra_draws(spec: DomainSpec, rng) -> tuple:
+    """One key's Gaussians behind a random Lie algebra element, in stream order."""
     if spec.kind == "I":
         r, s = spec.r, spec.s
-        y = rng.standard_normal((r, s)) + 1j * rng.standard_normal((r, s))
-        x = np.block([[skew_hermitian(r), y], [y.conj().T, skew_hermitian(s)]])
+        return (_complex_gaussian(rng, (r, s)), _complex_gaussian(rng, (r, r)),
+                _complex_gaussian(rng, (s, s)))
+    n = spec.n
+    if spec.mirror:
+        return _complex_gaussian(rng, (n, n)), _complex_gaussian(rng, (n, n))
+    return rng.standard_normal((n, n)), rng.standard_normal((2, 2)), rng.standard_normal((n, 2))
+
+
+def _algebra_elements(spec: DomainSpec, draws, strength: float = 0.4) -> np.ndarray:
+    """Elements of the Lie algebra of the defining relations from the stacked
+    :func:`_algebra_draws`, each scaled to operator norm at most ``strength``."""
+
+    def h(x):
+        return x.conj().swapaxes(-1, -2)
+
+    def skew_hermitian(g):
+        return (g - h(g)) / 2.0
+
+    if spec.kind == "I":
+        y, a, b = draws
+        x = np.block([[skew_hermitian(a), y], [h(y), skew_hermitian(b)]])
     elif spec.mirror:
-        n = spec.n
-        s_blk = skew_hermitian(n)
-        y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        y = (y + spec.mirror * y.T) / 2.0
-        x = np.block([[s_blk, y], [y.conj().T, s_blk.conj()]])
+        s_blk, y = skew_hermitian(draws[0]), draws[1]
+        y = (y + spec.mirror * y.swapaxes(-1, -2)) / 2.0
+        x = np.block([[s_blk, y], [h(y), s_blk.conj()]])
     else:
-        n = spec.n
-        r1 = rng.standard_normal((n, n))
-        r1 = r1 - r1.T
-        r2 = rng.standard_normal((2, 2))
-        r2 = r2 - r2.T
-        b = rng.standard_normal((n, 2))
-        x = np.block([[r1.astype(complex), 1j * b], [-1j * b.T, r2.astype(complex)]])
-    return x * (strength / max(1.0, np.linalg.norm(x, 2)))
+        r1, r2, b = draws
+        r1 = r1 - r1.swapaxes(-1, -2)
+        r2 = r2 - r2.swapaxes(-1, -2)
+        x = np.block([[r1.astype(complex), 1j * b],
+                      [-1j * b.swapaxes(-1, -2), r2.astype(complex)]])
+    top = np.linalg.svd(x, compute_uv=False).max(axis=-1)
+    return x * (strength / np.maximum(1.0, top))[..., None, None]
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -307,25 +359,49 @@ def expm(a: np.ndarray) -> np.ndarray:
     return scipy_expm(a)
 
 
-def random_automorphism(spec: DomainSpec, seed, flavor: str = "mixed") -> AutElement:
-    """Random group element: an isotropy, a one-parameter exponential, a
-    transvection (kind I), or a product of those, deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    choices = {"isotropy", "exponential"}
-    if spec.kind == "I":
-        choices.add("transvection")
-    if flavor == "mixed":
-        flavor = sorted(choices)[rng.integers(len(choices))]
-    if flavor not in choices:
+def _stack(rows) -> list:
+    """Per-key tuples of draws, stacked component by component."""
+    return [np.array(column) for column in zip(*rows)]
+
+
+def random_automorphisms(spec: DomainSpec, keys, flavor: str = "mixed") -> AutElement:
+    """Random group elements, one per RNG key, as an element stack of shape
+    ``(len(keys), N, N)``: an isotropy, a one-parameter exponential times an
+    isotropy, or (kind I) a transvection times an isotropy.
+
+    Each key's ``Generator`` draws, in order, the flavour (when ``flavor`` is
+    ``"mixed"``), the isotropy Gaussians, then the transvection base point
+    (through :func:`domains.sample_points`) or the Lie algebra Gaussians, so
+    an element depends on its key only.  The matrices are then built as
+    stacks: one QR per Haar factor, one SVD for the algebra scale, one
+    ``expm`` and one ``eigh`` per inverse square root.
+    """
+    choices = ("exponential", "isotropy") + (("transvection",) if spec.kind == "I" else ())
+    if flavor != "mixed" and flavor not in choices:
         raise ParameterError(f"unknown automorphism flavor {flavor!r} for {spec}")
-    iso = isotropy(spec, random_isotropy_params(spec, rng))
-    if flavor == "isotropy":
-        return iso
-    if flavor == "transvection":
-        z0 = sample_point(spec, "interior", rng)
-        return product(transvection_type1(z0), iso)
-    exp = AutElement(spec, expm(_random_algebra_element(spec, rng)))
-    return product(exp, iso)
+    rngs = [np.random.default_rng(key) for key in keys]
+    if not rngs:
+        size = matrix_size(spec)
+        return AutElement(spec, np.empty((0, size, size), dtype=complex))
+    flavors = np.array([choices[rng.integers(len(choices))] if flavor == "mixed" else flavor
+                        for rng in rngs])
+    iso = _isotropy_params(spec, _stack(_isotropy_draws(spec, rng) for rng in rngs))
+    out = isotropy(spec, iso).matrix
+    moved = np.flatnonzero(flavors == "transvection")
+    if moved.size:
+        z0 = sample_points(spec, "interior", [rngs[k] for k in moved])
+        out[moved] = _transvections(spec, z0) @ out[moved]
+    moved = np.flatnonzero(flavors == "exponential")
+    if moved.size:
+        x = _algebra_elements(spec, _stack(_algebra_draws(spec, rngs[k]) for k in moved))
+        out[moved] = expm(x) @ out[moved]
+    return AutElement(spec, out)
+
+
+def random_automorphism(spec: DomainSpec, seed, flavor: str = "mixed") -> AutElement:
+    """One random group element, deterministic per seed: the one-key case of
+    :func:`random_automorphisms`."""
+    return AutElement(spec, random_automorphisms(spec, [seed], flavor).matrix[0])
 
 
 def automorphy_factor(e: AutElement, p: Point, q: Point):

@@ -176,6 +176,8 @@ def _cmd_verify(args) -> int:
     def given(samples: str) -> dict:
         """The seed, plus ``--tol`` and ``--samples`` (as keyword ``samples``) where
         given: each check default lives once, in the signature in ``verify``."""
+        if args.samples is not None and args.samples <= 0:
+            raise ParameterError(f"--samples must be positive, got {args.samples}")
         flags = (("tol", args.tol), (samples, args.samples))
         return {"seed": seed, **{k: v for k, v in flags if v is not None}}
 
@@ -216,7 +218,7 @@ def _cmd_invariants(args) -> int:
 def _cmd_distinguish(args) -> int:
     fa = _resolve_map(args, args.map_a)
     fb = _resolve_map(args, args.map_b)
-    result = distinguish(fa, fb, tol=args.tol if args.tol is not None else 1e-8)
+    result = distinguish(fa, fb, **({} if args.tol is None else {"tol": args.tol}))
     _emit({
         "verdict": result.verdict,
         "max_distance": result.max_distance,

@@ -19,25 +19,27 @@ __all__ = [
 ]
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce to a finite 2-D complex matrix."""
+def as_matrix(m, stack: bool = False) -> np.ndarray:
+    """Coerce to a finite 2-D complex matrix, or with ``stack`` to a finite
+    complex stack of matrices (shape ``(..., m, n)``)."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
+    if a.ndim != 2 and not (stack and a.ndim > 2):
         raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
         raise ShapeError("matrix contains non-finite entries")
     return a
 
 
-def _square(m) -> np.ndarray:
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
+def _square(m, stack: bool = False) -> np.ndarray:
+    a = as_matrix(m, stack)
+    if a.shape[-1] != a.shape[-2]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
-def hybrid_tol(tol: float, scale: float) -> float:
-    return tol * max(1.0, scale)
+def hybrid_tol(tol: float, scale):
+    """``tol * max(1, scale)``, elementwise over an array of scales."""
+    return tol * np.maximum(1.0, scale)
 
 
 def det(m) -> complex:
@@ -116,13 +118,29 @@ def psd_sqrt(h, tol: float = 1e-10) -> np.ndarray:
 
 
 def psd_inv_sqrt(h, tol: float = 1e-10) -> np.ndarray:
-    """Inverse Hermitian square root of a positive definite matrix."""
-    h = _square(h)
-    scale = np.linalg.norm(h)
+    """Inverse Hermitian square roots of a positive definite matrix or of a
+    stack of them (shape ``(..., n, n)``), one ``eigh`` for the whole stack."""
+    h = _square(h, stack=True)
+    if h.shape[-1] == 0:
+        raise DomainError("matrix is not safely positive definite (min eigenvalue n/a)")
     evals, evecs = np.linalg.eigh(h)
-    if evals.size == 0 or evals[0] <= hybrid_tol(tol, scale):
-        raise DomainError(f"matrix is not safely positive definite (min eigenvalue {evals[0] if evals.size else 'n/a'})")
-    return (evecs / np.sqrt(evals)) @ evecs.conj().T
+    lowest = evals[..., 0]
+    bad = lowest <= hybrid_tol(tol, np.linalg.norm(h, axis=(-2, -1)))
+    if np.any(bad):
+        raise DomainError("matrix is not safely positive definite "
+                          f"(min eigenvalue {np.min(lowest[bad])})")
+    return (evecs / np.sqrt(evals)[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
+
+
+def haar_normalize(g: np.ndarray) -> np.ndarray:
+    """Q of the QR factorization of each matrix of the stack ``g`` (shape
+    ``(..., n, n)``), its columns rescaled so that R has a positive diagonal:
+    Haar-distributed unitaries for complex Gaussian ``g``, orthogonal matrices
+    for real ones.  One stacked ``qr`` gives each matrix bit for bit what a
+    call on that matrix alone gives."""
+    q, r = np.linalg.qr(g)
+    d = r.diagonal(0, -2, -1)
+    return q * (d / abs(d))[..., None, :]
 
 
 def random_unitary(n: int, seed) -> np.ndarray:
@@ -131,16 +149,11 @@ def random_unitary(n: int, seed) -> np.ndarray:
     if n < 1:
         raise ShapeError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return haar_normalize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
 
 def random_orthogonal(n: int, seed) -> np.ndarray:
     """Random real orthogonal matrix, deterministic for a given seed."""
     if n < 1:
         raise ShapeError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    return q * np.sign(np.diagonal(r))
+    return haar_normalize(np.random.default_rng(seed).standard_normal((n, n)))

@@ -503,18 +503,26 @@ def homogeneous_parts(f: PolyMap) -> dict:
     return {d: PolyMap(f.source, f.target, entries) for d, entries in sorted(parts.items())}
 
 
+def _one_isotropy(spec: DomainSpec, params) -> tuple:
+    left, right = isotropy_factors(spec, params)
+    if left.ndim != 2 or right.ndim != 2:
+        raise ShapeError(f"expected the parameters of one isotropy of {spec}, got a stack")
+    return left, right
+
+
 def conjugate(f: PolyMap, pre_params, post_params) -> PolyMap:
     """Conjugate by origin isotropies: the polynomial map Z -> L' f(L Z R) R'.
 
     (L, R) are ``autgroups.isotropy_factors`` of the source isotropy
     parameters ``pre_params`` and (L', R') those of the target parameters
     ``post_params`` (see the table in the ``autgroups`` docstring), for all
-    four kinds.  Preserves degree profile and the origin.
+    four kinds.  Preserves degree profile and the origin; parameter stacks
+    raise ``ShapeError``.
     """
-    left, right = isotropy_factors(f.source, pre_params)
+    left, right = _one_isotropy(f.source, pre_params)
     c = f._compiled
     s = np.einsum("ia,abv,bj->ijv", left, _embedding(f.source), right)[c.source_index]
-    left, right = isotropy_factors(f.target, post_params)
+    left, right = _one_isotropy(f.target, post_params)
     image = np.einsum("ia,abm,bj->ijm", left, c.coeffs.reshape(*f.target.shape, -1), right)
     image = image.reshape(len(c.coeffs), -1)[c.target_rows]
     powers = _power_actions(s, max((d for d, _, _ in c.degrees), default=0))

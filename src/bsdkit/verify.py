@@ -10,8 +10,11 @@ through the stacked kernels of ``domains``, ``polymaps`` and ``autgroups``
 (arrays with a leading sample axis) in one call each.  Every sample still
 has its own RNG key, ``[seed, k, ...]``, and a rejected sample is redrawn
 from its own key's stream only, so a sample is the same whatever else is in
-its stack.  Only the random automorphisms of the F_U check are drawn one key
-at a time; their matrices are then stacked too.
+its stack.  The random automorphisms of the F_U check come the same way, as
+one element stack from ``autgroups.random_automorphisms``.  Keys are flat
+rows (``[seed, stream, k, 2a]``), ``uint32`` arrays where every entry fits;
+``SeedSequence`` flattens a nested key to the same words, so a row gives the
+same stream as the nested key ``[[[seed, stream], k], 2a]``.
 """
 
 import math
@@ -21,11 +24,9 @@ import numpy as np
 
 from .autgroups import (
     IV_FACTOR_CANDIDATES,
-    AutElement,
     act_points,
     automorphy_denominators,
-    matrix_size,
-    random_automorphism,
+    random_automorphisms,
     random_isotropy_params,
 )
 from .domains import (
@@ -96,6 +97,25 @@ def summarize(reports) -> dict:
     return {"total": len(reports), "passed": passed, "failed": len(reports) - passed}
 
 
+def _key_rows(seed, *columns) -> np.ndarray:
+    """Sample keys as the rows ``[seed, c1[k], c2[k], ...]`` over the broadcast
+    integer columns (nonnegative counters), ``uint32`` when the seed fits.  A
+    seed that does not (negative, at least 2**32 or not an integer) stays a
+    Python object, so ``default_rng`` reads it, or rejects it, as it would in
+    a list key."""
+    fits = isinstance(seed, (int, np.integer)) and 0 <= seed < 2**32
+    cols = np.broadcast_arrays(*(np.asarray(c) for c in columns))
+    rows = np.empty((cols[0].size, 1 + len(cols)), dtype=np.uint32 if fits else object)
+    rows[:, 0] = seed
+    for j, col in enumerate(cols, 1):
+        rows[:, j] = col
+    return rows
+
+
+def _append_column(rows: np.ndarray, value: int) -> np.ndarray:
+    return np.concatenate([rows, np.full((len(rows), 1), value, dtype=rows.dtype)], axis=1)
+
+
 def _require_positive(name: str, count: int) -> None:
     if count <= 0:  # a report over no samples would pass with max_residual 0.0
         raise ParameterError(f"{name} must be positive, got {count}")
@@ -110,7 +130,7 @@ def check_properness(f: PolyMap, n_samples: int = 500, tol: float = 1e-7, seed: 
     10x the tolerance.
     """
     _require_positive("n_samples", n_samples)
-    z = sample_points(f.source, "boundary", [[seed, k] for k in range(n_samples)])
+    z = sample_points(f.source, "boundary", _key_rows(seed, np.arange(n_samples)))
     y = eval_points(f, z)
     gram = norm_gram(y, y)
     res = np.abs(generic_norms(f.target, y, gram=gram))
@@ -128,9 +148,9 @@ def check_properness(f: PolyMap, n_samples: int = 500, tol: float = 1e-7, seed: 
 
 def _sample_pairs(spec: DomainSpec, prefixes, threshold: float) -> tuple:
     """Interior pairs (z, w) with |S1(z, w)| >= threshold, stacked, and their
-    S1 values: for each key prefix p, attempt a draws z from ``[*p, 2a]`` and
-    w from ``[*p, 2a + 1]``, and only the prefixes still rejected go on to
-    the next attempt."""
+    S1 values: for each key row p of ``prefixes``, attempt a draws z from
+    ``[*p, 2a]`` and w from ``[*p, 2a + 1]``, and only the prefixes still
+    rejected go on to the next attempt."""
     count = len(prefixes)
     z = np.empty((count, *spec.shape), dtype=complex)
     w = np.empty_like(z)
@@ -139,8 +159,8 @@ def _sample_pairs(spec: DomainSpec, prefixes, threshold: float) -> tuple:
     for attempt in range(64):
         if not pending.size:
             return z, w, s1
-        zs = sample_points(spec, "interior", [[*prefixes[k], 2 * attempt] for k in pending])
-        ws = sample_points(spec, "interior", [[*prefixes[k], 2 * attempt + 1] for k in pending])
+        zs = sample_points(spec, "interior", _append_column(prefixes[pending], 2 * attempt))
+        ws = sample_points(spec, "interior", _append_column(prefixes[pending], 2 * attempt + 1))
         ss = polarized_norms(spec, zs, ws)
         ok = np.abs(ss) >= threshold
         z[pending[ok]], w[pending[ok]], s1[pending[ok]] = zs[ok], ws[ok], ss[ok]
@@ -173,7 +193,7 @@ def check_factorization(f: PolyMap, degree_bound: int = 4, grid_size: int = None
     def fit_data(stream: int, count: int, threshold: float):
         """Design matrix over the joint (z, conj w) vectors of ``count``
         sample pairs, and the norm ratios it must reproduce."""
-        z, w, s1 = _sample_pairs(f.source, [[[seed, stream], k] for k in range(count)], threshold)
+        z, w, s1 = _sample_pairs(f.source, _key_rows(seed, stream, np.arange(count)), threshold)
         joint = np.concatenate([z[:, rows, cols], np.conj(w[:, rows, cols])], axis=1)
         ratios = polarized_norms(f.target, eval_points(f, z), eval_points(f, w)) / s1
         # One joint variable at a time, so no samples x monomials x variables temporary.
@@ -219,14 +239,13 @@ def check_F_U_lemma(spec: DomainSpec, n_samples: int = 200, tol: float = 1e-9,
     _require_positive("n_samples", n_samples)
     notes = []
     ks = np.arange(n_samples)
-    size = matrix_size(spec)
-    e = AutElement(spec, np.array([random_automorphism(spec, [seed, k, 0]).matrix for k in ks],
-                                  dtype=complex).reshape(n_samples, size, size))
+    e = random_automorphisms(spec, _key_rows(seed, ks, 0))
     period = 4 if spec.kind == "IV" else 5
     on_boundary = ks % period == period - 1
     z = np.empty((n_samples, *spec.shape), dtype=complex)
+    keys = _key_rows(seed, ks, 1)
     for region, mask in (("boundary", on_boundary), ("interior", ~on_boundary)):
-        z[mask] = sample_points(spec, region, [[seed, k, 1] for k in ks[mask]])
+        z[mask] = sample_points(spec, region, keys[mask])
     if spec.kind == "IV":
         s_z = generic_norms(spec, z)
         zz = np.real(z @ np.conj(z).swapaxes(-1, -2))[:, 0, 0]
@@ -254,7 +273,7 @@ def check_F_U_lemma(spec: DomainSpec, n_samples: int = 200, tol: float = 1e-9,
             passed = False
         return VerificationReport(check_id, [str(spec)], n_samples, seed, worst, tol, passed, notes)
 
-    w = sample_points(spec, "interior", [[seed, k, 2] for k in ks])
+    w = sample_points(spec, "interior", _key_rows(seed, ks, 2))
     s_before = polarized_norms(spec, z, w)
     s_after = polarized_norms(spec, act_points(e, z), act_points(e, w))
     dz, dw = automorphy_denominators(e, z), automorphy_denominators(e, w)
@@ -281,7 +300,7 @@ def check_composition_rule(f: PolyMap, g: PolyMap, n_samples: int = 100, tol: fl
     for attempt in range(64):
         if not pending.size:
             break
-        zs, ws, ss = _sample_pairs(g.source, [[[seed, k], attempt] for k in pending], 0.1)
+        zs, ws, ss = _sample_pairs(g.source, _key_rows(seed, pending, attempt), 0.1)
         s2 = polarized_norms(g.target, eval_points(g, zs), eval_points(g, ws))
         ok = np.abs(s2) >= 0.01
         z[pending[ok]], w[pending[ok]], s1[pending[ok]] = zs[ok], ws[ok], ss[ok]
@@ -336,7 +355,7 @@ def check_coefficient_lemma(spec: DomainSpec, i: int, j: int, n_bases: int = 20,
     resamples = 0
     while len(bases) < n_bases:
         # Keys [seed, a] in order; a degenerate base is replaced by the next key.
-        keys = [[seed, a] for a in range(len(bases) + resamples, n_bases + resamples)]
+        keys = _key_rows(seed, np.arange(len(bases) + resamples, n_bases + resamples))
         drawn = sample_points(spec, "interior", keys)
         minors = sign * _norm_square_poly_values(_minor(drawn, *drops))
         kept = np.abs(minors) >= 1e-2
@@ -363,9 +382,10 @@ def check_isotropy_consistency(f: PolyMap, n_trials: int = 100, tol: float = 1e-
     _require_positive("n_trials", n_trials)
     worst = 0.0
     failures = 0
-    for k in range(n_trials):
-        pre = random_isotropy_params(f.source, [seed, k, 0])
-        post = random_isotropy_params(f.target, [seed, k, 1])
+    trials = np.arange(n_trials)
+    for pre_key, post_key in zip(_key_rows(seed, trials, 0), _key_rows(seed, trials, 1)):
+        pre = random_isotropy_params(f.source, pre_key)
+        post = random_isotropy_params(f.target, post_key)
         result = distinguish(f, conjugate(f, pre, post), tol)
         worst = max(worst, result.max_distance)
         if result.verdict != INDISTINGUISHABLE:

@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from bsdkit import autgroups, domains
 from bsdkit.autgroups import (
     AutElement,
     act,
@@ -20,6 +22,7 @@ from bsdkit.autgroups import (
     iv_action_denominator,
     product,
     random_automorphism,
+    random_automorphisms,
     random_isotropy_params,
     transvection_type1,
 )
@@ -278,6 +281,142 @@ class TestTransvection:
     def test_rejects_other_kinds(self):
         with pytest.raises(ShapeError):
             transvection_type1(origin(parse_spec("III:2")))
+
+
+AUT_SPECS = ["I:1,1", "I:2,3", "II:2", "II:5", "III:1", "III:3", "IV:3", "IV:4"]
+AUT_KEYS = [[[17, 0], k, 0] if k % 3 == 0 else [17, k] for k in range(48)]
+
+
+def flavors_of(spec):
+    return ["exponential", "isotropy"] + (["transvection"] if spec.kind == "I" else [])
+
+
+def reference_automorphism(spec, key, flavor="mixed"):
+    """One key at a time: the flavour, a QR-based Haar isotropy, then a
+    transvection to a sampled interior base point or the exponential of a
+    scaled Lie algebra element, times that isotropy."""
+    rng = np.random.default_rng(key)
+    if flavor == "mixed":
+        flavor = flavors_of(spec)[rng.integers(len(flavors_of(spec)))]
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def unitary(n):
+        q, r = np.linalg.qr(gaussian(n, n))
+        d = np.diagonal(r)
+        return q * (d / np.abs(d))
+
+    def block_diag(a, b):
+        return np.block([[a, np.zeros((len(a), len(b)))], [np.zeros((len(b), len(a))), b]])
+
+    if spec.kind == "I":
+        iso = block_diag(unitary(spec.r), unitary(spec.s))
+    elif spec.mirror:
+        a = unitary(spec.n)
+        iso = block_diag(a, a.conj())
+    else:
+        q, r = np.linalg.qr(rng.standard_normal((spec.n, spec.n)))
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        c, s = np.cos(theta), np.sin(theta)
+        iso = block_diag(q * np.sign(np.diagonal(r)), np.array([[c, -s], [s, c]]))
+    if flavor == "isotropy":
+        return iso
+    if flavor == "transvection":
+        z = sample_point(spec, "interior", rng).value
+
+        def inv_sqrt(h):
+            w, v = np.linalg.eigh(h)
+            return (v / np.sqrt(w)) @ v.conj().T
+
+        p = inv_sqrt(np.eye(spec.r) - z @ z.conj().T)
+        q = inv_sqrt(np.eye(spec.s) - z.conj().T @ z)
+        return np.block([[p, p @ z], [q @ z.conj().T, q]]) @ iso
+
+    def skew_hermitian(n):
+        g = gaussian(n, n)
+        return (g - g.conj().T) / 2.0
+
+    if spec.kind == "I":
+        y = gaussian(spec.r, spec.s)
+        x = np.block([[skew_hermitian(spec.r), y], [y.conj().T, skew_hermitian(spec.s)]])
+    elif spec.mirror:
+        s_blk = skew_hermitian(spec.n)
+        y = gaussian(spec.n, spec.n)
+        y = (y + spec.mirror * y.T) / 2.0
+        x = np.block([[s_blk, y], [y.conj().T, s_blk.conj()]])
+    else:
+        r1 = rng.standard_normal((spec.n, spec.n))
+        r2 = rng.standard_normal((2, 2))
+        b = rng.standard_normal((spec.n, 2))
+        x = np.block([[(r1 - r1.T).astype(complex), 1j * b],
+                      [-1j * b.T, (r2 - r2.T).astype(complex)]])
+    x = x * (0.4 / max(1.0, np.linalg.norm(x, 2)))
+    return scipy.linalg.expm(x) @ iso
+
+
+class TestStackedAutomorphisms:
+    @pytest.mark.parametrize("text", AUT_SPECS)
+    def test_matches_reference_bit_for_bit(self, text):
+        spec = parse_spec(text)
+        count = len(flavors_of(spec))
+        drawn = {int(np.random.default_rng(key).integers(count)) for key in AUT_KEYS}
+        assert drawn == set(range(count))  # the mixed stack holds every flavour
+        for flavor in ["mixed", *flavors_of(spec)]:
+            got = random_automorphisms(spec, AUT_KEYS, flavor)
+            size = autgroups.matrix_size(spec)
+            assert got.spec == spec and got.matrix.shape == (len(AUT_KEYS), size, size)
+            for key, m in zip(AUT_KEYS, got.matrix):
+                assert np.array_equal(m, reference_automorphism(spec, key, flavor)), (flavor, key)
+
+    @pytest.mark.parametrize("text", AUT_SPECS)
+    def test_uint32_rows_give_the_list_keys_elements(self, text):
+        spec = parse_spec(text)
+        rows = np.array([[17, k, 0] for k in range(24)], dtype=np.uint32)
+        nested = [[[17, k], 0] for k in range(24)]
+        assert np.array_equal(random_automorphisms(spec, rows).matrix,
+                              random_automorphisms(spec, nested).matrix)
+
+    @pytest.mark.parametrize("text", AUT_SPECS)
+    def test_one_key_is_row_zero_of_the_stack(self, text):
+        spec = parse_spec(text)
+        for flavor in ["mixed", *flavors_of(spec)]:
+            one = random_automorphism(spec, AUT_KEYS[0], flavor)
+            assert one.matrix.shape == 2 * (autgroups.matrix_size(spec),)
+            stack = random_automorphisms(spec, AUT_KEYS, flavor)
+            assert np.array_equal(one.matrix, stack.matrix[0])
+
+    def test_empty_key_list(self):
+        assert random_automorphisms(parse_spec("II:3"), []).matrix.shape == (0, 6, 6)
+
+    @pytest.mark.parametrize("text,flavor", [("I:2,2", "rotation"), ("III:2", "transvection"),
+                                             ("IV:3", "transvection")])
+    def test_unknown_flavor_raises(self, text, flavor):
+        with pytest.raises(ParameterError, match="unknown automorphism flavor"):
+            random_automorphisms(parse_spec(text), AUT_KEYS, flavor)
+        with pytest.raises(ParameterError, match="unknown automorphism flavor"):
+            random_automorphism(parse_spec(text), 3, flavor)
+
+    @pytest.mark.parametrize("text", ["I:2,3", "II:3", "IV:3"])
+    def test_non_unitary_factor_in_stack_raises(self, text, monkeypatch):
+        haar = autgroups.haar_normalize
+
+        def skewed(g):
+            u = haar(g).copy()
+            u[5] *= 1.001
+            return u
+
+        monkeypatch.setattr(autgroups, "haar_normalize", skewed)
+        with pytest.raises(ParameterError, match="not unitary"):
+            random_automorphisms(parse_spec(text), AUT_KEYS)
+
+    def test_boundary_base_point_in_stack_raises(self, monkeypatch):
+        def on_boundary(spec, region, keys):
+            return domains.sample_points(spec, "boundary", keys)
+
+        monkeypatch.setattr(autgroups, "sample_points", on_boundary)
+        with pytest.raises(DomainError, match="must be interior"):
+            random_automorphisms(parse_spec("I:2,2"), AUT_KEYS, "transvection")
 
 
 class TestAutomorphyFactor:

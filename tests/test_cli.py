@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+import bsdkit.cli
 from bsdkit.autgroups import aut_to_json, random_automorphism
 from bsdkit.cli import main
 from bsdkit.domains import parse_spec
+from bsdkit.invariants import distinguish
 from bsdkit.polymaps import catalog, coeff_distance, polymap_from_json, polymap_to_json
 from bsdkit.verify import (check_coefficient_lemma, check_composition_rule, check_F_U_lemma,
                            check_properness)
@@ -234,7 +236,8 @@ class TestCheckFlags:
     def test_non_positive_samples_exit_two_with_an_error_line(self, argv, capsys):
         assert main([*argv, "--no-timestamp"]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and captured.out == ""
+        assert captured.err == f"error: --samples must be positive, got {argv[-1]}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("argv,check,count", [
         (["verify", "fu", "--domain", "III:2"], check_F_U_lemma, "n_samples"),
@@ -249,6 +252,20 @@ class TestCheckFlags:
         for report in json.loads(out.read_text())["reports"]:
             assert report["samples"] == params[count].default
             assert report["tolerance"] == params["tol"].default
+
+    def test_distinguish_default_comes_from_its_signature(self, tmp_path, monkeypatch):
+        # A stand-in with another default shows whether the CLI passes its own.
+        seen = []
+
+        def recording(fa, fb, tol=0.25):
+            seen.append(tol)
+            return distinguish(fa, fb, tol)
+
+        monkeypatch.setattr(bsdkit.cli, "distinguish", recording)
+        argv = ["distinguish", "--map-a", "f_t:0.3", "--map-b", "f_t:0.4", "--no-timestamp"]
+        assert run(tmp_path, *argv)[0] == 0
+        assert run(tmp_path, *argv, "--tol", "0.5")[0] == 0
+        assert seen == [0.25, 0.5]
 
     def test_given_flags_reach_the_check(self, tmp_path):
         rc, out = run(tmp_path, "verify", "coeff", "--domain", "III:2", "--samples", "3",

@@ -6,9 +6,12 @@ from hypothesis import strategies as st
 from bsdkit.errors import DomainError, ShapeError
 from bsdkit.linalg import (
     det,
+    haar_normalize,
     hermitian_spectrum,
     pfaffian,
+    psd_inv_sqrt,
     psd_sqrt,
+    random_orthogonal,
     random_unitary,
     singular_values,
 )
@@ -177,6 +180,45 @@ class TestPsdSqrt:
     def test_rejects_indefinite(self):
         with pytest.raises(DomainError):
             psd_sqrt(np.diag([1.0, -1.0]))
+
+
+class TestPsdInvSqrt:
+    def test_stack_matches_one_matrix_at_a_time(self):
+        rng = np.random.default_rng(4)
+        g = np.array([rng_matrix(rng, 3, 3) for _ in range(20)])
+        h = np.eye(3) + g @ g.conj().swapaxes(-1, -2)
+        stacked = psd_inv_sqrt(h)
+        assert np.array_equal(stacked, np.array([psd_inv_sqrt(m) for m in h]))
+        assert np.linalg.norm(stacked[7] @ h[7] @ stacked[7] - np.eye(3)) <= 1e-12
+
+    def test_one_indefinite_matrix_in_stack_raises(self):
+        h = np.array([np.eye(2), np.diag([1.0, -0.5]), np.eye(2)])
+        with pytest.raises(DomainError, match="min eigenvalue -0.5"):
+            psd_inv_sqrt(h)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ShapeError):
+            psd_inv_sqrt(np.ones((2, 3)))
+
+
+class TestHaarNormalize:
+    def test_stack_matches_one_matrix_at_a_time(self):
+        rng = np.random.default_rng(5)
+        for g in (np.array([rng_matrix(rng, 4, 4) for _ in range(30)]),
+                  rng.standard_normal((30, 3, 3))):
+            stacked = haar_normalize(g)
+            assert np.array_equal(stacked, np.array([haar_normalize(m) for m in g]))
+            eye = np.eye(g.shape[-1])
+            assert np.max(np.abs(stacked @ stacked.conj().swapaxes(-1, -2) - eye)) <= 1e-14
+
+    def test_random_factors_keep_their_qr_normalization(self):
+        rng = np.random.default_rng(6)
+        q, r = np.linalg.qr(rng_matrix(rng, 3, 3))
+        d = np.diagonal(r)
+        assert np.array_equal(random_unitary(3, 6), q * (d / np.abs(d)))
+        q, r = np.linalg.qr(np.random.default_rng(8).standard_normal((3, 3)))
+        assert np.array_equal(random_orthogonal(3, 8), q * np.sign(np.diagonal(r)))
+        assert random_orthogonal(3, 8).dtype == float
 
 
 class TestRandomUnitary:

@@ -156,12 +156,36 @@ class TestCatalogCoefficients:
         trimmed = {pos: terms for pos, terms in f1.entries.items() if pos != (2, 2)}
         assert trimmed == embedded.entries
 
+    # Exponents over (z11, z12, z21, z22); target positions 0-based.
+    F_SEC4 = {
+        (0, 0): {(2, 0, 0, 0): 1.0}, (0, 1): {(1, 1, 0, 0): 1.0}, (0, 2): {(0, 1, 0, 0): 1.0},
+        (1, 0): {(1, 0, 1, 0): 1.0}, (1, 1): {(0, 1, 1, 0): 1.0}, (1, 2): {(0, 0, 0, 1): 1.0},
+        (2, 0): {(0, 0, 1, 0): 1.0}, (2, 1): {(0, 0, 0, 1): 1.0},
+    }
+
+    @staticmethod
+    def g_t_table(t):
+        rt, rs = math.sqrt(t), math.sqrt(1.0 - t)
+        table = {
+            (0, 0): {(2, 0, 0, 0): rt}, (0, 1): {(1, 1, 0, 0): rt}, (0, 2): {(1, 0, 0, 0): rs},
+            (0, 3): {(0, 1, 0, 0): 1.0}, (1, 0): {(1, 0, 1, 0): rt}, (1, 1): {(0, 1, 1, 0): rt},
+            (1, 2): {(0, 0, 1, 0): rs}, (1, 3): {(0, 0, 0, 1): 1.0}, (2, 0): {(0, 0, 1, 0): 1.0},
+            (2, 1): {(0, 0, 0, 1): 1.0},
+        }
+        return {pos: terms for pos, terms in table.items() if any(terms.values())}
+
     def test_G_t_specializes_to_g_t(self):
         for t in (0.0, 0.3, 1.0):
-            assert coeff_distance(catalog("G_t", r=2, s=2, t=t), catalog("g_t", t=t)) == 0.0
+            g = catalog("g_t", t=t)
+            assert (str(g.source), str(g.target)) == ("I:2,2", "I:3,4")
+            assert g.entries == self.g_t_table(t)
+            assert catalog("G_t", r=2, s=2, t=t).entries == self.g_t_table(t)
 
     def test_gen_whitney_22_equals_f_sec4(self):
-        assert coeff_distance(catalog("gen-whitney", r=2, s=2), catalog("f-sec4")) == 0.0
+        f = catalog("f-sec4")
+        assert (str(f.source), str(f.target)) == ("I:2,2", "I:3,3")
+        assert f.entries == self.F_SEC4
+        assert catalog("gen-whitney", r=2, s=2).entries == self.F_SEC4
 
     def test_h_t_is_f_t_restricted_to_symmetric_source(self):
         t = 0.55
@@ -309,6 +333,18 @@ class TestConjugate:
             z = sample_point(f.source, "interior", [5, k])
             expected = act(post_el, eval_map(f, act(pre_el, z))).value
             assert np.linalg.norm(eval_map(g, z).value - expected) <= 1e-12
+
+    def test_parameter_stack_raises(self):
+        f = catalog("f_t", t=0.3)
+        (u, v), post = random_isotropy_params(f.source, 3), random_isotropy_params(f.target, 4)
+        with pytest.raises(ShapeError, match="got a stack"):
+            conjugate(f, (np.array([u, u]), np.array([v, v])), post)
+        with pytest.raises(ShapeError, match="got a stack"):
+            conjugate(f, (u, v), (post[0], np.array([post[1]] * 3)))
+        spec = parse_spec("IV:2")
+        g = polymap(spec, spec, {(0, 0): {(1, 0): 1.0}})
+        with pytest.raises(ShapeError, match="got a stack"):
+            conjugate(g, (np.eye(2), np.zeros(2)), (np.eye(2), 0.0))
 
     def test_degree_profile_preserved(self):
         f = catalog("g_t", t=0.6)

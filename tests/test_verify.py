@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from bsdkit.domains import parse_spec, polarized_norm, sample_point
+from bsdkit.domains import parse_spec, polarized_norm, sample_point, sample_points
 from bsdkit.errors import ConfigurationError, ParameterError, ShapeError
 from bsdkit.polymaps import catalog
 from bsdkit.verify import (
+    _key_rows,
     _sample_pairs,
     check_F_U_lemma,
     check_coefficient_lemma,
@@ -234,7 +235,8 @@ class TestStackedPairSampler:
     def test_matches_per_key_rule_where_first_attempts_are_rejected(self, text):
         spec = parse_spec(text)
         seed, threshold = [42, 0], 0.9
-        z, w, s1 = _sample_pairs(spec, [[seed, k] for k in range(60)], threshold)
+        # flat uint32 rows [42, 0, k] against the reference's nested keys [[42, 0], k, 2a]
+        z, w, s1 = _sample_pairs(spec, _key_rows(42, 0, np.arange(60)), threshold)
         retried = 0
         for k in range(60):
             ref_z, ref_w, ref_s1, attempt = reference_pair(spec, seed, k, threshold)
@@ -245,4 +247,44 @@ class TestStackedPairSampler:
 
     def test_exhausted_attempts_raise(self):
         with pytest.raises(ConfigurationError):
-            _sample_pairs(parse_spec("I:2,2"), [[1, 0]], 5.0)  # |det(I - ZW*)| < 4
+            _sample_pairs(parse_spec("I:2,2"), _key_rows(1, [0]), 5.0)  # |det(I - ZW*)| < 4
+
+
+SEED_CHECKS = {
+    "properness": lambda seed: check_properness(
+        catalog("whitney-ball", n=2), n_samples=5, seed=seed),
+    "fu": lambda seed: check_F_U_lemma(parse_spec("I:2,2"), n_samples=5, seed=seed),
+    "coeff": lambda seed: check_coefficient_lemma(parse_spec("I:2,2"), 0, 0, n_bases=3, seed=seed),
+    "composition": lambda seed: check_composition_rule(
+        catalog("whitney-ball", n=3), catalog("whitney-ball", n=2), n_samples=3, seed=seed),
+    "factorization": lambda seed: check_factorization(
+        catalog("whitney-ball", n=2), degree_bound=1, seed=seed)[0],
+    "isotropy": lambda seed: check_isotropy_consistency(
+        catalog("f_t", t=0.3), n_trials=2, seed=seed),
+}
+
+
+class TestKeyRows:
+    @pytest.mark.parametrize("text", ["I:1,1", "I:2,3", "II:4", "III:2", "IV:3"])
+    @pytest.mark.parametrize("region", ["interior", "boundary"])
+    def test_flat_rows_sample_as_the_nested_keys(self, text, region):
+        spec = parse_spec(text)
+        ks = range(40)
+        for seed in (0, 42, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 5):
+            rows = _key_rows(seed, 1, np.arange(40), 6)
+            assert rows.dtype == (np.uint32 if seed < 2**32 else object)
+            nested = [[[[seed, 1], k], 6] for k in ks]
+            assert np.array_equal(sample_points(spec, region, rows),
+                                  sample_points(spec, region, nested))
+
+    @pytest.mark.parametrize("check", sorted(SEED_CHECKS))
+    def test_negative_or_non_integer_seed_fails_as_a_list_key_does(self, check):
+        for seed in (-1, 3.0):
+            with pytest.raises((ValueError, TypeError)) as direct:
+                np.random.default_rng([seed, 0])
+            with pytest.raises(type(direct.value), match=f"^{direct.value}$"):
+                SEED_CHECKS[check](seed)
+
+    @pytest.mark.parametrize("check", sorted(SEED_CHECKS))
+    def test_seed_beyond_32_bits_runs(self, check):
+        assert SEED_CHECKS[check](2**40 + 3).samples > 0
