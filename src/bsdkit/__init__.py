@@ -35,7 +35,6 @@ from .domains import (
     parse_spec,
     point,
     polarized_norm,
-    polarized_norm_is_squared,
     sample_point,
 )
 from .errors import (

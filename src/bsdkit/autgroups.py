@@ -13,6 +13,12 @@ i x_{n+1} + x_{n+2} = 2i.  M^t M = I keeps x = l(Z) M on the quadric, so
 with lambda(Z) = i x_{n+1} + x_{n+2} the image is MZ = -x_{1..n} / lambda(Z)
 and l(MZ) = (2i / lambda(Z)) l(Z) M; the identity has lambda = 2i.
 
+The lift carries the polarized norm, S(Z, W) = -1/2 l(Z) J l(W)* with
+J = diag(I_n, -1, -1), and M J M* = J (the signature relation below), so
+S(MZ, MW) lambda(Z) conj(lambda(W)) = |2i|^2 S(Z, W) = 4 S(Z, W).  At M = I,
+where lambda = 2i, this fixes the constant 4 with no sampling; no entry of
+``IV_FACTOR_CANDIDATES`` fits this lambda.
+
 The isotropies (elements fixing 0) are linear by H. Cartan's theorem on
 bounded circular domains; ``isotropy_factors`` reads their parameters as
 the factors of the action Z -> L Z R, the one statement of that convention:
@@ -408,10 +414,10 @@ def automorphy_factor(e: AutElement, p: Point, q: Point):
     """Automorphy factor F_U(Z, W) of the element at a pair of points.
 
     Kinds I/III return 1 / (det(A+ZC) conj(det(A+WC))).  Kind II returns the
-    same ratio, which is the SQUARE of its automorphy factor (the square
-    root has a branch ambiguity).  Kind IV returns the tuple of candidate
-    values c / (lambda(Z) conj(lambda(W))) for c in IV_FACTOR_CANDIDATES,
-    left to the verification harness to adjudicate.
+    same ratio, the factor of the squared Pfaffian norm S^2 = det(I - ZW*)
+    (the factor of S needs a branch of its square root).  Kind IV returns
+    the tuple of candidate values c / (lambda(Z) conj(lambda(W))) for c in
+    IV_FACTOR_CANDIDATES, left to the verification harness to adjudicate.
     """
     if e.spec != p.spec or e.spec != q.spec:
         raise ShapeError("element and points must share one domain spec")
@@ -448,7 +454,7 @@ def aut_to_json(e: AutElement) -> dict:
 
 def aut_from_json(data: dict) -> AutElement:
     """Inverse of :func:`aut_to_json`; a missing key or a non-numeric entry
-    raises ``ParameterError``."""
+    raises ``ParameterError``, a wrong count or a non-finite entry ``ShapeError``."""
     try:
         text = data["spec"]
         flat = np.array([complex(re, im) for re, im in data["matrix"]])
@@ -458,4 +464,4 @@ def aut_from_json(data: dict) -> AutElement:
     n = matrix_size(spec)
     if flat.size != n * n:
         raise ShapeError(f"matrix for {spec} must have {n * n} entries, got {flat.size}")
-    return AutElement(spec, flat.reshape(n, n))
+    return aut_element(spec, flat.reshape(n, n))

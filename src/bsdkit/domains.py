@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ParameterError, SamplingError, ShapeError
-from .linalg import as_matrix
+from .errors import NumericError, ParameterError, SamplingError, ShapeError
+from .linalg import as_matrix, pfaffian
 
 __all__ = [
     "DomainSpec",
@@ -49,7 +49,6 @@ __all__ = [
     "generic_norm",
     "polarized_norms",
     "polarized_norm",
-    "polarized_norm_is_squared",
     "sample_points",
     "sample_point",
     "borel_lifts",
@@ -186,28 +185,21 @@ def _row_product(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (z @ w.swapaxes(-1, -2))[..., 0, 0]
 
 
-def _iv_norms(z: np.ndarray) -> tuple:
-    # kind IV: (1 - ZZ*, 1 - 2ZZ* + |ZZ^t|^2) over the stack
-    zz_star = np.real(_row_product(z, np.conj(z)))
-    return 1.0 - zz_star, 1.0 - 2.0 * zz_star + np.abs(_row_product(z, z)) ** 2
-
-
-def classify_points(spec: DomainSpec, z: np.ndarray, tol: float = 1e-9, gram=None) -> tuple:
+def classify_points(spec: DomainSpec, z: np.ndarray, tol: float = 1e-9) -> tuple:
     """Regions (``interior``/``boundary``/``exterior`` string array) and
     margins of the stack ``z`` (shape ``(..., *spec.shape)``).
 
-    Kinds I/II/III classify by the minimum eigenvalue of I - ZZ* (``gram``, if
-    given, is that Gram stack); kind IV requires both ZZ* < 1 and the quartic
-    generic norm to be positive, and the margin is the smaller of the two.
+    Kinds I/II/III classify by the minimum eigenvalue of I - ZZ*; kind IV
+    requires both ZZ* < 1 and the quartic generic norm to be positive, and the
+    margin is the smaller of the two.
     """
     if spec.kind == "IV":
-        a, b = _iv_norms(z)
+        a, b = 1.0 - np.real(_row_product(z, np.conj(z))), generic_norms(spec, z)
         margin = np.minimum(a, b)
         interior = (a > tol) & (b > tol)
         boundary = (np.abs(margin) <= tol) & (np.maximum(a, b) >= -tol)
     else:
-        gram = norm_gram(z, z) if gram is None else gram
-        margin = np.linalg.eigvalsh(gram)[..., 0]
+        margin = np.linalg.eigvalsh(norm_gram(z, z))[..., 0]
         interior = margin > tol
         boundary = np.abs(margin) <= tol
     return np.where(interior, "interior", np.where(boundary, "boundary", "exterior")), margin
@@ -220,45 +212,41 @@ def classify_point(p: Point, tol: float = 1e-9) -> Classification:
     return Classification(str(region), float(margin))
 
 
-def generic_norms(spec: DomainSpec, z: np.ndarray, tol: float = 1e-8, gram=None) -> np.ndarray:
-    """Generic norms of the stack ``z``; ``gram`` as in :func:`classify_points`.
-
-    Kind I/III: det(I - ZZ*).  Kind II: the positive square root of
-    det(I - ZZ*), which is only defined on the closed domain, so a stack with
-    a point classified exterior at ``tol`` raises :class:`DomainError`.
+def generic_norms(spec: DomainSpec, z: np.ndarray) -> np.ndarray:
+    """Generic norms of the stack ``z``: for every kind the diagonal S(Z, Z)
+    of :func:`polarized_norms`, which is real.  Kind I/III: det(I - ZZ*).
+    Kind II: prod(1 - s_k^2) over the singular value pairs (s_k, s_k) of Z, a
+    root of det(I - ZZ*) that is negative where an odd number of s_k exceed 1.
     Kind IV: 1 - 2ZZ* + |ZZ^t|^2.  Equals 1 at the origin and 0 on the boundary.
     """
-    if spec.kind == "IV":
-        return _iv_norms(z)[1]
-    gram = norm_gram(z, z) if gram is None else gram
-    d = np.linalg.det(gram)
-    imag = np.abs(d.imag)
-    if np.any(imag > 1e-10 * np.maximum(1.0, np.abs(d))):
-        raise NumericError(f"generic norm determinant has imaginary part {np.max(imag):.3e}")
-    if spec.kind == "II":
-        if np.any(classify_points(spec, z, tol, gram)[0] == "exterior"):
-            raise DomainError("kind II generic norm is undefined outside the closed domain")
-        return np.sqrt(np.maximum(d.real, 0.0))
-    return d.real
+    s = polarized_norms(spec, z, z)
+    imag = np.abs(s.imag)
+    if np.any(imag > 1e-10 * np.maximum(1.0, np.abs(s))):
+        raise NumericError(f"generic norm has imaginary part {np.max(imag):.3e}")
+    return s.real
 
 
-def generic_norm(p: Point, tol: float = 1e-8) -> float:
+def generic_norm(p: Point) -> float:
     """Generic norm of the domain at ``p`` (see :func:`generic_norms`)."""
-    return float(generic_norms(p.spec, p.value, tol))
+    return float(generic_norms(p.spec, p.value))
 
 
 def polarized_norms(spec: DomainSpec, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Polarized generic norms of the stacks ``z`` and ``w``, holomorphic in
-    Z and anti-holomorphic in W.
+    """Polarized generic norms S(Z, W) of the stacks ``z`` and ``w``, polynomials
+    holomorphic in Z and anti-holomorphic in W with S(Z, 0) = 1.
 
-    Kind I/III: det(I - ZW*).  Kind IV: 1 - 2ZW* + (ZZ^t) conj(WW^t).
-    Kind II returns the squared polarization det(I - ZW*); see
-    :func:`polarized_norm_is_squared`.  Restricting to the diagonal recovers
-    the generic norm (its square for kind II).
+    Kind I/III: det(I - ZW*).  Kind II: (-1)^(n(n-1)/2) Pf([[Z, I], [-I, conj W]])
+    (Loos, *Bounded Symmetric Domains and Jordan Pairs*, 1977), whose square
+    is det(I - ZW*).  Kind IV: 1 - 2ZW* + (ZZ^t) conj(WW^t).  The diagonal
+    S(Z, Z) is the generic norm (:func:`generic_norms`).
     """
     if spec.kind == "IV":
         zw = _row_product(z, np.conj(w))
         return 1.0 - 2.0 * zw + _row_product(z, z) * np.conj(_row_product(w, w))
+    if spec.kind == "II":
+        z, w_bar = np.broadcast_arrays(z, np.conj(w))
+        eye = np.broadcast_to(np.eye(spec.n), z.shape)
+        return (-1) ** (spec.n * (spec.n - 1) // 2) * pfaffian(np.block([[z, eye], [-eye, w_bar]]))
     return np.linalg.det(norm_gram(z, w))
 
 
@@ -267,13 +255,6 @@ def polarized_norm(p: Point, q: Point) -> complex:
     if p.spec != q.spec:
         raise ShapeError(f"spec mismatch: {p.spec} vs {q.spec}")
     return complex(polarized_norms(p.spec, p.value, q.value))
-
-
-def polarized_norm_is_squared(spec: DomainSpec) -> bool:
-    """True when :func:`polarized_norm` returns the square of the generic norm
-    on the diagonal (kind II, where the off-diagonal square root has a branch
-    ambiguity)."""
-    return spec.kind == "II"
 
 
 _SAMPLE_RETRIES = 64

@@ -1,21 +1,29 @@
 """Dense complex linear algebra primitives used throughout the toolkit.
 
-All routines operate on 2-D complex ndarrays and are pure functions.
-Tolerances are absolute-relative hybrids: a residual passes at ``tol`` when
-it is at most ``tol * max(1, scale)`` for the natural scale of the input.
+All routines are pure functions.  ``pfaffian``, ``psd_inv_sqrt``,
+``haar_normalize`` and ``as_matrix(stack=True)`` also take stacks of shape
+``(..., m, n)``; the others take one 2-D matrix.  Tolerances are
+absolute-relative hybrids: a residual passes at ``tol`` when it is at most
+``tol * max(1, scale)`` for the natural scale of the input.
 """
+
+import math
 
 import numpy as np
 
 from .errors import DomainError, NumericError, ShapeError
 
 __all__ = [
+    "as_matrix",
     "det",
     "pfaffian",
     "hermitian_spectrum",
     "singular_values",
     "psd_sqrt",
+    "psd_inv_sqrt",
+    "haar_normalize",
     "random_unitary",
+    "random_orthogonal",
 ]
 
 
@@ -47,37 +55,38 @@ def det(m) -> complex:
     return complex(np.linalg.det(_square(m)))
 
 
-def pfaffian(a, tol: float = 1e-12) -> complex:
-    """Pfaffian of an antisymmetric matrix via skew-symmetric elimination.
-
-    The matrix is reduced to skew tridiagonal form with Gauss transforms and
-    partial pivoting; the Pfaffian is the signed product of the resulting
-    superdiagonal pivots.  Satisfies ``pfaffian(a)**2 == det(a)`` up to
-    roundoff.  Odd-dimensional input returns exactly 0.
+def pfaffian(a, tol: float = 1e-12):
+    """Pfaffians of an antisymmetric matrix or of a stack of them (shape
+    ``(..., 2m, 2m)``) by skew-symmetric elimination: Gauss transforms with
+    each matrix's own partial pivoting reduce it to skew tridiagonal form, and
+    the Pfaffian is the signed product of the superdiagonal pivots.  A matrix
+    of a stack gets bit for bit what it gets alone; a 2-D input returns a
+    ``complex``.  ``pfaffian(a)**2 == det(a)`` up to roundoff; odd sizes and a
+    zero pivot column give exactly 0.
     """
-    a = _square(a)
-    scale = np.linalg.norm(a)
-    if np.linalg.norm(a + a.T) > hybrid_tol(tol, scale):
+    a = _square(a, stack=True)
+    scale = np.linalg.norm(a, axis=(-2, -1))
+    if np.any(np.linalg.norm(a + a.swapaxes(-1, -2), axis=(-2, -1)) > hybrid_tol(tol, scale)):
         raise ShapeError("matrix is not antisymmetric within tolerance")
-    n = a.shape[0]
-    if n % 2 == 1:
-        return 0j
-    a = a.copy()
-    value = 1.0 + 0j
-    for k in range(0, n - 1, 2):
-        pivot = k + 1 + int(np.abs(a[k + 1:, k]).argmax())
-        if pivot != k + 1:
-            a[[k + 1, pivot], k:] = a[[pivot, k + 1], k:]
-            a[k:, [k + 1, pivot]] = a[k:, [pivot, k + 1]]
-            value = -value
-        if a[k + 1, k] == 0.0:
-            return 0j
-        value *= a[k, k + 1]
+    lead, n = a.shape[:-2], a.shape[-1]
+    a = a.reshape(math.prod(lead), n, n).copy()
+    odd = n % 2 == 1
+    value = np.full(len(a), 0j if odd else 1.0 + 0j)
+    idx = np.arange(len(a))
+    for k in range(0, 0 if odd else n - 1, 2):
+        pivot = k + 1 + np.abs(a[:, k + 1:, k]).argmax(axis=1)
+        # fancy-indexed right-hand sides are copies, so these swap
+        a[idx, k + 1, k:], a[idx, pivot, k:] = a[idx, pivot, k:], a[idx, k + 1, k:]
+        a[idx, k:, k + 1], a[idx, k:, pivot] = a[idx, k:, pivot], a[idx, k:, k + 1]
+        zero = a[:, k + 1, k] == 0.0  # a zero pivot column: the Pfaffian is 0
+        value = np.where(zero, 0j, np.where(pivot != k + 1, -value, value) * a[:, k, k + 1])
         if k + 2 < n:
-            gauss = a[k, k + 2:] / a[k, k + 1]
-            a[k + 2:, k + 2:] += np.outer(gauss, a[k + 2:, k + 1])
-            a[k + 2:, k + 2:] -= np.outer(a[k + 2:, k + 1], gauss)
-    return complex(value)
+            head = np.where(zero, 1.0, a[:, k, k + 1])[:, None]
+            gauss = np.where(zero[:, None], 0j, a[:, k, k + 2:] / head)
+            col = a[:, k + 2:, k + 1]
+            a[:, k + 2:, k + 2:] += gauss[:, :, None] * col[:, None, :]
+            a[:, k + 2:, k + 2:] -= col[:, :, None] * gauss[:, None, :]
+    return value.reshape(lead) if lead else complex(value[0])
 
 
 def hermitian_spectrum(h, tol: float = 1e-12) -> np.ndarray:

@@ -602,8 +602,8 @@ def polymap_to_json(f: PolyMap) -> dict:
 
 
 def polymap_from_json(data: dict) -> PolyMap:
-    """Inverse of :func:`polymap_to_json`; a missing key or a non-numeric
-    value raises ``ParameterError``, an unknown variable ``ShapeError``."""
+    """Inverse of :func:`polymap_to_json`; a missing key or a non-numeric or
+    non-finite value raises ``ParameterError``, an unknown variable ``ShapeError``."""
     try:
         source = parse_spec(data["source"])
         target = parse_spec(data["target"])
@@ -617,7 +617,9 @@ def polymap_from_json(data: dict) -> PolyMap:
                     if name not in index:
                         raise ShapeError(f"unknown variable {name!r} for source {source}")
                     exps[index[name]] = int(e)
-                terms[tuple(exps)] = complex(term["re"], term.get("im", 0.0))
+                c = terms[tuple(exps)] = complex(term["re"], term.get("im", 0.0))
+                if not np.isfinite(c):
+                    raise ParameterError(f"non-finite coefficient {c} in map data")
     except BsdkitError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

@@ -452,8 +452,23 @@ class TestAutomorphyFactor:
             w = sample_point(spec, "interior", [36, k])
             dz = automorphy_denominator(e, z)
             dw = automorphy_denominator(e, w)
-            lhs = polarized_norm(act(e, z), act(e, w)) * dz * np.conj(dw)
-            assert abs(lhs - polarized_norm(z, w)) <= 1e-10
+            lhs = polarized_norm(act(e, z), act(e, w)) ** 2 * dz * np.conj(dw)
+            assert abs(lhs - polarized_norm(z, w) ** 2) <= 1e-10
+
+    @pytest.mark.parametrize("text", ["IV:1", "IV:2", "IV:3", "IV:4", "IV:5"])
+    def test_kind_iv_polarized_law_has_constant_four(self, text):
+        # S(MZ, MW) lambda(Z) conj(lambda(W)) = 4 S(Z, W): derivation in the
+        # autgroups docstring; the constant is the |2i|^2 of the identity
+        spec = parse_spec(text)
+        keys = [[41, k] for k in range(200)]
+        e = random_automorphisms(spec, keys)
+        z = sample_points(spec, "interior", [[42, k] for k in range(200)])
+        w = sample_points(spec, "interior", [[43, k] for k in range(200)])
+        before = domains.polarized_norms(spec, z, w)
+        after = domains.polarized_norms(spec, act_points(e, z), act_points(e, w))
+        lam_z, lam_w = automorphy_denominators(e, z), automorphy_denominators(e, w)
+        res = np.abs(after * lam_z * np.conj(lam_w) - 4.0 * before)
+        assert np.max(res / np.maximum(1.0, np.abs(before))) <= 1e-12
 
     def test_kind_iv_returns_both_candidates(self):
         spec = parse_spec("IV:3")

@@ -293,6 +293,25 @@ class TestMalformedFiles:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    NAN_MAP = {**MAP, "entries": [
+        {"row": 1, "col": 1, "terms": [{"exps": {"z11": 1}, "re": float("nan")}]}]}
+    NAN_AUT = {"spec": "I:1,2", "matrix": [[1.0, 0.0]] * 8 + [[float("nan"), 0.0]]}
+
+    @pytest.mark.parametrize("command,option,data", [
+        ("eval", "--aut-file", NAN_AUT),
+        ("invariants", "--map-file", NAN_MAP),
+        ("eval", "--map-file", NAN_MAP),
+    ], ids=["eval-aut-nan", "invariants-map-nan", "eval-map-nan"])
+    def test_non_finite_json_exits_two_with_one_error_line(self, tmp_path, capsys, command,
+                                                           option, data):
+        # Python's json reads NaN and Infinity, so the loaders must reject them
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        rc, out = run(tmp_path, command, option, str(path), "--no-timestamp")
+        err = capsys.readouterr().err
+        assert rc == 2 and not out.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_well_formed_map_still_loads(self, tmp_path):
         path = tmp_path / "map.json"
         path.write_text(json.dumps(self.MAP))

@@ -15,12 +15,11 @@ from bsdkit.domains import (
     parse_spec,
     point,
     polarized_norm,
-    polarized_norm_is_squared,
     polarized_norms,
     sample_point,
     sample_points,
 )
-from bsdkit.errors import DomainError, ParameterError, SamplingError, ShapeError
+from bsdkit.errors import ParameterError, SamplingError, ShapeError
 
 ALL_SPECS = ["I:2,2", "I:2,3", "II:3", "II:4", "III:2", "III:3", "IV:2", "IV:3"]
 
@@ -109,11 +108,11 @@ class TestGenericNorm:
         z = np.array([[0, a], [-a, 0]])
         assert generic_norm(point(parse_spec("II:2"), z)) == pytest.approx(1 - abs(a) ** 2)
 
-    def test_kind_ii_exterior_raises(self):
+    def test_kind_ii_exterior_closed_form(self):
+        # the Pfaffian norm is a polynomial: 1 - |a|^2 on II:2, negative outside
         a = 1.7
         z = np.array([[0, a], [-a, 0]])
-        with pytest.raises(DomainError):
-            generic_norm(point(parse_spec("II:2"), z))
+        assert generic_norm(point(parse_spec("II:2"), z)) == pytest.approx(1 - a**2)
 
     @pytest.mark.parametrize("text", ALL_SPECS)
     def test_positive_interior_zero_boundary(self, text):
@@ -134,10 +133,7 @@ class TestPolarizedNorm:
     def test_diagonal_recovers_generic_norm(self, text):
         spec = parse_spec(text)
         z = sample_point(spec, "interior", 4)
-        expected = generic_norm(z)
-        if polarized_norm_is_squared(spec):
-            expected = expected**2
-        assert polarized_norm(z, z) == pytest.approx(expected, abs=1e-10)
+        assert polarized_norm(z, z) == pytest.approx(generic_norm(z), abs=1e-10)
 
     @pytest.mark.parametrize("text", ALL_SPECS)
     def test_hermitian_symmetry(self, text):
@@ -172,6 +168,38 @@ class TestPolarizedNorm:
         d_re = (shifted(h) - shifted(-h)) / (2 * h)
         d_im = (shifted(1j * h) - shifted(-1j * h)) / (2 * h)
         assert abs(d_re + 1j * d_im) / 2 <= 1e-6
+
+
+class TestKindIICrossKindOracles:
+    """The unsquared Pfaffian norm, sign and branch included, against the
+    low-rank isomorphisms II:2 = disc, II:3 = ball and II:4 = IV:6."""
+
+    @staticmethod
+    def pairs(text, count=200):
+        spec = parse_spec(text)
+        return (spec, sample_points(spec, "interior", [[51, k] for k in range(count)]),
+                sample_points(spec, "interior", [[52, k] for k in range(count)]))
+
+    @pytest.mark.parametrize("text", ["II:2", "II:3"])
+    def test_disc_and_ball(self, text):
+        spec, z, w = self.pairs(text)
+        upper = np.triu_indices(spec.n, 1)
+        ball = 1.0 - np.sum(z[:, upper[0], upper[1]] * np.conj(w[:, upper[0], upper[1]]), axis=1)
+        assert np.max(np.abs(polarized_norms(spec, z, w) - ball)) <= 1e-14
+
+    def test_ii4_against_iv6(self):
+        iv6, u, v = self.pairs("IV:6")
+
+        def iota(x):
+            x = x[:, 0, :]
+            z = np.zeros((len(x), 4, 4), dtype=complex)
+            z[:, 0, 1], z[:, 2, 3] = x[:, 0] + 1j * x[:, 1], x[:, 0] - 1j * x[:, 1]
+            z[:, 0, 2], z[:, 1, 3] = x[:, 2] + 1j * x[:, 3], -(x[:, 2] - 1j * x[:, 3])
+            z[:, 0, 3], z[:, 1, 2] = x[:, 4] + 1j * x[:, 5], x[:, 4] - 1j * x[:, 5]
+            return z - z.swapaxes(-1, -2)
+
+        got = polarized_norms(parse_spec("II:4"), iota(u), iota(v))
+        assert np.max(np.abs(got - polarized_norms(iv6, u, v))) <= 1e-14
 
 
 class TestSamplers:
@@ -279,8 +307,8 @@ class TestStackedSampler:
         classify = domains.classify_points
         rejected = []
 
-        def corner_rule(spec, z, tol=1e-9, gram=None):
-            regions, margins = classify(spec, z, tol, gram)
+        def corner_rule(spec, z, tol=1e-9):
+            regions, margins = classify(spec, z, tol)
             bad = z[..., 0, -1].real > 0.0
             rejected.append(int(np.count_nonzero(bad)))
             return np.where(bad, "exterior", regions), margins
@@ -336,10 +364,9 @@ class TestStackedKernels:
         wgrid = w.reshape(grid.shape)
         assert np.allclose(polarized_norms(spec, grid, wgrid).ravel(), pol, rtol=0, atol=1e-14)
 
-    def test_kind_ii_exterior_point_in_stack_raises(self):
+    def test_kind_ii_exterior_point_in_stack_has_closed_form_norm(self):
+        # II:3 is the ball: the norm is 1 - |z12|^2 - |z13|^2 - |z23|^2
         spec = parse_spec("II:3")
         z = sample_points(spec, "boundary", [[33, k] for k in range(5)])
-        generic_norms(spec, z)
         z[3] *= 1.5
-        with pytest.raises(DomainError):
-            generic_norms(spec, z)
+        assert np.allclose(generic_norms(spec, z), [0, 0, 0, 1 - 1.5**2, 0], rtol=0, atol=1e-14)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,6 +120,44 @@ class TestPfaffian:
         a = g - g.T
         d = det(a)
         assert abs(pfaffian(a) ** 2 - d) <= 1e-10 * max(1.0, abs(d))
+
+
+class TestStackedPfaffian:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_slices_match_one_matrix_calls_and_matchings(self, n):
+        rng = np.random.default_rng(n)
+        g = rng_matrix(rng, 2 * 3 * n, n).reshape(2, 3, n, n) / np.sqrt(n)
+        a = g - g.swapaxes(-1, -2)
+        got = pfaffian(a)
+        assert got.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            one = pfaffian(a[idx])
+            assert isinstance(one, complex)
+            assert got[idx] == one  # bit for bit
+            expected = matching_pfaffian(a[idx])
+            assert abs(one - expected) <= 1e-12 * max(1.0, abs(expected))
+
+    def test_odd_sizes_give_zeros(self):
+        g = rng_matrix(np.random.default_rng(1), 12, 3).reshape(4, 3, 3)
+        assert np.array_equal(pfaffian(g - g.swapaxes(-1, -2)), np.zeros(4))
+
+    def test_zero_column_gives_exact_zero_without_warning(self):
+        g = rng_matrix(np.random.default_rng(2), 18, 6).reshape(3, 6, 6)
+        a = g - g.swapaxes(-1, -2)
+        a[1, :, 2] = a[1, 2, :] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pfaffian(a)
+        assert got[1] == 0.0
+        assert np.all(np.isfinite(got))
+        assert got[0] == pfaffian(a[0]) and got[2] == pfaffian(a[2])
+
+    def test_one_non_antisymmetric_slice_raises(self):
+        g = rng_matrix(np.random.default_rng(3), 16, 4).reshape(4, 4, 4)
+        a = g - g.swapaxes(-1, -2)
+        a[2, 0, 1] += 1e-3
+        with pytest.raises(ShapeError):
+            pfaffian(a)
 
 
 class TestHermitianSpectrum:
