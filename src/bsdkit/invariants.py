@@ -26,9 +26,9 @@ on the rows, so the singular values do not change.  The Fischer inner
 product is that of H. S. Shapiro, "An algebraic theorem of E. Fischer, and
 the holomorphic Goursat problem", Bull. LMS 21 (1989).
 
-The operators are read from a map's compiled arrays (``PolyMap._compiled``):
-each degree's columns of C are scattered into the columns of
-``monomials_of_degree`` with their Fischer weights, one scatter per degree.
+The operators are read from a map's stored arrays: each degree's columns of
+``PolyMap.weighted`` (C with these weights, built on first use) are
+scattered into the columns of ``monomials_of_degree``, one scatter per degree.
 """
 
 import math
@@ -60,7 +60,7 @@ def coefficient_operator(f_d: PolyMap, degree: int = None) -> np.ndarray:
     target entry, times sqrt(alpha!) and the Frobenius weights described in
     the module docstring.  Raises on non-homogeneous input.
     """
-    blocks = f_d._compiled.degrees
+    blocks = f_d.degrees
     if len(blocks) > 1:
         raise ShapeError(f"map is not homogeneous (degrees {[d for d, _, _ in blocks]})")
     if degree is None:
@@ -76,16 +76,15 @@ def coefficient_operator(f_d: PolyMap, degree: int = None) -> np.ndarray:
 def _operator(f: PolyMap, degree: int, columns: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """The degree-``degree`` operator of f: its weighted ``columns`` scattered
     into the monomial ``ranks``."""
-    op = np.zeros((len(f._compiled.target_rows), math.comb(f.nvars + degree - 1, degree)),
-                  dtype=complex)
-    op[:, ranks] = f._compiled.weighted[:, columns]
+    op = np.zeros((len(f.weighted), math.comb(f.nvars + degree - 1, degree)), dtype=complex)
+    op[:, ranks] = f.weighted[:, columns]
     return op
 
 
 def invariant_spectrum(f: PolyMap) -> dict:
     """Per-degree descending singular values of the coefficient operators."""
     return {d: np.linalg.svd(_operator(f, d, columns, ranks), compute_uv=False)
-            for d, columns, ranks in f._compiled.degrees}
+            for d, columns, ranks in f.degrees}
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,7 @@ def distinguish(f: PolyMap, g: PolyMap, tol: float = 1e-8) -> DistinguishResult:
     if f.source != g.source or f.target != g.target:
         raise ShapeError("maps must share source and target specs")
     for name, m in (("first", f), ("second", g)):
-        if any(d == 0 for d, _, _ in m._compiled.degrees):
+        if any(d == 0 for d, _, _ in m.degrees):
             raise ParameterError(f"{name} map does not preserve the origin")
     spec_f = invariant_spectrum(f)
     spec_g = invariant_spectrum(g)

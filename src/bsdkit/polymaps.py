@@ -1,25 +1,23 @@
 """Sparse holomorphic polynomial maps between classical domains.
 
-A map's ``entries``, its validated constructor input and wire form, hold
-for every nonzero target entry a dictionary from monomial exponent vectors
-(over the independent source variables) to complex coefficients.
-Independent variables are the full entry grid for kind I, the strict upper
-triangle for kind II, the inclusive upper triangle for kind III, and the n
-coordinates for kind IV; dependent source entries never enter a monomial,
-and dependent target entries are stored as mirrors.
+A ``PolyMap`` is its arrays, stored read-only: an exponent matrix E (one
+row per monomial over the independent source variables), a coefficient
+matrix C (row-major target positions, mirrors included, x monomials) and
+per-degree index arrays.  Independent variables are the full entry grid
+for kind I, the strict upper triangle for kind II, the inclusive upper
+triangle for kind III, and the n coordinates for kind IV; dependent source
+entries never enter a monomial, and each mirror row of C is eps times its
+row.  ``polymap`` validates dict input and converts it once; ``entries``
+is a dict view of the nonzero coefficients derived from the arrays.
 
-Evaluation, conjugation and the coefficient operators of ``invariants``
-read one compiled form, built on first use and cached on the instance (so
-``entries`` must never change after construction): an exponent matrix E
-(monomials x source variables), a coefficient matrix C (row-major target
-positions x monomials) and per-degree index arrays.  ``eval_points``
-evaluates a stack of source points (leading axes, one sample per row, each
-drawn from its own ``[seed, k, ...]`` RNG key by the verification harness)
-as ``C @ prod(vals ** E)``; ``eval_map`` is the one-point case.
-``conjugate`` turns each degree-d block into ``C_d @ P_d(S)``, S the source
-isotropy on the independent variables, and applies the target isotropy as
-one product over the full target grid; both isotropies act by
-Z -> L Z R with the factors of ``autgroups.isotropy_factors``.
+``eval_points`` evaluates a stack of source points (leading axes, one
+sample per row, each drawn from its own ``[seed, k, ...]`` RNG key by the
+verification harness) as ``C @ prod(vals ** E)``; ``eval_map`` is the
+one-point case.  ``conjugate`` turns each degree-d block into
+``C_d @ P_d(S)``, S the source isotropy on the independent variables,
+applies the target isotropy as one product over the full target grid, and
+builds its result from arrays; both isotropies act by Z -> L Z R with the
+factors of ``autgroups.isotropy_factors``.
 
 The catalog holds the proper polynomial map families used throughout:
 standard block embeddings, ball Whitney and one-parameter ball families,
@@ -27,12 +25,12 @@ the generalized Whitney map, two quadratic maps between 2x2-block domains,
 and the one-parameter families f_t, g_t, G_t, h_t connecting them.
 """
 
+import cmath
 import inspect
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
-from typing import NamedTuple
 
 import numpy as np
 
@@ -144,95 +142,101 @@ def _embedding(spec: DomainSpec) -> np.ndarray:
     return b
 
 
-class _CompiledMap(NamedTuple):
-    source_index: tuple     # (rows, cols) of the independent source variables
-    exponents: np.ndarray   # E: monomials x source variables
-    coeffs: np.ndarray      # C: row-major target positions (mirrors included) x monomials
-    target_rows: np.ndarray  # rows of C at the independent target positions, in order
-    degrees: tuple          # per degree d: (d, its columns of C, their ranks among its monomials)
-    weighted: np.ndarray    # C[target_rows] times Frobenius row and Fischer column weights
+@lru_cache(maxsize=1024)
+def _monomial_index(nvars: int, monomials: tuple) -> tuple:
+    """(E, degrees) of a monomial list, shared by the maps that have it: E
+    with one row per monomial, and per degree d the columns of its
+    monomials and their ranks among ``monomials_of_degree``."""
+    total = [sum(exps) for exps in monomials]
+    degrees = []
+    for d in sorted(set(total)):
+        rank, columns = _monomial_table(nvars, d)[1], [k for k, t in enumerate(total) if t == d]
+        degrees.append((d, np.array(columns), np.array([rank[monomials[k]] for k in columns])))
+    return np.array(monomials, dtype=int).reshape(len(monomials), nvars), tuple(degrees)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyMap:
-    """Immutable-by-convention sparse polynomial map between two domains.
-
-    ``entries`` must not be changed after construction: the compiled form
-    that evaluation, conjugation and the coefficient operators read is built
-    from it once and cached.
-    """
+    """Polynomial map between two domains, stored as read-only arrays (see
+    the module docstring); equality compares the ``entries`` view."""
 
     source: DomainSpec
     target: DomainSpec
-    entries: dict  # (row, col) -> {exponent tuple -> complex coefficient}
+    exponents: np.ndarray  # E: one distinct monomial per row x source variables
+    coeffs: np.ndarray     # C: row-major target positions (mirrors included) x monomials
+    degrees: tuple         # per degree d: (d, its columns of C, their ranks among its monomials)
+
+    def __post_init__(self):
+        self.exponents.flags.writeable = False
+        self.coeffs.flags.writeable = False
+
+    def __eq__(self, other):
+        if not isinstance(other, PolyMap):
+            return NotImplemented
+        return (self.source, self.target, self.entries) == (other.source, other.target, other.entries)
 
     @property
     def nvars(self) -> int:
-        return len(source_positions(self.source))
+        return self.exponents.shape[1]
 
     @cached_property
-    def _compiled(self) -> _CompiledMap:
-        # A cached property, not a field: equality, repr and JSON see entries only.
-        source_index = _independent_index(self.source)
-        monomials = sorted({exps for terms in self.entries.values() for exps in terms})
-        column = {exps: k for k, exps in enumerate(monomials)}
-        rows, cols = self.target.shape
-        count = len(monomials)
-        coeffs = np.zeros((rows * cols, count), dtype=complex)
-        np.put(coeffs, [(i * cols + j) * count + column[exps]
-                        for (i, j), terms in self.entries.items() for exps in terms],
-               [c for terms in self.entries.values() for c in terms.values()])
-        exponents = np.array(monomials, dtype=int).reshape(count, len(source_index[0]))
-        total = exponents.sum(axis=1)
-        degrees = []
-        for d in sorted(set(total.tolist())):
-            columns = np.flatnonzero(total == d)
-            rank = _monomial_table(exponents.shape[1], d)[1]
-            degrees.append((d, columns, np.array([rank[monomials[k]] for k in columns])))
-        target_rows = np.ravel_multi_index(_independent_index(self.target), self.target.shape)
+    def entries(self) -> dict:
+        """(row, col) -> {exponent tuple -> complex coefficient}, nonzero only."""
+        monomials, out = list(map(tuple, self.exponents.tolist())), {}
+        for r, k in np.argwhere(self.coeffs).tolist():
+            out.setdefault(divmod(r, self.target.shape[1]), {})[monomials[k]] = self.coeffs.item(r, k)
+        return out
+
+    @cached_property
+    def weighted(self) -> np.ndarray:
+        """C at the independent target positions times the Frobenius row and
+        Fischer column weights (the operators of ``invariants``)."""
         w_source, w_target = (np.sqrt(np.square(_embedding(spec)).sum(axis=(0, 1)))
                               for spec in (self.source, self.target))
-        factorials = np.cumprod(np.maximum(np.arange(exponents.max(initial=0) + 1), 1), dtype=float)
+        e = self.exponents
+        factorials = np.cumprod(np.maximum(np.arange(e.max(initial=0) + 1), 1), dtype=float)
         # column alpha: sqrt(alpha!) prod(w ** -alpha), w the Frobenius weights (column norms of B)
-        fischer = np.sqrt(factorials[exponents].prod(axis=1)) * (w_source ** -exponents).prod(axis=1)
-        weighted = coeffs[target_rows] * np.outer(w_target, fischer)
-        return _CompiledMap(source_index, exponents, coeffs, target_rows, tuple(degrees), weighted)
+        fischer = np.sqrt(factorials[e].prod(axis=1)) * (w_source ** -e).prod(axis=1)
+        rows = self.coeffs.reshape(*self.target.shape, len(e))[_independent_index(self.target)]
+        return rows * np.outer(w_target, fischer)
 
 
 def polymap(source: DomainSpec, target: DomainSpec, entries: dict) -> PolyMap:
-    """Validated constructor: drops zero coefficients, derives the dependent
-    mirror entries for kind II/III targets, and checks structural invariants."""
-    nvars = len(source_positions(source))
+    """Validated constructor for dict input: drops zero coefficients, rejects
+    non-finite ones, derives the dependent mirror entries for kind II/III
+    targets, checks structural invariants, and converts to the arrays once."""
+    nvars, (rows, cols) = len(source_positions(source)), target.shape
     clean = {}
-    for pos, terms in entries.items():
-        kept = {}
+    for (i, j), terms in entries.items():
         for exps, coeff in terms.items():
-            c = complex(coeff)
-            if c != 0:
-                kept[tuple(exps)] = c
-        if kept:
-            clean[pos] = kept
-    for exps in {exps for terms in entries.values() for exps in terms}:  # each monomial once
-        if len(exps) != nvars:
-            raise ShapeError(f"monomial {exps} has {len(exps)} exponents, expected {nvars}")
-        if any(e < 0 for e in exps):
-            raise ShapeError(f"negative exponent in monomial {exps}")
-    rows, cols = target.shape
-    for i, j in clean:
-        if not (0 <= i < rows and 0 <= j < cols):
-            raise ShapeError(f"entry position {(i, j)} outside target shape {(rows, cols)}")
+            exps, c = tuple(exps), complex(coeff)
+            if len(exps) != nvars:
+                raise ShapeError(f"monomial {exps} has {len(exps)} exponents, expected {nvars}")
+            if min(exps, default=0) < 0:
+                raise ShapeError(f"negative exponent in monomial {exps}")
+            if c == 0:
+                continue
+            if not cmath.isfinite(c):
+                raise ParameterError(f"non-finite coefficient {c} in map data")
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ShapeError(f"entry position {(i, j)} outside target shape {(rows, cols)}")
+            clean.setdefault((i, j), {})[exps] = c
     sign = target.mirror
     if sign:
-        mirrored = {}
-        for (i, j), terms in clean.items():
+        for (i, j), terms in list(clean.items()):
             if i == j and sign < 0:
                 raise ShapeError(f"kind {target.kind} target must have zero diagonal")
             flipped = {e: sign * c for e, c in terms.items()}
-            if i > j and clean.get((j, i), flipped) != flipped:
+            if clean.setdefault((j, i), flipped) != flipped:
                 raise ShapeError(f"kind {target.kind} target entries {(i, j)}/{(j, i)} are inconsistent")
-            mirrored[(i, j)], mirrored[(j, i)] = terms, flipped
-        clean = mirrored
-    return PolyMap(source, target, clean)
+    monomials = sorted({exps for terms in clean.values() for exps in terms})
+    column, count = dict(zip(monomials, range(len(monomials)))), len(monomials)
+    coeffs = np.zeros((rows * cols, count), dtype=complex)
+    coeffs.put([(i * cols + j) * count + column[exps]
+                for (i, j), terms in clean.items() for exps in terms],
+               [c for terms in clean.values() for c in terms.values()])
+    exponents, degrees = _monomial_index(nvars, tuple(monomials))
+    return PolyMap(source, target, exponents, coeffs, degrees)
 
 
 def _efmt(t: float) -> float:
@@ -413,18 +417,19 @@ _BUILDERS = {
 CATALOG_IDS = tuple(_BUILDERS)
 
 
+@lru_cache(maxsize=None)
 def _builder(map_id: str) -> tuple:
-    """(catalog id, builder) for an id, accepting ``_`` for ``-`` (``gen_whitney``)."""
+    """(catalog id, builder, its parameters) for an id, accepting ``_`` for ``-``."""
     key = map_id if map_id in _BUILDERS else map_id.replace("_", "-")
     if key not in _BUILDERS:
         raise ParameterError(f"unknown catalog map id {map_id!r}")
-    return key, _BUILDERS[key]
+    return key, _BUILDERS[key], inspect.signature(_BUILDERS[key]).parameters
 
 
 def catalog(map_id: str, **params) -> PolyMap:
     """Construct a catalog map by id, passing the keyword parameters of its
     ``_build_*`` function, e.g. ``catalog("G_t", r=2, s=3, t=0.5)``."""
-    _, builder = _builder(map_id)
+    _, builder, _ = _builder(map_id)
     try:
         return builder(**params)
     except TypeError as exc:
@@ -443,8 +448,7 @@ def select_map(selector: str, dims=None, **flags) -> PolyMap:
     with ``theta=0.5`` are the same map.
     """
     name, _, text = selector.partition(":")
-    key, builder = _builder(name)
-    params = inspect.signature(builder).parameters
+    key, builder, params = _builder(name)
     ints = [p for p, v in params.items() if v.annotation is int]
     hints = [f"--{p}" for p, v in params.items() if v.annotation is float]
     if ints:
@@ -472,12 +476,10 @@ def select_map(selector: str, dims=None, **flags) -> PolyMap:
 
 def eval_points(f: PolyMap, z: np.ndarray) -> np.ndarray:
     """Evaluate the map on the source point stack ``z`` (shape
-    ``(..., *f.source.shape)``) through its compiled form,
-    ``C @ prod(vals ** E)`` per point (built on the first call and cached);
-    returns the target stack."""
-    c = f._compiled
-    vals = z[(..., *c.source_index)]
-    image = np.prod(vals[..., None, :] ** c.exponents, axis=-1) @ c.coeffs.T
+    ``(..., *f.source.shape)``) as ``C @ prod(vals ** E)`` per point, vals
+    the independent source entries; returns the target stack."""
+    vals = z[(..., *_independent_index(f.source))]
+    image = np.prod(vals[..., None, :] ** f.exponents, axis=-1) @ f.coeffs.T
     return image.reshape(z.shape[:-2] + f.target.shape)
 
 
@@ -494,20 +496,10 @@ def map_constant(f: PolyMap) -> np.ndarray:
 
 
 def homogeneous_parts(f: PolyMap) -> dict:
-    """Split into homogeneous pieces: degree -> PolyMap.  Parts sum to f."""
-    parts = {}
-    for pos, terms in f.entries.items():
-        for exps, coeff in terms.items():
-            d = sum(exps)
-            parts.setdefault(d, {}).setdefault(pos, {})[exps] = coeff
-    return {d: PolyMap(f.source, f.target, entries) for d, entries in sorted(parts.items())}
-
-
-def _one_isotropy(spec: DomainSpec, params) -> tuple:
-    left, right = isotropy_factors(spec, params)
-    if left.ndim != 2 or right.ndim != 2:
-        raise ShapeError(f"expected the parameters of one isotropy of {spec}, got a stack")
-    return left, right
+    """Split into homogeneous pieces by slicing columns: degree -> PolyMap.  Parts sum to f."""
+    return {d: PolyMap(f.source, f.target, f.exponents[columns], f.coeffs[:, columns],
+                       ((d, np.arange(len(columns)), ranks),))
+            for d, columns, ranks in f.degrees}
 
 
 def conjugate(f: PolyMap, pre_params, post_params) -> PolyMap:
@@ -519,21 +511,24 @@ def conjugate(f: PolyMap, pre_params, post_params) -> PolyMap:
     four kinds.  Preserves degree profile and the origin; parameter stacks
     raise ``ShapeError``.
     """
-    left, right = _one_isotropy(f.source, pre_params)
-    c = f._compiled
-    s = np.einsum("ia,abv,bj->ijv", left, _embedding(f.source), right)[c.source_index]
-    left, right = _one_isotropy(f.target, post_params)
-    image = np.einsum("ia,abm,bj->ijm", left, c.coeffs.reshape(*f.target.shape, -1), right)
-    image = image.reshape(len(c.coeffs), -1)[c.target_rows]
-    powers = _power_actions(s, max((d for d, _, _ in c.degrees), default=0))
-    entries = {pos: {} for pos in source_positions(f.target)}
-    for d, columns, ranks in c.degrees:
-        monomials = _monomial_table(f.nvars, d)[0]
-        block = np.zeros((len(entries), len(monomials)), dtype=complex)
+    (left, right), (left_t, right_t) = (isotropy_factors(f.source, pre_params),
+                                        isotropy_factors(f.target, post_params))
+    if any(m.ndim != 2 for m in (left, right, left_t, right_t)):
+        raise ShapeError("expected the parameters of one source and one target isotropy, got a stack")
+    s = np.einsum("ia,abv,bj->ijv", left, _embedding(f.source), right)[_independent_index(f.source)]
+    grid = f.coeffs.reshape(*f.target.shape, len(f.exponents))
+    image = np.einsum("ia,abm,bj->ijm", left_t, grid, right_t)[_independent_index(f.target)]
+    powers = _power_actions(s, max((d for d, _, _ in f.degrees), default=0))
+    monomials = sum((_monomial_table(f.nvars, d)[0] for d, _, _ in f.degrees), ())
+    exponents, degrees = _monomial_index(f.nvars, monomials)
+    independent = np.zeros((len(image), len(exponents)), dtype=complex)
+    for (d, columns, ranks), (_, out, _) in zip(f.degrees, degrees):
+        block = np.zeros((len(image), len(out)), dtype=complex)
         block[:, ranks] = image[:, columns]
-        for terms, row in zip(entries.values(), (block @ powers[d]).tolist()):
-            terms.update(zip(monomials, row))
-    return polymap(f.source, f.target, entries)
+        independent[:, out] = block @ powers[d]
+    # C = B X: B has one entry 0 or +-1 per row, so each mirror row is exactly eps times its row
+    full = _embedding(f.target).reshape(-1, len(independent)) @ independent
+    return PolyMap(f.source, f.target, exponents, full, degrees)
 
 
 def compose_pointwise(f: PolyMap, pre: AutElement, post: AutElement):
@@ -571,17 +566,26 @@ def embed_map(f: PolyMap, target: DomainSpec, rows: list, cols: list) -> PolyMap
     return polymap(f.source, target, entries)
 
 
+def _aligned_coeffs(f: PolyMap, g: PolyMap) -> tuple:
+    """(monomials, F, G): the union of both maps' monomials (sorted, or the one
+    list both maps share) and each map's full-grid coefficient matrix over it."""
+    if f.source != g.source or f.target != g.target:
+        raise ShapeError("coefficient comparison needs identical source and target specs")
+    own = [list(map(tuple, m.exponents.tolist())) for m in (f, g)]
+    if own[0] == own[1]:
+        return own[0], f.coeffs, g.coeffs
+    monomials = sorted({*own[0], *own[1]})
+    column = dict(zip(monomials, range(len(monomials))))
+    aligned = np.zeros((2, len(f.coeffs), len(monomials)), dtype=complex)
+    for a, m, exps in zip(aligned, (f, g), own):
+        a[:, [column[e] for e in exps]] = m.coeffs
+    return monomials, *aligned
+
+
 def coeff_distance(f: PolyMap, g: PolyMap) -> float:
     """Max absolute coefficient difference after aligning entries and monomials."""
-    if f.source != g.source or f.target != g.target:
-        raise ShapeError("coefficient distance needs identical source and target specs")
-    worst = 0.0
-    for pos in set(f.entries) | set(g.entries):
-        ft = f.entries.get(pos, {})
-        gt = g.entries.get(pos, {})
-        for exps in set(ft) | set(gt):
-            worst = max(worst, abs(ft.get(exps, 0j) - gt.get(exps, 0j)))
-    return worst
+    _, a, b = _aligned_coeffs(f, g)
+    return float(np.abs(a - b).max(initial=0.0))
 
 
 def polymap_to_json(f: PolyMap) -> dict:
@@ -617,9 +621,7 @@ def polymap_from_json(data: dict) -> PolyMap:
                     if name not in index:
                         raise ShapeError(f"unknown variable {name!r} for source {source}")
                     exps[index[name]] = int(e)
-                c = terms[tuple(exps)] = complex(term["re"], term.get("im", 0.0))
-                if not np.isfinite(c):
-                    raise ParameterError(f"non-finite coefficient {c} in map data")
+                terms[tuple(exps)] = complex(term["re"], term.get("im", 0.0))
     except BsdkitError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

@@ -42,6 +42,7 @@ from .errors import ConfigurationError, ParameterError, ShapeError
 from .invariants import INDISTINGUISHABLE, distinguish, invariant_spectrum, monomials_of_degree
 from .polymaps import (
     PolyMap,
+    _aligned_coeffs,
     catalog,
     coeff_distance,
     conjugate,
@@ -431,15 +432,12 @@ def check_family_continuity(family: str, t_grid, tol: float = 3.0, dims=None,
 
 def _discrepancies(a: PolyMap, b: PolyMap) -> list:
     names = variable_names(a.source)
+    monomials, ca, cb = _aligned_coeffs(a, b)
+    cols = a.target.shape[1]
     out = []
-    for pos in sorted(set(a.entries) | set(b.entries)):
-        ta = a.entries.get(pos, {})
-        tb = b.entries.get(pos, {})
-        for exps in sorted(set(ta) | set(tb)):
-            ca, cb = ta.get(exps, 0j), tb.get(exps, 0j)
-            if abs(ca - cb) > 1e-15:
-                mono = "*".join(n for n, e in zip(names, exps) for _ in range(e)) or "1"
-                out.append(f"({pos[0] + 1},{pos[1] + 1}) {mono}: {ca:.12g} vs {cb:.12g}")
+    for r, k in np.argwhere(np.abs(ca - cb) > 1e-15).tolist():
+        mono = "*".join(n for n, e in zip(names, monomials[k]) for _ in range(e)) or "1"
+        out.append(f"({r // cols + 1},{r % cols + 1}) {mono}: {ca[r, k]:.12g} vs {cb[r, k]:.12g}")
     return out
 
 

@@ -58,6 +58,47 @@ HAND_BUILT = [
 ]
 
 
+# kind IV maps for conjugation: the inclusion of IV:3 into IV:4 plus a
+# quadratic term, and a map of IV:3 into the ball I:1,3 with a quadratic term
+KIND_IV_MAPS = {
+    "IV:3->IV:4": polymap(parse_spec("IV:3"), parse_spec("IV:4"), {
+        (0, 0): {(1, 0, 0): 1.0}, (0, 1): {(0, 1, 0): 1.0}, (0, 2): {(0, 0, 1): 1.0},
+        (0, 3): {(1, 1, 0): 0.5, (0, 0, 2): 0.25j}}),
+    "IV:3->I:1,3": polymap(parse_spec("IV:3"), parse_spec("I:1,3"), {
+        (0, 0): {(1, 0, 0): 0.8}, (0, 1): {(0, 1, 0): 0.8, (1, 0, 1): 0.3},
+        (0, 2): {(0, 0, 1): 0.6j, (2, 0, 0): -0.2}}),
+}
+
+
+REFERENCE_MAPS = [
+    catalog("f_t", t=0.3),
+    catalog("h_t", t=0.3),
+    catalog("gen-whitney", r=2, s=2),
+    polymap(parse_spec("II:3"), parse_spec("II:4"),
+            {(0, 1): {(1, 0, 0): 1.0}, (0, 2): {(0, 1, 0): 1.0}, (1, 2): {(0, 0, 1): 1.0}}),
+    polymap(parse_spec("III:2"), parse_spec("II:3"),
+            {(0, 1): {(1, 0, 0): 1.0, (0, 1, 1): 0.5}, (1, 2): {(0, 0, 2): 0.3j, (1, 1, 1): -0.2}}),
+    polymap(parse_spec("I:1,1"), parse_spec("I:1,2"), {(0, 0): {(1,): 1.0}, (0, 1): {(3,): 0.5}}),
+    polymap(parse_spec("II:2"), parse_spec("II:3"), {(0, 1): {(1,): 0.8}, (1, 2): {(2,): 0.6}}),
+    polymap(parse_spec("III:1"), parse_spec("III:2"),
+            {(0, 0): {(1,): 1.0}, (0, 1): {(2,): 0.5j}, (1, 1): {(3,): 0.25}}),
+    *KIND_IV_MAPS.values(),
+]
+
+# Maps built from arrays rather than through polymap(): isotropic conjugates
+# (kind II/III targets included), homogeneous parts and a padded map.
+ARRAY_BUILT = {
+    **{f"conjugate {f.source}->{f.target}": conjugate(f, random_isotropy_params(f.source, [34, k]),
+                                                       random_isotropy_params(f.target, [35, k]))
+       for k, f in enumerate(REFERENCE_MAPS)},
+    **{f"part {d} of {f.source}->{f.target}": part
+       for f in REFERENCE_MAPS[:5] for d, part in homogeneous_parts(f).items()},
+    "pad III:2->III:4 into III:5": pad_map(catalog("h_t", t=0.35), parse_spec("III:5")),
+}
+VALUE_MAPS = [*CATALOG_INSTANCES, *HAND_BUILT,
+              *(pytest.param(g, id=label) for label, g in ARRAY_BUILT.items())]
+
+
 def direct_monomial_sum(f, p):
     """Reference evaluation: every term of every entry summed one by one."""
     vals = [p.value[pos] for pos in source_positions(f.source)]
@@ -116,9 +157,12 @@ class TestEval:
             z = sample_point(f.source, "interior", [21, k])
             assert np.max(np.abs(eval_map(f, z).value - direct_monomial_sum(f, z))) <= 1e-13
 
-    @pytest.mark.parametrize("f", CATALOG_INSTANCES + HAND_BUILT,
-                             ids=lambda f: f"{f.source}->{f.target}")
+    @pytest.mark.parametrize("f", VALUE_MAPS, ids=lambda f: f"{f.source}->{f.target}")
     def test_evaluation_leaves_value_semantics_unchanged(self, f):
+        # The validated constructor accepts every map exactly as stored: for kind
+        # II/III targets this needs each mirror row to be exactly eps times its row.
+        assert polymap(f.source, f.target, f.entries) == f
+        assert polymap_from_json(polymap_to_json(f)) == f
         fresh = polymap_from_json(polymap_to_json(f))
         g = polymap_from_json(polymap_to_json(f))
         text, data = repr(g), polymap_to_json(g)
@@ -204,6 +248,21 @@ class TestCatalogCoefficients:
         h = catalog("h_t", t=0.7)
         for (i, j), terms in h.entries.items():
             assert h.entries[(j, i)] == terms
+
+    def test_rejects_non_finite_coefficients(self):
+        with pytest.raises(ParameterError, match="non-finite coefficient"):
+            polymap(parse_spec("I:1,2"), parse_spec("I:1,3"), {(0, 0): {(1, 0): float("nan")}})
+        with pytest.raises(ParameterError, match="non-finite coefficient"):
+            polymap(parse_spec("III:2"), parse_spec("III:2"), {(0, 1): {(1, 0, 0): complex(0, math.inf)}})
+
+    def test_stored_arrays_are_read_only(self):
+        f = catalog("f_t", t=0.3)
+        g = conjugate(f, random_isotropy_params(f.source, 3), random_isotropy_params(f.target, 4))
+        for m in (f, g, *homogeneous_parts(f).values()):
+            with pytest.raises(ValueError):
+                m.coeffs[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                m.exponents[0, 0] = 1
 
     def test_kind_ii_target_antisymmetry_enforced(self):
         spec2, spec3 = parse_spec("II:2"), parse_spec("II:3")
@@ -300,18 +359,6 @@ class TestHomogeneousParts:
             z = sample_point(f.source, "interior", [2, k])
             total = sum(eval_map(p, z).value for p in parts.values())
             assert np.linalg.norm(total - eval_map(f, z).value) <= 1e-12
-
-
-# kind IV maps for conjugation: the inclusion of IV:3 into IV:4 plus a
-# quadratic term, and a map of IV:3 into the ball I:1,3 with a quadratic term
-KIND_IV_MAPS = {
-    "IV:3->IV:4": polymap(parse_spec("IV:3"), parse_spec("IV:4"), {
-        (0, 0): {(1, 0, 0): 1.0}, (0, 1): {(0, 1, 0): 1.0}, (0, 2): {(0, 0, 1): 1.0},
-        (0, 3): {(1, 1, 0): 0.5, (0, 0, 2): 0.25j}}),
-    "IV:3->I:1,3": polymap(parse_spec("IV:3"), parse_spec("I:1,3"), {
-        (0, 0): {(1, 0, 0): 0.8}, (0, 1): {(0, 1, 0): 0.8, (1, 0, 1): 0.3},
-        (0, 2): {(0, 0, 1): 0.6j, (2, 0, 0): -0.2}}),
-}
 
 
 class TestConjugate:
@@ -435,22 +482,6 @@ def reference_conjugate(f, pre, post):
 def frobenius_weights(spec):
     return [math.sqrt(2.0) if spec.kind in ("II", "III") and i != j else 1.0
             for i, j in source_positions(spec)]
-
-
-REFERENCE_MAPS = [
-    catalog("f_t", t=0.3),
-    catalog("h_t", t=0.3),
-    catalog("gen-whitney", r=2, s=2),
-    polymap(parse_spec("II:3"), parse_spec("II:4"),
-            {(0, 1): {(1, 0, 0): 1.0}, (0, 2): {(0, 1, 0): 1.0}, (1, 2): {(0, 0, 1): 1.0}}),
-    polymap(parse_spec("III:2"), parse_spec("II:3"),
-            {(0, 1): {(1, 0, 0): 1.0, (0, 1, 1): 0.5}, (1, 2): {(0, 0, 2): 0.3j, (1, 1, 1): -0.2}}),
-    polymap(parse_spec("I:1,1"), parse_spec("I:1,2"), {(0, 0): {(1,): 1.0}, (0, 1): {(3,): 0.5}}),
-    polymap(parse_spec("II:2"), parse_spec("II:3"), {(0, 1): {(1,): 0.8}, (1, 2): {(2,): 0.6}}),
-    polymap(parse_spec("III:1"), parse_spec("III:2"),
-            {(0, 0): {(1,): 1.0}, (0, 1): {(2,): 0.5j}, (1, 1): {(3,): 0.25}}),
-    *KIND_IV_MAPS.values(),
-]
 
 
 class TestArrayAlgebra:
