@@ -32,10 +32,13 @@ Parameters with leading stack axes give factors, and ``isotropy`` elements,
 with the same axes.
 
 Random elements come as stacks: ``random_automorphisms(spec, keys)`` draws
-each key's parameters from that key's own generator, then builds every
+each key's parameters from that key's own generator (``uint32`` key rows
+are hashed as one stack by ``domains.key_generators``), then builds every
 matrix at once (stacked QR for the Haar factors, SVD for the algebra scale,
 ``expm`` and ``eigh``), so an element depends on its key only;
-``random_automorphism`` is its one-key case.
+``random_automorphism`` is its one-key case.  Random isotropy parameters
+come the same way from ``random_isotropy_stack``, and
+``random_isotropy_params`` is its one-key case.
 
 Defining relations checked for membership:
 
@@ -49,8 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import (DomainSpec, Point, borel_lifts, check_shapes, classify_points, parse_spec,
-                      sample_points)
+from .domains import (DomainSpec, Point, borel_lifts, check_shapes, classify_points,
+                      key_generators, parse_spec, sample_points)
 from .errors import ActionSingularityError, DomainError, ParameterError, ShapeError
 from .linalg import as_matrix, haar_normalize, hybrid_tol, psd_inv_sqrt
 
@@ -65,6 +68,7 @@ __all__ = [
     "identity_element",
     "isotropy",
     "isotropy_factors",
+    "random_isotropy_stack",
     "random_isotropy_params",
     "transvection_type1",
     "random_automorphisms",
@@ -294,9 +298,29 @@ def _isotropy_params(spec: DomainSpec, draws):
     return params if spec.kind == "I" else params[0]
 
 
+def _stack(rows) -> list:
+    """Per-key tuples of draws, stacked component by component."""
+    return [np.array(column) for column in zip(*rows)]
+
+
+def random_isotropy_stack(spec: DomainSpec, keys):
+    """Random isotropy parameters, one set per RNG key (through
+    ``domains.key_generators``), stacked component by component in the
+    format accepted by :func:`isotropy`: each key's Gaussians are drawn from
+    its own generator, then one stacked QR normalizes each component."""
+    draws = _stack(_isotropy_draws(spec, rng) for rng in key_generators(keys))
+    return _isotropy_params(spec, draws)
+
+
+def _params_at(params, k: int):
+    """The parameters of key ``k`` of a :func:`random_isotropy_stack` stack."""
+    return tuple(x[k] for x in params) if isinstance(params, tuple) else params[k]
+
+
 def random_isotropy_params(spec: DomainSpec, seed):
-    """Random isotropy parameters in the format accepted by :func:`isotropy`."""
-    return _isotropy_params(spec, _isotropy_draws(spec, np.random.default_rng(seed)))
+    """Random isotropy parameters in the format accepted by :func:`isotropy`:
+    the one-key case of :func:`random_isotropy_stack`."""
+    return _params_at(random_isotropy_stack(spec, [seed]), 0)
 
 
 def transvection_type1(z0: Point) -> AutElement:
@@ -365,11 +389,6 @@ def expm(a: np.ndarray) -> np.ndarray:
     return scipy_expm(a)
 
 
-def _stack(rows) -> list:
-    """Per-key tuples of draws, stacked component by component."""
-    return [np.array(column) for column in zip(*rows)]
-
-
 def random_automorphisms(spec: DomainSpec, keys, flavor: str = "mixed") -> AutElement:
     """Random group elements, one per RNG key, as an element stack of shape
     ``(len(keys), N, N)``: an isotropy, a one-parameter exponential times an
@@ -385,7 +404,7 @@ def random_automorphisms(spec: DomainSpec, keys, flavor: str = "mixed") -> AutEl
     choices = ("exponential", "isotropy") + (("transvection",) if spec.kind == "I" else ())
     if flavor != "mixed" and flavor not in choices:
         raise ParameterError(f"unknown automorphism flavor {flavor!r} for {spec}")
-    rngs = [np.random.default_rng(key) for key in keys]
+    rngs = key_generators(keys)
     if not rngs:
         size = matrix_size(spec)
         return AutElement(spec, np.empty((0, size, size), dtype=complex))

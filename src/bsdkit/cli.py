@@ -5,8 +5,8 @@ Commands: ``verify all|fu|composition|coeff|properness|factorization``,
 0 means every requested check passed, 1 means at least one failed, 2 means
 a usage or configuration problem.  A command takes only the options it reads.
 All randomness is seeded (``--seed`` of ``verify``, ``sample`` and ``eval``,
-else the BSDKIT_SEED environment variable, else 42); with
-``--no-timestamp`` a repeated invocation is byte-identical.
+else the BSDKIT_SEED environment variable, else 42; a negative seed exits
+2); with ``--no-timestamp`` a repeated invocation is byte-identical.
 
 Maps are selected as ``name[:v1,v2,...]`` (see ``polymaps.select_map``):
 ``--dims`` fills a map's integer parameters in order, ``--t``/``--theta``
@@ -38,12 +38,17 @@ FAIL_EXIT = 1
 
 
 def _seed(args) -> int:
-    """``--seed`` if given, else the BSDKIT_SEED environment variable, else 42."""
+    """``--seed`` if given, else the BSDKIT_SEED environment variable, else 42;
+    a negative seed is a usage error."""
     text = os.environ.get("BSDKIT_SEED", "42")
     try:
-        return args.seed if args.seed is not None else int(text)
+        seed = args.seed if args.seed is not None else int(text)
     except ValueError:
         raise ParameterError(f"BSDKIT_SEED must be an integer, got {text!r}") from None
+    if seed < 0:
+        name = "--seed" if args.seed is not None else "BSDKIT_SEED"
+        raise ParameterError(f"{name} must be nonnegative, got {seed}")
+    return seed
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -11,6 +11,9 @@ axes, so a check makes one call per report instead of one per sample.  The
 ``sample_point``, ``borel_lift_iv``) are the same kernels on one point.  Each
 sample keeps its own RNG key (``[seed, k, ...]`` in the verification
 harness), so a point does not depend on what else is in its stack.
+``key_generators`` turns a 2-D ``uint32`` array of such keys into one
+generator per row, hashing all rows at once as NumPy's ``SeedSequence``
+does, so each row's stream is that of ``np.random.default_rng(row)``.
 
 Domain kinds and their point shapes:
 
@@ -28,6 +31,7 @@ largest singular value, so the halving is exact and moves no sample.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -49,6 +53,7 @@ __all__ = [
     "generic_norm",
     "polarized_norms",
     "polarized_norm",
+    "key_generators",
     "sample_points",
     "sample_point",
     "borel_lifts",
@@ -257,6 +262,83 @@ def polarized_norm(p: Point, q: Point) -> complex:
     return complex(polarized_norms(p.spec, p.value, q.value))
 
 
+# The constants of NumPy's SeedSequence (M. O'Neill's seed_seq_fe, NEP 19).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_WORD = 0xFFFFFFFF
+
+
+def _pool_states(rows: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` for every row of the
+    2-D ``uint32`` array ``rows``, shape ``(len(rows), 4)``: the entropy mix
+    and the state output of ``SeedSequence``, one column of words at a time.
+    Its hash constants do not depend on the data, so every row shares them."""
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _WORD
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+
+    def mix(x, y):
+        out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return out ^ out >> np.uint32(16)
+
+    width = rows.shape[1]
+    zeros = np.zeros(len(rows), dtype=np.uint32)
+    pool = [hashmix(rows[:, i] if i < width else zeros) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, width):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(rows[:, src]))
+    const = _INIT_B
+    words = np.empty((len(rows), 2 * _POOL_SIZE), dtype=np.uint32)
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        const = const * _MULT_B & _WORD
+        value = value * np.uint32(const)
+        words[:, i] = value ^ value >> np.uint32(16)
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@cache
+def _pool_state_type() -> type:
+    """A seed sequence whose ``PCG64`` state is already hashed.  Defined on
+    first use: importing ``numpy.random`` costs about 10 ms, and ``import
+    bsdkit`` does not need it."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PoolState(ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return PoolState
+
+
+def key_generators(keys) -> list:
+    """One ``Generator`` per RNG key, each the generator that
+    ``np.random.default_rng(key)`` gives.  A 2-D ``uint32`` array of key rows
+    is hashed as one stack (:func:`_pool_states`) and each row seeds its own
+    ``PCG64``; any other keys (a ``Generator``, which is passed through, an
+    int, a list or nested list, an ``object`` row) go through ``default_rng``
+    one at a time."""
+    if isinstance(keys, np.ndarray) and keys.ndim == 2 and keys.dtype == np.uint32:
+        pool_state = _pool_state_type()
+        return [np.random.Generator(np.random.PCG64(pool_state(state)))
+                for state in _pool_states(keys)]
+    return [np.random.default_rng(key) for key in keys]
+
+
 _SAMPLE_RETRIES = 64
 
 
@@ -293,8 +375,10 @@ def _iv_boundary_radii(d: np.ndarray) -> np.ndarray:
 
 def sample_points(spec: DomainSpec, region: str, keys) -> np.ndarray:
     """Deterministic sampler for interior or boundary points: one point per
-    RNG key (anything ``np.random.default_rng`` accepts, a ``Generator``
-    included), stacked as an array of shape ``(len(keys), *spec.shape)``.
+    RNG key, stacked as an array of shape ``(len(keys), *spec.shape)``.  The
+    keys go through :func:`key_generators`: a 2-D ``uint32`` array of key
+    rows, or a sequence of anything ``np.random.default_rng`` accepts, a
+    ``Generator`` included.
 
     Interior: a Gaussian shape-projected matrix scaled to put its top
     singular value at rho ~ U(0,1) (kind IV scales to rho times the radial
@@ -306,7 +390,7 @@ def sample_points(spec: DomainSpec, region: str, keys) -> np.ndarray:
     """
     if region not in ("interior", "boundary"):
         raise ParameterError(f"region must be interior or boundary, got {region!r}")
-    rngs = [np.random.default_rng(key) for key in keys]
+    rngs = key_generators(keys)
     out = np.empty((len(rngs), *spec.shape), dtype=complex)
     pending = np.arange(len(rngs))
     for _ in range(_SAMPLE_RETRIES):

@@ -8,7 +8,7 @@ for kind I, the strict upper triangle for kind II, the inclusive upper
 triangle for kind III, and the n coordinates for kind IV; dependent source
 entries never enter a monomial, and each mirror row of C is eps times its
 row.  ``polymap`` validates dict input and converts it once; ``entries``
-is a dict view of the nonzero coefficients derived from the arrays.
+is a read-only mapping of the nonzero coefficients derived from the arrays.
 
 ``eval_points`` evaluates a stack of source points (leading axes, one
 sample per row, each drawn from its own ``[seed, k, ...]`` RNG key by the
@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
+from types import MappingProxyType
 
 import numpy as np
 
@@ -180,12 +181,13 @@ class PolyMap:
         return self.exponents.shape[1]
 
     @cached_property
-    def entries(self) -> dict:
-        """(row, col) -> {exponent tuple -> complex coefficient}, nonzero only."""
+    def entries(self) -> MappingProxyType:
+        """(row, col) -> {exponent tuple -> complex coefficient}, nonzero only,
+        read-only at both levels, so the arrays stay the map's only state."""
         monomials, out = list(map(tuple, self.exponents.tolist())), {}
         for r, k in np.argwhere(self.coeffs).tolist():
             out.setdefault(divmod(r, self.target.shape[1]), {})[monomials[k]] = self.coeffs.item(r, k)
-        return out
+        return MappingProxyType({pos: MappingProxyType(terms) for pos, terms in out.items()})
 
     @cached_property
     def weighted(self) -> np.ndarray:

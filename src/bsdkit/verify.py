@@ -11,10 +11,16 @@ through the stacked kernels of ``domains``, ``polymaps`` and ``autgroups``
 has its own RNG key, ``[seed, k, ...]``, and a rejected sample is redrawn
 from its own key's stream only, so a sample is the same whatever else is in
 its stack.  The random automorphisms of the F_U check come the same way, as
-one element stack from ``autgroups.random_automorphisms``.  Keys are flat
-rows (``[seed, stream, k, 2a]``), ``uint32`` arrays where every entry fits;
-``SeedSequence`` flattens a nested key to the same words, so a row gives the
-same stream as the nested key ``[[[seed, stream], k], 2a]``.
+one element stack from ``autgroups.random_automorphisms``, and the
+isotropy check draws every trial's parameters as one stack from
+``autgroups.random_isotropy_stack`` before it conjugates trial by trial.
+Keys are flat rows (``[seed, stream, k, 2a]``), ``uint32`` arrays where
+every entry fits; ``SeedSequence`` flattens a nested key to the same words,
+so a row gives the same stream as the nested key ``[[[seed, stream], k],
+2a]``.  The samplers seed a whole ``uint32`` key array at once through
+``domains.key_generators``, each row bit for bit as ``default_rng(row)``; a
+seed of 2**32 or more keeps ``object`` rows, which go through
+``default_rng`` one at a time.  A negative seed raises ``ParameterError``.
 """
 
 import math
@@ -24,10 +30,11 @@ import numpy as np
 
 from .autgroups import (
     IV_FACTOR_CANDIDATES,
+    _params_at,
     act_points,
     automorphy_denominators,
     random_automorphisms,
-    random_isotropy_params,
+    random_isotropy_stack,
 )
 from .domains import (
     DomainSpec,
@@ -100,10 +107,13 @@ def summarize(reports) -> dict:
 def _key_rows(seed, *columns) -> np.ndarray:
     """Sample keys as the rows ``[seed, c1[k], c2[k], ...]`` over the broadcast
     integer columns (nonnegative counters), ``uint32`` when the seed fits.  A
-    seed that does not (negative, at least 2**32 or not an integer) stays a
-    Python object, so ``default_rng`` reads it, or rejects it, as it would in
-    a list key."""
-    fits = isinstance(seed, (int, np.integer)) and 0 <= seed < 2**32
+    negative integer seed raises ``ParameterError``; a seed that does not fit
+    (at least 2**32, or not an integer) stays a Python object, so
+    ``default_rng`` reads it, or rejects it, as it would in a list key."""
+    integer = isinstance(seed, (int, np.integer))
+    if integer and seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed}")
+    fits = integer and seed < 2**32
     cols = np.broadcast_arrays(*(np.asarray(c) for c in columns))
     rows = np.empty((cols[0].size, 1 + len(cols)), dtype=np.uint32 if fits else object)
     rows[:, 0] = seed
@@ -384,10 +394,10 @@ def check_isotropy_consistency(f: PolyMap, n_trials: int = 100, tol: float = 1e-
     worst = 0.0
     failures = 0
     trials = np.arange(n_trials)
-    for pre_key, post_key in zip(_key_rows(seed, trials, 0), _key_rows(seed, trials, 1)):
-        pre = random_isotropy_params(f.source, pre_key)
-        post = random_isotropy_params(f.target, post_key)
-        result = distinguish(f, conjugate(f, pre, post), tol)
+    pre = random_isotropy_stack(f.source, _key_rows(seed, trials, 0))
+    post = random_isotropy_stack(f.target, _key_rows(seed, trials, 1))
+    for k in trials:
+        result = distinguish(f, conjugate(f, _params_at(pre, k), _params_at(post, k)), tol)
         worst = max(worst, result.max_distance)
         if result.verdict != INDISTINGUISHABLE:
             failures += 1

@@ -24,6 +24,7 @@ from bsdkit.autgroups import (
     random_automorphism,
     random_automorphisms,
     random_isotropy_params,
+    random_isotropy_stack,
     transvection_type1,
 )
 from bsdkit.domains import (
@@ -246,6 +247,23 @@ class TestIsotropy:
     def test_rejects_non_unitary(self):
         with pytest.raises(ParameterError):
             isotropy(parse_spec("II:3"), np.ones((3, 3)))
+
+    @pytest.mark.parametrize("text", ["I:2,3", "II:4", "III:3", "IV:3"])
+    def test_stacked_params_are_the_one_key_params(self, text):
+        spec = parse_spec(text)
+        rows = np.array([[42, k, 1] for k in range(25)], dtype=np.uint32)
+        stack = random_isotropy_stack(spec, rows)
+        components = stack if isinstance(stack, tuple) else (stack,)
+        assert all(len(c) == len(rows) for c in components)
+        for k, row in enumerate(rows):
+            one = random_isotropy_params(spec, row)
+            if not isinstance(one, tuple):
+                one = (one,)
+            assert len(one) == len(components)
+            for got, want in zip(components, one):
+                assert np.array_equal(got[k], want), (k, row)
+        assert np.array_equal(isotropy(spec, stack).matrix[3],
+                              isotropy(spec, random_isotropy_params(spec, rows[3])).matrix)
 
     def test_rejects_complex_p_for_kind_iv(self):
         with pytest.raises(ParameterError):

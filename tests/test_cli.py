@@ -211,6 +211,22 @@ class TestDeterminismAndErrors:
         assert main([*argv, "--seed", "3", "--no-timestamp"]) == 0  # --seed wins
 
     @pytest.mark.parametrize("argv", [
+        ["verify", "all"],
+        ["sample", "--domain", "I:2,2"],
+        ["eval", "--map-a", "whitney-ball:2"],
+    ])
+    def test_negative_seed_exits_two_with_an_error_line(self, argv, monkeypatch, capsys):
+        assert main([*argv, "--seed", "-1", "--no-timestamp"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed must be nonnegative, got -1\n"
+        assert captured.out == ""
+        monkeypatch.setenv("BSDKIT_SEED", "-5")
+        assert main([*argv, "--no-timestamp"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: BSDKIT_SEED must be nonnegative, got -5\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
         ["distinguish", "--map-a", "nope:1", "--map-b", "f_t:0.5"],
         ["invariants", "--map-a", "f_t:1.5"],
         ["sample", "--domain", "V:3"],

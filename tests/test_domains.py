@@ -11,6 +11,7 @@ from bsdkit.domains import (
     format_spec,
     generic_norm,
     generic_norms,
+    key_generators,
     origin,
     parse_spec,
     point,
@@ -286,6 +287,45 @@ def reference_sample(spec, region, seed):
         if classify_point(Point(spec, g * scale), 1e-9).region == region:
             return g * scale
     raise SamplingError(f"could not sample a {region} point of {spec}")
+
+
+def assert_same_streams(mine, theirs):
+    assert mine.bit_generator.state == theirs.bit_generator.state
+    assert np.array_equal(mine.standard_normal(4), theirs.standard_normal(4))
+    assert mine.uniform() == theirs.uniform()
+    assert mine.integers(1000, size=3).tolist() == theirs.integers(1000, size=3).tolist()
+
+
+class TestKeyGenerators:
+    """The vector hash must be NumPy's SeedSequence word for word: a NumPy that
+    changes SeedSequence fails here, not silently in every sampled report."""
+
+    @pytest.mark.parametrize("width", range(1, 7))
+    def test_pool_words_are_seed_sequence_words(self, width):
+        rows = np.random.default_rng([97, width]).integers(0, 2**32, (500, width), dtype=np.uint32)
+        rows[0], rows[1] = 0, 2**32 - 1
+        want = np.array([np.random.SeedSequence(row).generate_state(4, np.uint64) for row in rows])
+        assert np.array_equal(domains._pool_states(rows), want)
+        for mine, row in zip(key_generators(rows[:40]), rows[:40]):
+            assert_same_streams(mine, np.random.default_rng(row))
+
+    @pytest.mark.parametrize("keys", [
+        [7, [42, 0], [[42, 0], 5, 1]],
+        np.array([[2**32, 1, 2], [2**64 + 5, 0, 0]], dtype=object),
+    ], ids=["lists", "object-rows"])
+    def test_other_keys_go_through_default_rng(self, keys):
+        for mine, key in zip(key_generators(keys), keys):
+            assert_same_streams(mine, np.random.default_rng(key))
+
+    def test_generator_is_passed_through_and_carries_on(self):
+        mine, theirs = np.random.default_rng(17), np.random.default_rng(17)
+        mine.standard_normal(3), theirs.standard_normal(3)
+        [got] = key_generators([mine])
+        assert got is mine
+        assert_same_streams(got, theirs)
+
+    def test_empty_stack(self):
+        assert key_generators(np.empty((0, 3), dtype=np.uint32)) == []
 
 
 class TestStackedSampler:

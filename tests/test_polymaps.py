@@ -545,6 +545,23 @@ class TestComposePointwise:
             compose_pointwise(f, identity_element(f.target), identity_element(f.target))
 
 
+class TestReadOnlyEntries:
+    def test_writing_entries_raises_at_either_level(self):
+        f = catalog("f_t", t=0.3)
+        json_before = polymap_to_json(f)
+        with pytest.raises(TypeError):
+            f.entries[(0, 0)] = {}
+        with pytest.raises(TypeError):
+            del f.entries[(0, 1)]
+        terms = f.entries[(0, 1)]
+        with pytest.raises(TypeError):
+            terms[next(iter(terms))] = 5.0
+        with pytest.raises(TypeError):
+            terms[(9, 9, 9, 9)] = 1.0
+        assert f == catalog("f_t", t=0.3)
+        assert polymap_to_json(f) == json_before
+
+
 class TestSerialization:
     def test_schema(self):
         f = catalog("whitney-ball", n=2)
