@@ -33,7 +33,8 @@ with the same axes.
 
 Random elements come as stacks: ``random_automorphisms(spec, keys)`` draws
 each key's parameters from that key's own generator (``uint32`` key rows
-are hashed as one stack by ``domains.key_generators``), then builds every
+are hashed as one stack by ``domains.key_generators``, and each group of a
+key's Gaussians is one ``standard_normal`` call), then builds every
 matrix at once (stacked QR for the Haar factors, SVD for the algebra scale,
 ``expm`` and ``eigh``), so an element depends on its key only;
 ``random_automorphism`` is its one-key case.  Random isotropy parameters
@@ -55,7 +56,7 @@ import numpy as np
 from .domains import (DomainSpec, Point, borel_lifts, check_shapes, classify_points,
                       key_generators, parse_spec, sample_points)
 from .errors import ActionSingularityError, DomainError, ParameterError, ShapeError
-from .linalg import as_matrix, haar_normalize, hybrid_tol, psd_inv_sqrt
+from .linalg import as_matrix, gaussian_blocks, haar_normalize, hybrid_tol, psd_inv_sqrt
 
 __all__ = [
     "AutElement",
@@ -274,42 +275,26 @@ def _direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _complex_gaussian(rng, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def _isotropy_draws(spec: DomainSpec, rng) -> tuple:
-    """One key's Gaussians behind its isotropy parameters, in stream order:
-    the U and V sources (kind I), the A source (kinds II/III), or the real P
-    source and the angle theta (kind IV)."""
-    if spec.kind == "I":
-        return _complex_gaussian(rng, (spec.r, spec.r)), _complex_gaussian(rng, (spec.s, spec.s))
-    if spec.mirror:
-        return (_complex_gaussian(rng, (spec.n, spec.n)),)
-    return rng.standard_normal((spec.n, spec.n)), rng.uniform(0.0, 2.0 * np.pi)
-
-
-def _isotropy_params(spec: DomainSpec, draws):
-    """Isotropy parameters from :func:`_isotropy_draws`, one key's or stacked
-    component by component: Haar normalization of every Gaussian matrix."""
+def _isotropy_params(spec: DomainSpec, rngs):
+    """Isotropy parameters of every generator of ``rngs``, stacked component by
+    component.  Each generator draws, in stream order, the U and V sources
+    (kind I), the A source (kinds II/III), or the real P source and then the
+    angle theta (kind IV); one stacked Haar normalization per component."""
     if spec.kind == "IV":
-        return haar_normalize(draws[0]), draws[1]
-    params = tuple(map(haar_normalize, draws))
+        [p] = gaussian_blocks(rngs, [(spec.n, spec.n)], real=True)
+        return haar_normalize(p), 2.0 * np.pi * np.array([rng.random() for rng in rngs])
+    sizes = (spec.r, spec.s) if spec.kind == "I" else (spec.n,)
+    params = tuple(map(haar_normalize, gaussian_blocks(rngs, [(m, m) for m in sizes])))
     return params if spec.kind == "I" else params[0]
-
-
-def _stack(rows) -> list:
-    """Per-key tuples of draws, stacked component by component."""
-    return [np.array(column) for column in zip(*rows)]
 
 
 def random_isotropy_stack(spec: DomainSpec, keys):
     """Random isotropy parameters, one set per RNG key (through
     ``domains.key_generators``), stacked component by component in the
-    format accepted by :func:`isotropy`: each key's Gaussians are drawn from
-    its own generator, then one stacked QR normalizes each component."""
-    draws = _stack(_isotropy_draws(spec, rng) for rng in key_generators(keys))
-    return _isotropy_params(spec, draws)
+    format accepted by :func:`isotropy`.  Each key's generator draws all its
+    Gaussians in one call (``linalg.gaussian_blocks``), then kind IV its angle;
+    one stacked QR normalizes each component."""
+    return _isotropy_params(spec, key_generators(keys))
 
 
 def _params_at(params, k: int):
@@ -344,16 +329,16 @@ def _transvections(spec: DomainSpec, z: np.ndarray) -> np.ndarray:
     return np.block([[p, p @ z], [q @ z_star, q]])
 
 
-def _algebra_draws(spec: DomainSpec, rng) -> tuple:
-    """One key's Gaussians behind a random Lie algebra element, in stream order."""
+def _algebra_draws(spec: DomainSpec, rngs) -> list:
+    """The Gaussians behind a random Lie algebra element for every generator of
+    ``rngs``, stacked component by component, each generator's in stream order."""
     if spec.kind == "I":
         r, s = spec.r, spec.s
-        return (_complex_gaussian(rng, (r, s)), _complex_gaussian(rng, (r, r)),
-                _complex_gaussian(rng, (s, s)))
+        return gaussian_blocks(rngs, [(r, s), (r, r), (s, s)])
     n = spec.n
     if spec.mirror:
-        return _complex_gaussian(rng, (n, n)), _complex_gaussian(rng, (n, n))
-    return rng.standard_normal((n, n)), rng.standard_normal((2, 2)), rng.standard_normal((n, 2))
+        return gaussian_blocks(rngs, [(n, n), (n, n)])
+    return gaussian_blocks(rngs, [(n, n), (2, 2), (n, 2)], real=True)
 
 
 def _algebra_elements(spec: DomainSpec, draws, strength: float = 0.4) -> np.ndarray:
@@ -395,11 +380,13 @@ def random_automorphisms(spec: DomainSpec, keys, flavor: str = "mixed") -> AutEl
     isotropy, or (kind I) a transvection times an isotropy.
 
     Each key's ``Generator`` draws, in order, the flavour (when ``flavor`` is
-    ``"mixed"``), the isotropy Gaussians, then the transvection base point
-    (through :func:`domains.sample_points`) or the Lie algebra Gaussians, so
-    an element depends on its key only.  The matrices are then built as
-    stacks: one QR per Haar factor, one SVD for the algebra scale, one
-    ``expm`` and one ``eigh`` per inverse square root.
+    ``"mixed"``), the isotropy Gaussians (kind IV: then its angle), then the
+    transvection base point (through :func:`domains.sample_points`) or the
+    Lie algebra Gaussians, so an element depends on its key only.  Each group
+    of Gaussians is one ``standard_normal`` call per key
+    (``linalg.gaussian_blocks``), so an exponential key makes two.  The
+    matrices are then built as stacks: one QR per Haar factor, one SVD for
+    the algebra scale, one ``expm`` and one ``eigh`` per inverse square root.
     """
     choices = ("exponential", "isotropy") + (("transvection",) if spec.kind == "I" else ())
     if flavor != "mixed" and flavor not in choices:
@@ -410,7 +397,7 @@ def random_automorphisms(spec: DomainSpec, keys, flavor: str = "mixed") -> AutEl
         return AutElement(spec, np.empty((0, size, size), dtype=complex))
     flavors = np.array([choices[rng.integers(len(choices))] if flavor == "mixed" else flavor
                         for rng in rngs])
-    iso = _isotropy_params(spec, _stack(_isotropy_draws(spec, rng) for rng in rngs))
+    iso = _isotropy_params(spec, rngs)
     out = isotropy(spec, iso).matrix
     moved = np.flatnonzero(flavors == "transvection")
     if moved.size:
@@ -418,7 +405,7 @@ def random_automorphisms(spec: DomainSpec, keys, flavor: str = "mixed") -> AutEl
         out[moved] = _transvections(spec, z0) @ out[moved]
     moved = np.flatnonzero(flavors == "exponential")
     if moved.size:
-        x = _algebra_elements(spec, _stack(_algebra_draws(spec, rngs[k]) for k in moved))
+        x = _algebra_elements(spec, _algebra_draws(spec, [rngs[k] for k in moved]))
         out[moved] = expm(x) @ out[moved]
     return AutElement(spec, out)
 

@@ -36,7 +36,7 @@ from functools import cache
 import numpy as np
 
 from .errors import NumericError, ParameterError, SamplingError, ShapeError
-from .linalg import as_matrix, pfaffian
+from .linalg import as_matrix, default_generator, gaussian_blocks, pfaffian
 
 __all__ = [
     "DomainSpec",
@@ -331,20 +331,20 @@ def key_generators(keys) -> list:
     is hashed as one stack (:func:`_pool_states`) and each row seeds its own
     ``PCG64``; any other keys (a ``Generator``, which is passed through, an
     int, a list or nested list, an ``object`` row) go through ``default_rng``
-    one at a time."""
+    one at a time, and a negative integer anywhere in such a key raises
+    ``ParameterError``."""
     if isinstance(keys, np.ndarray) and keys.ndim == 2 and keys.dtype == np.uint32:
         pool_state = _pool_state_type()
         return [np.random.Generator(np.random.PCG64(pool_state(state)))
                 for state in _pool_states(keys)]
-    return [np.random.default_rng(key) for key in keys]
+    return [default_generator(key) for key in keys]
 
 
 _SAMPLE_RETRIES = 64
 
 
 def _gaussian_directions(spec: DomainSpec, rngs) -> np.ndarray:
-    g = np.array([rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
-                  for rng in rngs])
+    [g] = gaussian_blocks(rngs, [spec.shape])
     if spec.mirror:
         g = (g + spec.mirror * g.swapaxes(-1, -2)) / 2.0
     return g
@@ -386,7 +386,12 @@ def sample_points(spec: DomainSpec, region: str, keys) -> np.ndarray:
     to top singular value exactly 1; kind IV solves the radial quadratic of
     the generic norm for its smallest positive root.  A candidate that fails
     classification is redrawn from its own key's stream, up to 64 times, so
-    each key gets the same point whatever else is in the stack.
+    each key gets the same point whatever else is in the stack.  Each attempt
+    draws a key's Gaussians in one ``standard_normal`` call
+    (``linalg.gaussian_blocks``: real parts, then imaginary parts) and, for an
+    interior point with a nonzero direction, rho as ``random()``; these are
+    the streams of ``standard_normal(shape) + 1j * standard_normal(shape)``
+    and ``uniform()`` bit for bit.
     """
     if region not in ("interior", "boundary"):
         raise ParameterError(f"region must be interior or boundary, got {region!r}")
@@ -405,7 +410,7 @@ def sample_points(spec: DomainSpec, region: str, keys) -> np.ndarray:
             valid = top > 0.0
         rho = 1.0
         if region == "interior":
-            rho = np.array([rngs[k].uniform() for k in pending[valid]])
+            rho = np.array([rngs[k].random() for k in pending[valid]])
         scale = radius[valid] * rho if spec.kind == "IV" else rho / top[valid]
         candidates = g[valid] * scale[:, None, None]
         accepted = np.zeros(len(pending), dtype=bool)

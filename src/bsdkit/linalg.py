@@ -1,6 +1,7 @@
 """Dense complex linear algebra primitives used throughout the toolkit.
 
-All routines are pure functions.  ``pfaffian``, ``psd_inv_sqrt``,
+All routines are pure functions, except that the seeded draws advance the
+generators they are given.  ``pfaffian``, ``psd_inv_sqrt``,
 ``haar_normalize`` and ``as_matrix(stack=True)`` also take stacks of shape
 ``(..., m, n)``; the others take one 2-D matrix.  Tolerances are
 absolute-relative hybrids: a residual passes at ``tol`` when it is at most
@@ -11,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ShapeError
+from .errors import DomainError, NumericError, ParameterError, ShapeError
 
 __all__ = [
     "as_matrix",
@@ -22,6 +23,8 @@ __all__ = [
     "psd_sqrt",
     "psd_inv_sqrt",
     "haar_normalize",
+    "default_generator",
+    "gaussian_blocks",
     "random_unitary",
     "random_orthogonal",
 ]
@@ -152,17 +155,61 @@ def haar_normalize(g: np.ndarray) -> np.ndarray:
     return q * (d / abs(d))[..., None, :]
 
 
+def _negative(key) -> bool:
+    """Whether a negative integer appears anywhere in the RNG key ``key``."""
+    if isinstance(key, np.ndarray):
+        key = key.tolist()
+    if isinstance(key, (int, np.integer)):
+        return key < 0
+    return isinstance(key, (list, tuple)) and any(map(_negative, key))
+
+
+def default_generator(key):
+    """``np.random.default_rng(key)``, with a negative integer anywhere in the
+    key raised as a ``ParameterError`` rather than numpy's untyped error."""
+    try:
+        return np.random.default_rng(key)
+    except ValueError:
+        if _negative(key):
+            raise ParameterError(f"RNG key must be nonnegative, got {key!r}") from None
+        raise
+
+
+def gaussian_blocks(rngs, shapes, real: bool = False) -> list:
+    """Standard normal blocks of the given ``shapes`` from every generator of
+    ``rngs``, stacked over the generators: one array of shape
+    ``(len(rngs), *shape)`` per block.  Each generator fills its row of one
+    buffer with a single ``standard_normal(out=row)`` call, and the row is cut
+    into the blocks in stream order; a complex block takes its real part, then
+    its imaginary part.  So a generator's blocks are bit for bit what
+    ``rng.standard_normal(shape) + 1j * rng.standard_normal(shape)``, block
+    after block, gives (one ``standard_normal(shape)`` each with ``real``),
+    and the generator carries on from the same state."""
+    parts = 1 if real else 2
+    sizes = [parts * math.prod(shape) for shape in shapes]
+    rows = np.empty((len(rngs), sum(sizes)))
+    for rng, row in zip(rngs, rows):
+        rng.standard_normal(out=row)
+    blocks, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        run = rows[:, start:start + size].reshape(len(rngs), parts, *shape)
+        blocks.append(run[:, 0] if real else run[:, 0] + 1j * run[:, 1])
+        start += size
+    return blocks
+
+
 def random_unitary(n: int, seed) -> np.ndarray:
     """Haar-ish random unitary: QR of a complex Gaussian with the R diagonal
     phase-normalized.  Deterministic for a given seed."""
     if n < 1:
         raise ShapeError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    return haar_normalize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    [g] = gaussian_blocks([default_generator(seed)], [(n, n)])
+    return haar_normalize(g[0])
 
 
 def random_orthogonal(n: int, seed) -> np.ndarray:
     """Random real orthogonal matrix, deterministic for a given seed."""
     if n < 1:
         raise ShapeError("n must be >= 1")
-    return haar_normalize(np.random.default_rng(seed).standard_normal((n, n)))
+    [g] = gaussian_blocks([default_generator(seed)], [(n, n)], real=True)
+    return haar_normalize(g[0])

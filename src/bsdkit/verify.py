@@ -20,7 +20,11 @@ so a row gives the same stream as the nested key ``[[[seed, stream], k],
 2a]``.  The samplers seed a whole ``uint32`` key array at once through
 ``domains.key_generators``, each row bit for bit as ``default_rng(row)``; a
 seed of 2**32 or more keeps ``object`` rows, which go through
-``default_rng`` one at a time.  A negative seed raises ``ParameterError``.
+``default_rng`` one at a time.  Each key then draws a group of Gaussians
+(a sample's direction, an element's isotropy or Lie algebra sources) in one
+``standard_normal`` call through ``linalg.gaussian_blocks``, bit for bit the
+draws of one call per real and imaginary block.  A negative seed raises
+``ParameterError``.
 """
 
 import math

@@ -437,6 +437,131 @@ class TestStackedAutomorphisms:
             random_automorphisms(parse_spec("I:2,2"), AUT_KEYS, "transvection")
 
 
+class TestNegativeKeys:
+    """A negative integer anywhere in an RNG key is a typed error in every
+    one-key sampler, not numpy's untyped ``ValueError``."""
+
+    @pytest.mark.parametrize("key", [-1, [-1, 3], [[17, 0], -4]], ids=["int", "list", "nested"])
+    @pytest.mark.parametrize("draw", [
+        lambda spec, key: sample_point(spec, "interior", key),
+        lambda spec, key: random_automorphism(spec, key),
+        lambda spec, key: random_isotropy_params(spec, key),
+    ], ids=["sample_point", "random_automorphism", "random_isotropy_params"])
+    def test_raises_parameter_error(self, draw, key):
+        with pytest.raises(ParameterError, match=r"^RNG key must be nonnegative, got "):
+            draw(parse_spec("I:2,2"), key)
+
+    def test_negative_row_among_list_keys(self):
+        with pytest.raises(ParameterError, match=r"got \[-1, 3\]$"):
+            sample_points(parse_spec("IV:3"), "boundary", [[17, 0], [-1, 3]])
+
+    def test_other_bad_keys_keep_numpy_errors(self):
+        with pytest.raises(TypeError) as direct:
+            np.random.default_rng(3.0)
+        with pytest.raises(TypeError, match=f"^{direct.value}$"):
+            random_isotropy_params(parse_spec("II:3"), 3.0)
+
+
+class CountingGenerator:
+    """A ``Generator`` that counts its ``standard_normal`` calls."""
+
+    def __init__(self, rng):
+        self.rng, self.normal_calls = rng, 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.normal_calls += 1
+        return self.rng.standard_normal(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Make ``key_generators`` hand out counting generators; the list of every
+    generator made, in order.  Counting generators passed on as keys (the
+    transvection base points) are used as they are."""
+    made = []
+    real = domains.key_generators
+
+    def key_generators(keys):
+        if all(isinstance(key, CountingGenerator) for key in keys):
+            return list(keys)
+        rngs = [CountingGenerator(rng) for rng in real(keys)]
+        made.extend(rngs)
+        return rngs
+
+    monkeypatch.setattr(domains, "key_generators", key_generators)
+    monkeypatch.setattr(autgroups, "key_generators", key_generators)
+    return made
+
+
+class TestDrawCalls:
+    """Each key's generator draws every Gaussian of a draw group in one call."""
+
+    @pytest.mark.parametrize("text", AUT_SPECS)
+    @pytest.mark.parametrize("region", ["interior", "boundary"])
+    def test_sampler_draws_once_per_attempt(self, text, region, counted, monkeypatch):
+        # The first round rejects the even keys; every later candidate is accepted.
+        rounds = []
+
+        def even_keys_redraw_once(spec, z, tol=1e-9):
+            rounds.append(len(z))
+            regions = np.full(len(z), region)
+            if len(rounds) == 1:
+                regions[::2] = "exterior"
+            return regions, np.zeros(len(z))
+
+        monkeypatch.setattr(domains, "classify_points", even_keys_redraw_once)
+        sample_points(parse_spec(text), region, AUT_KEYS)
+        assert rounds == [len(AUT_KEYS), len(AUT_KEYS[::2])]
+        assert [rng.normal_calls for rng in counted] == [2, 1] * (len(AUT_KEYS) // 2)
+
+    @pytest.mark.parametrize("text", AUT_SPECS)
+    def test_isotropy_stack_draws_once_per_key(self, text, counted):
+        random_isotropy_stack(parse_spec(text), np.array([[17, k] for k in range(24)],
+                                                         dtype=np.uint32))
+        assert [rng.normal_calls for rng in counted] == [1] * 24
+
+    @pytest.mark.parametrize("text", AUT_SPECS)
+    @pytest.mark.parametrize("flavor,calls", [("exponential", 2), ("isotropy", 1)])
+    def test_automorphism_draws_once_per_group(self, text, flavor, calls, counted):
+        random_automorphisms(parse_spec(text), AUT_KEYS, flavor)
+        assert [rng.normal_calls for rng in counted] == [calls] * len(AUT_KEYS)
+
+
+def haar_reference(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+class TestIsotropyDraws:
+    @pytest.mark.parametrize("text", AUT_SPECS)
+    def test_generator_key_resumes_after_the_draw(self, text):
+        spec = parse_spec(text)
+        mine, theirs = np.random.default_rng(23), np.random.default_rng(23)
+        params = random_isotropy_params(spec, mine)
+        if spec.kind == "I":
+            want = tuple(haar_reference(theirs, n) for n in (spec.r, spec.s))
+        elif spec.mirror:
+            want = (haar_reference(theirs, spec.n),)
+        else:
+            q, r = np.linalg.qr(theirs.standard_normal((spec.n, spec.n)))
+            want = (q * np.sign(np.diagonal(r)), theirs.uniform(0.0, 2.0 * np.pi))
+        got = params if isinstance(params, tuple) else (params,)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert mine.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("text", AUT_SPECS)
+    def test_no_keys_give_an_empty_stack(self, text):
+        spec = parse_spec(text)
+        stack = random_isotropy_stack(spec, [])
+        components = stack if isinstance(stack, tuple) else (stack,)
+        assert all(len(c) == 0 for c in components)
+        assert isotropy(spec, stack).matrix.shape == (0, *2 * (autgroups.matrix_size(spec),))
+
+
 class TestAutomorphyFactor:
     def test_identity_factor_is_one(self):
         spec = parse_spec("I:2,2")

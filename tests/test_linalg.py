@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsdkit.errors import DomainError, ShapeError
+from bsdkit.errors import DomainError, ParameterError, ShapeError
 from bsdkit.linalg import (
     det,
+    gaussian_blocks,
     haar_normalize,
     hermitian_spectrum,
     pfaffian,
@@ -278,3 +279,74 @@ class TestRandomUnitary:
 
     def test_seed_changes_matrix(self):
         assert not np.allclose(random_unitary(4, 1), random_unitary(4, 2))
+
+
+# Each kind's draw groups, block shapes in stream order: the sampler's
+# direction, the isotropy sources and the Lie algebra sources.  Kind IV draws
+# a complex direction but real isotropy and algebra sources.
+DRAW_GROUPS = {
+    "I:1,1": [[(1, 1)], [(1, 1), (1, 1)], [(1, 1), (1, 1), (1, 1)]],
+    "I:2,3": [[(2, 3)], [(2, 2), (3, 3)], [(2, 3), (2, 2), (3, 3)]],
+    "II:3": [[(3, 3)], [(3, 3)], [(3, 3), (3, 3)]],
+    "III:2": [[(2, 2)], [(2, 2)], [(2, 2), (2, 2)]],
+    "IV:3": [[(1, 3)], [(3, 3)], [(3, 3), (2, 2), (3, 2)]],
+}
+
+
+def two_call_blocks(rng, shapes, real):
+    """The draws the one-call path must reproduce: one ``standard_normal`` call
+    per real block, two (real part, then imaginary part) per complex block."""
+    if real:
+        return [rng.standard_normal(shape) for shape in shapes]
+    return [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for shape in shapes]
+
+
+class TestGaussianBlocks:
+    @pytest.mark.parametrize("text,group", [(t, g) for t in DRAW_GROUPS for g in range(3)])
+    def test_rows_are_the_two_call_draws_bit_for_bit(self, text, group):
+        shapes = DRAW_GROUPS[text][group]
+        real = text.startswith("IV:") and group > 0
+        keys = [[29, group, k] for k in range(60)]
+        rngs = [np.random.default_rng(key) for key in keys]
+        blocks = gaussian_blocks(rngs, shapes, real)
+        assert [b.shape for b in blocks] == [(len(keys), *shape) for shape in shapes]
+        for k, key in enumerate(keys):
+            fresh = np.random.default_rng(key)
+            for block, want in zip(blocks, two_call_blocks(fresh, shapes, real)):
+                assert block[k].dtype == want.dtype
+                assert block[k].tobytes() == want.tobytes(), (k, block.shape)
+            assert rngs[k].bit_generator.state == fresh.bit_generator.state
+
+    def test_unit_draws_are_the_uniform_draws(self):
+        # rho ~ U(0, 1) and the kind IV angle ~ U(0, 2 pi) are drawn as
+        # random() and 2 pi random(); uniform computes low + range * random().
+        keys = np.random.default_rng(31).integers(0, 2**32, (2000, 3), dtype=np.uint32)
+        mine = [np.random.default_rng(key) for key in keys]
+        theirs = [np.random.default_rng(key) for key in keys]
+        rho = np.array([rng.random() for rng in mine])
+        assert rho.tobytes() == np.array([rng.uniform() for rng in theirs]).tobytes()
+        theta = 2.0 * np.pi * np.array([rng.random() for rng in mine])
+        want = np.array([rng.uniform(0.0, 2.0 * np.pi) for rng in theirs])
+        assert theta.tobytes() == want.tobytes()
+
+    def test_generator_resumes_its_stream_after_the_draw(self):
+        mine, theirs = np.random.default_rng(17), np.random.default_rng(17)
+        mine.random(), theirs.random()
+        shapes = [(2, 3), (1, 1)]
+        blocks = gaussian_blocks([mine], shapes)
+        for block, want in zip(blocks, two_call_blocks(theirs, shapes, False)):
+            assert block[0].tobytes() == want.tobytes()
+        assert mine.bit_generator.state == theirs.bit_generator.state
+        assert np.array_equal(mine.standard_normal(5), theirs.standard_normal(5))
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_no_generators_give_empty_stacks(self, real):
+        blocks = gaussian_blocks([], [(2, 3), (3, 3)], real)
+        assert [b.shape for b in blocks] == [(0, 2, 3), (0, 3, 3)]
+        assert all(b.dtype == (float if real else complex) for b in blocks)
+
+    @pytest.mark.parametrize("key", [-1, [-1, 3], [[3, -1], 0], np.array([5, -2])])
+    def test_negative_key_is_a_parameter_error(self, key):
+        for draw in (random_unitary, random_orthogonal):
+            with pytest.raises(ParameterError, match="^RNG key must be nonnegative, got "):
+                draw(3, key)
