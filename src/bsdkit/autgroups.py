@@ -341,9 +341,9 @@ def _algebra_draws(spec: DomainSpec, rngs) -> list:
     return gaussian_blocks(rngs, [(n, n), (2, 2), (n, 2)], real=True)
 
 
-def _algebra_elements(spec: DomainSpec, draws, strength: float = 0.4) -> np.ndarray:
+def _algebra_elements(spec: DomainSpec, draws) -> np.ndarray:
     """Elements of the Lie algebra of the defining relations from the stacked
-    :func:`_algebra_draws`, each scaled to operator norm at most ``strength``."""
+    :func:`_algebra_draws`, each scaled to operator norm at most 0.4."""
 
     def h(x):
         return x.conj().swapaxes(-1, -2)
@@ -365,7 +365,7 @@ def _algebra_elements(spec: DomainSpec, draws, strength: float = 0.4) -> np.ndar
         x = np.block([[r1.astype(complex), 1j * b],
                       [-1j * b.swapaxes(-1, -2), r2.astype(complex)]])
     top = np.linalg.svd(x, compute_uv=False).max(axis=-1)
-    return x * (strength / np.maximum(1.0, top))[..., None, None]
+    return x * (0.4 / np.maximum(1.0, top))[..., None, None]
 
 
 def expm(a: np.ndarray) -> np.ndarray:

@@ -325,10 +325,7 @@ def main(argv=None) -> int:
         return USAGE_EXIT if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except BsdkitError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return USAGE_EXIT
-    except OSError as exc:
+    except (BsdkitError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_EXIT
 

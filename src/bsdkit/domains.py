@@ -340,7 +340,24 @@ def key_generators(keys) -> list:
     return [default_generator(key) for key in keys]
 
 
-_SAMPLE_RETRIES = 64
+def _redraw(count: int, draw, error: Exception) -> tuple:
+    """The rejection loop of every sampler: ``draw(pending, attempt)`` returns
+    a boolean mask over the still-empty slots ``pending`` and a tuple of
+    stacks of the accepted candidates.  A slot keeps its first accepted
+    candidate and only rejected slots are drawn again; ``error`` is raised
+    if a slot is still empty after 64 attempts.  Returns the filled stacks."""
+    pending = np.arange(count)
+    out = None
+    for attempt in range(64):
+        accepted, values = draw(pending, attempt)
+        if out is None:
+            out = [np.empty((count, *v.shape[1:]), dtype=v.dtype) for v in values]
+        for stack, v in zip(out, values):
+            stack[pending[accepted]] = v
+        pending = pending[~accepted]
+        if not pending.size:
+            return tuple(out)
+    raise error
 
 
 def _gaussian_directions(spec: DomainSpec, rngs) -> np.ndarray:
@@ -385,22 +402,19 @@ def sample_points(spec: DomainSpec, region: str, keys) -> np.ndarray:
     boundary along the sampled direction).  Boundary: the same matrix scaled
     to top singular value exactly 1; kind IV solves the radial quadratic of
     the generic norm for its smallest positive root.  A candidate that fails
-    classification is redrawn from its own key's stream, up to 64 times, so
-    each key gets the same point whatever else is in the stack.  Each attempt
-    draws a key's Gaussians in one ``standard_normal`` call
-    (``linalg.gaussian_blocks``: real parts, then imaginary parts) and, for an
-    interior point with a nonzero direction, rho as ``random()``; these are
-    the streams of ``standard_normal(shape) + 1j * standard_normal(shape)``
-    and ``uniform()`` bit for bit.
+    classification is redrawn from its own key's stream through
+    :func:`_redraw`, so each key gets the same point whatever else is in the
+    stack.  Each attempt draws a key's Gaussians in one ``standard_normal``
+    call (``linalg.gaussian_blocks``: real parts, then imaginary parts) and,
+    for an interior point with a nonzero direction, rho as ``random()``;
+    these are the streams of ``standard_normal(shape) + 1j *
+    standard_normal(shape)`` and ``uniform()`` bit for bit.
     """
     if region not in ("interior", "boundary"):
         raise ParameterError(f"region must be interior or boundary, got {region!r}")
     rngs = key_generators(keys)
-    out = np.empty((len(rngs), *spec.shape), dtype=complex)
-    pending = np.arange(len(rngs))
-    for _ in range(_SAMPLE_RETRIES):
-        if not pending.size:
-            return out
+
+    def draw(pending, attempt):
         g = _gaussian_directions(spec, [rngs[k] for k in pending])
         if spec.kind == "IV":
             radius = _iv_boundary_radii(g)
@@ -415,11 +429,9 @@ def sample_points(spec: DomainSpec, region: str, keys) -> np.ndarray:
         candidates = g[valid] * scale[:, None, None]
         accepted = np.zeros(len(pending), dtype=bool)
         accepted[valid] = classify_points(spec, candidates, 1e-9)[0] == region
-        out[pending[accepted]] = candidates[accepted[valid]]
-        pending = pending[~accepted]
-    if pending.size:
-        raise SamplingError(f"could not sample a {region} point of {spec}")
-    return out
+        return accepted, (candidates[accepted[valid]],)
+
+    return _redraw(len(rngs), draw, SamplingError(f"could not sample a {region} point of {spec}"))[0]
 
 
 def sample_point(spec: DomainSpec, region: str, seed) -> Point:

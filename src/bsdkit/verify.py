@@ -9,11 +9,12 @@ coefficient lemma) draw all samples of a report as one stack and push it
 through the stacked kernels of ``domains``, ``polymaps`` and ``autgroups``
 (arrays with a leading sample axis) in one call each.  Every sample still
 has its own RNG key, ``[seed, k, ...]``, and a rejected sample is redrawn
-from its own key's stream only, so a sample is the same whatever else is in
-its stack.  The random automorphisms of the F_U check come the same way, as
-one element stack from ``autgroups.random_automorphisms``, and the
-isotropy check draws every trial's parameters as one stack from
-``autgroups.random_isotropy_stack`` before it conjugates trial by trial.
+from its own key's stream only, through ``domains._redraw``, so a sample is
+the same whatever else is in its stack.  The random automorphisms of the
+F_U check come the same way, as one element stack from
+``autgroups.random_automorphisms``, and the isotropy check draws every
+trial's parameters as one stack from ``autgroups.random_isotropy_stack``
+before it conjugates trial by trial.
 Keys are flat rows (``[seed, stream, k, 2a]``), ``uint32`` arrays where
 every entry fits; ``SeedSequence`` flattens a nested key to the same words,
 so a row gives the same stream as the nested key ``[[[seed, stream], k],
@@ -42,6 +43,7 @@ from .autgroups import (
 )
 from .domains import (
     DomainSpec,
+    _redraw,
     classify_points,
     generic_norms,
     norm_gram,
@@ -54,6 +56,7 @@ from .invariants import INDISTINGUISHABLE, distinguish, invariant_spectrum, mono
 from .polymaps import (
     PolyMap,
     _aligned_coeffs,
+    _independent_index,
     catalog,
     coeff_distance,
     conjugate,
@@ -162,25 +165,19 @@ def check_properness(f: PolyMap, n_samples: int = 500, tol: float = 1e-7, seed: 
 def _sample_pairs(spec: DomainSpec, prefixes, threshold: float) -> tuple:
     """Interior pairs (z, w) with |S1(z, w)| >= threshold, stacked, and their
     S1 values: for each key row p of ``prefixes``, attempt a draws z from
-    ``[*p, 2a]`` and w from ``[*p, 2a + 1]``, and only the prefixes still
-    rejected go on to the next attempt."""
-    count = len(prefixes)
-    z = np.empty((count, *spec.shape), dtype=complex)
-    w = np.empty_like(z)
-    s1 = np.empty(count, dtype=complex)
-    pending = np.arange(count)
-    for attempt in range(64):
-        if not pending.size:
-            return z, w, s1
-        zs = sample_points(spec, "interior", _append_column(prefixes[pending], 2 * attempt))
-        ws = sample_points(spec, "interior", _append_column(prefixes[pending], 2 * attempt + 1))
-        ss = polarized_norms(spec, zs, ws)
-        ok = np.abs(ss) >= threshold
-        z[pending[ok]], w[pending[ok]], s1[pending[ok]] = zs[ok], ws[ok], ss[ok]
-        pending = pending[~ok]
-    if pending.size:
-        raise ConfigurationError(f"could not sample a pair with |S1| >= {threshold}")
-    return z, w, s1
+    ``[*p, 2a]`` and w from ``[*p, 2a + 1]``, and ``domains._redraw`` takes
+    only the prefixes still rejected on to the next attempt."""
+
+    def draw(pending, attempt):
+        rows = prefixes[pending]
+        z = sample_points(spec, "interior", _append_column(rows, 2 * attempt))
+        w = sample_points(spec, "interior", _append_column(rows, 2 * attempt + 1))
+        s1 = polarized_norms(spec, z, w)
+        ok = np.abs(s1) >= threshold
+        return ok, (z[ok], w[ok], s1[ok])
+
+    error = ConfigurationError(f"could not sample a pair with |S1| >= {threshold}")
+    return _redraw(len(prefixes), draw, error)
 
 
 def check_factorization(f: PolyMap, degree_bound: int = 4, grid_size: int = None,
@@ -192,16 +189,14 @@ def check_factorization(f: PolyMap, degree_bound: int = 4, grid_size: int = None
     Returns (report, coefficients); the fit must also hold on a held-out
     sample set with a looser conditioning threshold.
     """
-    positions = source_positions(f.source)
-    nvars = len(positions)
+    rows, cols = _independent_index(f.source)
+    nvars = len(rows)
     basis = [e for d in range(degree_bound + 1) for e in monomials_of_degree(2 * nvars, d)]
     exponents = np.array(basis)
     ncoeff = len(basis)
     n_train = 3 * ncoeff if grid_size is None else grid_size
     if n_train < ncoeff:
         raise ConfigurationError(f"fit needs at least {ncoeff} samples, got {n_train}")
-
-    rows, cols = zip(*positions)
 
     def fit_data(stream: int, count: int, threshold: float):
         """Design matrix over the joint (z, conj w) vectors of ``count``
@@ -308,22 +303,16 @@ def check_composition_rule(f: PolyMap, g: PolyMap, n_samples: int = 100, tol: fl
     if g.target != f.source:
         raise ShapeError(f"maps do not compose: {g.target} vs {f.source}")
     _require_positive("n_samples", n_samples)
-    z = np.empty((n_samples, *g.source.shape), dtype=complex)
-    w = np.empty_like(z)
-    s1 = np.empty(n_samples, dtype=complex)
-    pending = np.arange(n_samples)
-    for attempt in range(64):
-        if not pending.size:
-            break
-        zs, ws, ss = _sample_pairs(g.source, _key_rows(seed, pending, attempt), 0.1)
-        s2 = polarized_norms(g.target, eval_points(g, zs), eval_points(g, ws))
+
+    def draw(pending, attempt):
+        z, w, s1 = _sample_pairs(g.source, _key_rows(seed, pending, attempt), 0.1)
+        gz, gw = eval_points(g, z), eval_points(g, w)
+        s2 = polarized_norms(g.target, gz, gw)
         ok = np.abs(s2) >= 0.01
-        z[pending[ok]], w[pending[ok]], s1[pending[ok]] = zs[ok], ws[ok], ss[ok]
-        pending = pending[~ok]
-    if pending.size:
-        raise ConfigurationError("could not sample a pair with |S2(gZ, gW)| >= 0.01")
-    gz, gw = eval_points(g, z), eval_points(g, w)
-    s2 = polarized_norms(g.target, gz, gw)
+        return ok, (s1[ok], gz[ok], gw[ok], s2[ok])
+
+    error = ConfigurationError("could not sample a pair with |S2(gZ, gW)| >= 0.01")
+    s1, gz, gw, s2 = _redraw(n_samples, draw, error)
     s3 = polarized_norms(f.target, eval_points(f, gz), eval_points(f, gw))
     f_total = s3 / s1
     res = np.abs(f_total - (s2 / s1) * (s3 / s2)) / np.maximum(1.0, np.abs(f_total))

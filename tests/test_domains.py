@@ -410,3 +410,47 @@ class TestStackedKernels:
         z = sample_points(spec, "boundary", [[33, k] for k in range(5)])
         z[3] *= 1.5
         assert np.allclose(generic_norms(spec, z), [0, 0, 0, 1 - 1.5**2, 0], rtol=0, atol=1e-14)
+
+
+class TestRedraw:
+    def test_never_accepting_draw_raises_after_64_attempts(self):
+        attempts = []
+
+        def draw(pending, attempt):
+            attempts.append(attempt)
+            return np.zeros(len(pending), dtype=bool), (np.empty((0, 2)),)
+
+        with pytest.raises(SamplingError, match="^gave up$"):
+            domains._redraw(3, draw, SamplingError("gave up"))
+        assert attempts == list(range(64))
+
+    def test_slots_keep_their_first_accepted_value(self):
+        # Slot k is accepted from attempt k on; only pending slots are drawn again.
+        seen = []
+
+        def draw(pending, attempt):
+            seen.append(pending.tolist())
+            ok = pending <= attempt
+            return ok, (10 * attempt + pending[ok], np.full(np.count_nonzero(ok), float(attempt)))
+
+        slot, when = domains._redraw(4, draw, SamplingError("gave up"))
+        assert seen == [[0, 1, 2, 3], [1, 2, 3], [2, 3], [3]]
+        assert slot.tolist() == [0, 11, 22, 33]
+        assert when.tolist() == [0.0, 1.0, 2.0, 3.0]
+
+
+class TestSamplerExhaustion:
+    def test_rejecting_every_candidate_raises_sampling_error(self, monkeypatch):
+        def reject_all(spec, z, tol=1e-9):
+            return np.full(len(z), "exterior"), np.zeros(len(z))
+
+        monkeypatch.setattr(domains, "classify_points", reject_all)
+        with pytest.raises(SamplingError, match="^could not sample a boundary point of I:2,2$"):
+            sample_points(parse_spec("I:2,2"), "boundary", [[5, k] for k in range(3)])
+
+    @pytest.mark.parametrize("text", ["I:2,3", "II:3", "III:2", "IV:3"])
+    @pytest.mark.parametrize("region", ["interior", "boundary"])
+    def test_empty_uint32_key_array(self, text, region):
+        spec = parse_spec(text)
+        got = sample_points(spec, region, np.empty((0, 3), dtype=np.uint32))
+        assert got.shape == (0, *spec.shape)

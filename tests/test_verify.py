@@ -6,7 +6,7 @@ import pytest
 
 from bsdkit.domains import parse_spec, polarized_norm, sample_point, sample_points
 from bsdkit.errors import ConfigurationError, ParameterError, ShapeError
-from bsdkit.polymaps import catalog
+from bsdkit.polymaps import catalog, polymap
 from bsdkit.verify import (
     _key_rows,
     _sample_pairs,
@@ -293,3 +293,14 @@ class TestKeyRows:
     @pytest.mark.parametrize("check", sorted(SEED_CHECKS))
     def test_seed_beyond_32_bits_runs(self, check):
         assert SEED_CHECKS[check](2**40 + 3).samples > 0
+
+
+class TestCompositionExhaustion:
+    def test_inner_map_with_small_s2_everywhere_raises(self):
+        # A constant inner map g = 0.999 has S2(gZ, gW) = 1 - 0.999**2 < 0.01 at every pair.
+        spec = parse_spec("I:1,1")
+        g = polymap(spec, spec, {(0, 0): {(0,): 0.999}})
+        f = catalog("standard", r=1, s=1, r2=1, s2=1)
+        with pytest.raises(ConfigurationError,
+                           match=r"^could not sample a pair with \|S2\(gZ, gW\)\| >= 0\.01$"):
+            check_composition_rule(f, g)
