@@ -69,7 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=str, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=int, default=None,
+                   help="sample count of the check; for factorization, the rank-1 lattice size")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     common(p)
 

@@ -4,9 +4,10 @@ Points, membership classification, generic norms and their polarizations,
 deterministic interior/boundary samplers, and the type-IV quadric lift.
 
 The kernels (``norm_gram``, ``classify_points``, ``generic_norms``,
-``polarized_norms``, ``sample_points``, ``borel_lifts``) work on stacks of
-carrier matrices, arrays of shape ``(..., *spec.shape)`` with leading stack
-axes, so a check makes one call per report instead of one per sample.  The
+``polarized_norms``, ``norm_features``, ``sample_points``, ``borel_lifts``)
+work on stacks of carrier matrices, arrays of shape ``(..., *spec.shape)``
+with leading stack axes, so a check makes one call per report instead of
+one per sample.  The
 ``Point`` functions (``classify_point``, ``generic_norm``, ``polarized_norm``,
 ``sample_point``, ``borel_lift_iv``) are the same kernels on one point.  Each
 sample keeps its own RNG key (``[seed, k, ...]`` in the verification
@@ -32,6 +33,7 @@ largest singular value, so the halving is exact and moves no sample.
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import combinations
 
 import numpy as np
 
@@ -53,6 +55,7 @@ __all__ = [
     "generic_norm",
     "polarized_norms",
     "polarized_norm",
+    "norm_features",
     "key_generators",
     "sample_points",
     "sample_point",
@@ -253,6 +256,43 @@ def polarized_norms(spec: DomainSpec, z: np.ndarray, w: np.ndarray) -> np.ndarra
         eye = np.broadcast_to(np.eye(spec.n), z.shape)
         return (-1) ** (spec.n * (spec.n - 1) // 2) * pfaffian(np.block([[z, eye], [-eye, w_bar]]))
     return np.linalg.det(norm_gram(z, w))
+
+
+def _subsets(n: int, size: int) -> np.ndarray:
+    return np.array(list(combinations(range(n), size)), dtype=int).reshape(-1, size)
+
+
+def norm_features(spec: DomainSpec, z: np.ndarray) -> tuple:
+    """(phi, sigma): features ``phi`` of the stack ``z``, shape ``(..., F)``,
+    and signs ``sigma``, shape ``(F,)``, with S(Z, W) = sum_f sigma_f
+    phi_f(Z) conj(phi_f(W)), so the norms of all pairs of two stacks are one
+    product ``(phi(Z) * sigma) @ phi(W)^H`` (:func:`polarized_norms`).
+
+    Kinds I/III: all minors det Z[I, J] with |I| = |J|, sigma = (-1)^|I|
+    (Cauchy-Binet on det(I - ZW*)).  Kind II: the principal Pfaffian minors
+    Pf Z[I] over even |I|, sigma = (-1)^(|I|/2) (the minor summation formula
+    of Ishikawa and Wakayama, 1995).  Kind IV: (1, Z, ZZ^t) with sigma =
+    (1, -2, ..., -2, 1).  The empty minor is the leading feature 1.
+    """
+    lead = z.shape[:-2]
+    if spec.kind == "IV":
+        phi = np.concatenate([np.ones((*lead, 1)), z[..., 0, :], _row_product(z, z)[..., None]],
+                             axis=-1)
+        return phi, np.concatenate([[1.0], np.full(spec.n, -2.0), [1.0]])
+    blocks, signs = [np.ones((*lead, 1), dtype=complex)], [np.ones(1)]
+    rows, cols = spec.shape
+    if spec.kind == "II":
+        for size in range(2, rows + 1, 2):
+            idx = _subsets(rows, size)
+            blocks.append(pfaffian(z[..., idx[:, :, None], idx[:, None, :]]))
+            signs.append(np.full(len(idx), (-1.0) ** (size // 2)))
+    else:
+        for size in range(1, rows + 1):
+            ri, ci = _subsets(rows, size), _subsets(cols, size)
+            minors = np.linalg.det(z[..., ri[:, None, :, None], ci[None, :, None, :]])
+            blocks.append(minors.reshape(*lead, -1))
+            signs.append(np.full(minors.shape[-1] * minors.shape[-2], (-1.0) ** size))
+    return np.concatenate(blocks, axis=-1), np.concatenate(signs)
 
 
 def polarized_norm(p: Point, q: Point) -> complex:

@@ -4,17 +4,24 @@ Every check draws its randomness from substreams keyed by (seed, sample
 index), so a report is a pure function of its arguments.  A report passes
 exactly when its max residual is at most its tolerance.
 
-The sampling checks (properness, factorization, F_U, composition and the
-coefficient lemma) draw all samples of a report as one stack and push it
-through the stacked kernels of ``domains``, ``polymaps`` and ``autgroups``
-(arrays with a leading sample axis) in one call each.  Every sample still
-has its own RNG key, ``[seed, k, ...]``, and a rejected sample is redrawn
-from its own key's stream only, through ``domains._redraw``, so a sample is
-the same whatever else is in its stack.  The random automorphisms of the
-F_U check come the same way, as one element stack from
-``autgroups.random_automorphisms``, and the isotropy check draws every
-trial's parameters as one stack from ``autgroups.random_isotropy_stack``
-before it conjugates trial by trial.
+The factorization check draws no random pairs to find its coefficients:
+the norm ratio is a polynomial of bounded degree, so its exact coefficients
+are one 2-D DFT of its values on all pairs of a rank-1 (Korobov) lattice
+(Kaemmerer, SIAM J. Numer. Anal. 51, 2013), and the norms of those pairs
+are Gram products of ``domains.norm_features``.  Only its held-out residual
+is sampled.
+
+The sampling checks (properness, factorization's held-out pairs, F_U,
+composition and the coefficient lemma) draw all samples of a report as one
+stack and push it through the stacked kernels of ``domains``, ``polymaps``
+and ``autgroups`` (arrays with a leading sample axis) in one call each.
+Every sample still has its own RNG key, ``[seed, k, ...]``, and a rejected
+sample is redrawn from its own key's stream only, through
+``domains._redraw``, so a sample is the same whatever else is in its
+stack.  The random automorphisms of the F_U check come the same way, as one
+element stack from ``autgroups.random_automorphisms``, and the isotropy
+check draws every trial's parameters as one stack from
+``autgroups.random_isotropy_stack`` before it conjugates trial by trial.
 Keys are flat rows (``[seed, stream, k, 2a]``), ``uint32`` arrays where
 every entry fits; ``SeedSequence`` flattens a nested key to the same words,
 so a row gives the same stream as the nested key ``[[[seed, stream], k],
@@ -28,8 +35,10 @@ draws of one call per real and imaginary block.  A negative seed raises
 ``ParameterError``.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,6 +55,7 @@ from .domains import (
     _redraw,
     classify_points,
     generic_norms,
+    norm_features,
     norm_gram,
     parse_spec,
     polarized_norms,
@@ -56,6 +66,7 @@ from .invariants import INDISTINGUISHABLE, distinguish, invariant_spectrum, mono
 from .polymaps import (
     PolyMap,
     _aligned_coeffs,
+    _embedding,
     _independent_index,
     catalog,
     coeff_distance,
@@ -180,44 +191,96 @@ def _sample_pairs(spec: DomainSpec, prefixes, threshold: float) -> tuple:
     return _redraw(len(prefixes), draw, error)
 
 
+@lru_cache(maxsize=None)
+def _korobov_lattice(nvars: int, degree: int, size: int = None) -> tuple:
+    """(N, g, exponents) of the rank-1 lattice that separates the monomials
+    x^alpha of degree <= ``degree`` in ``nvars`` variables (``exponents``, one
+    row each): lattice point k has the phases exp(2 pi i (k g mod N) / N), so
+    x^alpha has the frequency alpha.g mod N, and the Korobov generator g = (1,
+    a, a^2, ...) mod N with the smallest such a gives every monomial its own
+    frequency.  N is ``size`` if given, else the smallest size that has such
+    a generator; a size with none (every size below the monomial count)
+    raises ``ConfigurationError``."""
+    exponents = np.array([e for d in range(degree + 1) for e in monomials_of_degree(nvars, d)],
+                         dtype=np.int64).reshape(-1, nvars)
+    count = len(exponents)
+    if size is None:
+        sizes = itertools.count(count)
+    else:
+        sizes = [size] if size >= count else []
+    for n in sizes:
+        a = np.arange(n)
+        generators = np.ones((nvars, n), dtype=np.int64)  # column a is (1, a, a^2, ...) mod n
+        for j in range(1, nvars):
+            generators[j] = generators[j - 1] * a % n
+        spread = np.sort(exponents @ generators % n, axis=0)
+        distinct = np.all(spread[1:] != spread[:-1], axis=0)
+        if distinct.any():
+            generator = generators[:, np.argmax(distinct)]
+            exponents.flags.writeable = generator.flags.writeable = False
+            return n, generator, exponents
+    raise ConfigurationError(f"no rank-1 lattice of size {size} separates the {count} monomials "
+                             f"of degree <= {degree} in {nvars} variables")
+
+
 def check_factorization(f: PolyMap, degree_bound: int = 4, grid_size: int = None,
                         tol: float = 1e-7, seed: int = 42,
                         check_id: str = "factorization"):
-    """Fit the norm ratio S2(f(Z), f(W)) / S1(Z, W) as a polynomial in the
-    source variables of Z and the conjugated source variables of W.
+    """Exact coefficients of the norm ratio h(Z, conj W) = S2(f(Z), f(W)) /
+    S1(Z, W) as a polynomial of total degree <= ``degree_bound`` in the source
+    variables of Z and the conjugated source variables of W.
 
-    Returns (report, coefficients); the fit must also hold on a held-out
-    sample set with a looser conditioning threshold.
+    The source variables run over a rank-1 lattice of ``grid_size`` points
+    (default: the smallest that separates the monomials, see
+    :func:`_korobov_lattice`) at modulus rho, which puts every lattice point at
+    Frobenius norm 0.9 (0.9 / sqrt 2 for kind IV).  The norms of all lattice
+    pairs are one Gram product of ``domains.norm_features``, and the
+    coefficients are the 2-D DFT of the ratios H, C = V^H H V / (N^2
+    rho^(|a| + |b|)) with V[k, a] the lattice phase of x^a; those of degree
+    above the bound are zeroed.  The residual is the larger of two: the
+    lattice reconstruction residual |V C V^H - H| / max(1, |H|) (phases
+    only), which is the content of H outside degree <= D, and the residual on
+    held-out random pairs with |S1| >= 0.01, keyed ``[seed, 1, k, ...]``.  A
+    lattice point that is not interior, or a lattice pair with |S1| < 0.01,
+    raises ``ConfigurationError``.  Returns (report, coefficients).
     """
     rows, cols = _independent_index(f.source)
     nvars = len(rows)
-    basis = [e for d in range(degree_bound + 1) for e in monomials_of_degree(2 * nvars, d)]
-    exponents = np.array(basis)
-    ncoeff = len(basis)
-    n_train = 3 * ncoeff if grid_size is None else grid_size
-    if n_train < ncoeff:
-        raise ConfigurationError(f"fit needs at least {ncoeff} samples, got {n_train}")
+    joint = [e for d in range(degree_bound + 1) for e in monomials_of_degree(2 * nvars, d)]
+    n_hold = max(20, 3 * len(joint) // 4)
+    z, w, s1 = _sample_pairs(f.source, _key_rows(seed, 1, np.arange(n_hold)), 0.01)
 
-    def fit_data(stream: int, count: int, threshold: float):
-        """Design matrix over the joint (z, conj w) vectors of ``count``
-        sample pairs, and the norm ratios it must reproduce."""
-        z, w, s1 = _sample_pairs(f.source, _key_rows(seed, stream, np.arange(count)), threshold)
-        joint = np.concatenate([z[:, rows, cols], np.conj(w[:, rows, cols])], axis=1)
-        ratios = polarized_norms(f.target, eval_points(f, z), eval_points(f, w)) / s1
-        # One joint variable at a time, so no samples x monomials x variables temporary.
-        design = np.ones((count, ncoeff), dtype=complex)
-        for v in range(2 * nvars):
-            design *= joint[:, v, None] ** exponents[:, v]
-        return design, ratios
+    size, generator, exponents = _korobov_lattice(nvars, degree_bound, grid_size)
+    embedding = _embedding(f.source)
+    rho = 0.9 / np.linalg.norm(embedding) / (math.sqrt(2.0) if f.source.kind == "IV" else 1.0)
+    k = np.arange(size)[:, None]
+    x = rho * np.exp(2j * np.pi / size * (k * generator % size))
+    lattice = np.einsum("kv,rcv->krc", x, embedding)
+    if np.any(classify_points(f.source, lattice)[0] != "interior"):
+        raise ConfigurationError(f"a point of the size-{size} lattice is not interior "
+                                 f"to {f.source}")
+    phi, sigma = norm_features(f.source, lattice)
+    s1_grid = (phi * sigma) @ np.conj(phi).T
+    if np.min(np.abs(s1_grid)) < 0.01:
+        raise ConfigurationError(f"a pair of the size-{size} lattice has |S1| < 0.01")
+    phi, sigma = norm_features(f.target, eval_points(f, lattice))
+    ratios = (phi * sigma) @ np.conj(phi).T / s1_grid
 
-    a, b = fit_data(0, n_train, 0.1)
-    coeffs, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if rank < ncoeff:
-        raise ConfigurationError(f"rank-deficient fit: rank {rank} < {ncoeff} coefficients")
-    n_hold = max(20, n_train // 4)
-    a_hold, b_hold = fit_data(1, n_hold, 0.01)
-    worst = max(float(np.max(np.abs(m @ coeffs - r) / np.maximum(1.0, np.abs(r))))
-                for m, r in ((a, b), (a_hold, b_hold)))
+    phases = np.exp(2j * np.pi / size * (k * (exponents @ generator % size) % size))
+    scaled = np.conj(phases).T @ ratios @ phases / size**2
+    degrees = exponents.sum(axis=1)
+    joint_degrees = degrees[:, None] + degrees[None, :]
+    scaled[joint_degrees > degree_bound] = 0.0
+    rebuilt = phases @ scaled @ np.conj(phases).T
+    coeffs = scaled / rho ** joint_degrees
+
+    def monomial_values(v):
+        return np.prod(v[:, rows, cols][:, None, :] ** exponents, axis=-1)
+
+    held = polarized_norms(f.target, eval_points(f, z), eval_points(f, w)) / s1
+    predicted = np.sum((monomial_values(z) @ coeffs) * np.conj(monomial_values(w)), axis=1)
+    worst = max(float(np.max(np.abs(m - r) / np.maximum(1.0, np.abs(r))))
+                for m, r in ((rebuilt, ratios), (predicted, held)))
 
     names = variable_names(f.source)
     joint_names = names + [f"conj(w{n[1:]})" for n in names]
@@ -226,11 +289,13 @@ def check_factorization(f: PolyMap, degree_bound: int = 4, grid_size: int = None
         return "*".join(joint_names[k] if e == 1 else f"{joint_names[k]}^{e}"
                         for k, e in enumerate(exps) if e) or "1"
 
-    fitted = {monomial_name(e): complex(c) for e, c in zip(basis, coeffs) if abs(c) > 1e-9}
-    notes = [f"{name}: {c.real:.12g}{c.imag:+.3e}j" for name, c in sorted(fitted.items())]
+    rank = {tuple(e): r for r, e in enumerate(exponents.tolist())}
+    found = {monomial_name(e): complex(coeffs[rank[e[:nvars]], rank[e[nvars:]]]) for e in joint}
+    found = {name: c for name, c in found.items() if abs(c) > 1e-9}
+    notes = [f"{name}: {c.real:.12g}{c.imag:+.3e}j" for name, c in sorted(found.items())]
     report = VerificationReport(check_id, [str(f.source), str(f.target)],
-                                n_train + n_hold, seed, worst, tol, worst <= tol, notes)
-    return report, fitted
+                                size**2 + n_hold, seed, worst, tol, worst <= tol, notes)
+    return report, found
 
 
 def check_F_U_lemma(spec: DomainSpec, n_samples: int = 200, tol: float = 1e-9,
@@ -462,7 +527,7 @@ def _f_t_endpoint_notes(f0: PolyMap, f1: PolyMap) -> list:
     return notes
 
 
-def _properness_targets(seed: int):
+def _properness_targets():
     instances = [
         ("standard(2,2,3,3)", catalog("standard", r=2, s=2, r2=3, s2=3)),
         ("f-sec4", catalog("f-sec4")),
@@ -489,7 +554,7 @@ def run_all(seed: int = 42, properness_samples: int = 500, fu_samples: int = 200
                  "II:3", "II:4", "II:5", "IV:3", "IV:4"):
         spec = parse_spec(text)
         reports.append(check_F_U_lemma(spec, n_samples=fu_samples, seed=seed))
-    for label, f in _properness_targets(seed):
+    for label, f in _properness_targets():
         reports.append(check_properness(f, n_samples=properness_samples, seed=seed,
                                         check_id=f"properness:{label}"))
     for text in ("I:2,2", "I:2,3", "I:3,3", "II:4", "II:5", "III:2", "III:3"):

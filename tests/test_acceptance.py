@@ -115,7 +115,7 @@ def test_criterion_6_properness_of_catalog():
     worst = 0.0
     ok = True
     failing = []
-    for label, f in _properness_targets(SEED):
+    for label, f in _properness_targets():
         rep = check_properness(f, n_samples=500, tol=1e-7, seed=SEED)
         worst = max(worst, rep.max_residual)
         if not rep.passed:

@@ -53,6 +53,19 @@ class TestVerifyCommand:
         assert rc == 0
         assert json.loads(out.read_text())["summary"]["total"] == 4
 
+    def test_factorization_notes_the_exact_coefficients(self, tmp_path):
+        rc, out = run(tmp_path, "verify", "factorization", "--map-a", "whitney-ball:2",
+                      "--no-timestamp")
+        assert rc == 0
+        [report] = json.loads(out.read_text())["reports"]
+        assert report["pass"]
+        assert [note.split(":")[0] for note in report["notes"]] == ["1", "z12*conj(w12)"]
+
+    def test_factorization_lattice_too_small_exits_two(self, tmp_path):
+        rc, _ = run(tmp_path, "verify", "factorization", "--map-a", "whitney-ball:2",
+                    "--samples", "3", "--no-timestamp")
+        assert rc == 2
+
     def test_csv_format(self, tmp_path):
         rc, out = run(tmp_path, "verify", "fu", "--domain", "III:2",
                       "--samples", "20", "--format", "csv", name="out.csv")

@@ -12,6 +12,7 @@ from bsdkit.domains import (
     generic_norm,
     generic_norms,
     key_generators,
+    norm_features,
     origin,
     parse_spec,
     point,
@@ -169,6 +170,31 @@ class TestPolarizedNorm:
         d_re = (shifted(h) - shifted(-h)) / (2 * h)
         d_im = (shifted(1j * h) - shifted(-1j * h)) / (2 * h)
         assert abs(d_re + 1j * d_im) / 2 <= 1e-6
+
+
+class TestNormFeatures:
+    FEATURE_COUNTS = {"I:1,1": 2, "I:2,3": 10, "I:3,3": 20, "II:2": 2, "II:3": 4, "II:4": 8,
+                      "II:5": 16, "III:1": 2, "III:3": 20, "IV:1": 3, "IV:3": 5, "IV:5": 7}
+
+    @pytest.mark.parametrize("text", sorted(FEATURE_COUNTS))
+    def test_gram_is_the_polarized_norm_of_every_pair(self, text):
+        spec = parse_spec(text)
+        z = sample_points(spec, "interior", [[1, k] for k in range(50)])
+        w = sample_points(spec, "interior", [[2, k] for k in range(50)])
+        phi, sigma = norm_features(spec, z)
+        psi, _ = norm_features(spec, w)
+        assert phi.shape == (50, self.FEATURE_COUNTS[text]) and sigma.shape == phi.shape[-1:]
+        gram = (phi * sigma) @ np.conj(psi).T
+        assert np.max(np.abs(gram - polarized_norms(spec, z[:, None], w[None, :]))) <= 1e-14
+
+    @pytest.mark.parametrize("text", ["I:2,3", "II:4", "III:2", "IV:3"])
+    def test_one_point_has_the_features_of_its_stack(self, text):
+        spec = parse_spec(text)
+        z = sample_points(spec, "interior", [[3, k] for k in range(4)])
+        phi, sigma = norm_features(spec, z)
+        one, one_sigma = norm_features(spec, z[2])
+        assert np.allclose(one, phi[2], rtol=0, atol=1e-15)
+        assert np.array_equal(one_sigma, sigma)
 
 
 class TestKindIICrossKindOracles:

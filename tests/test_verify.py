@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+import bsdkit.verify
 from bsdkit.domains import parse_spec, polarized_norm, sample_point, sample_points
 from bsdkit.errors import ConfigurationError, ParameterError, ShapeError
-from bsdkit.polymaps import catalog, polymap
+from bsdkit.polymaps import catalog, monomials_of_degree, polymap, source_positions
 from bsdkit.verify import (
     _key_rows,
+    _korobov_lattice,
     _sample_pairs,
     check_F_U_lemma,
     check_coefficient_lemma,
@@ -67,6 +69,105 @@ class TestFactorization:
     def test_too_few_samples_is_configuration_error(self):
         with pytest.raises(ConfigurationError):
             check_factorization(catalog("whitney-ball", n=2), degree_bound=2, grid_size=3)
+
+    def test_samples_are_lattice_pairs_plus_held_out_pairs(self):
+        # 6 monomials of degree <= 2 in 2 variables: N = 7; 15 joint coefficients: 20 held out
+        rep, _ = check_factorization(catalog("whitney-ball", n=2), degree_bound=2, seed=4)
+        assert rep.samples == 7**2 + 20
+
+    def test_grid_size_is_the_lattice_size(self):
+        rep, coeffs = check_factorization(catalog("whitney-ball", n=2), degree_bound=2,
+                                          grid_size=11, seed=4)
+        assert rep.passed and rep.samples == 11**2 + 20
+        assert set(coeffs) == {"1", "z12*conj(w12)"}
+        # 6 = the monomial count, but no generator (1, a) mod 6 separates them
+        with pytest.raises(ConfigurationError, match="^no rank-1 lattice of size 6 "):
+            check_factorization(catalog("whitney-ball", n=2), degree_bound=2, grid_size=6)
+
+    @staticmethod
+    def inclusion(source_text, target_text):
+        """The map that sends Z to itself, mirror entries included."""
+        source, target = parse_spec(source_text), parse_spec(target_text)
+        positions = source_positions(source)
+        entries = {}
+        for v, (i, j) in enumerate(positions):
+            unit = tuple(int(u == v) for u in range(len(positions)))
+            entries[(i, j)] = {unit: 1.0}
+            if source.mirror and i != j:
+                entries[(j, i)] = {unit: source.mirror}
+        return polymap(source, target, entries)
+
+    @pytest.mark.parametrize("source, target", [("III:2", "I:2,2"), ("IV:3", "IV:3")])
+    def test_norm_preserving_inclusion_recovers_unit_factor(self, source, target):
+        rep, coeffs = check_factorization(self.inclusion(source, target), degree_bound=2, seed=5)
+        assert rep.passed and rep.max_residual <= 1e-13
+        assert set(coeffs) == {"1"} and abs(coeffs["1"] - 1.0) <= 1e-12
+
+    def test_kind_ii_in_kind_i_recovers_the_pfaffian_norm(self):
+        # det(I - ZW*) = S_II(Z, W)^2 on II:3, so h = S_II = 1 - sum_{i<j} z_ij conj(w_ij)
+        rep, coeffs = check_factorization(self.inclusion("II:3", "I:3,3"), degree_bound=2, seed=5)
+        assert rep.passed and rep.max_residual <= 1e-13
+        oracle = {"1": 1.0, "z12*conj(w12)": -1.0, "z13*conj(w13)": -1.0, "z23*conj(w23)": -1.0}
+        assert set(coeffs) == set(oracle)
+        assert all(abs(coeffs[k] - v) <= 1e-12 for k, v in oracle.items())
+
+    def test_non_polynomial_ratio_fails(self):
+        rep, _ = check_factorization(catalog("f_t", t=0.3), degree_bound=4, seed=6)
+        assert not rep.passed and rep.max_residual > 1e-2
+
+    def test_too_low_degree_bound_fails(self):
+        # h = 1 + z12 conj(w12) has degree 2
+        rep, coeffs = check_factorization(catalog("whitney-ball", n=2), degree_bound=1, seed=6)
+        assert not rep.passed and rep.max_residual > 0.1
+        assert set(coeffs) == {"1"}
+
+    def test_non_interior_lattice_is_configuration_error(self, monkeypatch):
+        classify_points = bsdkit.verify.classify_points
+
+        def nowhere_interior(spec, z, tol=1e-9):
+            regions, margins = classify_points(spec, z, tol)
+            return np.full_like(regions, "boundary"), margins
+
+        monkeypatch.setattr(bsdkit.verify, "classify_points", nowhere_interior)
+        with pytest.raises(ConfigurationError, match="is not interior"):
+            check_factorization(catalog("whitney-ball", n=2), degree_bound=2)
+
+    def test_small_source_norm_on_the_lattice_is_configuration_error(self, monkeypatch):
+        # Shrinking the source features by 0.05 scales every S1 by 0.0025.
+        f = catalog("whitney-ball", n=2)
+        features = bsdkit.verify.norm_features
+
+        def shrunk(spec, z):
+            phi, sigma = features(spec, z)
+            return (0.05 * phi if spec == f.source else phi), sigma
+
+        monkeypatch.setattr(bsdkit.verify, "norm_features", shrunk)
+        with pytest.raises(ConfigurationError, match=r"\|S1\| < 0\.01"):
+            check_factorization(f, degree_bound=2)
+
+
+class TestKorobovLattice:
+    # (nvars, D) of run_all's three factorization reports, and a 6-variable source
+    @pytest.mark.parametrize("nvars, degree", [(2, 2), (4, 2), (4, 4), (6, 2)])
+    def test_every_monomial_has_its_own_frequency(self, nvars, degree):
+        size, g, exponents = _korobov_lattice(nvars, degree)
+        expected = [e for d in range(degree + 1) for e in monomials_of_degree(nvars, d)]
+        assert exponents.tolist() == [list(e) for e in expected]
+        frequencies = exponents @ g % size
+        assert len(set(frequencies.tolist())) == len(expected)
+        a = int(g[1]) if nvars > 1 else 0
+        assert g.tolist() == [pow(a, j, size) for j in range(nvars)]
+        for smaller in range(len(expected), size):  # N is the smallest size with a generator
+            with pytest.raises(ConfigurationError):
+                _korobov_lattice(nvars, degree, smaller)
+
+    def test_f_sec4_lattice_is_smaller_than_the_tensor_grid(self):
+        assert _korobov_lattice(4, 4)[0] == 171 < 5**4
+
+    def test_sizes_below_the_monomial_count_raise(self):
+        for size in (-1, 0, 1, 5):
+            with pytest.raises(ConfigurationError):
+                _korobov_lattice(2, 2, size)
 
 
 class TestFULemma:
