@@ -57,18 +57,14 @@ from .invariants import (
 )
 from .linalg import (
     det,
-    hermitian_spectrum,
     pfaffian,
-    psd_sqrt,
     random_unitary,
-    singular_values,
 )
 from .polymaps import (
     CATALOG_IDS,
     PolyMap,
     catalog,
     coeff_distance,
-    compose_pointwise,
     conjugate,
     embed_map,
     eval_map,

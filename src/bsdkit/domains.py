@@ -31,6 +31,8 @@ lemma read that one sign.  The sampler rescales each direction by its
 largest singular value, so the halving is exact and moves no sample.
 """
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
@@ -365,6 +367,10 @@ def _pool_state_type() -> type:
     return PoolState
 
 
+def _is_key_array(keys) -> bool:
+    return isinstance(keys, np.ndarray) and keys.ndim == 2 and keys.dtype == np.uint32
+
+
 def key_generators(keys) -> list:
     """One ``Generator`` per RNG key, each the generator that
     ``np.random.default_rng(key)`` gives.  A 2-D ``uint32`` array of key rows
@@ -373,7 +379,7 @@ def key_generators(keys) -> list:
     int, a list or nested list, an ``object`` row) go through ``default_rng``
     one at a time, and a negative integer anywhere in such a key raises
     ``ParameterError``."""
-    if isinstance(keys, np.ndarray) and keys.ndim == 2 and keys.dtype == np.uint32:
+    if _is_key_array(keys):
         pool_state = _pool_state_type()
         return [np.random.Generator(np.random.PCG64(pool_state(state)))
                 for state in _pool_states(keys)]
@@ -430,6 +436,21 @@ def _iv_boundary_radii(d: np.ndarray) -> np.ndarray:
     return np.where(dd_star > 0.0, radius, np.nan)
 
 
+# The open sample memo, {(spec, region, key shape, key bytes): points}, or None.
+_SAMPLE_MEMO = ContextVar("sample_memo", default=None)
+
+
+@contextmanager
+def _sample_memo():
+    """Open an empty sample memo of :func:`sample_points` for the block, and
+    drop it on leaving."""
+    token = _SAMPLE_MEMO.set({})
+    try:
+        yield
+    finally:
+        _SAMPLE_MEMO.reset(token)
+
+
 def sample_points(spec: DomainSpec, region: str, keys) -> np.ndarray:
     """Deterministic sampler for interior or boundary points: one point per
     RNG key, stacked as an array of shape ``(len(keys), *spec.shape)``.  The
@@ -449,9 +470,27 @@ def sample_points(spec: DomainSpec, region: str, keys) -> np.ndarray:
     for an interior point with a nonzero direction, rho as ``random()``;
     these are the streams of ``standard_normal(shape) + 1j *
     standard_normal(shape)`` and ``uniform()`` bit for bit.
+
+    So a stack is a pure function of spec, region and key rows, and while
+    the sample memo is open (within one ``verify.run_all``, see
+    :func:`_sample_memo`) a 2-D ``uint32`` key stack is sampled once: every
+    later call with the same spec, region and key rows gets the same stack,
+    read-only.  Other keys are sampled on every call.
     """
     if region not in ("interior", "boundary"):
         raise ParameterError(f"region must be interior or boundary, got {region!r}")
+    memo = _SAMPLE_MEMO.get()
+    if memo is None or not _is_key_array(keys):
+        return _draw_points(spec, region, keys)
+    entry = (spec, region, keys.shape, keys.tobytes())
+    points = memo.get(entry)
+    if points is None:
+        points = memo[entry] = _draw_points(spec, region, keys)
+        points.flags.writeable = False
+    return points
+
+
+def _draw_points(spec: DomainSpec, region: str, keys) -> np.ndarray:
     rngs = key_generators(keys)
 
     def draw(pending, attempt):

@@ -12,15 +12,12 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ParameterError, ShapeError
+from .errors import DomainError, ParameterError, ShapeError
 
 __all__ = [
     "as_matrix",
     "det",
     "pfaffian",
-    "hermitian_spectrum",
-    "singular_values",
-    "psd_sqrt",
     "psd_inv_sqrt",
     "haar_normalize",
     "default_generator",
@@ -92,43 +89,6 @@ def pfaffian(a, tol: float = 1e-12):
     return value.reshape(lead) if lead else complex(value[0])
 
 
-def hermitian_spectrum(h, tol: float = 1e-12) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix."""
-    h = _square(h)
-    scale = np.linalg.norm(h)
-    if np.linalg.norm(h - h.conj().T) > hybrid_tol(tol, scale):
-        raise ShapeError("matrix is not Hermitian within tolerance")
-    try:
-        return np.linalg.eigvalsh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigenvalue iteration failed: {exc}") from exc
-
-
-def singular_values(m) -> np.ndarray:
-    """Descending nonnegative singular values."""
-    try:
-        return np.linalg.svd(as_matrix(m), compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"singular value iteration failed: {exc}") from exc
-
-
-def psd_sqrt(h, tol: float = 1e-10) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix.
-
-    Eigenvalues below 0 (but above ``-tol`` relative) are clamped to 0 before
-    rooting; genuinely indefinite input raises :class:`DomainError`.
-    """
-    h = _square(h)
-    scale = np.linalg.norm(h)
-    if np.linalg.norm(h - h.conj().T) > hybrid_tol(1e-12, scale):
-        raise ShapeError("matrix is not Hermitian within tolerance")
-    evals, evecs = np.linalg.eigh(h)
-    if evals.size and evals[0] < -hybrid_tol(tol, scale):
-        raise DomainError(f"matrix is indefinite (min eigenvalue {evals[0]:.3e})")
-    root = np.sqrt(np.clip(evals, 0.0, None))
-    return (evecs * root) @ evecs.conj().T
-
-
 def psd_inv_sqrt(h, tol: float = 1e-10) -> np.ndarray:
     """Inverse Hermitian square roots of a positive definite matrix or of a
     stack of them (shape ``(..., n, n)``), one ``eigh`` for the whole stack."""
@@ -164,6 +124,11 @@ def _negative(key) -> bool:
     return isinstance(key, (list, tuple)) and any(map(_negative, key))
 
 
+def _negative_key_error(key) -> ParameterError:
+    """The one error for a negative integer in an RNG key or seed."""
+    return ParameterError(f"RNG key must be nonnegative, got {key!r}")
+
+
 def default_generator(key):
     """``np.random.default_rng(key)``, with a negative integer anywhere in the
     key raised as a ``ParameterError`` rather than numpy's untyped error."""
@@ -171,7 +136,7 @@ def default_generator(key):
         return np.random.default_rng(key)
     except ValueError:
         if _negative(key):
-            raise ParameterError(f"RNG key must be nonnegative, got {key!r}") from None
+            raise _negative_key_error(key) from None
         raise
 
 

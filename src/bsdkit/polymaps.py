@@ -35,7 +35,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .autgroups import AutElement, act, isotropy_factors
+from .autgroups import isotropy_factors
 from .domains import DomainSpec, Point, parse_spec
 from .errors import BsdkitError, ParameterError, ShapeError
 
@@ -53,7 +53,6 @@ __all__ = [
     "map_constant",
     "homogeneous_parts",
     "conjugate",
-    "compose_pointwise",
     "pad_map",
     "embed_map",
     "coeff_distance",
@@ -531,23 +530,6 @@ def conjugate(f: PolyMap, pre_params, post_params) -> PolyMap:
     # C = B X: B has one entry 0 or +-1 per row, so each mirror row is exactly eps times its row
     full = _embedding(f.target).reshape(-1, len(independent)) @ independent
     return PolyMap(f.source, f.target, exponents, full, degrees)
-
-
-def compose_pointwise(f: PolyMap, pre: AutElement, post: AutElement):
-    """Pointwise evaluator Z -> act(post, f(act(pre, Z))).
-
-    General automorphisms make the composite rational, so no PolyMap is
-    produced; action singularities propagate.
-    """
-    if pre.spec != f.source:
-        raise ShapeError(f"pre-automorphism of {pre.spec} does not match source {f.source}")
-    if post.spec != f.target:
-        raise ShapeError(f"post-automorphism of {post.spec} does not match target {f.target}")
-
-    def composite(p: Point) -> Point:
-        return act(post, eval_map(f, act(pre, p)))
-
-    return composite
 
 
 def pad_map(f: PolyMap, target: DomainSpec) -> PolyMap:

@@ -33,6 +33,12 @@ seed of 2**32 or more keeps ``object`` rows, which go through
 ``standard_normal`` call through ``linalg.gaussian_blocks``, bit for bit the
 draws of one call per real and imaginary block.  A negative seed raises
 ``ParameterError``.
+
+Within one ``run_all`` each key stack is sampled once: ``domains`` keeps a
+sample memo open while the checks run, and a later check that asks for the
+same spec, region and ``uint32`` key stack gets the same points, read-only.
+This is exact, since a stack is a pure function of its spec, region and
+keys; ``object`` rows are sampled on every call.
 """
 
 import itertools
@@ -53,6 +59,7 @@ from .autgroups import (
 from .domains import (
     DomainSpec,
     _redraw,
+    _sample_memo,
     classify_points,
     generic_norms,
     norm_features,
@@ -63,6 +70,7 @@ from .domains import (
 )
 from .errors import ConfigurationError, ParameterError, ShapeError
 from .invariants import INDISTINGUISHABLE, distinguish, invariant_spectrum, monomials_of_degree
+from .linalg import _negative_key_error
 from .polymaps import (
     PolyMap,
     _aligned_coeffs,
@@ -125,12 +133,13 @@ def summarize(reports) -> dict:
 def _key_rows(seed, *columns) -> np.ndarray:
     """Sample keys as the rows ``[seed, c1[k], c2[k], ...]`` over the broadcast
     integer columns (nonnegative counters), ``uint32`` when the seed fits.  A
-    negative integer seed raises ``ParameterError``; a seed that does not fit
+    negative integer seed raises ``linalg._negative_key_error``, the error a
+    negative key gets in the one-key samplers; a seed that does not fit
     (at least 2**32, or not an integer) stays a Python object, so
     ``default_rng`` reads it, or rejects it, as it would in a list key."""
     integer = isinstance(seed, (int, np.integer))
     if integer and seed < 0:
-        raise ParameterError(f"seed must be nonnegative, got {seed}")
+        raise _negative_key_error(int(seed))
     fits = integer and seed < 2**32
     cols = np.broadcast_arrays(*(np.asarray(c) for c in columns))
     rows = np.empty((cols[0].size, 1 + len(cols)), dtype=np.uint32 if fits else object)
@@ -548,40 +557,50 @@ def _properness_targets():
 
 
 def run_all(seed: int = 42, properness_samples: int = 500, fu_samples: int = 200) -> list:
-    """The aggregate verification suite: every check at its default scale."""
+    """The aggregate verification suite: every check at its default scale.
+
+    The sample memo of ``domains`` is open while the checks run, so a key
+    stack that several reports sample (the same source and keys in many
+    properness reports, the same bases in every coefficient lemma report of
+    a domain) is sampled once and shared read-only; every report is what the
+    check gives alone."""
     reports = []
-    for text in ("I:2,2", "I:2,3", "I:3,3", "III:2", "III:3",
-                 "II:3", "II:4", "II:5", "IV:3", "IV:4"):
-        spec = parse_spec(text)
-        reports.append(check_F_U_lemma(spec, n_samples=fu_samples, seed=seed))
-    for label, f in _properness_targets():
-        reports.append(check_properness(f, n_samples=properness_samples, seed=seed,
-                                        check_id=f"properness:{label}"))
-    for text in ("I:2,2", "I:2,3", "I:3,3", "II:4", "II:5", "III:2", "III:3"):
-        spec = parse_spec(text)
-        for i, j in source_positions(spec):
-            reports.append(check_coefficient_lemma(spec, i, j, seed=seed))
-    reports.append(check_composition_rule(
-        catalog("standard", r=1, s=3, r2=1, s2=5), catalog("whitney-ball", n=2),
-        seed=seed, check_id="composition:standard.whitney-ball"))
-    reports.append(check_composition_rule(
-        catalog("whitney-ball", n=3), catalog("whitney-ball", n=2),
-        seed=seed, check_id="composition:whitney-ball.whitney-ball"))
-    reports.append(check_composition_rule(
-        catalog("gen-whitney", r=3, s=3), catalog("gen-whitney", r=2, s=2),
-        seed=seed, check_id="composition:gen-whitney.gen-whitney"))
-    reports.append(check_factorization(catalog("whitney-ball", n=2), degree_bound=2,
-                                       seed=seed, check_id="factorization:whitney-ball(2)")[0])
-    reports.append(check_factorization(catalog("standard", r=2, s=2, r2=3, s2=3), degree_bound=2,
-                                       seed=seed, check_id="factorization:standard(2,2,3,3)")[0])
-    reports.append(check_factorization(catalog("f-sec4"), degree_bound=4, tol=1e-7,
-                                       seed=seed, check_id="factorization:f-sec4")[0])
-    reports.append(check_isotropy_consistency(catalog("f_t", t=0.3), seed=seed,
-                                              check_id="isotropy:f_t(0.3)"))
-    reports.append(check_isotropy_consistency(catalog("gen-whitney", r=2, s=2), seed=seed,
-                                              check_id="isotropy:gen-whitney(2,2)"))
-    grid = [k / 20.0 for k in range(21)]
-    for family in ("f_t", "g_t", "h_t"):
-        reports.append(check_family_continuity(family, grid))
-    reports.append(check_family_continuity("G_t", grid, dims=(2, 2), check_id="continuity:G_t(2,2)"))
+    with _sample_memo():
+        for text in ("I:2,2", "I:2,3", "I:3,3", "III:2", "III:3",
+                     "II:3", "II:4", "II:5", "IV:3", "IV:4"):
+            spec = parse_spec(text)
+            reports.append(check_F_U_lemma(spec, n_samples=fu_samples, seed=seed))
+        for label, f in _properness_targets():
+            reports.append(check_properness(f, n_samples=properness_samples, seed=seed,
+                                            check_id=f"properness:{label}"))
+        for text in ("I:2,2", "I:2,3", "I:3,3", "II:4", "II:5", "III:2", "III:3"):
+            spec = parse_spec(text)
+            for i, j in source_positions(spec):
+                reports.append(check_coefficient_lemma(spec, i, j, seed=seed))
+        reports.append(check_composition_rule(
+            catalog("standard", r=1, s=3, r2=1, s2=5), catalog("whitney-ball", n=2),
+            seed=seed, check_id="composition:standard.whitney-ball"))
+        reports.append(check_composition_rule(
+            catalog("whitney-ball", n=3), catalog("whitney-ball", n=2),
+            seed=seed, check_id="composition:whitney-ball.whitney-ball"))
+        reports.append(check_composition_rule(
+            catalog("gen-whitney", r=3, s=3), catalog("gen-whitney", r=2, s=2),
+            seed=seed, check_id="composition:gen-whitney.gen-whitney"))
+        reports.append(check_factorization(
+            catalog("whitney-ball", n=2), degree_bound=2,
+            seed=seed, check_id="factorization:whitney-ball(2)")[0])
+        reports.append(check_factorization(
+            catalog("standard", r=2, s=2, r2=3, s2=3), degree_bound=2,
+            seed=seed, check_id="factorization:standard(2,2,3,3)")[0])
+        reports.append(check_factorization(catalog("f-sec4"), degree_bound=4, tol=1e-7,
+                                           seed=seed, check_id="factorization:f-sec4")[0])
+        reports.append(check_isotropy_consistency(catalog("f_t", t=0.3), seed=seed,
+                                                  check_id="isotropy:f_t(0.3)"))
+        reports.append(check_isotropy_consistency(catalog("gen-whitney", r=2, s=2), seed=seed,
+                                                  check_id="isotropy:gen-whitney(2,2)"))
+        grid = [k / 20.0 for k in range(21)]
+        for family in ("f_t", "g_t", "h_t"):
+            reports.append(check_family_continuity(family, grid))
+        reports.append(check_family_continuity("G_t", grid, dims=(2, 2),
+                                               check_id="continuity:G_t(2,2)"))
     return reports

@@ -402,6 +402,43 @@ class TestStackedSampler:
             sample_points(parse_spec("I:2,2"), "surface", [0])
 
 
+class TestSampleMemo:
+    KEYS = np.array([[42, k] for k in range(12)], dtype=np.uint32)
+
+    def test_a_stack_is_sampled_once_and_shared_read_only(self):
+        spec = parse_spec("III:2")
+        outside = sample_points(spec, "interior", self.KEYS)
+        with domains._sample_memo():
+            a = sample_points(spec, "interior", self.KEYS)
+            b = sample_points(spec, "interior", self.KEYS.copy())
+            boundary = sample_points(spec, "boundary", self.KEYS)
+            fewer = sample_points(spec, "interior", self.KEYS[:6])
+        assert a is b and not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0, 0] = 0.0
+        assert np.array_equal(a, outside)
+        assert boundary is not a and fewer is not a
+        assert np.array_equal(fewer, outside[:6])
+        assert domains._SAMPLE_MEMO.get() is None
+
+    def test_other_keys_bypass_the_memo(self):
+        spec = parse_spec("I:2,2")
+        for keys in (self.KEYS.astype(object), self.KEYS.tolist(), self.KEYS.astype(np.int64)):
+            with domains._sample_memo():
+                a, b = sample_points(spec, "boundary", keys), sample_points(spec, "boundary", keys)
+            assert a is not b and a.flags.writeable and np.array_equal(a, b)
+        with domains._sample_memo():
+            mine = sample_point(spec, "interior", np.random.default_rng(5)).value
+            again = sample_point(spec, "interior", np.random.default_rng(5)).value
+        assert mine.flags.writeable and np.array_equal(mine, again)
+
+    def test_memo_closes_when_the_block_raises(self):
+        with pytest.raises(ParameterError):
+            with domains._sample_memo():
+                sample_points(parse_spec("I:2,2"), "surface", self.KEYS)
+        assert domains._SAMPLE_MEMO.get() is None
+
+
 class TestStackedKernels:
     @pytest.mark.parametrize("text", ALL_SPECS + ["I:1,1", "II:2", "III:1", "IV:1"])
     def test_agree_with_point_functions(self, text):

@@ -10,13 +10,10 @@ from bsdkit.linalg import (
     det,
     gaussian_blocks,
     haar_normalize,
-    hermitian_spectrum,
     pfaffian,
     psd_inv_sqrt,
-    psd_sqrt,
     random_orthogonal,
     random_unitary,
-    singular_values,
 )
 
 
@@ -159,68 +156,6 @@ class TestStackedPfaffian:
         a[2, 0, 1] += 1e-3
         with pytest.raises(ShapeError):
             pfaffian(a)
-
-
-class TestHermitianSpectrum:
-    def test_identity(self):
-        assert hermitian_spectrum(np.eye(4)) == pytest.approx(np.ones(4))
-
-    def test_diagonal(self):
-        assert hermitian_spectrum(np.diag([-1.0, 0.0, 2.0])) == pytest.approx([-1.0, 0.0, 2.0])
-
-    def test_against_characteristic_roots(self):
-        # cubic-root oracle: eigenvalues of a 3x3 Hermitian matrix are the
-        # roots of x^3 - tr x^2 + (sum of principal 2-minors) x - det
-        rng = np.random.default_rng(5)
-        g = rng_matrix(rng, 3, 3)
-        h = (g + g.conj().T) / 2
-        tr = np.trace(h).real
-        minors = sum(
-            (h[i, i] * h[j, j] - h[i, j] * h[j, i]).real
-            for i in range(3)
-            for j in range(i + 1, 3)
-        )
-        roots = np.sort(np.roots([1.0, -tr, minors, -cofactor_det(h).real]).real)
-        assert hermitian_spectrum(h) == pytest.approx(roots, abs=1e-9)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ShapeError):
-            hermitian_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestSingularValues:
-    def test_identity(self):
-        assert singular_values(np.eye(3)) == pytest.approx(np.ones(3))
-
-    def test_zero(self):
-        assert singular_values(np.zeros((2, 4))) == pytest.approx(np.zeros(2))
-
-    def test_against_gram_eigenvalues(self):
-        rng = np.random.default_rng(9)
-        m = rng_matrix(rng, 3, 4)
-        gram = np.sqrt(np.clip(hermitian_spectrum(m.conj().T @ m), 0, None))[::-1]
-        assert singular_values(m) == pytest.approx(gram[:3], abs=1e-10)
-
-
-class TestPsdSqrt:
-    def test_identity(self):
-        assert psd_sqrt(np.eye(3)) == pytest.approx(np.eye(3))
-
-    def test_diagonal(self):
-        assert psd_sqrt(np.diag([4.0, 9.0])) == pytest.approx(np.diag([2.0, 3.0]))
-
-    def test_squaring_and_commuting(self):
-        rng = np.random.default_rng(2)
-        g = rng_matrix(rng, 4, 4)
-        h = g @ g.conj().T
-        s = psd_sqrt(h)
-        assert np.linalg.norm(s - s.conj().T) <= 1e-12 * np.linalg.norm(h)
-        assert np.linalg.norm(s @ s - h) <= 1e-9 * np.linalg.norm(h)
-        assert np.linalg.norm(s @ h - h @ s) <= 1e-9 * np.linalg.norm(h)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(DomainError):
-            psd_sqrt(np.diag([1.0, -1.0]))
 
 
 class TestPsdInvSqrt:

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from bsdkit.autgroups import act, identity_element, isotropy, random_isotropy_params, transvection_type1
-from bsdkit.domains import (DomainSpec, Point, classify_point, origin, parse_spec, point,
-                            sample_point, sample_points)
+from bsdkit.autgroups import act, isotropy, random_isotropy_params
+from bsdkit.domains import (DomainSpec, Point, origin, parse_spec, point, sample_point,
+                            sample_points)
 from bsdkit.errors import ParameterError, ShapeError
 from bsdkit.invariants import monomials_of_degree as invariants_monomials_of_degree
 from bsdkit.polymaps import (
@@ -15,7 +15,6 @@ from bsdkit.polymaps import (
     _power_actions,
     catalog,
     coeff_distance,
-    compose_pointwise,
     conjugate,
     embed_map,
     eval_map,
@@ -512,37 +511,6 @@ class TestArrayAlgebra:
     def test_one_monomial_enumerator(self):
         assert invariants_monomials_of_degree is monomials_of_degree
         assert monomials_of_degree(3, 2) == [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
-
-
-class TestComposePointwise:
-    def test_identity_chain(self):
-        f = catalog("f-sec4")
-        comp = compose_pointwise(f, identity_element(f.source), identity_element(f.target))
-        z = sample_point(f.source, "interior", 8)
-        assert np.allclose(comp(z).value, eval_map(f, z).value)
-
-    def test_transvection_precompose_moves_origin(self):
-        f = catalog("f-sec4")
-        z0 = sample_point(f.source, "interior", 9)
-        pre = transvection_type1(z0)
-        post = identity_element(f.target)
-        comp = compose_pointwise(f, pre, post)
-        expected = eval_map(f, z0).value
-        assert np.allclose(comp(origin(f.source)).value, expected, atol=1e-12)
-
-    def test_preserves_boundary_for_proper_map(self):
-        f = catalog("gen-whitney", r=2, s=2)
-        pre = transvection_type1(sample_point(f.source, "interior", 10))
-        post = identity_element(f.target)
-        comp = compose_pointwise(f, pre, post)
-        for k in range(20):
-            z = sample_point(f.source, "boundary", [11, k])
-            assert classify_point(comp(z), 1e-7).region == "boundary"
-
-    def test_rejects_mismatched_elements(self):
-        f = catalog("f-sec4")
-        with pytest.raises(ShapeError):
-            compose_pointwise(f, identity_element(f.target), identity_element(f.target))
 
 
 class TestReadOnlyEntries:

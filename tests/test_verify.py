@@ -319,6 +319,97 @@ class TestSuite:
         assert ja == jb
 
 
+def recorded_run_all(monkeypatch, seed):
+    """run_all(seed) at 10 properness and F_U samples, and every check call it
+    made, as (check, args, kwargs, result) in call order."""
+    calls = []
+    with monkeypatch.context() as patch:
+        for name in [n for n in bsdkit.verify.__all__ if n.startswith("check_")]:
+            def record(*args, _check=getattr(bsdkit.verify, name), **kwargs):
+                out = _check(*args, **kwargs)
+                calls.append((_check, args, kwargs, out))
+                return out
+
+            patch.setattr(bsdkit.verify, name, record)
+        reports = run_all(seed, properness_samples=10, fu_samples=10)
+    return reports, calls
+
+
+def count_sampled_keys(monkeypatch):
+    """A list that gains the number of generators ``domains.key_generators``
+    builds for each ``sample_points`` call from now on."""
+    counts = []
+    build = bsdkit.domains.key_generators
+
+    def counted(keys):
+        rngs = build(keys)
+        counts.append(len(rngs))
+        return rngs
+
+    monkeypatch.setattr(bsdkit.domains, "key_generators", counted)
+    return counts
+
+
+class TestSampleMemo:
+    @pytest.mark.parametrize("seed", [42, 2**32 + 5])
+    def test_run_all_equals_the_checks_called_one_at_a_time(self, monkeypatch, seed):
+        reports, calls = recorded_run_all(monkeypatch, seed)
+        assert len(calls) == len(reports) == 88
+        for report, (check, args, kwargs, out) in zip(reports, calls):
+            alone = check(*args, **kwargs)
+            if isinstance(alone, tuple):  # factorization: (report, coefficients)
+                assert alone[1] == out[1]
+                alone = alone[0]
+            assert alone.to_dict() == report.to_dict()
+
+    def test_a_repeated_stack_is_one_read_only_array(self, monkeypatch):
+        sampler = bsdkit.verify.sample_points
+        stacks = {}
+
+        def record(spec, region, keys):
+            points = sampler(spec, region, keys)
+            stacks.setdefault((spec, region, keys.shape, keys.tobytes()), []).append(points)
+            return points
+
+        monkeypatch.setattr(bsdkit.verify, "sample_points", record)
+        run_all(42, properness_samples=10, fu_samples=10)
+        repeated = [calls for calls in stacks.values() if len(calls) > 1]
+        assert len(repeated) >= 13  # 22 properness reports on 6 stacks, 44 coefficient on 7
+        for first, *later in repeated:
+            assert all(points is first for points in later)
+            assert not first.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                first[0] = 0.0
+
+    def test_memo_closes_when_run_all_returns_or_raises(self, monkeypatch):
+        counts = count_sampled_keys(monkeypatch)
+        run_all(7, properness_samples=10, fu_samples=10)
+        first = sum(counts)
+        assert bsdkit.domains._SAMPLE_MEMO.get() is None
+        keys = _key_rows(7, np.arange(10))
+        a = sample_points(parse_spec("I:2,2"), "boundary", keys)
+        b = sample_points(parse_spec("I:2,2"), "boundary", keys)
+        assert a is not b and a.flags.writeable and np.array_equal(a, b)
+        counts.clear()
+        run_all(7, properness_samples=10, fu_samples=10)
+        assert sum(counts) == first > 0
+
+        def stop(*args, **kwargs):
+            raise ConfigurationError("stop")
+
+        monkeypatch.setattr(bsdkit.verify, "check_composition_rule", stop)
+        with pytest.raises(ConfigurationError, match="^stop$"):
+            run_all(7, properness_samples=10, fu_samples=10)
+        assert bsdkit.domains._SAMPLE_MEMO.get() is None
+
+    def test_run_all_builds_one_generator_per_distinct_sample_key(self, monkeypatch):
+        # 17,132 generators without the memo; 7,988 distinct uint32 key rows per
+        # (spec, region) plus the 204 Generators random_automorphisms passes in.
+        counts = count_sampled_keys(monkeypatch)
+        run_all(42)
+        assert sum(counts) == 8192
+
+
 def reference_pair(spec, seed, k, threshold):
     """One key at a time: attempt a draws z from [seed, k, 2a] and w from
     [seed, k, 2a + 1] until |S1(z, w)| reaches the threshold."""
@@ -381,11 +472,15 @@ class TestKeyRows:
     @pytest.mark.parametrize("check", sorted(SEED_CHECKS))
     def test_negative_or_non_integer_seed_fails_as_a_list_key_does(self, check):
         # A negative seed fails as a ValueError, as a negative list key does, but
-        # typed and named: the check rejects it before any key is hashed.
+        # typed and named: the check rejects it before any key is hashed, with
+        # the error a negative key gets in the one-key samplers.
         with pytest.raises(ValueError):
             np.random.default_rng([-1, 0])
-        with pytest.raises(ParameterError, match="^seed must be nonnegative, got -1$"):
+        with pytest.raises(ParameterError) as one_key:
+            sample_point(parse_spec("I:2,2"), "interior", -1)
+        with pytest.raises(ParameterError, match="^RNG key must be nonnegative, got -1$") as seed:
             SEED_CHECKS[check](-1)
+        assert str(seed.value) == str(one_key.value)
         with pytest.raises(TypeError) as direct:
             np.random.default_rng([3.0, 0])
         with pytest.raises(TypeError, match=f"^{direct.value}$"):
