@@ -29,6 +29,10 @@ the holomorphic Goursat problem", Bull. LMS 21 (1989).
 The operators are read from a map's stored arrays: each degree's columns of
 ``PolyMap.weighted`` (C with these weights, built on first use) are
 scattered into the columns of ``monomials_of_degree``, one scatter per degree.
+Spectra are taken over a coefficient stack, one SVD per degree: a map's own
+spectrum is the no-stack case, and the isotropy check of ``verify`` takes
+the spectra of all its conjugation trials (``polymaps._conjugations``) in
+one stacked call per degree.
 """
 
 import math
@@ -36,8 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autgroups import isotropy_factors
 from .errors import ParameterError, ShapeError
-from .polymaps import PolyMap, monomials_of_degree
+from .polymaps import PolyMap, _conjugations, _weighted, monomials_of_degree
 
 __all__ = [
     "monomials_of_degree",
@@ -70,21 +75,36 @@ def coefficient_operator(f_d: PolyMap, degree: int = None) -> np.ndarray:
     elif blocks and blocks[0][0] != degree:
         raise ShapeError(f"map has degree {blocks[0][0]}, not {degree}")
 
-    return _operator(f_d, degree, *(blocks[0][1:] if blocks else ([], [])))
+    return _operator(f_d.weighted, f_d.nvars, degree, *(blocks[0][1:] if blocks else ([], [])))
 
 
-def _operator(f: PolyMap, degree: int, columns: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """The degree-``degree`` operator of f: its weighted ``columns`` scattered
-    into the monomial ``ranks``."""
-    op = np.zeros((len(f.weighted), math.comb(f.nvars + degree - 1, degree)), dtype=complex)
-    op[:, ranks] = f.weighted[:, columns]
+def _operator(weighted: np.ndarray, nvars: int, degree: int, columns: np.ndarray,
+              ranks: np.ndarray) -> np.ndarray:
+    """The degree-``degree`` operator of the weighted coefficients (leading
+    stack axes kept): their ``columns`` scattered into the monomial ``ranks``."""
+    op = np.zeros((*weighted.shape[:-1], math.comb(nvars + degree - 1, degree)), dtype=complex)
+    op[..., ranks] = weighted[..., columns]
     return op
+
+
+def _spectra(weighted: np.ndarray, nvars: int, degrees) -> dict:
+    """Per-degree descending singular values of the operators of a weighted
+    coefficient matrix or stack: one SVD per degree."""
+    return {d: np.linalg.svd(_operator(weighted, nvars, d, columns, ranks), compute_uv=False)
+            for d, columns, ranks in degrees}
 
 
 def invariant_spectrum(f: PolyMap) -> dict:
     """Per-degree descending singular values of the coefficient operators."""
-    return {d: np.linalg.svd(_operator(f, d, columns, ranks), compute_uv=False)
-            for d, columns, ranks in f.degrees}
+    return _spectra(f.weighted, f.nvars, f.degrees)
+
+
+def _conjugate_spectra(f: PolyMap, pre_params, post_params) -> dict:
+    """Per-degree spectra of the conjugates of f by stacks of source and
+    target isotropy parameters, as (trials, k) arrays."""
+    exponents, coeffs, degrees = _conjugations(f, isotropy_factors(f.source, pre_params),
+                                               isotropy_factors(f.target, post_params))
+    return _spectra(_weighted(f.source, f.target, exponents, coeffs), f.nvars, degrees)
 
 
 @dataclass(frozen=True)
@@ -98,14 +118,19 @@ class DistinguishResult:
         return self.verdict == INEQUIVALENT
 
 
-def _spectrum_distance(a, b) -> float:
-    # zero-pad to a common length; spectra are already sorted descending
-    n = max(len(a), len(b))
-    pa = np.zeros(n)
-    pa[: len(a)] = a
-    pb = np.zeros(n)
-    pb[: len(b)] = b
-    return float(np.max(np.abs(pa - pb))) if n else 0.0
+def _spectrum_distance(a, b) -> np.ndarray:
+    """Sup distance between descending spectra zero-padded to a common length
+    along the last axis; broadcasts over leading (trial) axes."""
+    (*lead_a, m), (*lead_b, k) = np.shape(a), np.shape(b)
+    pa, pb = np.zeros((*lead_a, max(m, k))), np.zeros((*lead_b, max(m, k)))
+    pa[..., :m] = a
+    pb[..., :k] = b
+    return np.abs(pa - pb).max(axis=-1, initial=0.0)
+
+
+def _require_origin(name: str, f: PolyMap) -> None:
+    if any(d == 0 for d, _, _ in f.degrees):
+        raise ParameterError(f"{name} map does not preserve the origin")
 
 
 def distinguish(f: PolyMap, g: PolyMap, tol: float = 1e-8) -> DistinguishResult:
@@ -119,12 +144,11 @@ def distinguish(f: PolyMap, g: PolyMap, tol: float = 1e-8) -> DistinguishResult:
     """
     if f.source != g.source or f.target != g.target:
         raise ShapeError("maps must share source and target specs")
-    for name, m in (("first", f), ("second", g)):
-        if any(d == 0 for d, _, _ in m.degrees):
-            raise ParameterError(f"{name} map does not preserve the origin")
+    _require_origin("first", f)
+    _require_origin("second", g)
     spec_f = invariant_spectrum(f)
     spec_g = invariant_spectrum(g)
-    distances = {d: _spectrum_distance(spec_f.get(d, ()), spec_g.get(d, ()))
+    distances = {d: float(_spectrum_distance(spec_f.get(d, ()), spec_g.get(d, ())))
                  for d in sorted(set(spec_f) | set(spec_g))}
     worst = max(distances.values(), default=0.0)
     mismatch = set(spec_f) != set(spec_g)

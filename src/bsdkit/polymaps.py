@@ -13,11 +13,13 @@ is a read-only mapping of the nonzero coefficients derived from the arrays.
 ``eval_points`` evaluates a stack of source points (leading axes, one
 sample per row, each drawn from its own ``[seed, k, ...]`` RNG key by the
 verification harness) as ``C @ prod(vals ** E)``; ``eval_map`` is the
-one-point case.  ``conjugate`` turns each degree-d block into
-``C_d @ P_d(S)``, S the source isotropy on the independent variables,
-applies the target isotropy as one product over the full target grid, and
-builds its result from arrays; both isotropies act by Z -> L Z R with the
-factors of ``autgroups.isotropy_factors``.
+one-point case.  ``_conjugations`` conjugates a stack of isotropies at
+once: it turns each degree-d block into ``C_d @ P_d(S)``, S the source
+isotropy on the independent variables, with one ``P_d(S)`` stack per
+degree, and applies the target isotropy as one product over the full
+target grid; both isotropies act by Z -> L Z R with the factors of
+``autgroups.isotropy_factors``.  ``conjugate`` is its one-trial case and
+builds its result from arrays.
 
 The catalog holds the proper polynomial map families used throughout:
 standard block embeddings, ball Whitney and one-parameter ball families,
@@ -108,15 +110,17 @@ def monomials_of_degree(nvars: int, degree: int) -> list:
 
 
 def _power_actions(s: np.ndarray, top: int) -> list:
-    """[P_0(S), ..., P_top(S)]: P_d(S)[alpha, beta] is the coefficient of x^beta
-    in prod_k (S x)_k ** alpha_k.  With t = var[alpha, 0] and the parent
+    """[P_0(S), ..., P_top(S)] over the leading stack axes of S, if any:
+    P_d(S)[alpha, beta] is the coefficient of x^beta in
+    prod_k (S x)_k ** alpha_k.  With t = var[alpha, 0] and the parent
     alpha / x_t = lower[alpha, 0], row alpha of P_d holds
     sum_j P_{d-1}[parent, beta / x_j] S[t, j] at x^beta (``_monomial_table``)."""
-    powers = [np.ones((1, 1), dtype=complex)]
+    powers = [np.ones((*s.shape[:-2], 1, 1), dtype=complex)]
     for d in range(1, top + 1):
-        _, _, var, lower = _monomial_table(len(s), d)
-        prev = np.hstack([powers[-1], np.zeros((len(powers[-1]), 1))])  # padding reads this zero column
-        powers.append((prev[lower[:, 0]][:, lower] * s[var[:, 0]][:, var]).sum(axis=-1))
+        _, _, var, lower = _monomial_table(s.shape[-1], d)
+        prev = powers[-1]
+        prev = np.concatenate([prev, np.zeros((*prev.shape[:-1], 1))], axis=-1)  # padding reads this zero column
+        powers.append((prev[..., lower[:, 0], :][..., lower] * s[..., var[:, 0], :][..., var]).sum(axis=-1))
     return powers
 
 
@@ -192,14 +196,21 @@ class PolyMap:
     def weighted(self) -> np.ndarray:
         """C at the independent target positions times the Frobenius row and
         Fischer column weights (the operators of ``invariants``)."""
-        w_source, w_target = (np.sqrt(np.square(_embedding(spec)).sum(axis=(0, 1)))
-                              for spec in (self.source, self.target))
-        e = self.exponents
-        factorials = np.cumprod(np.maximum(np.arange(e.max(initial=0) + 1), 1), dtype=float)
-        # column alpha: sqrt(alpha!) prod(w ** -alpha), w the Frobenius weights (column norms of B)
-        fischer = np.sqrt(factorials[e].prod(axis=1)) * (w_source ** -e).prod(axis=1)
-        rows = self.coeffs.reshape(*self.target.shape, len(e))[_independent_index(self.target)]
-        return rows * np.outer(w_target, fischer)
+        return _weighted(self.source, self.target, self.exponents, self.coeffs)
+
+
+def _weighted(source: DomainSpec, target: DomainSpec, exponents: np.ndarray,
+              coeffs: np.ndarray) -> np.ndarray:
+    """``PolyMap.weighted`` of the coefficient matrix ``coeffs``, with its
+    leading stack axes, if any."""
+    w_source, w_target = (np.sqrt(np.square(_embedding(spec)).sum(axis=(0, 1)))
+                          for spec in (source, target))
+    e = exponents
+    factorials = np.cumprod(np.maximum(np.arange(e.max(initial=0) + 1), 1), dtype=float)
+    # column alpha: sqrt(alpha!) prod(w ** -alpha), w the Frobenius weights (column norms of B)
+    fischer = np.sqrt(factorials[e].prod(axis=1)) * (w_source ** -e).prod(axis=1)
+    grid = coeffs.reshape(*coeffs.shape[:-2], *target.shape, len(e))
+    return grid[(..., *_independent_index(target), slice(None))] * np.outer(w_target, fischer)
 
 
 def polymap(source: DomainSpec, target: DomainSpec, entries: dict) -> PolyMap:
@@ -510,26 +521,38 @@ def conjugate(f: PolyMap, pre_params, post_params) -> PolyMap:
     parameters ``pre_params`` and (L', R') those of the target parameters
     ``post_params`` (see the table in the ``autgroups`` docstring), for all
     four kinds.  Preserves degree profile and the origin; parameter stacks
-    raise ``ShapeError``.
+    raise ``ShapeError``.  The one-trial case of ``_conjugations``.
     """
-    (left, right), (left_t, right_t) = (isotropy_factors(f.source, pre_params),
-                                        isotropy_factors(f.target, post_params))
-    if any(m.ndim != 2 for m in (left, right, left_t, right_t)):
+    factors = isotropy_factors(f.source, pre_params), isotropy_factors(f.target, post_params)
+    if any(m.ndim != 2 for pair in factors for m in pair):
         raise ShapeError("expected the parameters of one source and one target isotropy, got a stack")
-    s = np.einsum("ia,abv,bj->ijv", left, _embedding(f.source), right)[_independent_index(f.source)]
+    exponents, coeffs, degrees = _conjugations(f, *([m[None] for m in pair] for pair in factors))
+    return PolyMap(f.source, f.target, exponents, coeffs[0], degrees)
+
+
+def _conjugations(f: PolyMap, source_factors, target_factors) -> tuple:
+    """(E, C, degrees) of the conjugates Z -> L' f(L Z R) R' of f over a trial
+    stack: (L, R) and (L', R') are ``autgroups.isotropy_factors`` with one
+    leading trial axis, C holds one coefficient matrix per trial, and E and
+    degrees list every monomial of each degree of f.  Each degree-d block
+    becomes ``C_d @ P_d(S)``, S the source isotropy on the independent
+    variables, and the target isotropy is one product over the full grid."""
+    (left, right), (left_t, right_t) = source_factors, target_factors
+    s = np.einsum("tia,abv,tbj->tijv", left, _embedding(f.source), right)
+    s = s[(slice(None), *_independent_index(f.source))]
     grid = f.coeffs.reshape(*f.target.shape, len(f.exponents))
-    image = np.einsum("ia,abm,bj->ijm", left_t, grid, right_t)[_independent_index(f.target)]
+    image = np.einsum("tia,abm,tbj->tijm", left_t, grid, right_t)
+    image = image[(slice(None), *_independent_index(f.target))]
     powers = _power_actions(s, max((d for d, _, _ in f.degrees), default=0))
     monomials = sum((_monomial_table(f.nvars, d)[0] for d, _, _ in f.degrees), ())
     exponents, degrees = _monomial_index(f.nvars, monomials)
-    independent = np.zeros((len(image), len(exponents)), dtype=complex)
+    independent = np.zeros((*image.shape[:2], len(exponents)), dtype=complex)
     for (d, columns, ranks), (_, out, _) in zip(f.degrees, degrees):
-        block = np.zeros((len(image), len(out)), dtype=complex)
-        block[:, ranks] = image[:, columns]
-        independent[:, out] = block @ powers[d]
+        block = np.zeros((*image.shape[:2], len(out)), dtype=complex)
+        block[..., ranks] = image[..., columns]
+        independent[..., out] = block @ powers[d]
     # C = B X: B has one entry 0 or +-1 per row, so each mirror row is exactly eps times its row
-    full = _embedding(f.target).reshape(-1, len(independent)) @ independent
-    return PolyMap(f.source, f.target, exponents, full, degrees)
+    return exponents, _embedding(f.target).reshape(-1, independent.shape[1]) @ independent, degrees
 
 
 def pad_map(f: PolyMap, target: DomainSpec) -> PolyMap:

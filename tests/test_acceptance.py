@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from bsdkit.domains import parse_spec
 from bsdkit.invariants import distinguish, invariant_spectrum

@@ -3,7 +3,6 @@ import pytest
 
 from bsdkit import domains
 from bsdkit.domains import (
-    DomainSpec,
     Point,
     borel_lift_iv,
     classify_point,

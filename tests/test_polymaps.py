@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from bsdkit.autgroups import act, isotropy, random_isotropy_params
+import bsdkit.autgroups
+from bsdkit.autgroups import _params_at, act, isotropy, random_isotropy_params, random_isotropy_stack
 from bsdkit.domains import (DomainSpec, Point, origin, parse_spec, point, sample_point,
                             sample_points)
 from bsdkit.errors import ParameterError, ShapeError
 from bsdkit.invariants import monomials_of_degree as invariants_monomials_of_degree
 from bsdkit.polymaps import (
     CATALOG_IDS,
+    _conjugations,
     _embedding,
     _power_actions,
     catalog,
@@ -511,6 +513,36 @@ class TestArrayAlgebra:
     def test_one_monomial_enumerator(self):
         assert invariants_monomials_of_degree is monomials_of_degree
         assert monomials_of_degree(3, 2) == [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+
+
+class TestStackedConjugation:
+    @pytest.mark.parametrize("f", REFERENCE_MAPS, ids=lambda f: f"{f.source}->{f.target}")
+    def test_stack_equals_one_conjugate_per_trial_bit_for_bit(self, f):
+        # REFERENCE_MAPS covers all four kinds, the edge specs I:1,1, II:2 and
+        # III:1 and both KIND_IV_MAPS
+        trials = 6
+        pre = random_isotropy_stack(f.source, [[36, k] for k in range(trials)])
+        post = random_isotropy_stack(f.target, [[37, k] for k in range(trials)])
+        exponents, coeffs, degrees = _conjugations(f, bsdkit.autgroups.isotropy_factors(f.source, pre),
+                                                   bsdkit.autgroups.isotropy_factors(f.target, post))
+        assert coeffs.shape == (trials, len(f.coeffs), len(exponents))
+        for k in range(trials):
+            g = conjugate(f, _params_at(pre, k), _params_at(post, k))
+            assert np.array_equal(g.exponents, exponents)
+            assert [d for d, _, _ in g.degrees] == [d for d, _, _ in degrees]
+            assert g.coeffs.tobytes() == coeffs[k].tobytes()
+
+    @pytest.mark.parametrize("spec_text", ["I:1,1", "I:2,3", "II:2", "II:4", "III:1", "III:3",
+                                           "IV:1", "IV:3"])
+    def test_stacked_power_actions_equal_the_two_dimensional_ones(self, spec_text):
+        spec = parse_spec(spec_text)
+        s = np.array([substitution(spec, random_isotropy_params(spec, [38, k])) for k in range(6)])
+        for stack in (s, s.reshape(2, 3, *s.shape[1:])):
+            stacked = _power_actions(stack, 3)
+            for k, index in enumerate(np.ndindex(stack.shape[:-2])):
+                for d, p in enumerate(_power_actions(s[k], 3)):
+                    assert stacked[d].shape == (*stack.shape[:-2], *p.shape)
+                    assert stacked[d][index].tobytes() == p.tobytes()
 
 
 class TestReadOnlyEntries:

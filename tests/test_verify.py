@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 import bsdkit.verify
+from bsdkit.autgroups import _params_at, random_isotropy_stack
 from bsdkit.domains import parse_spec, polarized_norm, sample_point, sample_points
 from bsdkit.errors import ConfigurationError, ParameterError, ShapeError
-from bsdkit.polymaps import catalog, monomials_of_degree, polymap, source_positions
+from bsdkit.invariants import INDISTINGUISHABLE, distinguish
+from bsdkit.polymaps import catalog, conjugate, monomials_of_degree, polymap, source_positions
 from bsdkit.verify import (
     _key_rows,
     _korobov_lattice,
@@ -281,6 +283,63 @@ class TestIsotropyConsistency:
         result = distinguish(catalog("f_t", t=0.30), catalog("f_t", t=0.31), tol=1e-8)
         assert result.verdict == "inequivalent"
         assert result.distances[1] >= abs(math.sqrt(0.31) - math.sqrt(0.30)) - 1e-12
+
+
+def reference_isotropy_report(f, n_trials, tol, seed, check_id):
+    """The isotropy check one trial at a time: ``distinguish`` against one
+    ``conjugate`` per trial, over the same parameter stacks."""
+    trials = np.arange(n_trials)
+    pre = random_isotropy_stack(f.source, _key_rows(seed, trials, 0))
+    post = random_isotropy_stack(f.target, _key_rows(seed, trials, 1))
+    worst, failures = 0.0, 0
+    for k in trials:
+        result = distinguish(f, conjugate(f, _params_at(pre, k), _params_at(post, k)), tol)
+        worst = max(worst, result.max_distance)
+        failures += result.verdict != INDISTINGUISHABLE
+    return {"check_id": check_id, "specs": [str(f.source), str(f.target)], "samples": n_trials,
+            "seed": seed, "max_residual": worst, "tolerance": tol,
+            "pass": worst <= tol and failures == 0,
+            "notes": [f"{failures} conjugations declared inequivalent"] if failures else []}
+
+
+STACKED_ISOTROPY_MAPS = {
+    "f_t(0.3)": catalog("f_t", t=0.3),
+    "gen-whitney(2,2)": catalog("gen-whitney", r=2, s=2),
+    "IV:3->I:1,3": polymap(parse_spec("IV:3"), parse_spec("I:1,3"), {
+        (0, 0): {(1, 0, 0): 0.8}, (0, 1): {(0, 1, 0): 0.8, (1, 0, 1): 0.3},
+        (0, 2): {(0, 0, 1): 0.6j, (2, 0, 0): -0.2}}),
+}
+
+
+class TestStackedIsotropyCheck:
+    @pytest.mark.parametrize("tol", [1e-10, 0.0])
+    @pytest.mark.parametrize("seed", [42, 7, 2**32 + 5])  # 2**32 + 5 keeps object key rows
+    @pytest.mark.parametrize("name", sorted(STACKED_ISOTROPY_MAPS))
+    def test_equals_one_conjugate_and_distinguish_per_trial(self, name, seed, tol):
+        f = STACKED_ISOTROPY_MAPS[name]
+        report = check_isotropy_consistency(f, n_trials=30, tol=tol, seed=seed, check_id=name)
+        assert report.to_dict() == reference_isotropy_report(f, 30, tol, seed, name)
+        if tol == 0.0:  # roundoff distances: the failure count and its note are compared too
+            assert not report.passed and report.notes
+
+    def test_a_map_with_a_constant_term_raises(self):
+        f = polymap(parse_spec("I:1,1"), parse_spec("I:1,2"), {(0, 0): {(0,): 0.1, (1,): 1.0}})
+        with pytest.raises(ParameterError, match="^first map does not preserve the origin$"):
+            check_isotropy_consistency(f, n_trials=3)
+
+    def test_one_svd_per_degree_for_the_map_and_for_the_trial_stack(self, monkeypatch):
+        # 400 calls with one conjugate and distinguish per trial (100 trials, 2 degrees, 2 maps)
+        svd, calls = np.linalg.svd, []
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        f = catalog("f_t", t=0.3)
+        check_isotropy_consistency(f)
+        assert len(f.degrees) == 2
+        assert len(calls) <= 2 * len(f.degrees)
 
 
 class TestFamilyContinuity:
