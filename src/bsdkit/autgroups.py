@@ -36,10 +36,12 @@ each key's parameters from that key's own generator (``uint32`` key rows
 are hashed as one stack by ``domains.key_generators``, and each group of a
 key's Gaussians is one ``standard_normal`` call), then builds every
 matrix at once (stacked QR for the Haar factors, SVD for the algebra scale,
-``expm`` and ``eigh``), so an element depends on its key only;
-``random_automorphism`` is its one-key case.  Random isotropy parameters
-come the same way from ``random_isotropy_stack``, and
-``random_isotropy_params`` is its one-key case.
+``eigh`` for the transvections, and ``expm``: a stacked [13/13] Pade
+approximant with scaling and squaring, squared per matrix), so an element
+depends on its key only; ``random_automorphism`` is its one-key case.
+Random isotropy parameters come the same way from
+``random_isotropy_stack``, and ``random_isotropy_params`` is its one-key
+case.
 
 Defining relations checked for membership:
 
@@ -368,10 +370,44 @@ def _algebra_elements(spec: DomainSpec, draws) -> np.ndarray:
     return x * (0.4 / np.maximum(1.0, top))[..., None, None]
 
 
+# Numerator coefficients b_0..b_13 of the [13/13] Pade approximant to exp, over
+# b_0 so that exp(0) = I exactly, and the largest 1-norm it takes unscaled
+# (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
+_PADE13 = tuple(b / 64764752532480000.0 for b in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0))
+_THETA13 = 5.371920351148152
+
+
 def expm(a: np.ndarray) -> np.ndarray:
-    """scipy.linalg.expm, imported on first use: that import costs about 27 MB and 0.1 s."""
-    from scipy.linalg import expm as scipy_expm
-    return scipy_expm(a)
+    """exp of a square matrix, or of each matrix of a stack ``(..., N, N)``.
+
+    Scaling and squaring with a fixed [13/13] Pade approximant (Higham 2005):
+    each matrix is scaled by 2^-s, with s the least integer >= 0 that brings
+    its 1-norm to at most theta_13, and its Pade value is squared s times.
+    The Pade values of the whole stack take six stacked matmuls and one
+    stacked solve, and only the matrices with s > k take part in the k-th
+    squaring, so each result depends on its own matrix only.
+    """
+    a = np.asarray(a)
+    n = a.shape[-1]
+    x = a.reshape(-1, n, n)
+    norm = np.abs(x).sum(axis=-2).max(axis=-1)
+    s = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
+    x = x / 2.0 ** s[:, None, None]
+    b, eye = _PADE13, np.eye(n)
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x2 @ x4
+    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2) + b[7] * x6 + b[5] * x4 + b[3] * x2
+             + b[1] * eye)
+    v = x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2) + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(s.max(initial=0)):
+        moved = np.flatnonzero(s > k)
+        r[moved] = r[moved] @ r[moved]
+    return r.reshape(a.shape)
 
 
 def random_automorphisms(spec: DomainSpec, keys, flavor: str = "mixed") -> AutElement:
@@ -386,7 +422,9 @@ def random_automorphisms(spec: DomainSpec, keys, flavor: str = "mixed") -> AutEl
     of Gaussians is one ``standard_normal`` call per key
     (``linalg.gaussian_blocks``), so an exponential key makes two.  The
     matrices are then built as stacks: one QR per Haar factor, one SVD for
-    the algebra scale, one ``expm`` and one ``eigh`` per inverse square root.
+    the algebra scale, one :func:`expm` (a [13/13] Pade approximant with
+    scaling and squaring, each matrix squared its own number of times) and
+    one ``eigh`` per inverse square root.
     """
     choices = ("exponential", "isotropy") + (("transvection",) if spec.kind == "I" else ())
     if flavor != "mixed" and flavor not in choices:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +38,7 @@ from bsdkit.domains import (
 from bsdkit.errors import ActionSingularityError, DomainError, ParameterError, ShapeError
 from bsdkit.linalg import random_unitary
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 ALL_SPECS = ["I:2,2", "I:2,3", "II:3", "II:4", "III:2", "III:3", "IV:2", "IV:3"]
 
 
@@ -370,7 +375,7 @@ def reference_automorphism(spec, key, flavor="mixed"):
         x = np.block([[(r1 - r1.T).astype(complex), 1j * b],
                       [-1j * b.T, (r2 - r2.T).astype(complex)]])
     x = x * (0.4 / max(1.0, np.linalg.norm(x, 2)))
-    return scipy.linalg.expm(x) @ iso
+    return autgroups.expm(x) @ iso  # its accuracy against scipy: TestExpm
 
 
 class TestStackedAutomorphisms:
@@ -435,6 +440,72 @@ class TestStackedAutomorphisms:
         monkeypatch.setattr(autgroups, "sample_points", on_boundary)
         with pytest.raises(DomainError, match="must be interior"):
             random_automorphisms(parse_spec("I:2,2"), AUT_KEYS, "transvection")
+
+
+def relative_errors(got, want):
+    return np.linalg.norm(got - want, axis=(-2, -1)) / np.linalg.norm(want, axis=(-2, -1))
+
+
+def one_norms(a):
+    return np.abs(a).sum(axis=-2).max(axis=-1)
+
+
+def random_complex(seed, count, n, norms):
+    """``count`` complex Gaussian n x n matrices scaled to the given 1-norms."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    return g * (np.asarray(norms) / one_norms(g))[:, None, None]
+
+
+class TestExpm:
+    @pytest.mark.parametrize("text", AUT_SPECS)
+    def test_matches_scipy_on_the_algebra_stacks(self, text):
+        spec = parse_spec(text)
+        draws = autgroups._algebra_draws(spec, domains.key_generators(AUT_KEYS))
+        x = autgroups._algebra_elements(spec, draws)
+        assert np.max(relative_errors(autgroups.expm(x), scipy.linalg.expm(x))) <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_matches_scipy_on_the_squaring_path(self, n):
+        # 1-norms from 0.5 to 50, so up to four squarings; exp's relative
+        # condition number is at least |A| (Van Loan 1977), so the bound grows with it
+        norms = np.geomspace(0.5, 50.0, 40)
+        a = random_complex(n, len(norms), n, norms)
+        assert np.max(one_norms(a)) > 8 * autgroups._THETA13
+        errors = relative_errors(autgroups.expm(a), scipy.linalg.expm(a))
+        assert np.all(errors <= 1e-14 * np.maximum(1.0, norms))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_zero_gives_the_identity_exactly(self, n):
+        assert np.array_equal(autgroups.expm(np.zeros((n, n), dtype=complex)), np.eye(n))
+        stack = autgroups.expm(np.zeros((3, n, n)))
+        assert np.array_equal(stack, np.broadcast_to(np.eye(n), (3, n, n)))
+
+    def test_skew_hermitian_stack_gives_unitaries(self):
+        g = random_complex(5, 60, 4, np.geomspace(0.1, 40.0, 60))
+        u = autgroups.expm((g - g.conj().swapaxes(-1, -2)) / 2.0)
+        assert np.max(np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(4))) <= 1e-14
+
+    def test_each_row_depends_on_its_own_matrix_only(self):
+        # three matrices need no squaring, the others one to five squarings
+        norms = [0.1, 40.0, 3.0, 150.0, 6.0, 0.4, 12.0, 25.0]
+        a = random_complex(6, len(norms), 5, norms)
+        assert np.min(one_norms(a)) <= autgroups._THETA13 < np.max(one_norms(a))
+        stack = autgroups.expm(a)
+        for k, x in enumerate(a):
+            assert np.array_equal(stack[k], autgroups.expm(x)), k
+        assert np.array_equal(autgroups.expm(a.reshape(2, 4, 5, 5)), stack.reshape(2, 4, 5, 5))
+
+    def test_a_run_imports_no_scipy(self):
+        # the exponential is NumPy only; scipy is a test-only dependency
+        code = ("import sys, bsdkit; bsdkit.run_all(seed=42); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestNegativeKeys:
