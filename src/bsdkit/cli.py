@@ -7,6 +7,8 @@ a usage or configuration problem.  A command takes only the options it reads.
 All randomness is seeded (``--seed`` of ``verify``, ``sample`` and ``eval``,
 else the BSDKIT_SEED environment variable, else 42; a negative seed exits
 2); with ``--no-timestamp`` a repeated invocation is byte-identical.
+``main(argv)`` may be called repeatedly in one process: the argument grammar
+is built once, on the first call, and every ``argv`` is parsed against it.
 
 Maps are selected as ``name[:v1,v2,...]`` (see ``polymaps.select_map``):
 ``--dims`` fills a map's integer parameters in order, ``--t``/``--theta``
@@ -17,6 +19,7 @@ theta = 0.5, the same map as ``dangelo:3 --theta 0.5``.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -51,7 +54,10 @@ def _seed(args) -> int:
     return seed
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first ``main`` call;
+    parsing reads it and never changes it."""
     parser = argparse.ArgumentParser(prog="bsdkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

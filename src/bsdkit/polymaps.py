@@ -16,10 +16,10 @@ verification harness) as ``C @ prod(vals ** E)``; ``eval_map`` is the
 one-point case.  ``_conjugations`` conjugates a stack of isotropies at
 once: it turns each degree-d block into ``C_d @ P_d(S)``, S the source
 isotropy on the independent variables, with one ``P_d(S)`` stack per
-degree, and applies the target isotropy as one product over the full
-target grid; both isotropies act by Z -> L Z R with the factors of
-``autgroups.isotropy_factors``.  ``conjugate`` is its one-trial case and
-builds its result from arrays.
+degree, and applies the target isotropy over the full target grid as two
+contractions, L' then R'; both isotropies act by Z -> L Z R with the
+factors of ``autgroups.isotropy_factors``.  ``conjugate`` is its one-trial
+case and builds its result from arrays.
 
 The catalog holds the proper polynomial map families used throughout:
 standard block embeddings, ball Whitney and one-parameter ball families,
@@ -536,12 +536,14 @@ def _conjugations(f: PolyMap, source_factors, target_factors) -> tuple:
     leading trial axis, C holds one coefficient matrix per trial, and E and
     degrees list every monomial of each degree of f.  Each degree-d block
     becomes ``C_d @ P_d(S)``, S the source isotropy on the independent
-    variables, and the target isotropy is one product over the full grid."""
+    variables, and the target isotropy acts on the full grid by L' and then
+    by R': two contractions cost far fewer operations than one three-operand
+    ``einsum``, which loops over all five indices at once."""
     (left, right), (left_t, right_t) = source_factors, target_factors
     s = np.einsum("tia,abv,tbj->tijv", left, _embedding(f.source), right)
     s = s[(slice(None), *_independent_index(f.source))]
     grid = f.coeffs.reshape(*f.target.shape, len(f.exponents))
-    image = np.einsum("tia,abm,tbj->tijm", left_t, grid, right_t)
+    image = np.einsum("tibm,tbj->tijm", np.einsum("tia,abm->tibm", left_t, grid), right_t)
     image = image[(slice(None), *_independent_index(f.target))]
     powers = _power_actions(s, max((d for d, _, _ in f.degrees), default=0))
     monomials = sum((_monomial_table(f.nvars, d)[0] for d, _, _ in f.degrees), ())

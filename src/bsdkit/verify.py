@@ -304,8 +304,9 @@ def check_factorization(f: PolyMap, degree_bound: int = 4, grid_size: int = None
                         for k, e in enumerate(exps) if e) or "1"
 
     rank = {tuple(e): r for r, e in enumerate(exponents.tolist())}
-    found = {monomial_name(e): complex(coeffs[rank[e[:nvars]], rank[e[nvars:]]]) for e in joint}
-    found = {name: c for name, c in found.items() if abs(c) > 1e-9}
+    values = coeffs[[rank[e[:nvars]] for e in joint], [rank[e[nvars:]] for e in joint]]
+    kept = np.flatnonzero(np.abs(values) > 1e-9)
+    found = {monomial_name(joint[k]): complex(values[k]) for k in kept}
     notes = [f"{name}: {c.real:.12g}{c.imag:+.3e}j" for name, c in sorted(found.items())]
     report = VerificationReport(check_id, [str(f.source), str(f.target)],
                                 size**2 + n_hold, seed, worst, tol, worst <= tol, notes)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import inspect
 import json
@@ -376,3 +377,68 @@ class TestOptionsWhereRead:
     def test_command_runs_without_them(self, tmp_path, command):
         rc, out = run(tmp_path, *self.COMMANDS[command], "--no-timestamp")
         assert rc == 0 and out.exists()
+
+
+@pytest.fixture
+def fresh_parser():
+    """An empty parser cache before and after the test, so the test builds
+    its own grammar and leaves none behind."""
+    bsdkit.cli._build_parser.cache_clear()
+    yield
+    bsdkit.cli._build_parser.cache_clear()
+
+
+class TestParserBuiltOnce:
+    def test_ten_calls_build_the_grammar_once(self, tmp_path, monkeypatch, capsys, fresh_parser):
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.prog)
+
+        monkeypatch.setattr(bsdkit.cli.argparse.ArgumentParser, "__init__", counting_init)
+        calls = [
+            ["distinguish", "--map-a", "f_t:0.2", "--map-b", "f_t:0.8"],
+            ["distinguish", "--map-a", "f_t:0.5", "--map-b", "f_t:0.5"],
+            ["invariants", "--map-a", "f_t:0.3"],
+            ["invariants", "--map-a", "g_t:0.7"],
+            ["verify", "coeff", "--domain", "I:1,1"],
+            ["verify", "coeff", "--domain", "I:1,2"],
+            ["sample", "--domain", "I:2,2"],
+            ["sample", "--domain", "IV:3", "--seed", "7"],
+            ["distinguish", "--map-a", "f_t:0.3"],
+            ["distinguish", "--map-a", "f_t:0.3", "--map-b", "f_t:0.4"],
+        ]
+        codes = [main([*argv, "--no-timestamp", "--out", str(tmp_path / f"{n}.json")])
+                 for n, argv in enumerate(calls)]
+        assert codes == [0, 0, 0, 0, 0, 0, 0, 0, 2, 0]
+        assert "the following arguments are required: --map-b" in capsys.readouterr().err
+        # one top-level parser and one subparser per command, all from the first call
+        assert built.count("bsdkit") == 1
+        assert len(built) == 1 + len(bsdkit.cli._COMMANDS)
+
+    def test_each_call_answers_as_a_first_call_would(self, tmp_path, capsys, fresh_parser):
+        def outcome(argv, name):
+            out = tmp_path / name
+            rc = main([*argv, "--out", str(out)])
+            captured = capsys.readouterr()
+            return rc, captured.out, captured.err, out.read_text() if out.exists() else None
+
+        calls = [
+            ["distinguish", "--map-a", "dangelo:2", "--map-b", "dangelo:2"],
+            ["--help"],
+            ["distinguish", "--map-a", "f_t:0.2", "--map-b", "f_t:0.8", "--no-timestamp"],
+            ["invariants", "--map-a", "f_t:0.3", "--no-timestamp"],
+        ]
+        in_sequence = [outcome(argv, f"seq-{n}.json") for n, argv in enumerate(calls)]
+        first_calls = []
+        for n, argv in enumerate(calls):
+            bsdkit.cli._build_parser.cache_clear()
+            first_calls.append(outcome(argv, f"first-{n}.json"))
+        assert in_sequence == first_calls
+        rejected, usage, compared, spectra = in_sequence
+        assert rejected == (2, "", "error: dangelo needs a dimension and --theta\n", None)
+        assert usage[0] == 0 and usage[1].startswith("usage: bsdkit")
+        assert json.loads(compared[3])["verdict"] == "inequivalent"
+        assert compared[:3] == spectra[:3] == (0, "", "")
+        assert set(json.loads(spectra[3])["degrees"]) == {"1", "2"}
