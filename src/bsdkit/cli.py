@@ -65,14 +65,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--no-timestamp", action="store_true")
 
+    def map_options(p, *file_flags):
+        """The map selection options; ``file_flags`` go after ``--map-file``."""
+        for flag in ("--map-a", "--map-file", *file_flags):
+            p.add_argument(flag, type=str, default=None)
+        p.add_argument("--t", type=float, default=None)
+        p.add_argument("--theta", type=float, default=None)
+        p.add_argument("--dims", type=str, default=None)
+
     p = sub.add_parser("verify", help="run verification checks")
     p.add_argument("what", choices=("all", "fu", "composition", "coeff", "properness", "factorization"))
     p.add_argument("--domain", type=str, default=None)
-    p.add_argument("--map-a", type=str, default=None)
-    p.add_argument("--map-file", type=str, default=None)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--dims", type=str, default=None)
+    map_options(p)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--samples", type=int, default=None,
@@ -81,11 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("invariants", help="per-degree singular spectra of a map")
-    p.add_argument("--map-a", type=str, default=None)
-    p.add_argument("--map-file", type=str, default=None)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--dims", type=str, default=None)
+    map_options(p)
     common(p)
 
     p = sub.add_parser("distinguish", help="compare the invariant spectra of two maps")
@@ -96,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("sweep", help="pairwise spectral distance matrix over a parameter grid")
-    p.add_argument("--family", choices=("f_t", "g_t", "G_t", "h_t"), required=True)
+    p.add_argument("--family", choices=verify._FAMILIES, required=True)
     p.add_argument("--grid", type=str, required=True, help="lo:hi:step")
     p.add_argument("--dims", type=str, default=None)
     common(p)
@@ -108,12 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("eval", help="evaluate a map at a sampled point, or act an element on it")
-    p.add_argument("--map-a", type=str, default=None)
-    p.add_argument("--map-file", type=str, default=None)
-    p.add_argument("--aut-file", type=str, default=None)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--dims", type=str, default=None)
+    map_options(p, "--aut-file")
     p.add_argument("--seed", type=int, default=None)
     common(p)
     return parser
@@ -244,6 +239,8 @@ def _parse_grid(text: str):
         lo, hi, step = (float(x) for x in text.split(":"))
     except ValueError:
         raise ParameterError(f"malformed --grid {text!r}, want lo:hi:step") from None
+    if not np.isfinite((lo, hi, step)).all():
+        raise ParameterError(f"non-finite --grid {text!r}")
     if step <= 0 or hi < lo:
         raise ParameterError(f"bad grid range {text!r}")
     count = int(round((hi - lo) / step))

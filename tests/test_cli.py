@@ -249,6 +249,13 @@ class TestDeterminismAndErrors:
         ["invariants", "--map-a", "f-sec4:1"],
         ["invariants", "--map-a", "whitney-ball:2,3"],
         ["verify", "properness", "--map-a", "gen-whitney", "--dims", "2,2,2"],
+        ["sweep", "--family", "f_t", "--grid", "nan:1:0.5"],
+        ["sweep", "--family", "f_t", "--grid", "0:1:nan"],
+        ["sweep", "--family", "f_t", "--grid=0:inf:0.5"],
+        ["sweep", "--family", "f_t", "--grid=-inf:1:0.5"],
+        ["sweep", "--family", "f_t", "--grid=0:1:inf"],
+        ["sweep", "--family", "f_t", "--grid", "1:0:0.1"],
+        ["sweep", "--family", "f_t", "--grid", "0:2:0.5"],
     ])
     def test_usage_errors_exit_two(self, argv, capsys):
         assert main([*argv, "--no-timestamp"]) == 2

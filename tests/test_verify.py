@@ -192,6 +192,21 @@ class TestFULemma:
         assert any(n.startswith("empirical constant: 4") for n in rep.notes)
         assert any("no candidate constant fits" in n for n in rep.notes)
 
+    @pytest.mark.parametrize("tol,passed,verdict", [
+        (1e-9, False, "no candidate constant fits all samples"),
+        (3.5, True, "adjudicated constant: 1"),
+        # Both candidates (residuals 2.997 and 4.495) fit: the one report
+        # that fails with its max residual within tolerance.
+        (10.0, False, "multiple candidate constants fit"),
+    ])
+    def test_kind_iv_adjudication_outcomes(self, tol, passed, verdict):
+        rep = check_F_U_lemma(parse_spec("IV:3"), n_samples=20, tol=tol, seed=42)
+        assert rep.passed is passed
+        assert rep.notes[-1] == verdict
+        assert rep.notes[2:4] == ["candidate 1: max residual 2.996636e+00",
+                                  "candidate -0.5: max residual 4.494954e+00"]
+        assert rep.max_residual == pytest.approx(2.996636, abs=1e-6)
+
     def test_deterministic_reports(self):
         a = check_F_U_lemma(parse_spec("I:2,2"), n_samples=50, seed=10).to_dict()
         b = check_F_U_lemma(parse_spec("I:2,2"), n_samples=50, seed=10).to_dict()
@@ -369,6 +384,12 @@ class TestSuite:
         reports = [check_properness(catalog("whitney-ball", n=2), n_samples=20, seed=19)]
         s = summarize(reports)
         assert s == {"total": 1, "passed": 1, "failed": 0}
+
+    def test_every_report_passes_exactly_when_its_max_residual_is_within_tolerance(self):
+        reports = run_all(seed=42)
+        assert len(reports) == 88
+        for r in reports:
+            assert r.passed == (r.max_residual <= r.tolerance), r.check_id
 
     def test_run_all_is_deterministic(self):
         a = run_all(seed=123, properness_samples=20, fu_samples=20)
