@@ -38,6 +38,8 @@ from .verify import run_all, summarize
 
 USAGE_EXIT = 2
 FAIL_EXIT = 1
+# The most points a --grid may have (0:1:0.001); a sweep compares every pair.
+MAX_GRID_POINTS = 1001
 
 
 def _seed(args) -> int:
@@ -243,6 +245,8 @@ def _parse_grid(text: str):
         raise ParameterError(f"non-finite --grid {text!r}")
     if step <= 0 or hi < lo:
         raise ParameterError(f"bad grid range {text!r}")
+    if (hi - lo) / step >= MAX_GRID_POINTS:  # also a span that overflows to inf
+        raise ParameterError(f"--grid {text!r} has more than {MAX_GRID_POINTS} points")
     count = int(round((hi - lo) / step))
     grid = [lo + k * step for k in range(count + 1)]
     return [t for t in grid if t <= hi + 1e-12]

@@ -68,6 +68,10 @@ __all__ = [
 KINDS = ("I", "II", "III", "IV")
 
 SHAPE_TOL = 1e-12
+# The most entries a carrier matrix may have (r*s, n*n, or n for kind IV): a
+# larger spec raises ParameterError before any point is allocated.  The specs
+# of run_all, the tests, the demos and the benchmark have at most 30 (I:5,6).
+MAX_CARRIER_ENTRIES = 4096
 _MIRROR = {"II": -1.0, "III": 1.0}
 
 
@@ -75,7 +79,8 @@ _MIRROR = {"II": -1.0, "III": 1.0}
 class DomainSpec:
     """Descriptor of one classical domain: kind plus dimensions.
 
-    Kind I uses (r, s) with 1 <= r <= s; kinds II/III/IV use n.
+    Kind I uses (r, s) with 1 <= r <= s; kinds II/III/IV use n.  The carrier
+    matrix has at most ``MAX_CARRIER_ENTRIES`` entries.
     """
 
     kind: str
@@ -95,6 +100,10 @@ class DomainSpec:
         else:
             if self.n < 1:
                 raise ParameterError(f"kind {self.kind} needs n >= 1")
+        entries = self.shape[0] * self.shape[1]
+        if entries > MAX_CARRIER_ENTRIES:
+            raise ParameterError(f"{self} has {entries} carrier entries, more than the cap "
+                                 f"{MAX_CARRIER_ENTRIES}")
 
     @property
     def mirror(self) -> float:

@@ -530,21 +530,26 @@ def conjugate(f: PolyMap, pre_params, post_params) -> PolyMap:
     return PolyMap(f.source, f.target, exponents, coeffs[0], degrees)
 
 
+def _sandwich(left, right, grid):
+    """L G[..., m] R for every trial of the stacks (L, R) and every slice m of
+    ``grid``, as L's contraction and then R's: two contractions cost far
+    fewer operations than one three-operand ``einsum``, which loops over all
+    five indices at once."""
+    return np.einsum("tibm,tbj->tijm", np.einsum("tia,abm->tibm", left, grid), right)
+
+
 def _conjugations(f: PolyMap, source_factors, target_factors) -> tuple:
     """(E, C, degrees) of the conjugates Z -> L' f(L Z R) R' of f over a trial
     stack: (L, R) and (L', R') are ``autgroups.isotropy_factors`` with one
     leading trial axis, C holds one coefficient matrix per trial, and E and
     degrees list every monomial of each degree of f.  Each degree-d block
     becomes ``C_d @ P_d(S)``, S the source isotropy on the independent
-    variables, and the target isotropy acts on the full grid by L' and then
-    by R': two contractions cost far fewer operations than one three-operand
-    ``einsum``, which loops over all five indices at once."""
-    (left, right), (left_t, right_t) = source_factors, target_factors
-    s = np.einsum("tia,abv,tbj->tijv", left, _embedding(f.source), right)
+    variables, and the target isotropy acts on the full coefficient grid;
+    both sides go through ``_sandwich``."""
+    s = _sandwich(*source_factors, _embedding(f.source))
     s = s[(slice(None), *_independent_index(f.source))]
     grid = f.coeffs.reshape(*f.target.shape, len(f.exponents))
-    image = np.einsum("tibm,tbj->tijm", np.einsum("tia,abm->tibm", left_t, grid), right_t)
-    image = image[(slice(None), *_independent_index(f.target))]
+    image = _sandwich(*target_factors, grid)[(slice(None), *_independent_index(f.target))]
     powers = _power_actions(s, max((d for d, _, _ in f.degrees), default=0))
     monomials = sum((_monomial_table(f.nvars, d)[0] for d, _, _ in f.degrees), ())
     exponents, degrees = _monomial_index(f.nvars, monomials)

@@ -14,7 +14,7 @@ from bsdkit.invariants import distinguish, invariant_spectrum
 from bsdkit.linalg import det, pfaffian
 from bsdkit.polymaps import catalog
 from bsdkit.verify import (
-    _properness_targets,
+    _plan,
     check_F_U_lemma,
     check_coefficient_lemma,
     check_composition_rule,
@@ -114,7 +114,9 @@ def test_criterion_6_properness_of_catalog():
     worst = 0.0
     ok = True
     failing = []
-    for label, f in _properness_targets():
+    targets = [(cid.partition(":")[2], args[0]) for cid, check, args, _ in _plan(SEED, 500, 200)
+               if check is check_properness]
+    for label, f in targets:
         rep = check_properness(f, n_samples=500, tol=1e-7, seed=SEED)
         worst = max(worst, rep.max_residual)
         if not rep.passed:

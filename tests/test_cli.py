@@ -2,11 +2,13 @@ import argparse
 import csv
 import inspect
 import json
+import random
 
 import numpy as np
 import pytest
 
 import bsdkit.cli
+import bsdkit.domains
 from bsdkit.autgroups import aut_to_json, random_automorphism
 from bsdkit.cli import main
 from bsdkit.domains import parse_spec
@@ -449,3 +451,86 @@ class TestParserBuiltOnce:
         assert json.loads(compared[3])["verdict"] == "inequivalent"
         assert compared[:3] == spectra[:3] == (0, "", "")
         assert set(json.loads(spectra[3])["degrees"]) == {"1", "2"}
+
+
+class TestCaps:
+    @pytest.mark.parametrize("grid", ["0:1:1e-9", "0:1:0.000999", "-1e308:1e308:1", "0:1:1e-320"])
+    def test_a_grid_over_the_cap_exits_two_before_it_is_built(self, grid, capsys):
+        assert main(["sweep", "--family", "f_t", f"--grid={grid}", "--no-timestamp"]) == 2
+        assert capsys.readouterr().err == (f"error: --grid {grid!r} has more than "
+                                           f"{bsdkit.cli.MAX_GRID_POINTS} points\n")
+
+    def test_the_largest_grid_under_the_cap_parses(self):
+        assert len(bsdkit.cli._parse_grid("0:1:0.001")) == bsdkit.cli.MAX_GRID_POINTS
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--domain", "I:99999,99999"],
+        ["sample", "--domain", "IV:4097"],
+        ["sample", "--domain", "III:65"],
+        ["invariants", "--map-a", "whitney-ball:99999"],
+        ["verify", "properness", "--map-a", "gen-whitney", "--dims", "99999,99999"],
+    ])
+    def test_a_carrier_over_the_cap_exits_two(self, argv, capsys):
+        assert main([*argv, "--no-timestamp"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(
+            f"carrier entries, more than the cap {bsdkit.domains.MAX_CARRIER_ENTRIES}\n")
+
+
+def fuzz_calls(tmp_path, count):
+    """``count`` seeded command lines over all six commands: every required
+    option and about a third of the others, each with a value drawn from a
+    small pool of good, edge and bad values."""
+    good_map = tmp_path / "map.json"
+    good_map.write_text(json.dumps(polymap_to_json(catalog("whitney-ball", n=2))))
+    aut = tmp_path / "aut.json"
+    aut.write_text(json.dumps(aut_to_json(random_automorphism(parse_spec("I:1,2"), 3))))
+    not_json = tmp_path / "bad.json"
+    not_json.write_text("{")
+    files = [str(good_map), str(aut), str(not_json), str(tmp_path / "missing.json")]
+    maps = ["whitney-ball:2", "f_t:0.3", "dangelo:2,0.5", "h_t", "G_t:2,2,0.5", "f_t:1.5",
+            "nope", "whitney-ball:99999", "gen-whitney", ""]
+    pools = {
+        "--domain": ["I:1,1", "II:2", "III:1", "IV:2", "I:2,3", "I:3,2", "II:1", "IV:0", "V:3",
+                     "I:2", "I:99999,99999", "x"],
+        "--map-a": maps, "--map-b": maps, "--map-file": files, "--aut-file": files,
+        "--seed": ["0", "7", "-1", "4294967296", "x"], "--dims": ["2,2", "1,1", "2", "x", "0,0"],
+        "--t": ["0.5", "0", "-1", "nan"], "--theta": ["0.5", "2", "nan"],
+        "--tol": ["1e-9", "0", "3", "nan"], "--samples": ["1", "3", "0", "-2", "x"],
+        "--format": ["json", "csv", "xml"], "--family": ["f_t", "g_t", "G_t", "h_t", "q_t"],
+        "--region": ["interior", "boundary", "edge"],
+        "--grid": ["0:1:0.5", "0.5:0.5:0.1", "0:1:1e-9", "nan:1:0.5", "1:0:0.1", "0:1", "0:2:1"],
+    }
+    # per command: its positional choices, its required options, its other options
+    commands = {
+        "verify": [["fu", "coeff", "composition", "properness", "factorization", "nothing"], [],
+                   ["--domain", "--map-a", "--map-file", "--t", "--theta", "--dims", "--seed",
+                    "--tol", "--samples", "--format"]],
+        "invariants": [[], [], ["--map-a", "--map-file", "--t", "--theta", "--dims"]],
+        "distinguish": [[], ["--map-a", "--map-b"], ["--dims", "--tol"]],
+        "sweep": [[], ["--family", "--grid"], ["--dims"]],
+        "sample": [[], ["--domain"], ["--region", "--seed"]],
+        "eval": [[], [], ["--map-a", "--map-file", "--aut-file", "--t", "--theta", "--dims",
+                          "--seed"]],
+    }
+    rng = random.Random(1)
+    for n in range(count):
+        command = rng.choice(sorted(commands))
+        positional, required, optional = commands[command]
+        argv = [command, *([rng.choice(positional)] if positional else [])]
+        for option in required + [o for o in optional if rng.random() < 0.3]:
+            argv += [option, rng.choice(pools[option])]
+        yield argv + ["--no-timestamp", "--out", str(tmp_path / f"out-{n}")]
+
+
+class TestFuzz:
+    def test_seeded_command_lines_exit_cleanly(self, tmp_path, capsys):
+        codes = {}
+        for argv in fuzz_calls(tmp_path, 600):
+            rc = main(argv)
+            err = capsys.readouterr().err
+            assert rc in (0, 1, 2) and "Traceback" not in err, (argv, rc, err)
+            assert rc != 1 or argv[0] == "verify", argv
+            codes.setdefault(argv[0], set()).add(rc)
+        assert sorted(codes) == sorted(bsdkit.cli._COMMANDS)
+        assert all(2 in c for c in codes.values()) and {0, 1} <= codes["verify"]

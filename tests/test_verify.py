@@ -13,6 +13,7 @@ from bsdkit.polymaps import catalog, conjugate, monomials_of_degree, polymap, so
 from bsdkit.verify import (
     _key_rows,
     _korobov_lattice,
+    _plan,
     _sample_pairs,
     check_F_U_lemma,
     check_coefficient_lemma,
@@ -266,6 +267,43 @@ class TestCoefficientLemma:
             check_coefficient_lemma(parse_spec(text), i, j)
 
 
+def force_degenerate_bases(monkeypatch, bases, every_draw=False):
+    """Make the bases ``bases`` of a coefficient lemma check on I:2,2 at (1, 1)
+    degenerate on their first draw (or on every draw): their z22 becomes 1,
+    so the minor det(1 - |z22|^2) vanishes.  Returns the (keys, points) of
+    every ``sample_points`` call the check makes."""
+    sampler = bsdkit.verify.sample_points
+    calls = []
+
+    def forced(spec, region, keys):
+        points = sampler(spec, region, keys).copy()
+        points[np.isin(keys[:, 1], bases) & (every_draw or keys.shape[1] == 2)] = np.diag([0, 1])
+        calls.append((keys, points))
+        return points
+
+    monkeypatch.setattr(bsdkit.verify, "sample_points", forced)
+    return calls
+
+
+class TestCoefficientLemmaRedraw:
+    def test_a_degenerate_base_redraws_from_its_own_key(self, monkeypatch):
+        spec = parse_spec("I:2,2")
+        assert check_coefficient_lemma(spec, 0, 0, n_bases=8, seed=5).notes == []
+        calls = force_degenerate_bases(monkeypatch, [2, 5])
+        report = check_coefficient_lemma(spec, 0, 0, n_bases=8, seed=5)
+        (first, _), (again, redrawn) = calls
+        assert first.tolist() == [[5, a] for a in range(8)]
+        assert again.tolist() == [[5, 2, 1], [5, 5, 1]]
+        for key, base in zip(again.tolist(), redrawn):
+            assert np.array_equal(base, sample_point(spec, "interior", key).value)
+        assert report.notes == ["2 degenerate bases resampled"] and report.passed
+
+    def test_a_check_whose_every_draw_is_degenerate_raises(self, monkeypatch):
+        force_degenerate_bases(monkeypatch, np.arange(8), every_draw=True)
+        with pytest.raises(ConfigurationError, match="too many degenerate bases while sampling"):
+            check_coefficient_lemma(parse_spec("I:2,2"), 0, 0, n_bases=8, seed=5)
+
+
 class TestSampleCounts:
     CHECKS = {
         "properness": lambda k: check_properness(catalog("f-sec4"), n_samples=k),
@@ -370,9 +408,11 @@ class TestFamilyContinuity:
         rep = check_family_continuity("h_t", [k / 10 for k in range(11)])
         assert rep.passed
 
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ParameterError):
-            check_family_continuity("f_t", [])
+    @pytest.mark.parametrize("family,grid", [("f_t", []), ("f_t", [0.3]), ("g_t", [0.5, 0.5])])
+    def test_a_grid_of_fewer_than_two_distinct_points_is_rejected(self, family, grid):
+        # such a grid compares no maps, so its report would pass with max_residual 0.0
+        with pytest.raises(ParameterError, match="needs two distinct points"):
+            check_family_continuity(family, grid)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ParameterError):
@@ -390,6 +430,11 @@ class TestSuite:
         assert len(reports) == 88
         for r in reports:
             assert r.passed == (r.max_residual <= r.tolerance), r.check_id
+
+    def test_the_plan_states_every_report_id_in_report_order(self):
+        ids = [check_id for check_id, _, _, _ in _plan(42, 500, 200)]
+        assert len(set(ids)) == len(ids) == 88
+        assert ids == [r.check_id for r in run_all(7, properness_samples=10, fu_samples=10)]
 
     def test_run_all_is_deterministic(self):
         a = run_all(seed=123, properness_samples=20, fu_samples=20)
