@@ -261,11 +261,11 @@ def isotropy(spec: DomainSpec, params) -> AutElement:
     return AutElement(spec, _direct_sum(u, right))
 
 
-def _require_unitary(u: np.ndarray, n: int, name: str, tol: float = 1e-10):
+def _require_unitary(u: np.ndarray, n: int, name: str):
     if u.shape[-2:] != (n, n):
         raise ParameterError(f"{name} must be {n}x{n}, got {u.shape}")
-    if np.any(np.linalg.norm(u @ u.conj().swapaxes(-1, -2) - np.eye(n), axis=(-2, -1)) > tol):
-        raise ParameterError(f"{name} is not unitary within {tol}")
+    if np.any(np.linalg.norm(u @ u.conj().swapaxes(-1, -2) - np.eye(n), axis=(-2, -1)) > 1e-10):
+        raise ParameterError(f"{name} is not unitary within 1e-10")
 
 
 def _direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:

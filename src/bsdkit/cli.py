@@ -187,6 +187,8 @@ def _cmd_verify(args) -> int:
         given: each check default lives once, in the signature in ``verify``."""
         if args.samples is not None and args.samples <= 0:
             raise ParameterError(f"--samples must be positive, got {args.samples}")
+        if args.tol is not None and not (np.isfinite(args.tol) and args.tol >= 0):
+            raise ParameterError(f"--tol must be nonnegative and finite, got {args.tol}")
         flags = (("tol", args.tol), (samples, args.samples))
         return {"seed": seed, **{k: v for k, v in flags if v is not None}}
 

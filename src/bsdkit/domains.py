@@ -173,12 +173,12 @@ def check_shapes(spec: DomainSpec, values: np.ndarray, tol: float = SHAPE_TOL) -
         raise ShapeError(f"kind {spec.kind} point is not {word} (residual {np.max(res[bad]):.3e})")
 
 
-def point(spec: DomainSpec, value, tol: float = SHAPE_TOL) -> Point:
+def point(spec: DomainSpec, value) -> Point:
     """Validated point constructor."""
     value = as_matrix(value)
     if value.shape != spec.shape:
         raise ShapeError(f"value shape {value.shape} does not match {spec} (wants {spec.shape})")
-    check_shapes(spec, value, tol)
+    check_shapes(spec, value)
     return Point(spec, value)
 
 

@@ -140,8 +140,12 @@ def distinguish(f: PolyMap, g: PolyMap, tol: float = 1e-8) -> DistinguishResult:
     origin (equivalence would force isotropic equivalence, which preserves
     the spectra); ``indistinguishable-by-invariants`` is not an equivalence
     certificate.  A degree present in one map but absent in the other is an
-    immediate mismatch.
+    immediate mismatch.  A negative or non-finite ``tol`` raises
+    ``ParameterError``: with a negative one, every map would be inequivalent
+    to itself.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ParameterError(f"tol must be nonnegative and finite, got {tol}")
     if f.source != g.source or f.target != g.target:
         raise ShapeError("maps must share source and target specs")
     _require_origin("first", f)

@@ -55,7 +55,7 @@ def det(m) -> complex:
     return complex(np.linalg.det(_square(m)))
 
 
-def pfaffian(a, tol: float = 1e-12):
+def pfaffian(a):
     """Pfaffians of an antisymmetric matrix or of a stack of them (shape
     ``(..., 2m, 2m)``) by skew-symmetric elimination: Gauss transforms with
     each matrix's own partial pivoting reduce it to skew tridiagonal form, and
@@ -66,7 +66,7 @@ def pfaffian(a, tol: float = 1e-12):
     """
     a = _square(a, stack=True)
     scale = np.linalg.norm(a, axis=(-2, -1))
-    if np.any(np.linalg.norm(a + a.swapaxes(-1, -2), axis=(-2, -1)) > hybrid_tol(tol, scale)):
+    if np.any(np.linalg.norm(a + a.swapaxes(-1, -2), axis=(-2, -1)) > hybrid_tol(1e-12, scale)):
         raise ShapeError("matrix is not antisymmetric within tolerance")
     lead, n = a.shape[:-2], a.shape[-1]
     a = a.reshape(math.prod(lead), n, n).copy()
@@ -89,7 +89,7 @@ def pfaffian(a, tol: float = 1e-12):
     return value.reshape(lead) if lead else complex(value[0])
 
 
-def psd_inv_sqrt(h, tol: float = 1e-10) -> np.ndarray:
+def psd_inv_sqrt(h) -> np.ndarray:
     """Inverse Hermitian square roots of a positive definite matrix or of a
     stack of them (shape ``(..., n, n)``), one ``eigh`` for the whole stack."""
     h = _square(h, stack=True)
@@ -97,7 +97,7 @@ def psd_inv_sqrt(h, tol: float = 1e-10) -> np.ndarray:
         raise DomainError("matrix is not safely positive definite (min eigenvalue n/a)")
     evals, evecs = np.linalg.eigh(h)
     lowest = evals[..., 0]
-    bad = lowest <= hybrid_tol(tol, np.linalg.norm(h, axis=(-2, -1)))
+    bad = lowest <= hybrid_tol(1e-10, np.linalg.norm(h, axis=(-2, -1)))
     if np.any(bad):
         raise DomainError("matrix is not safely positive definite "
                           f"(min eigenvalue {np.min(lowest[bad])})")

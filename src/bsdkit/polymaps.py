@@ -486,12 +486,19 @@ def select_map(selector: str, dims=None, **flags) -> PolyMap:
     return builder(**values)
 
 
+def _monomial_values(spec: DomainSpec, z: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """prod(vals ** E) per point of the stack ``z`` (shape ``(..., *spec.shape)``)
+    and row of E = ``exponents``, vals the independent entries of the point;
+    returns shape ``(..., len(E))``."""
+    vals = z[(..., *_independent_index(spec))]
+    return np.prod(vals[..., None, :] ** exponents, axis=-1)
+
+
 def eval_points(f: PolyMap, z: np.ndarray) -> np.ndarray:
     """Evaluate the map on the source point stack ``z`` (shape
     ``(..., *f.source.shape)``) as ``C @ prod(vals ** E)`` per point, vals
     the independent source entries; returns the target stack."""
-    vals = z[(..., *_independent_index(f.source))]
-    image = np.prod(vals[..., None, :] ** f.exponents, axis=-1) @ f.coeffs.T
+    image = _monomial_values(f.source, z, f.exponents) @ f.coeffs.T
     return image.reshape(z.shape[:-2] + f.target.shape)
 
 

@@ -78,18 +78,18 @@ from .invariants import (
     _require_origin,
     _spectrum_distance,
     invariant_spectrum,
-    monomials_of_degree,
 )
 from .linalg import _negative_key_error
 from .polymaps import (
     PolyMap,
     _aligned_coeffs,
     _embedding,
-    _independent_index,
+    _monomial_values,
     catalog,
     coeff_distance,
     embed_map,
     eval_points,
+    monomials_of_degree,
     pad_map,
     select_map,
     source_positions,
@@ -270,17 +270,17 @@ def check_factorization(f: PolyMap, degree_bound: int = 4, grid_size: int = None
     above the bound are zeroed.  The residuals are those of the lattice
     reconstruction, |V C V^H - H| / max(1, |H|) (phases only), which is the
     content of H outside degree <= D, together with those of held-out random
-    pairs with |S1| >= 0.01, keyed ``[seed, 1, k, ...]``.  A
-    lattice point that is not interior, or a lattice pair with |S1| < 0.01,
-    raises ``ConfigurationError``.  Returns (report, coefficients).
+    pairs with |S1| >= 0.01, keyed ``[seed, 1, k, ...]``, whose prediction
+    is sum C[a, b] z^a conj(w^b) over the same exponent table.  A lattice
+    point that is not interior, or a lattice pair with |S1| < 0.01, raises
+    ``ConfigurationError``.  Returns (report, coefficients): the coefficients
+    are the entries of C above 1e-9, each named by its joint monomial z^a
+    conj(w)^b.
     """
-    rows, cols = _independent_index(f.source)
-    nvars = len(rows)
-    joint = [e for d in range(degree_bound + 1) for e in monomials_of_degree(2 * nvars, d)]
-    n_hold = max(20, 3 * len(joint) // 4)
+    n_hold = max(20, 3 * math.comb(2 * f.nvars + degree_bound, degree_bound) // 4)
     z, w, s1 = _sample_pairs(f.source, _key_rows(seed, 1, np.arange(n_hold)), 0.01)
 
-    size, generator, exponents = _korobov_lattice(nvars, degree_bound, grid_size)
+    size, generator, exponents = _korobov_lattice(f.nvars, degree_bound, grid_size)
     embedding = _embedding(f.source)
     rho = 0.9 / np.linalg.norm(embedding) / (math.sqrt(2.0) if f.source.kind == "IV" else 1.0)
     k = np.arange(size)[:, None]
@@ -304,24 +304,20 @@ def check_factorization(f: PolyMap, degree_bound: int = 4, grid_size: int = None
     rebuilt = phases @ scaled @ np.conj(phases).T
     coeffs = scaled / rho ** joint_degrees
 
-    def monomial_values(v):
-        return np.prod(v[:, rows, cols][:, None, :] ** exponents, axis=-1)
-
     held = polarized_norms(f.target, eval_points(f, z), eval_points(f, w)) / s1
-    predicted = np.sum((monomial_values(z) @ coeffs) * np.conj(monomial_values(w)), axis=1)
+    predicted = np.sum((_monomial_values(f.source, z, exponents) @ coeffs)
+                       * np.conj(_monomial_values(f.source, w, exponents)), axis=1)
     residuals = np.concatenate([_relative(rebuilt, ratios).ravel(), _relative(predicted, held)])
 
     names = variable_names(f.source)
-    joint_names = names + [f"conj(w{n[1:]})" for n in names]
+    names += [f"conj(w{n[1:]})" for n in names]
+    monomials = exponents.tolist()
 
     def monomial_name(exps) -> str:
-        return "*".join(joint_names[k] if e == 1 else f"{joint_names[k]}^{e}"
-                        for k, e in enumerate(exps) if e) or "1"
+        return "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e) or "1"
 
-    rank = {tuple(e): r for r, e in enumerate(exponents.tolist())}
-    values = coeffs[[rank[e[:nvars]] for e in joint], [rank[e[nvars:]] for e in joint]]
-    kept = np.flatnonzero(np.abs(values) > 1e-9)
-    found = {monomial_name(joint[k]): complex(values[k]) for k in kept}
+    found = {monomial_name(monomials[a] + monomials[b]): complex(coeffs[a, b])
+             for a, b in np.argwhere(np.abs(coeffs) > 1e-9).tolist()}
     notes = [f"{name}: {c.real:.12g}{c.imag:+.3e}j" for name, c in sorted(found.items())]
     return _report(check_id, [f.source, f.target], size**2 + n_hold, seed, residuals, tol,
                    notes), found
@@ -331,16 +327,19 @@ def check_F_U_lemma(spec: DomainSpec, n_samples: int = 200, tol: float = 1e-9,
                     seed: int = 42, check_id: str = None) -> VerificationReport:
     """Transformation law of the polarized norm under random automorphisms.
 
-    Kinds I/II/III verify S(MZ, MW) * det(A+ZC) * conj(det(A+WC)) = S(Z, W),
-    kind II with both Pfaffian norms squared (its unsquared law needs a branch
-    of the square root of det(A+ZC)).  Kind IV adjudicates which candidate
-    constant c makes S(MZ) = c * S(Z) / |lambda(Z)|^2 hold on every sample,
-    with residuals |S(MZ) |lambda(Z)|^2 - c S(Z)| / max(1, |S(Z)|): the
-    report carries the residuals of the best candidate, so it passes when
-    exactly one candidate fits.  It also fails when more than one fits,
-    although its max residual is then within ``tol``: the one exception to
-    the pass rule of ``_report``.  The notes record the empirically fitted
-    constant either way.
+    Every kind computes one quantity per sample, S(MZ, MW) d(Z) conj d(W)
+    against S(Z, W), with d the automorphy denominator (det(A+ZC) for kinds
+    I/II/III, lambda(Z) for kind IV).  Kinds I/II/III check that the two are
+    equal, kind II with both Pfaffian norms squared (its unsquared law needs
+    a branch of the square root of det(A+ZC)).  Kind IV takes W = Z and
+    adjudicates which candidate constant c makes the quantity equal c S(Z, Z)
+    on every sample, with residuals |quantity - c S(Z, Z)| / max(1, |S(Z,
+    Z)|): the report carries the residuals of the best candidate, so it
+    passes when exactly one candidate fits.  It also fails when more than one
+    fits, although its max residual is then within ``tol``: the one exception
+    to the pass rule of ``_report``.  The notes record the empirically fitted
+    constant, the median ratio over the samples with |S(Z, Z)| > 0.1, either
+    way.
     """
     check_id = check_id or f"fu:{spec}"
     _require_positive("n_samples", n_samples)
@@ -353,41 +352,36 @@ def check_F_U_lemma(spec: DomainSpec, n_samples: int = 200, tol: float = 1e-9,
     keys = _key_rows(seed, ks, 1)
     for region, mask in (("boundary", on_boundary), ("interior", ~on_boundary)):
         z[mask] = sample_points(spec, region, keys[mask])
-    if spec.kind == "IV":
-        s_z = generic_norms(spec, z)
-        zz = np.real(z @ np.conj(z).swapaxes(-1, -2))[:, 0, 0]
-        flat_boundary = int(np.count_nonzero(on_boundary & (zz >= 1.0 - 1e-9) & (s_z >= -1e-9)))
-        scaled = generic_norms(spec, act_points(e, z)) * np.abs(automorphy_denominators(e, z)) ** 2
-        scale = np.maximum(1.0, np.abs(s_z))
-        residuals = {c: np.abs(scaled - c * s_z) / scale for c in IV_FACTOR_CANDIDATES}
-        cand_worst = {c: float(np.max(r, initial=0.0)) for c, r in residuals.items()}
-        kept = np.abs(s_z) > 0.1
-        ratios = scaled[kept] / s_z[kept]
-        fits = [c for c in IV_FACTOR_CANDIDATES if cand_worst[c] <= tol]
-        notes.append(f"boundary samples with ZZ* = 1 and nonnegative norm: "
-                     f"{flat_boundary} of {int(np.count_nonzero(on_boundary))}")
-        notes.append(f"empirical constant: {float(np.median(ratios)):.12g}")
-        for c in IV_FACTOR_CANDIDATES:
-            notes.append(f"candidate {c:g}: max residual {cand_worst[c]:.6e}")
-        if len(fits) == 1:
-            notes.append(f"adjudicated constant: {fits[0]:g}")
-        else:
-            notes.append("no candidate constant fits all samples"
-                         if not fits else "multiple candidate constants fit")
-        best = min(cand_worst, key=cand_worst.get)
-        report = _report(check_id, [spec], n_samples, seed, residuals[best], tol, notes)
-        # The one exception to the pass rule: an ambiguous adjudication fails.
-        return replace(report, passed=False) if len(fits) > 1 else report
-
-    w = sample_points(spec, "interior", _key_rows(seed, ks, 2))
-    s_before = polarized_norms(spec, z, w)
-    s_after = polarized_norms(spec, act_points(e, z), act_points(e, w))
+    w = z if spec.kind == "IV" else sample_points(spec, "interior", _key_rows(seed, ks, 2))
+    mz, dz = act_points(e, z), automorphy_denominators(e, z)
+    mw, dw = (mz, dz) if w is z else (act_points(e, w), automorphy_denominators(e, w))
+    s_before, s_after = polarized_norms(spec, z, w), polarized_norms(spec, mz, mw)
     if spec.kind == "II":
         s_before, s_after = s_before ** 2, s_after ** 2
         notes.append(f"kind {spec.kind} identity verified in squared (determinant) form")
-    dz, dw = automorphy_denominators(e, z), automorphy_denominators(e, w)
-    return _report(check_id, [spec], n_samples, seed,
-                   _relative(s_after * dz * np.conj(dw), s_before), tol, notes)
+    moved = s_after * dz * np.conj(dw)
+    if spec.kind != "IV":
+        return _report(check_id, [spec], n_samples, seed, _relative(moved, s_before), tol, notes)
+
+    zz = np.real(z @ np.conj(z).swapaxes(-1, -2))[:, 0, 0]
+    flat = on_boundary & (zz >= 1.0 - 1e-9) & (s_before.real >= -1e-9)
+    scale = np.maximum(1.0, np.abs(s_before))
+    residuals = {c: np.abs(moved - c * s_before) / scale for c in IV_FACTOR_CANDIDATES}
+    cand_worst = {c: float(np.max(r, initial=0.0)) for c, r in residuals.items()}
+    kept = np.abs(s_before) > 0.1
+    fits = [c for c in IV_FACTOR_CANDIDATES if cand_worst[c] <= tol]
+    notes.append(f"boundary samples with ZZ* = 1 and nonnegative norm: "
+                 f"{int(np.count_nonzero(flat))} of {int(np.count_nonzero(on_boundary))}")
+    notes.append(f"empirical constant: {float(np.median((moved[kept] / s_before[kept]).real)):.12g}"
+                 if kept.any() else "empirical constant: none (no sample has |S(Z, Z)| > 0.1)")
+    notes += [f"candidate {c:g}: max residual {cand_worst[c]:.6e}" for c in IV_FACTOR_CANDIDATES]
+    notes.append(f"adjudicated constant: {fits[0]:g}" if len(fits) == 1
+                 else "multiple candidate constants fit" if fits
+                 else "no candidate constant fits all samples")
+    best = min(cand_worst, key=cand_worst.get)
+    report = _report(check_id, [spec], n_samples, seed, residuals[best], tol, notes)
+    # The one exception to the pass rule: an ambiguous adjudication fails.
+    return replace(report, passed=False) if len(fits) > 1 else report
 
 
 def check_composition_rule(f: PolyMap, g: PolyMap, n_samples: int = 100, tol: float = 1e-8,

@@ -69,6 +69,19 @@ class TestVerifyCommand:
                     "--samples", "3", "--no-timestamp")
         assert rc == 2
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_negative_or_non_finite_tolerance_exits_two(self, tmp_path, capsys, tol):
+        rc, out = run(tmp_path, "verify", "fu", "--domain", "I:2,2", "--samples", "5",
+                      "--tol", tol, "--no-timestamp")
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err == f"error: --tol must be nonnegative and finite, got {float(tol)}\n"
+
+    def test_zero_tolerance_is_accepted(self, tmp_path):
+        rc, out = run(tmp_path, "verify", "fu", "--domain", "I:2,2", "--samples", "5",
+                      "--tol", "0", "--no-timestamp")
+        assert rc in (0, 1)
+        assert json.loads(out.read_text())["reports"][0]["tolerance"] == 0.0
+
     def test_csv_format(self, tmp_path):
         rc, out = run(tmp_path, "verify", "fu", "--domain", "III:2",
                       "--samples", "20", "--format", "csv", name="out.csv")
@@ -96,6 +109,13 @@ class TestDistinguishCommand:
                       "--map-b", "dangelo:2,0.5", "--no-timestamp")
         assert rc == 0
         assert json.loads(out.read_text())["verdict"] == "indistinguishable-by-invariants"
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_negative_or_non_finite_tolerance_exits_two(self, tmp_path, capsys, tol):
+        rc, out = run(tmp_path, "distinguish", "--map-a", "f_t:0.3", "--map-b", "f_t:0.3",
+                      "--tol", tol, "--no-timestamp")
+        assert rc == 2 and not out.exists()
+        assert "tol must be nonnegative and finite" in capsys.readouterr().err
 
     def test_dangelo_without_theta_names_what_is_missing(self, tmp_path, capsys):
         rc, _ = run(tmp_path, "distinguish", "--map-a", "dangelo:2", "--map-b", "dangelo:2")

@@ -204,6 +204,17 @@ class TestDistinguish:
         with pytest.raises(ShapeError):
             distinguish(catalog("f_t", t=0.5), catalog("g_t", t=0.5))
 
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_tolerance(self, tol):
+        # a negative tolerance would declare every map inequivalent to itself
+        f = catalog("f_t", t=0.3)
+        with pytest.raises(ParameterError, match="tol must be nonnegative and finite"):
+            distinguish(f, f, tol=tol)
+
+    def test_zero_tolerance_keeps_a_map_indistinguishable_from_itself(self):
+        f = catalog("f_t", t=0.3)
+        assert distinguish(f, f, tol=0.0).verdict == INDISTINGUISHABLE
+
     def test_rejects_non_origin_preserving(self):
         spec = parse_spec("I:1,1")
         affine = polymap(spec, spec, {(0, 0): {(0,): 0.5, (1,): 0.25}})

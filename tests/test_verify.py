@@ -5,8 +5,15 @@ import numpy as np
 import pytest
 
 import bsdkit.verify
-from bsdkit.autgroups import _params_at, random_isotropy_stack
-from bsdkit.domains import parse_spec, polarized_norm, sample_point, sample_points
+from bsdkit.autgroups import (
+    IV_FACTOR_CANDIDATES,
+    _params_at,
+    act_points,
+    automorphy_denominators,
+    random_automorphisms,
+    random_isotropy_stack,
+)
+from bsdkit.domains import generic_norms, parse_spec, polarized_norm, sample_point, sample_points
 from bsdkit.errors import ConfigurationError, ParameterError, ShapeError
 from bsdkit.invariants import INDISTINGUISHABLE, distinguish
 from bsdkit.polymaps import catalog, conjugate, monomials_of_degree, polymap, source_positions
@@ -207,6 +214,36 @@ class TestFULemma:
         assert rep.notes[2:4] == ["candidate 1: max residual 2.996636e+00",
                                   "candidate -0.5: max residual 4.494954e+00"]
         assert rep.max_residual == pytest.approx(2.996636, abs=1e-6)
+
+    @pytest.mark.parametrize("text", ["IV:1", "IV:3", "IV:4"])
+    def test_kind_iv_matches_the_diagonal_law(self, text):
+        # The diagonal form of the law, from the public kernels:
+        # |S(MZ) |lambda(Z)|^2 - c S(Z)| / max(1, |S(Z)|) for each candidate c,
+        # on the check's own keys [seed, k, 0] (elements) and [seed, k, 1] (points).
+        spec, n, seed = parse_spec(text), 200, 42
+        ks = np.arange(n)
+
+        def keys(stream):
+            return np.stack([np.full(n, seed), ks, np.full(n, stream)], axis=1).astype(np.uint32)
+
+        e = random_automorphisms(spec, keys(0))
+        on_boundary = ks % 4 == 3
+        z = np.empty((n, *spec.shape), dtype=complex)
+        for region, mask in (("boundary", on_boundary), ("interior", ~on_boundary)):
+            z[mask] = sample_points(spec, region, keys(1)[mask])
+        s_z = generic_norms(spec, z)
+        scaled = generic_norms(spec, act_points(e, z)) * np.abs(automorphy_denominators(e, z)) ** 2
+        worst = {c: float(np.max(np.abs(scaled - c * s_z) / np.maximum(1.0, np.abs(s_z))))
+                 for c in IV_FACTOR_CANDIDATES}
+        rep = check_F_U_lemma(spec, n_samples=n, tol=1e-9, seed=seed)
+        assert rep.max_residual == pytest.approx(min(worst.values()), rel=1e-14, abs=0.0)
+        assert [note for note in rep.notes if note.startswith("candidate ")] == [
+            f"candidate {c:g}: max residual {worst[c]:.6e}" for c in IV_FACTOR_CANDIDATES]
+
+    def test_kind_iv_with_no_large_norm_sample_says_so(self):
+        # seed 2's one sample has |S(Z, Z)| <= 0.1, so no ratio enters the median
+        rep = check_F_U_lemma(parse_spec("IV:3"), n_samples=1, seed=2)
+        assert rep.notes[1] == "empirical constant: none (no sample has |S(Z, Z)| > 0.1)"
 
     def test_deterministic_reports(self):
         a = check_F_U_lemma(parse_spec("I:2,2"), n_samples=50, seed=10).to_dict()
