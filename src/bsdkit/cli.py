@@ -31,14 +31,15 @@ from . import verify
 from .autgroups import aut_from_json, aut_to_json, act, check_membership
 from .domains import classify_point, generic_norm, parse_spec, sample_point
 from .errors import BsdkitError, ParameterError
-from .invariants import distinguish, invariant_spectrum
+from .invariants import _compared_spectra, _spectrum_distance, distinguish, invariant_spectrum
 from .polymaps import (catalog, eval_map, polymap_from_json, polymap_to_json, select_map,
                        source_positions)
 from .verify import run_all, summarize
 
 USAGE_EXIT = 2
 FAIL_EXIT = 1
-# The most points a --grid may have (0:1:0.001); a sweep compares every pair.
+# The most points a --grid may have (0:1:0.001); it bounds the n x n matrix a
+# sweep writes and the n-map stack of each degree's spectra.
 MAX_GRID_POINTS = 1001
 
 
@@ -194,6 +195,9 @@ def _cmd_verify(args) -> int:
 
     reports = []
     if args.what == "all":
+        for flag, value in (("--tol", args.tol), ("--samples", args.samples)):
+            if value is not None:  # run_all keeps each check's own tolerance and sample count
+                raise ParameterError(f"{flag} does not apply to verify all")
         reports = run_all(seed=seed)
     elif args.what == "fu":
         specs = [args.domain] if args.domain else ["I:2,2", "I:2,3", "II:3", "III:2", "IV:3"]
@@ -262,10 +266,9 @@ def _cmd_sweep(args) -> int:
     maps = [select_map(args.family, dims=dims, t=t) for t in grid]
     n = len(grid)
     matrix = np.zeros((n, n))
-    for a in range(n):
-        for b in range(a + 1, n):
-            d = distinguish(maps[a], maps[b]).max_distance
-            matrix[a, b] = matrix[b, a] = d
+    for spectra in _compared_spectra(maps, [f"t={t:.17g}" for t in grid]).values():
+        for a in range(n):  # row by row: distinguish's distance to every grid map
+            np.maximum(matrix[a], _spectrum_distance(spectra[a], spectra), out=matrix[a])
     header = "t," + ",".join(f"{t:.17g}" for t in grid)
     lines = [header]
     for a in range(n):

@@ -28,11 +28,16 @@ the holomorphic Goursat problem", Bull. LMS 21 (1989).
 
 The operators are read from a map's stored arrays: each degree's columns of
 ``PolyMap.weighted`` (C with these weights, built on first use) are
-scattered into the columns of ``monomials_of_degree``, one scatter per degree.
-Spectra are taken over a coefficient stack, one SVD per degree: a map's own
-spectrum is the no-stack case, and the isotropy check of ``verify`` takes
-the spectra of all its conjugation trials (``polymaps._conjugations``) in
-one stacked call per degree.
+scattered into the columns of ``monomials_of_degree``, one scatter per map
+and degree.  Spectra are taken over a stack, one SVD per degree over all
+the maps a query compares: ``distinguish`` stacks its two maps, ``bsdkit
+sweep`` all its grid maps, and a map's own spectrum is the one-map stack.
+NumPy evaluates a stacked SVD with the same LAPACK call per matrix, so each
+spectrum is bit for bit the one its map gets alone; a map that lacks a
+degree present in the stack has the zero operator there, whose singular
+values are zeros.  The isotropy check of ``verify`` takes the spectra of
+all its conjugation trials (``polymaps._conjugations``) in one stacked call
+per degree in the same way.
 """
 
 import math
@@ -87,16 +92,24 @@ def _operator(weighted: np.ndarray, nvars: int, degree: int, columns: np.ndarray
     return op
 
 
-def _spectra(weighted: np.ndarray, nvars: int, degrees) -> dict:
-    """Per-degree descending singular values of the operators of a weighted
-    coefficient matrix or stack: one SVD per degree."""
-    return {d: np.linalg.svd(_operator(weighted, nvars, d, columns, ranks), compute_uv=False)
-            for d, columns, ranks in degrees}
+def _map_spectra(maps) -> dict:
+    """Per-degree descending singular values of maps that share source and
+    target, as ``(maps, k)`` arrays over the sorted union of their degrees:
+    each map's operators are scattered into one stack per degree, and each
+    stack takes one SVD.  A map that lacks a degree has the zero operator
+    there."""
+    rows, nvars, ops = maps[0].weighted.shape[0], maps[0].nvars, {}
+    for i, m in enumerate(maps):
+        for d, columns, ranks in m.degrees:
+            if d not in ops:
+                ops[d] = np.zeros((len(maps), rows, math.comb(nvars + d - 1, d)), dtype=complex)
+            ops[d][i][:, ranks] = m.weighted[:, columns]
+    return {d: np.linalg.svd(ops[d], compute_uv=False) for d in sorted(ops)}
 
 
 def invariant_spectrum(f: PolyMap) -> dict:
     """Per-degree descending singular values of the coefficient operators."""
-    return _spectra(f.weighted, f.nvars, f.degrees)
+    return {d: s[0] for d, s in _map_spectra([f]).items()}
 
 
 def _conjugate_spectra(f: PolyMap, pre_params, post_params) -> dict:
@@ -104,7 +117,9 @@ def _conjugate_spectra(f: PolyMap, pre_params, post_params) -> dict:
     target isotropy parameters, as (trials, k) arrays."""
     exponents, coeffs, degrees = _conjugations(f, isotropy_factors(f.source, pre_params),
                                                isotropy_factors(f.target, post_params))
-    return _spectra(_weighted(f.source, f.target, exponents, coeffs), f.nvars, degrees)
+    weighted = _weighted(f.source, f.target, exponents, coeffs)
+    return {d: np.linalg.svd(_operator(weighted, f.nvars, d, columns, ranks), compute_uv=False)
+            for d, columns, ranks in degrees}
 
 
 @dataclass(frozen=True)
@@ -119,13 +134,19 @@ class DistinguishResult:
 
 
 def _spectrum_distance(a, b) -> np.ndarray:
-    """Sup distance between descending spectra zero-padded to a common length
-    along the last axis; broadcasts over leading (trial) axes."""
-    (*lead_a, m), (*lead_b, k) = np.shape(a), np.shape(b)
-    pa, pb = np.zeros((*lead_a, max(m, k))), np.zeros((*lead_b, max(m, k)))
-    pa[..., :m] = a
-    pb[..., :k] = b
-    return np.abs(pa - pb).max(axis=-1, initial=0.0)
+    """Sup distance between descending spectra of equal length along the last
+    axis; broadcasts over leading (map or trial) axes."""
+    return np.abs(a - b).max(axis=-1, initial=0.0)
+
+
+def _compared_spectra(maps, names) -> dict:
+    """``_map_spectra`` of maps to be compared, each named in its error: they
+    must share source and target specs and preserve the origin."""
+    if any(m.source != maps[0].source or m.target != maps[0].target for m in maps):
+        raise ShapeError("maps must share source and target specs")
+    for name, m in zip(names, maps):
+        _require_origin(name, m)
+    return _map_spectra(maps)
 
 
 def _require_origin(name: str, f: PolyMap) -> None:
@@ -146,15 +167,9 @@ def distinguish(f: PolyMap, g: PolyMap, tol: float = 1e-8) -> DistinguishResult:
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ParameterError(f"tol must be nonnegative and finite, got {tol}")
-    if f.source != g.source or f.target != g.target:
-        raise ShapeError("maps must share source and target specs")
-    _require_origin("first", f)
-    _require_origin("second", g)
-    spec_f = invariant_spectrum(f)
-    spec_g = invariant_spectrum(g)
-    distances = {d: float(_spectrum_distance(spec_f.get(d, ()), spec_g.get(d, ())))
-                 for d in sorted(set(spec_f) | set(spec_g))}
+    spectra = _compared_spectra([f, g], ("first", "second"))
+    distances = {d: float(_spectrum_distance(s[0], s[1])) for d, s in spectra.items()}
     worst = max(distances.values(), default=0.0)
-    mismatch = set(spec_f) != set(spec_g)
+    mismatch = {d for d, _, _ in f.degrees} != {d for d, _, _ in g.degrees}
     verdict = INEQUIVALENT if (mismatch or worst > tol) else INDISTINGUISHABLE
     return DistinguishResult(verdict, distances, worst)

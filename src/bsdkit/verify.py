@@ -142,7 +142,11 @@ def summarize(reports) -> dict:
 def _report(check_id, specs, samples, seed, residuals, tol, notes=()) -> VerificationReport:
     """The report of a check with these residuals: its ``max_residual`` is the
     largest (0.0 for none), and it passes exactly when that is at most
-    ``tol``.  Each spec is recorded as its string."""
+    ``tol``.  Each spec is recorded as its string.  A negative or non-finite
+    ``tol`` raises ``ParameterError``: it would turn every identity into a
+    failure (or, for +inf, a pass)."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ParameterError(f"tol must be nonnegative and finite, got {tol}")
     worst = float(np.max(residuals, initial=0.0))
     return VerificationReport(check_id, [str(s) for s in specs], samples, seed, worst, tol,
                               worst <= tol, list(notes))

@@ -326,6 +326,22 @@ class TestCheckFlags:
         assert run(tmp_path, *argv, "--tol", "0.5")[0] == 0
         assert seen == [0.25, 0.5]
 
+    @pytest.mark.parametrize("flags,named", [
+        (["--tol", "-1", "--samples", "-3"], "--tol"),
+        (["--tol", "0.5"], "--tol"),
+        (["--samples", "3"], "--samples"),
+    ])
+    def test_verify_all_rejects_them_before_any_check_runs(self, monkeypatch, capsys, flags,
+                                                           named):
+        def no_run(**kwargs):
+            raise AssertionError("run_all was called")
+
+        monkeypatch.setattr(bsdkit.cli, "run_all", no_run)
+        assert main(["verify", "all", *flags, "--no-timestamp"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {named} does not apply to verify all\n"
+        assert captured.out == ""
+
     def test_given_flags_reach_the_check(self, tmp_path):
         rc, out = run(tmp_path, "verify", "coeff", "--domain", "III:2", "--samples", "3",
                       "--tol", "0.5", "--no-timestamp")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bsdkit.autgroups import random_isotropy_params
+from bsdkit.cli import main
 from bsdkit.domains import DomainSpec, parse_spec
 from bsdkit.errors import ParameterError, ShapeError
 from bsdkit.invariants import (
@@ -15,7 +16,7 @@ from bsdkit.invariants import (
     monomials_of_degree,
 )
 from bsdkit.polymaps import (catalog, conjugate, homogeneous_parts, pad_map, polymap,
-                             source_positions)
+                             select_map, source_positions)
 
 CATALOG_MAPS = [
     catalog("standard", r=2, s=2, r2=3, s2=3),
@@ -48,6 +49,20 @@ def reference_operator(f_d, degree):
             rescale = math.prod(w ** -e for w, e in zip(w_src, exps))
             op[row, column[exps]] = coeff * fischer * rescale * w_tgt[row]
     return op
+
+
+def reference_spectra(f, degrees):
+    """One ``np.linalg.svd`` per map and degree, of the map's own operator
+    (the zero operator at a degree the map lacks)."""
+    parts = homogeneous_parts(f)
+    empty = polymap(f.source, f.target, {})
+    return {d: np.linalg.svd(coefficient_operator(parts.get(d, empty), d), compute_uv=False)
+            for d in degrees}
+
+
+def reference_distance(a, b):
+    """Sup distance over the degrees of two reference spectra."""
+    return max((float(np.max(np.abs(a[d] - b[d]))) for d in a), default=0.0)
 
 
 def f_t_degree1_expected(t):
@@ -226,3 +241,76 @@ class TestDistinguish:
         for t, s in [(0.1, 0.2), (0.5, 0.6), (0.9, 1.0)]:
             result = distinguish(catalog("f_t", t=t), catalog("f_t", t=s), tol=1e-8)
             assert result.distances[1] >= abs(math.sqrt(t) - math.sqrt(s)) - 1e-12
+
+
+class TestStackedSpectra:
+    """Spectra come from one SVD per degree over every map a query compares,
+    and equal one SVD per map and degree bit for bit."""
+
+    PAIRS = [(catalog("f_t", t=a), catalog("f_t", t=b))
+             for a, b in [(0.0, 0.5), (0.2, 0.8), (0.4, 0.4)]]
+    PAIRS += [(f, conjugate(f, random_isotropy_params(f.source, [9, k]),
+                            random_isotropy_params(f.target, [10, k])))
+              for k, f in enumerate(CATALOG_MAPS)]
+
+    @pytest.mark.parametrize("f", CATALOG_MAPS)
+    def test_invariant_spectrum_equals_the_per_map_reference(self, f):
+        spectrum = invariant_spectrum(f)
+        reference = reference_spectra(f, [d for d, _, _ in f.degrees])
+        assert list(spectrum) == list(reference)
+        for d in reference:
+            assert spectrum[d].tobytes() == reference[d].tobytes()
+
+    @pytest.mark.parametrize("f,g", PAIRS)
+    def test_distinguish_equals_the_per_map_reference(self, f, g):
+        degrees = sorted({d for m in (f, g) for d, _, _ in m.degrees})
+        ref_f, ref_g = reference_spectra(f, degrees), reference_spectra(g, degrees)
+        result = distinguish(f, g)
+        assert result.distances == {d: float(np.max(np.abs(ref_f[d] - ref_g[d]))) for d in degrees}
+        assert result.max_distance == reference_distance(ref_f, ref_g)
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "f_t", "--grid", "0:1:0.1"],
+        ["--family", "G_t", "--dims", "2,2", "--grid", "0:1:0.05"],
+    ])
+    def test_sweep_csv_equals_the_per_map_reference(self, tmp_path, argv):
+        out = tmp_path / "m.csv"
+        assert main(["sweep", *argv, "--out", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()
+        grid = [float(t) for t in header.split(",")[1:]]
+        dims = (2, 2) if "--dims" in argv else None
+        maps = [select_map(argv[1], dims=dims, t=t) for t in grid]
+        degrees = sorted({d for m in maps for d, _, _ in m.degrees})
+        spectra = [reference_spectra(m, degrees) for m in maps]
+        expected = [f"{t:.17g}," + ",".join(f"{reference_distance(a, b):.17g}" for b in spectra)
+                    for t, a in zip(grid, spectra)]
+        assert rows == expected
+
+    def test_a_degree_one_map_lacks_compares_with_zeros(self):
+        # degree 1 only against degrees 1 and 2, both I:1,2 -> I:1,3
+        f, g = catalog("standard", r=1, s=2, r2=1, s2=3), catalog("whitney-ball", n=2)
+        assert (f.source, f.target) == (g.source, g.target)
+        for a, b in [(f, g), (g, f)]:
+            result = distinguish(a, b)
+            assert result.verdict == INEQUIVALENT
+            assert result.distances == {1: 1.0, 2: 1.4142135623730951}
+
+    def test_one_svd_per_degree(self, tmp_path, monkeypatch):
+        stacks = []
+        svd = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            stacks.append(np.shape(a)[:-2])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        f, g = catalog("f_t", t=0.2), catalog("f_t", t=0.8)
+        invariant_spectrum(f)
+        assert stacks == [(1,), (1,)]
+        stacks.clear()
+        distinguish(f, g)
+        assert stacks == [(2,), (2,)]
+        stacks.clear()
+        argv = ["sweep", "--family", "f_t", "--grid", "0:1:0.1", "--out", str(tmp_path / "m.csv")]
+        assert main(argv) == 0
+        assert stacks == [(11,), (11,)]

@@ -653,6 +653,34 @@ class TestKeyRows:
         assert SEED_CHECKS[check](2**40 + 3).samples > 0
 
 
+TOL_CHECKS = {
+    "properness": lambda tol: check_properness(catalog("whitney-ball", n=2), n_samples=5, tol=tol),
+    "factorization": lambda tol: check_factorization(
+        catalog("whitney-ball", n=2), degree_bound=1, tol=tol),
+    "fu": lambda tol: check_F_U_lemma(parse_spec("I:2,2"), n_samples=5, tol=tol),
+    "composition": lambda tol: check_composition_rule(
+        catalog("whitney-ball", n=3), catalog("whitney-ball", n=2), n_samples=3, tol=tol),
+    "coeff": lambda tol: check_coefficient_lemma(parse_spec("I:2,2"), 0, 0, n_bases=3, tol=tol),
+    "isotropy": lambda tol: check_isotropy_consistency(catalog("f_t", t=0.3), n_trials=2, tol=tol),
+    "continuity": lambda tol: check_family_continuity("f_t", [0.2, 0.4], tol=tol),
+}
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+    @pytest.mark.parametrize("check", sorted(TOL_CHECKS))
+    def test_negative_or_non_finite_tol_is_a_parameter_error(self, check, tol):
+        message = f"^tol must be nonnegative and finite, got {tol}$"
+        with pytest.raises(ParameterError, match=message):
+            TOL_CHECKS[check](tol)
+
+    @pytest.mark.parametrize("check", sorted(TOL_CHECKS))
+    def test_zero_tol_builds_a_report(self, check):
+        report = TOL_CHECKS[check](0.0)
+        report = report[0] if isinstance(report, tuple) else report
+        assert report.tolerance == 0.0 and report.passed == (report.max_residual == 0.0)
+
+
 class TestCompositionExhaustion:
     def test_inner_map_with_small_s2_everywhere_raises(self):
         # A constant inner map g = 0.999 has S2(gZ, gW) = 1 - 0.999**2 < 0.01 at every pair.
