@@ -4,8 +4,6 @@ Samples points, classifies them, and evaluates generic norms — the defining
 polynomial that is 1 at the origin and vanishes exactly on the boundary.
 """
 
-import numpy as np
-
 from bsdkit import classify_point, generic_norm, origin, parse_spec, point, sample_point
 
 for text in ("I:2,3", "II:3", "III:2", "IV:3"):

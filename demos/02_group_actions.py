@@ -11,7 +11,6 @@ from bsdkit import (
     act,
     automorphy_factor,
     check_membership,
-    identity_element,
     isotropy,
     origin,
     parse_spec,

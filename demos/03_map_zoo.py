@@ -15,7 +15,6 @@ from bsdkit import (
     generic_norm,
     homogeneous_parts,
     pad_map,
-    parse_spec,
     point,
     sample_point,
 )

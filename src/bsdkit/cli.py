@@ -3,7 +3,8 @@
 Commands: ``verify all|fu|composition|coeff|properness|factorization``,
 ``invariants``, ``distinguish``, ``sweep``, ``sample``, ``eval``.  Exit code
 0 means every requested check passed, 1 means at least one failed, 2 means
-a usage or configuration problem.  A command takes only the options it reads.
+a usage or configuration problem.  A command takes only the options it reads,
+and ``verify`` only those its chosen check reads (``_VERIFY_READS``).
 All randomness is seeded (``--seed`` of ``verify``, ``sample`` and ``eval``,
 else the BSDKIT_SEED environment variable, else 42; a negative seed exits
 2); with ``--no-timestamp`` a repeated invocation is byte-identical.
@@ -32,6 +33,7 @@ from .autgroups import aut_from_json, aut_to_json, act, check_membership
 from .domains import classify_point, generic_norm, parse_spec, sample_point
 from .errors import BsdkitError, ParameterError
 from .invariants import _compared_spectra, _spectrum_distance, distinguish, invariant_spectrum
+from .linalg import _require_positive, _require_tolerance
 from .polymaps import (catalog, eval_map, polymap_from_json, polymap_to_json, select_map,
                        source_positions)
 from .verify import run_all, summarize
@@ -41,6 +43,13 @@ FAIL_EXIT = 1
 # The most points a --grid may have (0:1:0.001); it bounds the n x n matrix a
 # sweep writes and the n-map stack of each degree's spectra.
 MAX_GRID_POINTS = 1001
+# The options of each ``verify`` check besides --seed, --format, --out and
+# --no-timestamp; any other option of ``verify`` given is a usage error.
+_MAP_FLAGS = ("--map-a", "--map-file", "--t", "--theta", "--dims")
+_VERIFY_READS = {"all": (), "fu": ("--domain", "--tol", "--samples"),
+                 "composition": ("--tol", "--samples"), "coeff": ("--domain", "--tol", "--samples"),
+                 "properness": (*_MAP_FLAGS, "--tol", "--samples"),
+                 "factorization": (*_MAP_FLAGS, "--tol", "--samples")}
 
 
 def _seed(args) -> int:
@@ -77,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dims", type=str, default=None)
 
     p = sub.add_parser("verify", help="run verification checks")
-    p.add_argument("what", choices=("all", "fu", "composition", "coeff", "properness", "factorization"))
+    p.add_argument("what", choices=tuple(_VERIFY_READS))
     p.add_argument("--domain", type=str, default=None)
     map_options(p)
     p.add_argument("--seed", type=int, default=None)
@@ -182,22 +191,23 @@ def _reports_csv(reports) -> str:
 
 def _cmd_verify(args) -> int:
     seed = _seed(args)
+    reads, opts = _VERIFY_READS[args.what], vars(args)
+    for flag in ("--domain", *_MAP_FLAGS, "--tol", "--samples"):
+        if opts[flag[2:].replace("-", "_")] is not None and flag not in reads:
+            raise ParameterError(f"{flag} does not apply to verify {args.what}")
 
     def given(samples: str) -> dict:
         """The seed, plus ``--tol`` and ``--samples`` (as keyword ``samples``) where
         given: each check default lives once, in the signature in ``verify``."""
-        if args.samples is not None and args.samples <= 0:
-            raise ParameterError(f"--samples must be positive, got {args.samples}")
-        if args.tol is not None and not (np.isfinite(args.tol) and args.tol >= 0):
-            raise ParameterError(f"--tol must be nonnegative and finite, got {args.tol}")
+        if args.samples is not None:
+            _require_positive("--samples", args.samples)
+        if args.tol is not None:
+            _require_tolerance(args.tol, "--tol")
         flags = (("tol", args.tol), (samples, args.samples))
         return {"seed": seed, **{k: v for k, v in flags if v is not None}}
 
     reports = []
-    if args.what == "all":
-        for flag, value in (("--tol", args.tol), ("--samples", args.samples)):
-            if value is not None:  # run_all keeps each check's own tolerance and sample count
-                raise ParameterError(f"{flag} does not apply to verify all")
+    if args.what == "all":  # run_all keeps each check's own tolerance and sample count
         reports = run_all(seed=seed)
     elif args.what == "fu":
         specs = [args.domain] if args.domain else ["I:2,2", "I:2,3", "II:3", "III:2", "IV:3"]
@@ -260,8 +270,6 @@ def _parse_grid(text: str):
 
 def _cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid)
-    if any(t < 0.0 or t > 1.0 for t in grid):
-        raise ParameterError("sweep grid must lie in [0, 1]")
     dims = _parse_dims(args.dims)
     maps = [select_map(args.family, dims=dims, t=t) for t in grid]
     n = len(grid)

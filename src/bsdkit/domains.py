@@ -49,6 +49,7 @@ __all__ = [
     "parse_spec",
     "format_spec",
     "point",
+    "origin",
     "check_shapes",
     "norm_gram",
     "classify_points",

@@ -1,5 +1,8 @@
 """Exception types shared across the toolkit."""
 
+__all__ = ["BsdkitError", "ShapeError", "DomainError", "ParameterError", "NumericError",
+           "ActionSingularityError", "SamplingError", "ConfigurationError"]
+
 
 class BsdkitError(Exception):
     """Base class for all toolkit errors."""

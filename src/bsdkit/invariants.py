@@ -47,6 +47,7 @@ import numpy as np
 
 from .autgroups import isotropy_factors
 from .errors import ParameterError, ShapeError
+from .linalg import _require_tolerance
 from .polymaps import PolyMap, _conjugations, _weighted, monomials_of_degree
 
 __all__ = [
@@ -165,8 +166,7 @@ def distinguish(f: PolyMap, g: PolyMap, tol: float = 1e-8) -> DistinguishResult:
     ``ParameterError``: with a negative one, every map would be inequivalent
     to itself.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ParameterError(f"tol must be nonnegative and finite, got {tol}")
+    _require_tolerance(tol)
     spectra = _compared_spectra([f, g], ("first", "second"))
     distances = {d: float(_spectrum_distance(s[0], s[1])) for d, s in spectra.items()}
     worst = max(distances.values(), default=0.0)

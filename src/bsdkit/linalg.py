@@ -129,6 +129,21 @@ def _negative_key_error(key) -> ParameterError:
     return ParameterError(f"RNG key must be nonnegative, got {key!r}")
 
 
+def _require_tolerance(tol: float, name: str = "tol") -> None:
+    """The one rule for a tolerance: a negative or non-finite one raises
+    ``ParameterError`` (it would fail every identity, or with +inf pass every
+    one)."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ParameterError(f"{name} must be nonnegative and finite, got {tol}")
+
+
+def _require_positive(name: str, count: int) -> None:
+    """The one rule for a sample count: a report over no samples would pass
+    with max_residual 0.0, so a count below 1 raises ``ParameterError``."""
+    if count <= 0:
+        raise ParameterError(f"{name} must be positive, got {count}")
+
+
 def default_generator(key):
     """``np.random.default_rng(key)``, with a negative integer anywhere in the
     key raised as a ``ParameterError`` rather than numpy's untyped error."""

@@ -22,9 +22,14 @@ factors of ``autgroups.isotropy_factors``.  ``conjugate`` is its one-trial
 case and builds its result from arrays.
 
 The catalog holds the proper polynomial map families used throughout:
-standard block embeddings, ball Whitney and one-parameter ball families,
-the generalized Whitney map, two quadratic maps between 2x2-block domains,
-and the one-parameter families f_t, g_t, G_t, h_t connecting them.
+standard block embeddings, the D'Angelo ball family, the ball and
+generalized Whitney maps, two quadratic maps between 2x2-block domains,
+and the one-parameter families f_t, g_t, G_t, h_t connecting them.  Both
+Whitney maps are family endpoints with their zero column dropped: the ball
+map is the D'Angelo map (z', cos theta z_n, sin theta z_n z) at theta =
+pi/2 (built with cos and sin exactly 0 and 1), and the generalized map is
+G_t at t = 1, whose column s + 1 holds sqrt(1 - t) z_i1 = 0.  f-sec4 is
+gen-whitney(2, 2) and g_t is G_t(2, 2, t).
 """
 
 import cmath
@@ -274,17 +279,43 @@ def _build_standard(r: int, s: int, r2: int, s2: int) -> PolyMap:
     return polymap(source, target, entries)
 
 
+def _ball_entries(n: int, cos: float, sin: float) -> dict:
+    """Entries of the D'Angelo map (z', cos z_n, sin z_n z) of I:1,n into I:1,2n."""
+    entries = {(0, k): {_unit(n, k): 1.0} for k in range(n - 1)}
+    entries[(0, n - 1)] = {_unit(n, n - 1): cos}
+    entries.update({(0, n + k): {_unit(n, k, n - 1): sin} for k in range(n)})
+    return entries
+
+
+def _block_entries(r: int, s: int, t: float) -> dict:
+    """Entries of G_t of I:r,s into I:2r-1,2s (1-based): sqrt(t) z_i1 z_1j at
+    (i, j), sqrt(1 - t) z_i1 at (i, s + 1), and z_ij at (i, s + j) for j > 1
+    and at (r + i - 1, j) for i > 1."""
+    nv, rt, rmt = r * s, math.sqrt(t), math.sqrt(1.0 - t)
+    entries = {}
+    for i in range(r):
+        entries[(i, s)] = {_unit(nv, i * s): rmt}
+        for j in range(s):
+            entries[(i, j)] = {_unit(nv, i * s, j): rt}
+            if j:
+                entries[(i, s + j)] = {_unit(nv, i * s + j): 1.0}
+            if i:
+                entries[(r - 1 + i, j)] = {_unit(nv, i * s + j): 1.0}
+    return entries
+
+
+def _without_column(entries: dict, col: int) -> dict:
+    """``entries`` with column ``col`` dropped and the later columns moved left."""
+    return {(i, j - (j > col)): terms for (i, j), terms in entries.items() if j != col}
+
+
 def _build_whitney_ball(n: int) -> PolyMap:
+    """The D'Angelo map at theta = pi/2 without its zero column (index n - 1)."""
     if n < 2:
         raise ParameterError("whitney-ball needs n >= 2")
     source = DomainSpec("I", r=1, s=n)
     target = DomainSpec("I", r=1, s=2 * n - 1)
-    entries = {}
-    for k in range(n - 1):
-        entries[(0, k)] = {_unit(n, k): 1.0}
-        entries[(0, n - 1 + k)] = {_unit(n, n - 1, k): 1.0}
-    entries[(0, 2 * n - 2)] = {_unit(n, n - 1, n - 1): 1.0}
-    return polymap(source, target, entries)
+    return polymap(source, target, _without_column(_ball_entries(n, 0.0, 1.0), n - 1))
 
 
 def _build_dangelo(n: int, theta: float) -> PolyMap:
@@ -294,33 +325,14 @@ def _build_dangelo(n: int, theta: float) -> PolyMap:
         raise ParameterError(f"theta must lie in [0, pi/2], got {theta}")
     source = DomainSpec("I", r=1, s=n)
     target = DomainSpec("I", r=1, s=2 * n)
-    entries = {}
-    for k in range(n - 1):
-        entries[(0, k)] = {_unit(n, k): 1.0}
-    entries[(0, n - 1)] = {_unit(n, n - 1): math.cos(theta)}
-    for k in range(n):
-        entries[(0, n + k)] = {_unit(n, k, n - 1): math.sin(theta)}
-    return polymap(source, target, entries)
+    return polymap(source, target, _ball_entries(n, math.cos(theta), math.sin(theta)))
 
 
 def _build_gen_whitney(r: int, s: int) -> PolyMap:
+    """G_t at t = 1 without its zero column (index s)."""
     source = DomainSpec("I", r=r, s=s)
     target = DomainSpec("I", r=2 * r - 1, s=2 * s - 1)
-    nv = r * s
-
-    def var(i, j):
-        return i * s + j
-
-    entries = {}
-    for i in range(r):
-        for j in range(s):
-            entries[(i, j)] = {_unit(nv, var(i, 0), var(0, j)): 1.0}
-        for j in range(1, s):
-            entries[(i, s - 1 + j)] = {_unit(nv, var(i, j)): 1.0}
-    for k in range(1, r):
-        for j in range(s):
-            entries[(r - 1 + k, j)] = {_unit(nv, var(k, j)): 1.0}
-    return polymap(source, target, entries)
+    return polymap(source, target, _without_column(_block_entries(r, s, 1.0), s))
 
 
 def _build_f_sec4() -> PolyMap:
@@ -372,23 +384,7 @@ def _build_G_t(r: int, s: int, t: float) -> PolyMap:
     t = _efmt(t)
     source = DomainSpec("I", r=r, s=s)
     target = DomainSpec("I", r=2 * r - 1, s=2 * s)
-    nv = r * s
-    rt, rmt = math.sqrt(t), math.sqrt(1.0 - t)
-
-    def var(i, j):
-        return i * s + j
-
-    entries = {}
-    for i in range(r):
-        for j in range(s):
-            entries[(i, j)] = {_unit(nv, var(i, 0), var(0, j)): rt}
-        entries[(i, s)] = {_unit(nv, var(i, 0)): rmt}
-        for j in range(1, s):
-            entries[(i, s + j)] = {_unit(nv, var(i, j)): 1.0}
-    for k in range(1, r):
-        for j in range(s):
-            entries[(r - 1 + k, j)] = {_unit(nv, var(k, j)): 1.0}
-    return polymap(source, target, entries)
+    return polymap(source, target, _block_entries(r, s, t))
 
 
 def _build_g_t(t: float) -> PolyMap:

@@ -79,7 +79,7 @@ from .invariants import (
     _spectrum_distance,
     invariant_spectrum,
 )
-from .linalg import _negative_key_error
+from .linalg import _negative_key_error, _require_positive, _require_tolerance
 from .polymaps import (
     PolyMap,
     _aligned_coeffs,
@@ -143,10 +143,8 @@ def _report(check_id, specs, samples, seed, residuals, tol, notes=()) -> Verific
     """The report of a check with these residuals: its ``max_residual`` is the
     largest (0.0 for none), and it passes exactly when that is at most
     ``tol``.  Each spec is recorded as its string.  A negative or non-finite
-    ``tol`` raises ``ParameterError``: it would turn every identity into a
-    failure (or, for +inf, a pass)."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ParameterError(f"tol must be nonnegative and finite, got {tol}")
+    ``tol`` raises ``ParameterError`` (``linalg._require_tolerance``)."""
+    _require_tolerance(tol)
     worst = float(np.max(residuals, initial=0.0))
     return VerificationReport(check_id, [str(s) for s in specs], samples, seed, worst, tol,
                               worst <= tol, list(notes))
@@ -178,11 +176,6 @@ def _key_rows(seed, *columns) -> np.ndarray:
 
 def _append_column(rows: np.ndarray, value: int) -> np.ndarray:
     return np.concatenate([rows, np.full((len(rows), 1), value, dtype=rows.dtype)], axis=1)
-
-
-def _require_positive(name: str, count: int) -> None:
-    if count <= 0:  # a report over no samples would pass with max_residual 0.0
-        raise ParameterError(f"{name} must be positive, got {count}")
 
 
 def check_properness(f: PolyMap, n_samples: int = 500, tol: float = 1e-7, seed: int = 42,
@@ -500,7 +493,8 @@ _FAMILIES = ("f_t", "g_t", "G_t", "h_t")  # also the choices of ``bsdkit sweep -
 def check_family_continuity(family: str, t_grid, tol: float = 3.0, dims=None,
                             check_id: str = None) -> VerificationReport:
     """Hoelder-1/2 continuity of family coefficients along a parameter grid
-    of at least two distinct points (fewer raise ``ParameterError``).
+    of at least two distinct points (fewer raise ``ParameterError``, as does
+    a point outside [0, 1], through the family builder).
 
     The residual is the max over adjacent grid maps of
     coefficient distance / sqrt(dt) (square-root coefficients are only
@@ -513,8 +507,6 @@ def check_family_continuity(family: str, t_grid, tol: float = 3.0, dims=None,
     grid = sorted(float(t) for t in t_grid)
     if len(set(grid)) < 2:  # a report over no adjacent pair would pass with max_residual 0.0
         raise ParameterError(f"parameter grid needs two distinct points, got {len(set(grid))}")
-    if grid[0] < 0.0 or grid[-1] > 1.0:
-        raise ParameterError("grid must lie in [0, 1]")
     maps = [select_map(family, dims=dims, t=t) for t in grid]
     steps = [coeff_distance(m0, m1) / math.sqrt(t1 - t0)
              for t0, t1, m0, m1 in zip(grid, grid[1:], maps, maps[1:]) if t1 > t0]

@@ -155,6 +155,11 @@ class TestSweepCommand:
                     "--grid", "0:1:0.5", name="m.csv")
         assert rc == 2
 
+    def test_a_grid_outside_the_unit_interval_gets_the_builder_error(self, tmp_path, capsys):
+        rc, out = run(tmp_path, "sweep", "--family", "f_t", "--grid", "0:2:0.5", name="m.csv")
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err == "error: family parameter t must lie in [0, 1], got 1.5\n"
+
     def test_G_t_without_dims_names_them(self, tmp_path, capsys):
         rc, _ = run(tmp_path, "sweep", "--family", "G_t", "--grid", "0:1:0.5", name="m.csv")
         assert rc == 2
@@ -326,20 +331,30 @@ class TestCheckFlags:
         assert run(tmp_path, *argv, "--tol", "0.5")[0] == 0
         assert seen == [0.25, 0.5]
 
-    @pytest.mark.parametrize("flags,named", [
-        (["--tol", "-1", "--samples", "-3"], "--tol"),
-        (["--tol", "0.5"], "--tol"),
-        (["--samples", "3"], "--samples"),
+    @pytest.mark.parametrize("argv,named", [
+        (["all", "--tol", "-1", "--samples", "-3"], "--tol"),
+        (["all", "--tol", "0.5"], "--tol"),
+        (["all", "--samples", "3"], "--samples"),
+        (["all", "--domain", "I:2,2"], "--domain"),
+        (["fu", "--map-a", "f-sec4"], "--map-a"),
+        (["coeff", "--domain", "I:2,2", "--dims", "2,2"], "--dims"),
+        (["composition", "--domain", "V:9", "--map-a", "nope", "--samples", "3"], "--domain"),
+        (["properness", "--map-a", "f-sec4", "--domain", "I:2,2"], "--domain"),
+        (["factorization", "--map-a", "f-sec4", "--domain", "I:2,2"], "--domain"),
     ])
-    def test_verify_all_rejects_them_before_any_check_runs(self, monkeypatch, capsys, flags,
+    def test_verify_all_rejects_them_before_any_check_runs(self, monkeypatch, capsys, argv,
                                                            named):
-        def no_run(**kwargs):
-            raise AssertionError("run_all was called")
+        # every check rejects the options it does not read, `all` --tol and --samples too
+        def no_run(*args, **kwargs):
+            raise AssertionError("a check was called")
 
         monkeypatch.setattr(bsdkit.cli, "run_all", no_run)
-        assert main(["verify", "all", *flags, "--no-timestamp"]) == 2
+        for name in bsdkit.verify.__all__:
+            if name.startswith("check_"):
+                monkeypatch.setattr(bsdkit.verify, name, no_run)
+        assert main(["verify", *argv, "--no-timestamp"]) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"error: {named} does not apply to verify all\n"
+        assert captured.err == f"error: {named} does not apply to verify {argv[0]}\n"
         assert captured.out == ""
 
     def test_given_flags_reach_the_check(self, tmp_path):

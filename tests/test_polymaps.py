@@ -232,6 +232,35 @@ class TestCatalogCoefficients:
         assert f.entries == self.F_SEC4
         assert catalog("gen-whitney", r=2, s=2).entries == self.F_SEC4
 
+    # Literal tables of the maps the family builders derive, target positions 0-based.
+    WHITNEY_BALL_3 = {  # (z1, z2, z3 z1, z3 z2, z3^2)
+        (0, 0): {(1, 0, 0): 1.0}, (0, 1): {(0, 1, 0): 1.0}, (0, 2): {(1, 0, 1): 1.0},
+        (0, 3): {(0, 1, 1): 1.0}, (0, 4): {(0, 0, 2): 1.0},
+    }
+    DANGELO_2 = {  # (z1, cos z2, sin z1 z2, sin z2^2) at theta = 0.5
+        (0, 0): {(1, 0): 1.0}, (0, 1): {(0, 1): math.cos(0.5)}, (0, 2): {(1, 1): math.sin(0.5)},
+        (0, 3): {(0, 2): math.sin(0.5)},
+    }
+    GEN_WHITNEY_23 = {  # exponents over (z11, z12, z13, z21, z22, z23)
+        (0, 0): {(2, 0, 0, 0, 0, 0): 1.0}, (0, 1): {(1, 1, 0, 0, 0, 0): 1.0},
+        (0, 2): {(1, 0, 1, 0, 0, 0): 1.0}, (0, 3): {(0, 1, 0, 0, 0, 0): 1.0},
+        (0, 4): {(0, 0, 1, 0, 0, 0): 1.0}, (1, 0): {(1, 0, 0, 1, 0, 0): 1.0},
+        (1, 1): {(0, 1, 0, 1, 0, 0): 1.0}, (1, 2): {(0, 0, 1, 1, 0, 0): 1.0},
+        (1, 3): {(0, 0, 0, 0, 1, 0): 1.0}, (1, 4): {(0, 0, 0, 0, 0, 1): 1.0},
+        (2, 0): {(0, 0, 0, 1, 0, 0): 1.0}, (2, 1): {(0, 0, 0, 0, 1, 0): 1.0},
+        (2, 2): {(0, 0, 0, 0, 0, 1): 1.0},
+    }
+
+    @pytest.mark.parametrize("map_id,params,specs,table", [
+        ("whitney-ball", {"n": 3}, ("I:1,3", "I:1,5"), WHITNEY_BALL_3),
+        ("dangelo", {"n": 2, "theta": 0.5}, ("I:1,2", "I:1,4"), DANGELO_2),
+        ("gen-whitney", {"r": 2, "s": 3}, ("I:2,3", "I:3,5"), GEN_WHITNEY_23),
+    ])
+    def test_family_builders_give_the_literal_table(self, map_id, params, specs, table):
+        f = catalog(map_id, **params)
+        assert (str(f.source), str(f.target)) == specs
+        assert f.entries == table
+
     def test_h_t_is_f_t_restricted_to_symmetric_source(self):
         t = 0.55
         f = catalog("f_t", t=t)

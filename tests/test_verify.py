@@ -451,6 +451,11 @@ class TestFamilyContinuity:
         with pytest.raises(ParameterError, match="needs two distinct points"):
             check_family_continuity(family, grid)
 
+    @pytest.mark.parametrize("family", ["f_t", "g_t", "h_t"])
+    def test_a_grid_point_outside_the_unit_interval_gets_the_builder_error(self, family):
+        with pytest.raises(ParameterError, match=r"family parameter t must lie in \[0, 1\], got 1.5"):
+            check_family_continuity(family, [0.0, 1.5])
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ParameterError):
             check_family_continuity("q_t", [0.0, 1.0])
