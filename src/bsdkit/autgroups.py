@@ -35,11 +35,11 @@ Random elements come as stacks: ``random_automorphisms(spec, keys)`` draws
 each key's parameters from that key's own generator (``uint32`` key rows
 are hashed as one stack by ``domains.key_generators``, and each group of a
 key's Gaussians is one ``standard_normal`` call), then builds every
-matrix at once (stacked QR for the Haar factors, SVD for the algebra scale,
-``eigh`` for the transvections, and ``expm``: a stacked [13/13] Pade
-approximant with scaling and squaring, squared per matrix), so an element
-depends on its key only; ``random_automorphism`` is its one-key case.
-Random isotropy parameters come the same way from
+matrix at once (stacked QR for the Haar factors, one ``eigvalsh`` of X*X
+for the algebra scale, ``eigh`` for the transvections, and ``expm``: a
+stacked [13/13] Pade approximant with scaling and squaring, squared per
+matrix), so an element depends on its key only; ``random_automorphism``
+is its one-key case.  Random isotropy parameters come the same way from
 ``random_isotropy_stack``, and ``random_isotropy_params`` is its one-key
 case.
 
@@ -366,7 +366,7 @@ def _algebra_elements(spec: DomainSpec, draws) -> np.ndarray:
         r2 = r2 - r2.swapaxes(-1, -2)
         x = np.block([[r1.astype(complex), 1j * b],
                       [-1j * b.swapaxes(-1, -2), r2.astype(complex)]])
-    top = np.linalg.svd(x, compute_uv=False).max(axis=-1)
+    top = np.sqrt(np.linalg.eigvalsh(h(x) @ x)[..., -1])  # the operator norm
     return x * (0.4 / np.maximum(1.0, top))[..., None, None]
 
 
@@ -421,10 +421,11 @@ def random_automorphisms(spec: DomainSpec, keys, flavor: str = "mixed") -> AutEl
     Lie algebra Gaussians, so an element depends on its key only.  Each group
     of Gaussians is one ``standard_normal`` call per key
     (``linalg.gaussian_blocks``), so an exponential key makes two.  The
-    matrices are then built as stacks: one QR per Haar factor, one SVD for
-    the algebra scale, one :func:`expm` (a [13/13] Pade approximant with
-    scaling and squaring, each matrix squared its own number of times) and
-    one ``eigh`` per inverse square root.
+    matrices are then built as stacks: one QR per Haar factor, one
+    ``eigvalsh`` of X*X for the algebra scale (the operator norm of X is the
+    root of its largest eigenvalue), one :func:`expm` (a [13/13] Pade
+    approximant with scaling and squaring, each matrix squared its own
+    number of times) and one ``eigh`` per inverse square root.
     """
     choices = ("exponential", "isotropy") + (("transvection",) if spec.kind == "I" else ())
     if flavor != "mixed" and flavor not in choices:

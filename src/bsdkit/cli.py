@@ -271,6 +271,9 @@ def _parse_grid(text: str):
 def _cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid)
     dims = _parse_dims(args.dims)
+    # The family's own range rule sees the grid's largest point before any other
+    # map is built; its smallest point is the first map of the loop.
+    select_map(args.family, dims=dims, t=grid[-1])
     maps = [select_map(args.family, dims=dims, t=t) for t in grid]
     n = len(grid)
     matrix = np.zeros((n, n))

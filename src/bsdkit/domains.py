@@ -28,7 +28,14 @@ Kinds II/III are the slices Z^t = eps Z of kind I (r = s = n), eps =
 check, the sampler's projection (g + eps g^t) / 2, the groups' bilinear form
 and Lie algebra, a map's independent and mirror entries and the coefficient
 lemma read that one sign.  The sampler rescales each direction by its
-largest singular value, so the halving is exact and moves no sample.
+largest spectral value, so the halving is exact and moves no sample.
+
+Where a point lies is read from one kernel, ``_spectral_squares``: the
+squares t_1^2 >= ... >= t_r^2 of its spectral values, one ``eigvalsh`` of
+the Gram ZZ* over a stack (kinds I/II/III) or a closed form (kind IV).
+Classification reads the margin 1 - t_1^2, the sampler scales by rho / t_1,
+and ``verify.check_properness`` reads both the margin and the generic norm
+prod_j (1 - t_j^2) of its images from it.
 """
 
 from contextlib import contextmanager
@@ -205,24 +212,49 @@ def _row_product(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (z @ w.swapaxes(-1, -2))[..., 0, 0]
 
 
+def _spectral_squares(spec: DomainSpec, z: np.ndarray) -> np.ndarray:
+    """The squares t_1^2 >= ... >= t_r^2 of the spectral values of the stack
+    ``z`` (shape ``(..., *spec.shape)``), shape ``(..., r)`` with r the rank
+    of the domain.  The domain is t_1 < 1, its boundary t_1 = 1, and the
+    generic norm is S(Z, Z) = prod_j (1 - t_j^2) (Loos, *Bounded Symmetric
+    Domains and Jordan Pairs*, 1977).
+
+    Kinds I/III: the eigenvalues of the smaller Gram ZZ* (r <= s), one
+    ``eigvalsh`` over the stack.  Kind II: the same Gram, whose eigenvalues
+    come in pairs (s_k^2, s_k^2), after them a 0 for odd n; the second of
+    each pair is taken, so the product is the Pfaffian root with its sign.
+    Kind IV: with x, y the real and imaginary parts of Z and w = |x ^ y|,
+    t_(1,2)^2 = |Z|^2 +- 2w, so t_1 and t_2 are s_1 + s_2 and |s_1 - s_2|
+    for the singular values of the real n x 2 matrix [x, y]; w sums the
+    squares of the 2 x 2 minors x_i y_j - x_j y_i, so a rank-1 point (x
+    parallel to y) does not cancel, and no LAPACK routine is called.  Each
+    value is exact to roundoff.
+    """
+    if spec.kind == "IV":
+        x, y = z.real[..., 0, :], z.imag[..., 0, :]
+        wedge = sum(np.sum((x[..., :-k] * y[..., k:] - x[..., k:] * y[..., :-k]) ** 2, axis=-1)
+                    for k in range(1, spec.n))  # the minors of the index pairs (i, i + k)
+        size, wedge = np.sum(x * x + y * y, axis=-1), 2.0 * np.sqrt(wedge)
+        return np.stack([size + wedge, size - wedge], axis=-1)
+    squares = np.linalg.eigvalsh(z @ np.conj(z).swapaxes(-1, -2))[..., ::-1]
+    return squares[..., 1::2] if spec.kind == "II" else squares
+
+
+def _regions(margin: np.ndarray, tol: float) -> np.ndarray:
+    # interior / boundary / exterior by the margin 1 - t_1^2
+    return np.select([margin > tol, np.abs(margin) <= tol], ["interior", "boundary"], "exterior")
+
+
 def classify_points(spec: DomainSpec, z: np.ndarray, tol: float = 1e-9) -> tuple:
     """Regions (``interior``/``boundary``/``exterior`` string array) and
     margins of the stack ``z`` (shape ``(..., *spec.shape)``).
 
-    Kinds I/II/III classify by the minimum eigenvalue of I - ZZ*; kind IV
-    requires both ZZ* < 1 and the quartic generic norm to be positive, and the
-    margin is the smaller of the two.
+    Every kind classifies by the margin 1 - t_1^2, with t_1 the largest
+    spectral value (:func:`_spectral_squares`): interior above ``tol``,
+    boundary within ``tol`` of 0, exterior below ``-tol``.
     """
-    if spec.kind == "IV":
-        a, b = 1.0 - np.real(_row_product(z, np.conj(z))), generic_norms(spec, z)
-        margin = np.minimum(a, b)
-        interior = (a > tol) & (b > tol)
-        boundary = (np.abs(margin) <= tol) & (np.maximum(a, b) >= -tol)
-    else:
-        margin = np.linalg.eigvalsh(norm_gram(z, z))[..., 0]
-        interior = margin > tol
-        boundary = np.abs(margin) <= tol
-    return np.where(interior, "interior", np.where(boundary, "boundary", "exterior")), margin
+    margin = 1.0 - _spectral_squares(spec, z)[..., 0]
+    return _regions(margin, tol), margin
 
 
 def classify_point(p: Point, tol: float = 1e-9) -> Classification:
@@ -423,29 +455,6 @@ def _gaussian_directions(spec: DomainSpec, rngs) -> np.ndarray:
     return g
 
 
-def _pow2(x: np.ndarray) -> np.ndarray:
-    # x ** 2 through C pow, as Python floats compute it
-    return np.array(x.astype(object) ** 2, dtype=float)
-
-
-def _iv_boundary_radii(d: np.ndarray) -> np.ndarray:
-    # Smallest positive root of 1 - 2u*(DD*) + u^2*|DD^t|^2 in u = lambda^2,
-    # per direction of the stack; NaN for a zero direction.  |DD^t| goes
-    # through np.hypot and the squares through C pow, as Python's abs(complex)
-    # and float ** 2 compute them: numpy's abs and x*x differ from those in the
-    # last bit for some inputs, and the reference sampler in
-    # tests/test_domains.py pins every sampled point bit for bit.
-    dd_star = np.real(_row_product(d, np.conj(d)))
-    dd_t = _row_product(d, d)
-    dd_t_sq = _pow2(np.hypot(dd_t.real, dd_t.imag))
-    # Cauchy-Schwarz guarantees disc >= 0; clip roundoff
-    disc = np.maximum(_pow2(dd_star) - dd_t_sq, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        radius = np.where(dd_t_sq <= 1e-300, np.sqrt(1.0 / (2.0 * dd_star)),
-                          np.sqrt((dd_star - np.sqrt(disc)) / dd_t_sq))
-    return np.where(dd_star > 0.0, radius, np.nan)
-
-
 # The open sample memo, {(spec, region, key shape, key bytes): points}, or None.
 _SAMPLE_MEMO = ContextVar("sample_memo", default=None)
 
@@ -468,18 +477,19 @@ def sample_points(spec: DomainSpec, region: str, keys) -> np.ndarray:
     rows, or a sequence of anything ``np.random.default_rng`` accepts, a
     ``Generator`` included.
 
-    Interior: a Gaussian shape-projected matrix scaled to put its top
-    singular value at rho ~ U(0,1) (kind IV scales to rho times the radial
-    boundary along the sampled direction).  Boundary: the same matrix scaled
-    to top singular value exactly 1; kind IV solves the radial quadratic of
-    the generic norm for its smallest positive root.  A candidate that fails
-    classification is redrawn from its own key's stream through
-    :func:`_redraw`, so each key gets the same point whatever else is in the
-    stack.  Each attempt draws a key's Gaussians in one ``standard_normal``
-    call (``linalg.gaussian_blocks``: real parts, then imaginary parts) and,
-    for an interior point with a nonzero direction, rho as ``random()``;
-    these are the streams of ``standard_normal(shape) + 1j *
-    standard_normal(shape)`` and ``uniform()`` bit for bit.
+    Every kind draws a Gaussian shape-projected direction and scales it by
+    rho / t_1, with t_1 its largest spectral value (:func:`_spectral_squares`)
+    and rho ~ U(0,1) for an interior point, rho = 1 for a boundary point.  A
+    candidate is accepted by its analytic margin 1 - t_1^2 scale^2 at ``tol``
+    1e-9 (:func:`_accepted`), with no second look at the scaled point; a
+    rejected one (rho within 5e-10 of 1, or a zero direction) is redrawn
+    from its own key's stream through :func:`_redraw`, so each key gets the
+    same point whatever else is in the stack.  Each attempt draws a key's
+    Gaussians in one ``standard_normal`` call (``linalg.gaussian_blocks``:
+    real parts, then imaginary parts) and, for an interior point with a
+    nonzero direction, rho as ``random()``; these are the streams of
+    ``standard_normal(shape) + 1j * standard_normal(shape)`` and
+    ``uniform()`` bit for bit.
 
     So a stack is a pure function of spec, region and key rows, and while
     the sample memo is open (within one ``verify.run_all``, see
@@ -500,24 +510,26 @@ def sample_points(spec: DomainSpec, region: str, keys) -> np.ndarray:
     return points
 
 
+def _accepted(region: str, candidates: np.ndarray, margin: np.ndarray) -> np.ndarray:
+    """The sampler's acceptance rule: a mask over the stack ``candidates``,
+    true where the analytic margin 1 - t_1^2 scale^2 of a candidate puts it
+    in ``region`` at ``tol`` 1e-9, as :func:`classify_points` would.  It sees
+    the candidates too, so a stricter rule can stand in for it."""
+    return _regions(margin, 1e-9) == region
+
+
 def _draw_points(spec: DomainSpec, region: str, keys) -> np.ndarray:
     rngs = key_generators(keys)
 
     def draw(pending, attempt):
         g = _gaussian_directions(spec, [rngs[k] for k in pending])
-        if spec.kind == "IV":
-            radius = _iv_boundary_radii(g)
-            valid = ~np.isnan(radius)
-        else:
-            top = np.linalg.svd(g, compute_uv=False)[:, 0]
-            valid = top > 0.0
-        rho = 1.0
-        if region == "interior":
-            rho = np.array([rngs[k].random() for k in pending[valid]])
-        scale = radius[valid] * rho if spec.kind == "IV" else rho / top[valid]
+        top = _spectral_squares(spec, g)[:, 0]
+        valid = top > 0.0
+        rho = np.array([rngs[k].random() for k in pending[valid]]) if region == "interior" else 1.0
+        scale = rho / np.sqrt(top[valid])
         candidates = g[valid] * scale[:, None, None]
         accepted = np.zeros(len(pending), dtype=bool)
-        accepted[valid] = classify_points(spec, candidates, 1e-9)[0] == region
+        accepted[valid] = _accepted(region, candidates, 1.0 - top[valid] * scale * scale)
         return accepted, (candidates[accepted[valid]],)
 
     return _redraw(len(rngs), draw, SamplingError(f"could not sample a {region} point of {spec}"))[0]

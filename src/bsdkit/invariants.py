@@ -32,6 +32,9 @@ scattered into the columns of ``monomials_of_degree``, one scatter per map
 and degree.  Spectra are taken over a stack, one SVD per degree over all
 the maps a query compares: ``distinguish`` stacks its two maps, ``bsdkit
 sweep`` all its grid maps, and a map's own spectrum is the one-map stack.
+Maps whose operators take more than ``MAX_STACK_BYTES`` are taken in
+blocks of that size, one SVD per degree each, which bounds a sweep's
+memory whatever its grid.
 NumPy evaluates a stacked SVD with the same LAPACK call per matrix, so each
 spectrum is bit for bit the one its map gets alone; a map that lacks a
 degree present in the stack has the zero operator there, whose singular
@@ -62,6 +65,11 @@ __all__ = [
 
 INEQUIVALENT = "inequivalent"
 INDISTINGUISHABLE = "indistinguishable-by-invariants"
+# The most bytes of the operators of one block of maps in ``_map_spectra``, all
+# degrees together: a stack of more maps than fit is split into blocks, one
+# SVD per degree each.  Two catalog maps at their run_all and benchmark sizes
+# take well under 1 MB, so ``distinguish`` is one block.
+MAX_STACK_BYTES = 64 * 2**20
 
 
 def coefficient_operator(f_d: PolyMap, degree: int = None) -> np.ndarray:
@@ -95,17 +103,28 @@ def _operator(weighted: np.ndarray, nvars: int, degree: int, columns: np.ndarray
 
 def _map_spectra(maps) -> dict:
     """Per-degree descending singular values of maps that share source and
-    target, as ``(maps, k)`` arrays over the sorted union of their degrees:
-    each map's operators are scattered into one stack per degree, and each
-    stack takes one SVD.  A map that lacks a degree has the zero operator
-    there."""
-    rows, nvars, ops = maps[0].weighted.shape[0], maps[0].nvars, {}
+    target, as ``(maps, k)`` arrays over the sorted union of their degrees.
+    The maps are taken in blocks whose operators, all degrees together,
+    hold at most ``MAX_STACK_BYTES`` (one map at least); each block takes
+    one SVD per degree (:func:`_block_spectra`)."""
+    rows, nvars = maps[0].weighted.shape[0], maps[0].nvars
+    widths = {d: math.comb(nvars + d - 1, d) for m in maps for d, _, _ in m.degrees}
+    size = max(1, MAX_STACK_BYTES // (16 * rows * sum(widths.values())))
+    blocks = [_block_spectra(maps[i:i + size], widths, rows) for i in range(0, len(maps), size)]
+    if len(blocks) == 1:
+        return blocks[0]
+    return {d: np.concatenate([b[d] for b in blocks]) for d in sorted(widths)}
+
+
+def _block_spectra(maps, widths: dict, rows: int) -> dict:
+    """The spectra of one block of maps: each map's operators are scattered
+    into one ``(maps, rows, widths[d])`` stack per degree d, and each stack
+    takes one SVD.  A map that lacks a degree has the zero operator there."""
+    ops = {d: np.zeros((len(maps), rows, w), dtype=complex) for d, w in sorted(widths.items())}
     for i, m in enumerate(maps):
         for d, columns, ranks in m.degrees:
-            if d not in ops:
-                ops[d] = np.zeros((len(maps), rows, math.comb(nvars + d - 1, d)), dtype=complex)
             ops[d][i][:, ranks] = m.weighted[:, columns]
-    return {d: np.linalg.svd(ops[d], compute_uv=False) for d in sorted(ops)}
+    return {d: np.linalg.svd(op, compute_uv=False) for d, op in ops.items()}
 
 
 def invariant_spectrum(f: PolyMap) -> dict:

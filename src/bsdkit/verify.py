@@ -64,8 +64,8 @@ from .domains import (
     DomainSpec,
     _redraw,
     _sample_memo,
+    _spectral_squares,
     classify_points,
-    generic_norms,
     norm_features,
     norm_gram,
     parse_spec,
@@ -182,16 +182,17 @@ def check_properness(f: PolyMap, n_samples: int = 500, tol: float = 1e-7, seed: 
                      check_id: str = "properness") -> VerificationReport:
     """Boundary points of the source must map to boundary points of the target.
 
-    Residual per sample is |generic norm of the image|, widened by the
-    classification margin when the image is not classified as boundary at
-    10x the tolerance.
+    Residual per sample is |generic norm of the image|, prod_j (1 - t_j^2),
+    widened by the classification margin 1 - t_1^2 when the image is not
+    classified as boundary at 10x the tolerance; both come from one
+    ``domains._spectral_squares`` call on the image stack.
     """
     _require_positive("n_samples", n_samples)
     z = sample_points(f.source, "boundary", _key_rows(seed, np.arange(n_samples)))
-    y = eval_points(f, z)
-    res = np.abs(generic_norms(f.target, y))
-    regions, margins = classify_points(f.target, y, 10.0 * tol)
-    off = regions != "boundary"
+    squares = _spectral_squares(f.target, eval_points(f, z))
+    res = np.abs(np.prod(1.0 - squares, axis=-1))
+    margins = 1.0 - squares[:, 0]
+    off = np.abs(margins) > 10.0 * tol
     res[off] = np.maximum(res[off], np.abs(margins[off]))
     misclassified = int(np.count_nonzero(off))
     notes = []

@@ -374,7 +374,7 @@ def reference_automorphism(spec, key, flavor="mixed"):
         b = rng.standard_normal((spec.n, 2))
         x = np.block([[(r1 - r1.T).astype(complex), 1j * b],
                       [-1j * b.T, (r2 - r2.T).astype(complex)]])
-    x = x * (0.4 / max(1.0, np.linalg.norm(x, 2)))
+    x = x * (0.4 / max(1.0, np.sqrt(np.linalg.eigvalsh(x.conj().T @ x)[-1])))
     return autgroups.expm(x) @ iso  # its accuracy against scipy: TestExpm
 
 
@@ -576,14 +576,14 @@ class TestDrawCalls:
         # The first round rejects the even keys; every later candidate is accepted.
         rounds = []
 
-        def even_keys_redraw_once(spec, z, tol=1e-9):
+        def even_keys_redraw_once(region, z, margin):
             rounds.append(len(z))
-            regions = np.full(len(z), region)
+            accepted = np.ones(len(z), dtype=bool)
             if len(rounds) == 1:
-                regions[::2] = "exterior"
-            return regions, np.zeros(len(z))
+                accepted[::2] = False
+            return accepted
 
-        monkeypatch.setattr(domains, "classify_points", even_keys_redraw_once)
+        monkeypatch.setattr(domains, "_accepted", even_keys_redraw_once)
         sample_points(parse_spec(text), region, AUT_KEYS)
         assert rounds == [len(AUT_KEYS), len(AUT_KEYS[::2])]
         assert [rng.normal_calls for rng in counted] == [2, 1] * (len(AUT_KEYS) // 2)

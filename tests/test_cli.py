@@ -156,9 +156,29 @@ class TestSweepCommand:
         assert rc == 2
 
     def test_a_grid_outside_the_unit_interval_gets_the_builder_error(self, tmp_path, capsys):
+        # the grid's largest point is built first, so the error names it
         rc, out = run(tmp_path, "sweep", "--family", "f_t", "--grid", "0:2:0.5", name="m.csv")
         assert rc == 2 and not out.exists()
-        assert capsys.readouterr().err == "error: family parameter t must lie in [0, 1], got 1.5\n"
+        assert capsys.readouterr().err == "error: family parameter t must lie in [0, 1], got 2.0\n"
+
+    @pytest.mark.parametrize("grid,built", [
+        ("0:1.5:0.0015", [1.5]),
+        ("-0.5:1:0.5", [1.0, -0.5]),
+        ("0:1:0.5", [1.0, 0.0, 0.5, 1.0]),
+    ])
+    def test_the_grid_ends_are_checked_before_the_map_loop(self, tmp_path, monkeypatch,
+                                                           grid, built):
+        calls, select_map = [], bsdkit.cli.select_map
+
+        def counted(family, dims=None, t=None):
+            calls.append(t)
+            return select_map(family, dims=dims, t=t)
+
+        monkeypatch.setattr(bsdkit.cli, "select_map", counted)
+        rc, _ = run(tmp_path, "sweep", "--family", "G_t", "--dims", "3,3", f"--grid={grid}",
+                    name="m.csv")
+        assert rc == (0 if built[-1] == 1.0 else 2)
+        assert calls == built
 
     def test_G_t_without_dims_names_them(self, tmp_path, capsys):
         rc, _ = run(tmp_path, "sweep", "--family", "G_t", "--grid", "0:1:0.5", name="m.csv")

@@ -77,7 +77,7 @@ class TestClassify:
 
     def test_kind_iv_real_axis(self):
         # for Z = (x, 0) real the norm is (1 - x^2)^2: boundary exactly at x = 1,
-        # and beyond it the |Z|^2 < 1 condition is what rules the point out
+        # and beyond it the margin 1 - t_1^2 = 1 - x^2 rules the point out
         spec = parse_spec("IV:2")
         make = lambda x: point(spec, [[x, 0.0]])
         assert classify_point(make(0.5)).region == "interior"
@@ -242,7 +242,7 @@ class TestSamplers:
         top = np.linalg.svd(p.value, compute_uv=False)[0]
         assert abs(top - 1.0) <= 1e-12
 
-    def test_kind_iv_boundary_solves_radial_quadratic(self):
+    def test_kind_iv_boundary_has_vanishing_norm(self):
         spec = parse_spec("IV:3")
         for k in range(20):
             p = sample_point(spec, "boundary", [11, k])
@@ -283,9 +283,10 @@ REFERENCE_KEYS = [[[42, 0], k, 1] if k % 2 else [42, k] for k in range(200)]
 
 
 def reference_sample(spec, region, seed):
-    """One key at a time: Gaussian shape-projected direction, radial scaling
-    (kind IV: the smallest positive root of the radial quadratic), then
-    classification, redrawing from the same stream up to 64 times."""
+    """One key at a time: Gaussian shape-projected direction, scaled by
+    rho / t_1 with t_1^2 from the spectral kernel on that one direction, then
+    accepted by the analytic margin 1 - t_1^2 scale^2, redrawing from the
+    same stream up to 64 times."""
     rng = np.random.default_rng(seed)
     for _ in range(64):
         g = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
@@ -293,23 +294,12 @@ def reference_sample(spec, region, seed):
             g = g - g.T
         elif spec.kind == "III":
             g = (g + g.T) / 2.0
-        if spec.kind == "IV":
-            dd_star = float(np.real(g @ g.conj().T)[0, 0])
-            dd_t = abs(complex((g @ g.T)[0, 0]))
-            if dd_star <= 0.0:
-                continue
-            if dd_t**2 <= 1e-300:
-                radius = float(np.sqrt(1.0 / (2.0 * dd_star)))
-            else:
-                disc = max(dd_star**2 - dd_t**2, 0.0)
-                radius = float(np.sqrt((dd_star - np.sqrt(disc)) / dd_t**2))
-            scale = radius if region == "boundary" else radius * rng.uniform()
-        else:
-            top = np.linalg.svd(g, compute_uv=False)[0]
-            if top <= 0.0:
-                continue
-            scale = (1.0 if region == "boundary" else rng.uniform()) / top
-        if classify_point(Point(spec, g * scale), 1e-9).region == region:
+        top = domains._spectral_squares(spec, g)[0]
+        if top <= 0.0:
+            continue
+        scale = (1.0 if region == "boundary" else rng.uniform()) / np.sqrt(top)
+        margin = np.array([1.0 - top * scale * scale])
+        if domains._accepted(region, (g * scale)[None], margin)[0]:
             return g * scale
     raise SamplingError(f"could not sample a {region} point of {spec}")
 
@@ -369,16 +359,15 @@ class TestStackedSampler:
     def test_rejected_keys_redraw_from_their_own_stream(self, text, region, monkeypatch):
         # Reject every candidate whose corner entry has a positive real part,
         # so about half the keys are redrawn at least once.
-        classify = domains.classify_points
+        accepted = domains._accepted
         rejected = []
 
-        def corner_rule(spec, z, tol=1e-9):
-            regions, margins = classify(spec, z, tol)
+        def corner_rule(region, z, margin):
             bad = z[..., 0, -1].real > 0.0
             rejected.append(int(np.count_nonzero(bad)))
-            return np.where(bad, "exterior", regions), margins
+            return accepted(region, z, margin) & ~bad
 
-        monkeypatch.setattr(domains, "classify_points", corner_rule)
+        monkeypatch.setattr(domains, "_accepted", corner_rule)
         spec = parse_spec(text)
         keys = REFERENCE_KEYS[:50]
         got = sample_points(spec, region, keys)
@@ -503,10 +492,10 @@ class TestRedraw:
 
 class TestSamplerExhaustion:
     def test_rejecting_every_candidate_raises_sampling_error(self, monkeypatch):
-        def reject_all(spec, z, tol=1e-9):
-            return np.full(len(z), "exterior"), np.zeros(len(z))
+        def reject_all(region, z, margin):
+            return np.zeros(len(z), dtype=bool)
 
-        monkeypatch.setattr(domains, "classify_points", reject_all)
+        monkeypatch.setattr(domains, "_accepted", reject_all)
         with pytest.raises(SamplingError, match="^could not sample a boundary point of I:2,2$"):
             sample_points(parse_spec("I:2,2"), "boundary", [[5, k] for k in range(3)])
 
@@ -516,3 +505,112 @@ class TestSamplerExhaustion:
         spec = parse_spec(text)
         got = sample_points(spec, region, np.empty((0, 3), dtype=np.uint32))
         assert got.shape == (0, *spec.shape)
+
+
+KERNEL_SPECS = ["I:1,1", "I:2,3", "I:3,3", "II:2", "II:3", "II:4", "II:5", "III:1", "III:3",
+                *(f"IV:{n}" for n in range(1, 9))]
+
+
+def points_everywhere(spec, count=40):
+    """Interior, boundary and exterior points of the spec; kind IV adds rank-1
+    points (a real vector times a phase) in all three regions."""
+    keys = [[34, k] for k in range(count)]
+    inner, outer = sample_points(spec, "interior", keys), sample_points(spec, "boundary", keys)
+    top = np.sqrt(domains._spectral_squares(spec, inner)[:, :1, None])
+    z = [inner, outer, 1.5 * outer, 1.5 * inner / top]
+    if spec.kind == "IV":
+        rng = np.random.default_rng([35, spec.n])
+        real = rng.standard_normal((count, 1, spec.n))
+        phase = np.exp(2j * np.pi * rng.random((count, 1, 1)))
+        rank_one = real * phase / np.linalg.norm(real, axis=-1, keepdims=True)
+        z += [rank_one * rng.random((count, 1, 1)), rank_one, 1.5 * rank_one]
+    return np.concatenate(z)
+
+
+def real_singular_pair(z):
+    """(s_1, s_2) of the real n x 2 matrix [Re Z, Im Z] of each kind IV row
+    vector of the stack, s_2 = 0 for n = 1."""
+    sigma = np.linalg.svd(np.stack([z.real[:, 0], z.imag[:, 0]], axis=-1), compute_uv=False)
+    return sigma[:, 0], (sigma[:, 1] if sigma.shape[1] > 1 else np.zeros(len(z)))
+
+
+def clifford_image(z):
+    """C(Z) = z_1 I + i sum_j z_j gamma_(j-1) for a stack of kind IV row vectors,
+    with n - 1 anticommuting Hermitian unitaries gamma built as Jordan-Wigner
+    strings on p = max(1, (n - 1) // 2) qubits (size 2 for n <= 4, 4 for
+    n = 5, 6, 8 for n = 7, 8)."""
+    n = z.shape[-1]
+    pauli_x, pauli_y = np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]])
+    pauli_z = np.diag([1, -1])
+
+    def string(*factors):
+        out = np.eye(1)
+        for f in factors:
+            out = np.kron(out, f)
+        return out
+
+    p = max(1, (n - 1) // 2)
+    gammas = [string(*[pauli_z] * k, m, *[np.eye(2)] * (p - k - 1))
+              for k in range(p) for m in (pauli_x, pauli_y)] + [string(*[pauli_z] * p)]
+    gammas = gammas[:n - 1]
+    for a in gammas:
+        for b in gammas:
+            assert np.allclose(a @ b + b @ a, 2.0 * np.eye(2**p) * (a is b))
+    out = z[:, 0, :1, None] * np.eye(2**p)
+    for j, g in enumerate(gammas, start=1):
+        out = out + 1j * z[:, 0, j, None, None] * g
+    return out
+
+
+class TestSpectralSquares:
+    @pytest.mark.parametrize("text", [t for t in KERNEL_SPECS if not t.startswith("IV")])
+    def test_matches_the_singular_values(self, text):
+        spec = parse_spec(text)
+        z = points_everywhere(spec)
+        got = domains._spectral_squares(spec, z)
+        singular = np.linalg.svd(z, compute_uv=False)
+        if spec.kind == "II":  # the singular values come in pairs; one of each
+            singular = singular[:, 0:2 * (spec.n // 2):2]
+        assert got.shape == singular.shape
+        assert np.all(np.diff(got, axis=-1) <= 0.0)
+        assert np.max(np.abs(np.sqrt(got[:, 0]) - singular[:, 0]) / singular[:, 0]) <= 1e-14
+        assert np.max(np.abs(got - singular**2)) <= 1e-14 * np.max(singular**2)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_kind_iv_is_the_real_svd_and_the_clifford_norm(self, n):
+        spec = parse_spec(f"IV:{n}")
+        z = points_everywhere(spec)
+        got = domains._spectral_squares(spec, z)
+        assert got.shape == (len(z), 2)
+        s1, s2 = real_singular_pair(z)
+        top, low = s1 + s2, s1 - s2
+        assert np.max(np.abs(np.sqrt(got[:, 0]) - top) / top) <= 1e-14
+        assert np.max(np.abs(got[:, 1] - low**2)) <= 1e-14 * np.max(top**2)
+        clifford = np.linalg.svd(clifford_image(z), compute_uv=False)[:, 0]
+        assert np.max(np.abs(np.sqrt(got[:, 0]) - clifford) / clifford) <= 1e-14
+
+    @pytest.mark.parametrize("text", KERNEL_SPECS)
+    def test_product_is_the_generic_norm(self, text):
+        spec = parse_spec(text)
+        z = points_everywhere(spec)
+        norms = generic_norms(spec, z)
+        product = np.prod(1.0 - domains._spectral_squares(spec, z), axis=-1)
+        assert np.max(np.abs(product - norms) / np.maximum(1.0, np.abs(norms))) <= 1e-13
+        if spec.kind == "II":  # the Pfaffian root is negative where one pair exceeds 1
+            assert np.any(norms < -0.1) and np.all(np.sign(product[norms < -0.1]) == -1.0)
+
+    def test_the_disc_classifies_alike_as_i11_and_iv1(self):
+        for x in (0.99999, 1.0, 1.00001):
+            disc = classify_point(point(parse_spec("I:1,1"), [[x]]))
+            iv = classify_point(point(parse_spec("IV:1"), [[x]]))
+            iv3 = classify_point(point(parse_spec("IV:3"), [[x, 0.0, 0.0]]))
+            assert disc == iv == iv3
+        near = classify_point(point(parse_spec("IV:1"), [[0.99999]]))
+        assert near.region == "interior" and near.margin == pytest.approx(2.0e-5, rel=1e-4)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_kind_iv_boundary_samples_lie_on_the_boundary(self, n):
+        keys = np.array([[k, k + 1] for k in range(10_000)], dtype=np.uint32)
+        z = sample_points(parse_spec(f"IV:{n}"), "boundary", keys)
+        s1, s2 = real_singular_pair(z)
+        assert np.max(np.abs(s1 + s2 - 1.0)) <= 1e-15

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bsdkit import invariants
 from bsdkit.autgroups import random_isotropy_params
 from bsdkit.cli import main
 from bsdkit.domains import DomainSpec, parse_spec
@@ -285,6 +286,34 @@ class TestStackedSpectra:
         expected = [f"{t:.17g}," + ",".join(f"{reference_distance(a, b):.17g}" for b in spectra)
                     for t, a in zip(grid, spectra)]
         assert rows == expected
+
+    # G_t(2,3) has 18 rows and 6 + 21 monomials of degrees 1 and 2: 7776 bytes
+    # per map, so a 16000-byte budget takes the 11 maps in pairs
+    @pytest.mark.parametrize("budget,blocks", [(1, {1}), (16000, {1, 2})])
+    def test_blocks_of_a_smaller_stack_give_the_same_csv(self, tmp_path, monkeypatch, budget,
+                                                          blocks):
+        argv = ["sweep", "--family", "G_t", "--dims", "2,3", "--grid", "0:1:0.1"]
+        assert main([*argv, "--out", str(tmp_path / "whole.csv")]) == 0
+        stacks, svd = [], np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            stacks.append(len(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        monkeypatch.setattr(invariants, "MAX_STACK_BYTES", budget)
+        assert main([*argv, "--out", str(tmp_path / "blocks.csv")]) == 0
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        assert set(stacks) == blocks and sum(stacks) == 11 * 2
+
+    def test_one_map_blocks_keep_the_zero_operator_of_a_missing_degree(self, monkeypatch):
+        f, g = catalog("standard", r=1, s=2, r2=1, s2=3), catalog("whitney-ball", n=2)
+        whole = invariants._map_spectra([f, g])
+        monkeypatch.setattr(invariants, "MAX_STACK_BYTES", 1)
+        blocks = invariants._map_spectra([f, g])
+        assert list(blocks) == list(whole) == [1, 2]
+        assert all(np.array_equal(blocks[d], whole[d]) for d in whole)
+        assert not np.any(blocks[2][0])
 
     def test_a_degree_one_map_lacks_compares_with_zeros(self):
         # degree 1 only against degrees 1 and 2, both I:1,2 -> I:1,3

@@ -55,6 +55,68 @@ class TestProperness:
         assert data["pass"] == (data["max_residual"] <= data["tolerance"])
 
 
+class TestNoSvdOnTheSamplingPath:
+    """Sampling, classification and the properness check read every point
+    through ``domains._spectral_squares``: no SVD, one ``eigvalsh`` per
+    sampler attempt or image stack (none for kind IV), and no ``det``."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+        for name in ("svd", "eigvalsh", "det"):
+            def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                made.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return made
+
+    @pytest.mark.parametrize("text", ["I:1,1", "I:2,3", "II:2", "II:5", "III:1", "III:3", "IV:1",
+                                      "IV:4"])
+    def test_sample_and_classify(self, text, calls, monkeypatch):
+        spec = parse_spec(text)
+        per_stack = [] if spec.kind == "IV" else ["eigvalsh"]
+        keys = _key_rows(7, np.arange(30))
+        for region in ("interior", "boundary"):
+            calls.clear()
+            z = sample_points(spec, region, keys)
+            assert calls == per_stack
+            calls.clear()
+            bsdkit.domains.classify_points(spec, z)
+            assert calls == per_stack
+        # Rejecting every other key once makes a second attempt.
+        accepted, rounds = bsdkit.domains._accepted, []
+
+        def second_attempt(region, z, margin):
+            rounds.append(len(z))
+            ok = accepted(region, z, margin)
+            if len(rounds) == 1:
+                ok[::2] = False
+            return ok
+
+        monkeypatch.setattr(bsdkit.domains, "_accepted", second_attempt)
+        calls.clear()
+        sample_points(spec, "boundary", keys)
+        assert rounds == [30, 15] and calls == 2 * per_stack
+
+    @pytest.mark.parametrize("map_id,params", [
+        ("whitney-ball", {"n": 2}),
+        ("dangelo", {"n": 3, "theta": math.pi / 4}),
+        ("gen-whitney", {"r": 2, "s": 2}),
+        ("G_t", {"r": 3, "s": 3, "t": 0.5}),
+    ])
+    def test_properness(self, map_id, params, calls):
+        f = catalog(map_id, **params)
+        calls.clear()
+        check_properness(f, n_samples=40, seed=3)
+        assert calls == ["eigvalsh", "eigvalsh"]  # the boundary samples, then their images
+
+    def test_lie_algebra_scale(self, calls):
+        for text in ("I:2,3", "II:4", "III:2", "IV:3"):
+            random_automorphisms(parse_spec(text), _key_rows(5, np.arange(12)), "exponential")
+        assert calls == ["eigvalsh"] * 4
+
+
 class TestFactorization:
     def test_whitney_ball_2_recovers_hand_expanded_factor(self):
         # 1 - |z1|^2 - |z1 z2|^2 - |z2^2|^2 = (1 - |z1|^2 - |z2|^2)(1 + |z2|^2),
