@@ -41,7 +41,7 @@ from .verify import run_all, summarize
 USAGE_EXIT = 2
 FAIL_EXIT = 1
 # The most points a --grid may have (0:1:0.001); it bounds the n x n matrix a
-# sweep writes and the n-map stack of each degree's spectra.
+# sweep writes and the n spectra of each degree.
 MAX_GRID_POINTS = 1001
 # The options of each ``verify`` check besides --seed, --format, --out and
 # --no-timestamp; any other option of ``verify`` given is a usage error.
@@ -272,9 +272,10 @@ def _cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid)
     dims = _parse_dims(args.dims)
     # The family's own range rule sees the grid's largest point before any other
-    # map is built; its smallest point is the first map of the loop.
+    # map is built; its smallest point is the first map of the loop.  The maps
+    # are built one spectra block at a time, as _compared_spectra draws them.
     select_map(args.family, dims=dims, t=grid[-1])
-    maps = [select_map(args.family, dims=dims, t=t) for t in grid]
+    maps = (select_map(args.family, dims=dims, t=t) for t in grid)
     n = len(grid)
     matrix = np.zeros((n, n))
     for spectra in _compared_spectra(maps, [f"t={t:.17g}" for t in grid]).values():

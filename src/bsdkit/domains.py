@@ -15,6 +15,11 @@ harness), so a point does not depend on what else is in its stack.
 ``key_generators`` turns a 2-D ``uint32`` array of such keys into one
 generator per row, hashing all rows at once as NumPy's ``SeedSequence``
 does, so each row's stream is that of ``np.random.default_rng(row)``.
+Within one ``verify.run_all`` a run memo (``_sample_memo``) keeps each
+``uint32`` key stack's sampled points and its hashed seed states, so a
+stack is sampled and hashed once per run.  What stays per key, and bounds
+how fast a bit-identical run can seed, is building each key's
+``Generator``: every call gets new ones, and none is shared.
 
 Domain kinds and their point shapes:
 
@@ -350,46 +355,68 @@ def polarized_norm(p: Point, q: Point) -> complex:
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_WORD = 0xFFFFFFFF
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# The pool words each pool word is mixed into, and the pool word of each output word.
+_OTHERS = [np.array([dst for dst in range(_POOL_SIZE) if dst != src]) for src in range(_POOL_SIZE)]
+_OUTPUT_SOURCES = np.arange(2 * _POOL_SIZE) % _POOL_SIZE
+
+
+def _hash_chain(init: int, mult: int, count: int) -> tuple:
+    """The xor and multiplier words of ``count`` successive hashes of a
+    ``SeedSequence`` hash chain: hash j xors with ``init * mult**j`` and
+    multiplies by ``init * mult**(j + 1)`` (mod 2**32), as ``(count, 1)``
+    ``uint32`` columns.  Built from Python ints, so no uint32 scalar wraps."""
+    words = [init]
+    for _ in range(count):
+        words.append(words[-1] * mult & 0xFFFFFFFF)
+    words = np.array(words, dtype=np.uint32)[:, None]
+    words.flags.writeable = False  # cached and shared by every call
+    return words[:-1], words[1:]
+
+
+@cache
+def _hash_constants(width: int) -> tuple:
+    """The data-independent hash constants of ``_pool_states`` for key rows
+    of ``width`` words: the entropy chain (``_INIT_A``) with one hash per pool
+    word, three per pool word for the cross mix and four per entropy word
+    past the fourth, then the output chain (``_INIT_B``) of eight words."""
+    mixes = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * max(0, width - _POOL_SIZE)
+    return _hash_chain(_INIT_A, _MULT_A, mixes) + _hash_chain(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+
+
+def _hash(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    values = (values ^ xor) * mult
+    return values ^ values >> np.uint32(16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return out ^ out >> np.uint32(16)
 
 
 def _pool_states(rows: np.ndarray) -> np.ndarray:
     """``SeedSequence(row).generate_state(4, np.uint64)`` for every row of the
-    2-D ``uint32`` array ``rows``, shape ``(len(rows), 4)``: the entropy mix
-    and the state output of ``SeedSequence``, one column of words at a time.
-    Its hash constants do not depend on the data, so every row shares them."""
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * _MULT_A & _WORD
-        value = value * np.uint32(const)
-        return value ^ value >> np.uint32(16)
-
-    def mix(x, y):
-        out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return out ^ out >> np.uint32(16)
-
-    width = rows.shape[1]
-    zeros = np.zeros(len(rows), dtype=np.uint32)
-    pool = [hashmix(rows[:, i] if i < width else zeros) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, width):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(rows[:, src]))
-    const = _INIT_B
-    words = np.empty((len(rows), 2 * _POOL_SIZE), dtype=np.uint32)
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
-        const = const * _MULT_B & _WORD
-        value = value * np.uint32(const)
-        words[:, i] = value ^ value >> np.uint32(16)
-    return words.astype("<u4").view("<u8").astype(np.uint64)
+    2-D ``uint32`` array ``rows``, shape ``(len(rows), 4)``, in one pass over
+    the whole stack.  The four pool words are one ``(4, len(rows))`` array:
+    each pool word is hashed against its next three constants and mixed into
+    the other three in one step, each entropy word past the fourth is hashed
+    four times and mixed into all four at once, and the eight output words
+    come out in one step.  The hash constants do not depend on the data
+    (:func:`_hash_constants`), so every row shares them."""
+    xor, mult, out_xor, out_mult = _hash_constants(rows.shape[1])
+    words = rows.T
+    pool = np.zeros((_POOL_SIZE, len(rows)), dtype=np.uint32)
+    pool[:len(words)] = words[:_POOL_SIZE]
+    pool = _hash(pool, xor[:_POOL_SIZE], mult[:_POOL_SIZE])
+    j = _POOL_SIZE
+    for src, others in enumerate(_OTHERS):
+        pool[others] = _mix(pool[others], _hash(pool[src], xor[j:j + 3], mult[j:j + 3]))
+        j += 3
+    for word in words[_POOL_SIZE:]:
+        pool = _mix(pool, _hash(word, xor[j:j + 4], mult[j:j + 4]))
+        j += 4
+    out = _hash(pool[_OUTPUT_SOURCES], out_xor, out_mult)
+    return np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 
 @cache
@@ -413,6 +440,36 @@ def _is_key_array(keys) -> bool:
     return isinstance(keys, np.ndarray) and keys.ndim == 2 and keys.dtype == np.uint32
 
 
+# The open run memo, or None: {(spec, region, key shape, key bytes): points} of
+# sample_points and {(key shape, key bytes): pool states} of key_generators.
+_SAMPLE_MEMO = ContextVar("sample_memo", default=None)
+
+
+@contextmanager
+def _sample_memo():
+    """Open an empty run memo of :func:`sample_points` and
+    :func:`key_generators` for the block, and drop it on leaving."""
+    token = _SAMPLE_MEMO.set({})
+    try:
+        yield
+    finally:
+        _SAMPLE_MEMO.reset(token)
+
+
+def _memoized(entry: tuple, build) -> np.ndarray:
+    """``build()``, or while the run memo is open the array kept in it under
+    ``entry``: built on the first call, read-only, the same on every later
+    one."""
+    memo = _SAMPLE_MEMO.get()
+    if memo is None:
+        return build()
+    value = memo.get(entry)
+    if value is None:
+        value = memo[entry] = build()
+        value.flags.writeable = False
+    return value
+
+
 def key_generators(keys) -> list:
     """One ``Generator`` per RNG key, each the generator that
     ``np.random.default_rng(key)`` gives.  A 2-D ``uint32`` array of key rows
@@ -420,12 +477,19 @@ def key_generators(keys) -> list:
     ``PCG64``; any other keys (a ``Generator``, which is passed through, an
     int, a list or nested list, an ``object`` row) go through ``default_rng``
     one at a time, and a negative integer anywhere in such a key raises
-    ``ParameterError``."""
-    if _is_key_array(keys):
-        pool_state = _pool_state_type()
-        return [np.random.Generator(np.random.PCG64(pool_state(state)))
-                for state in _pool_states(keys)]
-    return [default_generator(key) for key in keys]
+    ``ParameterError``.
+
+    While the run memo is open (within one ``verify.run_all``, see
+    :func:`_sample_memo`) the pool states of a ``uint32`` key stack are kept
+    in it under the stack's shape and bytes, so each stack is hashed once per
+    run; every call still builds fresh generators from them, and no
+    generator is shared.  Building the ``Generator`` of each key is the part
+    that stays per key."""
+    if not _is_key_array(keys):
+        return [default_generator(key) for key in keys]
+    states = _memoized((keys.shape, keys.tobytes()), lambda: _pool_states(keys))
+    pool_state = _pool_state_type()
+    return [np.random.Generator(np.random.PCG64(pool_state(state))) for state in states]
 
 
 def _redraw(count: int, draw, error: Exception) -> tuple:
@@ -455,21 +519,6 @@ def _gaussian_directions(spec: DomainSpec, rngs) -> np.ndarray:
     return g
 
 
-# The open sample memo, {(spec, region, key shape, key bytes): points}, or None.
-_SAMPLE_MEMO = ContextVar("sample_memo", default=None)
-
-
-@contextmanager
-def _sample_memo():
-    """Open an empty sample memo of :func:`sample_points` for the block, and
-    drop it on leaving."""
-    token = _SAMPLE_MEMO.set({})
-    try:
-        yield
-    finally:
-        _SAMPLE_MEMO.reset(token)
-
-
 def sample_points(spec: DomainSpec, region: str, keys) -> np.ndarray:
     """Deterministic sampler for interior or boundary points: one point per
     RNG key, stacked as an array of shape ``(len(keys), *spec.shape)``.  The
@@ -492,30 +541,30 @@ def sample_points(spec: DomainSpec, region: str, keys) -> np.ndarray:
     ``uniform()`` bit for bit.
 
     So a stack is a pure function of spec, region and key rows, and while
-    the sample memo is open (within one ``verify.run_all``, see
+    the run memo is open (within one ``verify.run_all``, see
     :func:`_sample_memo`) a 2-D ``uint32`` key stack is sampled once: every
     later call with the same spec, region and key rows gets the same stack,
-    read-only.  Other keys are sampled on every call.
+    read-only.  The memo also holds the stack's seed states
+    (:func:`key_generators`), so the same key rows under another spec or
+    region are not hashed again; their generators are built anew.  Other
+    keys are sampled on every call.
     """
     if region not in ("interior", "boundary"):
         raise ParameterError(f"region must be interior or boundary, got {region!r}")
-    memo = _SAMPLE_MEMO.get()
-    if memo is None or not _is_key_array(keys):
+    if not _is_key_array(keys):
         return _draw_points(spec, region, keys)
-    entry = (spec, region, keys.shape, keys.tobytes())
-    points = memo.get(entry)
-    if points is None:
-        points = memo[entry] = _draw_points(spec, region, keys)
-        points.flags.writeable = False
-    return points
+    return _memoized((spec, region, keys.shape, keys.tobytes()),
+                     lambda: _draw_points(spec, region, keys))
 
 
 def _accepted(region: str, candidates: np.ndarray, margin: np.ndarray) -> np.ndarray:
     """The sampler's acceptance rule: a mask over the stack ``candidates``,
     true where the analytic margin 1 - t_1^2 scale^2 of a candidate puts it
-    in ``region`` at ``tol`` 1e-9, as :func:`classify_points` would.  It sees
-    the candidates too, so a stricter rule can stand in for it."""
-    return _regions(margin, 1e-9) == region
+    in ``region`` at ``tol`` 1e-9, as :func:`classify_points` would: the
+    margin is compared as a number, above ``tol`` for ``interior`` and within
+    ``tol`` of 0 for ``boundary``, so a NaN margin is rejected.  It sees the
+    candidates too, so a stricter rule can stand in for it."""
+    return margin > 1e-9 if region == "interior" else np.abs(margin) <= 1e-9
 
 
 def _draw_points(spec: DomainSpec, region: str, keys) -> np.ndarray:

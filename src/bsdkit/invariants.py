@@ -33,8 +33,9 @@ and degree.  Spectra are taken over a stack, one SVD per degree over all
 the maps a query compares: ``distinguish`` stacks its two maps, ``bsdkit
 sweep`` all its grid maps, and a map's own spectrum is the one-map stack.
 Maps whose operators take more than ``MAX_STACK_BYTES`` are taken in
-blocks of that size, one SVD per degree each, which bounds a sweep's
-memory whatever its grid.
+blocks of that size, one SVD per degree each; a sweep builds its maps one
+block at a time and drops each block once its spectra are taken, which
+bounds a sweep's memory whatever its grid.
 NumPy evaluates a stacked SVD with the same LAPACK call per matrix, so each
 spectrum is bit for bit the one its map gets alone; a map that lacks a
 degree present in the stack has the zero operator there, whose singular
@@ -104,16 +105,28 @@ def _operator(weighted: np.ndarray, nvars: int, degree: int, columns: np.ndarray
 def _map_spectra(maps) -> dict:
     """Per-degree descending singular values of maps that share source and
     target, as ``(maps, k)`` arrays over the sorted union of their degrees.
-    The maps are taken in blocks whose operators, all degrees together,
-    hold at most ``MAX_STACK_BYTES`` (one map at least); each block takes
-    one SVD per degree (:func:`_block_spectra`)."""
-    rows, nvars = maps[0].weighted.shape[0], maps[0].nvars
-    widths = {d: math.comb(nvars + d - 1, d) for m in maps for d, _, _ in m.degrees}
-    size = max(1, MAX_STACK_BYTES // (16 * rows * sum(widths.values())))
-    blocks = [_block_spectra(maps[i:i + size], widths, rows) for i in range(0, len(maps), size)]
+    ``maps`` is any iterable, a generator included: its maps are drawn one
+    block at a time, each block as many maps as keep its operators, all its
+    degrees together, within ``MAX_STACK_BYTES`` (one map at least), and a
+    block takes one SVD per degree (:func:`_block_spectra`) before the next
+    block is drawn.  A degree that a whole block lacks is the zero operator
+    of each of its maps, whose singular values are exact zeros."""
+    blocks, block, widths, rows = [], [], {}, 0
+    for m in maps:
+        own = {d: math.comb(m.nvars + d - 1, d) for d, _, _ in m.degrees}
+        if block and 16 * rows * (len(block) + 1) * sum((widths | own).values()) > MAX_STACK_BYTES:
+            blocks.append((len(block), _block_spectra(block, widths, rows)))
+            block, widths = [], {}
+        block.append(m)
+        widths, rows = widths | own, m.weighted.shape[0]
+    if block:
+        blocks.append((len(block), _block_spectra(block, widths, rows)))
     if len(blocks) == 1:
-        return blocks[0]
-    return {d: np.concatenate([b[d] for b in blocks]) for d in sorted(widths)}
+        return blocks[0][1]
+    sizes = {d: s.shape[-1] for _, spectra in blocks for d, s in spectra.items()}
+    return {d: np.concatenate([spectra[d] if d in spectra else np.zeros((count, k))
+                               for count, spectra in blocks])
+            for d, k in sorted(sizes.items())}
 
 
 def _block_spectra(maps, widths: dict, rows: int) -> dict:
@@ -160,13 +173,20 @@ def _spectrum_distance(a, b) -> np.ndarray:
 
 
 def _compared_spectra(maps, names) -> dict:
-    """``_map_spectra`` of maps to be compared, each named in its error: they
-    must share source and target specs and preserve the origin."""
-    if any(m.source != maps[0].source or m.target != maps[0].target for m in maps):
-        raise ShapeError("maps must share source and target specs")
-    for name, m in zip(names, maps):
-        _require_origin(name, m)
-    return _map_spectra(maps)
+    """``_map_spectra`` of maps to be compared, each named in its error: each
+    map must share source and target specs with the first and preserve the
+    origin.  ``maps`` may be a generator; each map is checked as it is
+    drawn."""
+    def checked():
+        specs = None
+        for name, m in zip(names, maps):
+            specs = specs or (m.source, m.target)
+            if (m.source, m.target) != specs:
+                raise ShapeError("maps must share source and target specs")
+            _require_origin(name, m)
+            yield m
+
+    return _map_spectra(checked())
 
 
 def _require_origin(name: str, f: PolyMap) -> None:

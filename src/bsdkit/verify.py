@@ -39,11 +39,15 @@ seed of 2**32 or more keeps ``object`` rows, which go through
 draws of one call per real and imaginary block.  A negative seed raises
 ``ParameterError``.
 
-Within one ``run_all`` each key stack is sampled once: ``domains`` keeps a
-sample memo open while the checks run, and a later check that asks for the
-same spec, region and ``uint32`` key stack gets the same points, read-only.
-This is exact, since a stack is a pure function of its spec, region and
-keys; ``object`` rows are sampled on every call.
+Within one ``run_all`` each key stack is sampled once and hashed once:
+``domains`` keeps a run memo open while the checks run, and a later check
+that asks for the same spec, region and ``uint32`` key stack gets the same
+points, read-only.  The memo also keeps each stack's ``SeedSequence`` pool
+states, so the ``[seed, k, c]`` stacks that the F_U, coefficient lemma and
+isotropy reports share are hashed once per run; each call still builds its
+own ``Generator`` per key, which is the per-key floor of a bit-identical
+run.  This is exact, since a stack is a pure function of its spec, region
+and keys; ``object`` rows are sampled and seeded on every call.
 """
 
 import itertools
@@ -598,11 +602,12 @@ def run_all(seed: int = 42, properness_samples: int = 500, fu_samples: int = 200
     """The aggregate verification suite: every check at its default scale,
     one report per row of :func:`_plan`.
 
-    The sample memo of ``domains`` is open while the checks run, so a key
+    The run memo of ``domains`` is open while the checks run, so a key
     stack that several reports sample (the same source and keys in many
     properness reports, the same bases in every coefficient lemma report of
-    a domain) is sampled once and shared read-only; every report is what the
-    check gives alone."""
+    a domain) is sampled once and shared read-only, and a key stack that
+    several reports seed is hashed once; every report is what the check
+    gives alone."""
     with _sample_memo():
         outs = [check(*args, check_id=check_id, **kwargs)
                 for check_id, check, args, kwargs in _plan(seed, properness_samples, fu_samples)]

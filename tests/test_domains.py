@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -315,12 +317,20 @@ class TestKeyGenerators:
     """The vector hash must be NumPy's SeedSequence word for word: a NumPy that
     changes SeedSequence fails here, not silently in every sampled report."""
 
-    @pytest.mark.parametrize("width", range(1, 7))
-    def test_pool_words_are_seed_sequence_words(self, width):
+    @pytest.mark.parametrize("width", [*range(1, 9), 40])
+    @pytest.mark.parametrize("count", [0, 1, 500])
+    def test_pool_words_are_seed_sequence_words(self, width, count):
         rows = np.random.default_rng([97, width]).integers(0, 2**32, (500, width), dtype=np.uint32)
         rows[0], rows[1] = 0, 2**32 - 1
-        want = np.array([np.random.SeedSequence(row).generate_state(4, np.uint64) for row in rows])
-        assert np.array_equal(domains._pool_states(rows), want)
+        # a lone all-zero row, a lone all-ones row, or the whole stack holding both
+        stacks = [rows[:0]] if count == 0 else [rows[:1], rows[1:2]] if count == 1 else [rows]
+        for stack in stacks:
+            want = [np.random.SeedSequence(row).generate_state(4, np.uint64) for row in stack]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a wrapping uint32 scalar warns
+                got = domains._pool_states(stack)
+            assert got.dtype == np.uint64 and got.shape == (count, 4)
+            assert np.array_equal(got, np.array(want, dtype=np.uint64).reshape(count, 4))
         for mine, row in zip(key_generators(rows[:40]), rows[:40]):
             assert_same_streams(mine, np.random.default_rng(row))
 
@@ -385,6 +395,19 @@ class TestStackedSampler:
     def test_empty_key_list(self):
         assert sample_points(parse_spec("II:3"), "boundary", []).shape == (0, 3, 3)
 
+    def test_acceptance_compares_margins_as_numbers(self):
+        tol = 1e-9
+        inside, outside = np.nextafter(tol, 0.0), np.nextafter(tol, 1.0)
+        margins = np.array([0.0, -0.0, tol, -tol, inside, -inside, outside, -outside, 0.5, -0.5,
+                            np.inf, -np.inf, np.nan])
+        candidates = np.zeros((len(margins), 1, 1))
+        for region in ("interior", "boundary"):
+            got = domains._accepted(region, candidates, margins)
+            assert got.dtype == bool
+            assert np.array_equal(got, domains._regions(margins, tol) == region)
+        assert not domains._accepted("interior", candidates, margins)[-1]
+        assert not domains._accepted("boundary", candidates, margins)[-1]
+
     def test_rejects_unknown_region(self):
         with pytest.raises(ParameterError):
             sample_points(parse_spec("I:2,2"), "surface", [0])
@@ -425,6 +448,36 @@ class TestSampleMemo:
             with domains._sample_memo():
                 sample_points(parse_spec("I:2,2"), "surface", self.KEYS)
         assert domains._SAMPLE_MEMO.get() is None
+
+    def test_a_key_stack_is_hashed_once_and_seeds_fresh_generators(self, monkeypatch):
+        hashed, pool_states = [], domains._pool_states
+
+        def counted(rows):
+            hashed.append(len(rows))
+            return pool_states(rows)
+
+        monkeypatch.setattr(domains, "_pool_states", counted)
+        outside = key_generators(self.KEYS)
+        with domains._sample_memo():
+            a, b = key_generators(self.KEYS), key_generators(self.KEYS.copy())
+            fewer = key_generators(self.KEYS[:6])
+        assert hashed == [12, 12, 6]
+        for x, y, z, key in zip(a, b, outside, self.KEYS):
+            assert x is not y and x.bit_generator is not y.bit_generator
+            assert_same_streams(x, z)
+            assert_same_streams(y, np.random.default_rng(key))
+        for x, key in zip(fewer, self.KEYS):
+            assert_same_streams(x, np.random.default_rng(key))
+
+    def test_other_keys_bypass_the_seed_memo(self):
+        for keys in (self.KEYS.astype(object), self.KEYS.tolist(), self.KEYS.astype(np.int64)):
+            with domains._sample_memo():
+                a, b = key_generators(keys), key_generators(keys)
+                assert domains._SAMPLE_MEMO.get() == {}
+            for x, y, key in zip(a, b, keys):
+                assert x is not y
+                assert_same_streams(x, np.random.default_rng(key))
+                assert_same_streams(y, np.random.default_rng(key))
 
 
 class TestStackedKernels:

@@ -1,9 +1,15 @@
+import gc
 import math
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bsdkit import invariants
+from bsdkit import cli, invariants
 from bsdkit.autgroups import random_isotropy_params
 from bsdkit.cli import main
 from bsdkit.domains import DomainSpec, parse_spec
@@ -19,6 +25,13 @@ from bsdkit.invariants import (
 from bsdkit.polymaps import (catalog, conjugate, homogeneous_parts, pad_map, polymap,
                              select_map, source_positions)
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 CATALOG_MAPS = [
     catalog("standard", r=2, s=2, r2=3, s2=3),
     catalog("whitney-ball", n=3),
@@ -31,6 +44,15 @@ CATALOG_MAPS = [
     catalog("G_t", r=2, s=3, t=0.35),
     catalog("h_t", t=0.35),
 ]
+
+
+def operator_bytes(argv) -> int:
+    """The bytes of one map's operators, all degrees together, for the family
+    of a sweep's ``argv`` at t = 1, where it has every degree."""
+    dims = tuple(int(x) for x in argv[argv.index("--dims") + 1].split(",")) if "--dims" in argv \
+        else None
+    m = select_map(argv[1], dims=dims, t=1.0)
+    return 16 * m.weighted.shape[0] * sum(math.comb(m.nvars + d - 1, d) for d, _, _ in m.degrees)
 
 
 def reference_operator(f_d, degree):
@@ -288,10 +310,12 @@ class TestStackedSpectra:
         assert rows == expected
 
     # G_t(2,3) has 18 rows and 6 + 21 monomials of degrees 1 and 2: 7776 bytes
-    # per map, so a 16000-byte budget takes the 11 maps in pairs
-    @pytest.mark.parametrize("budget,blocks", [(1, {1}), (16000, {1, 2})])
+    # per map, so a 16000-byte budget takes the 11 maps in pairs.  With one map
+    # per block, G_t(2,3, 0), which is linear, is a block that lacks degree 2:
+    # its zero spectrum takes no SVD.
+    @pytest.mark.parametrize("budget,blocks,svds", [(1, {1}, 21), (16000, {1, 2}, 22)])
     def test_blocks_of_a_smaller_stack_give_the_same_csv(self, tmp_path, monkeypatch, budget,
-                                                          blocks):
+                                                          blocks, svds):
         argv = ["sweep", "--family", "G_t", "--dims", "2,3", "--grid", "0:1:0.1"]
         assert main([*argv, "--out", str(tmp_path / "whole.csv")]) == 0
         stacks, svd = [], np.linalg.svd
@@ -304,7 +328,60 @@ class TestStackedSpectra:
         monkeypatch.setattr(invariants, "MAX_STACK_BYTES", budget)
         assert main([*argv, "--out", str(tmp_path / "blocks.csv")]) == 0
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
-        assert set(stacks) == blocks and sum(stacks) == 11 * 2
+        assert set(stacks) == blocks and sum(stacks) == svds
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "G_t", "--dims", "2,2", "--grid", "0:1:0.05"],
+        ["--family", "h_t", "--grid", "0:1:0.1"],
+        ["--family", "G_t", "--dims", "5,6", "--grid", "0:1:0.05"],
+    ])
+    @pytest.mark.parametrize("per_block", [1, 3])
+    def test_a_streamed_sweep_gives_the_same_csv(self, tmp_path, monkeypatch, argv, per_block):
+        assert main(["sweep", *argv, "--out", str(tmp_path / "whole.csv")]) == 0
+        monkeypatch.setattr(invariants, "MAX_STACK_BYTES", per_block * operator_bytes(argv))
+        assert main(["sweep", *argv, "--out", str(tmp_path / "blocks.csv")]) == 0
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+    def test_a_sweep_holds_one_block_of_maps(self, tmp_path, monkeypatch):
+        argv = ["--family", "G_t", "--dims", "2,2", "--grid", "0:1:0.05"]
+        built, alive, select_map, block_spectra = [], [], cli.select_map, invariants._block_spectra
+
+        def tracked(family, dims=None, t=None):
+            m = select_map(family, dims=dims, t=t)
+            built.append(weakref.ref(m))
+            return m
+
+        def counted(maps, widths, rows):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in built))
+            return block_spectra(maps, widths, rows)
+
+        monkeypatch.setattr(cli, "select_map", tracked)
+        monkeypatch.setattr(invariants, "_block_spectra", counted)
+        monkeypatch.setattr(invariants, "MAX_STACK_BYTES", 3 * operator_bytes(argv))
+        assert main(["sweep", *argv, "--out", str(tmp_path / "m.csv")]) == 0
+        assert len(built) == 22 and len(alive) == 7
+        assert max(alive) <= 4  # one block and the map that opens the next
+
+    @pytest.mark.skipif(resource is None, reason="needs the resource module")
+    def test_a_sweep_peak_stops_growing_past_one_block(self, tmp_path):
+        # 4 MB blocks hold four G_t(5,6) maps; building every grid map before
+        # the spectra peaked 19.5 MB higher at 201 points than at 101
+        code = ("import resource, sys; from bsdkit import invariants; from bsdkit.cli import main; "
+                "invariants.MAX_STACK_BYTES = 4 * 2**20; "
+                "main(['sweep', '--family', 'G_t', '--dims', '5,6', '--grid', sys.argv[1], "
+                "'--out', sys.argv[2]]); print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        runs = [subprocess.Popen([sys.executable, "-c", code, grid, str(tmp_path / f"{k}.csv")],
+                                 env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                for k, grid in enumerate(["0:1:0.01", "0:1:0.005"])]
+        peaks = []
+        for run in runs:
+            out, err = run.communicate(timeout=300)
+            assert run.returncode == 0, err
+            peaks.append(int(out) / (2**20 if sys.platform == "darwin" else 2**10))  # in MB
+        assert peaks[1] - peaks[0] < 4.0, peaks
 
     def test_one_map_blocks_keep_the_zero_operator_of_a_missing_degree(self, monkeypatch):
         f, g = catalog("standard", r=1, s=2, r2=1, s2=3), catalog("whitney-ball", n=2)

@@ -13,7 +13,8 @@ from bsdkit.autgroups import (
     random_automorphisms,
     random_isotropy_stack,
 )
-from bsdkit.domains import generic_norms, parse_spec, polarized_norm, sample_point, sample_points
+from bsdkit.domains import (generic_norms, key_generators, parse_spec, polarized_norm, sample_point,
+                            sample_points)
 from bsdkit.errors import ConfigurationError, ParameterError, ShapeError
 from bsdkit.invariants import INDISTINGUISHABLE, distinguish
 from bsdkit.polymaps import catalog, conjugate, monomials_of_degree, polymap, source_positions
@@ -564,6 +565,20 @@ def recorded_run_all(monkeypatch, seed):
     return reports, calls
 
 
+def record_hashed_stacks(monkeypatch):
+    """A list that gains each key stack ``domains._pool_states`` hashes from
+    now on, as ``(shape, bytes)``."""
+    stacks = []
+    pool_states = bsdkit.domains._pool_states
+
+    def recorded(rows):
+        stacks.append((rows.shape, rows.tobytes()))
+        return pool_states(rows)
+
+    monkeypatch.setattr(bsdkit.domains, "_pool_states", recorded)
+    return stacks
+
+
 def count_sampled_keys(monkeypatch):
     """A list that gains the number of generators ``domains.key_generators``
     builds for each ``sample_points`` call from now on."""
@@ -630,6 +645,10 @@ class TestSampleMemo:
         with pytest.raises(ConfigurationError, match="^stop$"):
             run_all(7, properness_samples=10, fu_samples=10)
         assert bsdkit.domains._SAMPLE_MEMO.get() is None
+        # no seed states outlive the run: each call hashes its stack again
+        hashed = record_hashed_stacks(monkeypatch)
+        key_generators(keys), key_generators(keys)
+        assert len(hashed) == 2
 
     def test_run_all_builds_one_generator_per_distinct_sample_key(self, monkeypatch):
         # 17,132 generators without the memo; 7,988 distinct uint32 key rows per
@@ -637,6 +656,14 @@ class TestSampleMemo:
         counts = count_sampled_keys(monkeypatch)
         run_all(42)
         assert sum(counts) == 8192
+
+    def test_run_all_hashes_each_distinct_key_stack_once(self, monkeypatch):
+        # 65 hashes of 10,388 key rows without the seed memo; the samplers,
+        # random_automorphisms and random_isotropy_stack share 18 stacks
+        hashed = record_hashed_stacks(monkeypatch)
+        run_all(42)
+        assert len(set(hashed)) == len(hashed) == 18
+        assert sum(shape[0] for shape, _ in hashed) == 2568
 
 
 def reference_pair(spec, seed, k, threshold):
