@@ -32,7 +32,7 @@ from . import verify
 from .autgroups import aut_from_json, aut_to_json, act, check_membership
 from .domains import classify_point, generic_norm, parse_spec, sample_point
 from .errors import BsdkitError, ParameterError
-from .invariants import _compared_spectra, _spectrum_distance, distinguish, invariant_spectrum
+from .invariants import _spectrum_distance, distinguish, invariant_spectrum
 from .linalg import _require_positive, _require_tolerance
 from .polymaps import (catalog, eval_map, polymap_from_json, polymap_to_json, select_map,
                        source_positions)
@@ -272,15 +272,18 @@ def _cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid)
     dims = _parse_dims(args.dims)
     # The family's own range rule sees the grid's largest point before any other
-    # map is built; its smallest point is the first map of the loop.  The maps
-    # are built one spectra block at a time, as _compared_spectra draws them.
+    # map is built; its smallest point is the first map of the loop.  Each grid
+    # map is dropped once its spectrum is taken, so one map is alive at a time.
+    # A family's maps share their specs and fix the origin, as distinguish asks.
     select_map(args.family, dims=dims, t=grid[-1])
-    maps = (select_map(args.family, dims=dims, t=t) for t in grid)
+    spectra = [invariant_spectrum(select_map(args.family, dims=dims, t=t)) for t in grid]
+    zeros = {d: np.zeros_like(s) for spectrum in spectra for d, s in spectrum.items()}
     n = len(grid)
     matrix = np.zeros((n, n))
-    for spectra in _compared_spectra(maps, [f"t={t:.17g}" for t in grid]).values():
+    for d in sorted(zeros):  # a map that lacks degree d has the zero spectrum there
+        stack = np.array([spectrum.get(d, zeros[d]) for spectrum in spectra])
         for a in range(n):  # row by row: distinguish's distance to every grid map
-            np.maximum(matrix[a], _spectrum_distance(spectra[a], spectra), out=matrix[a])
+            np.maximum(matrix[a], _spectrum_distance(stack[a], stack), out=matrix[a])
     header = "t," + ",".join(f"{t:.17g}" for t in grid)
     lines = [header]
     for a in range(n):

@@ -43,6 +43,7 @@ and ``verify.check_properness`` reads both the margin and the generic norm
 prod_j (1 - t_j^2) of its images from it.
 """
 
+import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -85,6 +86,13 @@ SHAPE_TOL = 1e-12
 # larger spec raises ParameterError before any point is allocated.  The specs
 # of run_all, the tests, the demos and the benchmark have at most 30 (I:5,6).
 MAX_CARRIER_ENTRIES = 4096
+# The most entries a map's operators may have over every degree up to its
+# own, d: its target's independent entries times the source monomials of
+# degree <= d.  ``polymaps.polymap`` raises ParameterError for a larger map
+# before any monomial is enumerated.  The maps of run_all, the tests, the
+# demos and the benchmark have at most 53,568 (G_t(5, 6)); G_t(12, 12) has
+# 5,842,920 and G_t(13, 13) 9,447,750.
+MAX_OPERATOR_ENTRIES = 2**23
 _MIRROR = {"II": -1.0, "III": 1.0}
 
 
@@ -92,8 +100,10 @@ _MIRROR = {"II": -1.0, "III": 1.0}
 class DomainSpec:
     """Descriptor of one classical domain: kind plus dimensions.
 
-    Kind I uses (r, s) with 1 <= r <= s; kinds II/III/IV use n.  The carrier
-    matrix has at most ``MAX_CARRIER_ENTRIES`` entries.
+    Kind I uses (r, s) with 1 <= r <= s; kinds II/III/IV use n.  Each
+    dimension is an integer (NumPy integers are taken as ints), and one the
+    kind does not use must be 0.  The carrier matrix has at most
+    ``MAX_CARRIER_ENTRIES`` entries.
     """
 
     kind: str
@@ -104,15 +114,22 @@ class DomainSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown domain kind {self.kind!r}")
-        if self.kind == "I":
-            if not (1 <= self.r <= self.s):
-                raise ParameterError(f"kind I needs 1 <= r <= s, got r={self.r}, s={self.s}")
-        elif self.kind == "II":
-            if self.n < 2:
-                raise ParameterError("kind II needs n >= 2")
-        else:
-            if self.n < 1:
-                raise ParameterError(f"kind {self.kind} needs n >= 1")
+        used = ("r", "s") if self.kind == "I" else ("n",)
+        for name in ("r", "s", "n"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ParameterError(f"domain dimension {name} must be an integer, "
+                                     f"got {value!r}") from None
+            if value and name not in used:
+                raise ParameterError(f"kind {self.kind} does not use {name}, got {name}={value}")
+        if self.kind == "I" and not 1 <= self.r <= self.s:
+            raise ParameterError(f"kind I needs 1 <= r <= s, got r={self.r}, s={self.s}")
+        if self.kind == "II" and self.n < 2:
+            raise ParameterError("kind II needs n >= 2")
+        if self.kind in ("III", "IV") and self.n < 1:
+            raise ParameterError(f"kind {self.kind} needs n >= 1")
         entries = self.shape[0] * self.shape[1]
         if entries > MAX_CARRIER_ENTRIES:
             raise ParameterError(f"{self} has {entries} carrier entries, more than the cap "

@@ -29,13 +29,10 @@ the holomorphic Goursat problem", Bull. LMS 21 (1989).
 The operators are read from a map's stored arrays: each degree's columns of
 ``PolyMap.weighted`` (C with these weights, built on first use) are
 scattered into the columns of ``monomials_of_degree``, one scatter per map
-and degree.  Spectra are taken over a stack, one SVD per degree over all
-the maps a query compares: ``distinguish`` stacks its two maps, ``bsdkit
-sweep`` all its grid maps, and a map's own spectrum is the one-map stack.
-Maps whose operators take more than ``MAX_STACK_BYTES`` are taken in
-blocks of that size, one SVD per degree each; a sweep builds its maps one
-block at a time and drops each block once its spectra are taken, which
-bounds a sweep's memory whatever its grid.
+and degree.  ``distinguish`` stacks its two maps' operators, one
+``(maps, rows, k)`` stack per degree, and takes one SVD per stack; a map's
+own spectrum is the one-map stack.  ``bsdkit sweep`` takes the spectrum of
+each grid map as it builds it, so it holds one map at a time.
 NumPy evaluates a stacked SVD with the same LAPACK call per matrix, so each
 spectrum is bit for bit the one its map gets alone; a map that lacks a
 degree present in the stack has the zero operator there, whose singular
@@ -66,11 +63,6 @@ __all__ = [
 
 INEQUIVALENT = "inequivalent"
 INDISTINGUISHABLE = "indistinguishable-by-invariants"
-# The most bytes of the operators of one block of maps in ``_map_spectra``, all
-# degrees together: a stack of more maps than fit is split into blocks, one
-# SVD per degree each.  Two catalog maps at their run_all and benchmark sizes
-# take well under 1 MB, so ``distinguish`` is one block.
-MAX_STACK_BYTES = 64 * 2**20
 
 
 def coefficient_operator(f_d: PolyMap, degree: int = None) -> np.ndarray:
@@ -104,36 +96,14 @@ def _operator(weighted: np.ndarray, nvars: int, degree: int, columns: np.ndarray
 
 def _map_spectra(maps) -> dict:
     """Per-degree descending singular values of maps that share source and
-    target, as ``(maps, k)`` arrays over the sorted union of their degrees.
-    ``maps`` is any iterable, a generator included: its maps are drawn one
-    block at a time, each block as many maps as keep its operators, all its
-    degrees together, within ``MAX_STACK_BYTES`` (one map at least), and a
-    block takes one SVD per degree (:func:`_block_spectra`) before the next
-    block is drawn.  A degree that a whole block lacks is the zero operator
-    of each of its maps, whose singular values are exact zeros."""
-    blocks, block, widths, rows = [], [], {}, 0
-    for m in maps:
-        own = {d: math.comb(m.nvars + d - 1, d) for d, _, _ in m.degrees}
-        if block and 16 * rows * (len(block) + 1) * sum((widths | own).values()) > MAX_STACK_BYTES:
-            blocks.append((len(block), _block_spectra(block, widths, rows)))
-            block, widths = [], {}
-        block.append(m)
-        widths, rows = widths | own, m.weighted.shape[0]
-    if block:
-        blocks.append((len(block), _block_spectra(block, widths, rows)))
-    if len(blocks) == 1:
-        return blocks[0][1]
-    sizes = {d: s.shape[-1] for _, spectra in blocks for d, s in spectra.items()}
-    return {d: np.concatenate([spectra[d] if d in spectra else np.zeros((count, k))
-                               for count, spectra in blocks])
-            for d, k in sorted(sizes.items())}
-
-
-def _block_spectra(maps, widths: dict, rows: int) -> dict:
-    """The spectra of one block of maps: each map's operators are scattered
-    into one ``(maps, rows, widths[d])`` stack per degree d, and each stack
-    takes one SVD.  A map that lacks a degree has the zero operator there."""
-    ops = {d: np.zeros((len(maps), rows, w), dtype=complex) for d, w in sorted(widths.items())}
+    target, as ``(maps, k)`` arrays over the sorted union of their degrees:
+    each map's operators are scattered into one ``(maps, rows, k)`` zero
+    stack per degree, and each stack takes one SVD.  A map that lacks a
+    degree has the zero operator there, whose singular values are zeros."""
+    rows, nvars = maps[0].weighted.shape[0], maps[0].nvars
+    degrees = sorted({d for m in maps for d, _, _ in m.degrees})
+    ops = {d: np.zeros((len(maps), rows, math.comb(nvars + d - 1, d)), dtype=complex)
+           for d in degrees}
     for i, m in enumerate(maps):
         for d, columns, ranks in m.degrees:
             ops[d][i][:, ranks] = m.weighted[:, columns]
@@ -172,23 +142,6 @@ def _spectrum_distance(a, b) -> np.ndarray:
     return np.abs(a - b).max(axis=-1, initial=0.0)
 
 
-def _compared_spectra(maps, names) -> dict:
-    """``_map_spectra`` of maps to be compared, each named in its error: each
-    map must share source and target specs with the first and preserve the
-    origin.  ``maps`` may be a generator; each map is checked as it is
-    drawn."""
-    def checked():
-        specs = None
-        for name, m in zip(names, maps):
-            specs = specs or (m.source, m.target)
-            if (m.source, m.target) != specs:
-                raise ShapeError("maps must share source and target specs")
-            _require_origin(name, m)
-            yield m
-
-    return _map_spectra(checked())
-
-
 def _require_origin(name: str, f: PolyMap) -> None:
     if any(d == 0 for d, _, _ in f.degrees):
         raise ParameterError(f"{name} map does not preserve the origin")
@@ -206,7 +159,11 @@ def distinguish(f: PolyMap, g: PolyMap, tol: float = 1e-8) -> DistinguishResult:
     to itself.
     """
     _require_tolerance(tol)
-    spectra = _compared_spectra([f, g], ("first", "second"))
+    for name, m in (("first", f), ("second", g)):
+        if (m.source, m.target) != (f.source, f.target):
+            raise ShapeError("maps must share source and target specs")
+        _require_origin(name, m)
+    spectra = _map_spectra([f, g])
     distances = {d: float(_spectrum_distance(s[0], s[1])) for d, s in spectra.items()}
     worst = max(distances.values(), default=0.0)
     mismatch = {d for d, _, _ in f.degrees} != {d for d, _, _ in g.degrees}

@@ -43,7 +43,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .autgroups import isotropy_factors
-from .domains import DomainSpec, Point, parse_spec
+from .domains import MAX_OPERATOR_ENTRIES, DomainSpec, Point, parse_spec
 from .errors import BsdkitError, ParameterError, ShapeError
 
 __all__ = [
@@ -221,7 +221,9 @@ def _weighted(source: DomainSpec, target: DomainSpec, exponents: np.ndarray,
 def polymap(source: DomainSpec, target: DomainSpec, entries: dict) -> PolyMap:
     """Validated constructor for dict input: drops zero coefficients, rejects
     non-finite ones, derives the dependent mirror entries for kind II/III
-    targets, checks structural invariants, and converts to the arrays once."""
+    targets, checks structural invariants, and converts to the arrays once.
+    A map whose operators exceed ``domains.MAX_OPERATOR_ENTRIES`` raises
+    ``ParameterError`` before its monomials are enumerated."""
     nvars, (rows, cols) = len(source_positions(source)), target.shape
     clean = {}
     for (i, j), terms in entries.items():
@@ -238,6 +240,10 @@ def polymap(source: DomainSpec, target: DomainSpec, entries: dict) -> PolyMap:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ShapeError(f"entry position {(i, j)} outside target shape {(rows, cols)}")
             clean.setdefault((i, j), {})[exps] = c
+    top = max((sum(e) for terms in clean.values() for e in terms), default=0)
+    if len(source_positions(target)) * math.comb(nvars + top, top) > MAX_OPERATOR_ENTRIES:
+        raise ParameterError(f"map of {source} into {target} is too large: its operators up to "
+                             f"its degree exceed {MAX_OPERATOR_ENTRIES} entries")
     sign = target.mirror
     if sign:
         for (i, j), terms in list(clean.items()):

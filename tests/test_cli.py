@@ -3,6 +3,7 @@ import csv
 import inspect
 import json
 import random
+import time
 
 import numpy as np
 import pytest
@@ -546,6 +547,24 @@ class TestCaps:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.endswith(
             f"carrier entries, more than the cap {bsdkit.domains.MAX_CARRIER_ENTRIES}\n")
+
+    # z11^100 on I:2,2 was killed while its 4.6e6 monomials of degree <= 100 were
+    # enumerated, and G_t(32, 32) would have a 4032 x 524,800 degree-2 operator
+    POWER_MAP = {"source": "I:2,2", "target": "I:2,2",
+                 "entries": [{"row": 1, "col": 1, "terms": [{"exps": {"z11": 100}, "re": 1.0}]}]}
+
+    @pytest.mark.parametrize("selector", ["z11^100", "G_t:32,32,0.5"])
+    def test_a_map_over_the_operator_cap_exits_two_before_it_is_built(self, tmp_path, capsys,
+                                                                      selector):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(self.POWER_MAP))
+        argv = ["--map-file", str(path)] if selector == "z11^100" else ["--map-a", selector]
+        start = time.perf_counter()
+        assert main(["invariants", *argv, "--no-timestamp"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: map of ") and err.endswith(
+            f"exceed {bsdkit.domains.MAX_OPERATOR_ENTRIES} entries\n")
 
 
 def fuzz_calls(tmp_path, count):

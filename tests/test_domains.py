@@ -5,6 +5,7 @@ import pytest
 
 from bsdkit import domains
 from bsdkit.domains import (
+    DomainSpec,
     Point,
     borel_lift_iv,
     classify_point,
@@ -36,6 +37,23 @@ class TestDomainSpec:
     def test_rejects_invalid(self, text):
         with pytest.raises(ParameterError):
             parse_spec(text)
+
+    @pytest.mark.parametrize("kind,dims,message", [
+        ("IV", {"n": 3, "r": 5}, "kind IV does not use r"),
+        ("I", {"r": 2, "s": 2, "n": 3}, "kind I does not use n"),
+        ("I", {"r": 2, "s": 3.5}, "dimension s must be an integer"),
+        ("IV", {"n": "3"}, "dimension n must be an integer"),
+    ])
+    def test_rejects_unused_and_non_integer_dimensions(self, kind, dims, message):
+        # each of these printed as a valid spec yet compared unequal to it, or
+        # failed later with an untyped error
+        with pytest.raises(ParameterError, match=message):
+            DomainSpec(kind, **dims)
+
+    def test_numpy_integer_dimensions_are_ints(self):
+        spec = DomainSpec("I", r=np.int64(2), s=np.int32(3))
+        assert spec == parse_spec("I:2,3") and type(spec.s) is int
+        assert DomainSpec("IV", n=np.uint8(3), r=np.int64(0)) == parse_spec("IV:3")
 
     def test_shapes(self):
         assert parse_spec("I:2,3").shape == (2, 3)

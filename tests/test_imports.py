@@ -1,7 +1,11 @@
-"""Static checks of the import lists: the public names of ``bsdkit`` match
-the modules' ``__all__``, and no module imports a name it never reads."""
+"""Checks of the import lists: the public names of ``bsdkit`` match the
+modules' ``__all__``, no module imports a name it never reads, and importing
+the package loads neither ``numpy.random`` nor SciPy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,3 +63,16 @@ def test_the_scan_sees_an_unused_import(tmp_path):
     path.write_text("import os\nimport numpy as np  # noqa: F401\nfrom math import pi, tau\n"
                     "__all__ = ['tau']\n")
     assert unused_imports(path) == ["os (line 1)", "pi (line 3)"]
+
+
+def test_importing_the_package_loads_neither_numpy_random_nor_scipy():
+    # every fresh process pays for what the import loads: numpy.random alone
+    # costs about 10 ms, so domains imports it on first use
+    code = ("import sys, bsdkit, bsdkit.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'random']))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bsdkit import cli, invariants
+from bsdkit import cli
 from bsdkit.autgroups import random_isotropy_params
 from bsdkit.cli import main
 from bsdkit.domains import DomainSpec, parse_spec
@@ -44,15 +44,6 @@ CATALOG_MAPS = [
     catalog("G_t", r=2, s=3, t=0.35),
     catalog("h_t", t=0.35),
 ]
-
-
-def operator_bytes(argv) -> int:
-    """The bytes of one map's operators, all degrees together, for the family
-    of a sweep's ``argv`` at t = 1, where it has every degree."""
-    dims = tuple(int(x) for x in argv[argv.index("--dims") + 1].split(",")) if "--dims" in argv \
-        else None
-    m = select_map(argv[1], dims=dims, t=1.0)
-    return 16 * m.weighted.shape[0] * sum(math.comb(m.nvars + d - 1, d) for d, _, _ in m.degrees)
 
 
 def reference_operator(f_d, degree):
@@ -295,13 +286,17 @@ class TestStackedSpectra:
     @pytest.mark.parametrize("argv", [
         ["--family", "f_t", "--grid", "0:1:0.1"],
         ["--family", "G_t", "--dims", "2,2", "--grid", "0:1:0.05"],
+        ["--family", "G_t", "--dims", "2,3", "--grid", "0:1:0.1"],
+        ["--family", "h_t", "--grid", "0:1:0.1"],
+        ["--family", "G_t", "--dims", "5,6", "--grid", "0:1:0.05"],
     ])
     def test_sweep_csv_equals_the_per_map_reference(self, tmp_path, argv):
         out = tmp_path / "m.csv"
         assert main(["sweep", *argv, "--out", str(out)]) == 0
         header, *rows = out.read_text().splitlines()
         grid = [float(t) for t in header.split(",")[1:]]
-        dims = (2, 2) if "--dims" in argv else None
+        dims = tuple(map(int, argv[argv.index("--dims") + 1].split(","))) if "--dims" in argv \
+            else None
         maps = [select_map(argv[1], dims=dims, t=t) for t in grid]
         degrees = sorted({d for m in maps for d, _, _ in m.degrees})
         spectra = [reference_spectra(m, degrees) for m in maps]
@@ -309,66 +304,30 @@ class TestStackedSpectra:
                     for t, a in zip(grid, spectra)]
         assert rows == expected
 
-    # G_t(2,3) has 18 rows and 6 + 21 monomials of degrees 1 and 2: 7776 bytes
-    # per map, so a 16000-byte budget takes the 11 maps in pairs.  With one map
-    # per block, G_t(2,3, 0), which is linear, is a block that lacks degree 2:
-    # its zero spectrum takes no SVD.
-    @pytest.mark.parametrize("budget,blocks,svds", [(1, {1}, 21), (16000, {1, 2}, 22)])
-    def test_blocks_of_a_smaller_stack_give_the_same_csv(self, tmp_path, monkeypatch, budget,
-                                                          blocks, svds):
-        argv = ["sweep", "--family", "G_t", "--dims", "2,3", "--grid", "0:1:0.1"]
-        assert main([*argv, "--out", str(tmp_path / "whole.csv")]) == 0
-        stacks, svd = [], np.linalg.svd
-
-        def counting(a, *args, **kwargs):
-            stacks.append(len(a))
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting)
-        monkeypatch.setattr(invariants, "MAX_STACK_BYTES", budget)
-        assert main([*argv, "--out", str(tmp_path / "blocks.csv")]) == 0
-        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
-        assert set(stacks) == blocks and sum(stacks) == svds
-
-    @pytest.mark.parametrize("argv", [
-        ["--family", "G_t", "--dims", "2,2", "--grid", "0:1:0.05"],
-        ["--family", "h_t", "--grid", "0:1:0.1"],
-        ["--family", "G_t", "--dims", "5,6", "--grid", "0:1:0.05"],
-    ])
-    @pytest.mark.parametrize("per_block", [1, 3])
-    def test_a_streamed_sweep_gives_the_same_csv(self, tmp_path, monkeypatch, argv, per_block):
-        assert main(["sweep", *argv, "--out", str(tmp_path / "whole.csv")]) == 0
-        monkeypatch.setattr(invariants, "MAX_STACK_BYTES", per_block * operator_bytes(argv))
-        assert main(["sweep", *argv, "--out", str(tmp_path / "blocks.csv")]) == 0
-        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
-
-    def test_a_sweep_holds_one_block_of_maps(self, tmp_path, monkeypatch):
+    def test_a_sweep_holds_one_grid_map_at_a_time(self, tmp_path, monkeypatch):
         argv = ["--family", "G_t", "--dims", "2,2", "--grid", "0:1:0.05"]
-        built, alive, select_map, block_spectra = [], [], cli.select_map, invariants._block_spectra
+        built, alive, select_map, spectrum = [], [], cli.select_map, cli.invariant_spectrum
 
         def tracked(family, dims=None, t=None):
             m = select_map(family, dims=dims, t=t)
             built.append(weakref.ref(m))
             return m
 
-        def counted(maps, widths, rows):
+        def counted(f):
             gc.collect()
             alive.append(sum(ref() is not None for ref in built))
-            return block_spectra(maps, widths, rows)
+            return spectrum(f)
 
         monkeypatch.setattr(cli, "select_map", tracked)
-        monkeypatch.setattr(invariants, "_block_spectra", counted)
-        monkeypatch.setattr(invariants, "MAX_STACK_BYTES", 3 * operator_bytes(argv))
+        monkeypatch.setattr(cli, "invariant_spectrum", counted)
         assert main(["sweep", *argv, "--out", str(tmp_path / "m.csv")]) == 0
-        assert len(built) == 22 and len(alive) == 7
-        assert max(alive) <= 4  # one block and the map that opens the next
+        assert len(built) == 22 and alive == [1] * 21  # the range pre-check's map is gone too
 
     @pytest.mark.skipif(resource is None, reason="needs the resource module")
     def test_a_sweep_peak_stops_growing_past_one_block(self, tmp_path):
-        # 4 MB blocks hold four G_t(5,6) maps; building every grid map before
+        # a sweep holds one grid map at a time; building every grid map before
         # the spectra peaked 19.5 MB higher at 201 points than at 101
-        code = ("import resource, sys; from bsdkit import invariants; from bsdkit.cli import main; "
-                "invariants.MAX_STACK_BYTES = 4 * 2**20; "
+        code = ("import resource, sys; from bsdkit.cli import main; "
                 "main(['sweep', '--family', 'G_t', '--dims', '5,6', '--grid', sys.argv[1], "
                 "'--out', sys.argv[2]]); print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
         env = dict(os.environ)
@@ -382,15 +341,6 @@ class TestStackedSpectra:
             assert run.returncode == 0, err
             peaks.append(int(out) / (2**20 if sys.platform == "darwin" else 2**10))  # in MB
         assert peaks[1] - peaks[0] < 4.0, peaks
-
-    def test_one_map_blocks_keep_the_zero_operator_of_a_missing_degree(self, monkeypatch):
-        f, g = catalog("standard", r=1, s=2, r2=1, s2=3), catalog("whitney-ball", n=2)
-        whole = invariants._map_spectra([f, g])
-        monkeypatch.setattr(invariants, "MAX_STACK_BYTES", 1)
-        blocks = invariants._map_spectra([f, g])
-        assert list(blocks) == list(whole) == [1, 2]
-        assert all(np.array_equal(blocks[d], whole[d]) for d in whole)
-        assert not np.any(blocks[2][0])
 
     def test_a_degree_one_map_lacks_compares_with_zeros(self):
         # degree 1 only against degrees 1 and 2, both I:1,2 -> I:1,3
@@ -419,4 +369,4 @@ class TestStackedSpectra:
         stacks.clear()
         argv = ["sweep", "--family", "f_t", "--grid", "0:1:0.1", "--out", str(tmp_path / "m.csv")]
         assert main(argv) == 0
-        assert stacks == [(11,), (11,)]
+        assert stacks == [(1,)] * 21  # per grid map and degree; f_t at t = 0 lacks degree 1

@@ -616,6 +616,19 @@ class TestSerialization:
             polymap_from_json(data)
 
 
+class TestOperatorCap:
+    def test_a_map_over_the_cap_raises_before_its_monomials_are_enumerated(self):
+        spec = parse_spec("I:2,2")
+        with pytest.raises(ParameterError, match="is too large"):
+            polymap(spec, spec, {(0, 0): {(10**6, 0, 0, 0): 1.0}})
+
+    def test_the_largest_catalog_maps_in_use_stay_under_the_cap(self):
+        # G_t(12, 12): 552 rows times 10,585 monomials of degree <= 2 over 144 variables
+        assert catalog("G_t", r=12, s=12, t=0.5).nvars == 144
+        with pytest.raises(ParameterError, match="is too large"):
+            catalog("G_t", r=13, s=13, t=0.5)
+
+
 class TestEmbeddings:
     def test_pad_map_positions(self):
         f = catalog("g-sec4")
@@ -628,6 +641,13 @@ class TestEmbeddings:
         h = catalog("h_t", t=0.2)
         with pytest.raises(ShapeError):
             embed_map(h, DomainSpec("III", n=5), [0, 1, 2, 3], [0, 1, 2, 4])
+
+    def test_embedding_into_a_target_over_the_operator_cap_raises(self):
+        # 2080 monomials of degree <= 63 over 2 variables: 1 row is under the
+        # cap, the 4096 rows of I:64,64 are over it
+        f = polymap(parse_spec("I:1,2"), parse_spec("I:1,1"), {(0, 0): {(63, 0): 1.0}})
+        with pytest.raises(ParameterError, match="is too large"):
+            embed_map(f, parse_spec("I:64,64"), [0], [0])
 
     def test_source_positions_counts(self):
         assert len(source_positions(parse_spec("I:2,3"))) == 6
