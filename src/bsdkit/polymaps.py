@@ -7,8 +7,10 @@ per-degree index arrays.  Independent variables are the full entry grid
 for kind I, the strict upper triangle for kind II, the inclusive upper
 triangle for kind III, and the n coordinates for kind IV; dependent source
 entries never enter a monomial, and each mirror row of C is eps times its
-row.  ``polymap`` validates dict input and converts it once; ``entries``
-is a read-only mapping of the nonzero coefficients derived from the arrays.
+row.  ``_coordinates`` is each domain's one table of them: their positions,
+the embedding B with Z = B x, and their Frobenius weights.  ``polymap``
+validates dict input and converts it once; ``entries`` is a read-only
+mapping of the nonzero coefficients derived from the arrays.
 
 ``eval_points`` evaluates a stack of source points (leading axes, one
 sample per row, each drawn from its own ``[seed, k, ...]`` RNG key by the
@@ -24,19 +26,24 @@ case and builds its result from arrays.
 The catalog holds the proper polynomial map families used throughout:
 standard block embeddings, the D'Angelo ball family, the ball and
 generalized Whitney maps, two quadratic maps between 2x2-block domains,
-and the one-parameter families f_t, g_t, G_t, h_t connecting them.  Both
-Whitney maps are family endpoints with their zero column dropped: the ball
-map is the D'Angelo map (z', cos theta z_n, sin theta z_n z) at theta =
-pi/2 (built with cos and sin exactly 0 and 1), and the generalized map is
-G_t at t = 1, whose column s + 1 holds sqrt(1 - t) z_i1 = 0.  f-sec4 is
-gen-whitney(2, 2) and g_t is G_t(2, 2, t).
+and the one-parameter families f_t, g_t, G_t, h_t connecting them.  Four
+coefficient tables build them all: the standard, D'Angelo, G_t and f_t
+tables, and six entries are special cases of these.  Both Whitney maps are
+family endpoints with their zero column dropped: the ball map is the
+D'Angelo map (z', cos theta z_n, sin theta z_n z) at theta = pi/2 (built
+with cos and sin exactly 0 and 1), and the generalized map is G_t at
+t = 1, whose column s + 1 holds sqrt(1 - t) z_i1 = 0.  f-sec4 is
+gen-whitney(2, 2) and g_t is G_t(2, 2, t).  g-sec4 is f_t at t = 0, whose
+fourth row and column are zero, into I:3,3, and h_t is f_t on the
+symmetric source z21 = z12, into III:4.
 """
 
 import cmath
 import inspect
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import combinations_with_replacement
 from types import MappingProxyType
 
@@ -44,7 +51,7 @@ import numpy as np
 
 from .autgroups import isotropy_factors
 from .domains import MAX_OPERATOR_ENTRIES, DomainSpec, Point, parse_spec
-from .errors import BsdkitError, ParameterError, ShapeError
+from .errors import BsdkitError, NumericError, ParameterError, ShapeError
 
 __all__ = [
     "PolyMap",
@@ -71,11 +78,29 @@ __all__ = [
 def source_positions(spec: DomainSpec) -> list:
     """Matrix positions of the independent variables of a domain: the upper
     triangle, strict when eps = ``spec.mirror`` < 0, else the full grid."""
-    rows, cols = spec.shape
+    rows, cols, _, _ = _coordinates(spec)
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
+@lru_cache(maxsize=None)
+def _coordinates(spec: DomainSpec) -> tuple:
+    """(rows, cols, B, w) of the independent variables x of a domain, all
+    read-only: their positions (see ``source_positions``), B of shape
+    ``(*spec.shape, nvars)`` with ``Z = B @ x`` (1 at each independent position
+    and eps = ``spec.mirror`` at its mirror), and w, the column norms of B:
+    the Frobenius weights, sqrt(2) off the diagonal for kinds II/III, else 1."""
     eps = spec.mirror
-    if not eps:
-        return [(i, j) for i in range(rows) for j in range(cols)]
-    return [(i, j) for i in range(rows) for j in range(i + int(eps < 0), cols)]
+    rows, cols = (np.triu_indices(spec.shape[0], int(eps < 0)) if eps
+                  else np.indices(spec.shape).reshape(2, -1))
+    var = np.arange(len(rows))
+    b = np.zeros((*spec.shape, len(var)))
+    if eps:
+        b[cols, rows, var] = eps
+    b[rows, cols, var] = 1.0
+    w = np.sqrt(1.0 + eps * eps * (rows != cols))
+    for a in (rows, cols, b, w):
+        a.flags.writeable = False
+    return rows, cols, b, w
 
 
 def variable_names(spec: DomainSpec) -> list:
@@ -86,26 +111,27 @@ def variable_names(spec: DomainSpec) -> list:
 
 @lru_cache(maxsize=None)
 def _monomial_table(nvars: int, degree: int) -> tuple:
-    """(monomials, rank, var, lower) of one degree.
+    """(monomials, rank) of one degree: the fixed enumeration order and its
+    inverse."""
+    monomials = tuple(tuple(combo.count(k) for k in range(nvars))
+                      for combo in combinations_with_replacement(range(nvars), degree))
+    return monomials, {m: k for k, m in enumerate(monomials)}
 
-    ``monomials`` is the fixed enumeration order and ``rank`` its inverse.
-    var[beta] lists the distinct variables x_j dividing beta, smallest first,
-    and lower[beta] the ranks of beta / x_j among the degree - 1 monomials,
-    both padded to the degree with (0, count of degree - 1 monomials).
-    """
-    combos = list(combinations_with_replacement(range(nvars), degree))
-    monomials = tuple(tuple(combo.count(k) for k in range(nvars)) for combo in combos)
-    rank = {m: k for k, m in enumerate(monomials)}
-    if degree == 0:
-        return monomials, rank, None, None
+
+@lru_cache(maxsize=None)
+def _power_table(nvars: int, degree: int) -> tuple:
+    """(var, lower) of one degree >= 1: var[beta] lists the distinct variables
+    x_j dividing beta, smallest first, and lower[beta] the ranks of beta / x_j
+    among the degree - 1 monomials, both padded to the degree with (0, count
+    of degree - 1 monomials)."""
     below = _monomial_table(nvars, degree - 1)[1]
     var, lower = [], []
-    for m, combo in zip(monomials, combos):
-        js = sorted(set(combo))
+    for m in _monomial_table(nvars, degree)[0]:
+        js = [j for j, e in enumerate(m) if e]
         pad = degree - len(js)
         var.append(js + [0] * pad)
         lower.append([below[m[:j] + (m[j] - 1,) + m[j + 1:]] for j in js] + [len(below)] * pad)
-    return monomials, rank, np.array(var), np.array(lower)
+    return np.array(var), np.array(lower)
 
 
 def monomials_of_degree(nvars: int, degree: int) -> list:
@@ -119,36 +145,14 @@ def _power_actions(s: np.ndarray, top: int) -> list:
     P_d(S)[alpha, beta] is the coefficient of x^beta in
     prod_k (S x)_k ** alpha_k.  With t = var[alpha, 0] and the parent
     alpha / x_t = lower[alpha, 0], row alpha of P_d holds
-    sum_j P_{d-1}[parent, beta / x_j] S[t, j] at x^beta (``_monomial_table``)."""
+    sum_j P_{d-1}[parent, beta / x_j] S[t, j] at x^beta (``_power_table``)."""
     powers = [np.ones((*s.shape[:-2], 1, 1), dtype=complex)]
     for d in range(1, top + 1):
-        _, _, var, lower = _monomial_table(s.shape[-1], d)
+        var, lower = _power_table(s.shape[-1], d)
         prev = powers[-1]
         prev = np.concatenate([prev, np.zeros((*prev.shape[:-1], 1))], axis=-1)  # padding reads this zero column
         powers.append((prev[..., lower[:, 0], :][..., lower] * s[..., var[:, 0], :][..., var]).sum(axis=-1))
     return powers
-
-
-def _independent_index(spec: DomainSpec) -> tuple:
-    """(rows, cols) index arrays of the independent variables of a domain."""
-    rows_cols = np.array(source_positions(spec), dtype=int).reshape(-1, 2)
-    return rows_cols[:, 0], rows_cols[:, 1]
-
-
-@lru_cache(maxsize=None)
-def _embedding(spec: DomainSpec) -> np.ndarray:
-    """B of shape ``(*spec.shape, nvars)`` with ``Z = B @ x`` for the independent
-    variables x: 1 at each independent position, and eps = ``spec.mirror`` at
-    its mirror.  Its column norms are the Frobenius weights of the
-    independent variables."""
-    rows, cols = _independent_index(spec)
-    var = np.arange(len(rows))
-    b = np.zeros((*spec.shape, len(var)))
-    if spec.mirror:
-        b[cols, rows, var] = spec.mirror
-    b[rows, cols, var] = 1.0
-    b.flags.writeable = False
-    return b
 
 
 @lru_cache(maxsize=1024)
@@ -207,28 +211,39 @@ class PolyMap:
 def _weighted(source: DomainSpec, target: DomainSpec, exponents: np.ndarray,
               coeffs: np.ndarray) -> np.ndarray:
     """``PolyMap.weighted`` of the coefficient matrix ``coeffs``, with its
-    leading stack axes, if any."""
-    w_source, w_target = (np.sqrt(np.square(_embedding(spec)).sum(axis=(0, 1)))
-                          for spec in (source, target))
+    leading stack axes, if any.  Weighted coefficients past float64 (the
+    factorial of a degree above 170 is) raise ``NumericError``."""
+    rows, cols, _, w_target = _coordinates(target)
     e = exponents
-    factorials = np.cumprod(np.maximum(np.arange(e.max(initial=0) + 1), 1), dtype=float)
-    # column alpha: sqrt(alpha!) prod(w ** -alpha), w the Frobenius weights (column norms of B)
-    fischer = np.sqrt(factorials[e].prod(axis=1)) * (w_source ** -e).prod(axis=1)
-    grid = coeffs.reshape(*coeffs.shape[:-2], *target.shape, len(e))
-    return grid[(..., *_independent_index(target), slice(None))] * np.outer(w_target, fischer)
+    with np.errstate(over="ignore", invalid="ignore"):
+        factorials = np.cumprod(np.maximum(np.arange(e.max(initial=0) + 1), 1), dtype=float)
+        # column alpha: sqrt(alpha!) prod(w ** -alpha), w the Frobenius weights
+        fischer = np.sqrt(factorials[e].prod(axis=1)) * (_coordinates(source)[3] ** -e).prod(axis=1)
+        grid = coeffs.reshape(*coeffs.shape[:-2], *target.shape, len(e))
+        weighted = grid[..., rows, cols, :] * np.outer(w_target, fischer)
+    if not np.isfinite(weighted).all():
+        raise NumericError(f"weighted operators of a map of {source} into {target} exceed "
+                           f"float64 (its monomials reach degree {e.sum(axis=1).max()})")
+    return weighted
 
 
 def polymap(source: DomainSpec, target: DomainSpec, entries: dict) -> PolyMap:
-    """Validated constructor for dict input: drops zero coefficients, rejects
-    non-finite ones, derives the dependent mirror entries for kind II/III
-    targets, checks structural invariants, and converts to the arrays once.
+    """Validated constructor for dict input: takes positions and exponents
+    through ``operator.index`` (a non-integer raises ``ParameterError``),
+    drops zero coefficients, rejects non-finite ones, derives the dependent
+    mirror entries for kind II/III targets, checks structural invariants, and
+    converts to the arrays once.
     A map whose operators exceed ``domains.MAX_OPERATOR_ENTRIES`` raises
     ``ParameterError`` before its monomials are enumerated."""
-    nvars, (rows, cols) = len(source_positions(source)), target.shape
+    nvars, (rows, cols) = len(_coordinates(source)[0]), target.shape
     clean = {}
-    for (i, j), terms in entries.items():
+    for pos, terms in entries.items():
         for exps, coeff in terms.items():
-            exps, c = tuple(exps), complex(coeff)
+            try:
+                (i, j), exps = map(operator.index, pos), tuple(map(operator.index, exps))
+            except TypeError:
+                raise ParameterError(f"non-integer position {pos!r} or exponents {exps!r}") from None
+            c = complex(coeff)
             if len(exps) != nvars:
                 raise ShapeError(f"monomial {exps} has {len(exps)} exponents, expected {nvars}")
             if min(exps, default=0) < 0:
@@ -241,7 +256,7 @@ def polymap(source: DomainSpec, target: DomainSpec, entries: dict) -> PolyMap:
                 raise ShapeError(f"entry position {(i, j)} outside target shape {(rows, cols)}")
             clean.setdefault((i, j), {})[exps] = c
     top = max((sum(e) for terms in clean.values() for e in terms), default=0)
-    if len(source_positions(target)) * math.comb(nvars + top, top) > MAX_OPERATOR_ENTRIES:
+    if len(_coordinates(target)[0]) * math.comb(nvars + top, top) > MAX_OPERATOR_ENTRIES:
         raise ParameterError(f"map of {source} into {target} is too large: its operators up to "
                              f"its degree exceed {MAX_OPERATOR_ENTRIES} entries")
     sign = target.mirror
@@ -341,49 +356,35 @@ def _build_gen_whitney(r: int, s: int) -> PolyMap:
     return polymap(source, target, _without_column(_block_entries(r, s, 1.0), s))
 
 
-def _build_f_sec4() -> PolyMap:
-    """The quadratic map of I:2,2 into I:3,3, which is gen-whitney(2, 2)."""
-    return _build_gen_whitney(2, 2)
+def _f_t_entries(t: float) -> dict:
+    """Entries of Seo's f_t of I:2,2 into I:4,4, variables (z11, z12, z21, z22);
+    at t = 0 its fourth row and column are zero."""
+    rt, r1, r2 = math.sqrt(t), math.sqrt(1.0 - t), math.sqrt(2.0 - t)
+    mixed, corner = 2.0 * math.sqrt((1.0 - t) / (2.0 - t)), math.sqrt(t / (2.0 - t))
+    return {
+        (0, 0): {_unit(4, 0, 0): 1.0},
+        (0, 1): {_unit(4, 0, 1): r2},
+        (0, 2): {_unit(4, 1, 1): r1},
+        (0, 3): {_unit(4, 1): rt},
+        (1, 0): {_unit(4, 0, 2): r2},
+        (1, 1): {_unit(4, 0, 3): 2.0 * (1.0 - t) / (2.0 - t), _unit(4, 1, 2): 1.0},
+        (1, 2): {_unit(4, 1, 3): mixed},
+        (1, 3): {_unit(4, 3): corner},
+        (2, 0): {_unit(4, 2, 2): r1},
+        (2, 1): {_unit(4, 2, 3): mixed},
+        (2, 2): {_unit(4, 3, 3): 1.0},
+        (3, 0): {_unit(4, 2): rt},
+        (3, 1): {_unit(4, 3): corner},
+    }
 
 
 def _build_g_sec4() -> PolyMap:
-    source = DomainSpec("I", r=2, s=2)
-    target = DomainSpec("I", r=3, s=3)
-    rt2 = math.sqrt(2.0)
-    entries = {
-        (0, 0): {_unit(4, 0, 0): 1.0},
-        (0, 1): {_unit(4, 0, 1): rt2},
-        (0, 2): {_unit(4, 1, 1): 1.0},
-        (1, 0): {_unit(4, 0, 2): rt2},
-        (1, 1): {_unit(4, 0, 3): 1.0, _unit(4, 1, 2): 1.0},
-        (1, 2): {_unit(4, 1, 3): rt2},
-        (2, 0): {_unit(4, 2, 2): 1.0},
-        (2, 1): {_unit(4, 2, 3): rt2},
-        (2, 2): {_unit(4, 3, 3): 1.0},
-    }
-    return polymap(source, target, entries)
+    """f_t at t = 0 into I:3,3: ``polymap`` drops the zero fourth row and column."""
+    return polymap(DomainSpec("I", r=2, s=2), DomainSpec("I", r=3, s=3), _f_t_entries(0.0))
 
 
 def _build_f_t(t: float) -> PolyMap:
-    t = _efmt(t)
-    source = DomainSpec("I", r=2, s=2)
-    target = DomainSpec("I", r=4, s=4)
-    entries = {
-        (0, 0): {_unit(4, 0, 0): 1.0},
-        (0, 1): {_unit(4, 0, 1): math.sqrt(2.0 - t)},
-        (0, 2): {_unit(4, 1, 1): math.sqrt(1.0 - t)},
-        (0, 3): {_unit(4, 1): math.sqrt(t)},
-        (1, 0): {_unit(4, 0, 2): math.sqrt(2.0 - t)},
-        (1, 1): {_unit(4, 0, 3): 2.0 * (1.0 - t) / (2.0 - t), _unit(4, 1, 2): 1.0},
-        (1, 2): {_unit(4, 1, 3): 2.0 * math.sqrt((1.0 - t) / (2.0 - t))},
-        (1, 3): {_unit(4, 3): math.sqrt(t / (2.0 - t))},
-        (2, 0): {_unit(4, 2, 2): math.sqrt(1.0 - t)},
-        (2, 1): {_unit(4, 2, 3): 2.0 * math.sqrt((1.0 - t) / (2.0 - t))},
-        (2, 2): {_unit(4, 3, 3): 1.0},
-        (3, 0): {_unit(4, 2): math.sqrt(t)},
-        (3, 1): {_unit(4, 3): math.sqrt(t / (2.0 - t))},
-    }
-    return polymap(source, target, entries)
+    return polymap(DomainSpec("I", r=2, s=2), DomainSpec("I", r=4, s=4), _f_t_entries(_efmt(t)))
 
 
 def _build_G_t(r: int, s: int, t: float) -> PolyMap:
@@ -393,27 +394,12 @@ def _build_G_t(r: int, s: int, t: float) -> PolyMap:
     return polymap(source, target, _block_entries(r, s, t))
 
 
-def _build_g_t(t: float) -> PolyMap:
-    """The family of I:2,2 into I:3,4, which is G_t(2, 2, t)."""
-    return _build_G_t(2, 2, t)
-
-
 def _build_h_t(t: float) -> PolyMap:
-    t = _efmt(t)
-    source = DomainSpec("III", n=2)
-    target = DomainSpec("III", n=4)
-    # variables z1, z2, z3 = upper-triangle entries (1,1), (1,2), (2,2)
-    entries = {
-        (0, 0): {_unit(3, 0, 0): 1.0},
-        (0, 1): {_unit(3, 0, 1): math.sqrt(2.0 - t)},
-        (0, 2): {_unit(3, 1, 1): math.sqrt(1.0 - t)},
-        (0, 3): {_unit(3, 1): math.sqrt(t)},
-        (1, 1): {_unit(3, 0, 2): 2.0 * (1.0 - t) / (2.0 - t), _unit(3, 1, 1): 1.0},
-        (1, 2): {_unit(3, 1, 2): 2.0 * math.sqrt((1.0 - t) / (2.0 - t))},
-        (1, 3): {_unit(3, 2): math.sqrt(t / (2.0 - t))},
-        (2, 2): {_unit(3, 2, 2): 1.0},
-    }
-    return polymap(source, target, entries)
+    """f_t on the symmetric source z21 = z12, variables (z11, z12, z22), into
+    III:4; no entry of f_t has two terms that meet there."""
+    entries = {pos: {(a, b + c, d): coeff for (a, b, c, d), coeff in terms.items()}
+               for pos, terms in _f_t_entries(_efmt(t)).items()}
+    return polymap(DomainSpec("III", n=2), DomainSpec("III", n=4), entries)
 
 
 _BUILDERS = {
@@ -421,10 +407,10 @@ _BUILDERS = {
     "whitney-ball": _build_whitney_ball,
     "dangelo": _build_dangelo,
     "gen-whitney": _build_gen_whitney,
-    "f-sec4": _build_f_sec4,
+    "f-sec4": partial(_build_gen_whitney, 2, 2),
     "g-sec4": _build_g_sec4,
     "f_t": _build_f_t,
-    "g_t": _build_g_t,
+    "g_t": partial(_build_G_t, 2, 2),
     "G_t": _build_G_t,
     "h_t": _build_h_t,
 }
@@ -492,7 +478,8 @@ def _monomial_values(spec: DomainSpec, z: np.ndarray, exponents: np.ndarray) -> 
     """prod(vals ** E) per point of the stack ``z`` (shape ``(..., *spec.shape)``)
     and row of E = ``exponents``, vals the independent entries of the point;
     returns shape ``(..., len(E))``."""
-    vals = z[(..., *_independent_index(spec))]
+    rows, cols, _, _ = _coordinates(spec)
+    vals = z[..., rows, cols]
     return np.prod(vals[..., None, :] ** exponents, axis=-1)
 
 
@@ -555,10 +542,11 @@ def _conjugations(f: PolyMap, source_factors, target_factors) -> tuple:
     becomes ``C_d @ P_d(S)``, S the source isotropy on the independent
     variables, and the target isotropy acts on the full coefficient grid;
     both sides go through ``_sandwich``."""
-    s = _sandwich(*source_factors, _embedding(f.source))
-    s = s[(slice(None), *_independent_index(f.source))]
+    rows, cols, b, _ = _coordinates(f.source)
+    s = _sandwich(*source_factors, b)[:, rows, cols]
+    rows, cols, b_target, _ = _coordinates(f.target)
     grid = f.coeffs.reshape(*f.target.shape, len(f.exponents))
-    image = _sandwich(*target_factors, grid)[(slice(None), *_independent_index(f.target))]
+    image = _sandwich(*target_factors, grid)[:, rows, cols]
     powers = _power_actions(s, max((d for d, _, _ in f.degrees), default=0))
     monomials = sum((_monomial_table(f.nvars, d)[0] for d, _, _ in f.degrees), ())
     exponents, degrees = _monomial_index(f.nvars, monomials)
@@ -568,7 +556,7 @@ def _conjugations(f: PolyMap, source_factors, target_factors) -> tuple:
         block[..., ranks] = image[..., columns]
         independent[..., out] = block @ powers[d]
     # C = B X: B has one entry 0 or +-1 per row, so each mirror row is exactly eps times its row
-    return exponents, _embedding(f.target).reshape(-1, independent.shape[1]) @ independent, degrees
+    return exponents, b_target.reshape(-1, independent.shape[1]) @ independent, degrees
 
 
 def pad_map(f: PolyMap, target: DomainSpec) -> PolyMap:
@@ -578,14 +566,17 @@ def pad_map(f: PolyMap, target: DomainSpec) -> PolyMap:
 
 
 def embed_map(f: PolyMap, target: DomainSpec, rows: list, cols: list) -> PolyMap:
-    """Embed into a larger target along explicit row/column positions."""
+    """Embed into a larger target along explicit row/column positions: one
+    distinct position per row and per column of the map's target."""
+    rows, cols = list(rows), list(cols)
     if target.kind != f.target.kind:
         raise ShapeError(f"cannot embed a {f.target.kind}-target map into {target}")
-    if target.mirror and list(rows) != list(cols):
+    if target.mirror and rows != cols:
         raise ShapeError("embedding a symmetric-kind target needs matching row/col positions")
-    entries = {}
-    for (i, j), terms in f.entries.items():
-        entries[(rows[i], cols[j])] = dict(terms)
+    if (len(set(rows)), len(set(cols)), len(rows), len(cols)) != 2 * f.target.shape:
+        raise ShapeError(f"embedding {f.target} needs {f.target.shape[0]} distinct rows and "
+                         f"{f.target.shape[1]} distinct columns, got {rows} and {cols}")
+    entries = {(rows[i], cols[j]): dict(terms) for (i, j), terms in f.entries.items()}
     return polymap(f.source, target, entries)
 
 
@@ -629,21 +620,23 @@ def polymap_to_json(f: PolyMap) -> dict:
 
 
 def polymap_from_json(data: dict) -> PolyMap:
-    """Inverse of :func:`polymap_to_json`; a missing key or a non-numeric or
-    non-finite value raises ``ParameterError``, an unknown variable ``ShapeError``."""
+    """Inverse of :func:`polymap_to_json`; a missing key, a non-numeric or
+    non-finite value, or a row, column or exponent that is not an integer
+    (``polymap``'s rule) raises ``ParameterError``, an unknown variable
+    ``ShapeError``."""
     try:
         source = parse_spec(data["source"])
         target = parse_spec(data["target"])
         index = {name: k for k, name in enumerate(variable_names(source))}
         entries = {}
         for item in data["entries"]:
-            terms = entries[(int(item["row"]) - 1, int(item["col"]) - 1)] = {}
+            terms = entries[(item["row"] - 1, item["col"] - 1)] = {}
             for term in item["terms"]:
                 exps = [0] * len(index)
                 for name, e in term["exps"].items():
                     if name not in index:
                         raise ShapeError(f"unknown variable {name!r} for source {source}")
-                    exps[index[name]] = int(e)
+                    exps[index[name]] = e
                 terms[tuple(exps)] = complex(term["re"], term.get("im", 0.0))
     except BsdkitError:
         raise

@@ -87,7 +87,7 @@ from .linalg import _negative_key_error, _require_positive, _require_tolerance
 from .polymaps import (
     PolyMap,
     _aligned_coeffs,
-    _embedding,
+    _coordinates,
     _monomial_values,
     catalog,
     coeff_distance,
@@ -283,7 +283,7 @@ def check_factorization(f: PolyMap, degree_bound: int = 4, grid_size: int = None
     z, w, s1 = _sample_pairs(f.source, _key_rows(seed, 1, np.arange(n_hold)), 0.01)
 
     size, generator, exponents = _korobov_lattice(f.nvars, degree_bound, grid_size)
-    embedding = _embedding(f.source)
+    embedding = _coordinates(f.source)[2]
     rho = 0.9 / np.linalg.norm(embedding) / (math.sqrt(2.0) if f.source.kind == "IV" else 1.0)
     k = np.arange(size)[:, None]
     x = rho * np.exp(2j * np.pi / size * (k * generator % size))

@@ -567,6 +567,43 @@ class TestCaps:
             f"exceed {bsdkit.domains.MAX_OPERATOR_ENTRIES} entries\n")
 
 
+def power_map(degree):
+    """The map z11 -> z11^degree of I:1,1, as JSON."""
+    return {"source": "I:1,1", "target": "I:1,1",
+            "entries": [{"row": 1, "col": 1, "terms": [{"exps": {"z11": degree}, "re": 1.0}]}]}
+
+
+class TestHighDegreeMaps:
+    def test_a_degree_past_the_recursion_limit_evaluates(self, tmp_path):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(power_map(2000)))
+        rc, out = run(tmp_path, "eval", "--map-file", str(path), "--no-timestamp")
+        assert rc == 0
+        assert json.loads(out.read_text())["map"]["entries"][0]["terms"][0]["exps"] == {"z11": 2000}
+
+    @pytest.mark.parametrize("degree", [171, 2000])
+    def test_spectra_past_float64_exit_two(self, tmp_path, capsys, degree):
+        # sqrt(171!) overflows float64; the spectrum once read [NaN] with exit 0
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(power_map(degree)))
+        rc, out = run(tmp_path, "invariants", "--map-file", str(path), "--no-timestamp")
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: weighted operators of a map of I:1,1 into I:1,1 exceed float64 "
+            f"(its monomials reach degree {degree})\n")
+
+    def test_degree_170_keeps_its_spectrum(self, tmp_path, capsys):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(power_map(170)))
+        rc, out = run(tmp_path, "invariants", "--map-file", str(path), "--no-timestamp")
+        assert rc == 0 and capsys.readouterr().err == ""
+        assert json.loads(out.read_text())["degrees"] == {"170": [2.6939590968142025e+153]}
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} in a JSON output")
+
+
 def fuzz_calls(tmp_path, count):
     """``count`` seeded command lines over all six commands: every required
     option and about a third of the others, each with a value drawn from a
@@ -578,6 +615,14 @@ def fuzz_calls(tmp_path, count):
     not_json = tmp_path / "bad.json"
     not_json.write_text("{")
     files = [str(good_map), str(aut), str(not_json), str(tmp_path / "missing.json")]
+    fractional_exponent = polymap_to_json(catalog("whitney-ball", n=2))
+    fractional_exponent["entries"][0]["terms"][0]["exps"] = {"z11": 1.5}
+    fractional_row = polymap_to_json(catalog("whitney-ball", n=2))
+    fractional_row["entries"][0]["row"] = 1.5
+    for name, data in (("pow171", power_map(171)), ("pow2000", power_map(2000)),
+                       ("frac-exp", fractional_exponent), ("frac-row", fractional_row)):
+        files.append(str(tmp_path / f"{name}.json"))
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
     maps = ["whitney-ball:2", "f_t:0.3", "dangelo:2,0.5", "h_t", "G_t:2,2,0.5", "f_t:1.5",
             "nope", "whitney-ball:99999", "gen-whitney", ""]
     pools = {
@@ -620,6 +665,9 @@ class TestFuzz:
             rc = main(argv)
             err = capsys.readouterr().err
             assert rc in (0, 1, 2) and "Traceback" not in err, (argv, rc, err)
+            out = tmp_path / argv[-1]
+            if out.exists() and argv[0] != "sweep" and "csv" not in argv:
+                json.loads(out.read_text(), parse_constant=reject_constant)
             assert rc != 1 or argv[0] == "verify", argv
             codes.setdefault(argv[0], set()).add(rc)
         assert sorted(codes) == sorted(bsdkit.cli._COMMANDS)

@@ -8,12 +8,12 @@ import bsdkit.autgroups
 from bsdkit.autgroups import _params_at, act, isotropy, random_isotropy_params, random_isotropy_stack
 from bsdkit.domains import (DomainSpec, Point, origin, parse_spec, point, sample_point,
                             sample_points)
-from bsdkit.errors import ParameterError, ShapeError
+from bsdkit.errors import NumericError, ParameterError, ShapeError
 from bsdkit.invariants import monomials_of_degree as invariants_monomials_of_degree
 from bsdkit.polymaps import (
     CATALOG_IDS,
     _conjugations,
-    _embedding,
+    _coordinates,
     _power_actions,
     catalog,
     coeff_distance,
@@ -120,12 +120,21 @@ class TestSourcePositions:
     def test_independent_positions(self, text, positions):
         assert source_positions(parse_spec(text)) == positions
 
-    @pytest.mark.parametrize("text", ["I:2,3", "II:2", "II:4", "III:1", "III:3", "IV:3"])
+    @pytest.mark.parametrize("text", ["I:1,1", "I:2,3", "II:2", "II:4", "III:1", "III:3", "IV:1",
+                                      "IV:3"])
     def test_embedding_rebuilds_a_point_from_its_independent_entries(self, text):
         spec = parse_spec(text)
         z = sample_point(spec, "interior", 5).value
         x = np.array([z[pos] for pos in source_positions(spec)])
-        assert np.array_equal(_embedding(spec) @ x, z)
+        rows, cols, b, w = _coordinates(spec)
+        assert np.array_equal(b @ x, z)
+        assert list(zip(rows.tolist(), cols.tolist())) == source_positions(spec)
+        off_diagonal = (rows != cols) & (spec.kind in ("II", "III"))
+        assert np.array_equal(w, np.where(off_diagonal, math.sqrt(2.0), 1.0))
+        assert np.array_equal(w, np.sqrt(np.square(b).sum(axis=(0, 1))))
+        for a in (rows, cols, b, w):
+            with pytest.raises(ValueError):
+                a[0] = a[0]
 
 
 class TestEval:
@@ -251,10 +260,36 @@ class TestCatalogCoefficients:
         (2, 2): {(0, 0, 0, 0, 0, 1): 1.0},
     }
 
+    G_SEC4 = {  # exponents over (z11, z12, z21, z22)
+        (0, 0): {(2, 0, 0, 0): 1.0}, (0, 1): {(1, 1, 0, 0): math.sqrt(2.0)},
+        (0, 2): {(0, 2, 0, 0): 1.0}, (1, 0): {(1, 0, 1, 0): math.sqrt(2.0)},
+        (1, 1): {(1, 0, 0, 1): 1.0, (0, 1, 1, 0): 1.0}, (1, 2): {(0, 1, 0, 1): math.sqrt(2.0)},
+        (2, 0): {(0, 0, 2, 0): 1.0}, (2, 1): {(0, 0, 1, 1): math.sqrt(2.0)},
+        (2, 2): {(0, 0, 0, 2): 1.0},
+    }
+
+    @staticmethod
+    def h_t_table(t):
+        """h_t over (z11, z12, z22), the upper triangle and its mirror."""
+        upper = {
+            (0, 0): {(2, 0, 0): 1.0}, (0, 1): {(1, 1, 0): math.sqrt(2.0 - t)},
+            (0, 2): {(0, 2, 0): math.sqrt(1.0 - t)}, (0, 3): {(0, 1, 0): math.sqrt(t)},
+            (1, 1): {(1, 0, 1): 2.0 * (1.0 - t) / (2.0 - t), (0, 2, 0): 1.0},
+            (1, 2): {(0, 1, 1): 2.0 * math.sqrt((1.0 - t) / (2.0 - t))},
+            (1, 3): {(0, 0, 1): math.sqrt(t / (2.0 - t))}, (2, 2): {(0, 0, 2): 1.0},
+        }
+        table = {**{(j, i): terms for (i, j), terms in upper.items()}, **upper}
+        table = {pos: {e: c for e, c in terms.items() if c} for pos, terms in table.items()}
+        return {pos: terms for pos, terms in table.items() if terms}
+
     @pytest.mark.parametrize("map_id,params,specs,table", [
         ("whitney-ball", {"n": 3}, ("I:1,3", "I:1,5"), WHITNEY_BALL_3),
         ("dangelo", {"n": 2, "theta": 0.5}, ("I:1,2", "I:1,4"), DANGELO_2),
         ("gen-whitney", {"r": 2, "s": 3}, ("I:2,3", "I:3,5"), GEN_WHITNEY_23),
+        ("g-sec4", {}, ("I:2,2", "I:3,3"), G_SEC4),
+        ("h_t", {"t": 0.0}, ("III:2", "III:4"), h_t_table(0.0)),
+        ("h_t", {"t": 0.3}, ("III:2", "III:4"), h_t_table(0.3)),
+        ("h_t", {"t": 1.0}, ("III:2", "III:4"), h_t_table(1.0)),
     ])
     def test_family_builders_give_the_literal_table(self, map_id, params, specs, table):
         f = catalog(map_id, **params)
@@ -616,6 +651,53 @@ class TestSerialization:
             polymap_from_json(data)
 
 
+class TestIntegerInput:
+    @pytest.mark.parametrize("entries", [
+        {(0, 0): {(2.5,): 1.0}}, {(0, 0): {(2.0,): 1.0}}, {(0, 0): {("2",): 1.0}},
+        {(0, 1.5): {(1,): 1.0}}, {(0.0, 0): {(1,): 1.0}},
+    ], ids=["fractional-exponent", "float-exponent", "string-exponent", "fractional-col",
+            "float-row"])
+    def test_polymap_rejects_non_integer_exponents_and_positions(self, entries):
+        with pytest.raises(ParameterError, match="non-integer"):
+            polymap(parse_spec("I:1,1"), parse_spec("I:1,2"), entries)
+
+    def test_numpy_integers_are_accepted(self):
+        one, two = np.int64(1), np.int32(2)
+        f = polymap(parse_spec("I:1,1"), parse_spec("I:1,2"), {(0, one): {(two,): 1.0}})
+        assert f.entries == {(0, 1): {(2,): 1.0}}
+
+    DATA = {"source": "I:1,1", "target": "I:1,2",
+            "entries": [{"row": 1, "col": 2, "terms": [{"exps": {"z11": 2}, "re": 1.0}]}]}
+
+    @pytest.mark.parametrize("key,value", [("exps", {"z11": 2.5}), ("exps", {"z11": "2"}),
+                                           ("exps", {"z11": 2.0}), ("row", 1.7), ("col", "2")])
+    def test_json_takes_the_same_rule(self, key, value):
+        item = dict(self.DATA["entries"][0])
+        if key == "exps":
+            item["terms"] = [{**item["terms"][0], "exps": value}]
+        else:
+            item[key] = value
+        with pytest.raises(ParameterError):
+            polymap_from_json({**self.DATA, "entries": [item]})
+        assert polymap_from_json(self.DATA).entries == {(0, 1): {(2,): 1.0}}
+
+
+class TestHighDegree:
+    def test_a_degree_far_past_the_recursion_limit_builds(self):
+        spec = parse_spec("I:1,1")
+        f = polymap(spec, spec, {(0, 0): {(2000,): 1.0}})
+        assert f.degrees[0][0] == 2000
+        assert monomials_of_degree(2, 2000)[-1] == (0, 2000)
+
+    def test_weighted_operators_past_float64_raise(self):
+        spec = parse_spec("I:1,1")
+        # sqrt(170!) from the float64 running product of 1..170, to 5e-16 of the exact value
+        assert polymap(spec, spec, {(0, 0): {(170,): 1.0}}).weighted[0, 0] == 2.6939590968142025e+153
+        for entries in ({(0, 0): {(171,): 1.0}}, {(0, 0): {(2,): 1.7e308}}):
+            with pytest.raises(NumericError, match="exceed float64"):
+                polymap(spec, spec, entries).weighted
+
+
 class TestOperatorCap:
     def test_a_map_over_the_cap_raises_before_its_monomials_are_enumerated(self):
         spec = parse_spec("I:2,2")
@@ -641,6 +723,14 @@ class TestEmbeddings:
         h = catalog("h_t", t=0.2)
         with pytest.raises(ShapeError):
             embed_map(h, DomainSpec("III", n=5), [0, 1, 2, 3], [0, 1, 2, 4])
+
+    @pytest.mark.parametrize("rows,cols", [([0, 0, 1], [0, 1, 2]), ([0, 1], [0, 1, 2]),
+                                           ([0, 1, 2], [0, 2, 2]), ([0, 1, 2], [0, 1, 2, 3])],
+                             ids=["repeated-row", "missing-row", "repeated-col", "extra-col"])
+    def test_embed_needs_one_distinct_position_per_row_and_column(self, rows, cols):
+        # a repeated row would merge entries, a missing one index past the list
+        with pytest.raises(ShapeError, match="distinct rows"):
+            embed_map(catalog("f-sec4"), parse_spec("I:4,4"), rows, cols)
 
     def test_embedding_into_a_target_over_the_operator_cap_raises(self):
         # 2080 monomials of degree <= 63 over 2 variables: 1 row is under the
