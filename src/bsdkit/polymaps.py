@@ -7,8 +7,9 @@ per-degree index arrays.  Independent variables are the full entry grid
 for kind I, the strict upper triangle for kind II, the inclusive upper
 triangle for kind III, and the n coordinates for kind IV; dependent source
 entries never enter a monomial, and each mirror row of C is eps times its
-row.  ``_coordinates`` is each domain's one table of them: their positions,
-the embedding B with Z = B x, and their Frobenius weights.  ``polymap``
+row.  ``_coordinates`` is each domain's one table of them: their positions
+and their Frobenius weights; ``_embedding`` builds the embedding B with
+Z = B x from it, only for the code that reads B.  ``polymap``
 validates dict input and converts it once; ``entries`` is a read-only
 mapping of the nonzero coefficients derived from the arrays.
 
@@ -78,29 +79,41 @@ __all__ = [
 def source_positions(spec: DomainSpec) -> list:
     """Matrix positions of the independent variables of a domain: the upper
     triangle, strict when eps = ``spec.mirror`` < 0, else the full grid."""
-    rows, cols, _, _ = _coordinates(spec)
+    rows, cols, _ = _coordinates(spec)
     return list(zip(rows.tolist(), cols.tolist()))
 
 
 @lru_cache(maxsize=None)
 def _coordinates(spec: DomainSpec) -> tuple:
-    """(rows, cols, B, w) of the independent variables x of a domain, all
-    read-only: their positions (see ``source_positions``), B of shape
-    ``(*spec.shape, nvars)`` with ``Z = B @ x`` (1 at each independent position
-    and eps = ``spec.mirror`` at its mirror), and w, the column norms of B:
-    the Frobenius weights, sqrt(2) off the diagonal for kinds II/III, else 1."""
+    """(rows, cols, w) of the independent variables x of a domain, all
+    read-only: their positions (see ``source_positions``) and w, the column
+    norms of the embedding ``_embedding(spec)``: the Frobenius weights,
+    sqrt(2) off the diagonal for kinds II/III, else 1."""
     eps = spec.mirror
     rows, cols = (np.triu_indices(spec.shape[0], int(eps < 0)) if eps
                   else np.indices(spec.shape).reshape(2, -1))
+    w = np.sqrt(1.0 + eps * eps * (rows != cols))
+    for a in (rows, cols, w):
+        a.flags.writeable = False
+    return rows, cols, w
+
+
+@lru_cache(maxsize=None)
+def _embedding(spec: DomainSpec) -> np.ndarray:
+    """B of shape ``(*spec.shape, nvars)`` with ``Z = B @ x`` for the
+    independent variables x of ``_coordinates``: 1 at each independent
+    position and eps = ``spec.mirror`` at its mirror; read-only.  It has
+    ``nvars`` times the carrier's entries (134 MB for I:64,64), so it is
+    built only for its readers, ``_conjugations`` and
+    ``verify.check_factorization``, never for a position list."""
+    rows, cols, _ = _coordinates(spec)
     var = np.arange(len(rows))
     b = np.zeros((*spec.shape, len(var)))
-    if eps:
-        b[cols, rows, var] = eps
+    if spec.mirror:
+        b[cols, rows, var] = spec.mirror
     b[rows, cols, var] = 1.0
-    w = np.sqrt(1.0 + eps * eps * (rows != cols))
-    for a in (rows, cols, b, w):
-        a.flags.writeable = False
-    return rows, cols, b, w
+    b.flags.writeable = False
+    return b
 
 
 def variable_names(spec: DomainSpec) -> list:
@@ -213,12 +226,12 @@ def _weighted(source: DomainSpec, target: DomainSpec, exponents: np.ndarray,
     """``PolyMap.weighted`` of the coefficient matrix ``coeffs``, with its
     leading stack axes, if any.  Weighted coefficients past float64 (the
     factorial of a degree above 170 is) raise ``NumericError``."""
-    rows, cols, _, w_target = _coordinates(target)
+    rows, cols, w_target = _coordinates(target)
     e = exponents
     with np.errstate(over="ignore", invalid="ignore"):
         factorials = np.cumprod(np.maximum(np.arange(e.max(initial=0) + 1), 1), dtype=float)
         # column alpha: sqrt(alpha!) prod(w ** -alpha), w the Frobenius weights
-        fischer = np.sqrt(factorials[e].prod(axis=1)) * (_coordinates(source)[3] ** -e).prod(axis=1)
+        fischer = np.sqrt(factorials[e].prod(axis=1)) * (_coordinates(source)[2] ** -e).prod(axis=1)
         grid = coeffs.reshape(*coeffs.shape[:-2], *target.shape, len(e))
         weighted = grid[..., rows, cols, :] * np.outer(w_target, fischer)
     if not np.isfinite(weighted).all():
@@ -230,6 +243,7 @@ def _weighted(source: DomainSpec, target: DomainSpec, exponents: np.ndarray,
 def polymap(source: DomainSpec, target: DomainSpec, entries: dict) -> PolyMap:
     """Validated constructor for dict input: takes positions and exponents
     through ``operator.index`` (a non-integer raises ``ParameterError``),
+    checks every position against the target shape whatever its terms,
     drops zero coefficients, rejects non-finite ones, derives the dependent
     mirror entries for kind II/III targets, checks structural invariants, and
     converts to the arrays once.
@@ -238,11 +252,18 @@ def polymap(source: DomainSpec, target: DomainSpec, entries: dict) -> PolyMap:
     nvars, (rows, cols) = len(_coordinates(source)[0]), target.shape
     clean = {}
     for pos, terms in entries.items():
+        try:
+            i, j = map(operator.index, pos)
+        except (TypeError, ValueError):
+            raise ParameterError(f"non-integer entry position {pos!r}: expected two integers") from None
+        if not (0 <= i < rows and 0 <= j < cols):
+            raise ShapeError(f"entry position {(i, j)} outside target shape {(rows, cols)} "
+                             f"(1-based: row {i + 1}, col {j + 1})")
         for exps, coeff in terms.items():
             try:
-                (i, j), exps = map(operator.index, pos), tuple(map(operator.index, exps))
+                exps = tuple(map(operator.index, exps))
             except TypeError:
-                raise ParameterError(f"non-integer position {pos!r} or exponents {exps!r}") from None
+                raise ParameterError(f"non-integer exponents {exps!r}") from None
             c = complex(coeff)
             if len(exps) != nvars:
                 raise ShapeError(f"monomial {exps} has {len(exps)} exponents, expected {nvars}")
@@ -252,8 +273,6 @@ def polymap(source: DomainSpec, target: DomainSpec, entries: dict) -> PolyMap:
                 continue
             if not cmath.isfinite(c):
                 raise ParameterError(f"non-finite coefficient {c} in map data")
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ShapeError(f"entry position {(i, j)} outside target shape {(rows, cols)}")
             clean.setdefault((i, j), {})[exps] = c
     top = max((sum(e) for terms in clean.values() for e in terms), default=0)
     if len(_coordinates(target)[0]) * math.comb(nvars + top, top) > MAX_OPERATOR_ENTRIES:
@@ -379,8 +398,9 @@ def _f_t_entries(t: float) -> dict:
 
 
 def _build_g_sec4() -> PolyMap:
-    """f_t at t = 0 into I:3,3: ``polymap`` drops the zero fourth row and column."""
-    return polymap(DomainSpec("I", r=2, s=2), DomainSpec("I", r=3, s=3), _f_t_entries(0.0))
+    """f_t at t = 0 into I:3,3, without its zero fourth row and column."""
+    entries = {(i, j): terms for (i, j), terms in _f_t_entries(0.0).items() if 3 not in (i, j)}
+    return polymap(DomainSpec("I", r=2, s=2), DomainSpec("I", r=3, s=3), entries)
 
 
 def _build_f_t(t: float) -> PolyMap:
@@ -478,7 +498,7 @@ def _monomial_values(spec: DomainSpec, z: np.ndarray, exponents: np.ndarray) -> 
     """prod(vals ** E) per point of the stack ``z`` (shape ``(..., *spec.shape)``)
     and row of E = ``exponents``, vals the independent entries of the point;
     returns shape ``(..., len(E))``."""
-    rows, cols, _, _ = _coordinates(spec)
+    rows, cols, _ = _coordinates(spec)
     vals = z[..., rows, cols]
     return np.prod(vals[..., None, :] ** exponents, axis=-1)
 
@@ -542,9 +562,9 @@ def _conjugations(f: PolyMap, source_factors, target_factors) -> tuple:
     becomes ``C_d @ P_d(S)``, S the source isotropy on the independent
     variables, and the target isotropy acts on the full coefficient grid;
     both sides go through ``_sandwich``."""
-    rows, cols, b, _ = _coordinates(f.source)
-    s = _sandwich(*source_factors, b)[:, rows, cols]
-    rows, cols, b_target, _ = _coordinates(f.target)
+    rows, cols, _ = _coordinates(f.source)
+    s = _sandwich(*source_factors, _embedding(f.source))[:, rows, cols]
+    rows, cols, _ = _coordinates(f.target)
     grid = f.coeffs.reshape(*f.target.shape, len(f.exponents))
     image = _sandwich(*target_factors, grid)[:, rows, cols]
     powers = _power_actions(s, max((d for d, _, _ in f.degrees), default=0))
@@ -556,7 +576,7 @@ def _conjugations(f: PolyMap, source_factors, target_factors) -> tuple:
         block[..., ranks] = image[..., columns]
         independent[..., out] = block @ powers[d]
     # C = B X: B has one entry 0 or +-1 per row, so each mirror row is exactly eps times its row
-    return exponents, b_target.reshape(-1, independent.shape[1]) @ independent, degrees
+    return exponents, _embedding(f.target).reshape(-1, independent.shape[1]) @ independent, degrees
 
 
 def pad_map(f: PolyMap, target: DomainSpec) -> PolyMap:
@@ -622,15 +642,20 @@ def polymap_to_json(f: PolyMap) -> dict:
 def polymap_from_json(data: dict) -> PolyMap:
     """Inverse of :func:`polymap_to_json`; a missing key, a non-numeric or
     non-finite value, or a row, column or exponent that is not an integer
-    (``polymap``'s rule) raises ``ParameterError``, an unknown variable
-    ``ShapeError``."""
+    (``polymap``'s rule) raises ``ParameterError``, an unknown variable or a
+    position outside the target ``ShapeError``; both name the 1-based row
+    and column as written."""
     try:
         source = parse_spec(data["source"])
         target = parse_spec(data["target"])
         index = {name: k for k, name in enumerate(variable_names(source))}
         entries = {}
         for item in data["entries"]:
-            terms = entries[(item["row"] - 1, item["col"] - 1)] = {}
+            row, col = item["row"], item["col"]
+            try:
+                terms = entries[(operator.index(row) - 1, operator.index(col) - 1)] = {}
+            except TypeError:
+                raise ParameterError(f"non-integer entry position (row {row!r}, col {col!r})") from None
             for term in item["terms"]:
                 exps = [0] * len(index)
                 for name, e in term["exps"].items():

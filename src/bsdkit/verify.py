@@ -19,6 +19,8 @@ The sampling checks (properness, factorization's held-out pairs, F_U,
 composition and the coefficient lemma) draw all samples of a report as one
 stack and push it through the stacked kernels of ``domains``, ``polymaps``
 and ``autgroups`` (arrays with a leading sample axis) in one call each.
+The coefficient lemma takes each attempt's minors and grids as one
+determinant stack, and fits with one product by a fixed least-squares row.
 Every sample still has its own RNG key, ``[seed, k, ...]``, and a rejected
 sample is redrawn from its own key's stream only, through
 ``domains._redraw``, so a sample is the same whatever else is in its
@@ -52,6 +54,7 @@ and keys; ``object`` rows are sampled and seeded on every call.
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -87,7 +90,7 @@ from .linalg import _negative_key_error, _require_positive, _require_tolerance
 from .polymaps import (
     PolyMap,
     _aligned_coeffs,
-    _coordinates,
+    _embedding,
     _monomial_values,
     catalog,
     coeff_distance,
@@ -283,7 +286,7 @@ def check_factorization(f: PolyMap, degree_bound: int = 4, grid_size: int = None
     z, w, s1 = _sample_pairs(f.source, _key_rows(seed, 1, np.arange(n_hold)), 0.01)
 
     size, generator, exponents = _korobov_lattice(f.nvars, degree_bound, grid_size)
-    embedding = _coordinates(f.source)[2]
+    embedding = _embedding(f.source)
     rho = 0.9 / np.linalg.norm(embedding) / (math.sqrt(2.0) if f.source.kind == "IV" else 1.0)
     k = np.arange(size)[:, None]
     x = rho * np.exp(2j * np.pi / size * (k * generator % size))
@@ -415,14 +418,22 @@ def check_composition_rule(f: PolyMap, g: PolyMap, n_samples: int = 100, tol: fl
                    _relative((s2 / s1) * (s3 / s2), s3 / s1), tol)
 
 
-def _minor(value: np.ndarray, drop_rows, drop_cols) -> np.ndarray:
-    keep_r = [r for r in range(value.shape[-2]) if r not in drop_rows]
-    keep_c = [c for c in range(value.shape[-1]) if c not in drop_cols]
-    return value[(..., *np.ix_(keep_r, keep_c))]
-
-
 def _norm_square_poly_values(value: np.ndarray) -> np.ndarray:
     return np.real(np.linalg.det(norm_gram(value, value)))
+
+
+@lru_cache(maxsize=None)
+def _least_squares_lead(degree: int) -> tuple:
+    """(nodes, row) of the coefficient lemma at this degree: the
+    ``degree + 3`` nodes in [-0.7, 0.7] and the fixed linear functional that
+    gives the least-squares leading coefficient of a degree-``degree``
+    polynomial from its values there, the first row of the pseudo-inverse of
+    the nodes' Vandermonde matrix (Golub and Van Loan, *Matrix Computations*,
+    5.3).  Built on first use; both arrays are read-only."""
+    nodes = np.linspace(-0.7, 0.7, degree + 3)
+    row = np.linalg.pinv(np.vander(nodes, degree + 1))[0]
+    nodes.flags.writeable = row.flags.writeable = False
+    return nodes, row
 
 
 def check_coefficient_lemma(spec: DomainSpec, i: int, j: int, n_bases: int = 20,
@@ -437,7 +448,20 @@ def check_coefficient_lemma(spec: DomainSpec, i: int, j: int, n_bases: int = 20,
     (eps = ``spec.mirror`` != 0; Z'' drops rows and columns i and j), else
     degree 2 with -det(I - Z'Z'*) (Z' the (i, j) minor).  Kind II uses the
     square of its generic norm, which is the determinant itself.
+
+    Each sampling attempt takes one determinant stack: per pending base, the
+    minor and the base with Re z_ij at each node of ``_least_squares_lead``.
+    The minor is the base with the dropped rows and columns set to zero, so
+    I - ZZ* is block-diagonal with an identity block and its determinant is
+    that of the dropped minor.  A base whose minor is below 1e-2 in modulus
+    is redrawn from ``[seed, a, attempt]``.  The fit is one product with the
+    fixed least-squares row.  The indices are taken through
+    ``operator.index`` (a non-integer raises ``ParameterError``).
     """
+    try:
+        i, j = operator.index(i), operator.index(j)
+    except TypeError:
+        raise ParameterError(f"coefficient lemma index ({i!r}, {j!r}) is not an integer pair") from None
     check_id = check_id or f"coeff:{spec}:({i + 1},{j + 1})"
     if spec.kind == "IV":
         raise ParameterError("coefficient lemma applies to kinds I/II/III")
@@ -445,28 +469,29 @@ def check_coefficient_lemma(spec: DomainSpec, i: int, j: int, n_bases: int = 20,
         raise ParameterError(f"invalid index ({i}, {j}) for {spec}")
     _require_positive("n_bases", n_bases)
     mirror = spec.mirror if i != j else 0.0
-    degree, sign, drops = (4, 1.0, ({i, j}, {i, j})) if mirror else (2, -1.0, ({i}, {j}))
-
-    nodes = np.linspace(-0.7, 0.7, degree + 3)
+    degree, sign, rows, cols = (4, 1.0, [i, j], [i, j]) if mirror else (2, -1.0, [i], [j])
+    nodes, lead_row = _least_squares_lead(degree)
     rejected = []
 
     def draw(pending, attempt):
         # Base a draws from [seed, a]; a degenerate base redraws from [seed, a, attempt].
         keys = _key_rows(seed, pending, *([attempt] if attempt else []))
-        drawn = sample_points(spec, "interior", keys)
-        minors = sign * _norm_square_poly_values(_minor(drawn, *drops))
+        z = np.repeat(sample_points(spec, "interior", keys)[:, None], 1 + len(nodes), axis=1)
+        z[:, 0, rows] = 0.0
+        z[:, 0, :, cols] = 0.0
+        z[:, 1:, i, j] = nodes + 1j * z[:, 1:, i, j].imag
+        if mirror:
+            z[:, 1:, j, i] = mirror * z[:, 1:, i, j]
+        values = _norm_square_poly_values(z)
+        minors = sign * values[:, 0]
         ok = np.abs(minors) >= 1e-2
         rejected.append(int(np.count_nonzero(~ok)))
-        return ok, (drawn[ok], minors[ok])
+        return ok, (minors[ok], values[ok, 1:])
 
     error = ConfigurationError("too many degenerate bases while sampling")
-    bases, expected = _redraw(n_bases, draw, error)
+    expected, grid = _redraw(n_bases, draw, error)
     resamples = sum(rejected)
-    z = np.repeat(bases[:, None], len(nodes), axis=1)
-    z[:, :, i, j] = nodes + 1j * z[:, :, i, j].imag
-    if mirror:
-        z[:, :, j, i] = mirror * z[:, :, i, j]
-    lead = np.polyfit(nodes, _norm_square_poly_values(z).T, degree)[0]
+    lead = grid @ lead_row
     notes = [f"{resamples} degenerate bases resampled"] if resamples else []
     return _report(check_id, [spec], n_bases, seed, np.abs(lead - expected) / np.abs(expected),
                    tol, notes)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from bsdkit.polymaps import (
     CATALOG_IDS,
     _conjugations,
     _coordinates,
+    _embedding,
     _power_actions,
     catalog,
     coeff_distance,
@@ -126,7 +128,7 @@ class TestSourcePositions:
         spec = parse_spec(text)
         z = sample_point(spec, "interior", 5).value
         x = np.array([z[pos] for pos in source_positions(spec)])
-        rows, cols, b, w = _coordinates(spec)
+        (rows, cols, w), b = _coordinates(spec), _embedding(spec)
         assert np.array_equal(b @ x, z)
         assert list(zip(rows.tolist(), cols.tolist())) == source_positions(spec)
         off_diagonal = (rows != cols) & (spec.kind in ("II", "III"))
@@ -654,9 +656,10 @@ class TestSerialization:
 class TestIntegerInput:
     @pytest.mark.parametrize("entries", [
         {(0, 0): {(2.5,): 1.0}}, {(0, 0): {(2.0,): 1.0}}, {(0, 0): {("2",): 1.0}},
-        {(0, 1.5): {(1,): 1.0}}, {(0.0, 0): {(1,): 1.0}},
+        {(0, 1.5): {(1,): 1.0}}, {(0.0, 0): {(1,): 1.0}}, {(0, 1.5): {}},
+        {(0, 1, 2): {(1,): 1.0}},
     ], ids=["fractional-exponent", "float-exponent", "string-exponent", "fractional-col",
-            "float-row"])
+            "float-row", "fractional-col-no-terms", "three-indices"])
     def test_polymap_rejects_non_integer_exponents_and_positions(self, entries):
         with pytest.raises(ParameterError, match="non-integer"):
             polymap(parse_spec("I:1,1"), parse_spec("I:1,2"), entries)
@@ -680,6 +683,23 @@ class TestIntegerInput:
         with pytest.raises(ParameterError):
             polymap_from_json({**self.DATA, "entries": [item]})
         assert polymap_from_json(self.DATA).entries == {(0, 1): {(2,): 1.0}}
+
+    @pytest.mark.parametrize("entries", [{(5, 0): {}}, {(0, 2): {(1,): 0.0}}, {(-1, 0): {}}])
+    def test_polymap_checks_every_position_whatever_its_terms(self, entries):
+        with pytest.raises(ShapeError, match="outside target shape"):
+            polymap(parse_spec("I:1,1"), parse_spec("I:1,2"), entries)
+
+    @pytest.mark.parametrize("row,col,error,named", [
+        (9, 1, ShapeError, "row 9, col 1"), (5, 2, ShapeError, "row 5, col 2"),
+        (1, 0, ShapeError, "row 1, col 0"), (1.7, 1, ParameterError, "(row 1.7, col 1)"),
+        (2, 2.5, ParameterError, "(row 2, col 2.5)"),
+    ])
+    def test_json_errors_name_the_position_as_given(self, row, col, error, named):
+        data = {"source": "I:2,2", "target": "I:2,2",
+                "entries": [{"row": row, "col": col, "terms": [{"exps": {"z11": 1}, "re": 0.0}]}]}
+        with pytest.raises(error) as info:
+            polymap_from_json(data)
+        assert named in str(info.value)
 
 
 class TestHighDegree:
@@ -738,6 +758,22 @@ class TestEmbeddings:
         f = polymap(parse_spec("I:1,2"), parse_spec("I:1,1"), {(0, 0): {(63, 0): 1.0}})
         with pytest.raises(ParameterError, match="is too large"):
             embed_map(f, parse_spec("I:64,64"), [0], [0])
+
+    def test_positions_and_maps_of_the_largest_carrier_build_no_embedding(self):
+        """B of I:64,64 holds 4096 x 4096 floats (134 MB); the position list and
+        a map into that target read only the index table."""
+        spec = parse_spec("I:64,64")
+        _coordinates.cache_clear()
+        _embedding.cache_clear()
+        tracemalloc.start()
+        try:
+            positions = source_positions(spec)
+            f = polymap(parse_spec("I:1,1"), spec, {(63, 63): {(1,): 1.0}})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(positions) == 4096 and f.entries == {(63, 63): {(1,): 1.0}}
+        assert peak < 4 * 2**20
 
     def test_source_positions_counts(self):
         assert len(source_positions(parse_spec("I:2,3"))) == 6

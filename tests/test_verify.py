@@ -21,6 +21,7 @@ from bsdkit.polymaps import catalog, conjugate, monomials_of_degree, polymap, so
 from bsdkit.verify import (
     _key_rows,
     _korobov_lattice,
+    _least_squares_lead,
     _plan,
     _sample_pairs,
     check_F_U_lemma,
@@ -402,6 +403,109 @@ class TestCoefficientLemmaRedraw:
         force_degenerate_bases(monkeypatch, np.arange(8), every_draw=True)
         with pytest.raises(ConfigurationError, match="too many degenerate bases while sampling"):
             check_coefficient_lemma(parse_spec("I:2,2"), 0, 0, n_bases=8, seed=5)
+
+
+class TestLemmaIndices:
+    SPEC = parse_spec("I:2,2")
+
+    @pytest.mark.parametrize("i,j", [(0.0, 1), (1, 0.0), ("1", 0), (None, 0), (1.5, 0)])
+    def test_non_integer_indices_are_a_parameter_error(self, i, j):
+        with pytest.raises(ParameterError, match="not an integer pair"):
+            check_coefficient_lemma(self.SPEC, i, j, n_bases=4)
+
+    def test_integer_like_indices_give_the_integer_report(self):
+        ints = check_coefficient_lemma(self.SPEC, 1, 0, n_bases=4, seed=3)
+        for i, j in ((np.int64(1), np.int32(0)), (True, 0)):
+            assert check_coefficient_lemma(self.SPEC, i, j, n_bases=4, seed=3) == ints
+        assert ints.check_id == "coeff:I:2,2:(2,1)"
+
+
+class TestLeastSquaresRow:
+    @pytest.mark.parametrize("noise", [0.0, 1e-2])
+    @pytest.mark.parametrize("degree", [2, 4])
+    def test_the_row_gives_polyfits_leading_coefficient(self, degree, noise):
+        nodes, row = _least_squares_lead(degree)
+        assert np.array_equal(nodes, np.linspace(-0.7, 0.7, degree + 3))
+        rng = np.random.default_rng(degree)
+        coeffs = rng.uniform(-2.0, 2.0, (50, degree + 1))
+        coeffs[:, 0] = rng.choice([-1.0, 1.0], 50) * rng.uniform(0.5, 2.0, 50)
+        values = np.array([np.polyval(c, nodes) for c in coeffs])
+        values += noise * rng.standard_normal(values.shape)
+        lead = values @ row
+        np.testing.assert_allclose(lead, np.polyfit(nodes, values.T, degree)[0], rtol=1e-12, atol=0)
+        if not noise:
+            np.testing.assert_allclose(lead, coeffs[:, 0], rtol=1e-12, atol=0)
+
+    def test_the_row_is_built_once_and_read_only(self):
+        assert _least_squares_lead(4) is _least_squares_lead(4)
+        for a in _least_squares_lead(4):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+
+class TestZeroPaddedMinor:
+    @pytest.mark.parametrize("text", ["I:1,1", "I:1,3", "I:2,3", "I:3,3", "I:4,5", "II:2", "II:3",
+                                      "II:4", "II:6", "III:1", "III:2", "III:3"])
+    def test_the_padded_member_has_the_dropped_minors_determinant(self, text, monkeypatch):
+        """Member 0 of each base's determinant stack is the base with the dropped
+        rows and columns zeroed, and its determinant is that of the minor
+        without them, at every independent position of the spec."""
+        spec = parse_spec(text)
+        real = bsdkit.verify._norm_square_poly_values
+        stacks = []
+
+        def recorded(z):
+            values = real(z)
+            stacks.append((z.copy(), values))
+            return values
+
+        monkeypatch.setattr(bsdkit.verify, "_norm_square_poly_values", recorded)
+        for i, j in source_positions(spec):
+            stacks.clear()
+            check_coefficient_lemma(spec, i, j, n_bases=4, seed=9)
+            [(z, values)] = stacks
+            rows, cols = ([i, j], [i, j]) if spec.mirror and i != j else ([i], [j])
+            base = z[:, 1]  # the minor does not read z_ij or its mirror
+            kept = np.delete(np.delete(base, rows, axis=1), cols, axis=2)
+            padded = base.copy()
+            padded[:, rows] = 0.0
+            padded[:, :, cols] = 0.0
+            assert np.array_equal(z[:, 0], padded)
+            minor = np.eye(kept.shape[1]) - kept @ np.conj(kept).swapaxes(1, 2)
+            np.testing.assert_allclose(values[:, 0], np.linalg.det(minor).real, rtol=0, atol=1e-14)
+
+
+class TestOneDetPerCoefficientAttempt:
+    """A coefficient lemma report takes one ``det`` stack per sampling attempt,
+    the minors with the grid, and fits with the cached least-squares row: no
+    ``lstsq``, ``svd`` or ``np.polyfit`` once the row is built."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+        for owner, name in ((np.linalg, "det"), (np.linalg, "lstsq"), (np.linalg, "svd"),
+                            (np, "polyfit")):
+            def counted(*args, _name=name, _real=getattr(owner, name), **kwargs):
+                made.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        return made
+
+    @pytest.mark.parametrize("text,i,j", [("I:2,2", 0, 0), ("I:2,3", 1, 2), ("II:4", 0, 1),
+                                          ("III:3", 1, 1), ("III:3", 0, 2)])
+    def test_one_det_without_a_redraw(self, text, i, j, calls):
+        check_coefficient_lemma(parse_spec(text), i, j, n_bases=8, seed=5)  # builds the row
+        calls.clear()
+        report = check_coefficient_lemma(parse_spec(text), i, j, n_bases=8, seed=5)
+        assert report.notes == [] and calls == ["det"]
+
+    def test_two_dets_under_one_redraw(self, calls, monkeypatch):
+        force_degenerate_bases(monkeypatch, [2, 5])
+        check_coefficient_lemma(parse_spec("I:2,2"), 0, 0, n_bases=8, seed=5)  # builds the row
+        calls.clear()
+        report = check_coefficient_lemma(parse_spec("I:2,2"), 0, 0, n_bases=8, seed=5)
+        assert report.notes == ["2 degenerate bases resampled"] and calls == ["det", "det"]
 
 
 class TestSampleCounts:
