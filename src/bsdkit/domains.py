@@ -36,8 +36,9 @@ lemma read that one sign.  The sampler rescales each direction by its
 largest spectral value, so the halving is exact and moves no sample.
 
 Where a point lies is read from one kernel, ``_spectral_squares``: the
-squares t_1^2 >= ... >= t_r^2 of its spectral values, one ``eigvalsh`` of
-the Gram ZZ* over a stack (kinds I/II/III) or a closed form (kind IV).
+squares t_1^2 >= ... >= t_r^2 of its spectral values: a closed form for
+kind IV and for a Gram ZZ* of size 1 or 2 (kinds I/III with at most two
+rows, kind II with n <= 3), else one ``eigvalsh`` of the Gram over a stack.
 Classification reads the margin 1 - t_1^2, the sampler scales by rho / t_1,
 and ``verify.check_properness`` reads both the margin and the generic norm
 prod_j (1 - t_j^2) of its images from it.
@@ -242,9 +243,13 @@ def _spectral_squares(spec: DomainSpec, z: np.ndarray) -> np.ndarray:
     Domains and Jordan Pairs*, 1977).
 
     Kinds I/III: the eigenvalues of the smaller Gram ZZ* (r <= s), one
-    ``eigvalsh`` over the stack.  Kind II: the same Gram, whose eigenvalues
-    come in pairs (s_k^2, s_k^2), after them a 0 for odd n; the second of
-    each pair is taken, so the product is the Pfaffian root with its sign.
+    ``eigvalsh`` over the stack for r >= 3.  A Gram of size 1 is its entry
+    |Z|^2, and one of size 2, [[a, b], [conj b, d]], has the closed-form
+    eigenvalues m +- hypot((a - d) / 2, |b|), m = (a + d) / 2.  Kind II:
+    the same Gram, whose eigenvalues come in pairs (s_k^2, s_k^2), after
+    them a 0 for odd n; the second of each pair is taken, so the product is
+    the Pfaffian root with its sign.  For n <= 3 there is one pair, s_1^2 =
+    tr(ZZ*) / 2 = |Z|^2 / 2, and no ``eigvalsh``.
     Kind IV: with x, y the real and imaginary parts of Z and w = |x ^ y|,
     t_(1,2)^2 = |Z|^2 +- 2w, so t_1 and t_2 are s_1 + s_2 and |s_1 - s_2|
     for the singular values of the real n x 2 matrix [x, y]; w sums the
@@ -258,6 +263,17 @@ def _spectral_squares(spec: DomainSpec, z: np.ndarray) -> np.ndarray:
                     for k in range(1, spec.n))  # the minors of the index pairs (i, i + k)
         size, wedge = np.sum(x * x + y * y, axis=-1), 2.0 * np.sqrt(wedge)
         return np.stack([size + wedge, size - wedge], axis=-1)
+    rows = spec.shape[0]
+    if rows <= 3 and spec.kind == "II":
+        return np.sum(z.real * z.real + z.imag * z.imag, axis=(-2, -1))[..., None] / 2.0
+    if rows <= 2:
+        diag = np.sum(z.real * z.real + z.imag * z.imag, axis=-1)
+        if rows == 1:
+            return diag
+        a, d = diag[..., 0], diag[..., 1]
+        mid = (a + d) / 2.0
+        half = np.hypot((a - d) / 2.0, np.abs(np.sum(z[..., 0, :] * np.conj(z[..., 1, :]), axis=-1)))
+        return np.stack([mid + half, mid - half], axis=-1)
     squares = np.linalg.eigvalsh(z @ np.conj(z).swapaxes(-1, -2))[..., ::-1]
     return squares[..., 1::2] if spec.kind == "II" else squares
 

@@ -161,10 +161,11 @@ def gaussian_blocks(rngs, shapes, real: bool = False) -> list:
     ``(len(rngs), *shape)`` per block.  Each generator fills its row of one
     buffer with a single ``standard_normal(out=row)`` call, and the row is cut
     into the blocks in stream order; a complex block takes its real part, then
-    its imaginary part.  So a generator's blocks are bit for bit what
-    ``rng.standard_normal(shape) + 1j * rng.standard_normal(shape)``, block
-    after block, gives (one ``standard_normal(shape)`` each with ``real``),
-    and the generator carries on from the same state."""
+    its imaginary part, copied into its ``.real`` and ``.imag`` views.  So a
+    generator's blocks are bit for bit what ``rng.standard_normal(shape) +
+    1j * rng.standard_normal(shape)``, block after block, gives (one
+    ``standard_normal(shape)`` each with ``real``), and the generator carries
+    on from the same state."""
     parts = 1 if real else 2
     sizes = [parts * math.prod(shape) for shape in shapes]
     rows = np.empty((len(rngs), sum(sizes)))
@@ -173,7 +174,12 @@ def gaussian_blocks(rngs, shapes, real: bool = False) -> list:
     blocks, start = [], 0
     for shape, size in zip(shapes, sizes):
         run = rows[:, start:start + size].reshape(len(rngs), parts, *shape)
-        blocks.append(run[:, 0] if real else run[:, 0] + 1j * run[:, 1])
+        if real:
+            blocks.append(run[:, 0])
+        else:
+            block = np.empty((len(rngs), *shape), dtype=complex)
+            block.real, block.imag = run[:, 0], run[:, 1]
+            blocks.append(block)
         start += size
     return blocks
 

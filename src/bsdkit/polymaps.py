@@ -15,14 +15,15 @@ mapping of the nonzero coefficients derived from the arrays.
 
 ``eval_points`` evaluates a stack of source points (leading axes, one
 sample per row, each drawn from its own ``[seed, k, ...]`` RNG key by the
-verification harness) as ``C @ prod(vals ** E)``; ``eval_map`` is the
-one-point case.  ``_conjugations`` conjugates a stack of isotropies at
-once: it turns each degree-d block into ``C_d @ P_d(S)``, S the source
-isotropy on the independent variables, with one ``P_d(S)`` stack per
-degree, and applies the target isotropy over the full target grid as two
-contractions, L' then R'; both isotropies act by Z -> L Z R with the
-factors of ``autgroups.isotropy_factors``.  ``conjugate`` is its one-trial
-case and builds its result from arrays.
+verification harness) as ``C @ prod(vals ** E)``, with each variable's
+powers built once per stack by running products (``_monomial_values``);
+``eval_map`` is the one-point case.  ``_conjugations`` conjugates a stack
+of isotropies at once: it turns each degree-d block into ``C_d @ P_d(S)``,
+S the source isotropy on the independent variables, with one ``P_d(S)``
+stack per degree, and applies the target isotropy over the full target
+grid as two contractions, L' then R'; both isotropies act by Z -> L Z R
+with the factors of ``autgroups.isotropy_factors``.  ``conjugate`` is its
+one-trial case and builds its result from arrays.
 
 The catalog holds the proper polynomial map families used throughout:
 standard block embeddings, the D'Angelo ball family, the ball and
@@ -497,10 +498,22 @@ def select_map(selector: str, dims=None, **flags) -> PolyMap:
 def _monomial_values(spec: DomainSpec, z: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     """prod(vals ** E) per point of the stack ``z`` (shape ``(..., *spec.shape)``)
     and row of E = ``exponents``, vals the independent entries of the point;
-    returns shape ``(..., len(E))``."""
+    returns shape ``(..., len(E))``.  The powers 1, x_j, x_j^2, ... of every
+    variable up to the largest exponent in E are one table over the stack,
+    filled by running products, and each monomial gathers its factors from
+    it, so x^0 = 1 also at x = 0.  A map whose largest exponent is at least
+    its monomial count (a sparse high-degree map such as z^2000) takes its
+    complex powers directly instead, so the table never outgrows the
+    factors it feeds."""
     rows, cols, _ = _coordinates(spec)
     vals = z[..., rows, cols]
-    return np.prod(vals[..., None, :] ** exponents, axis=-1)
+    top = exponents.max(initial=0)
+    if top >= len(exponents):
+        return np.prod(vals[..., None, :] ** exponents, axis=-1)
+    powers = np.ones((*vals.shape[:-1], top + 1, len(rows)), dtype=complex)
+    for p in range(1, top + 1):
+        np.multiply(powers[..., p - 1, :], vals, out=powers[..., p, :])
+    return powers[..., exponents, np.arange(len(rows))].prod(axis=-1)
 
 
 def eval_points(f: PolyMap, z: np.ndarray) -> np.ndarray:

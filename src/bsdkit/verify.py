@@ -62,6 +62,7 @@ import numpy as np
 
 from .autgroups import (
     IV_FACTOR_CANDIDATES,
+    AutElement,
     act_points,
     automorphy_denominators,
     random_automorphisms,
@@ -334,17 +335,21 @@ def check_F_U_lemma(spec: DomainSpec, n_samples: int = 200, tol: float = 1e-9,
 
     Every kind computes one quantity per sample, S(MZ, MW) d(Z) conj d(W)
     against S(Z, W), with d the automorphy denominator (det(A+ZC) for kinds
-    I/II/III, lambda(Z) for kind IV).  Kinds I/II/III check that the two are
-    equal, kind II with both Pfaffian norms squared (its unsquared law needs
-    a branch of the square root of det(A+ZC)).  Kind IV takes W = Z and
-    adjudicates which candidate constant c makes the quantity equal c S(Z, Z)
-    on every sample, with residuals |quantity - c S(Z, Z)| / max(1, |S(Z,
-    Z)|): the report carries the residuals of the best candidate, so it
-    passes when exactly one candidate fits.  It also fails when more than one
-    fits, although its max residual is then within ``tol``: the one exception
-    to the pass rule of ``_report``.  The notes record the empirically fitted
-    constant, the median ratio over the samples with |S(Z, Z)| > 0.1, either
-    way.
+    I/II/III, lambda(Z) for kind IV).  Each element acts once, through one
+    ``act_points`` and one ``automorphy_denominators`` call on the stacked
+    pair (Z, W), and the norms of (Z, MZ) against (W, MW) are one stack.
+    Kinds I/II/III check that the two are equal, with every norm read as
+    det(I - ZW*): the norm itself for kinds I/III, and for kind II its
+    square (Loos 1977), so kind II checks its squared law with no Pfaffian
+    (its unsquared law needs a branch of the square root of det(A+ZC)).
+    Kind IV takes W = Z, acts on Z alone, and adjudicates which candidate
+    constant c makes the quantity equal c S(Z, Z) on every sample, with
+    residuals |quantity - c S(Z, Z)| / max(1, |S(Z, Z)|): the report carries
+    the residuals of the best candidate, so it passes when exactly one
+    candidate fits.  It also fails when more than one fits, although its max
+    residual is then within ``tol``: the one exception to the pass rule of
+    ``_report``.  The notes record the empirically fitted constant, the
+    median ratio over the samples with |S(Z, Z)| > 0.1, either way.
     """
     check_id = check_id or f"fu:{spec}"
     _require_positive("n_samples", n_samples)
@@ -357,17 +362,21 @@ def check_F_U_lemma(spec: DomainSpec, n_samples: int = 200, tol: float = 1e-9,
     keys = _key_rows(seed, ks, 1)
     for region, mask in (("boundary", on_boundary), ("interior", ~on_boundary)):
         z[mask] = sample_points(spec, region, keys[mask])
-    w = z if spec.kind == "IV" else sample_points(spec, "interior", _key_rows(seed, ks, 2))
-    mz, dz = act_points(e, z), automorphy_denominators(e, z)
-    mw, dw = (mz, dz) if w is z else (act_points(e, w), automorphy_denominators(e, w))
-    s_before, s_after = polarized_norms(spec, z, w), polarized_norms(spec, mz, mw)
-    if spec.kind == "II":
-        s_before, s_after = s_before ** 2, s_after ** 2
-        notes.append(f"kind {spec.kind} identity verified in squared (determinant) form")
-    moved = s_after * dz * np.conj(dw)
     if spec.kind != "IV":
+        # Each element acts on its Z and W as one (sample, 2) stack.
+        e = AutElement(spec, e.matrix[:, None])
+        pair = np.stack([z, sample_points(spec, "interior", _key_rows(seed, ks, 2))], axis=1)
+        both = np.stack([pair, act_points(e, pair)], axis=1)  # (sample, before/after, Z/W)
+        dz, dw = automorphy_denominators(e, pair).T
+        s_before, s_after = np.linalg.det(norm_gram(both[:, :, 0], both[:, :, 1])).T
+        if spec.kind == "II":
+            notes.append(f"kind {spec.kind} identity verified in squared (determinant) form")
+        moved = s_after * dz * np.conj(dw)
         return _report(check_id, [spec], n_samples, seed, _relative(moved, s_before), tol, notes)
 
+    both, dz = np.stack([z, act_points(e, z)]), automorphy_denominators(e, z)
+    s_before, s_after = polarized_norms(spec, both, both)
+    moved = s_after * dz * np.conj(dz)
     zz = np.real(z @ np.conj(z).swapaxes(-1, -2))[:, 0, 0]
     flat = on_boundary & (zz >= 1.0 - 1e-9) & (s_before.real >= -1e-9)
     scale = np.maximum(1.0, np.abs(s_before))

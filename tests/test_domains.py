@@ -1,4 +1,6 @@
 import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -598,6 +600,69 @@ def points_everywhere(spec, count=40):
     return np.concatenate(z)
 
 
+# The specs whose Gram ZZ* has size 1 or 2 (kinds I/III) or whose kind II
+# point has rank one (n <= 3): ``_spectral_squares`` takes a closed form.
+SMALL_GRAM_SPECS = ["I:1,1", "I:1,4", "I:2,2", "I:2,3", "I:2,6", "II:2", "II:3", "III:1",
+                    "III:2"]
+
+
+def small_gram_stacks(spec, count=200):
+    """Named stacks of the spec: Gaussian points at scales 1e-3 to 1e3; rank
+    deficient ones (each row a multiple of one row, v v^t for kind III, and
+    zeros); ones with equal spectral values (orthonormal rows, symmetric
+    unitaries for kind III, any kind II point of rank one); boundary samples."""
+    rng = np.random.default_rng([36, *spec.shape])
+    rows, cols = spec.shape
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def project(g):
+        return (g + spec.mirror * g.swapaxes(-1, -2)) / 2.0 if spec.mirror else g
+
+    scales = 10.0 ** rng.uniform(-3.0, 3.0, (count, 1, 1))
+    g = project(gaussian(count, rows, cols)) * scales
+    if spec.kind == "II":
+        deficient, equal = np.zeros_like(g), g
+    elif spec.kind == "III":
+        v, q = gaussian(count, rows, 1), np.linalg.qr(gaussian(count, rows, rows))[0]
+        deficient, equal = v * v.swapaxes(-1, -2) * scales, q @ q.swapaxes(-1, -2) * scales
+    else:
+        deficient = gaussian(count, rows, 1) * g[:, :1]
+        equal = np.linalg.qr(gaussian(count, cols, cols))[0][:, :rows] * scales
+    deficient[::10] = 0.0
+    boundary = sample_points(spec, "boundary", [[37, k] for k in range(count)])
+    return {"random": g, "rank-deficient": deficient, "equal": equal, "boundary": boundary}
+
+
+def exact_spectral_squares(spec, z):
+    """The spectral squares of each point of a small-Gram stack from its Gram
+    entries in exact rational arithmetic, rounded once to float: the one
+    pair tr(ZZ*) / 2 for kind II, |Z|^2 for one row, else the two roots
+    m +- sqrt(((a - d) / 2)^2 + |b|^2), the root taken to 40 digits."""
+    out = []
+    for m in z:
+        rows = [[(Fraction(x.real), Fraction(x.imag)) for x in row] for row in m]
+
+        def inner(i, j):
+            return (sum(a * c + b * d for (a, b), (c, d) in zip(rows[i], rows[j])),
+                    sum(b * c - a * d for (a, b), (c, d) in zip(rows[i], rows[j])))
+
+        if spec.kind == "II":
+            out.append([float(sum(inner(i, i)[0] for i in range(len(rows))) / 2)])
+        elif len(rows) == 1:
+            out.append([float(inner(0, 0)[0])])
+        else:
+            a, d, (b_re, b_im) = inner(0, 0)[0], inner(1, 1)[0], inner(0, 1)
+            disc = ((a - d) / 2) ** 2 + b_re * b_re + b_im * b_im
+            with localcontext() as ctx:
+                ctx.prec = 40
+                mid = Decimal((a + d).numerator) / Decimal(2 * (a + d).denominator)
+                root = (Decimal(disc.numerator) / Decimal(disc.denominator)).sqrt()
+                out.append([float(mid + root), float(mid - root)])
+    return np.array(out)
+
+
 def real_singular_pair(z):
     """(s_1, s_2) of the real n x 2 matrix [Re Z, Im Z] of each kind IV row
     vector of the stack, s_2 = 0 for n = 1."""
@@ -646,6 +711,33 @@ class TestSpectralSquares:
         assert np.all(np.diff(got, axis=-1) <= 0.0)
         assert np.max(np.abs(np.sqrt(got[:, 0]) - singular[:, 0]) / singular[:, 0]) <= 1e-14
         assert np.max(np.abs(got - singular**2)) <= 1e-14 * np.max(singular**2)
+
+    @pytest.mark.parametrize("text", SMALL_GRAM_SPECS)
+    def test_small_grams_match_eigvalsh_and_the_exact_values(self, text):
+        # Each closed form is within 4 ulps of the largest spectral square of
+        # the exact values; eigvalsh itself is up to 6 ulps off them on these
+        # stacks, so the closed forms agree with it to 8.
+        spec, ulp = parse_spec(text), np.finfo(float).eps
+        for name, z in small_gram_stacks(spec).items():
+            got = domains._spectral_squares(spec, z)
+            lapack = np.linalg.eigvalsh(z @ np.conj(z).swapaxes(-1, -2))[:, ::-1]
+            lapack = lapack[:, 1::2] if spec.kind == "II" else lapack
+            exact = exact_spectral_squares(spec, z)
+            assert got.shape == lapack.shape == exact.shape, name
+            top = exact[:, :1]
+            assert np.all(np.abs(got - exact) <= 4 * ulp * top), name
+            assert np.all(np.abs(got - lapack) <= 8 * ulp * top), name
+            assert np.all(np.diff(got, axis=-1) <= 0.0), name
+
+    def test_small_gram_edge_values_are_exact(self):
+        # equal spectral values, a rank-one 2 x 2 Gram and the zero point
+        for text, z, squares in (("I:2,2", [[0.6, 0.0], [0.0, 0.6j]], [0.36, 0.36]),
+                                 ("I:2,3", [[0.5, 0.5, 0.0], [1.0, 1.0, 0.0]], [2.5, 0.0]),
+                                 ("III:2", [[0.0, 0.75], [0.75, 0.0]], [0.5625, 0.5625]),
+                                 ("II:3", [[0, 0.5, 0], [-0.5, 0, 0.5], [0, -0.5, 0]], [0.5]),
+                                 ("I:1,3", [[0.0, 0.0, 0.0]], [0.0])):
+            got = domains._spectral_squares(parse_spec(text), np.array([z], dtype=complex))
+            assert got[0].tolist() == squares, text
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_kind_iv_is_the_real_svd_and_the_clifford_norm(self, n):

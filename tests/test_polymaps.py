@@ -16,6 +16,7 @@ from bsdkit.polymaps import (
     _conjugations,
     _coordinates,
     _embedding,
+    _monomial_values,
     _power_actions,
     catalog,
     coeff_distance,
@@ -407,6 +408,72 @@ class TestSelectMap:
     def test_rejects_bad_selectors(self, selector, dims, message):
         with pytest.raises(ParameterError, match=message):
             select_map(selector, dims)
+
+
+def power_reference(spec, z, exponents):
+    """prod(vals ** E) with NumPy's complex power, vals the independent entries."""
+    rows, cols, _ = _coordinates(spec)
+    return np.prod(z[..., rows, cols][..., None, :] ** exponents, axis=-1)
+
+
+class TestMonomialValues:
+    """``_monomial_values`` gathers each monomial from running-product power
+    tables; the reference takes every power with ``**``."""
+
+    @pytest.mark.parametrize("f", [*(select_map(s) for s, _, _ in SELECTED), *HAND_BUILT[:3]],
+                             ids=lambda f: f"{f.source}->{f.target}")
+    def test_matches_the_power_reference(self, f):
+        z = sample_points(f.source, "interior", [[25, k] for k in range(12)])
+        rows, cols, _ = _coordinates(f.source)
+        z[::3, rows[0], cols[0]] = 0.0  # x^0 = 1 and x^k = 0 at a zero entry
+        if f.source.mirror:
+            z[::3, cols[0], rows[0]] = 0.0
+        got = _monomial_values(f.source, z, f.exponents)
+        reference = power_reference(f.source, z, f.exponents)
+        assert got.shape == (12, len(f.exponents))
+        assert np.all(np.abs(got - reference) <= 1e-14 * np.abs(reference))
+        constant = np.all(f.exponents == 0, axis=1)
+        assert np.all(got[:, constant] == 1.0)
+        assert np.all(got[::3][:, f.exponents[:, 0] > 0] == 0.0)
+
+    def test_stack_axes_and_no_exponents(self):
+        f = catalog("f-sec4")
+        z = sample_points(f.source, "interior", [[26, k] for k in range(6)]).reshape(2, 3, 2, 2)
+        assert np.array_equal(_monomial_values(f.source, z, f.exponents).reshape(6, -1),
+                              _monomial_values(f.source, z.reshape(6, 2, 2), f.exponents))
+        empty = np.zeros((0, f.nvars), dtype=int)
+        assert _monomial_values(f.source, z, empty).shape == (2, 3, 0)
+
+    @pytest.mark.parametrize("terms", [
+        {(k,): 1.0 / (k + 1) for k in range(2001)},  # dense: the running-product table
+        {(2000,): 1.0, (0,): 0.5},                   # sparse: the complex powers
+    ], ids=["dense", "sparse"])
+    def test_degree_2000_near_the_circle(self, terms):
+        # Tier-1 turns RuntimeWarning into an error, so this also shows that
+        # no warning is raised.  NumPy's z**2000 is itself about 8e-13 off.
+        spec = parse_spec("I:1,1")
+        f = polymap(spec, spec, {(0, 0): terms})
+        z = 0.99 * np.exp(2j * np.pi * np.linspace(0.0, 1.0, 50))[:, None, None]
+        got = _monomial_values(spec, z, f.exponents)
+        reference = power_reference(spec, z, f.exponents)
+        assert np.all(np.abs(got - reference) <= 2e-12 * np.abs(reference))
+        top = got[:, f.exponents[:, 0] == 2000]
+        assert np.all(np.abs(np.abs(top) / 0.99**2000 - 1.0) <= 1e-12)
+
+    def test_a_sparse_map_of_huge_degree_builds_no_power_table(self):
+        # z^8000000 is under the operator cap; a table of every power up to
+        # it would take 64 GB over these 500 points.
+        spec = parse_spec("I:1,1")
+        f = polymap(spec, spec, {(0, 0): {(8_000_000,): 1.0}})
+        z = sample_points(spec, "boundary", [[27, k] for k in range(500)])
+        tracemalloc.start()
+        try:
+            got = _monomial_values(spec, z, f.exponents)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert np.array_equal(got, power_reference(spec, z, f.exponents))
 
 
 class TestHomogeneousParts:

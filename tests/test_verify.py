@@ -13,8 +13,8 @@ from bsdkit.autgroups import (
     random_automorphisms,
     random_isotropy_stack,
 )
-from bsdkit.domains import (generic_norms, key_generators, parse_spec, polarized_norm, sample_point,
-                            sample_points)
+from bsdkit.domains import (generic_norms, key_generators, norm_gram, parse_spec, polarized_norm,
+                            polarized_norms, sample_point, sample_points)
 from bsdkit.errors import ConfigurationError, ParameterError, ShapeError
 from bsdkit.invariants import INDISTINGUISHABLE, distinguish
 from bsdkit.polymaps import catalog, conjugate, monomials_of_degree, polymap, source_positions
@@ -57,10 +57,17 @@ class TestProperness:
         assert data["pass"] == (data["max_residual"] <= data["tolerance"])
 
 
+# The specs whose spectral values have a closed form: kind IV, Grams ZZ* of
+# size 1 or 2 (I:1,n, I:2,s, III:1, III:2) and kind II of rank one (II:2, II:3).
+CLOSED_FORM_SPECS = ("I:1,1", "I:1,4", "I:2,2", "I:2,3", "II:2", "II:3", "III:1", "III:2",
+                     "IV:1", "IV:4")
+
+
 class TestNoSvdOnTheSamplingPath:
     """Sampling, classification and the properness check read every point
-    through ``domains._spectral_squares``: no SVD, one ``eigvalsh`` per
-    sampler attempt or image stack (none for kind IV), and no ``det``."""
+    through ``domains._spectral_squares``: no SVD, no ``det``, and one
+    ``eigvalsh`` per sampler attempt or image stack, none for the specs
+    of ``CLOSED_FORM_SPECS``."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -73,11 +80,11 @@ class TestNoSvdOnTheSamplingPath:
             monkeypatch.setattr(np.linalg, name, counted)
         return made
 
-    @pytest.mark.parametrize("text", ["I:1,1", "I:2,3", "II:2", "II:5", "III:1", "III:3", "IV:1",
-                                      "IV:4"])
+    @pytest.mark.parametrize("text", [*CLOSED_FORM_SPECS, "I:3,3", "I:3,5", "II:4", "II:5",
+                                      "III:3"])
     def test_sample_and_classify(self, text, calls, monkeypatch):
         spec = parse_spec(text)
-        per_stack = [] if spec.kind == "IV" else ["eigvalsh"]
+        per_stack = [] if text in CLOSED_FORM_SPECS else ["eigvalsh"]
         keys = _key_rows(7, np.arange(30))
         for region in ("interior", "boundary"):
             calls.clear()
@@ -101,17 +108,18 @@ class TestNoSvdOnTheSamplingPath:
         sample_points(spec, "boundary", keys)
         assert rounds == [30, 15] and calls == 2 * per_stack
 
-    @pytest.mark.parametrize("map_id,params", [
-        ("whitney-ball", {"n": 2}),
-        ("dangelo", {"n": 3, "theta": math.pi / 4}),
-        ("gen-whitney", {"r": 2, "s": 2}),
-        ("G_t", {"r": 3, "s": 3, "t": 0.5}),
+    @pytest.mark.parametrize("map_id,params,expected", [
+        ("whitney-ball", {"n": 2}, []),                               # I:1,2 -> I:1,3
+        ("dangelo", {"n": 3, "theta": math.pi / 4}, []),              # I:1,3 -> I:1,6
+        ("gen-whitney", {"r": 2, "s": 2}, ["eigvalsh"]),              # I:2,2 -> I:3,3
+        ("h_t", {"t": 0.5}, ["eigvalsh"]),                            # III:2 -> III:4
+        ("G_t", {"r": 3, "s": 3, "t": 0.5}, ["eigvalsh", "eigvalsh"]),  # I:3,3 -> I:5,6
     ])
-    def test_properness(self, map_id, params, calls):
+    def test_properness(self, map_id, params, expected, calls):
         f = catalog(map_id, **params)
         calls.clear()
         check_properness(f, n_samples=40, seed=3)
-        assert calls == ["eigvalsh", "eigvalsh"]  # the boundary samples, then their images
+        assert calls == expected  # the boundary samples, then their images
 
     def test_lie_algebra_scale(self, calls):
         for text in ("I:2,3", "II:4", "III:2", "IV:3"):
@@ -308,6 +316,48 @@ class TestFULemma:
         # seed 2's one sample has |S(Z, Z)| <= 0.1, so no ratio enters the median
         rep = check_F_U_lemma(parse_spec("IV:3"), n_samples=1, seed=2)
         assert rep.notes[1] == "empirical constant: none (no sample has |S(Z, Z)| > 0.1)"
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_kind_ii_determinant_is_the_squared_pfaffian_norm(self, n):
+        # S(Z, W)^2 = det(I - ZW*) (Loos 1977): the squared law that the check
+        # reads from det(I - ZW*) is the Pfaffian norm's, on interior and
+        # boundary Z against interior W.
+        spec, ks = parse_spec(f"II:{n}"), np.arange(100)
+        z = np.concatenate([sample_points(spec, region, _key_rows(11, ks, 1))
+                            for region in ("interior", "boundary")])
+        w = np.concatenate([sample_points(spec, "interior", _key_rows(11, ks, 2))] * 2)
+        squared = polarized_norms(spec, z, w) ** 2
+        det = np.linalg.det(norm_gram(z, w))
+        assert np.all(np.abs(det - squared) <= 1e-13 * np.abs(squared))
+
+    def test_run_all_makes_no_pfaffian_call(self, monkeypatch):
+        calls = []
+        for module in (bsdkit.domains, bsdkit.linalg):
+            def counted(*args, _real=module.pfaffian, **kwargs):
+                calls.append(args)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "pfaffian", counted)
+        polarized_norms(parse_spec("II:4"), np.zeros((3, 4, 4)), np.zeros((3, 4, 4)))
+        assert len(calls) == 1  # the counter sees the kind II polarized norm
+        calls.clear()
+        run_all(42)
+        assert calls == []
+
+    @pytest.mark.parametrize("text", ["I:1,1", "I:2,3", "II:2", "II:5", "III:1", "III:3", "IV:1",
+                                      "IV:4"])
+    def test_one_action_and_one_denominator_call_per_report(self, text, monkeypatch):
+        spec, calls = parse_spec(text), []
+        for name in ("act_points", "automorphy_denominators"):
+            def counted(e, z, _name=name, _real=getattr(bsdkit.verify, name)):
+                calls.append((_name, z.shape))
+                return _real(e, z)
+
+            monkeypatch.setattr(bsdkit.verify, name, counted)
+        assert check_F_U_lemma(spec, n_samples=30, seed=12).passed is (spec.kind != "IV")
+        # Z and W as one (sample, 2) stack; kind IV has W = Z and acts on Z alone
+        points = (30, *spec.shape) if spec.kind == "IV" else (30, 2, *spec.shape)
+        assert calls == [("act_points", points), ("automorphy_denominators", points)]
 
     def test_deterministic_reports(self):
         a = check_F_U_lemma(parse_spec("I:2,2"), n_samples=50, seed=10).to_dict()
