@@ -410,16 +410,16 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r.reshape(a.shape)
 
 
-def random_automorphisms(spec: DomainSpec, keys, flavor: str = "mixed") -> AutElement:
+def random_automorphisms(spec: DomainSpec, keys) -> AutElement:
     """Random group elements, one per RNG key, as an element stack of shape
     ``(len(keys), N, N)``: an isotropy, a one-parameter exponential times an
     isotropy, or (kind I) a transvection times an isotropy.
 
-    Each key's ``Generator`` draws, in order, the flavour (when ``flavor`` is
-    ``"mixed"``), the isotropy Gaussians (kind IV: then its angle), then the
-    transvection base point (through :func:`domains.sample_points`) or the
-    Lie algebra Gaussians, so an element depends on its key only.  Each group
-    of Gaussians is one ``standard_normal`` call per key
+    Each key's ``Generator`` draws, in order, which of these its element is,
+    the isotropy Gaussians (kind IV: then its angle), then the transvection
+    base point (through :func:`domains.sample_points`) or the Lie algebra
+    Gaussians, so an element depends on its key only.  Each group of
+    Gaussians is one ``standard_normal`` call per key
     (``linalg.gaussian_blocks``), so an exponential key makes two.  The
     matrices are then built as stacks: one QR per Haar factor, one
     ``eigvalsh`` of X*X for the algebra scale (the operator norm of X is the
@@ -428,31 +428,24 @@ def random_automorphisms(spec: DomainSpec, keys, flavor: str = "mixed") -> AutEl
     number of times) and one ``eigh`` per inverse square root.
     """
     choices = ("exponential", "isotropy") + (("transvection",) if spec.kind == "I" else ())
-    if flavor != "mixed" and flavor not in choices:
-        raise ParameterError(f"unknown automorphism flavor {flavor!r} for {spec}")
     rngs = key_generators(keys)
-    if not rngs:
-        size = matrix_size(spec)
-        return AutElement(spec, np.empty((0, size, size), dtype=complex))
-    flavors = np.array([choices[rng.integers(len(choices))] if flavor == "mixed" else flavor
-                        for rng in rngs])
-    iso = _isotropy_params(spec, rngs)
-    out = isotropy(spec, iso).matrix
-    moved = np.flatnonzero(flavors == "transvection")
+    picks = np.array([choices[rng.integers(len(choices))] for rng in rngs])
+    out = isotropy(spec, _isotropy_params(spec, rngs)).matrix
+    moved = np.flatnonzero(picks == "transvection")
     if moved.size:
         z0 = sample_points(spec, "interior", [rngs[k] for k in moved])
         out[moved] = _transvections(spec, z0) @ out[moved]
-    moved = np.flatnonzero(flavors == "exponential")
+    moved = np.flatnonzero(picks == "exponential")
     if moved.size:
         x = _algebra_elements(spec, _algebra_draws(spec, [rngs[k] for k in moved]))
         out[moved] = expm(x) @ out[moved]
     return AutElement(spec, out)
 
 
-def random_automorphism(spec: DomainSpec, seed, flavor: str = "mixed") -> AutElement:
+def random_automorphism(spec: DomainSpec, seed) -> AutElement:
     """One random group element, deterministic per seed: the one-key case of
     :func:`random_automorphisms`."""
-    return AutElement(spec, random_automorphisms(spec, [seed], flavor).matrix[0])
+    return AutElement(spec, random_automorphisms(spec, [seed]).matrix[0])
 
 
 def automorphy_factor(e: AutElement, p: Point, q: Point):

@@ -40,8 +40,9 @@ squares t_1^2 >= ... >= t_r^2 of its spectral values: a closed form for
 kind IV and for a Gram ZZ* of size 1 or 2 (kinds I/III with at most two
 rows, kind II with n <= 3), else one ``eigvalsh`` of the Gram over a stack.
 Classification reads the margin 1 - t_1^2, the sampler scales by rho / t_1,
-and ``verify.check_properness`` reads both the margin and the generic norm
-prod_j (1 - t_j^2) of its images from it.
+the generic norm is prod_j (1 - t_j^2) for every kind (``generic_norms``),
+and ``verify.check_properness`` reads both the margin and that norm of its
+images from it.
 """
 
 import operator
@@ -53,7 +54,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, SamplingError, ShapeError
+from .errors import ParameterError, SamplingError, ShapeError
 from .linalg import as_matrix, default_generator, gaussian_blocks, pfaffian
 
 __all__ = [
@@ -303,17 +304,14 @@ def classify_point(p: Point, tol: float = 1e-9) -> Classification:
 
 
 def generic_norms(spec: DomainSpec, z: np.ndarray) -> np.ndarray:
-    """Generic norms of the stack ``z``: for every kind the diagonal S(Z, Z)
-    of :func:`polarized_norms`, which is real.  Kind I/III: det(I - ZZ*).
-    Kind II: prod(1 - s_k^2) over the singular value pairs (s_k, s_k) of Z, a
-    root of det(I - ZZ*) that is negative where an odd number of s_k exceed 1.
-    Kind IV: 1 - 2ZZ* + |ZZ^t|^2.  Equals 1 at the origin and 0 on the boundary.
+    """Generic norms of the stack ``z``: prod_j (1 - t_j^2) over the squared
+    spectral values of :func:`_spectral_squares`, for every kind the real
+    diagonal S(Z, Z) of :func:`polarized_norms`.  For kind II it is the
+    Pfaffian root of det(I - ZZ*), negative where an odd number of its
+    singular value pairs exceed 1.  Equals 1 at the origin and 0 on the
+    boundary.
     """
-    s = polarized_norms(spec, z, z)
-    imag = np.abs(s.imag)
-    if np.any(imag > 1e-10 * np.maximum(1.0, np.abs(s))):
-        raise NumericError(f"generic norm has imaginary part {np.max(imag):.3e}")
-    return s.real
+    return np.prod(1.0 - _spectral_squares(spec, z), axis=-1)
 
 
 def generic_norm(p: Point) -> float:
@@ -508,8 +506,8 @@ def key_generators(keys) -> list:
     ``np.random.default_rng(key)`` gives.  A 2-D ``uint32`` array of key rows
     is hashed as one stack (:func:`_pool_states`) and each row seeds its own
     ``PCG64``; any other keys (a ``Generator``, which is passed through, an
-    int, a list or nested list, an ``object`` row) go through ``default_rng``
-    one at a time, and a negative integer anywhere in such a key raises
+    int, a list or nested list) go through ``linalg.default_generator`` one
+    at a time, so a key that is not made of nonnegative integers raises
     ``ParameterError``.
 
     While the run memo is open (within one ``verify.run_all``, see
@@ -556,8 +554,8 @@ def sample_points(spec: DomainSpec, region: str, keys) -> np.ndarray:
     """Deterministic sampler for interior or boundary points: one point per
     RNG key, stacked as an array of shape ``(len(keys), *spec.shape)``.  The
     keys go through :func:`key_generators`: a 2-D ``uint32`` array of key
-    rows, or a sequence of anything ``np.random.default_rng`` accepts, a
-    ``Generator`` included.
+    rows, or a sequence of keys, each an integer, a nested list of them or a
+    ``Generator``.
 
     Every kind draws a Gaussian shape-projected direction and scales it by
     rho / t_1, with t_1 its largest spectral value (:func:`_spectral_squares`)

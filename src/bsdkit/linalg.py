@@ -115,18 +115,26 @@ def haar_normalize(g: np.ndarray) -> np.ndarray:
     return q * (d / abs(d))[..., None, :]
 
 
-def _negative(key) -> bool:
-    """Whether a negative integer appears anywhere in the RNG key ``key``."""
+def _key_parts(key) -> list:
+    """The parts of an RNG key, with every list, tuple and array in it flattened."""
     if isinstance(key, np.ndarray):
         key = key.tolist()
-    if isinstance(key, (int, np.integer)):
-        return key < 0
-    return isinstance(key, (list, tuple)) and any(map(_negative, key))
+    if isinstance(key, (list, tuple)):
+        return [part for sub in key for part in _key_parts(sub)]
+    return [key]
 
 
-def _negative_key_error(key) -> ParameterError:
-    """The one error for a negative integer in an RNG key or seed."""
-    return ParameterError(f"RNG key must be nonnegative, got {key!r}")
+def _require_key(key, nested: bool = True) -> None:
+    """The one rule for an RNG key or seed: a nonnegative integer or, if
+    ``nested``, a list of them nested to any depth.  Anything else (None, a
+    float, a string) raises ``ParameterError`` with one message, and a
+    negative integer anywhere in the key with another, rather than numpy's
+    untyped error or, for None, an unseeded draw."""
+    parts = _key_parts(key) if nested else [key]
+    if not all(isinstance(part, (int, np.integer)) for part in parts):
+        raise ParameterError(f"RNG key must be a nonnegative integer or a list of them, got {key!r}")
+    if any(part < 0 for part in parts):
+        raise ParameterError(f"RNG key must be nonnegative, got {key!r}")
 
 
 def _require_tolerance(tol: float, name: str = "tol") -> None:
@@ -145,14 +153,11 @@ def _require_positive(name: str, count: int) -> None:
 
 
 def default_generator(key):
-    """``np.random.default_rng(key)``, with a negative integer anywhere in the
-    key raised as a ``ParameterError`` rather than numpy's untyped error."""
-    try:
-        return np.random.default_rng(key)
-    except ValueError:
-        if _negative(key):
-            raise _negative_key_error(key) from None
-        raise
+    """``np.random.default_rng(key)`` for a ``Generator``, which is passed
+    through and carries on, or for a key that :func:`_require_key` accepts."""
+    if not isinstance(key, np.random.Generator):
+        _require_key(key)
+    return np.random.default_rng(key)
 
 
 def gaussian_blocks(rngs, shapes, real: bool = False) -> list:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,7 +37,7 @@ from bsdkit.domains import (
     sample_points,
 )
 from bsdkit.errors import ActionSingularityError, DomainError, ParameterError, ShapeError
-from bsdkit.linalg import random_unitary
+from bsdkit.linalg import random_orthogonal, random_unitary
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ALL_SPECS = ["I:2,2", "I:2,3", "II:3", "II:4", "III:2", "III:3", "IV:2", "IV:3"]
@@ -94,7 +95,9 @@ class TestMembership:
     def test_other_kinds_element_fails_only_the_bilinear_form(self, own, other, n):
         # An exponential of one kind's algebra keeps the kind I signature form
         # but breaks the other kind's bilinear form [[0, I], [-eps I, 0]].
-        m = random_automorphism(parse_spec(f"{own}:{n}"), [3, n], flavor="exponential").matrix
+        spec = parse_spec(f"{own}:{n}")
+        [key, *_] = keys_drawing(spec, "exponential", [[3, n, j] for j in range(20)])
+        m = random_automorphism(spec, key).matrix
         rep = check_membership(AutElement(parse_spec(f"{other}:{n}"), m))
         assert not rep.passed
         assert rep.residuals["signature"] <= 1e-12
@@ -314,13 +317,23 @@ def flavors_of(spec):
     return ["exponential", "isotropy"] + (["transvection"] if spec.kind == "I" else [])
 
 
-def reference_automorphism(spec, key, flavor="mixed"):
-    """One key at a time: the flavour, a QR-based Haar isotropy, then a
-    transvection to a sampled interior base point or the exponential of a
+def drawn_flavor(spec, key):
+    """The type of element that ``random_automorphisms`` builds for ``key``:
+    the first draw of the key's stream picks it."""
+    return flavors_of(spec)[np.random.default_rng(key).integers(len(flavors_of(spec)))]
+
+
+def keys_drawing(spec, flavor, keys):
+    """The keys of ``keys`` whose element is of type ``flavor``."""
+    return [key for key in keys if drawn_flavor(spec, key) == flavor]
+
+
+def reference_automorphism(spec, key):
+    """One key at a time: the element's type, a QR-based Haar isotropy, then
+    a transvection to a sampled interior base point or the exponential of a
     scaled Lie algebra element, times that isotropy."""
     rng = np.random.default_rng(key)
-    if flavor == "mixed":
-        flavor = flavors_of(spec)[rng.integers(len(flavors_of(spec)))]
+    flavor = flavors_of(spec)[rng.integers(len(flavors_of(spec)))]
 
     def gaussian(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -382,15 +395,13 @@ class TestStackedAutomorphisms:
     @pytest.mark.parametrize("text", AUT_SPECS)
     def test_matches_reference_bit_for_bit(self, text):
         spec = parse_spec(text)
-        count = len(flavors_of(spec))
-        drawn = {int(np.random.default_rng(key).integers(count)) for key in AUT_KEYS}
-        assert drawn == set(range(count))  # the mixed stack holds every flavour
-        for flavor in ["mixed", *flavors_of(spec)]:
-            got = random_automorphisms(spec, AUT_KEYS, flavor)
-            size = autgroups.matrix_size(spec)
-            assert got.spec == spec and got.matrix.shape == (len(AUT_KEYS), size, size)
-            for key, m in zip(AUT_KEYS, got.matrix):
-                assert np.array_equal(m, reference_automorphism(spec, key, flavor)), (flavor, key)
+        drawn = {drawn_flavor(spec, key) for key in AUT_KEYS}
+        assert drawn == set(flavors_of(spec))  # the stack holds every type of element
+        got = random_automorphisms(spec, AUT_KEYS)
+        size = autgroups.matrix_size(spec)
+        assert got.spec == spec and got.matrix.shape == (len(AUT_KEYS), size, size)
+        for key, m in zip(AUT_KEYS, got.matrix):
+            assert np.array_equal(m, reference_automorphism(spec, key)), key
 
     @pytest.mark.parametrize("text", AUT_SPECS)
     def test_uint32_rows_give_the_list_keys_elements(self, text):
@@ -403,22 +414,14 @@ class TestStackedAutomorphisms:
     @pytest.mark.parametrize("text", AUT_SPECS)
     def test_one_key_is_row_zero_of_the_stack(self, text):
         spec = parse_spec(text)
-        for flavor in ["mixed", *flavors_of(spec)]:
-            one = random_automorphism(spec, AUT_KEYS[0], flavor)
+        for flavor in flavors_of(spec):  # the first key of each type of element
+            keys = keys_drawing(spec, flavor, AUT_KEYS)
+            one = random_automorphism(spec, keys[0])
             assert one.matrix.shape == 2 * (autgroups.matrix_size(spec),)
-            stack = random_automorphisms(spec, AUT_KEYS, flavor)
-            assert np.array_equal(one.matrix, stack.matrix[0])
+            assert np.array_equal(one.matrix, random_automorphisms(spec, keys).matrix[0])
 
     def test_empty_key_list(self):
         assert random_automorphisms(parse_spec("II:3"), []).matrix.shape == (0, 6, 6)
-
-    @pytest.mark.parametrize("text,flavor", [("I:2,2", "rotation"), ("III:2", "transvection"),
-                                             ("IV:3", "transvection")])
-    def test_unknown_flavor_raises(self, text, flavor):
-        with pytest.raises(ParameterError, match="unknown automorphism flavor"):
-            random_automorphisms(parse_spec(text), AUT_KEYS, flavor)
-        with pytest.raises(ParameterError, match="unknown automorphism flavor"):
-            random_automorphism(parse_spec(text), 3, flavor)
 
     @pytest.mark.parametrize("text", ["I:2,3", "II:3", "IV:3"])
     def test_non_unitary_factor_in_stack_raises(self, text, monkeypatch):
@@ -439,7 +442,7 @@ class TestStackedAutomorphisms:
 
         monkeypatch.setattr(autgroups, "sample_points", on_boundary)
         with pytest.raises(DomainError, match="must be interior"):
-            random_automorphisms(parse_spec("I:2,2"), AUT_KEYS, "transvection")
+            random_automorphisms(parse_spec("I:2,2"), AUT_KEYS)  # the stack holds transvections
 
 
 def relative_errors(got, want):
@@ -526,11 +529,22 @@ class TestNegativeKeys:
         with pytest.raises(ParameterError, match=r"got \[-1, 3\]$"):
             sample_points(parse_spec("IV:3"), "boundary", [[17, 0], [-1, 3]])
 
-    def test_other_bad_keys_keep_numpy_errors(self):
-        with pytest.raises(TypeError) as direct:
-            np.random.default_rng(3.0)
-        with pytest.raises(TypeError, match=f"^{direct.value}$"):
-            random_isotropy_params(parse_spec("II:3"), 3.0)
+    @pytest.mark.parametrize("key", [None, 1.5, 3.0, "7", [1.5], [17, "0"], [[17, None], 0]])
+    @pytest.mark.parametrize("draw", [
+        lambda spec, key: sample_point(spec, "interior", key),
+        lambda spec, key: random_automorphism(spec, key),
+        lambda spec, key: random_isotropy_params(spec, key),
+        lambda spec, key: random_unitary(3, key),
+        lambda spec, key: random_orthogonal(3, key),
+    ], ids=["sample_point", "random_automorphism", "random_isotropy_params", "random_unitary",
+            "random_orthogonal"])
+    def test_other_bad_keys_are_parameter_errors(self, draw, key):
+        # numpy would draw unseeded for None, read "7" as 7 inside a key array,
+        # and raise an untyped TypeError for a float
+        message = ("^RNG key must be a nonnegative integer or a list of them, "
+                   f"got {re.escape(repr(key))}$")
+        with pytest.raises(ParameterError, match=message):
+            draw(parse_spec("II:3"), key)
 
 
 class CountingGenerator:
@@ -597,8 +611,11 @@ class TestDrawCalls:
     @pytest.mark.parametrize("text", AUT_SPECS)
     @pytest.mark.parametrize("flavor,calls", [("exponential", 2), ("isotropy", 1)])
     def test_automorphism_draws_once_per_group(self, text, flavor, calls, counted):
-        random_automorphisms(parse_spec(text), AUT_KEYS, flavor)
-        assert [rng.normal_calls for rng in counted] == [calls] * len(AUT_KEYS)
+        spec = parse_spec(text)
+        keys = keys_drawing(spec, flavor, AUT_KEYS)
+        assert keys
+        random_automorphisms(spec, keys)
+        assert [rng.normal_calls for rng in counted] == [calls] * len(keys)
 
 
 def haar_reference(rng, n):
