@@ -237,28 +237,30 @@ def isotropy_factors(spec: DomainSpec, params) -> tuple:
 
 
 def isotropy(spec: DomainSpec, params) -> AutElement:
-    """The isotropy element of validated ``params``: diag(L*, R) with (L, R)
-    of :func:`isotropy_factors` for kinds I/II/III, diag(P, R_theta) for
-    kind IV (the rotation component of O(2) only); parameter stacks give an
-    element stack."""
-    left, right = isotropy_factors(spec, params)
-    if spec.kind == "IV":
-        _require_unitary(right, spec.n, "P")
-        if np.linalg.norm(right.imag) > 1e-10:
-            raise ParameterError("kind IV isotropy needs a real orthogonal P")
-        theta = params[1]
-        rotation = np.empty((*np.shape(theta), 2, 2))
-        rotation[..., 0, 0] = rotation[..., 1, 1] = np.cos(theta)
-        rotation[..., 1, 0] = np.sin(theta)
-        rotation[..., 0, 1] = -rotation[..., 1, 0]
-        return AutElement(spec, _direct_sum(right.real, rotation))
-    u = left.conj().swapaxes(-1, -2)
+    """The isotropy element of validated ``params``, built from them:
+    diag(U, V) for kind I, diag(A, conj A) for kinds II/III and
+    diag(P, R_theta) for kind IV (the rotation component of O(2) only), the
+    element that acts by the factors of :func:`isotropy_factors`; parameter
+    stacks give an element stack."""
     if spec.kind == "I":
+        u, v = (as_matrix(x, stack=True) for x in params)
         _require_unitary(u, spec.r, "U")
-        _require_unitary(right, spec.s, "V")
-    else:
-        _require_unitary(u, spec.n, "A")
-    return AutElement(spec, _direct_sum(u, right))
+        _require_unitary(v, spec.s, "V")
+        return AutElement(spec, _direct_sum(u, v))
+    if spec.mirror:
+        a = as_matrix(params, stack=True)
+        _require_unitary(a, spec.n, "A")
+        return AutElement(spec, _direct_sum(a, a.conj()))
+    p, theta = params
+    p = as_matrix(p, stack=True)
+    _require_unitary(p, spec.n, "P")
+    if np.linalg.norm(p.imag) > 1e-10:
+        raise ParameterError("kind IV isotropy needs a real orthogonal P")
+    rotation = np.empty((*np.shape(theta), 2, 2))
+    rotation[..., 0, 0] = rotation[..., 1, 1] = np.cos(theta)
+    rotation[..., 1, 0] = np.sin(theta)
+    rotation[..., 0, 1] = -rotation[..., 1, 0]
+    return AutElement(spec, _direct_sum(p.real, rotation))
 
 
 def _require_unitary(u: np.ndarray, n: int, name: str):

@@ -16,10 +16,14 @@ harness), so a point does not depend on what else is in its stack.
 generator per row, hashing all rows at once as NumPy's ``SeedSequence``
 does, so each row's stream is that of ``np.random.default_rng(row)``.
 Within one ``verify.run_all`` a run memo (``_sample_memo``) keeps each
-``uint32`` key stack's sampled points and its hashed seed states, so a
-stack is sampled and hashed once per run.  What stays per key, and bounds
-how fast a bit-identical run can seed, is building each key's
-``Generator``: every call gets new ones, and none is shared.
+``uint32`` key stack's sampled points, its hashed seed states and its draw
+log, so a stack is sampled and hashed once per run, and each of its
+streams is drawn once: a boundary tape of normals that every spec reads a
+prefix of, and per normal count m each key's first interior attempt (m
+normals and rho).  Only a draw the log lacks (a longer tape, a rho that
+a zero direction skipped, an interior redraw) seeds the key's generator
+again and replays the logged draws up to it.  The log holds arrays, and
+no ``Generator`` outlives the sampler call that built it.
 
 Domain kinds and their point shapes:
 
@@ -55,7 +59,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ParameterError, SamplingError, ShapeError
-from .linalg import as_matrix, default_generator, gaussian_blocks, pfaffian
+from .linalg import _cut_blocks, as_matrix, default_generator, gaussian_blocks, pfaffian
 
 __all__ = [
     "DomainSpec",
@@ -472,14 +476,15 @@ def _is_key_array(keys) -> bool:
 
 
 # The open run memo, or None: {(spec, region, key shape, key bytes): points} of
-# sample_points and {(key shape, key bytes): pool states} of key_generators.
+# sample_points, {(key shape, key bytes): pool states} of key_generators and
+# {("draws", key shape, key bytes): _DrawLog} of the samplers' key streams.
 _SAMPLE_MEMO = ContextVar("sample_memo", default=None)
 
 
 @contextmanager
 def _sample_memo():
-    """Open an empty run memo of :func:`sample_points` and
-    :func:`key_generators` for the block, and drop it on leaving."""
+    """Open an empty run memo of :func:`sample_points`, :func:`key_generators`
+    and the samplers' draw logs for the block, and drop it on leaving."""
     token = _SAMPLE_MEMO.set({})
     try:
         yield
@@ -513,9 +518,8 @@ def key_generators(keys) -> list:
     While the run memo is open (within one ``verify.run_all``, see
     :func:`_sample_memo`) the pool states of a ``uint32`` key stack are kept
     in it under the stack's shape and bytes, so each stack is hashed once per
-    run; every call still builds fresh generators from them, and no
-    generator is shared.  Building the ``Generator`` of each key is the part
-    that stays per key."""
+    run; every call builds fresh generators from them.  The samplers call
+    this only for the streams their draw logs lack (:class:`_KeyStreams`)."""
     if not _is_key_array(keys):
         return [default_generator(key) for key in keys]
     states = _memoized((keys.shape, keys.tobytes()), lambda: _pool_states(keys))
@@ -543,11 +547,127 @@ def _redraw(count: int, draw, error: Exception) -> tuple:
     raise error
 
 
-def _gaussian_directions(spec: DomainSpec, rngs) -> np.ndarray:
-    [g] = gaussian_blocks(rngs, [spec.shape])
+def _gaussian_directions(spec: DomainSpec, normals: np.ndarray) -> np.ndarray:
+    """The shape-projected directions of a stack of ``2 * r * s`` normals per
+    key (real parts, then imaginary parts, as ``linalg.gaussian_blocks``
+    cuts them)."""
+    [g] = _cut_blocks(normals, [spec.shape])
     if spec.mirror:
         g = (g + spec.mirror * g.swapaxes(-1, -2)) / 2.0
     return g
+
+
+# A key stack's boundary tape is drawn at least this many normals deep while
+# the run memo keeps it: a normal costs about 16 ns and seeding a generator
+# about 2 us, so the later specs of a run (the deepest, II:5, reads 50)
+# read a prefix instead of seeding every key again.
+_TAPE_DEPTH = 64
+
+
+class _DrawLog:
+    """The draws that the samplers have read from the streams of one key
+    stack, as arrays.  A boundary attempt draws only normals, so
+    ``tape[k, :ends[k]]`` is the start of key k's stream as one tape: every
+    spec reads a prefix of it, and a redraw the next block.  An interior
+    attempt draws m normals and then, for a nonzero direction, rho;
+    ``first[m]`` holds each key's normals and rho of a first attempt that
+    draws m normals, rho NaN until a spec with a nonzero direction reads
+    it."""
+
+    def __init__(self, count: int):
+        self.tape, self.ends, self.first = np.empty((count, 0)), np.zeros(count, dtype=int), {}
+
+
+class _KeyStreams:
+    """The streams of one sampler call's keys, read through a draw log.
+
+    A 2-D ``uint32`` key stack reads the log that the run memo keeps for it
+    (one of its own while no memo is open); other keys read a log of their
+    own and draw from the generators of :func:`key_generators`, so a
+    ``Generator`` key carries on.  A read that the log holds draws nothing;
+    any other continues the key's generator.  For a key row that generator
+    is built from the row when the call first needs it and brought to where
+    the call's reads of the key end by replaying the logged draws, and it is
+    dropped with the call, so the log holds arrays only."""
+
+    def __init__(self, keys, region: str, count: int):
+        self.region, self.count, self.rho_keys, self.depth = region, count, np.empty(0, int), 0
+        self.rows = keys if _is_key_array(keys) else None
+        self.rngs = key_generators(keys) if self.rows is None else [None] * len(keys)
+        self.live = np.full(len(self.rngs), self.rows is None)
+        self.log = _DrawLog(len(self.rngs))
+        memo = _SAMPLE_MEMO.get()
+        if self.rows is not None and memo is not None:
+            self.log = memo.setdefault(("draws", keys.shape, keys.tobytes()), self.log)
+            self.depth = _TAPE_DEPTH
+
+    def _build(self, index: np.ndarray) -> np.ndarray:
+        """Give each key of ``index`` (ascending, as every index here is) a
+        generator; returns the keys whose generators are built here, at the
+        start of their streams."""
+        built = index[~self.live[index]]
+        if built.size == len(self.rngs) > 0:
+            self.rngs = key_generators(self.rows)
+        elif built.size:
+            for k, rng in zip(built.tolist(), key_generators(self.rows[built])):
+                self.rngs[k] = rng
+        self.live[built] = True
+        return built
+
+    def _draw(self, index: np.ndarray, count: int) -> np.ndarray:
+        rngs = self.rngs if len(index) == len(self.rngs) else [self.rngs[k] for k in index.tolist()]
+        [normals] = gaussian_blocks(rngs, [(count,)], real=True)
+        return normals
+
+    def _tape(self, pending: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        log = self.log
+        short = pending[log.ends[pending] < hi]
+        if short.size:
+            starts = log.ends[short]
+            starts[np.isin(short, self._build(short))] = 0  # a built generator replays the tape
+            end = max(hi, self.depth)
+            if log.tape.shape[1] < end:
+                log.tape = np.pad(log.tape, ((0, 0), (0, end - log.tape.shape[1])),
+                                  constant_values=np.nan)
+            for start in np.unique(starts):
+                keys = short[starts == start]
+                log.tape[keys, start:end] = self._draw(keys, end - start)
+            log.ends[short] = end
+        return log.tape[pending, lo:hi]
+
+    def normals(self, pending: np.ndarray, attempt: int) -> np.ndarray:
+        """The normals of attempt ``attempt`` of the keys ``pending``, one row
+        each: a boundary attempt reads its block of the tape, a first interior
+        attempt the log's normals, and a later one continues each key's
+        generator from where its first attempt ends."""
+        count = self.count
+        if self.region == "boundary":
+            return self._tape(pending, attempt * count, (attempt + 1) * count)
+        if attempt:
+            built = self._build(pending)
+            if built.size:  # replay the first attempt's draws
+                self._draw(built, count)
+                for k in built[np.isin(built, self.rho_keys)].tolist():
+                    self.rngs[k].random()
+            return self._draw(pending, count)
+        if count not in self.log.first:
+            everyone = np.arange(len(self.rngs))
+            self._build(everyone)
+            self.log.first[count] = (self._draw(everyone, count), np.full(len(everyone), np.nan))
+        return self.log.first[count][0][pending]
+
+    def uniforms(self, index: np.ndarray, attempt: int) -> np.ndarray:
+        """rho of the keys ``index`` of an interior attempt, read right after
+        its normals: the log's rho on a first attempt, a draw on a later one."""
+        if attempt:
+            return np.array([self.rngs[k].random() for k in index.tolist()])
+        rho, self.rho_keys = self.log.first[self.count][1], index
+        unknown = index[np.isnan(rho[index])]
+        built = self._build(unknown)
+        if built.size:  # replay the first attempt's normals
+            self._draw(built, self.count)
+        rho[unknown] = [self.rngs[k].random() for k in unknown.tolist()]
+        return rho[index]
 
 
 def sample_points(spec: DomainSpec, region: str, keys) -> np.ndarray:
@@ -564,21 +684,24 @@ def sample_points(spec: DomainSpec, region: str, keys) -> np.ndarray:
     1e-9 (:func:`_accepted`), with no second look at the scaled point; a
     rejected one (rho within 5e-10 of 1, or a zero direction) is redrawn
     from its own key's stream through :func:`_redraw`, so each key gets the
-    same point whatever else is in the stack.  Each attempt draws a key's
-    Gaussians in one ``standard_normal`` call (``linalg.gaussian_blocks``:
-    real parts, then imaginary parts) and, for an interior point with a
-    nonzero direction, rho as ``random()``; these are the streams of
-    ``standard_normal(shape) + 1j * standard_normal(shape)`` and
-    ``uniform()`` bit for bit.
+    same point whatever else is in the stack.  Each attempt reads a key's
+    Gaussians as one block of normals (real parts, then imaginary parts)
+    and, for an interior point with a nonzero direction, rho; these are the
+    streams of ``standard_normal(shape) + 1j * standard_normal(shape)`` and
+    ``uniform()`` bit for bit.  The draws go through a draw log
+    (:class:`_KeyStreams`), which draws each block with one
+    ``standard_normal`` call per key (``linalg.gaussian_blocks``).
 
     So a stack is a pure function of spec, region and key rows, and while
     the run memo is open (within one ``verify.run_all``, see
     :func:`_sample_memo`) a 2-D ``uint32`` key stack is sampled once: every
     later call with the same spec, region and key rows gets the same stack,
-    read-only.  The memo also holds the stack's seed states
-    (:func:`key_generators`), so the same key rows under another spec or
-    region are not hashed again; their generators are built anew.  Other
-    keys are sampled on every call.
+    read-only.  The memo also keeps the stack's seed states
+    (:func:`key_generators`) and its draw log, so the same key rows under
+    another spec or region are not hashed again, and a later spec reads the
+    draws already made: a boundary spec a prefix of each key's tape, an
+    interior spec with the same normal count the same first attempts.
+    Other keys are sampled on every call.
     """
     if region not in ("interior", "boundary"):
         raise ParameterError(f"region must be interior or boundary, got {region!r}")
@@ -599,20 +722,21 @@ def _accepted(region: str, candidates: np.ndarray, margin: np.ndarray) -> np.nda
 
 
 def _draw_points(spec: DomainSpec, region: str, keys) -> np.ndarray:
-    rngs = key_generators(keys)
+    streams = _KeyStreams(keys, region, 2 * spec.shape[0] * spec.shape[1])
 
     def draw(pending, attempt):
-        g = _gaussian_directions(spec, [rngs[k] for k in pending])
+        g = _gaussian_directions(spec, streams.normals(pending, attempt))
         top = _spectral_squares(spec, g)[:, 0]
         valid = top > 0.0
-        rho = np.array([rngs[k].random() for k in pending[valid]]) if region == "interior" else 1.0
+        rho = streams.uniforms(pending[valid], attempt) if region == "interior" else 1.0
         scale = rho / np.sqrt(top[valid])
         candidates = g[valid] * scale[:, None, None]
         accepted = np.zeros(len(pending), dtype=bool)
         accepted[valid] = _accepted(region, candidates, 1.0 - top[valid] * scale * scale)
         return accepted, (candidates[accepted[valid]],)
 
-    return _redraw(len(rngs), draw, SamplingError(f"could not sample a {region} point of {spec}"))[0]
+    return _redraw(len(streams.rngs), draw,
+                   SamplingError(f"could not sample a {region} point of {spec}"))[0]
 
 
 def sample_point(spec: DomainSpec, region: str, seed) -> Point:

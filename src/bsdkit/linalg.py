@@ -171,18 +171,24 @@ def gaussian_blocks(rngs, shapes, real: bool = False) -> list:
     1j * rng.standard_normal(shape)``, block after block, gives (one
     ``standard_normal(shape)`` each with ``real``), and the generator carries
     on from the same state."""
-    parts = 1 if real else 2
-    sizes = [parts * math.prod(shape) for shape in shapes]
-    rows = np.empty((len(rngs), sum(sizes)))
+    rows = np.empty((len(rngs), (1 if real else 2) * sum(map(math.prod, shapes))))
     for rng, row in zip(rngs, rows):
         rng.standard_normal(out=row)
+    return _cut_blocks(rows, shapes, real)
+
+
+def _cut_blocks(rows: np.ndarray, shapes, real: bool = False) -> list:
+    """The blocks of :func:`gaussian_blocks` cut from ``rows``, a stack of
+    normals in stream order, one row per stream."""
+    parts = 1 if real else 2
     blocks, start = [], 0
-    for shape, size in zip(shapes, sizes):
-        run = rows[:, start:start + size].reshape(len(rngs), parts, *shape)
+    for shape in shapes:
+        size = parts * math.prod(shape)
+        run = rows[:, start:start + size].reshape(len(rows), parts, *shape)
         if real:
             blocks.append(run[:, 0])
         else:
-            block = np.empty((len(rngs), *shape), dtype=complex)
+            block = np.empty((len(rows), *shape), dtype=complex)
             block.real, block.imag = run[:, 0], run[:, 1]
             blocks.append(block)
         start += size

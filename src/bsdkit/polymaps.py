@@ -502,14 +502,25 @@ def _monomial_values(spec: DomainSpec, z: np.ndarray, exponents: np.ndarray) -> 
     variable up to the largest exponent in E are one table over the stack,
     filled by running products, and each monomial gathers its factors from
     it, so x^0 = 1 also at x = 0.  A map whose largest exponent is at least
-    its monomial count (a sparse high-degree map such as z^2000) takes its
-    complex powers directly instead, so the table never outgrows the
-    factors it feeds."""
+    its monomial count (a sparse high-degree map such as z^2000) takes each
+    distinct exponent e by repeated squaring instead, one squaring per bit
+    of the largest, so no table outgrows the factors it feeds.  That rounds
+    about e times the unit roundoff off (running products: about sqrt(e)
+    times), where NumPy's complex ``**`` goes through exp and log from
+    e = 100 on and is several times further off."""
     rows, cols, _ = _coordinates(spec)
     vals = z[..., rows, cols]
     top = exponents.max(initial=0)
     if top >= len(exponents):
-        return np.prod(vals[..., None, :] ** exponents, axis=-1)
+        distinct, index = np.unique(exponents, return_inverse=True)
+        powers = np.ones((*vals.shape, len(distinct)), dtype=complex)
+        square = vals
+        for bit in range(int(top).bit_length()):
+            if bit:
+                square = square * square
+            odd = (distinct >> bit) & 1 == 1
+            powers[..., odd] *= square[..., None]
+        return powers[..., np.arange(len(rows)), index.reshape(exponents.shape)].prod(axis=-1)
     powers = np.ones((*vals.shape[:-1], top + 1, len(rows)), dtype=complex)
     for p in range(1, top + 1):
         np.multiply(powers[..., p - 1, :], vals, out=powers[..., p, :])

@@ -42,10 +42,14 @@ Within one ``run_all`` each key stack is sampled once and hashed once:
 that asks for the same spec, region and key stack gets the same points,
 read-only.  The memo also keeps each stack's ``SeedSequence`` pool states,
 so the ``[seed, k, c]`` stacks that the F_U, coefficient lemma and isotropy
-reports share are hashed once per run; each call still builds its own
-``Generator`` per key, which is the per-key floor of a bit-identical run.
-This is exact, since a stack is a pure function of its spec, region and
-keys.
+reports share are hashed once per run, and each stack's draw log, so each
+key's stream is drawn once per run: the boundary specs that sample a stack
+read prefixes of one tape of normals per key, and the interior specs with
+the same normal count read the same first attempt (normals and rho).  A
+``Generator`` is built per key only for a draw the log lacks, and replays
+the logged draws up to it: at seed 42 the samplers seed 4,242 keys, not
+8,192.  This is exact, since a stack is a pure function of its spec,
+region and keys, and a key's draws are its stream's whoever reads them.
 """
 
 import itertools
@@ -591,9 +595,9 @@ def run_all(seed: int = 42, properness_samples: int = 500, fu_samples: int = 200
     The run memo of ``domains`` is open while the checks run, so a key
     stack that several reports sample (the same source and keys in many
     properness reports, the same bases in every coefficient lemma report of
-    a domain) is sampled once and shared read-only, and a key stack that
-    several reports seed is hashed once; every report is what the check
-    gives alone."""
+    a domain) is sampled once and shared read-only, a key stack that
+    several reports seed is hashed once, and each key's stream is drawn
+    once; every report is what the check gives alone."""
     with _sample_memo():
         outs = [check(*args, check_id=check_id, **kwargs)
                 for check_id, check, args, kwargs in _plan(seed, properness_samples, fu_samples)]

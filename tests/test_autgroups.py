@@ -581,6 +581,31 @@ def counted(monkeypatch):
     return made
 
 
+class TestIsotropyElement:
+    @pytest.mark.parametrize("text", AUT_SPECS)
+    def test_built_from_the_parameters_as_the_factors_give_it(self, text):
+        # diag(L*, R) for kinds I/II/III and diag(R.real, R_theta) for kind IV,
+        # with (L, R) of isotropy_factors: conjugating and transposing twice is
+        # exact, so the elements agree bit for bit, one at a time and stacked.
+        spec = parse_spec(text)
+        stack = random_isotropy_stack(spec, np.array([[19, k] for k in range(6)], dtype=np.uint32))
+        left, right = isotropy_factors(spec, stack)
+        if spec.kind == "IV":
+            theta = stack[1]
+            rotation = np.stack([np.stack([np.cos(theta), -np.sin(theta)], axis=-1),
+                                 np.stack([np.sin(theta), np.cos(theta)], axis=-1)], axis=-2)
+            first, second = right.real, rotation
+        else:
+            first, second = left.conj().swapaxes(-1, -2), right
+        size = autgroups.matrix_size(spec)
+        want = np.zeros((6, size, size), dtype=complex)
+        want[:, :len(first[0]), :len(first[0])] = first
+        want[:, len(first[0]):, len(first[0]):] = second
+        assert np.array_equal(isotropy(spec, stack).matrix, want)
+        one = random_isotropy_params(spec, [19, 2])
+        assert np.array_equal(isotropy(spec, one).matrix, want[2])
+
+
 class TestDrawCalls:
     """Each key's generator draws every Gaussian of a draw group in one call."""
 

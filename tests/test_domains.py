@@ -412,8 +412,9 @@ class TestStackedSampler:
         assert np.array_equal(p.value, reference_sample(spec, "interior", theirs))
         assert mine.random() == theirs.random()
 
-    def test_empty_key_list(self):
-        assert sample_points(parse_spec("II:3"), "boundary", []).shape == (0, 3, 3)
+    @pytest.mark.parametrize("region", ["interior", "boundary"])
+    def test_empty_key_list(self, region):
+        assert sample_points(parse_spec("II:3"), region, []).shape == (0, 3, 3)
 
     def test_acceptance_compares_margins_as_numbers(self):
         tol = 1e-9
@@ -498,6 +499,110 @@ class TestSampleMemo:
                 assert x is not y
                 assert_same_streams(x, np.random.default_rng(key))
                 assert_same_streams(y, np.random.default_rng(key))
+
+
+def count_built(monkeypatch):
+    """A list that gains the number of keys ``domains.key_generators`` seeds
+    on each call from now on."""
+    built, real = [], domains.key_generators
+
+    def counted(keys):
+        built.append(len(keys))
+        return real(keys)
+
+    monkeypatch.setattr(domains, "key_generators", counted)
+    return built
+
+
+class TestDrawLog:
+    """Within one run memo every spec that samples a uint32 key stack reads
+    the stack's draw log, and each point is still the one-key reference's."""
+
+    KEYS = np.array([[43, k] for k in range(30)], dtype=np.uint32)
+
+    def reference(self, spec, region):
+        return np.array([reference_sample(spec, region, key) for key in self.KEYS])
+
+    @pytest.mark.parametrize("region", ["interior", "boundary"])
+    def test_specs_of_rising_falling_and_shared_counts_read_one_log(self, region, monkeypatch):
+        # normal counts 8, 50, 6, 18, 8, 8, 72: three specs share the count 8,
+        # and I:6,6 reads past the tape's first depth of 64
+        built = count_built(monkeypatch)
+        with domains._sample_memo():
+            for text in ["I:2,2", "II:5", "I:1,3", "III:3", "III:2", "I:1,4", "I:6,6"]:
+                spec = parse_spec(text)
+                got = sample_points(spec, region, self.KEYS)
+                assert np.array_equal(got, self.reference(spec, region))
+        # boundary: the tape is drawn 64 deep, then rebuilt and drawn 72 deep for I:6,6;
+        # interior: one first attempt per normal count (8, 50, 6, 18, 72)
+        assert built == [30] * (2 if region == "boundary" else 5)
+
+    @pytest.mark.parametrize("region,texts", [("interior", ["I:2,2", "I:1,4"]),
+                                              ("boundary", ["II:5", "I:2,2"])])
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_a_key_rejected_under_one_spec_is_accepted_under_another(self, region, texts, first,
+                                                                     monkeypatch):
+        # The spec at index ``first`` rejects every candidate whose corner entry
+        # has a positive real part; the other spec takes its keys at once.  A
+        # boundary redraw of II:5 reads normals 50 to 100, past the tape's 64.
+        accepted, rejecting, rejected = domains._accepted, [False], []
+
+        def corner_rule(region, z, margin):
+            bad = (z[..., 0, -1].real > 0.0) & rejecting[0]
+            rejected.append(int(np.count_nonzero(bad)))
+            return accepted(region, z, margin) & ~bad
+
+        monkeypatch.setattr(domains, "_accepted", corner_rule)
+        with domains._sample_memo():
+            for k, text in enumerate(texts):
+                spec = parse_spec(text)
+                rejecting[0] = k == first
+                want = self.reference(spec, region)
+                del rejected[:]
+                got = sample_points(spec, region, self.KEYS)
+                assert np.array_equal(got, want)
+                assert (sum(rejected) > 0) == (k == first)
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_a_zero_direction_under_one_spec_only(self, first, monkeypatch):
+        # I:2,2 and I:1,4 share the interior log of 8 normals, and their first
+        # directions share the entry [0, 0].  The spec at index ``first`` sees
+        # keys 2 and 5 with a zero direction (top = 0), so it reads no rho for
+        # them and redraws; the other reads their rho.
+        chosen = []
+        for k in (2, 5):
+            x = np.random.default_rng(self.KEYS[k]).standard_normal(8)
+            chosen.append(complex(x[0], x[4]))
+        spectral, zero_spec, zeroed = domains._spectral_squares, [], []
+
+        def squares(spec, z):
+            out = spectral(spec, z)
+            mask = np.isin(z[..., 0, 0], chosen) & (spec in zero_spec)
+            zeroed.append(int(np.count_nonzero(mask)))
+            out[mask] = 0.0
+            return out
+
+        monkeypatch.setattr(domains, "_spectral_squares", squares)
+        with domains._sample_memo():
+            for k, text in enumerate(["I:2,2", "I:1,4"]):
+                spec = parse_spec(text)
+                zero_spec[:] = [spec] if k == first else []
+                want = self.reference(spec, "interior")
+                del zeroed[:]
+                got = sample_points(spec, "interior", self.KEYS)
+                assert np.array_equal(got, want)
+                assert sum(zeroed) == (2 if k == first else 0)
+
+    def test_the_memo_keeps_arrays_and_no_generator(self):
+        with domains._sample_memo():
+            sample_points(parse_spec("I:2,2"), "interior", self.KEYS)
+            sample_points(parse_spec("II:3"), "boundary", self.KEYS)
+            [log] = [v for v in domains._SAMPLE_MEMO.get().values()
+                     if isinstance(v, domains._DrawLog)]
+        assert log.tape.shape == (30, 64) and np.all(log.ends == 64)
+        normals, rho = log.first[8]
+        assert normals.shape == (30, 8) and not np.any(np.isnan(rho))
+        assert all(isinstance(v, np.ndarray) for v in (log.tape, log.ends, normals, rho))
 
 
 class TestStackedKernels:

@@ -416,9 +416,23 @@ def power_reference(spec, z, exponents):
     return np.prod(z[..., rows, cols][..., None, :] ** exponents, axis=-1)
 
 
+def exact_power(z: complex, e: int) -> complex:
+    """z**e rounded once: the parts of z are integers a, b over one power of
+    two q, and (a + bi)^e is an exact Gaussian integer power."""
+    (a, qa), (b, qb) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    q = max(qa, qb)
+    base, power = (a * (q // qa), b * (q // qb)), (1, 0)
+    for bit in bin(e)[2:]:
+        power = (power[0] * power[0] - power[1] * power[1], 2 * power[0] * power[1])
+        if bit == "1":
+            power = (power[0] * base[0] - power[1] * base[1], power[0] * base[1] + power[1] * base[0])
+    return complex(power[0] / q**e, power[1] / q**e)
+
+
 class TestMonomialValues:
     """``_monomial_values`` gathers each monomial from running-product power
-    tables; the reference takes every power with ``**``."""
+    tables, or for a sparse map of high degree takes each distinct exponent
+    by repeated squaring; the reference takes every power with ``**``."""
 
     @pytest.mark.parametrize("f", [*(select_map(s) for s, _, _ in SELECTED), *HAND_BUILT[:3]],
                              ids=lambda f: f"{f.source}->{f.target}")
@@ -444,21 +458,26 @@ class TestMonomialValues:
         empty = np.zeros((0, f.nvars), dtype=int)
         assert _monomial_values(f.source, z, empty).shape == (2, 3, 0)
 
-    @pytest.mark.parametrize("terms", [
-        {(k,): 1.0 / (k + 1) for k in range(2001)},  # dense: the running-product table
-        {(2000,): 1.0, (0,): 0.5},                   # sparse: the complex powers
+    @pytest.mark.parametrize("terms,tol", [
+        # dense: the running-product table, about sqrt(2000) roundings
+        ({(k,): 1.0 / (k + 1) for k in range(2001)}, 2e-14),
+        # sparse: repeated squaring, the first rounding doubled 10 times
+        ({(2000,): 1.0, (0,): 0.5}, 2000 * 2.0**-53),
     ], ids=["dense", "sparse"])
-    def test_degree_2000_near_the_circle(self, terms):
+    def test_degree_2000_near_the_circle(self, terms, tol):
         # Tier-1 turns RuntimeWarning into an error, so this also shows that
-        # no warning is raised.  NumPy's z**2000 is itself about 8e-13 off.
+        # no warning is raised.
         spec = parse_spec("I:1,1")
         f = polymap(spec, spec, {(0, 0): terms})
         z = 0.99 * np.exp(2j * np.pi * np.linspace(0.0, 1.0, 50))[:, None, None]
         got = _monomial_values(spec, z, f.exponents)
         reference = power_reference(spec, z, f.exponents)
         assert np.all(np.abs(got - reference) <= 2e-12 * np.abs(reference))
-        top = got[:, f.exponents[:, 0] == 2000]
-        assert np.all(np.abs(np.abs(top) / 0.99**2000 - 1.0) <= 1e-12)
+        column = f.exponents[:, 0] == 2000
+        exact = np.array([exact_power(complex(v), 2000) for v in z[:, 0, 0]])
+        assert np.all(np.abs(got[:, column][:, 0] - exact) <= tol * np.abs(exact))
+        # NumPy's z**2000 goes through exp and log, about 8e-13 off
+        assert np.max(np.abs(reference[:, column][:, 0] - exact) / np.abs(exact)) > 2 * tol
 
     def test_a_sparse_map_of_huge_degree_builds_no_power_table(self):
         # z^8000000 is under the operator cap; a table of every power up to
@@ -473,7 +492,10 @@ class TestMonomialValues:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        assert np.array_equal(got, power_reference(spec, z, f.exponents))
+        # repeated squaring and NumPy's exp and log are each a few times
+        # 8e6 * 2**-53 = 9e-10 off the exact power
+        reference = power_reference(spec, z, f.exponents)
+        assert np.all(np.abs(got - reference) <= 1e-8 * np.abs(reference))
 
 
 class TestHomogeneousParts:

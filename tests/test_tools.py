@@ -1,13 +1,20 @@
 import importlib.util
 from pathlib import Path
 
+import bsdkit.verify
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_code_lines_counts_lines_with_a_token_outside_docstrings_and_comments(tmp_path, capsys):
-    spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
-    code_lines = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(code_lines)
+    code_lines = load_tool("code_lines")
     package = tmp_path / "pkg"
     package.mkdir()
     (package / "mod.py").write_text(
@@ -29,3 +36,28 @@ def test_code_lines_counts_lines_with_a_token_outside_docstrings_and_comments(tm
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows[-1][2] == "total" and len(rows) > 2
     assert [sum(int(row[k]) for row in rows[:-1]) for k in (0, 1)] == list(map(int, rows[-1][:2]))
+
+
+def test_sample_digest_moves_with_one_draw_of_one_report(monkeypatch, capsys):
+    sample_digest = load_tool("sample_digest")
+    first = sample_digest.digests(7)
+    assert list(first) == [row.check_id for row in bsdkit.verify.run_all(7)]
+    assert sample_digest.digests(7) == first
+    # Negate the points of the first sampler call only: later reports that
+    # share its key stack get the run memo's unnegated points.
+    sampler, calls = bsdkit.verify.sample_points, []
+
+    def negate_first(spec, region, keys):
+        calls.append(spec)
+        points = sampler(spec, region, keys)
+        return -points if len(calls) == 1 else points
+
+    monkeypatch.setattr(bsdkit.verify, "sample_points", negate_first)
+    moved = sample_digest.digests(7)
+    assert [check_id for check_id in first if moved[check_id] != first[check_id]] == [
+        next(iter(first))]
+    monkeypatch.undo()
+    assert sample_digest.main(["7"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[1] for row in rows] == [*first, "total"]
+    assert [row.split()[0] for row in rows[:-1]] == list(first.values())

@@ -825,11 +825,54 @@ class TestSampleMemo:
         assert len(hashed) == 2
 
     def test_run_all_builds_one_generator_per_distinct_sample_key(self, monkeypatch):
-        # 17,132 generators without the memo; 7,988 distinct uint32 key rows per
-        # (spec, region) plus the 204 Generators random_automorphisms passes in.
+        # 17,132 generators without the memo, 8,192 with the points memo alone.
+        # The draw logs seed each row of a boundary stack once (its tape is 64
+        # normals deep, and no boundary spec reads more): 40 + 50 + 500 = 590.
+        # An interior stack seeds each row once per normal count: 160 and 200
+        # rows under 5 counts (8, 12, 18, 32, 50), 150 under 2 (6, 8), 20 under
+        # 5, two stacks of 100 under 2 (4, 8), and two each of 20, 33 and 371
+        # under 1: 3,448.  The 204 Generators random_automorphisms passes in
+        # for its transvection base points make 4,242.
         counts = count_sampled_keys(monkeypatch)
+        everything = []
+        for module in (bsdkit.domains, bsdkit.autgroups):
+            def counted(keys, _build=module.key_generators):
+                everything.append(len(keys))
+                return _build(keys)
+
+            monkeypatch.setattr(module, "key_generators", counted)
         run_all(42)
-        assert sum(counts) == 8192
+        assert sum(counts) == 4242
+        # with the 2,400 keys of random_automorphisms and random_isotropy_stack
+        assert sum(everything) == 6642
+
+    def test_no_generator_outlives_a_sampler_call(self, monkeypatch):
+        memos = []
+
+        def generators_in(value):
+            if isinstance(value, np.random.Generator):
+                return 1
+            if isinstance(value, bsdkit.domains._DrawLog):
+                value = vars(value)
+            if isinstance(value, dict):
+                value = [*value.keys(), *value.values()]
+            if isinstance(value, (list, tuple)):
+                return sum(map(generators_in, value))
+            return 0
+
+        for module in (bsdkit.verify, bsdkit.autgroups):
+            def checked(spec, region, keys, _sample=module.sample_points):
+                points = _sample(spec, region, keys)
+                memos.append(bsdkit.domains._SAMPLE_MEMO.get())
+                assert generators_in(memos[-1]) == 0
+                return points
+
+            monkeypatch.setattr(module, "sample_points", checked)
+        run_all(42, properness_samples=10, fu_samples=10)
+        memo = memos[0]
+        assert all(m is memo for m in memos)
+        assert generators_in(memo) == 0
+        assert sum(isinstance(v, bsdkit.domains._DrawLog) for v in memo.values()) >= 10
 
     def test_run_all_hashes_each_distinct_key_stack_once(self, monkeypatch):
         # 65 hashes of 10,388 key rows without the seed memo; the samplers,
