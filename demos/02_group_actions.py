@@ -1,6 +1,6 @@
 """Automorphism groups in action.
 
-Builds isotropies, transvections, and exponential one-parameter elements,
+Builds isotropies, transvections, and random boost-times-isotropy elements,
 verifies their defining relations, and demonstrates the transformation law
 of the polarized generic norm under the group action.
 """

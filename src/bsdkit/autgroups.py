@@ -35,11 +35,12 @@ Random elements come as stacks: ``random_automorphisms(spec, keys)`` draws
 each key's parameters from that key's own generator (``uint32`` key rows
 are hashed as one stack by ``domains.key_generators``, and each group of a
 key's Gaussians is one ``standard_normal`` call), then builds every
-matrix at once (stacked QR for the Haar factors, one ``eigvalsh`` of X*X
-for the algebra scale, ``eigh`` for the transvections, and ``expm``: a
-stacked [13/13] Pade approximant with scaling and squaring, squared per
-matrix), so an element depends on its key only; ``random_automorphism``
-is its one-key case.  Random isotropy parameters come the same way from
+matrix at once: an isotropy, or a boost exp(X) times an isotropy, with X
+the Hermitian noncompact generator [[0, Y], [Y*, 0]] (G = exp(p) K, the
+Cartan decomposition).  Stacked QR gives the Haar factors, one ``eigvalsh``
+of Y*Y the boost scale and one ``eigh`` of X the boost (``expm``), so an
+element depends on its key only; ``random_automorphism`` is its one-key
+case.  Random isotropy parameters come the same way from
 ``random_isotropy_stack``, and ``random_isotropy_params`` is its one-key
 case.
 
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import (DomainSpec, Point, borel_lifts, check_shapes, classify_points,
-                      key_generators, parse_spec, sample_points)
+                      key_generators, parse_spec)
 from .errors import ActionSingularityError, DomainError, ParameterError, ShapeError
 from .linalg import as_matrix, gaussian_blocks, haar_normalize, hybrid_tol, psd_inv_sqrt
 
@@ -313,134 +314,66 @@ def random_isotropy_params(spec: DomainSpec, seed):
 
 
 def transvection_type1(z0: Point) -> AutElement:
-    """Kind I automorphism moving the origin to the interior point ``z0``.
-
-    Built from the inverse square roots of I - Z0 Z0* and I - Z0* Z0; blows
-    up as z0 approaches the boundary.
+    """Kind I/II/III automorphism moving the origin to the interior point
+    ``z0``: the block [[p, p Z0], [q Z0*, q]] with p = (I - Z0 Z0*)^{-1/2} and
+    q = (I - Z0* Z0)^{-1/2}, which keeps the relations of kinds II/III since
+    q = conj p when Z0^t = eps Z0.  Blows up as z0 approaches the boundary.
     """
-    if z0.spec.kind != "I":
-        raise ShapeError("transvection_type1 is defined for kind I only")
-    return AutElement(z0.spec, _transvections(z0.spec, z0.value))
-
-
-def _transvections(spec: DomainSpec, z: np.ndarray) -> np.ndarray:
-    """The matrices of :func:`transvection_type1` over the kind I point stack ``z``."""
-    if np.any(classify_points(spec, z, 1e-8)[0] != "interior"):
+    spec, z = z0.spec, z0.value
+    if spec.kind == "IV":
+        raise ShapeError("transvection_type1 is defined for kinds I, II and III only")
+    if classify_points(spec, z, 1e-8)[0] != "interior":
         raise DomainError("transvection base point must be interior")
-    z_star = z.conj().swapaxes(-1, -2)
-    p = psd_inv_sqrt(np.eye(spec.r) - z @ z_star)
-    q = psd_inv_sqrt(np.eye(spec.s) - z_star @ z)
-    return np.block([[p, p @ z], [q @ z_star, q]])
+    z_star = z.conj().T
+    p = psd_inv_sqrt(np.eye(len(z)) - z @ z_star)
+    q = psd_inv_sqrt(np.eye(len(z_star)) - z_star @ z)
+    return AutElement(spec, np.block([[p, p @ z], [q @ z_star, q]]))
 
 
-def _algebra_draws(spec: DomainSpec, rngs) -> list:
-    """The Gaussians behind a random Lie algebra element for every generator of
-    ``rngs``, stacked component by component, each generator's in stream order."""
-    if spec.kind == "I":
-        r, s = spec.r, spec.s
-        return gaussian_blocks(rngs, [(r, s), (r, r), (s, s)])
-    n = spec.n
-    if spec.mirror:
-        return gaussian_blocks(rngs, [(n, n), (n, n)])
-    return gaussian_blocks(rngs, [(n, n), (2, 2), (n, 2)], real=True)
+def expm(h: np.ndarray) -> np.ndarray:
+    """exp of a Hermitian matrix, or of each matrix of a Hermitian stack
+    ``(..., N, N)``: V diag(e^w) V* from one stacked ``eigh``."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def _algebra_elements(spec: DomainSpec, draws) -> np.ndarray:
-    """Elements of the Lie algebra of the defining relations from the stacked
-    :func:`_algebra_draws`, each scaled to operator norm at most 0.4."""
-
-    def h(x):
-        return x.conj().swapaxes(-1, -2)
-
-    def skew_hermitian(g):
-        return (g - h(g)) / 2.0
-
-    if spec.kind == "I":
-        y, a, b = draws
-        x = np.block([[skew_hermitian(a), y], [h(y), skew_hermitian(b)]])
-    elif spec.mirror:
-        s_blk, y = skew_hermitian(draws[0]), draws[1]
-        y = (y + spec.mirror * y.swapaxes(-1, -2)) / 2.0
-        x = np.block([[s_blk, y], [h(y), s_blk.conj()]])
+def _boosts(spec: DomainSpec, rngs) -> np.ndarray:
+    """exp(X) for the noncompact generator X = [[0, Y], [Y*, 0]] that each
+    generator of ``rngs`` draws, scaled to operator norm at most 0.4 (the
+    largest singular value of Y).  Y is a complex Gaussian of the point shape,
+    projected to (y + eps y^t) / 2 for kinds II/III, or iB with B a real
+    n x 2 Gaussian for kind IV."""
+    if spec.kind == "IV":
+        y = 1j * gaussian_blocks(rngs, [(spec.n, 2)], real=True)[0]
     else:
-        r1, r2, b = draws
-        r1 = r1 - r1.swapaxes(-1, -2)
-        r2 = r2 - r2.swapaxes(-1, -2)
-        x = np.block([[r1.astype(complex), 1j * b],
-                      [-1j * b.swapaxes(-1, -2), r2.astype(complex)]])
-    top = np.sqrt(np.linalg.eigvalsh(h(x) @ x)[..., -1])  # the operator norm
-    return x * (0.4 / np.maximum(1.0, top))[..., None, None]
-
-
-# Numerator coefficients b_0..b_13 of the [13/13] Pade approximant to exp, over
-# b_0 so that exp(0) = I exactly, and the largest 1-norm it takes unscaled
-# (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
-_PADE13 = tuple(b / 64764752532480000.0 for b in (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
-    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
-    40840800.0, 960960.0, 16380.0, 182.0, 1.0))
-_THETA13 = 5.371920351148152
-
-
-def expm(a: np.ndarray) -> np.ndarray:
-    """exp of a square matrix, or of each matrix of a stack ``(..., N, N)``.
-
-    Scaling and squaring with a fixed [13/13] Pade approximant (Higham 2005):
-    each matrix is scaled by 2^-s, with s the least integer >= 0 that brings
-    its 1-norm to at most theta_13, and its Pade value is squared s times.
-    The Pade values of the whole stack take six stacked matmuls and one
-    stacked solve, and only the matrices with s > k take part in the k-th
-    squaring, so each result depends on its own matrix only.
-    """
-    a = np.asarray(a)
-    n = a.shape[-1]
-    x = a.reshape(-1, n, n)
-    norm = np.abs(x).sum(axis=-2).max(axis=-1)
-    s = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
-    x = x / 2.0 ** s[:, None, None]
-    b, eye = _PADE13, np.eye(n)
-    x2 = x @ x
-    x4 = x2 @ x2
-    x6 = x2 @ x4
-    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2) + b[7] * x6 + b[5] * x4 + b[3] * x2
-             + b[1] * eye)
-    v = x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2) + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye
-    r = np.linalg.solve(v - u, v + u)
-    for k in range(s.max(initial=0)):
-        moved = np.flatnonzero(s > k)
-        r[moved] = r[moved] @ r[moved]
-    return r.reshape(a.shape)
+        y = gaussian_blocks(rngs, [spec.shape])[0]
+    if spec.mirror:
+        y = (y + spec.mirror * y.swapaxes(-1, -2)) / 2.0
+    top = np.sqrt(np.linalg.eigvalsh(y.conj().swapaxes(-1, -2) @ y)[..., -1])
+    y = y * (0.4 / np.maximum(1.0, top))[:, None, None]
+    k = _block_split(spec)
+    x = np.zeros((len(y), matrix_size(spec), matrix_size(spec)), dtype=complex)
+    x[:, :k, k:], x[:, k:, :k] = y, y.conj().swapaxes(-1, -2)
+    return expm(x)
 
 
 def random_automorphisms(spec: DomainSpec, keys) -> AutElement:
     """Random group elements, one per RNG key, as an element stack of shape
-    ``(len(keys), N, N)``: an isotropy, a one-parameter exponential times an
-    isotropy, or (kind I) a transvection times an isotropy.
+    ``(len(keys), N, N)``: an isotropy, or a boost exp(X) times an isotropy
+    (every element is one, G = exp(p) K).
 
-    Each key's ``Generator`` draws, in order, which of these its element is,
-    the isotropy Gaussians (kind IV: then its angle), then the transvection
-    base point (through :func:`domains.sample_points`) or the Lie algebra
-    Gaussians, so an element depends on its key only.  Each group of
-    Gaussians is one ``standard_normal`` call per key
-    (``linalg.gaussian_blocks``), so an exponential key makes two.  The
-    matrices are then built as stacks: one QR per Haar factor, one
-    ``eigvalsh`` of X*X for the algebra scale (the operator norm of X is the
-    root of its largest eigenvalue), one :func:`expm` (a [13/13] Pade
-    approximant with scaling and squaring, each matrix squared its own
-    number of times) and one ``eigh`` per inverse square root.
+    Each key's ``Generator`` draws, in order, which of the two its element
+    is, the isotropy Gaussians (kind IV: then its angle) and, for a boost,
+    the Gaussians of Y, so an element depends on its key only.  Each group
+    of Gaussians is one ``standard_normal`` call per key
+    (``linalg.gaussian_blocks``).  The matrices are then built as stacks:
+    one QR per Haar factor, one ``eigvalsh`` of Y*Y for the boost scale and
+    one ``eigh`` of X for :func:`expm`.
     """
-    choices = ("exponential", "isotropy") + (("transvection",) if spec.kind == "I" else ())
     rngs = key_generators(keys)
-    picks = np.array([choices[rng.integers(len(choices))] for rng in rngs])
+    moved = np.flatnonzero([rng.integers(2) == 0 for rng in rngs])
     out = isotropy(spec, _isotropy_params(spec, rngs)).matrix
-    moved = np.flatnonzero(picks == "transvection")
-    if moved.size:
-        z0 = sample_points(spec, "interior", [rngs[k] for k in moved])
-        out[moved] = _transvections(spec, z0) @ out[moved]
-    moved = np.flatnonzero(picks == "exponential")
-    if moved.size:
-        x = _algebra_elements(spec, _algebra_draws(spec, [rngs[k] for k in moved]))
-        out[moved] = expm(x) @ out[moved]
+    out[moved] = _boosts(spec, [rngs[k] for k in moved]) @ out[moved]
     return AutElement(spec, out)
 
 

@@ -33,7 +33,7 @@ Keys are the flat ``uint32`` rows of ``_key_rows``, which seed the
 streams of the nested keys ``[[[seed, stream], k], 2a]``.  The samplers seed
 a whole key array at once through ``domains.key_generators``, and each key
 then draws a group of Gaussians (a sample's direction, an element's
-isotropy or Lie algebra sources) in one ``standard_normal`` call through
+isotropy or boost sources) in one ``standard_normal`` call through
 ``linalg.gaussian_blocks``, bit for bit the draws of one call per real and
 imaginary block.
 
@@ -47,8 +47,8 @@ key's stream is drawn once per run: the boundary specs that sample a stack
 read prefixes of one tape of normals per key, and the interior specs with
 the same normal count read the same first attempt (normals and rho).  A
 ``Generator`` is built per key only for a draw the log lacks, and replays
-the logged draws up to it: at seed 42 the samplers seed 4,242 keys, not
-8,192.  This is exact, since a stack is a pure function of its spec,
+the logged draws up to it: at seed 42 the samplers seed 4,038 keys, not
+7,988.  This is exact, since a stack is a pure function of its spec,
 region and keys, and a key's draws are its stream's whoever reads them.
 """
 

@@ -93,10 +93,10 @@ class TestMembership:
     @pytest.mark.parametrize("own,other", [("III", "II"), ("II", "III")])
     @pytest.mark.parametrize("n", [2, 3])
     def test_other_kinds_element_fails_only_the_bilinear_form(self, own, other, n):
-        # An exponential of one kind's algebra keeps the kind I signature form
-        # but breaks the other kind's bilinear form [[0, I], [-eps I, 0]].
+        # A boost of one kind keeps the kind I signature form but breaks the
+        # other kind's bilinear form [[0, I], [-eps I, 0]].
         spec = parse_spec(f"{own}:{n}")
-        [key, *_] = keys_drawing(spec, "exponential", [[3, n, j] for j in range(20)])
+        [key, *_] = keys_drawing("boost", [[3, n, j] for j in range(20)])
         m = random_automorphism(spec, key).matrix
         rep = check_membership(AutElement(parse_spec(f"{other}:{n}"), m))
         assert not rep.passed
@@ -304,36 +304,44 @@ class TestTransvection:
         with pytest.raises(DomainError):
             transvection_type1(sample_point(spec, "boundary", 25))
 
+    @pytest.mark.parametrize("text", ["II:2", "II:4", "III:1", "III:3"])
+    def test_kinds_ii_iii_share_the_kind_i_block(self, text):
+        spec = parse_spec(text)
+        for k in range(5):
+            z0 = sample_point(spec, "interior", [24, k])
+            e = transvection_type1(z0)
+            assert check_membership(e).max_residual <= 1e-12
+            assert np.max(np.abs(act(e, origin(spec)).value - z0.value)) <= 1e-12
+
     def test_rejects_other_kinds(self):
         with pytest.raises(ShapeError):
-            transvection_type1(origin(parse_spec("III:2")))
+            transvection_type1(origin(parse_spec("IV:3")))
 
 
 AUT_SPECS = ["I:1,1", "I:2,3", "II:2", "II:5", "III:1", "III:3", "IV:3", "IV:4"]
 AUT_KEYS = [[[17, 0], k, 0] if k % 3 == 0 else [17, k] for k in range(48)]
 
 
-def flavors_of(spec):
-    return ["exponential", "isotropy"] + (["transvection"] if spec.kind == "I" else [])
+FLAVORS = ["boost", "isotropy"]
 
 
-def drawn_flavor(spec, key):
+def drawn_flavor(key):
     """The type of element that ``random_automorphisms`` builds for ``key``:
     the first draw of the key's stream picks it."""
-    return flavors_of(spec)[np.random.default_rng(key).integers(len(flavors_of(spec)))]
+    return FLAVORS[np.random.default_rng(key).integers(2)]
 
 
-def keys_drawing(spec, flavor, keys):
+def keys_drawing(flavor, keys):
     """The keys of ``keys`` whose element is of type ``flavor``."""
-    return [key for key in keys if drawn_flavor(spec, key) == flavor]
+    return [key for key in keys if drawn_flavor(key) == flavor]
 
 
 def reference_automorphism(spec, key):
     """One key at a time: the element's type, a QR-based Haar isotropy, then
-    a transvection to a sampled interior base point or the exponential of a
-    scaled Lie algebra element, times that isotropy."""
+    for a boost the exponential of the scaled noncompact generator
+    X = [[0, Y], [Y*, 0]] times that isotropy."""
     rng = np.random.default_rng(key)
-    flavor = flavors_of(spec)[rng.integers(len(flavors_of(spec)))]
+    flavor = FLAVORS[rng.integers(2)]
 
     def gaussian(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -358,45 +366,22 @@ def reference_automorphism(spec, key):
         iso = block_diag(q * np.sign(np.diagonal(r)), np.array([[c, -s], [s, c]]))
     if flavor == "isotropy":
         return iso
-    if flavor == "transvection":
-        z = sample_point(spec, "interior", rng).value
-
-        def inv_sqrt(h):
-            w, v = np.linalg.eigh(h)
-            return (v / np.sqrt(w)) @ v.conj().T
-
-        p = inv_sqrt(np.eye(spec.r) - z @ z.conj().T)
-        q = inv_sqrt(np.eye(spec.s) - z.conj().T @ z)
-        return np.block([[p, p @ z], [q @ z.conj().T, q]]) @ iso
-
-    def skew_hermitian(n):
-        g = gaussian(n, n)
-        return (g - g.conj().T) / 2.0
-
-    if spec.kind == "I":
-        y = gaussian(spec.r, spec.s)
-        x = np.block([[skew_hermitian(spec.r), y], [y.conj().T, skew_hermitian(spec.s)]])
-    elif spec.mirror:
-        s_blk = skew_hermitian(spec.n)
-        y = gaussian(spec.n, spec.n)
-        y = (y + spec.mirror * y.T) / 2.0
-        x = np.block([[s_blk, y], [y.conj().T, s_blk.conj()]])
+    if spec.kind == "IV":
+        y = 1j * rng.standard_normal((spec.n, 2))
     else:
-        r1 = rng.standard_normal((spec.n, spec.n))
-        r2 = rng.standard_normal((2, 2))
-        b = rng.standard_normal((spec.n, 2))
-        x = np.block([[(r1 - r1.T).astype(complex), 1j * b],
-                      [-1j * b.T, (r2 - r2.T).astype(complex)]])
-    x = x * (0.4 / max(1.0, np.sqrt(np.linalg.eigvalsh(x.conj().T @ x)[-1])))
-    return autgroups.expm(x) @ iso  # its accuracy against scipy: TestExpm
+        y = gaussian(*spec.shape)
+        if spec.mirror:
+            y = (y + spec.mirror * y.T) / 2.0
+    y = y * (0.4 / max(1.0, np.sqrt(np.linalg.eigvalsh(y.conj().T @ y)[-1])))
+    x = np.block([[np.zeros((len(y), len(y))), y], [y.conj().T, np.zeros((len(y.T), len(y.T)))]])
+    return autgroups.expm(x) @ iso  # its accuracy against a series oracle: TestBoost
 
 
 class TestStackedAutomorphisms:
     @pytest.mark.parametrize("text", AUT_SPECS)
     def test_matches_reference_bit_for_bit(self, text):
         spec = parse_spec(text)
-        drawn = {drawn_flavor(spec, key) for key in AUT_KEYS}
-        assert drawn == set(flavors_of(spec))  # the stack holds every type of element
+        assert {drawn_flavor(key) for key in AUT_KEYS} == set(FLAVORS)  # both types of element
         got = random_automorphisms(spec, AUT_KEYS)
         size = autgroups.matrix_size(spec)
         assert got.spec == spec and got.matrix.shape == (len(AUT_KEYS), size, size)
@@ -414,8 +399,8 @@ class TestStackedAutomorphisms:
     @pytest.mark.parametrize("text", AUT_SPECS)
     def test_one_key_is_row_zero_of_the_stack(self, text):
         spec = parse_spec(text)
-        for flavor in flavors_of(spec):  # the first key of each type of element
-            keys = keys_drawing(spec, flavor, AUT_KEYS)
+        for flavor in FLAVORS:  # the first key of each type of element
+            keys = keys_drawing(flavor, AUT_KEYS)
             one = random_automorphism(spec, keys[0])
             assert one.matrix.shape == 2 * (autgroups.matrix_size(spec),)
             assert np.array_equal(one.matrix, random_automorphisms(spec, keys).matrix[0])
@@ -436,68 +421,81 @@ class TestStackedAutomorphisms:
         with pytest.raises(ParameterError, match="not unitary"):
             random_automorphisms(parse_spec(text), AUT_KEYS)
 
-    def test_boundary_base_point_in_stack_raises(self, monkeypatch):
-        def on_boundary(spec, region, keys):
-            return domains.sample_points(spec, "boundary", keys)
-
-        monkeypatch.setattr(autgroups, "sample_points", on_boundary)
-        with pytest.raises(DomainError, match="must be interior"):
-            random_automorphisms(parse_spec("I:2,2"), AUT_KEYS)  # the stack holds transvections
 
 
-def relative_errors(got, want):
-    return np.linalg.norm(got - want, axis=(-2, -1)) / np.linalg.norm(want, axis=(-2, -1))
+def series_exp(x, terms=40):
+    """exp of a matrix stack by its Taylor series, summed term by term; at
+    operator norm 0.4 the 40th term is far below roundoff."""
+    total = term = np.broadcast_to(np.eye(x.shape[-1]), x.shape).astype(complex)
+    for k in range(1, terms):
+        term = term @ x / k
+        total = total + term
+    return total
 
 
-def one_norms(a):
-    return np.abs(a).sum(axis=-2).max(axis=-1)
+BOOST_SPECS = [*ALL_SPECS, "I:1,1", "II:2", "III:1", "IV:1"]
+BOOST_KEYS = np.array([[29, k] for k in range(40)], dtype=np.uint32)
 
 
-def random_complex(seed, count, n, norms):
-    """``count`` complex Gaussian n x n matrices scaled to the given 1-norms."""
+class TestBoost:
+    @pytest.mark.parametrize("text", BOOST_SPECS)
+    def test_matches_the_series_oracle(self, text, monkeypatch):
+        spec = parse_spec(text)
+        generators, real = [], autgroups.expm
+        monkeypatch.setattr(autgroups, "expm", lambda x: generators.append(x) or real(x))
+        random_automorphisms(spec, BOOST_KEYS)
+        [x] = generators
+        assert len(x) == len(keys_drawing("boost", BOOST_KEYS.tolist()))
+        assert np.array_equal(x, x.conj().swapaxes(-1, -2))
+        assert np.max(np.linalg.norm(x, 2, axis=(-2, -1))) <= 0.4 * (1 + 1e-14)
+        want = series_exp(x)
+        errors = np.linalg.norm(autgroups.expm(x) - want, axis=(-2, -1))
+        assert np.max(errors / np.linalg.norm(want, axis=(-2, -1))) <= 1e-14
+
+    @pytest.mark.parametrize("text", BOOST_SPECS)
+    def test_boosts_are_members_that_move_the_origin_inside(self, text):
+        spec = parse_spec(text)
+        keys = keys_drawing("boost", BOOST_KEYS.tolist())
+        stack = random_automorphisms(spec, keys)
+        for m in stack.matrix:
+            assert check_membership(AutElement(spec, m)).max_residual <= 1e-13
+        images = act_points(stack, np.zeros((len(keys), *spec.shape), dtype=complex))
+        labels, _ = domains.classify_points(spec, images)
+        assert np.all(labels == "interior")
+        assert np.all(np.linalg.norm(images, axis=(-2, -1)) > 0.01)
+
+    @pytest.mark.parametrize("text", BOOST_SPECS)
+    def test_stacked_element_is_the_one_key_element(self, text):
+        spec = parse_spec(text)
+        stack = random_automorphisms(spec, BOOST_KEYS)
+        for key, m in zip(BOOST_KEYS.tolist(), stack.matrix):
+            assert np.array_equal(random_automorphism(spec, key).matrix, m), key
+
+
+def hermitian_stack(seed, count, n, norms):
+    """``count`` Hermitian n x n matrices scaled to the given operator norms."""
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
-    return g * (np.asarray(norms) / one_norms(g))[:, None, None]
+    h = g + g.conj().swapaxes(-1, -2)
+    return h * (np.asarray(norms) / np.linalg.norm(h, 2, axis=(-2, -1)))[:, None, None]
 
 
 class TestExpm:
-    @pytest.mark.parametrize("text", AUT_SPECS)
-    def test_matches_scipy_on_the_algebra_stacks(self, text):
-        spec = parse_spec(text)
-        draws = autgroups._algebra_draws(spec, domains.key_generators(AUT_KEYS))
-        x = autgroups._algebra_elements(spec, draws)
-        assert np.max(relative_errors(autgroups.expm(x), scipy.linalg.expm(x))) <= 1e-14
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 6])
-    def test_matches_scipy_on_the_squaring_path(self, n):
-        # 1-norms from 0.5 to 50, so up to four squarings; exp's relative
-        # condition number is at least |A| (Van Loan 1977), so the bound grows with it
-        norms = np.geomspace(0.5, 50.0, 40)
-        a = random_complex(n, len(norms), n, norms)
-        assert np.max(one_norms(a)) > 8 * autgroups._THETA13
-        errors = relative_errors(autgroups.expm(a), scipy.linalg.expm(a))
-        assert np.all(errors <= 1e-14 * np.maximum(1.0, norms))
-
     @pytest.mark.parametrize("n", [1, 2, 3, 6])
-    def test_zero_gives_the_identity_exactly(self, n):
-        assert np.array_equal(autgroups.expm(np.zeros((n, n), dtype=complex)), np.eye(n))
-        stack = autgroups.expm(np.zeros((3, n, n)))
-        assert np.array_equal(stack, np.broadcast_to(np.eye(n), (3, n, n)))
-
-    def test_skew_hermitian_stack_gives_unitaries(self):
-        g = random_complex(5, 60, 4, np.geomspace(0.1, 40.0, 60))
-        u = autgroups.expm((g - g.conj().swapaxes(-1, -2)) / 2.0)
-        assert np.max(np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(4))) <= 1e-14
+    def test_matches_scipy_on_hermitian_stacks(self, n):
+        norms = np.geomspace(0.01, 10.0, 30)
+        h = hermitian_stack(n, len(norms), n, norms)
+        want = scipy.linalg.expm(h)
+        errors = np.linalg.norm(autgroups.expm(h) - want, axis=(-2, -1))
+        # exp's relative condition number on a Hermitian matrix is at most |H| (Van Loan 1977)
+        assert np.all(errors / np.linalg.norm(want, axis=(-2, -1)) <= 1e-14 * np.maximum(1, norms))
 
     def test_each_row_depends_on_its_own_matrix_only(self):
-        # three matrices need no squaring, the others one to five squarings
-        norms = [0.1, 40.0, 3.0, 150.0, 6.0, 0.4, 12.0, 25.0]
-        a = random_complex(6, len(norms), 5, norms)
-        assert np.min(one_norms(a)) <= autgroups._THETA13 < np.max(one_norms(a))
-        stack = autgroups.expm(a)
-        for k, x in enumerate(a):
+        h = hermitian_stack(6, 8, 5, np.geomspace(0.1, 4.0, 8))
+        stack = autgroups.expm(h)
+        for k, x in enumerate(h):
             assert np.array_equal(stack[k], autgroups.expm(x)), k
-        assert np.array_equal(autgroups.expm(a.reshape(2, 4, 5, 5)), stack.reshape(2, 4, 5, 5))
+        assert np.array_equal(autgroups.expm(h.reshape(2, 4, 5, 5)), stack.reshape(2, 4, 5, 5))
 
     def test_a_run_imports_no_scipy(self):
         # the exponential is NumPy only; scipy is a test-only dependency
@@ -564,14 +562,11 @@ class CountingGenerator:
 @pytest.fixture
 def counted(monkeypatch):
     """Make ``key_generators`` hand out counting generators; the list of every
-    generator made, in order.  Counting generators passed on as keys (the
-    transvection base points) are used as they are."""
+    generator made, in order."""
     made = []
     real = domains.key_generators
 
     def key_generators(keys):
-        if all(isinstance(key, CountingGenerator) for key in keys):
-            return list(keys)
         rngs = [CountingGenerator(rng) for rng in real(keys)]
         made.extend(rngs)
         return rngs
@@ -634,10 +629,10 @@ class TestDrawCalls:
         assert [rng.normal_calls for rng in counted] == [1] * 24
 
     @pytest.mark.parametrize("text", AUT_SPECS)
-    @pytest.mark.parametrize("flavor,calls", [("exponential", 2), ("isotropy", 1)])
+    @pytest.mark.parametrize("flavor,calls", [("boost", 2), ("isotropy", 1)])
     def test_automorphism_draws_once_per_group(self, text, flavor, calls, counted):
         spec = parse_spec(text)
-        keys = keys_drawing(spec, flavor, AUT_KEYS)
+        keys = keys_drawing(flavor, AUT_KEYS)
         assert keys
         random_automorphisms(spec, keys)
         assert [rng.normal_calls for rng in counted] == [calls] * len(keys)

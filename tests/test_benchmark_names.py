@@ -20,3 +20,10 @@ def traced_functions():
 @pytest.mark.parametrize("layer,name", traced_functions())
 def test_traced_function_resolves_to_a_callable(layer, name):
     assert callable(getattr(importlib.import_module(f"bsdkit.{layer}"), name, None))
+
+
+def test_traced_kernel_expm_resolves_to_a_callable():
+    # the tracer wraps bsdkit.autgroups.expm by name as kernel.expm, outside
+    # PROGRAM_FUNCTIONS
+    assert "bsdkit.autgroups.expm" in TRACING.read_text()
+    assert callable(getattr(importlib.import_module("bsdkit.autgroups"), "expm", None))

@@ -123,11 +123,11 @@ class TestNoSvdOnTheSamplingPath:
         assert calls == expected  # the boundary samples, then their images
 
     def test_lie_algebra_scale(self, calls):
-        # keys whose element is an exponential: the first draw of a key picks
-        # its type, and the exponential is the first of the choices
-        for text, count in (("I:2,3", 3), ("II:4", 2), ("III:2", 2), ("IV:3", 2)):
+        # keys whose element is a boost: the first draw of a key picks its
+        # type, and integers(2) == 0 is a boost
+        for text in ("I:2,3", "II:4", "III:2", "IV:3"):
             rows = _key_rows(5, np.arange(12))
-            rows = rows[[np.random.default_rng(row).integers(count) == 0 for row in rows]]
+            rows = rows[[np.random.default_rng(row).integers(2) == 0 for row in rows]]
             random_automorphisms(parse_spec(text), rows)
         assert calls == ["eigvalsh"] * 4
 
@@ -825,14 +825,13 @@ class TestSampleMemo:
         assert len(hashed) == 2
 
     def test_run_all_builds_one_generator_per_distinct_sample_key(self, monkeypatch):
-        # 17,132 generators without the memo, 8,192 with the points memo alone.
+        # 16,928 generators without the memo, 7,988 with the points memo alone.
         # The draw logs seed each row of a boundary stack once (its tape is 64
         # normals deep, and no boundary spec reads more): 40 + 50 + 500 = 590.
         # An interior stack seeds each row once per normal count: 160 and 200
         # rows under 5 counts (8, 12, 18, 32, 50), 150 under 2 (6, 8), 20 under
         # 5, two stacks of 100 under 2 (4, 8), and two each of 20, 33 and 371
-        # under 1: 3,448.  The 204 Generators random_automorphisms passes in
-        # for its transvection base points make 4,242.
+        # under 1: 3,448, so 4,038 in all.
         counts = count_sampled_keys(monkeypatch)
         everything = []
         for module in (bsdkit.domains, bsdkit.autgroups):
@@ -842,9 +841,9 @@ class TestSampleMemo:
 
             monkeypatch.setattr(module, "key_generators", counted)
         run_all(42)
-        assert sum(counts) == 4242
+        assert sum(counts) == 4038
         # with the 2,400 keys of random_automorphisms and random_isotropy_stack
-        assert sum(everything) == 6642
+        assert sum(everything) == 6438
 
     def test_no_generator_outlives_a_sampler_call(self, monkeypatch):
         memos = []
@@ -860,14 +859,13 @@ class TestSampleMemo:
                 return sum(map(generators_in, value))
             return 0
 
-        for module in (bsdkit.verify, bsdkit.autgroups):
-            def checked(spec, region, keys, _sample=module.sample_points):
-                points = _sample(spec, region, keys)
-                memos.append(bsdkit.domains._SAMPLE_MEMO.get())
-                assert generators_in(memos[-1]) == 0
-                return points
+        def checked(spec, region, keys, _sample=bsdkit.verify.sample_points):
+            points = _sample(spec, region, keys)
+            memos.append(bsdkit.domains._SAMPLE_MEMO.get())
+            assert generators_in(memos[-1]) == 0
+            return points
 
-            monkeypatch.setattr(module, "sample_points", checked)
+        monkeypatch.setattr(bsdkit.verify, "sample_points", checked)
         run_all(42, properness_samples=10, fu_samples=10)
         memo = memos[0]
         assert all(m is memo for m in memos)
@@ -966,7 +964,7 @@ class TestKeyRows:
                 SEED_CHECKS[check](bad)
             assert str(seed.value) == str(one_key.value)
 
-    def test_every_seed_hands_key_generators_uint32_stacks_or_generators(self, monkeypatch):
+    def test_every_seed_hands_key_generators_uint32_stacks_only(self, monkeypatch):
         seen, build = [], bsdkit.domains.key_generators
 
         def recorded(keys):
@@ -976,11 +974,9 @@ class TestKeyRows:
         for module in (bsdkit.domains, bsdkit.autgroups):
             monkeypatch.setattr(module, "key_generators", recorded)
         run_all(2**40 + 3)
-        stacks = [keys for keys in seen if isinstance(keys, np.ndarray)]
-        assert stacks and all(keys.ndim == 2 and keys.dtype == np.uint32 for keys in stacks)
-        assert all(keys[:, :2].tolist() == [[3, 256]] * len(keys) for keys in stacks)
-        others = [key for keys in seen if not isinstance(keys, np.ndarray) for key in keys]
-        assert others and all(isinstance(key, np.random.Generator) for key in others)
+        assert seen and all(isinstance(keys, np.ndarray) for keys in seen)
+        assert all(keys.ndim == 2 and keys.dtype == np.uint32 for keys in seen)
+        assert all(keys[:, :2].tolist() == [[3, 256]] * len(keys) for keys in seen)
 
     @pytest.mark.parametrize("check", sorted(SEED_CHECKS))
     def test_seed_beyond_32_bits_runs(self, check):
