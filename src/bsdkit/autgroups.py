@@ -32,9 +32,10 @@ Parameters with leading stack axes give factors, and ``isotropy`` elements,
 with the same axes.
 
 Random elements come as stacks: ``random_automorphisms(spec, keys)`` draws
-each key's parameters from that key's own generator (``uint32`` key rows
-are hashed as one stack by ``domains.key_generators``, and each group of a
-key's Gaussians is one ``standard_normal`` call), then builds every
+each key's parameters from that key's own stream (the keys become ``uint32``
+rows at the API edge and are hashed as one stack by
+``domains.key_generators``, and each group of a key's Gaussians is one
+``standard_normal`` call), then builds every
 matrix at once: an isotropy, or a boost exp(X) times an isotropy, with X
 the Hermitian noncompact generator [[0, Y], [Y*, 0]] (G = exp(p) K, the
 Cartan decomposition).  Stacked QR gives the Haar factors, one ``eigvalsh``
@@ -42,7 +43,9 @@ of Y*Y the boost scale and one ``eigh`` of X the boost (``expm``), so an
 element depends on its key only; ``random_automorphism`` is its one-key
 case.  Random isotropy parameters come the same way from
 ``random_isotropy_stack``, and ``random_isotropy_params`` is its one-key
-case.
+case.  A key is a nonnegative integer or a nested list of them, as
+``linalg._require_key`` states it; a stack may also be a 2-D ``uint32``
+array of key rows.
 
 Defining relations checked for membership:
 
@@ -362,7 +365,7 @@ def random_automorphisms(spec: DomainSpec, keys) -> AutElement:
     ``(len(keys), N, N)``: an isotropy, or a boost exp(X) times an isotropy
     (every element is one, G = exp(p) K).
 
-    Each key's ``Generator`` draws, in order, which of the two its element
+    Each key's stream gives, in order, which of the two its element
     is, the isotropy Gaussians (kind IV: then its angle) and, for a boost,
     the Gaussians of Y, so an element depends on its key only.  Each group
     of Gaussians is one ``standard_normal`` call per key

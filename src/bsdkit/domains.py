@@ -12,18 +12,22 @@ one per sample.  The
 ``sample_point``, ``borel_lift_iv``) are the same kernels on one point.  Each
 sample keeps its own RNG key (``[seed, k, ...]`` in the verification
 harness), so a point does not depend on what else is in its stack.
-``key_generators`` turns a 2-D ``uint32`` array of such keys into one
-generator per row, hashing all rows at once as NumPy's ``SeedSequence``
-does, so each row's stream is that of ``np.random.default_rng(row)``.
-Within one ``verify.run_all`` a run memo (``_sample_memo``) keeps each
-``uint32`` key stack's sampled points, its hashed seed states and its draw
-log, so a stack is sampled and hashed once per run, and each of its
-streams is drawn once: a boundary tape of normals that every spec reads a
-prefix of, and per normal count m each key's first interior attempt (m
-normals and rho).  Only a draw the log lacks (a longer tape, a rho that
-a zero direction skipped, an interior redraw) seeds the key's generator
-again and replays the logged draws up to it.  The log holds arrays, and
-no ``Generator`` outlives the sampler call that built it.
+
+Every key becomes a ``uint32`` row at the API edge (``_as_key_rows``): the
+words NumPy's ``SeedSequence`` reads from it (``linalg._key_words``), a
+stack of keys zero-padded to its longest key, which ``SeedSequence`` reads
+as the same keys while no key is longer than four words.
+``key_generators`` turns a 2-D array of such rows into one generator per
+row, hashing all rows at once as ``SeedSequence`` does, so each row's
+stream is that of ``np.random.default_rng(row)``.  Within one
+``verify.run_all`` a run memo (``_sample_memo``) keeps each key stack's
+sampled points, its hashed seed states and its draw log of first attempts:
+a boundary tape of normals that every boundary spec reads a prefix of, and
+per normal count m each key's m normals and rho.  So a stack is sampled
+and hashed once per run, and each first attempt is drawn once.  A redraw
+seeds the rejected keys' generators, which draw their first attempt again
+and then the redraws; the log holds arrays, and no ``Generator`` outlives
+the sampler call that built it.
 
 Domain kinds and their point shapes:
 
@@ -59,7 +63,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ParameterError, SamplingError, ShapeError
-from .linalg import _cut_blocks, as_matrix, default_generator, gaussian_blocks, pfaffian
+from .linalg import _cut_blocks, _key_words, as_matrix, gaussian_blocks, pfaffian
 
 __all__ = [
     "DomainSpec",
@@ -471,13 +475,32 @@ def _pool_state_type() -> type:
     return PoolState
 
 
-def _is_key_array(keys) -> bool:
-    return isinstance(keys, np.ndarray) and keys.ndim == 2 and keys.dtype == np.uint32
+def _as_key_rows(keys) -> np.ndarray:
+    """The API edge of every key stack: ``keys`` as a 2-D ``uint32`` array of
+    key rows, each row the words ``SeedSequence`` reads from its key
+    (``linalg._key_words``), so a row seeds that key's stream.  A 2-D
+    ``uint32`` array is taken as it is; any other keys (ints, nested lists,
+    integer arrays) are checked one at a time by ``linalg._require_key`` and
+    zero-padded to the longest key.  ``SeedSequence`` pads a key of fewer than
+    four words with zeros itself, so padding up to four words keeps every
+    stream; a stack whose key lengths differ past four words raises
+    ``ParameterError``."""
+    if isinstance(keys, np.ndarray) and keys.ndim == 2 and keys.dtype == np.uint32:
+        return keys
+    words = [_key_words(key) for key in keys]
+    width = max(map(len, words), default=0)
+    if width > _POOL_SIZE and any(len(w) != width for w in words):
+        raise ParameterError(f"RNG keys of a stack must have the same length past {_POOL_SIZE} "
+                             f"words, got lengths {sorted(set(map(len, words)))}")
+    rows = np.zeros((len(words), width), dtype=np.uint32)
+    for row, w in zip(rows, words):
+        row[:len(w)] = w
+    return rows
 
 
 # The open run memo, or None: {(spec, region, key shape, key bytes): points} of
 # sample_points, {(key shape, key bytes): pool states} of key_generators and
-# {("draws", key shape, key bytes): _DrawLog} of the samplers' key streams.
+# {("draws", key shape, key bytes): _DrawLog} of the samplers' first attempts.
 _SAMPLE_MEMO = ContextVar("sample_memo", default=None)
 
 
@@ -508,21 +531,17 @@ def _memoized(entry: tuple, build) -> np.ndarray:
 
 def key_generators(keys) -> list:
     """One ``Generator`` per RNG key, each the generator that
-    ``np.random.default_rng(key)`` gives.  A 2-D ``uint32`` array of key rows
-    is hashed as one stack (:func:`_pool_states`) and each row seeds its own
-    ``PCG64``; any other keys (a ``Generator``, which is passed through, an
-    int, a list or nested list) go through ``linalg.default_generator`` one
-    at a time, so a key that is not made of nonnegative integers raises
-    ``ParameterError``.
+    ``np.random.default_rng(key)`` gives.  The keys become ``uint32`` key rows
+    at the API edge (:func:`_as_key_rows`), so a key that is not made of
+    nonnegative integers raises ``ParameterError``; the rows are hashed as
+    one stack (:func:`_pool_states`) and each row seeds its own ``PCG64``.
 
     While the run memo is open (within one ``verify.run_all``, see
-    :func:`_sample_memo`) the pool states of a ``uint32`` key stack are kept
-    in it under the stack's shape and bytes, so each stack is hashed once per
-    run; every call builds fresh generators from them.  The samplers call
-    this only for the streams their draw logs lack (:class:`_KeyStreams`)."""
-    if not _is_key_array(keys):
-        return [default_generator(key) for key in keys]
-    states = _memoized((keys.shape, keys.tobytes()), lambda: _pool_states(keys))
+    :func:`_sample_memo`) the pool states of a key stack are kept in it under
+    the stack's shape and bytes, so each stack is hashed once per run; every
+    call builds fresh generators from them."""
+    rows = _as_key_rows(keys)
+    states = _memoized((rows.shape, rows.tobytes()), lambda: _pool_states(rows))
     pool_state = _pool_state_type()
     return [np.random.Generator(np.random.PCG64(pool_state(state))) for state in states]
 
@@ -565,117 +584,47 @@ _TAPE_DEPTH = 64
 
 
 class _DrawLog:
-    """The draws that the samplers have read from the streams of one key
-    stack, as arrays.  A boundary attempt draws only normals, so
-    ``tape[k, :ends[k]]`` is the start of key k's stream as one tape: every
-    spec reads a prefix of it, and a redraw the next block.  An interior
-    attempt draws m normals and then, for a nonzero direction, rho;
-    ``first[m]`` holds each key's normals and rho of a first attempt that
-    draws m normals, rho NaN until a spec with a nonzero direction reads
-    it."""
+    """The first attempts that the samplers have drawn from the streams of one
+    key stack, as arrays.  A boundary attempt draws only normals, so ``tape``
+    is the start of every key's stream, and each boundary spec's first attempt
+    reads a prefix of it.  An interior attempt draws m normals and then rho;
+    ``first[m]`` holds each key's m normals and rho, the first attempt of
+    every interior spec that draws m normals."""
 
-    def __init__(self, count: int):
-        self.tape, self.ends, self.first = np.empty((count, 0)), np.zeros(count, dtype=int), {}
+    def __init__(self):
+        self.tape, self.first = np.empty((0, 0)), {}
 
 
-class _KeyStreams:
-    """The streams of one sampler call's keys, read through a draw log.
-
-    A 2-D ``uint32`` key stack reads the log that the run memo keeps for it
-    (one of its own while no memo is open); other keys read a log of their
-    own and draw from the generators of :func:`key_generators`, so a
-    ``Generator`` key carries on.  A read that the log holds draws nothing;
-    any other continues the key's generator.  For a key row that generator
-    is built from the row when the call first needs it and brought to where
-    the call's reads of the key end by replaying the logged draws, and it is
-    dropped with the call, so the log holds arrays only."""
-
-    def __init__(self, keys, region: str, count: int):
-        self.region, self.count, self.rho_keys, self.depth = region, count, np.empty(0, int), 0
-        self.rows = keys if _is_key_array(keys) else None
-        self.rngs = key_generators(keys) if self.rows is None else [None] * len(keys)
-        self.live = np.full(len(self.rngs), self.rows is None)
-        self.log = _DrawLog(len(self.rngs))
-        memo = _SAMPLE_MEMO.get()
-        if self.rows is not None and memo is not None:
-            self.log = memo.setdefault(("draws", keys.shape, keys.tobytes()), self.log)
-            self.depth = _TAPE_DEPTH
-
-    def _build(self, index: np.ndarray) -> np.ndarray:
-        """Give each key of ``index`` (ascending, as every index here is) a
-        generator; returns the keys whose generators are built here, at the
-        start of their streams."""
-        built = index[~self.live[index]]
-        if built.size == len(self.rngs) > 0:
-            self.rngs = key_generators(self.rows)
-        elif built.size:
-            for k, rng in zip(built.tolist(), key_generators(self.rows[built])):
-                self.rngs[k] = rng
-        self.live[built] = True
-        return built
-
-    def _draw(self, index: np.ndarray, count: int) -> np.ndarray:
-        rngs = self.rngs if len(index) == len(self.rngs) else [self.rngs[k] for k in index.tolist()]
+def _first_attempt(rows: np.ndarray, region: str, count: int) -> tuple:
+    """The normals and rho (None for a boundary point) of the first attempt of
+    every key row that draws ``count`` normals, read from the stack's draw
+    log: the log the run memo keeps for the stack, or one of its own while no
+    memo is open.  A tape too short for ``count`` is drawn again, at least
+    ``_TAPE_DEPTH`` normals deep while the memo is open, and ``first[count]``
+    is drawn on first use, rho for every key; each draws with one
+    ``standard_normal`` call per key (``linalg.gaussian_blocks``)."""
+    log, depth = _DrawLog(), count
+    memo = _SAMPLE_MEMO.get()
+    if memo is not None:
+        log = memo.setdefault(("draws", rows.shape, rows.tobytes()), log)
+        depth = max(count, _TAPE_DEPTH)
+    if region == "boundary":
+        if log.tape.shape[1] < count:
+            [log.tape] = gaussian_blocks(key_generators(rows), [(depth,)], real=True)
+        return log.tape[:, :count], None
+    if count not in log.first:
+        rngs = key_generators(rows)
         [normals] = gaussian_blocks(rngs, [(count,)], real=True)
-        return normals
-
-    def _tape(self, pending: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        log = self.log
-        short = pending[log.ends[pending] < hi]
-        if short.size:
-            starts = log.ends[short]
-            starts[np.isin(short, self._build(short))] = 0  # a built generator replays the tape
-            end = max(hi, self.depth)
-            if log.tape.shape[1] < end:
-                log.tape = np.pad(log.tape, ((0, 0), (0, end - log.tape.shape[1])),
-                                  constant_values=np.nan)
-            for start in np.unique(starts):
-                keys = short[starts == start]
-                log.tape[keys, start:end] = self._draw(keys, end - start)
-            log.ends[short] = end
-        return log.tape[pending, lo:hi]
-
-    def normals(self, pending: np.ndarray, attempt: int) -> np.ndarray:
-        """The normals of attempt ``attempt`` of the keys ``pending``, one row
-        each: a boundary attempt reads its block of the tape, a first interior
-        attempt the log's normals, and a later one continues each key's
-        generator from where its first attempt ends."""
-        count = self.count
-        if self.region == "boundary":
-            return self._tape(pending, attempt * count, (attempt + 1) * count)
-        if attempt:
-            built = self._build(pending)
-            if built.size:  # replay the first attempt's draws
-                self._draw(built, count)
-                for k in built[np.isin(built, self.rho_keys)].tolist():
-                    self.rngs[k].random()
-            return self._draw(pending, count)
-        if count not in self.log.first:
-            everyone = np.arange(len(self.rngs))
-            self._build(everyone)
-            self.log.first[count] = (self._draw(everyone, count), np.full(len(everyone), np.nan))
-        return self.log.first[count][0][pending]
-
-    def uniforms(self, index: np.ndarray, attempt: int) -> np.ndarray:
-        """rho of the keys ``index`` of an interior attempt, read right after
-        its normals: the log's rho on a first attempt, a draw on a later one."""
-        if attempt:
-            return np.array([self.rngs[k].random() for k in index.tolist()])
-        rho, self.rho_keys = self.log.first[self.count][1], index
-        unknown = index[np.isnan(rho[index])]
-        built = self._build(unknown)
-        if built.size:  # replay the first attempt's normals
-            self._draw(built, self.count)
-        rho[unknown] = [self.rngs[k].random() for k in unknown.tolist()]
-        return rho[index]
+        log.first[count] = normals, np.array([rng.random() for rng in rngs])
+    return log.first[count]
 
 
 def sample_points(spec: DomainSpec, region: str, keys) -> np.ndarray:
     """Deterministic sampler for interior or boundary points: one point per
     RNG key, stacked as an array of shape ``(len(keys), *spec.shape)``.  The
-    keys go through :func:`key_generators`: a 2-D ``uint32`` array of key
-    rows, or a sequence of keys, each an integer, a nested list of them or a
-    ``Generator``.
+    keys are a 2-D ``uint32`` array of key rows or a sequence of keys, each
+    a nonnegative integer or a nested list of them, which become key rows at
+    the API edge (:func:`_as_key_rows`).
 
     Every kind draws a Gaussian shape-projected direction and scales it by
     rho / t_1, with t_1 its largest spectral value (:func:`_spectral_squares`)
@@ -688,27 +637,28 @@ def sample_points(spec: DomainSpec, region: str, keys) -> np.ndarray:
     Gaussians as one block of normals (real parts, then imaginary parts)
     and, for an interior point with a nonzero direction, rho; these are the
     streams of ``standard_normal(shape) + 1j * standard_normal(shape)`` and
-    ``uniform()`` bit for bit.  The draws go through a draw log
-    (:class:`_KeyStreams`), which draws each block with one
-    ``standard_normal`` call per key (``linalg.gaussian_blocks``).
+    ``uniform()`` bit for bit.  The first attempt reads the stack's draw log
+    (:func:`_first_attempt`); the first redraw seeds the rejected keys'
+    generators once, draws their first attempt's normals and rho again to
+    reach the redraw, and draws each later attempt from them, one
+    ``standard_normal`` call per key and attempt.  No ``Generator`` outlives
+    the call.
 
     So a stack is a pure function of spec, region and key rows, and while
     the run memo is open (within one ``verify.run_all``, see
-    :func:`_sample_memo`) a 2-D ``uint32`` key stack is sampled once: every
-    later call with the same spec, region and key rows gets the same stack,
-    read-only.  The memo also keeps the stack's seed states
-    (:func:`key_generators`) and its draw log, so the same key rows under
-    another spec or region are not hashed again, and a later spec reads the
-    draws already made: a boundary spec a prefix of each key's tape, an
-    interior spec with the same normal count the same first attempts.
-    Other keys are sampled on every call.
+    :func:`_sample_memo`) each key stack is sampled once: every later call
+    with the same spec, region and key rows gets the same stack, read-only.
+    The memo also keeps the stack's seed states (:func:`key_generators`) and
+    its draw log, so the same key rows under another spec or region are not
+    hashed again, and a later spec reads the first attempts already drawn: a
+    boundary spec a prefix of each key's tape, an interior spec with the same
+    normal count the same normals and rho.
     """
     if region not in ("interior", "boundary"):
         raise ParameterError(f"region must be interior or boundary, got {region!r}")
-    if not _is_key_array(keys):
-        return _draw_points(spec, region, keys)
-    return _memoized((spec, region, keys.shape, keys.tobytes()),
-                     lambda: _draw_points(spec, region, keys))
+    rows = _as_key_rows(keys)
+    return _memoized((spec, region, rows.shape, rows.tobytes()),
+                     lambda: _draw_points(spec, region, rows))
 
 
 def _accepted(region: str, candidates: np.ndarray, margin: np.ndarray) -> np.ndarray:
@@ -721,27 +671,43 @@ def _accepted(region: str, candidates: np.ndarray, margin: np.ndarray) -> np.nda
     return margin > 1e-9 if region == "interior" else np.abs(margin) <= 1e-9
 
 
-def _draw_points(spec: DomainSpec, region: str, keys) -> np.ndarray:
-    streams = _KeyStreams(keys, region, 2 * spec.shape[0] * spec.shape[1])
+def _draw_points(spec: DomainSpec, region: str, rows: np.ndarray) -> np.ndarray:
+    count = 2 * spec.shape[0] * spec.shape[1]
+    first_normals, first_rho = _first_attempt(rows, region, count)
+    read_rho, rngs = np.zeros(len(rows), dtype=bool), {}
 
     def draw(pending, attempt):
-        g = _gaussian_directions(spec, streams.normals(pending, attempt))
+        if attempt and not rngs:  # the first redraw: seed the rejected keys, draw attempt 0 again
+            rngs.update(zip(pending.tolist(), key_generators(rows[pending])))
+            gaussian_blocks(list(rngs.values()), [(count,)], real=True)
+            for k in pending[read_rho[pending]].tolist():
+                rngs[k].random()
+        if attempt:
+            [normals] = gaussian_blocks([rngs[k] for k in pending.tolist()], [(count,)], real=True)
+        else:
+            normals = first_normals
+        g = _gaussian_directions(spec, normals)
         top = _spectral_squares(spec, g)[:, 0]
         valid = top > 0.0
-        rho = streams.uniforms(pending[valid], attempt) if region == "interior" else 1.0
+        if region == "boundary":
+            rho = 1.0
+        elif attempt:
+            rho = np.array([rngs[k].random() for k in pending[valid].tolist()])
+        else:
+            rho, read_rho[:] = first_rho[valid], valid
         scale = rho / np.sqrt(top[valid])
         candidates = g[valid] * scale[:, None, None]
         accepted = np.zeros(len(pending), dtype=bool)
         accepted[valid] = _accepted(region, candidates, 1.0 - top[valid] * scale * scale)
         return accepted, (candidates[accepted[valid]],)
 
-    return _redraw(len(streams.rngs), draw,
-                   SamplingError(f"could not sample a {region} point of {spec}"))[0]
+    error = SamplingError(f"could not sample a {region} point of {spec}")
+    return _redraw(len(rows), draw, error)[0]
 
 
 def sample_point(spec: DomainSpec, region: str, seed) -> Point:
-    """One point from :func:`sample_points` with the single key ``seed``; a
-    ``Generator`` seed is drawn from and carries on."""
+    """One point from :func:`sample_points` with the single key ``seed``, a
+    nonnegative integer or a nested list of them."""
     return Point(spec, sample_points(spec, region, [seed])[0])
 
 

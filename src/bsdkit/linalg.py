@@ -137,6 +137,15 @@ def _require_key(key, nested: bool = True) -> None:
         raise ParameterError(f"RNG key must be nonnegative, got {key!r}")
 
 
+def _key_words(key) -> list:
+    """The ``uint32`` words that NumPy's ``SeedSequence`` reads from an RNG key
+    that :func:`_require_key` accepts: the little-endian 32-bit words of each
+    of its integers in order, at least one word per integer."""
+    _require_key(key)
+    return [part >> shift & 0xFFFFFFFF for part in map(int, _key_parts(key))
+            for shift in range(0, max(1, part.bit_length()), 32)]
+
+
 def _require_tolerance(tol: float, name: str = "tol") -> None:
     """The one rule for a tolerance: a negative or non-finite one raises
     ``ParameterError`` (it would fail every identity, or with +inf pass every
@@ -153,10 +162,9 @@ def _require_positive(name: str, count: int) -> None:
 
 
 def default_generator(key):
-    """``np.random.default_rng(key)`` for a ``Generator``, which is passed
-    through and carries on, or for a key that :func:`_require_key` accepts."""
-    if not isinstance(key, np.random.Generator):
-        _require_key(key)
+    """``np.random.default_rng(key)`` for a key that :func:`_require_key`
+    accepts."""
+    _require_key(key)
     return np.random.default_rng(key)
 
 

@@ -29,9 +29,11 @@ element stack from ``autgroups.random_automorphisms``, and the isotropy
 check draws every trial's parameters as one stack from
 ``autgroups.random_isotropy_stack``, conjugates the whole stack at once
 (``polymaps._conjugations``) and takes its spectra with one SVD per degree.
-Keys are the flat ``uint32`` rows of ``_key_rows``, which seed the
-streams of the nested keys ``[[[seed, stream], k], 2a]``.  The samplers seed
-a whole key array at once through ``domains.key_generators``, and each key
+Keys are the flat ``uint32`` rows of ``_key_rows``: the seed's words by
+``linalg._key_words``, the one rule that also turns every key into a row at
+the samplers' API edge, then the counters.  A row seeds the stream of the
+nested key ``[[[seed, stream], k], 2a]``.  The samplers seed a whole key
+array at once through ``domains.key_generators``, and each key
 then draws a group of Gaussians (a sample's direction, an element's
 isotropy or boost sources) in one ``standard_normal`` call through
 ``linalg.gaussian_blocks``, bit for bit the draws of one call per real and
@@ -42,14 +44,14 @@ Within one ``run_all`` each key stack is sampled once and hashed once:
 that asks for the same spec, region and key stack gets the same points,
 read-only.  The memo also keeps each stack's ``SeedSequence`` pool states,
 so the ``[seed, k, c]`` stacks that the F_U, coefficient lemma and isotropy
-reports share are hashed once per run, and each stack's draw log, so each
-key's stream is drawn once per run: the boundary specs that sample a stack
-read prefixes of one tape of normals per key, and the interior specs with
-the same normal count read the same first attempt (normals and rho).  A
-``Generator`` is built per key only for a draw the log lacks, and replays
-the logged draws up to it: at seed 42 the samplers seed 4,038 keys, not
-7,988.  This is exact, since a stack is a pure function of its spec,
-region and keys, and a key's draws are its stream's whoever reads them.
+reports share are hashed once per run, and each stack's draw log of first
+attempts, so each first attempt is drawn once per run: the boundary specs
+that sample a stack read prefixes of one tape of normals per key, and the
+interior specs with the same normal count read the same normals and rho.
+Only a redraw, or a tape too short for a spec, seeds a key again: at seed
+42 the samplers seed 4,038 keys, not 7,988, and make no redraw.  This is
+exact, since a stack is a pure function of its spec, region and keys, and
+a key's draws are its stream's whoever reads them.
 """
 
 import itertools
@@ -87,7 +89,7 @@ from .invariants import (
     _spectrum_distance,
     invariant_spectrum,
 )
-from .linalg import _require_key, _require_positive, _require_tolerance
+from .linalg import _key_words, _require_key, _require_positive, _require_tolerance
 from .polymaps import (
     PolyMap,
     _embedding,
@@ -163,13 +165,12 @@ def _relative(value, reference):
 def _key_rows(seed, *columns) -> np.ndarray:
     """The key rule of every check: the ``uint32`` rows ``[*words, c1[k],
     c2[k], ...]`` over the broadcast integer columns (nonnegative counters),
-    with ``words`` the little-endian 32-bit words of the seed (one word below
-    2**32).  ``SeedSequence`` reads the nested key ``[seed, c1[k], ...]`` as
+    with ``words`` the seed's ``linalg._key_words``, its little-endian 32-bit
+    words (one word below 2**32).  ``SeedSequence`` reads the nested key ``[seed, c1[k], ...]`` as
     these same words, so a row seeds that key's stream.  A seed that is not
     a nonnegative integer raises ``ParameterError`` (``linalg._require_key``)."""
     _require_key(seed, nested=False)
-    seed = int(seed)
-    words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(1, seed.bit_length()), 32)]
+    words = _key_words(seed)
     rows = np.empty((np.broadcast(*columns).size, len(words) + len(columns)), dtype=np.uint32)
     for j, col in enumerate([*words, *columns]):
         rows[:, j] = col

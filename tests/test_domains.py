@@ -26,6 +26,7 @@ from bsdkit.domains import (
     sample_points,
 )
 from bsdkit.errors import ParameterError, SamplingError, ShapeError
+from bsdkit.linalg import _key_words
 
 ALL_SPECS = ["I:2,2", "I:2,3", "II:3", "II:4", "III:2", "III:3", "IV:2", "IV:3"]
 
@@ -356,18 +357,31 @@ class TestKeyGenerators:
 
     @pytest.mark.parametrize("keys", [
         [7, [42, 0], [[42, 0], 5, 1]],
-        np.array([[2**32, 1, 2], [2**64 + 5, 0, 0]], dtype=object),
-    ], ids=["lists", "object-rows"])
+        [[2**32, 1, 2], [2**64 + 5, 0, 0]],
+    ], ids=["lists", "lengths-past-four-words"])
     def test_other_keys_go_through_default_rng(self, keys):
+        # Keys of 1, 2 and 4 words are zero-padded to 4 in one stack, which
+        # SeedSequence reads as the same keys.  Past four words it reads every
+        # word, so keys of 4 and 5 words make no stack; each alone still does.
+        spec = parse_spec("I:2,2")
+        for key in keys:
+            [alone] = key_generators([key])
+            assert_same_streams(alone, np.random.default_rng(key))
+        if max(len(_key_words(key)) for key in keys) > 4:
+            for draw in (key_generators, lambda keys: sample_points(spec, "interior", keys)):
+                with pytest.raises(ParameterError, match=r"same length past 4 words, got "
+                                                         r"lengths \[4, 5\]$"):
+                    draw(keys)
+            return
         for mine, key in zip(key_generators(keys), keys):
             assert_same_streams(mine, np.random.default_rng(key))
+        stack = sample_points(spec, "interior", keys)
+        for point, key in zip(stack, keys):
+            assert np.array_equal(point, sample_point(spec, "interior", key).value)
 
-    def test_generator_is_passed_through_and_carries_on(self):
-        mine, theirs = np.random.default_rng(17), np.random.default_rng(17)
-        mine.standard_normal(3), theirs.standard_normal(3)
-        [got] = key_generators([mine])
-        assert got is mine
-        assert_same_streams(got, theirs)
+    def test_generator_key_is_a_parameter_error(self):
+        with pytest.raises(ParameterError, match="^RNG key must be a nonnegative integer"):
+            key_generators([np.random.default_rng(17)])
 
     def test_empty_stack(self):
         assert key_generators(np.empty((0, 3), dtype=np.uint32)) == []
@@ -405,12 +419,9 @@ class TestStackedSampler:
         assert np.all(got[:, 0, -1].real <= 0.0)
         assert np.array_equal(got, np.array([reference_sample(spec, region, key) for key in keys]))
 
-    def test_generator_seed_carries_on(self):
-        spec = parse_spec("I:2,2")
-        mine, theirs = np.random.default_rng(17), np.random.default_rng(17)
-        p = sample_point(spec, "interior", mine)
-        assert np.array_equal(p.value, reference_sample(spec, "interior", theirs))
-        assert mine.random() == theirs.random()
+    def test_generator_seed_is_a_parameter_error(self):
+        with pytest.raises(ParameterError, match="^RNG key must be a nonnegative integer"):
+            sample_point(parse_spec("I:2,2"), "interior", np.random.default_rng(17))
 
     @pytest.mark.parametrize("region", ["interior", "boundary"])
     def test_empty_key_list(self, region):
@@ -453,16 +464,18 @@ class TestSampleMemo:
         assert np.array_equal(fewer, outside[:6])
         assert domains._SAMPLE_MEMO.get() is None
 
-    def test_other_keys_bypass_the_memo(self):
+    def test_other_keys_share_the_memo(self):
+        # every key becomes uint32 rows at the API edge, so the same keys as
+        # objects, lists or int64 rows read the memo entry of the uint32 rows
         spec = parse_spec("I:2,2")
-        for keys in (self.KEYS.astype(object), self.KEYS.tolist(), self.KEYS.astype(np.int64)):
-            with domains._sample_memo():
-                a, b = sample_points(spec, "boundary", keys), sample_points(spec, "boundary", keys)
-            assert a is not b and a.flags.writeable and np.array_equal(a, b)
         with domains._sample_memo():
-            mine = sample_point(spec, "interior", np.random.default_rng(5)).value
-            again = sample_point(spec, "interior", np.random.default_rng(5)).value
-        assert mine.flags.writeable and np.array_equal(mine, again)
+            rows = sample_points(spec, "boundary", self.KEYS)
+            for keys in (self.KEYS.astype(object), self.KEYS.tolist(), self.KEYS.astype(np.int64)):
+                assert sample_points(spec, "boundary", keys) is rows
+            one = sample_points(spec, "interior", [5])
+            assert sample_points(spec, "interior", [[5]]) is one
+            mine = sample_point(spec, "interior", 5).value
+        assert not mine.flags.writeable and np.array_equal(mine, one[0])
 
     def test_memo_closes_when_the_block_raises(self):
         with pytest.raises(ParameterError):
@@ -490,15 +503,21 @@ class TestSampleMemo:
         for x, key in zip(fewer, self.KEYS):
             assert_same_streams(x, np.random.default_rng(key))
 
-    def test_other_keys_bypass_the_seed_memo(self):
-        for keys in (self.KEYS.astype(object), self.KEYS.tolist(), self.KEYS.astype(np.int64)):
-            with domains._sample_memo():
-                a, b = key_generators(keys), key_generators(keys)
-                assert domains._SAMPLE_MEMO.get() == {}
-            for x, y, key in zip(a, b, keys):
-                assert x is not y
-                assert_same_streams(x, np.random.default_rng(key))
-                assert_same_streams(y, np.random.default_rng(key))
+    def test_other_keys_share_the_seed_memo(self, monkeypatch):
+        hashed, pool_states = [], domains._pool_states
+
+        def counted(rows):
+            hashed.append(len(rows))
+            return pool_states(rows)
+
+        monkeypatch.setattr(domains, "_pool_states", counted)
+        with domains._sample_memo():
+            for keys in (self.KEYS, self.KEYS.astype(object), self.KEYS.tolist(),
+                         self.KEYS.astype(np.int64)):
+                for x, key in zip(key_generators(keys), self.KEYS):
+                    assert_same_streams(x, np.random.default_rng(key))
+            assert len(domains._SAMPLE_MEMO.get()) == 1
+        assert hashed == [12]
 
 
 def count_built(monkeypatch):
@@ -599,10 +618,15 @@ class TestDrawLog:
             sample_points(parse_spec("II:3"), "boundary", self.KEYS)
             [log] = [v for v in domains._SAMPLE_MEMO.get().values()
                      if isinstance(v, domains._DrawLog)]
-        assert log.tape.shape == (30, 64) and np.all(log.ends == 64)
+        # first attempts only: the tape and one (normals, rho) per normal count
+        assert sorted(vars(log)) == ["first", "tape"] and list(log.first) == [8]
         normals, rho = log.first[8]
-        assert normals.shape == (30, 8) and not np.any(np.isnan(rho))
-        assert all(isinstance(v, np.ndarray) for v in (log.tape, log.ends, normals, rho))
+        assert log.tape.shape == (30, 64) and normals.shape == (30, 8) and rho.shape == (30,)
+        assert all(isinstance(v, np.ndarray) for v in (log.tape, normals, rho))
+        for k, key in enumerate(self.KEYS):
+            assert np.array_equal(log.tape[k], np.random.default_rng(key).standard_normal(64))
+            rng = np.random.default_rng(key)
+            assert np.array_equal(normals[k], rng.standard_normal(8)) and rho[k] == rng.random()
 
 
 class TestStackedKernels:
