@@ -34,18 +34,19 @@ with the same axes.
 Random elements come as stacks: ``random_automorphisms(spec, keys)`` draws
 each key's parameters from that key's own stream (the keys become ``uint32``
 rows at the API edge and are hashed as one stack by
-``domains.key_generators``, and each group of a key's Gaussians is one
-``standard_normal`` call), then builds every
-matrix at once: an isotropy, or a boost exp(X) times an isotropy, with X
-the Hermitian noncompact generator [[0, Y], [Y*, 0]] (G = exp(p) K, the
-Cartan decomposition).  Stacked QR gives the Haar factors, one ``eigvalsh``
-of Y*Y the boost scale and one ``eigh`` of X the boost (``expm``), so an
-element depends on its key only; ``random_automorphism`` is its one-key
-case.  Random isotropy parameters come the same way from
-``random_isotropy_stack``, and ``random_isotropy_params`` is its one-key
-case.  A key is a nonnegative integer or a nested list of them, as
-``linalg._require_key`` states it; a stack may also be a 2-D ``uint32``
-array of key rows.
+``domains.key_generators``; a kind I/II/III key draws one raw word and then
+all its normals in one ``standard_normal`` call, a tape that the run memo
+keeps per key stack, and a kind IV key one call per group of Gaussians),
+then builds every matrix at once: an isotropy, or a boost exp(X) times an
+isotropy, with X the Hermitian noncompact generator [[0, Y], [Y*, 0]]
+(G = exp(p) K, the Cartan decomposition).  Stacked QR gives the Haar
+factors, one ``eigvalsh`` of Y*Y the boost scale and one ``eigh`` of Y*Y
+the boost (``expm``, the block form of exp(X)), so an element depends on
+its key only; ``random_automorphism`` is its one-key case.  Random isotropy
+parameters come the same way from ``random_isotropy_stack``, and
+``random_isotropy_params`` is its one-key case.  A key is a nonnegative
+integer or a nested list of them, as ``linalg._require_key`` states it; a
+stack may also be a 2-D ``uint32`` array of key rows.
 
 Defining relations checked for membership:
 
@@ -55,14 +56,16 @@ Defining relations checked for membership:
 * kind IV  -- M^t M = I and M diag(-I_n, I_2) M* = diag(-I_n, I_2)
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import (DomainSpec, Point, borel_lifts, check_shapes, classify_points,
-                      key_generators, parse_spec)
+from .domains import (_SAMPLE_MEMO, _TAPE_DEPTH, DomainSpec, Point, _as_key_rows, borel_lifts,
+                      check_shapes, classify_points, key_generators, parse_spec)
 from .errors import ActionSingularityError, DomainError, ParameterError, ShapeError
-from .linalg import as_matrix, gaussian_blocks, haar_normalize, hybrid_tol, psd_inv_sqrt
+from .linalg import (_cut_blocks, as_matrix, gaussian_blocks, haar_normalize, hybrid_tol,
+                     psd_inv_sqrt)
 
 __all__ = [
     "AutElement",
@@ -283,6 +286,19 @@ def _direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _haar_sources(spec: DomainSpec) -> list:
+    """The shapes of a kind I/II/III isotropy's Gaussian sources, in stream
+    order: U and V (kind I) or A (kinds II/III)."""
+    return [(spec.r, spec.r), (spec.s, spec.s)] if spec.kind == "I" else [(spec.n, spec.n)]
+
+
+def _haar_params(spec: DomainSpec, sources: list):
+    """Kind I/II/III isotropy parameters from the source stacks of
+    :func:`_haar_sources`, one stacked Haar normalization each."""
+    params = tuple(map(haar_normalize, sources))
+    return params if spec.kind == "I" else params[0]
+
+
 def _isotropy_params(spec: DomainSpec, rngs):
     """Isotropy parameters of every generator of ``rngs``, stacked component by
     component.  Each generator draws, in stream order, the U and V sources
@@ -291,9 +307,7 @@ def _isotropy_params(spec: DomainSpec, rngs):
     if spec.kind == "IV":
         [p] = gaussian_blocks(rngs, [(spec.n, spec.n)], real=True)
         return haar_normalize(p), 2.0 * np.pi * np.array([rng.random() for rng in rngs])
-    sizes = (spec.r, spec.s) if spec.kind == "I" else (spec.n,)
-    params = tuple(map(haar_normalize, gaussian_blocks(rngs, [(m, m) for m in sizes])))
-    return params if spec.kind == "I" else params[0]
+    return _haar_params(spec, gaussian_blocks(rngs, _haar_sources(spec)))
 
 
 def random_isotropy_stack(spec: DomainSpec, keys):
@@ -333,31 +347,76 @@ def transvection_type1(z0: Point) -> AutElement:
     return AutElement(spec, np.block([[p, p @ z], [q @ z_star, q]]))
 
 
-def expm(h: np.ndarray) -> np.ndarray:
-    """exp of a Hermitian matrix, or of each matrix of a Hermitian stack
-    ``(..., N, N)``: V diag(e^w) V* from one stacked ``eigh``."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+def _sinhc(x: np.ndarray) -> np.ndarray:
+    """sinh(x) / x for x >= 0, with sinhc(0) = 1."""
+    positive = x > 0.0
+    return np.where(positive, np.sinh(x) / np.where(positive, x, 1.0), 1.0)
 
 
-def _boosts(spec: DomainSpec, rngs) -> np.ndarray:
-    """exp(X) for the noncompact generator X = [[0, Y], [Y*, 0]] that each
-    generator of ``rngs`` draws, scaled to operator norm at most 0.4 (the
-    largest singular value of Y).  Y is a complex Gaussian of the point shape,
-    projected to (y + eps y^t) / 2 for kinds II/III, or iB with B a real
-    n x 2 Gaussian for kind IV."""
-    if spec.kind == "IV":
-        y = 1j * gaussian_blocks(rngs, [(spec.n, 2)], real=True)[0]
-    else:
-        y = gaussian_blocks(rngs, [spec.shape])[0]
+def expm(y: np.ndarray) -> np.ndarray:
+    """exp(X) of the Hermitian generator X = [[0, Y], [Y*, 0]] of a k x m block
+    Y, or of each block of a stack ``(..., k, m)``; shape ``(..., k + m, k + m)``.
+
+    One stacked ``eigh`` gives Y*Y = V diag(s^2) V*; with W = YV and
+    sinhc(x) = sinh(x) / x,
+
+        exp(X) = [[I + W diag(sinhc(s/2)^2 / 2) W*,  W diag(sinhc s) V*],
+                  [V diag(sinhc s) W*,               V diag(cosh s) V*]],
+
+    the polar form of a transvection (Helgason 1978): cosh sqrt(YY*) is
+    I + Y f(Y*Y) Y* with f(t) = (cosh sqrt(t) - 1) / t, and sinhc, cosh and f
+    are entire in s^2, so a zero or repeated s (a rank-deficient Y*Y) needs
+    no special case, and Y = 0 gives the identity exactly."""
+    k = y.shape[-2]
+    w, v = np.linalg.eigh(y.conj().swapaxes(-1, -2) @ y)
+    s = np.sqrt(np.maximum(w, 0.0))[..., :, None]
+    yv = y @ v
+    yv_star, v_star, sinhc = yv.conj().swapaxes(-1, -2), v.conj().swapaxes(-1, -2), _sinhc(s)
+    top = yv @ np.concatenate([_sinhc(s / 2.0) ** 2 / 2.0 * yv_star, sinhc * v_star], axis=-1)
+    bottom = v @ np.concatenate([sinhc * yv_star, np.cosh(s) * v_star], axis=-1)
+    out = np.concatenate([top, bottom], axis=-2)
+    out[..., range(k), range(k)] += 1.0
+    return out
+
+
+def _boosts(spec: DomainSpec, y: np.ndarray) -> np.ndarray:
+    """exp(X) for the noncompact generator X = [[0, Y], [Y*, 0]] of each
+    Gaussian block of the stack ``y`` (:func:`expm`): a complex Gaussian of the
+    point shape, projected to (y + eps y^t) / 2 for kinds II/III, or iB with B
+    a real n x 2 Gaussian for kind IV, scaled to operator norm at most 0.4
+    (the largest singular value of Y, from one ``eigvalsh`` of Y*Y)."""
     if spec.mirror:
         y = (y + spec.mirror * y.swapaxes(-1, -2)) / 2.0
     top = np.sqrt(np.linalg.eigvalsh(y.conj().swapaxes(-1, -2) @ y)[..., -1])
-    y = y * (0.4 / np.maximum(1.0, top))[:, None, None]
-    k = _block_split(spec)
-    x = np.zeros((len(y), matrix_size(spec), matrix_size(spec)), dtype=complex)
-    x[:, :k, k:], x[:, k:, :k] = y, y.conj().swapaxes(-1, -2)
-    return expm(x)
+    return expm(y * (0.4 / np.maximum(1.0, top))[:, None, None])
+
+
+def _boost_mask(rngs) -> np.ndarray:
+    """Which generators' elements are boosts: the first raw word of each
+    stream has bit 31 clear, what ``rng.integers(2) == 0`` reads from it.
+    The normals and uniforms drawn after it are the same either way."""
+    return np.array([rng.bit_generator.random_raw() & 0x80000000 == 0 for rng in rngs],
+                    dtype=bool)
+
+
+def _element_draws(rows: np.ndarray, count: int) -> tuple:
+    """The boost mask (:func:`_boost_mask`) of the key rows ``rows`` and each
+    key's first ``count`` normals after its first raw word: a kind I/II/III
+    element's whole stream.  While the run memo is open
+    (``domains._sample_memo``) it keeps them per key stack as arrays, a tape
+    at least ``domains._TAPE_DEPTH`` normals deep, so each spec reads a prefix
+    and a stack is seeded again only for a deeper tape; one
+    ``standard_normal`` call per key draws the tape."""
+    memo = _SAMPLE_MEMO.get()
+    entry = ("elements", rows.shape, rows.tobytes())
+    drawn = None if memo is None else memo.get(entry)
+    if drawn is None or drawn[1].shape[1] < count:
+        rngs = key_generators(rows)
+        depth = count if memo is None else max(count, _TAPE_DEPTH)
+        drawn = _boost_mask(rngs), gaussian_blocks(rngs, [(depth,)], real=True)[0]
+        if memo is not None:
+            memo[entry] = drawn
+    return drawn[0], drawn[1][:, :count]
 
 
 def random_automorphisms(spec: DomainSpec, keys) -> AutElement:
@@ -365,18 +424,33 @@ def random_automorphisms(spec: DomainSpec, keys) -> AutElement:
     ``(len(keys), N, N)``: an isotropy, or a boost exp(X) times an isotropy
     (every element is one, G = exp(p) K).
 
-    Each key's stream gives, in order, which of the two its element
-    is, the isotropy Gaussians (kind IV: then its angle) and, for a boost,
-    the Gaussians of Y, so an element depends on its key only.  Each group
-    of Gaussians is one ``standard_normal`` call per key
-    (``linalg.gaussian_blocks``).  The matrices are then built as stacks:
-    one QR per Haar factor, one ``eigvalsh`` of Y*Y for the boost scale and
-    one ``eigh`` of X for :func:`expm`.
+    Each key's stream gives, in order, which of the two its element is (one
+    raw word, :func:`_boost_mask`), the isotropy Gaussians (kind IV: then its
+    angle) and, for a boost, the Gaussians of Y, so an element depends on its
+    key only.  For kinds I/II/III that stream is one word and then normals
+    only, so each key draws them with one ``standard_normal`` call
+    (:func:`_element_draws`), and within one ``verify.run_all`` the 8 kind
+    I/II/III reports of a key stack seed it once, or twice when a spec needs
+    a deeper tape.  Kind IV draws its angle between its Gaussians, so each
+    call seeds its keys and draws each group of Gaussians with one call per
+    key (``linalg.gaussian_blocks``).  The matrices are then built as
+    stacks: one QR per Haar factor, one ``eigvalsh`` of Y*Y for the boost
+    scale and one ``eigh`` of Y*Y for :func:`expm`.
     """
-    rngs = key_generators(keys)
-    moved = np.flatnonzero([rng.integers(2) == 0 for rng in rngs])
-    out = isotropy(spec, _isotropy_params(spec, rngs)).matrix
-    out[moved] = _boosts(spec, [rngs[k] for k in moved]) @ out[moved]
+    rows = _as_key_rows(keys)
+    if spec.kind == "IV":
+        rngs = key_generators(rows)
+        moved = _boost_mask(rngs)
+        params = _isotropy_params(spec, rngs)
+        boosted = [rng for rng, m in zip(rngs, moved) if m]
+        y = 1j * gaussian_blocks(boosted, [(spec.n, 2)], real=True)[0]
+    else:
+        shapes = [*_haar_sources(spec), spec.shape]
+        moved, tape = _element_draws(rows, 2 * sum(map(math.prod, shapes)))
+        *sources, y = _cut_blocks(tape, shapes)
+        params, y = _haar_params(spec, sources), y[moved]
+    out = isotropy(spec, params).matrix
+    out[moved] = _boosts(spec, y) @ out[moved]
     return AutElement(spec, out)
 
 

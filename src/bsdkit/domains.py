@@ -483,10 +483,15 @@ def _as_key_rows(keys) -> np.ndarray:
     integer arrays) are checked one at a time by ``linalg._require_key`` and
     zero-padded to the longest key.  ``SeedSequence`` pads a key of fewer than
     four words with zeros itself, so padding up to four words keeps every
-    stream; a stack whose key lengths differ past four words raises
-    ``ParameterError``."""
+    stream; a stack whose key lengths differ past four words, or that is
+    not a sequence at all (an int, None), raises ``ParameterError``."""
     if isinstance(keys, np.ndarray) and keys.ndim == 2 and keys.dtype == np.uint32:
         return keys
+    try:
+        keys = iter(keys)
+    except TypeError:
+        raise ParameterError("RNG keys must be a sequence of keys or a 2-D uint32 array, "
+                             f"got {keys!r}") from None
     words = [_key_words(key) for key in keys]
     width = max(map(len, words), default=0)
     if width > _POOL_SIZE and any(len(w) != width for w in words):
@@ -499,8 +504,10 @@ def _as_key_rows(keys) -> np.ndarray:
 
 
 # The open run memo, or None: {(spec, region, key shape, key bytes): points} of
-# sample_points, {(key shape, key bytes): pool states} of key_generators and
-# {("draws", key shape, key bytes): _DrawLog} of the samplers' first attempts.
+# sample_points, {(key shape, key bytes): pool states} of key_generators,
+# {("draws", key shape, key bytes): _DrawLog} of the samplers' first attempts
+# and {("elements", key shape, key bytes): (boost mask, tape)} of
+# autgroups.random_automorphisms.
 _SAMPLE_MEMO = ContextVar("sample_memo", default=None)
 
 
@@ -576,10 +583,11 @@ def _gaussian_directions(spec: DomainSpec, normals: np.ndarray) -> np.ndarray:
     return g
 
 
-# A key stack's boundary tape is drawn at least this many normals deep while
-# the run memo keeps it: a normal costs about 16 ns and seeding a generator
-# about 2 us, so the later specs of a run (the deepest, II:5, reads 50)
-# read a prefix instead of seeding every key again.
+# A key stack's boundary tape, and its element tape in autgroups, is drawn at
+# least this many normals deep while the run memo keeps it: a normal costs
+# about 16 ns and seeding a generator about 2 us, so the later specs of a run
+# (the deepest boundary spec, II:5, reads 50) read a prefix instead of
+# seeding every key again.
 _TAPE_DEPTH = 64
 
 

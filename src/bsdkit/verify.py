@@ -49,9 +49,14 @@ attempts, so each first attempt is drawn once per run: the boundary specs
 that sample a stack read prefixes of one tape of normals per key, and the
 interior specs with the same normal count read the same normals and rho.
 Only a redraw, or a tape too short for a spec, seeds a key again: at seed
-42 the samplers seed 4,038 keys, not 7,988, and make no redraw.  This is
-exact, since a stack is a pure function of its spec, region and keys, and
-a key's draws are its stream's whoever reads them.
+42 the samplers seed 4,038 keys, not 7,988, and make no redraw.  The
+random automorphisms keep one element tape per key stack the same way: the
+8 kind I/II/III F_U reports read their elements' streams from the tape of
+the ``[seed, k, 0]`` stack, which is seeded once and deepened once (for
+II:5), so their 200 keys are seeded 400 times, not 1,600; the 2 kind IV
+reports seed them once each.  This is exact, since a stack is a pure
+function of its spec, region and keys, and a key's draws are its stream's
+whoever reads them.
 """
 
 import itertools

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from bsdkit import autgroups, domains
+from bsdkit import autgroups, domains, verify
 from bsdkit.autgroups import (
     AutElement,
     act,
@@ -339,7 +339,7 @@ def keys_drawing(flavor, keys):
 def reference_automorphism(spec, key):
     """One key at a time: the element's type, a QR-based Haar isotropy, then
     for a boost the exponential of the scaled noncompact generator
-    X = [[0, Y], [Y*, 0]] times that isotropy."""
+    X = [[0, Y], [Y*, 0]], from its block Y, times that isotropy."""
     rng = np.random.default_rng(key)
     flavor = FLAVORS[rng.integers(2)]
 
@@ -373,8 +373,7 @@ def reference_automorphism(spec, key):
         if spec.mirror:
             y = (y + spec.mirror * y.T) / 2.0
     y = y * (0.4 / max(1.0, np.sqrt(np.linalg.eigvalsh(y.conj().T @ y)[-1])))
-    x = np.block([[np.zeros((len(y), len(y))), y], [y.conj().T, np.zeros((len(y.T), len(y.T)))]])
-    return autgroups.expm(x) @ iso  # its accuracy against a series oracle: TestBoost
+    return autgroups.expm(y) @ iso  # its accuracy against a series oracle: TestBoost
 
 
 class TestStackedAutomorphisms:
@@ -433,6 +432,14 @@ def series_exp(x, terms=40):
     return total
 
 
+def generator(y):
+    """The Hermitian noncompact generator X = [[0, Y], [Y*, 0]] of each block Y."""
+    k, m = y.shape[-2:]
+    x = np.zeros((*y.shape[:-2], k + m, k + m), dtype=complex)
+    x[..., :k, k:], x[..., k:, :k] = y, y.conj().swapaxes(-1, -2)
+    return x
+
+
 BOOST_SPECS = [*ALL_SPECS, "I:1,1", "II:2", "III:1", "IV:1"]
 BOOST_KEYS = np.array([[29, k] for k in range(40)], dtype=np.uint32)
 
@@ -441,15 +448,15 @@ class TestBoost:
     @pytest.mark.parametrize("text", BOOST_SPECS)
     def test_matches_the_series_oracle(self, text, monkeypatch):
         spec = parse_spec(text)
-        generators, real = [], autgroups.expm
-        monkeypatch.setattr(autgroups, "expm", lambda x: generators.append(x) or real(x))
+        blocks, real = [], autgroups.expm
+        monkeypatch.setattr(autgroups, "expm", lambda y: blocks.append(y) or real(y))
         random_automorphisms(spec, BOOST_KEYS)
-        [x] = generators
-        assert len(x) == len(keys_drawing("boost", BOOST_KEYS.tolist()))
-        assert np.array_equal(x, x.conj().swapaxes(-1, -2))
-        assert np.max(np.linalg.norm(x, 2, axis=(-2, -1))) <= 0.4 * (1 + 1e-14)
-        want = series_exp(x)
-        errors = np.linalg.norm(autgroups.expm(x) - want, axis=(-2, -1))
+        [y] = blocks
+        assert len(y) == len(keys_drawing("boost", BOOST_KEYS.tolist()))
+        assert y.shape[1:] == ((spec.n, 2) if spec.kind == "IV" else spec.shape)
+        assert np.max(np.linalg.norm(y, 2, axis=(-2, -1))) <= 0.4 * (1 + 1e-14)
+        want = series_exp(generator(y))
+        errors = np.linalg.norm(autgroups.expm(y) - want, axis=(-2, -1))
         assert np.max(errors / np.linalg.norm(want, axis=(-2, -1))) <= 1e-14
 
     @pytest.mark.parametrize("text", BOOST_SPECS)
@@ -472,30 +479,64 @@ class TestBoost:
             assert np.array_equal(random_automorphism(spec, key).matrix, m), key
 
 
-def hermitian_stack(seed, count, n, norms):
-    """``count`` Hermitian n x n matrices scaled to the given operator norms."""
+# Specs whose Y*Y is rank deficient (Y antisymmetric of odd size, Y of kind I
+# with r < s, Y of kind IV with n = 1), the edge specs, and more of each kind.
+RANK_DEFICIENT = ["II:3", "II:5", "I:2,3", "IV:1"]
+EXPM_SPECS = [*RANK_DEFICIENT, "I:1,1", "II:2", "III:1", "I:3,3", "III:3", "IV:3", "II:4"]
+
+
+def block_stack(spec, seed, norms):
+    """Blocks Y of the spec's boost generator, projected as ``_boosts`` projects
+    them and scaled to the given operator norms."""
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
-    h = g + g.conj().swapaxes(-1, -2)
-    return h * (np.asarray(norms) / np.linalg.norm(h, 2, axis=(-2, -1)))[:, None, None]
+    if spec.kind == "IV":
+        y = 1j * rng.standard_normal((len(norms), spec.n, 2))
+    else:
+        shape = (len(norms), *spec.shape)
+        y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if spec.mirror:
+            y = (y + spec.mirror * y.swapaxes(-1, -2)) / 2.0
+    return y * (np.asarray(norms) / np.linalg.norm(y, 2, axis=(-2, -1)))[:, None, None]
 
 
 class TestExpm:
-    @pytest.mark.parametrize("n", [1, 2, 3, 6])
-    def test_matches_scipy_on_hermitian_stacks(self, n):
+    @pytest.mark.parametrize("text", EXPM_SPECS)
+    def test_matches_scipy_on_block_stacks(self, text):
         norms = np.geomspace(0.01, 10.0, 30)
-        h = hermitian_stack(n, len(norms), n, norms)
-        want = scipy.linalg.expm(h)
-        errors = np.linalg.norm(autgroups.expm(h) - want, axis=(-2, -1))
-        # exp's relative condition number on a Hermitian matrix is at most |H| (Van Loan 1977)
+        y = block_stack(parse_spec(text), 3, norms)
+        want = scipy.linalg.expm(generator(y))
+        errors = np.linalg.norm(autgroups.expm(y) - want, axis=(-2, -1))
+        # exp's relative condition number on a Hermitian matrix is at most |X| (Van Loan 1977),
+        # and |X| = |Y|
         assert np.all(errors / np.linalg.norm(want, axis=(-2, -1)) <= 1e-14 * np.maximum(1, norms))
 
-    def test_each_row_depends_on_its_own_matrix_only(self):
-        h = hermitian_stack(6, 8, 5, np.geomspace(0.1, 4.0, 8))
-        stack = autgroups.expm(h)
-        for k, x in enumerate(h):
-            assert np.array_equal(stack[k], autgroups.expm(x)), k
-        assert np.array_equal(autgroups.expm(h.reshape(2, 4, 5, 5)), stack.reshape(2, 4, 5, 5))
+    @pytest.mark.parametrize("text", EXPM_SPECS)
+    def test_the_kernel_of_x_is_fixed(self, text):
+        # exp(X) fixes the kernel of X, which meets the Y*Y block exactly when
+        # Y*Y is rank deficient: there the kernel uses sinhc(0) = 1
+        spec = parse_spec(text)
+        y = block_stack(spec, 4, np.geomspace(0.1, 5.0, 12))
+        gram = np.linalg.eigvalsh(y.conj().swapaxes(-1, -2) @ y)
+        assert np.all((gram[:, 0] <= 1e-12 * gram[:, -1]) == (text in RANK_DEFICIENT))
+        w, v = np.linalg.eigh(generator(y))
+        null = np.abs(w) <= 1e-12 * np.abs(w).max(axis=-1, keepdims=True)
+        for m, vecs, kernel in zip(autgroups.expm(y), v, null):
+            fixed = vecs[:, kernel]
+            assert np.max(np.abs(m @ fixed - fixed), initial=0.0) <= 1e-13
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (3, 3), (4, 2)])
+    def test_zero_block_gives_the_identity_exactly(self, shape):
+        e = autgroups.expm(np.zeros((3, *shape), dtype=complex))
+        assert np.array_equal(e, np.broadcast_to(np.eye(sum(shape)), e.shape))
+
+    @pytest.mark.parametrize("text", EXPM_SPECS)
+    def test_each_row_depends_on_its_own_block_only(self, text):
+        y = block_stack(parse_spec(text), 6, np.geomspace(0.1, 4.0, 8))
+        stack = autgroups.expm(y)
+        for k, block in enumerate(y):
+            assert np.array_equal(stack[k], autgroups.expm(block)), k
+        grid = autgroups.expm(y.reshape(2, 4, *y.shape[1:]))
+        assert np.array_equal(grid, stack.reshape(2, 4, *stack.shape[1:]))
 
     def test_a_run_imports_no_scipy(self):
         # the exponential is NumPy only; scipy is a test-only dependency
@@ -544,6 +585,18 @@ class TestNegativeKeys:
                    f"got {re.escape(repr(key))}$")
         with pytest.raises(ParameterError, match=message):
             draw(parse_spec("II:3"), key)
+
+    @pytest.mark.parametrize("keys", [5, None])
+    @pytest.mark.parametrize("draw", [
+        lambda spec, keys: sample_points(spec, "interior", keys),
+        random_automorphisms,
+        random_isotropy_stack,
+    ], ids=["sample_points", "random_automorphisms", "random_isotropy_stack"])
+    def test_a_stack_that_is_not_a_sequence_is_a_parameter_error(self, draw, keys):
+        # not numpy's or Python's untyped TypeError
+        message = f"^RNG keys must be a sequence of keys or a 2-D uint32 array, got {keys!r}$"
+        with pytest.raises(ParameterError, match=message):
+            draw(parse_spec("I:2,2"), keys)
 
 
 class CountingGenerator:
@@ -633,13 +686,49 @@ class TestDrawCalls:
         assert [rng.normal_calls for rng in counted] == [1] * 24
 
     @pytest.mark.parametrize("text", AUT_SPECS)
-    @pytest.mark.parametrize("flavor,calls", [("boost", 2), ("isotropy", 1)])
-    def test_automorphism_draws_once_per_group(self, text, flavor, calls, counted):
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_automorphism_draws_once_per_group(self, text, flavor, counted):
+        # kinds I/II/III draw a key's whole tape in one call; kind IV draws its
+        # angle between the isotropy and the boost Gaussians
         spec = parse_spec(text)
         keys = keys_drawing(flavor, AUT_KEYS)
         assert keys
         random_automorphisms(spec, keys)
+        calls = 2 if spec.kind == "IV" and flavor == "boost" else 1
         assert [rng.normal_calls for rng in counted] == [calls] * len(keys)
+
+
+class TestElementTape:
+    KEYS = np.array([[42, k, 0] for k in range(30)], dtype=np.uint32)
+
+    def test_the_memo_gives_the_memo_less_elements(self, counted):
+        # the F_U reports of verify.run_all, in its order
+        specs = [args[0] for check_id, _, args, _ in verify._plan(42, 10, 10)
+                 if check_id.startswith("fu:")]
+        assert list(map(str, specs)) == ["I:2,2", "I:2,3", "I:3,3", "III:2", "III:3", "II:3",
+                                         "II:4", "II:5", "IV:3", "IV:4"]
+        alone = [random_automorphisms(spec, self.KEYS).matrix for spec in specs]
+        del counted[:]
+        entry, depths = ("elements", self.KEYS.shape, self.KEYS.tobytes()), []
+        with domains._sample_memo():
+            for spec, want in zip(specs, alone):
+                got = random_automorphisms(spec, self.KEYS)
+                assert np.array_equal(got.matrix, want), spec
+                depths.append(domains._SAMPLE_MEMO.get()[entry][1].shape[1])
+        # I:2,2 draws a tape 64 normals deep, which II:5 (100 normals) deepens;
+        # kind IV seeds its keys on every call and keeps no tape
+        assert depths == [64] * 7 + [100] * 3
+        assert len(counted) == 4 * len(self.KEYS)
+
+    @pytest.mark.parametrize("text", AUT_SPECS)
+    def test_isotropy_elements_match_the_reference_under_the_memo(self, text):
+        spec = parse_spec(text)
+        keys = keys_drawing("isotropy", AUT_KEYS)
+        with domains._sample_memo():
+            random_automorphisms(parse_spec("II:5"), keys)  # a deeper tape first
+            got = random_automorphisms(spec, keys)
+        for key, m in zip(keys, got.matrix):
+            assert np.array_equal(m, reference_automorphism(spec, key)), key
 
 
 def haar_reference(rng, n):

@@ -73,7 +73,7 @@ class TestNoSvdOnTheSamplingPath:
     @pytest.fixture
     def calls(self, monkeypatch):
         made = []
-        for name in ("svd", "eigvalsh", "det"):
+        for name in ("svd", "eigvalsh", "eigh", "det"):
             def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
                 made.append(_name)
                 return _real(*args, **kwargs)
@@ -123,13 +123,15 @@ class TestNoSvdOnTheSamplingPath:
         assert calls == expected  # the boundary samples, then their images
 
     def test_lie_algebra_scale(self, calls):
-        # keys whose element is a boost: the first draw of a key picks its
-        # type, and integers(2) == 0 is a boost
+        # keys whose element is a boost: the first raw word of a key's stream
+        # picks its type, and a clear bit 31 (what integers(2) == 0 reads) is
+        # a boost; each boost stack takes its scale from one eigvalsh of Y*Y
+        # and its exponential from one eigh of Y*Y
         for text in ("I:2,3", "II:4", "III:2", "IV:3"):
             rows = _key_rows(5, np.arange(12))
             rows = rows[[np.random.default_rng(row).integers(2) == 0 for row in rows]]
             random_automorphisms(parse_spec(text), rows)
-        assert calls == ["eigvalsh"] * 4
+        assert calls == ["eigvalsh", "eigh"] * 4
 
 
 class TestFactorization:
@@ -842,8 +844,12 @@ class TestSampleMemo:
             monkeypatch.setattr(module, "key_generators", counted)
         run_all(42)
         assert sum(counts) == 4038
-        # with the 2,400 keys of random_automorphisms and random_isotropy_stack
-        assert sum(everything) == 6438
+        # random_automorphisms seeds the 200 keys of the 8 kind I/II/III
+        # reports twice (a tape 64 normals deep, then 100 deep for II:5) and
+        # those of the 2 kind IV reports once each, 800 in all; with the 400
+        # keys of random_isotropy_stack, 5,238 (6,438 when every report
+        # seeded its own 200)
+        assert sum(everything) == 5238
 
     def test_no_generator_outlives_a_sampler_call(self, monkeypatch):
         memos = []
@@ -859,18 +865,26 @@ class TestSampleMemo:
                 return sum(map(generators_in, value))
             return 0
 
-        def checked(spec, region, keys, _sample=bsdkit.verify.sample_points):
-            points = _sample(spec, region, keys)
-            memos.append(bsdkit.domains._SAMPLE_MEMO.get())
-            assert generators_in(memos[-1]) == 0
-            return points
+        def checked(sampler):
+            def call(*args):
+                out = sampler(*args)
+                memos.append(bsdkit.domains._SAMPLE_MEMO.get())
+                assert generators_in(memos[-1]) == 0
+                return out
 
-        monkeypatch.setattr(bsdkit.verify, "sample_points", checked)
+            return call
+
+        for name in ("sample_points", "random_automorphisms"):
+            monkeypatch.setattr(bsdkit.verify, name, checked(getattr(bsdkit.verify, name)))
         run_all(42, properness_samples=10, fu_samples=10)
         memo = memos[0]
         assert all(m is memo for m in memos)
         assert generators_in(memo) == 0
         assert sum(isinstance(v, bsdkit.domains._DrawLog) for v in memo.values()) >= 10
+        # the element logs: a boost mask and a tape of normals per key stack
+        elements = [v for k, v in memo.items() if k[0] == "elements"]
+        assert len(elements) == 1
+        assert all(isinstance(a, np.ndarray) for log in elements for a in log)
 
     def test_run_all_hashes_each_distinct_key_stack_once(self, monkeypatch):
         # 65 hashes of 10,388 key rows without the seed memo; the samplers,
