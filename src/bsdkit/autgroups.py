@@ -34,19 +34,22 @@ with the same axes.
 Random elements come as stacks: ``random_automorphisms(spec, keys)`` draws
 each key's parameters from that key's own stream (the keys become ``uint32``
 rows at the API edge and are hashed as one stack by
-``domains.key_generators``; a kind I/II/III key draws one raw word and then
-all its normals in one ``standard_normal`` call, a tape that the run memo
-keeps per key stack, and a kind IV key one call per group of Gaussians),
-then builds every matrix at once: an isotropy, or a boost exp(X) times an
-isotropy, with X the Hermitian noncompact generator [[0, Y], [Y*, 0]]
-(G = exp(p) K, the Cartan decomposition).  Stacked QR gives the Haar
+``domains.key_generators``; a kind I/II/III key reads one raw word and then
+all its normals through ``domains._first_draws``, one ``standard_normal``
+call, a prefix of the tape that the run memo keeps per key stack, and a
+kind IV key, whose angle lies between its Gaussians, walks its own
+generator with one call per group of Gaussians), then builds every matrix
+at once: an isotropy, or a boost exp(X) times an isotropy, with X the
+Hermitian noncompact generator [[0, Y], [Y*, 0]] (G = exp(p) K, the Cartan
+decomposition).  Stacked QR gives the Haar
 factors, one ``eigvalsh`` of Y*Y the boost scale and one ``eigh`` of Y*Y
 the boost (``expm``, the block form of exp(X)), so an element depends on
 its key only; ``random_automorphism`` is its one-key case.  Random isotropy
-parameters come the same way from ``random_isotropy_stack``, and
-``random_isotropy_params`` is its one-key case.  A key is a nonnegative
-integer or a nested list of them, as ``linalg._require_key`` states it; a
-stack may also be a 2-D ``uint32`` array of key rows.
+parameters come from ``random_isotropy_stack``, every kind through
+``domains._first_draws`` (so two reports on one key stack share its
+draws), and ``random_isotropy_params`` is its one-key case.  A key is a
+nonnegative integer or a nested list of them, as ``linalg._require_key``
+states it; a stack may also be a 2-D ``uint32`` array of key rows.
 
 Defining relations checked for membership:
 
@@ -57,13 +60,15 @@ Defining relations checked for membership:
 """
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import (_SAMPLE_MEMO, _TAPE_DEPTH, DomainSpec, Point, _as_key_rows, borel_lifts,
+from .domains import (DomainSpec, Point, _as_key_rows, _first_draws, _require_stack, borel_lifts,
                       check_shapes, classify_points, key_generators, parse_spec)
-from .errors import ActionSingularityError, DomainError, ParameterError, ShapeError
+from .errors import (ActionSingularityError, BsdkitError, DomainError, ParameterError,
+                     ShapeError)
 from .linalg import (_cut_blocks, as_matrix, gaussian_blocks, haar_normalize, hybrid_tol,
                      psd_inv_sqrt)
 
@@ -203,6 +208,7 @@ def act_points(e: AutElement, z: np.ndarray) -> np.ndarray:
     :class:`ActionSingularityError` when a denominator degenerates (possible
     only off the closed domain).
     """
+    _require_stack(e.spec, z)
     if e.spec.kind == "IV":
         x, lam = _iv_lifted_images(e, z)
         if np.any(np.abs(lam) < 1e-14):
@@ -229,18 +235,38 @@ def act(e: AutElement, p: Point) -> Point:
     return Point(p.spec, act_points(e, p.value))
 
 
+def _isotropy_parts(spec: DomainSpec, params) -> tuple:
+    """The parameters ``params`` unpacked as the table in the module docstring
+    names them, (U, V), (A,) or (P, theta): each matrix a complex stack
+    (``linalg.as_matrix``) and theta a float array.  The wrong number of
+    parts, or a part that is not a finite number, raises ``ParameterError``."""
+    try:
+        if spec.mirror:
+            return (as_matrix(params, stack=True),)
+        first, second = params
+        second = (as_matrix(second, stack=True) if spec.kind == "I"
+                  else np.asarray(second, dtype=float))
+        if np.all(np.isfinite(second)):
+            return as_matrix(first, stack=True), second
+    except BsdkitError:
+        raise
+    except (TypeError, ValueError):
+        pass
+    names = {"I": "(U, V)", "IV": "(P, theta)"}.get(spec.kind, "A")
+    raise ParameterError(f"kind {spec.kind} isotropy parameters must be {names} of finite numbers, "
+                         f"got {reprlib.repr(params)}")
+
+
 def isotropy_factors(spec: DomainSpec, params) -> tuple:
     """(L, R) of the isotropy ``params``, acting by Z -> L Z R (table in the
     module docstring), with the leading stack axes of the parameters, if
-    any; :func:`isotropy` validates the parameters."""
-    if spec.kind == "I":
-        u, v = (as_matrix(x, stack=True) for x in params)
-        return u.conj().swapaxes(-1, -2), v
-    if spec.mirror:
-        a_bar = as_matrix(params, stack=True).conj()
-        return a_bar.swapaxes(-1, -2), a_bar
-    p, theta = params
-    return np.exp(-1j * np.asarray(theta))[..., None, None], as_matrix(p, stack=True)
+    any; the parameters are unpacked by :func:`_isotropy_parts`, and
+    :func:`isotropy` also checks that they are unitary."""
+    parts = _isotropy_parts(spec, params)
+    if spec.kind == "IV":
+        return np.exp(-1j * parts[1])[..., None, None], parts[0]
+    right = parts[1] if spec.kind == "I" else parts[0].conj()
+    return parts[0].conj().swapaxes(-1, -2), right
 
 
 def isotropy(spec: DomainSpec, params) -> AutElement:
@@ -249,17 +275,13 @@ def isotropy(spec: DomainSpec, params) -> AutElement:
     diag(P, R_theta) for kind IV (the rotation component of O(2) only), the
     element that acts by the factors of :func:`isotropy_factors`; parameter
     stacks give an element stack."""
-    if spec.kind == "I":
-        u, v = (as_matrix(x, stack=True) for x in params)
-        _require_unitary(u, spec.r, "U")
-        _require_unitary(v, spec.s, "V")
-        return AutElement(spec, _direct_sum(u, v))
-    if spec.mirror:
-        a = as_matrix(params, stack=True)
-        _require_unitary(a, spec.n, "A")
-        return AutElement(spec, _direct_sum(a, a.conj()))
-    p, theta = params
-    p = as_matrix(p, stack=True)
+    parts = _isotropy_parts(spec, params)
+    if spec.kind != "IV":  # (U, V) of sizes (r, s), or A of size n
+        for u, n, name in zip(parts, spec.shape, "UV" if spec.kind == "I" else "A"):
+            _require_unitary(u, n, name)
+        second = parts[1] if spec.kind == "I" else parts[0].conj()
+        return AutElement(spec, _direct_sum(parts[0], second))
+    p, theta = parts
     _require_unitary(p, spec.n, "P")
     if np.linalg.norm(p.imag) > 1e-10:
         raise ParameterError("kind IV isotropy needs a real orthogonal P")
@@ -287,36 +309,32 @@ def _direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _haar_sources(spec: DomainSpec) -> list:
-    """The shapes of a kind I/II/III isotropy's Gaussian sources, in stream
-    order: U and V (kind I) or A (kinds II/III)."""
+    """The shapes of an isotropy's Gaussian sources, in stream order: U and V
+    (kind I), A (kinds II/III) or the real P (kind IV)."""
     return [(spec.r, spec.r), (spec.s, spec.s)] if spec.kind == "I" else [(spec.n, spec.n)]
 
 
 def _haar_params(spec: DomainSpec, sources: list):
-    """Kind I/II/III isotropy parameters from the source stacks of
-    :func:`_haar_sources`, one stacked Haar normalization each."""
+    """The isotropy matrices from the source stacks of :func:`_haar_sources`,
+    one stacked Haar normalization each: (U, V), A or P."""
     params = tuple(map(haar_normalize, sources))
     return params if spec.kind == "I" else params[0]
 
 
-def _isotropy_params(spec: DomainSpec, rngs):
-    """Isotropy parameters of every generator of ``rngs``, stacked component by
-    component.  Each generator draws, in stream order, the U and V sources
-    (kind I), the A source (kinds II/III), or the real P source and then the
-    angle theta (kind IV); one stacked Haar normalization per component."""
-    if spec.kind == "IV":
-        [p] = gaussian_blocks(rngs, [(spec.n, spec.n)], real=True)
-        return haar_normalize(p), 2.0 * np.pi * np.array([rng.random() for rng in rngs])
-    return _haar_params(spec, gaussian_blocks(rngs, _haar_sources(spec)))
-
-
 def random_isotropy_stack(spec: DomainSpec, keys):
-    """Random isotropy parameters, one set per RNG key (through
-    ``domains.key_generators``), stacked component by component in the
-    format accepted by :func:`isotropy`.  Each key's generator draws all its
-    Gaussians in one call (``linalg.gaussian_blocks``), then kind IV its angle;
-    one stacked QR normalizes each component."""
-    return _isotropy_params(spec, key_generators(keys))
+    """Random isotropy parameters, one set per RNG key, stacked component by
+    component in the format accepted by :func:`isotropy`.  Each key's stream
+    gives, in order, the U and V sources (kind I), the A source (kinds
+    II/III), or the real P source and then the angle theta (kind IV), read
+    through ``domains._first_draws``: one ``standard_normal`` call per key,
+    and while the run memo is open a prefix of the key stack's tape (kind
+    IV: its normals and uniform).  One stacked QR normalizes each
+    component."""
+    shapes, real = _haar_sources(spec), spec.kind == "IV"
+    count = (1 if real else 2) * sum(map(math.prod, shapes))
+    _, normals, theta = _first_draws(_as_key_rows(keys), count, uniform=real)
+    params = _haar_params(spec, _cut_blocks(normals[:, 0], shapes, real))
+    return (params, 2.0 * np.pi * theta[:, 0]) if real else params
 
 
 def _params_at(params, k: int):
@@ -391,63 +409,39 @@ def _boosts(spec: DomainSpec, y: np.ndarray) -> np.ndarray:
     return expm(y * (0.4 / np.maximum(1.0, top))[:, None, None])
 
 
-def _boost_mask(rngs) -> np.ndarray:
-    """Which generators' elements are boosts: the first raw word of each
-    stream has bit 31 clear, what ``rng.integers(2) == 0`` reads from it.
-    The normals and uniforms drawn after it are the same either way."""
-    return np.array([rng.bit_generator.random_raw() & 0x80000000 == 0 for rng in rngs],
-                    dtype=bool)
-
-
-def _element_draws(rows: np.ndarray, count: int) -> tuple:
-    """The boost mask (:func:`_boost_mask`) of the key rows ``rows`` and each
-    key's first ``count`` normals after its first raw word: a kind I/II/III
-    element's whole stream.  While the run memo is open
-    (``domains._sample_memo``) it keeps them per key stack as arrays, a tape
-    at least ``domains._TAPE_DEPTH`` normals deep, so each spec reads a prefix
-    and a stack is seeded again only for a deeper tape; one
-    ``standard_normal`` call per key draws the tape."""
-    memo = _SAMPLE_MEMO.get()
-    entry = ("elements", rows.shape, rows.tobytes())
-    drawn = None if memo is None else memo.get(entry)
-    if drawn is None or drawn[1].shape[1] < count:
-        rngs = key_generators(rows)
-        depth = count if memo is None else max(count, _TAPE_DEPTH)
-        drawn = _boost_mask(rngs), gaussian_blocks(rngs, [(depth,)], real=True)[0]
-        if memo is not None:
-            memo[entry] = drawn
-    return drawn[0], drawn[1][:, :count]
-
-
 def random_automorphisms(spec: DomainSpec, keys) -> AutElement:
     """Random group elements, one per RNG key, as an element stack of shape
     ``(len(keys), N, N)``: an isotropy, or a boost exp(X) times an isotropy
     (every element is one, G = exp(p) K).
 
     Each key's stream gives, in order, which of the two its element is (one
-    raw word, :func:`_boost_mask`), the isotropy Gaussians (kind IV: then its
-    angle) and, for a boost, the Gaussians of Y, so an element depends on its
-    key only.  For kinds I/II/III that stream is one word and then normals
-    only, so each key draws them with one ``standard_normal`` call
-    (:func:`_element_draws`), and within one ``verify.run_all`` the 8 kind
-    I/II/III reports of a key stack seed it once, or twice when a spec needs
-    a deeper tape.  Kind IV draws its angle between its Gaussians, so each
-    call seeds its keys and draws each group of Gaussians with one call per
-    key (``linalg.gaussian_blocks``).  The matrices are then built as
+    raw word: a boost where bit 31 is clear, what ``rng.integers(2) == 0``
+    reads from it), the isotropy Gaussians (kind IV: then its angle) and,
+    for a boost, the Gaussians of Y, so an element depends on its key only.
+    For kinds I/II/III that stream is one word and then normals only, read
+    through ``domains._first_draws`` with one ``standard_normal`` call per
+    key; within one ``verify.run_all`` the 8 kind I/II/III reports read the
+    key stack's one tape, seeded again only for a deeper read.  Kind IV
+    draws its angle between its Gaussians, so each call seeds its keys and
+    draws each group of Gaussians with one call per key
+    (``linalg.gaussian_blocks``).  The matrices are then built as
     stacks: one QR per Haar factor, one ``eigvalsh`` of Y*Y for the boost
     scale and one ``eigh`` of Y*Y for :func:`expm`.
     """
     rows = _as_key_rows(keys)
     if spec.kind == "IV":
         rngs = key_generators(rows)
-        moved = _boost_mask(rngs)
-        params = _isotropy_params(spec, rngs)
-        boosted = [rng for rng, m in zip(rngs, moved) if m]
-        y = 1j * gaussian_blocks(boosted, [(spec.n, 2)], real=True)[0]
+        moved = np.array([rng.bit_generator.random_raw() & 0x80000000 == 0 for rng in rngs],
+                         dtype=bool)
+        [p] = gaussian_blocks(rngs, [(spec.n, spec.n)], real=True)
+        params = haar_normalize(p), 2.0 * np.pi * np.array([rng.random() for rng in rngs])
+        y = 1j * gaussian_blocks([rng for rng, m in zip(rngs, moved) if m], [(spec.n, 2)],
+                                 real=True)[0]
     else:
         shapes = [*_haar_sources(spec), spec.shape]
-        moved, tape = _element_draws(rows, 2 * sum(map(math.prod, shapes)))
-        *sources, y = _cut_blocks(tape, shapes)
+        words, tape, _ = _first_draws(rows, 2 * sum(map(math.prod, shapes)), word=True)
+        *sources, y = _cut_blocks(tape[:, 0], shapes)
+        moved = words & 0x80000000 == 0
         params, y = _haar_params(spec, sources), y[moved]
     out = isotropy(spec, params).matrix
     out[moved] = _boosts(spec, y) @ out[moved]

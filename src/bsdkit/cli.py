@@ -33,7 +33,7 @@ from .autgroups import aut_from_json, aut_to_json, act, check_membership
 from .domains import classify_point, generic_norm, parse_spec, sample_point
 from .errors import BsdkitError, ParameterError
 from .invariants import _spectrum_distance, distinguish, invariant_spectrum
-from .linalg import _require_positive, _require_tolerance
+from .linalg import _require_count, _require_tolerance
 from .polymaps import (catalog, eval_map, polymap_from_json, polymap_to_json, select_map,
                        source_positions)
 from .verify import run_all, summarize
@@ -60,10 +60,7 @@ def _seed(args) -> int:
         seed = args.seed if args.seed is not None else int(text)
     except ValueError:
         raise ParameterError(f"BSDKIT_SEED must be an integer, got {text!r}") from None
-    if seed < 0:
-        name = "--seed" if args.seed is not None else "BSDKIT_SEED"
-        raise ParameterError(f"{name} must be nonnegative, got {seed}")
-    return seed
+    return _require_count("--seed" if args.seed is not None else "BSDKIT_SEED", seed, least=0)
 
 
 @functools.cache
@@ -200,7 +197,7 @@ def _cmd_verify(args) -> int:
         """The seed, plus ``--tol`` and ``--samples`` (as keyword ``samples``) where
         given: each check default lives once, in the signature in ``verify``."""
         if args.samples is not None:
-            _require_positive("--samples", args.samples)
+            _require_count("--samples", args.samples)
         if args.tol is not None:
             _require_tolerance(args.tol, "--tol")
         flags = (("tol", args.tol), (samples, args.samples))

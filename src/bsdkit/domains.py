@@ -19,15 +19,20 @@ stack of keys zero-padded to its longest key, which ``SeedSequence`` reads
 as the same keys while no key is longer than four words.
 ``key_generators`` turns a 2-D array of such rows into one generator per
 row, hashing all rows at once as ``SeedSequence`` does, so each row's
-stream is that of ``np.random.default_rng(row)``.  Within one
+stream is that of ``np.random.default_rng(row)``.  Every sampler, here and
+in ``autgroups``, reads its keys' streams through one reader,
+``_first_draws``: each key's first draws in stream order, a raw word, then
+blocks of normals, each followed by a uniform where asked.  Within one
 ``verify.run_all`` a run memo (``_sample_memo``) keeps each key stack's
-sampled points, its hashed seed states and its draw log of first attempts:
-a boundary tape of normals that every boundary spec reads a prefix of, and
-per normal count m each key's m normals and rho.  So a stack is sampled
-and hashed once per run, and each first attempt is drawn once.  A redraw
-seeds the rejected keys' generators, which draw their first attempt again
-and then the redraws; the log holds arrays, and no ``Generator`` outlives
-the sampler call that built it.
+sampled points, its hashed seed states and its first draws, as arrays: one
+tape of normals that every read of normals only takes a prefix of
+(boundary points, kind I/II/III isotropies, and after a raw word kind
+I/II/III elements), and the draws with uniforms (interior points, kind IV
+isotropies) per normal count and block count.  So a stack is sampled and
+hashed once per run, and each draw is drawn once.  Attempt a of a rejected
+key reads the last of its stream's first a + 1 blocks, so a redraw reads
+further instead of replaying, and no ``Generator`` outlives the call that
+built it.
 
 Domain kinds and their point shapes:
 
@@ -53,7 +58,6 @@ and ``verify.check_properness`` reads both the margin and that norm of its
 images from it.
 """
 
-import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -63,7 +67,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ParameterError, SamplingError, ShapeError
-from .linalg import _cut_blocks, _key_words, as_matrix, gaussian_blocks, pfaffian
+from .linalg import _cut_blocks, _key_words, _require_count, as_matrix, gaussian_blocks, pfaffian
 
 __all__ = [
     "DomainSpec",
@@ -126,12 +130,8 @@ class DomainSpec:
             raise ParameterError(f"unknown domain kind {self.kind!r}")
         used = ("r", "s") if self.kind == "I" else ("n",)
         for name in ("r", "s", "n"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ParameterError(f"domain dimension {name} must be an integer, "
-                                     f"got {value!r}") from None
+            value = _require_count(f"domain dimension {name}", getattr(self, name), least=0)
+            object.__setattr__(self, name, value)
             if value and name not in used:
                 raise ParameterError(f"kind {self.kind} does not use {name}, got {name}={value}")
         if self.kind == "I" and not 1 <= self.r <= self.s:
@@ -168,7 +168,7 @@ def parse_spec(text: str) -> DomainSpec:
     try:
         kind, _, dims = text.strip().partition(":")
         parts = [int(p) for p in dims.split(",")]
-    except ValueError as exc:
+    except (AttributeError, ValueError) as exc:  # not a string, or a dimension not an int
         raise ParameterError(f"malformed domain spec {text!r}") from exc
     if kind == "I":
         if len(parts) != 2:
@@ -211,6 +211,14 @@ def check_shapes(spec: DomainSpec, values: np.ndarray, tol: float = SHAPE_TOL) -
     if np.any(bad):
         word = "antisymmetric" if spec.mirror < 0 else "symmetric"
         raise ShapeError(f"kind {spec.kind} point is not {word} (residual {np.max(res[bad]):.3e})")
+
+
+def _require_stack(spec: DomainSpec, z) -> None:
+    """The one shape rule of the stacked kernels, checked once per call:
+    ``z`` must be a stack of shape ``(..., *spec.shape)``, else
+    ``ShapeError``."""
+    if np.shape(z)[-2:] != spec.shape:
+        raise ShapeError(f"point stack shape {np.shape(z)} does not end in {spec.shape} of {spec}")
 
 
 def point(spec: DomainSpec, value) -> Point:
@@ -264,8 +272,10 @@ def _spectral_squares(spec: DomainSpec, z: np.ndarray) -> np.ndarray:
     for the singular values of the real n x 2 matrix [x, y]; w sums the
     squares of the 2 x 2 minors x_i y_j - x_j y_i, so a rank-1 point (x
     parallel to y) does not cancel, and no LAPACK routine is called.  Each
-    value is exact to roundoff.
+    value is exact to roundoff.  A stack of another point shape raises
+    ``ShapeError`` (:func:`_require_stack`).
     """
+    _require_stack(spec, z)
     if spec.kind == "IV":
         x, y = z.real[..., 0, :], z.imag[..., 0, :]
         wedge = sum(np.sum((x[..., :-k] * y[..., k:] - x[..., k:] * y[..., :-k]) ** 2, axis=-1)
@@ -336,6 +346,8 @@ def polarized_norms(spec: DomainSpec, z: np.ndarray, w: np.ndarray) -> np.ndarra
     is det(I - ZW*).  Kind IV: 1 - 2ZW* + (ZZ^t) conj(WW^t).  The diagonal
     S(Z, Z) is the generic norm (:func:`generic_norms`).
     """
+    _require_stack(spec, z)
+    _require_stack(spec, w)
     if spec.kind == "IV":
         zw = _row_product(z, np.conj(w))
         return 1.0 - 2.0 * zw + _row_product(z, z) * np.conj(_row_product(w, w))
@@ -362,6 +374,7 @@ def norm_features(spec: DomainSpec, z: np.ndarray) -> tuple:
     of Ishikawa and Wakayama, 1995).  Kind IV: (1, Z, ZZ^t) with sigma =
     (1, -2, ..., -2, 1).  The empty minor is the leading feature 1.
     """
+    _require_stack(spec, z)
     lead = z.shape[:-2]
     if spec.kind == "IV":
         phi = np.concatenate([np.ones((*lead, 1)), z[..., 0, :], _row_product(z, z)[..., None]],
@@ -504,17 +517,17 @@ def _as_key_rows(keys) -> np.ndarray:
 
 
 # The open run memo, or None: {(spec, region, key shape, key bytes): points} of
-# sample_points, {(key shape, key bytes): pool states} of key_generators,
-# {("draws", key shape, key bytes): _DrawLog} of the samplers' first attempts
-# and {("elements", key shape, key bytes): (boost mask, tape)} of
-# autgroups.random_automorphisms.
+# sample_points, {(key shape, key bytes): pool states} of key_generators and
+# {("draws", word, False or (count, blocks), key shape, key bytes): (words,
+# normals, uniforms)} of _first_draws, a key stack's tape of normals under
+# False and its draws with uniforms under (count, blocks).
 _SAMPLE_MEMO = ContextVar("sample_memo", default=None)
 
 
 @contextmanager
 def _sample_memo():
     """Open an empty run memo of :func:`sample_points`, :func:`key_generators`
-    and the samplers' draw logs for the block, and drop it on leaving."""
+    and :func:`_first_draws` for the block, and drop it on leaving."""
     token = _SAMPLE_MEMO.set({})
     try:
         yield
@@ -583,48 +596,50 @@ def _gaussian_directions(spec: DomainSpec, normals: np.ndarray) -> np.ndarray:
     return g
 
 
-# A key stack's boundary tape, and its element tape in autgroups, is drawn at
-# least this many normals deep while the run memo keeps it: a normal costs
-# about 16 ns and seeding a generator about 2 us, so the later specs of a run
-# (the deepest boundary spec, II:5, reads 50) read a prefix instead of
-# seeding every key again.
+# A key stack's tape of normals is drawn at least this many normals deep while
+# the run memo keeps it: a normal costs about 16 ns and seeding a generator
+# about 2 us, so the later specs of a run (the deepest boundary spec, II:5,
+# reads 50) read a prefix instead of seeding every key again.
 _TAPE_DEPTH = 64
 
 
-class _DrawLog:
-    """The first attempts that the samplers have drawn from the streams of one
-    key stack, as arrays.  A boundary attempt draws only normals, so ``tape``
-    is the start of every key's stream, and each boundary spec's first attempt
-    reads a prefix of it.  An interior attempt draws m normals and then rho;
-    ``first[m]`` holds each key's m normals and rho, the first attempt of
-    every interior spec that draws m normals."""
+def _first_draws(rows: np.ndarray, count: int, word: bool = False, uniform: bool = False,
+                 blocks: int = 1) -> tuple:
+    """The first draws of every key row's stream, in stream order: one raw
+    64-bit word if ``word``, then ``blocks`` blocks of ``count`` normals, each
+    block followed by one uniform if ``uniform``.  Returns (words, normals,
+    uniforms): shapes ``(len(rows),)``, ``(len(rows), blocks, count)`` and
+    ``(len(rows), blocks)``, None for words or uniforms not drawn.  Each key
+    draws each block with one ``standard_normal`` call
+    (``linalg.gaussian_blocks``), a run of blocks with no uniforms between
+    them with one call.
 
-    def __init__(self):
-        self.tape, self.first = np.empty((0, 0)), {}
-
-
-def _first_attempt(rows: np.ndarray, region: str, count: int) -> tuple:
-    """The normals and rho (None for a boundary point) of the first attempt of
-    every key row that draws ``count`` normals, read from the stack's draw
-    log: the log the run memo keeps for the stack, or one of its own while no
-    memo is open.  A tape too short for ``count`` is drawn again, at least
-    ``_TAPE_DEPTH`` normals deep while the memo is open, and ``first[count]``
-    is drawn on first use, rho for every key; each draws with one
-    ``standard_normal`` call per key (``linalg.gaussian_blocks``)."""
-    log, depth = _DrawLog(), count
-    memo = _SAMPLE_MEMO.get()
-    if memo is not None:
-        log = memo.setdefault(("draws", rows.shape, rows.tobytes()), log)
-        depth = max(count, _TAPE_DEPTH)
-    if region == "boundary":
-        if log.tape.shape[1] < count:
-            [log.tape] = gaussian_blocks(key_generators(rows), [(depth,)], real=True)
-        return log.tape[:, :count], None
-    if count not in log.first:
+    While the run memo is open (:func:`_sample_memo`) it keeps the draws per
+    key stack as arrays: draws of normals only share one tape, drawn at
+    least ``_TAPE_DEPTH`` normals deep and again, deeper, for a longer read,
+    so every such read is a prefix of it; draws with uniforms are kept per
+    ``(count, blocks)``."""
+    memo, depth = _SAMPLE_MEMO.get(), count * blocks
+    entry = ("draws", word, uniform and (count, blocks), rows.shape, rows.tobytes())
+    drawn = None if memo is None else memo.get(entry)
+    if drawn is None or not uniform and drawn[1].shape[1] < depth:
         rngs = key_generators(rows)
-        [normals] = gaussian_blocks(rngs, [(count,)], real=True)
-        log.first[count] = normals, np.array([rng.random() for rng in rngs])
-    return log.first[count]
+        words = (np.array([rng.bit_generator.random_raw() for rng in rngs], dtype=np.uint64)
+                 if word else None)
+        if uniform:
+            normals, uniforms = np.empty((len(rows), blocks, count)), np.empty((len(rows), blocks))
+            for b in range(blocks):
+                [normals[:, b]] = gaussian_blocks(rngs, [(count,)], real=True)
+                uniforms[:, b] = [rng.random() for rng in rngs]
+        else:
+            tape = depth if memo is None else max(depth, _TAPE_DEPTH)
+            [normals], uniforms = gaussian_blocks(rngs, [(tape,)], real=True), None
+        drawn = words, normals, uniforms
+        if memo is not None:
+            memo[entry] = drawn
+    if uniform:
+        return drawn
+    return drawn[0], drawn[1][:, :depth].reshape(len(rows), blocks, count), None
 
 
 def sample_points(spec: DomainSpec, region: str, keys) -> np.ndarray:
@@ -641,26 +656,24 @@ def sample_points(spec: DomainSpec, region: str, keys) -> np.ndarray:
     1e-9 (:func:`_accepted`), with no second look at the scaled point; a
     rejected one (rho within 5e-10 of 1, or a zero direction) is redrawn
     from its own key's stream through :func:`_redraw`, so each key gets the
-    same point whatever else is in the stack.  Each attempt reads a key's
-    Gaussians as one block of normals (real parts, then imaginary parts)
-    and, for an interior point with a nonzero direction, rho; these are the
-    streams of ``standard_normal(shape) + 1j * standard_normal(shape)`` and
-    ``uniform()`` bit for bit.  The first attempt reads the stack's draw log
-    (:func:`_first_attempt`); the first redraw seeds the rejected keys'
-    generators once, draws their first attempt's normals and rho again to
-    reach the redraw, and draws each later attempt from them, one
-    ``standard_normal`` call per key and attempt.  No ``Generator`` outlives
-    the call.
+    same point whatever else is in the stack.  Each attempt reads one block
+    of a key's stream through :func:`_first_draws`: its Gaussians as one
+    block of normals (real parts, then imaginary parts) and, for an interior
+    point, rho; these are the streams of ``standard_normal(shape) + 1j *
+    standard_normal(shape)`` and ``uniform()`` bit for bit.  Attempt a reads
+    the last of the first a + 1 blocks of the still pending keys, so a redraw
+    reads further along the stream instead of replaying it; a zero
+    direction's rho is drawn and skipped.
 
     So a stack is a pure function of spec, region and key rows, and while
     the run memo is open (within one ``verify.run_all``, see
     :func:`_sample_memo`) each key stack is sampled once: every later call
     with the same spec, region and key rows gets the same stack, read-only.
     The memo also keeps the stack's seed states (:func:`key_generators`) and
-    its draw log, so the same key rows under another spec or region are not
-    hashed again, and a later spec reads the first attempts already drawn: a
-    boundary spec a prefix of each key's tape, an interior spec with the same
-    normal count the same normals and rho.
+    its first draws, so the same key rows under another spec or region are
+    not hashed again, and a later spec reads the draws already made: a
+    boundary spec a prefix of each key's tape, an interior spec with the
+    same normal count the same normals and rho.
     """
     if region not in ("interior", "boundary"):
         raise ParameterError(f"region must be interior or boundary, got {region!r}")
@@ -680,30 +693,15 @@ def _accepted(region: str, candidates: np.ndarray, margin: np.ndarray) -> np.nda
 
 
 def _draw_points(spec: DomainSpec, region: str, rows: np.ndarray) -> np.ndarray:
-    count = 2 * spec.shape[0] * spec.shape[1]
-    first_normals, first_rho = _first_attempt(rows, region, count)
-    read_rho, rngs = np.zeros(len(rows), dtype=bool), {}
+    count, interior = 2 * spec.shape[0] * spec.shape[1], region == "interior"
 
     def draw(pending, attempt):
-        if attempt and not rngs:  # the first redraw: seed the rejected keys, draw attempt 0 again
-            rngs.update(zip(pending.tolist(), key_generators(rows[pending])))
-            gaussian_blocks(list(rngs.values()), [(count,)], real=True)
-            for k in pending[read_rho[pending]].tolist():
-                rngs[k].random()
-        if attempt:
-            [normals] = gaussian_blocks([rngs[k] for k in pending.tolist()], [(count,)], real=True)
-        else:
-            normals = first_normals
-        g = _gaussian_directions(spec, normals)
+        # attempt a of a key reads the last of the first a + 1 blocks of its stream
+        _, normals, rho = _first_draws(rows[pending], count, uniform=interior, blocks=attempt + 1)
+        g = _gaussian_directions(spec, normals[:, -1])
         top = _spectral_squares(spec, g)[:, 0]
         valid = top > 0.0
-        if region == "boundary":
-            rho = 1.0
-        elif attempt:
-            rho = np.array([rngs[k].random() for k in pending[valid].tolist()])
-        else:
-            rho, read_rho[:] = first_rho[valid], valid
-        scale = rho / np.sqrt(top[valid])
+        scale = (rho[valid, -1] if interior else 1.0) / np.sqrt(top[valid])
         candidates = g[valid] * scale[:, None, None]
         accepted = np.zeros(len(pending), dtype=bool)
         accepted[valid] = _accepted(region, candidates, 1.0 - top[valid] * scale * scale)

@@ -9,6 +9,7 @@ absolute-relative hybrids: a residual passes at ``tol`` when it is at most
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -154,11 +155,20 @@ def _require_tolerance(tol: float, name: str = "tol") -> None:
         raise ParameterError(f"{name} must be nonnegative and finite, got {tol}")
 
 
-def _require_positive(name: str, count: int) -> None:
-    """The one rule for a sample count: a report over no samples would pass
-    with max_residual 0.0, so a count below 1 raises ``ParameterError``."""
-    if count <= 0:
-        raise ParameterError(f"{name} must be positive, got {count}")
+def _require_count(name: str, count, least: int = 1) -> int:
+    """The one rule for a count (samples, trials, a degree bound, a grid
+    size): taken through ``operator.index``, so a non-integer raises
+    ``ParameterError``, and returned as an int.  A count below ``least``
+    raises too: a sample count must be at least 1, since a report over no
+    samples would pass with max_residual 0.0, and a degree bound at least 0."""
+    try:
+        count = operator.index(count)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {count!r}") from None
+    if count < least:
+        word = "positive" if least else "nonnegative"
+        raise ParameterError(f"{name} must be {word}, got {count}")
+    return count
 
 
 def default_generator(key):

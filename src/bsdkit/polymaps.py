@@ -52,7 +52,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .autgroups import isotropy_factors
-from .domains import MAX_OPERATOR_ENTRIES, DomainSpec, Point, parse_spec
+from .domains import MAX_OPERATOR_ENTRIES, DomainSpec, Point, _require_stack, parse_spec
 from .errors import BsdkitError, NumericError, ParameterError, ShapeError
 
 __all__ = [
@@ -531,6 +531,7 @@ def eval_points(f: PolyMap, z: np.ndarray) -> np.ndarray:
     """Evaluate the map on the source point stack ``z`` (shape
     ``(..., *f.source.shape)``) as ``C @ prod(vals ** E)`` per point, vals
     the independent source entries; returns the target stack."""
+    _require_stack(f.source, z)
     image = _monomial_values(f.source, z, f.exponents) @ f.coeffs.T
     return image.reshape(z.shape[:-2] + f.target.shape)
 

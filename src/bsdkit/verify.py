@@ -44,19 +44,21 @@ Within one ``run_all`` each key stack is sampled once and hashed once:
 that asks for the same spec, region and key stack gets the same points,
 read-only.  The memo also keeps each stack's ``SeedSequence`` pool states,
 so the ``[seed, k, c]`` stacks that the F_U, coefficient lemma and isotropy
-reports share are hashed once per run, and each stack's draw log of first
-attempts, so each first attempt is drawn once per run: the boundary specs
-that sample a stack read prefixes of one tape of normals per key, and the
-interior specs with the same normal count read the same normals and rho.
-Only a redraw, or a tape too short for a spec, seeds a key again: at seed
-42 the samplers seed 4,038 keys, not 7,988, and make no redraw.  The
-random automorphisms keep one element tape per key stack the same way: the
-8 kind I/II/III F_U reports read their elements' streams from the tape of
-the ``[seed, k, 0]`` stack, which is seeded once and deepened once (for
-II:5), so their 200 keys are seeded 400 times, not 1,600; the 2 kind IV
-reports seed them once each.  This is exact, since a stack is a pure
-function of its spec, region and keys, and a key's draws are its stream's
-whoever reads them.
+reports share are hashed once per run, and each stack's first draws, read
+through the one reader ``domains._first_draws``, so each draw is made once
+per run: the reads of normals only (boundary points, kind I/II/III
+isotropies, and after a raw word kind I/II/III elements) take prefixes of
+one tape per key stack, and the interior specs with the same normal count
+read the same normals and rho.  Only a redraw, or a tape too short for a
+read, seeds a key again: at seed 42 the samplers seed 4,038 keys, not
+7,988, and make no redraw.  The 8 kind I/II/III F_U reports read their
+elements' streams from the tape of the ``[seed, k, 0]`` stack, which is
+seeded once and deepened once (for II:5), so their 200 keys are seeded 400
+times, not 1,600; the 2 kind IV reports seed them once each; and the two
+isotropy reports read their parameters from the same two tapes of 100
+keys.  In all ``run_all(42)`` hands 5,038 keys to ``key_generators``.  This
+is exact, since a stack is a pure function of its spec, region and keys,
+and a key's draws are its stream's whoever reads them.
 """
 
 import itertools
@@ -94,7 +96,7 @@ from .invariants import (
     _spectrum_distance,
     invariant_spectrum,
 )
-from .linalg import _key_words, _require_key, _require_positive, _require_tolerance
+from .linalg import _key_words, _require_count, _require_key, _require_tolerance
 from .polymaps import (
     PolyMap,
     _embedding,
@@ -195,7 +197,7 @@ def check_properness(f: PolyMap, n_samples: int = 500, tol: float = 1e-7, seed: 
     classified as boundary at 10x the tolerance; both come from one
     ``domains._spectral_squares`` call on the image stack.
     """
-    _require_positive("n_samples", n_samples)
+    n_samples = _require_count("n_samples", n_samples)
     z = sample_points(f.source, "boundary", _key_rows(seed, np.arange(n_samples)))
     squares = _spectral_squares(f.target, eval_points(f, z))
     res = np.abs(np.prod(1.0 - squares, axis=-1))
@@ -283,6 +285,8 @@ def check_factorization(f: PolyMap, degree_bound: int = 4, grid_size: int = None
     are the entries of C above 1e-9, each named by its joint monomial z^a
     conj(w)^b.
     """
+    degree_bound = _require_count("degree_bound", degree_bound, least=0)
+    grid_size = None if grid_size is None else _require_count("grid_size", grid_size)
     n_hold = max(20, 3 * math.comb(2 * f.nvars + degree_bound, degree_bound) // 4)
     z, w, s1 = _sample_pairs(f.source, _key_rows(seed, 1, np.arange(n_hold)), 0.01)
 
@@ -352,7 +356,7 @@ def check_F_U_lemma(spec: DomainSpec, n_samples: int = 200, tol: float = 1e-9,
     median ratio over the samples with |S(Z, Z)| > 0.1, either way.
     """
     check_id = check_id or f"fu:{spec}"
-    _require_positive("n_samples", n_samples)
+    n_samples = _require_count("n_samples", n_samples)
     notes = []
     ks = np.arange(n_samples)
     e = random_automorphisms(spec, _key_rows(seed, ks, 0))
@@ -407,7 +411,7 @@ def check_composition_rule(f: PolyMap, g: PolyMap, n_samples: int = 100, tol: fl
     pairs with |S1| >= 0.1 and |S2(gZ, gW)| >= 0.01 could be drawn."""
     if g.target != f.source:
         raise ShapeError(f"maps do not compose: {g.target} vs {f.source}")
-    _require_positive("n_samples", n_samples)
+    n_samples = _require_count("n_samples", n_samples)
 
     def draw(pending, attempt):
         z, w, s1 = _sample_pairs(g.source, _key_rows(seed, pending, attempt), 0.1)
@@ -472,7 +476,7 @@ def check_coefficient_lemma(spec: DomainSpec, i: int, j: int, n_bases: int = 20,
         raise ParameterError("coefficient lemma applies to kinds I/II/III")
     if (i, j) not in source_positions(spec):
         raise ParameterError(f"invalid index ({i}, {j}) for {spec}")
-    _require_positive("n_bases", n_bases)
+    n_bases = _require_count("n_bases", n_bases)
     mirror = spec.mirror if i != j else 0.0
     degree, sign, rows, cols = (4, 1.0, [i, j], [i, j]) if mirror else (2, -1.0, [i], [j])
     nodes, lead_row = _least_squares_lead(degree)
@@ -508,7 +512,7 @@ def check_isotropy_consistency(f: PolyMap, n_trials: int = 100, tol: float = 1e-
     spectrum unchanged: a trial whose spectra lie more than ``tol`` from f's
     (the distance of ``invariants.distinguish``) counts as one the
     distinguisher declares inequivalent."""
-    _require_positive("n_trials", n_trials)
+    n_trials = _require_count("n_trials", n_trials)
     _require_origin("first", f)
     trials = np.arange(n_trials)
     pre = random_isotropy_stack(f.source, _key_rows(seed, trials, 0))

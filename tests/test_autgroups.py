@@ -13,6 +13,7 @@ from bsdkit import autgroups, domains, verify
 from bsdkit.autgroups import (
     AutElement,
     act,
+    _params_at,
     act_points,
     aut_element,
     aut_from_json,
@@ -219,6 +220,15 @@ class TestStackedAction:
         for k in range(len(z)):
             assert np.max(np.abs(one[k] - act(elements[0], Point(spec, z[k])).value)) <= 1e-13
 
+    @pytest.mark.parametrize("text,shape", [("I:2,2", (3, 3)), ("II:3", (2, 2)), ("IV:3", (3,)),
+                                            ("IV:3", (3, 1))])
+    def test_a_stack_of_another_point_shape_is_a_shape_error(self, text, shape):
+        # not NumPy's untyped ValueError, nor a silent image
+        spec = parse_spec(text)
+        z = np.full((2, *shape), 0.1, dtype=complex)
+        with pytest.raises(ShapeError, match=r"^point stack shape \(2, "):
+            act_points(random_automorphisms(spec, [[40, 0], [40, 1]]), z)
+
     @pytest.mark.parametrize("text", ["II:3", "III:2"])
     def test_asymmetric_image_in_stack_raises(self, text):
         spec = parse_spec(text)
@@ -272,6 +282,26 @@ class TestIsotropy:
                 assert np.array_equal(got[k], want), (k, row)
         assert np.array_equal(isotropy(spec, stack).matrix[3],
                               isotropy(spec, random_isotropy_params(spec, rows[3])).matrix)
+
+    @pytest.mark.parametrize("text,params", [
+        ("I:2,2", (np.eye(2),)),
+        ("I:2,2", (np.eye(2), np.eye(2), np.eye(2))),
+        ("I:2,2", None),
+        ("I:2,2", 5),
+        ("I:2,2", (np.eye(2), "a")),
+        ("II:3", "a"),
+        ("IV:3", (np.eye(3), "a")),
+        ("IV:3", (np.eye(3), np.inf)),
+        ("IV:3", (np.eye(3), 1j)),
+        ("IV:3", np.eye(3)),
+    ])
+    def test_malformed_params_are_a_parameter_error(self, text, params):
+        # not Python's untyped ValueError or TypeError, in both readers of params
+        spec = parse_spec(text)
+        message = f"^kind {spec.kind} isotropy parameters must be"
+        for read in (isotropy, isotropy_factors):
+            with pytest.raises(ParameterError, match=message):
+                read(spec, params)
 
     def test_rejects_complex_p_for_kind_iv(self):
         with pytest.raises(ParameterError):
@@ -674,10 +704,12 @@ class TestDrawCalls:
         monkeypatch.setattr(domains, "_accepted", even_keys_redraw_once)
         sample_points(parse_spec(text), region, AUT_KEYS)
         assert rounds == [len(AUT_KEYS), len(AUT_KEYS[::2])]
-        # one call per key for the first attempt; each redrawn key's generator
-        # makes two, the first attempt again and the redraw
+        # one call per key for the first attempt; a redrawn key reads its
+        # stream's first two blocks, in one call for a boundary point (normals
+        # only) and in one per block for an interior point (rho between them)
         calls = [rng.normal_calls for rng in counted]
-        assert calls == [1] * len(AUT_KEYS) + [2] * len(AUT_KEYS[::2])
+        redraw = 1 if region == "boundary" else 2
+        assert calls == [1] * len(AUT_KEYS) + [redraw] * len(AUT_KEYS[::2])
 
     @pytest.mark.parametrize("text", AUT_SPECS)
     def test_isotropy_stack_draws_once_per_key(self, text, counted):
@@ -709,7 +741,8 @@ class TestElementTape:
                                          "II:4", "II:5", "IV:3", "IV:4"]
         alone = [random_automorphisms(spec, self.KEYS).matrix for spec in specs]
         del counted[:]
-        entry, depths = ("elements", self.KEYS.shape, self.KEYS.tobytes()), []
+        # the key stack's tape of a raw word and then normals only
+        entry, depths = ("draws", True, False, self.KEYS.shape, self.KEYS.tobytes()), []
         with domains._sample_memo():
             for spec, want in zip(specs, alone):
                 got = random_automorphisms(spec, self.KEYS)
@@ -731,10 +764,55 @@ class TestElementTape:
             assert np.array_equal(m, reference_automorphism(spec, key)), key
 
 
+class TestReferenceDraws:
+    """Every spec in turn under one run memo, and each alone: the later specs
+    read the draws the earlier ones made (II:5 and IV:5 deeper ones), and
+    each element and isotropy is still the one-key reference's."""
+
+    TEXTS = ["I:1,1", "I:2,3", "II:2", "II:5", "III:1", "III:3", "IV:1", "IV:3", "IV:5"]
+    KEYS = np.array([[47, k, 0] for k in range(24)], dtype=np.uint32)
+
+    def both_ways(self, draw):
+        specs = list(map(parse_spec, self.TEXTS))
+        alone = [draw(spec, self.KEYS) for spec in specs]
+        with domains._sample_memo():
+            shared = [draw(spec, self.KEYS) for spec in specs]
+        return zip(specs, alone, shared)
+
+    def test_automorphisms(self):
+        assert {drawn_flavor(key) for key in self.KEYS} == set(FLAVORS)
+        for spec, alone, shared in self.both_ways(random_automorphisms):
+            for key, a, b in zip(self.KEYS, alone.matrix, shared.matrix):
+                want = reference_automorphism(spec, key)
+                assert np.array_equal(a, want) and np.array_equal(b, want), (spec, key)
+
+    def test_isotropy_stacks(self):
+        for spec, alone, shared in self.both_ways(random_isotropy_stack):
+            for k, key in enumerate(self.KEYS):
+                want = reference_isotropy(spec, key)
+                for stack in (alone, shared):
+                    got = _params_at(stack, k)
+                    got = got if isinstance(got, tuple) else (got,)
+                    assert len(got) == len(want), spec
+                    assert all(np.array_equal(a, b) for a, b in zip(got, want)), (spec, key)
+
+
 def haar_reference(rng, n):
     q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+def reference_isotropy(spec, key):
+    """One key at a time, in stream order: the Haar U and V (kind I) or A
+    (kinds II/III), or a real Haar P and then theta (kind IV)."""
+    theirs = np.random.default_rng(key)
+    if spec.kind == "I":
+        return tuple(haar_reference(theirs, n) for n in (spec.r, spec.s))
+    if spec.mirror:
+        return (haar_reference(theirs, spec.n),)
+    q, r = np.linalg.qr(theirs.standard_normal((spec.n, spec.n)))
+    return q * np.sign(np.diagonal(r)), theirs.uniform(0.0, 2.0 * np.pi)
 
 
 class TestIsotropyDraws:
@@ -743,17 +821,9 @@ class TestIsotropyDraws:
         spec = parse_spec(text)
         with pytest.raises(ParameterError, match="^RNG key must be a nonnegative integer"):
             random_isotropy_params(spec, np.random.default_rng(23))
-        theirs = np.random.default_rng(23)
         params = random_isotropy_params(spec, 23)
-        if spec.kind == "I":
-            want = tuple(haar_reference(theirs, n) for n in (spec.r, spec.s))
-        elif spec.mirror:
-            want = (haar_reference(theirs, spec.n),)
-        else:
-            q, r = np.linalg.qr(theirs.standard_normal((spec.n, spec.n)))
-            want = (q * np.sign(np.diagonal(r)), theirs.uniform(0.0, 2.0 * np.pi))
         got = params if isinstance(params, tuple) else (params,)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert all(np.array_equal(a, b) for a, b in zip(got, reference_isotropy(spec, 23)))
 
     @pytest.mark.parametrize("text", AUT_SPECS)
     def test_no_keys_give_an_empty_stack(self, text):

@@ -1,3 +1,5 @@
+import contextlib
+import math
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -5,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bsdkit import domains
+from bsdkit import autgroups, domains, verify
 from bsdkit.domains import (
     DomainSpec,
     Point,
@@ -39,6 +41,12 @@ class TestDomainSpec:
     @pytest.mark.parametrize("text", ["I:3,2", "II:1", "V:3", "I:2", "III:0", "I:a,b"])
     def test_rejects_invalid(self, text):
         with pytest.raises(ParameterError):
+            parse_spec(text)
+
+    @pytest.mark.parametrize("text", [None, 5, 2.5, ["I:2,2"]])
+    def test_a_spec_that_is_not_a_string_is_a_parameter_error(self, text):
+        # not Python's untyped AttributeError
+        with pytest.raises(ParameterError, match="^malformed domain spec"):
             parse_spec(text)
 
     @pytest.mark.parametrize("kind,dims,message", [
@@ -309,7 +317,8 @@ def reference_sample(spec, region, seed):
     """One key at a time: Gaussian shape-projected direction, scaled by
     rho / t_1 with t_1^2 from the spectral kernel on that one direction, then
     accepted by the analytic margin 1 - t_1^2 scale^2, redrawing from the
-    same stream up to 64 times."""
+    same stream up to 64 times.  An interior attempt draws its rho even for
+    a zero direction, which it then skips."""
     rng = np.random.default_rng(seed)
     for _ in range(64):
         g = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
@@ -318,9 +327,10 @@ def reference_sample(spec, region, seed):
         elif spec.kind == "III":
             g = (g + g.T) / 2.0
         top = domains._spectral_squares(spec, g)[0]
+        rho = 1.0 if region == "boundary" else rng.uniform()
         if top <= 0.0:
             continue
-        scale = (1.0 if region == "boundary" else rng.uniform()) / np.sqrt(top)
+        scale = rho / np.sqrt(top)
         margin = np.array([1.0 - top * scale * scale])
         if domains._accepted(region, (g * scale)[None], margin)[0]:
             return g * scale
@@ -397,6 +407,20 @@ class TestStackedSampler:
         assert got.shape == (len(REFERENCE_KEYS), *spec.shape)
         assert np.array_equal(got, ref)
         assert np.array_equal(sample_point(spec, region, REFERENCE_KEYS[7]).value, ref[7])
+
+    @pytest.mark.parametrize("region", ["interior", "boundary"])
+    def test_matches_reference_with_and_without_the_memo(self, region):
+        # one memo over every spec in turn: the later specs read the key
+        # stack's draws that the earlier ones made, II:5 and IV:5 deeper ones
+        texts = ["I:1,1", "I:2,3", "II:2", "II:5", "III:1", "III:3", "IV:1", "IV:3", "IV:5"]
+        keys = np.array([[45, k] for k in range(40)], dtype=np.uint32)
+        specs = list(map(parse_spec, texts))
+        alone = [sample_points(spec, region, keys) for spec in specs]
+        with domains._sample_memo():
+            shared = [sample_points(spec, region, keys) for spec in specs]
+        for spec, a, b in zip(specs, alone, shared):
+            want = np.array([reference_sample(spec, region, key) for key in keys])
+            assert np.array_equal(a, want) and np.array_equal(b, want), spec
 
     @pytest.mark.parametrize("text", REFERENCE_SPECS)
     @pytest.mark.parametrize("region", ["interior", "boundary"])
@@ -586,8 +610,8 @@ class TestDrawLog:
     def test_a_zero_direction_under_one_spec_only(self, first, monkeypatch):
         # I:2,2 and I:1,4 share the interior log of 8 normals, and their first
         # directions share the entry [0, 0].  The spec at index ``first`` sees
-        # keys 2 and 5 with a zero direction (top = 0), so it reads no rho for
-        # them and redraws; the other reads their rho.
+        # keys 2 and 5 with a zero direction (top = 0), so it skips their rho
+        # and redraws from the next block; the other takes their rho.
         chosen = []
         for k in (2, 5):
             x = np.random.default_rng(self.KEYS[k]).standard_normal(8)
@@ -616,17 +640,108 @@ class TestDrawLog:
         with domains._sample_memo():
             sample_points(parse_spec("I:2,2"), "interior", self.KEYS)
             sample_points(parse_spec("II:3"), "boundary", self.KEYS)
-            [log] = [v for v in domains._SAMPLE_MEMO.get().values()
-                     if isinstance(v, domains._DrawLog)]
-        # first attempts only: the tape and one (normals, rho) per normal count
-        assert sorted(vars(log)) == ["first", "tape"] and list(log.first) == [8]
-        normals, rho = log.first[8]
-        assert log.tape.shape == (30, 64) and normals.shape == (30, 8) and rho.shape == (30,)
-        assert all(isinstance(v, np.ndarray) for v in (log.tape, normals, rho))
+            memo = domains._SAMPLE_MEMO.get()
+            head = (self.KEYS.shape, self.KEYS.tobytes())
+            draws = {k[1:3]: v for k, v in memo.items() if k[0] == "draws" and k[3:] == head}
+        # first attempts only: the tape of normals and (normals, rho) of count 8
+        assert set(draws) == {(False, False), (False, (8, 1))}
+        (none, tape, no_rho), (no_words, normals, rho) = draws[False, False], draws[False, (8, 1)]
+        assert none is None and no_rho is None and no_words is None
+        assert tape.shape == (30, 64) and normals.shape == (30, 1, 8) and rho.shape == (30, 1)
+        assert all(isinstance(v, np.ndarray) for v in (tape, normals, rho))
         for k, key in enumerate(self.KEYS):
-            assert np.array_equal(log.tape[k], np.random.default_rng(key).standard_normal(64))
+            assert np.array_equal(tape[k], np.random.default_rng(key).standard_normal(64))
             rng = np.random.default_rng(key)
-            assert np.array_equal(normals[k], rng.standard_normal(8)) and rho[k] == rng.random()
+            assert np.array_equal(normals[k, 0], rng.standard_normal(8))
+            assert rho[k, 0] == rng.random()
+
+
+def stream_draws(key, count, word, uniform, blocks):
+    """One key at a time: what ``domains._first_draws`` reads from the key's
+    stream, as (word or None, normals of shape (blocks, count), uniforms of
+    shape (blocks,) or None)."""
+    rng = np.random.default_rng(key)
+    raw = rng.bit_generator.random_raw() if word else None
+    normals, uniforms = [], []
+    for _ in range(blocks):
+        normals.append(rng.standard_normal(count))
+        uniforms.append(rng.random() if uniform else None)
+    return raw, np.array(normals), np.array(uniforms) if uniform else None
+
+
+def assert_draws_equal(got, want):
+    for a, b in zip(got, want):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+MIXES = [(False, False), (False, True), (True, False), (True, True)]
+
+
+class TestFirstDraws:
+    """``domains._first_draws`` reads each key's stream as one key alone
+    would, with and without the run memo."""
+
+    KEYS = np.array([[46, k, 0] for k in range(20)], dtype=np.uint32)
+
+    def reference(self, rows, count, word, uniform, blocks):
+        words, normals, uniforms = zip(*[stream_draws(row, count, word, uniform, blocks)
+                                          for row in rows])
+        return (np.array(words, dtype=np.uint64) if word else None, np.array(normals),
+                np.array(uniforms) if uniform else None)
+
+    def test_the_plan_order_reads_the_same_draws_with_and_without_the_memo(self, monkeypatch):
+        # the normal counts of the F_U reports' elements and points in the
+        # plan's spec order: I:2,2 draws the first tape 64 normals deep, and
+        # II:5's 100 normals deepen it
+        specs = [args[0] for check_id, _, args, _ in verify._plan(42, 10, 10)
+                 if check_id.startswith("fu:")]
+        counts = []
+        for spec in specs:
+            counts += [2 * sum(map(math.prod, [*autgroups._haar_sources(spec), spec.shape])),
+                       2 * math.prod(spec.shape)]
+        assert counts[:2] == [24, 8] and 100 in counts
+        built = count_built(monkeypatch)
+        for word, uniform in MIXES:
+            for blocks in (1, 2):
+                del built[:]
+                with domains._sample_memo():
+                    shared = [domains._first_draws(self.KEYS, c, word, uniform, blocks)
+                              for c in counts]
+                    memo = domains._SAMPLE_MEMO.get()
+                    tapes = [v[1] for k, v in memo.items() if k[:3] == ("draws", word, False)]
+                seeded = list(built)
+                for count, got in zip(counts, shared):
+                    want = self.reference(self.KEYS, count, word, uniform, blocks)
+                    assert_draws_equal(got, want)
+                    alone = domains._first_draws(self.KEYS, count, word, uniform, blocks)
+                    assert_draws_equal(alone, want)
+                if uniform:  # seeded once per distinct count, kept per (count, blocks)
+                    assert not tapes and seeded == [len(self.KEYS)] * len(set(counts))
+                else:  # one tape, 64 deep and then as deep as each longer read
+                    depths, depth = [], 0
+                    for c in counts:
+                        if c * blocks > depth:
+                            depth = max(c * blocks, domains._TAPE_DEPTH)
+                            depths.append(depth)
+                    assert depths[:2] == ([64, 100] if blocks == 1 else [64, 76])
+                    assert [t.shape[1] for t in tapes] == [depths[-1]]
+                    assert seeded == [len(self.KEYS)] * len(depths)
+
+
+    @pytest.mark.parametrize("word,uniform", MIXES)
+    def test_an_empty_key_stack(self, word, uniform):
+        rows = np.empty((0, 3), dtype=np.uint32)
+        for memo in (False, True):
+            with domains._sample_memo() if memo else contextlib.nullcontext():
+                words, normals, uniforms = domains._first_draws(rows, 8, word, uniform, blocks=2)
+            assert normals.shape == (0, 2, 8)
+            assert (words is None) != word and (uniforms is None) != uniform
+            if word:
+                assert words.shape == (0,) and words.dtype == np.uint64
+            if uniform:
+                assert uniforms.shape == (0, 2)
 
 
 class TestStackedKernels:
@@ -656,6 +771,23 @@ class TestStackedKernels:
         assert np.array_equal(classify_points(spec, grid)[0].ravel(), regions[:len(z)])
         wgrid = w.reshape(grid.shape)
         assert np.allclose(polarized_norms(spec, grid, wgrid).ravel(), pol, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("kernel", [
+        lambda spec, z: classify_points(spec, z),
+        generic_norms,
+        lambda spec, z: polarized_norms(spec, z, z),
+        lambda spec, z: polarized_norms(spec, np.zeros((1, *spec.shape)), z),
+        norm_features,
+    ], ids=["classify_points", "generic_norms", "polarized_norms", "polarized_norms-w",
+            "norm_features"])
+    @pytest.mark.parametrize("text,shape", [("I:2,2", (3, 3)), ("I:2,3", (3, 2)), ("II:3", (2, 2)),
+                                            ("IV:3", (3,)), ("IV:3", (3, 1))])
+    def test_a_stack_of_another_point_shape_is_a_shape_error(self, kernel, text, shape):
+        # I:2,2 used to read a 3 x 3 point such as diag(0.1, 0.1, 5) as
+        # interior, with margin 0.99
+        z = np.full((2, *shape), 0.1, dtype=complex)
+        with pytest.raises(ShapeError, match=r"^point stack shape \(2, "):
+            kernel(parse_spec(text), z)
 
     def test_kind_ii_exterior_point_in_stack_has_closed_form_norm(self):
         # II:3 is the ball: the norm is 1 - |z12|^2 - |z13|^2 - |z23|^2

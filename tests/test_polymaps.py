@@ -146,6 +146,13 @@ class TestEval:
         assert not np.any(map_constant(f))
         assert not np.any(eval_map(f, origin(f.source)).value)
 
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 1), (2,)])
+    def test_a_stack_of_another_point_shape_is_a_shape_error(self, shape):
+        # f_t(0.3) maps I:2,2 into I:4,4; a 3 x 3 stack used to give an image
+        f = catalog("f_t", t=0.3)
+        with pytest.raises(ShapeError, match=r"^point stack shape \(4, "):
+            eval_points(f, np.full((4, *shape), 0.1, dtype=complex))
+
     def test_whitney_ball_2_arithmetic(self):
         f = catalog("whitney-ball", n=2)
         image = eval_map(f, point(f.source, [[0.3, 0.4]]))
@@ -518,6 +525,13 @@ class TestHomogeneousParts:
 
 
 class TestConjugate:
+    @pytest.mark.parametrize("pre,post", [(None, None), ((np.eye(2),), (np.eye(4), np.eye(4))),
+                                          ((np.eye(2), np.eye(2)), 5)])
+    def test_malformed_params_are_a_parameter_error(self, pre, post):
+        # not Python's untyped TypeError
+        with pytest.raises(ParameterError, match="^kind I isotropy parameters must be"):
+            conjugate(catalog("f_t", t=0.3), pre, post)
+
     def test_identity_isotropies_fix_coefficients(self):
         f = catalog("f_t", t=0.3)
         g = conjugate(f, (np.eye(2), np.eye(2)), (np.eye(4), np.eye(4)))

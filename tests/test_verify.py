@@ -586,6 +586,47 @@ class TestSampleCounts:
     def test_one_sample_runs(self, check):
         assert self.CHECKS[check](1).samples == 1
 
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    def test_a_non_integer_count_is_a_parameter_error(self, check):
+        # 2.5 used to draw 3 samples and record 2.5, or to raise an untyped TypeError
+        for count in (2.5, 2.0, "2", None):
+            with pytest.raises(ParameterError, match=r"^n_\w+ must be an integer, got "):
+                self.CHECKS[check](count)
+
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    def test_an_integer_count_is_recorded_as_an_int(self, check):
+        for count, want in ((np.int64(2), 2), (True, 1)):
+            report = self.CHECKS[check](count)
+            assert type(report.samples) is int and report.samples == want
+            assert report.to_dict() == self.CHECKS[check](want).to_dict()
+
+    def test_run_all_takes_its_counts_through_the_same_rule(self):
+        with pytest.raises(ParameterError, match="^n_samples must be an integer, got 2.5$"):
+            run_all(42, properness_samples=2.5, fu_samples=2)
+
+
+class TestFactorizationCounts:
+    WHITNEY = catalog("whitney-ball", n=2)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"degree_bound": -1}, "degree_bound must be nonnegative, got -1"),
+        ({"degree_bound": 1.5}, "degree_bound must be an integer, got 1.5"),
+        ({"degree_bound": None}, "degree_bound must be an integer, got None"),
+        ({"grid_size": 100.0}, "grid_size must be an integer, got 100.0"),
+        ({"grid_size": 0}, "grid_size must be positive, got 0"),
+    ])
+    def test_a_bad_count_is_a_parameter_error(self, kwargs, message):
+        # not the ValueError of math.comb or an untyped TypeError
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            check_factorization(self.WHITNEY, **kwargs)
+
+    def test_integer_counts_give_the_int_report(self):
+        report, coeffs = check_factorization(self.WHITNEY, degree_bound=np.int64(1),
+                                             grid_size=np.int32(11), seed=6)
+        want, want_coeffs = check_factorization(self.WHITNEY, degree_bound=1, grid_size=11, seed=6)
+        assert type(report.samples) is int
+        assert report.to_dict() == want.to_dict() and coeffs == want_coeffs
+
 
 class TestIsotropyConsistency:
     def test_f_t_invariance(self):
@@ -757,7 +798,9 @@ def record_hashed_stacks(monkeypatch):
 
 def count_sampled_keys(monkeypatch):
     """A list that gains the number of generators ``domains.key_generators``
-    builds for each ``sample_points`` call from now on."""
+    builds on each call from now on: for every draw of ``sample_points``, and
+    of ``random_isotropy_stack`` and the kind I/II/III ``random_automorphisms``,
+    which read their keys' streams through ``domains._first_draws`` too."""
     counts = []
     build = bsdkit.domains.key_generators
 
@@ -828,12 +871,16 @@ class TestSampleMemo:
 
     def test_run_all_builds_one_generator_per_distinct_sample_key(self, monkeypatch):
         # 16,928 generators without the memo, 7,988 with the points memo alone.
-        # The draw logs seed each row of a boundary stack once (its tape is 64
-        # normals deep, and no boundary spec reads more): 40 + 50 + 500 = 590.
-        # An interior stack seeds each row once per normal count: 160 and 200
-        # rows under 5 counts (8, 12, 18, 32, 50), 150 under 2 (6, 8), 20 under
-        # 5, two stacks of 100 under 2 (4, 8), and two each of 20, 33 and 371
-        # under 1: 3,448, so 4,038 in all.
+        # The samplers' draws seed each row of a boundary stack once (its tape
+        # is 64 normals deep, and no boundary spec reads more): 40 + 50 + 500 =
+        # 590.  An interior stack seeds each row once per normal count: 160 and
+        # 200 rows under 5 counts (8, 12, 18, 32, 50), 150 under 2 (6, 8), 20
+        # under 5, two stacks of 100 under 2 (4, 8), and two each of 20, 33 and
+        # 371 under 1: 3,448, so 4,038 in all.  The same reader seeds the 200
+        # keys of the 8 kind I/II/III F_U reports' element tape twice (64
+        # normals deep, then 100 for II:5), and the 2 x 100 keys of the two
+        # isotropy reports' stacks once, since both read prefixes of the same
+        # tapes: 4,638.
         counts = count_sampled_keys(monkeypatch)
         everything = []
         for module in (bsdkit.domains, bsdkit.autgroups):
@@ -843,13 +890,11 @@ class TestSampleMemo:
 
             monkeypatch.setattr(module, "key_generators", counted)
         run_all(42)
-        assert sum(counts) == 4038
-        # random_automorphisms seeds the 200 keys of the 8 kind I/II/III
-        # reports twice (a tape 64 normals deep, then 100 deep for II:5) and
-        # those of the 2 kind IV reports once each, 800 in all; with the 400
-        # keys of random_isotropy_stack, 5,238 (6,438 when every report
-        # seeded its own 200)
-        assert sum(everything) == 5238
+        assert sum(counts) == 4638
+        # with the 200 keys each of the 2 kind IV F_U reports, which seed their
+        # keys themselves: 5,038 (6,438 when every report seeded its own 200
+        # element keys and 5,238 when the isotropy reports seeded theirs)
+        assert sum(everything) == 5038
 
     def test_no_generator_outlives_a_sampler_call(self, monkeypatch):
         memos = []
@@ -857,8 +902,6 @@ class TestSampleMemo:
         def generators_in(value):
             if isinstance(value, np.random.Generator):
                 return 1
-            if isinstance(value, bsdkit.domains._DrawLog):
-                value = vars(value)
             if isinstance(value, dict):
                 value = [*value.keys(), *value.values()]
             if isinstance(value, (list, tuple)):
@@ -880,11 +923,13 @@ class TestSampleMemo:
         memo = memos[0]
         assert all(m is memo for m in memos)
         assert generators_in(memo) == 0
-        assert sum(isinstance(v, bsdkit.domains._DrawLog) for v in memo.values()) >= 10
-        # the element logs: a boost mask and a tape of normals per key stack
-        elements = [v for k, v in memo.items() if k[0] == "elements"]
-        assert len(elements) == 1
-        assert all(isinstance(a, np.ndarray) for log in elements for a in log)
+        # the first draws: (words, normals, uniforms), arrays or None
+        draws = [v for k, v in memo.items() if k[0] == "draws"]
+        assert len(draws) >= 10
+        assert all(a is None or isinstance(a, np.ndarray) for v in draws for a in v)
+        # one element tape, a raw word and then normals per key
+        [(words, tape, none)] = [v for k, v in memo.items() if k[:3] == ("draws", True, False)]
+        assert words.dtype == np.uint64 and tape.ndim == 2 and none is None
 
     def test_run_all_hashes_each_distinct_key_stack_once(self, monkeypatch):
         # 65 hashes of 10,388 key rows without the seed memo; the samplers,
@@ -893,6 +938,32 @@ class TestSampleMemo:
         run_all(42)
         assert len(set(hashed)) == len(hashed) == 18
         assert sum(shape[0] for shape, _ in hashed) == 2568
+
+
+class TestFirstAttempts:
+    @pytest.mark.parametrize("seed", [42, 7, 1234])
+    def test_run_all_accepts_every_sampler_candidate_on_its_first_attempt(self, seed,
+                                                                         monkeypatch):
+        # So no report of run_all reads a redraw, the one draw whose stream
+        # rule differs after a zero direction (whose candidate never reaches
+        # _accepted, so the blocks each read asks for are checked too).
+        accepted, first_draws = bsdkit.domains._accepted, bsdkit.domains._first_draws
+        verdicts, read_blocks = [], set()
+
+        def recorded(region, candidates, margin):
+            out = accepted(region, candidates, margin)
+            verdicts.append(bool(out.all()))
+            return out
+
+        def counted(rows, count, word=False, uniform=False, blocks=1):
+            read_blocks.add(blocks)
+            return first_draws(rows, count, word, uniform, blocks)
+
+        monkeypatch.setattr(bsdkit.domains, "_accepted", recorded)
+        monkeypatch.setattr(bsdkit.domains, "_first_draws", counted)
+        run_all(seed)
+        assert len(verdicts) > 40 and all(verdicts)
+        assert read_blocks == {1}
 
 
 def reference_pair(spec, seed, k, threshold):
