@@ -32,24 +32,21 @@ Parameters with leading stack axes give factors, and ``isotropy`` elements,
 with the same axes.
 
 Random elements come as stacks: ``random_automorphisms(spec, keys)`` draws
-each key's parameters from that key's own stream (the keys become ``uint32``
-rows at the API edge and are hashed as one stack by
-``domains.key_generators``; a kind I/II/III key reads one raw word and then
-all its normals through ``domains._first_draws``, one ``standard_normal``
-call, a prefix of the tape that the run memo keeps per key stack, and a
-kind IV key, whose angle lies between its Gaussians, walks its own
-generator with one call per group of Gaussians), then builds every matrix
+each key's parameters from that key's own stream, then builds every matrix
 at once: an isotropy, or a boost exp(X) times an isotropy, with X the
 Hermitian noncompact generator [[0, Y], [Y*, 0]] (G = exp(p) K, the Cartan
-decomposition).  Stacked QR gives the Haar
-factors, one ``eigvalsh`` of Y*Y the boost scale and one ``eigh`` of Y*Y
-the boost (``expm``, the block form of exp(X)), so an element depends on
-its key only; ``random_automorphism`` is its one-key case.  Random isotropy
-parameters come from ``random_isotropy_stack``, every kind through
-``domains._first_draws`` (so two reports on one key stack share its
-draws), and ``random_isotropy_params`` is its one-key case.  A key is a
-nonnegative integer or a nested list of them, as ``linalg._require_key``
-states it; a stack may also be a 2-D ``uint32`` array of key rows.
+decomposition).  Every kind reads its keys' streams with one call of the
+one reader ``domains._first_draws``: a raw word, then the isotropy's and
+the boost's normals as two blocks (kind IV: each followed by a uniform, the
+first the isotropy's angle).  Stacked QR gives the Haar factors, one
+``eigvalsh`` of Y*Y the boost scale and one ``eigh`` of Y*Y the boost
+(``expm``, the block form of exp(X)), so an element depends on its key
+only; ``random_automorphism`` is its one-key case.  Random isotropy
+parameters come from ``random_isotropy_stack``, one block read through the
+same reader (so two reports on one key stack share its draws), and
+``random_isotropy_params`` is its one-key case.  A key is a nonnegative
+integer or a nested list of them, as ``linalg._require_key`` states it; a
+stack may also be a 2-D ``uint32`` array of key rows.
 
 Defining relations checked for membership:
 
@@ -65,12 +62,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import (DomainSpec, Point, _as_key_rows, _first_draws, _require_stack, borel_lifts,
-                      check_shapes, classify_points, key_generators, parse_spec)
+from .domains import (DomainSpec, Point, _as_key_rows, _first_draws, _gaussian_directions,
+                      _require_stack, borel_lifts, check_shapes, classify_points, parse_spec)
 from .errors import (ActionSingularityError, BsdkitError, DomainError, ParameterError,
                      ShapeError)
-from .linalg import (_cut_blocks, as_matrix, gaussian_blocks, haar_normalize, hybrid_tol,
-                     psd_inv_sqrt)
+from .linalg import _cut_blocks, as_matrix, haar_normalize, hybrid_tol, psd_inv_sqrt
 
 __all__ = [
     "AutElement",
@@ -172,10 +168,8 @@ def check_membership(e: AutElement, tol: float = 1e-8) -> MembershipReport:
     Passing is judged against ``tol * max(1, |M|^2)`` since every relation is
     quadratic in the matrix.
     """
-    m = e.matrix
-    n = matrix_size(e.spec)
-    if m.shape != (n, n):
-        raise ShapeError(f"matrix for {e.spec} must be {n}x{n}, got {m.shape}")
+    _require_element(e)
+    m, n = e.matrix, matrix_size(e.spec)
     j = _signature_matrix(e.spec)
     residuals = {"signature": float(np.linalg.norm(m @ j @ m.conj().T - j))}
     if e.spec.mirror:
@@ -188,6 +182,17 @@ def check_membership(e: AutElement, tol: float = 1e-8) -> MembershipReport:
     return MembershipReport(residuals, worst, tol, bool(worst <= hybrid_tol(tol, scale)))
 
 
+def _require_element(e: AutElement, *points: Point) -> None:
+    """The rule of the one-element functions: ``e`` is one element, not a
+    stack, of the domain of every point of ``points``, else ``ShapeError``."""
+    n = matrix_size(e.spec)
+    if e.matrix.shape != (n, n):
+        raise ShapeError(f"matrix for {e.spec} must be {n}x{n}, got {e.matrix.shape}")
+    for p in points:
+        if p.spec != e.spec:
+            raise ShapeError(f"element of {e.spec} cannot act on point of {p.spec}")
+
+
 def _iv_lifted_images(e: AutElement, z: np.ndarray) -> tuple:
     """x = l(Z) M and lambda(Z) = i x_{n+1} + x_{n+2} over a kind IV point stack."""
     x = (borel_lifts(z)[..., None, :] @ e.matrix)[..., 0, :]
@@ -195,8 +200,11 @@ def _iv_lifted_images(e: AutElement, z: np.ndarray) -> tuple:
 
 
 def iv_action_denominator(e: AutElement, p: Point) -> complex:
-    """lambda(Z) = i x_{n+1} + x_{n+2}, x = borel_lift_iv(Z) M, for a kind IV element."""
-    return complex(_iv_lifted_images(e, p.value)[1])
+    """lambda(Z) = i x_{n+1} + x_{n+2}, x = borel_lift_iv(Z) M, for a kind IV
+    element (:func:`automorphy_denominator`); another kind raises ``ShapeError``."""
+    if e.spec.kind != "IV":
+        raise ShapeError(f"iv_action_denominator needs a kind IV element, got {e.spec}")
+    return automorphy_denominator(e, p)
 
 
 def act_points(e: AutElement, z: np.ndarray) -> np.ndarray:
@@ -228,10 +236,10 @@ def act(e: AutElement, p: Point) -> Point:
     :func:`act_points`).
 
     Composition follows the row convention: act(product(M, N), Z) equals
-    act(N, act(M, Z)).
+    act(N, act(M, Z)).  An element stack, or a point of another domain,
+    raises ``ShapeError``.
     """
-    if e.spec != p.spec:
-        raise ShapeError(f"element of {e.spec} cannot act on point of {p.spec}")
+    _require_element(e, p)
     return Point(p.spec, act_points(e, p.value))
 
 
@@ -314,10 +322,20 @@ def _haar_sources(spec: DomainSpec) -> list:
     return [(spec.r, spec.r), (spec.s, spec.s)] if spec.kind == "I" else [(spec.n, spec.n)]
 
 
-def _haar_params(spec: DomainSpec, sources: list):
-    """The isotropy matrices from the source stacks of :func:`_haar_sources`,
-    one stacked Haar normalization each: (U, V), A or P."""
-    params = tuple(map(haar_normalize, sources))
+def _isotropy_count(spec: DomainSpec) -> int:
+    """The number of normals of an isotropy's sources (:func:`_haar_sources`)."""
+    return (1 if spec.kind == "IV" else 2) * sum(map(math.prod, _haar_sources(spec)))
+
+
+def _isotropy_params(spec: DomainSpec, normals: np.ndarray, uniforms: np.ndarray):
+    """The isotropy parameters of a stack of keys' first draws: the sources of
+    :func:`_haar_sources` cut from the start of each key's ``normals``, one
+    stacked Haar normalization each, as (U, V), A, or (P, theta) with theta
+    2 pi times each key's first uniform."""
+    real = spec.kind == "IV"
+    params = tuple(map(haar_normalize, _cut_blocks(normals, _haar_sources(spec), real)))
+    if real:
+        return params[0], 2.0 * np.pi * uniforms[:, 0]
     return params if spec.kind == "I" else params[0]
 
 
@@ -326,15 +344,13 @@ def random_isotropy_stack(spec: DomainSpec, keys):
     component in the format accepted by :func:`isotropy`.  Each key's stream
     gives, in order, the U and V sources (kind I), the A source (kinds
     II/III), or the real P source and then the angle theta (kind IV), read
-    through ``domains._first_draws``: one ``standard_normal`` call per key,
-    and while the run memo is open a prefix of the key stack's tape (kind
-    IV: its normals and uniform).  One stacked QR normalizes each
-    component."""
-    shapes, real = _haar_sources(spec), spec.kind == "IV"
-    count = (1 if real else 2) * sum(map(math.prod, shapes))
-    _, normals, theta = _first_draws(_as_key_rows(keys), count, uniform=real)
-    params = _haar_params(spec, _cut_blocks(normals[:, 0], shapes, real))
-    return (params, 2.0 * np.pi * theta[:, 0]) if real else params
+    through ``domains._first_draws`` as one block: one ``standard_normal``
+    call per key, and while the run memo is open a prefix of the key stack's
+    tape (kind IV: its normals and uniform).  One stacked QR normalizes each
+    component (:func:`_isotropy_params`)."""
+    rows = _as_key_rows(keys)
+    _, normals, theta = _first_draws(rows, (_isotropy_count(spec),), uniform=spec.kind == "IV")
+    return _isotropy_params(spec, normals, theta)
 
 
 def _params_at(params, k: int):
@@ -397,14 +413,10 @@ def expm(y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _boosts(spec: DomainSpec, y: np.ndarray) -> np.ndarray:
+def _boosts(y: np.ndarray) -> np.ndarray:
     """exp(X) for the noncompact generator X = [[0, Y], [Y*, 0]] of each
-    Gaussian block of the stack ``y`` (:func:`expm`): a complex Gaussian of the
-    point shape, projected to (y + eps y^t) / 2 for kinds II/III, or iB with B
-    a real n x 2 Gaussian for kind IV, scaled to operator norm at most 0.4
-    (the largest singular value of Y, from one ``eigvalsh`` of Y*Y)."""
-    if spec.mirror:
-        y = (y + spec.mirror * y.swapaxes(-1, -2)) / 2.0
+    block of the stack ``y`` (:func:`expm`), scaled to operator norm at most
+    0.4 (the largest singular value of Y, from one ``eigvalsh`` of Y*Y)."""
     top = np.sqrt(np.linalg.eigvalsh(y.conj().swapaxes(-1, -2) @ y)[..., -1])
     return expm(y * (0.4 / np.maximum(1.0, top))[:, None, None])
 
@@ -416,35 +428,28 @@ def random_automorphisms(spec: DomainSpec, keys) -> AutElement:
 
     Each key's stream gives, in order, which of the two its element is (one
     raw word: a boost where bit 31 is clear, what ``rng.integers(2) == 0``
-    reads from it), the isotropy Gaussians (kind IV: then its angle) and,
-    for a boost, the Gaussians of Y, so an element depends on its key only.
-    For kinds I/II/III that stream is one word and then normals only, read
-    through ``domains._first_draws`` with one ``standard_normal`` call per
-    key; within one ``verify.run_all`` the 8 kind I/II/III reports read the
-    key stack's one tape, seeded again only for a deeper read.  Kind IV
-    draws its angle between its Gaussians, so each call seeds its keys and
-    draws each group of Gaussians with one call per key
-    (``linalg.gaussian_blocks``).  The matrices are then built as
-    stacks: one QR per Haar factor, one ``eigvalsh`` of Y*Y for the boost
-    scale and one ``eigh`` of Y*Y for :func:`expm`.
+    reads from it), the isotropy Gaussians and then the Gaussians of Y, each
+    block followed by a uniform for kind IV (the first is the isotropy's
+    angle), so an element depends on its key only.  Every kind reads them
+    with one ``domains._first_draws`` call, whose block sizes are the
+    isotropy's and the boost's normal counts: Y is a complex Gaussian of
+    the point shape, shape-projected by ``domains._gaussian_directions``
+    for kinds I/II/III, or iB with B a real n x 2 Gaussian for kind IV.
+    Within one ``verify.run_all`` the run memo keeps those draws, so the 8
+    kind I/II/III reports read one tape of the key stack.  The matrices
+    are then built as stacks: one QR per Haar factor, one ``eigvalsh`` of
+    Y*Y for the boost scale and one ``eigh`` of Y*Y for :func:`expm`.
     """
-    rows = _as_key_rows(keys)
-    if spec.kind == "IV":
-        rngs = key_generators(rows)
-        moved = np.array([rng.bit_generator.random_raw() & 0x80000000 == 0 for rng in rngs],
-                         dtype=bool)
-        [p] = gaussian_blocks(rngs, [(spec.n, spec.n)], real=True)
-        params = haar_normalize(p), 2.0 * np.pi * np.array([rng.random() for rng in rngs])
-        y = 1j * gaussian_blocks([rng for rng, m in zip(rngs, moved) if m], [(spec.n, 2)],
-                                 real=True)[0]
+    real, iso = spec.kind == "IV", _isotropy_count(spec)
+    counts = (iso, 2 * spec.n if real else 2 * math.prod(spec.shape))
+    words, normals, uniforms = _first_draws(_as_key_rows(keys), counts, word=True, uniform=real)
+    moved = words & 0x80000000 == 0
+    if real:
+        y = 1j * _cut_blocks(normals[moved, iso:], [(spec.n, 2)], real=True)[0]
     else:
-        shapes = [*_haar_sources(spec), spec.shape]
-        words, tape, _ = _first_draws(rows, 2 * sum(map(math.prod, shapes)), word=True)
-        *sources, y = _cut_blocks(tape[:, 0], shapes)
-        moved = words & 0x80000000 == 0
-        params, y = _haar_params(spec, sources), y[moved]
-    out = isotropy(spec, params).matrix
-    out[moved] = _boosts(spec, y) @ out[moved]
+        y = _gaussian_directions(spec, normals[moved, iso:])
+    out = isotropy(spec, _isotropy_params(spec, normals, uniforms)).matrix
+    out[moved] = _boosts(y) @ out[moved]
     return AutElement(spec, out)
 
 
@@ -462,9 +467,8 @@ def automorphy_factor(e: AutElement, p: Point, q: Point):
     (the factor of S needs a branch of its square root).  Kind IV returns
     the tuple of candidate values c / (lambda(Z) conj(lambda(W))) for c in
     IV_FACTOR_CANDIDATES, left to the verification harness to adjudicate.
+    The shape rule is that of :func:`automorphy_denominator`.
     """
-    if e.spec != p.spec or e.spec != q.spec:
-        raise ShapeError("element and points must share one domain spec")
     dz, dw = automorphy_denominator(e, p), automorphy_denominator(e, q)
     if abs(dz) < 1e-14 or abs(dw) < 1e-14:
         raise ActionSingularityError("vanishing automorphy denominator")
@@ -476,7 +480,9 @@ def automorphy_factor(e: AutElement, p: Point, q: Point):
 
 def automorphy_denominators(e: AutElement, z: np.ndarray) -> np.ndarray:
     """det(A + ZC) for kinds I/II/III, lambda(Z) for kind IV, over the point
-    stack ``z`` (and the element stack, if ``e`` is one)."""
+    stack ``z`` (and the element stack, if ``e`` is one).  A stack of another
+    point shape raises ``ShapeError``."""
+    _require_stack(e.spec, z)
     if e.spec.kind == "IV":
         return _iv_lifted_images(e, z)[1]
     a, _, c, _ = e.blocks
@@ -484,7 +490,9 @@ def automorphy_denominators(e: AutElement, z: np.ndarray) -> np.ndarray:
 
 
 def automorphy_denominator(e: AutElement, p: Point) -> complex:
-    """det(A + ZC) for kinds I/II/III, lambda(Z) for kind IV."""
+    """det(A + ZC) for kinds I/II/III, lambda(Z) for kind IV.  An element
+    stack, or a point of another domain, raises ``ShapeError``."""
+    _require_element(e, p)
     return complex(automorphy_denominators(e, p.value))
 
 

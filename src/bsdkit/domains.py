@@ -21,18 +21,20 @@ as the same keys while no key is longer than four words.
 row, hashing all rows at once as ``SeedSequence`` does, so each row's
 stream is that of ``np.random.default_rng(row)``.  Every sampler, here and
 in ``autgroups``, reads its keys' streams through one reader,
-``_first_draws``: each key's first draws in stream order, a raw word, then
-blocks of normals, each followed by a uniform where asked.  Within one
-``verify.run_all`` a run memo (``_sample_memo``) keeps each key stack's
-sampled points, its hashed seed states and its first draws, as arrays: one
-tape of normals that every read of normals only takes a prefix of
-(boundary points, kind I/II/III isotropies, and after a raw word kind
-I/II/III elements), and the draws with uniforms (interior points, kind IV
-isotropies) per normal count and block count.  So a stack is sampled and
-hashed once per run, and each draw is drawn once.  Attempt a of a rejected
-key reads the last of its stream's first a + 1 blocks, so a redraw reads
-further instead of replaying, and no ``Generator`` outlives the call that
-built it.
+``_first_draws``, the package's one caller of ``key_generators``: each
+key's first draws in stream order, a raw word where asked, then one block
+of normals per given block size, each followed by a uniform where asked.
+A point attempt, an isotropy and a group element of every kind are each
+one such read.  Within one ``verify.run_all`` a run memo (``_sample_memo``)
+keeps each key stack's sampled points, its hashed seed states and its
+first draws, as arrays: one tape of normals that every read of normals
+only takes a prefix of (boundary points, kind I/II/III isotropies, and
+after a raw word kind I/II/III elements), and the draws with uniforms
+(interior points, kind IV isotropies and elements) per block sizes.  So a
+stack is sampled and hashed once per run, and each draw is drawn once.
+Attempt a of a rejected key reads the last of its stream's first a + 1
+blocks, so a redraw reads further instead of replaying, and no
+``Generator`` outlives the call that built it.
 
 Domain kinds and their point shapes:
 
@@ -518,9 +520,9 @@ def _as_key_rows(keys) -> np.ndarray:
 
 # The open run memo, or None: {(spec, region, key shape, key bytes): points} of
 # sample_points, {(key shape, key bytes): pool states} of key_generators and
-# {("draws", word, False or (count, blocks), key shape, key bytes): (words,
-# normals, uniforms)} of _first_draws, a key stack's tape of normals under
-# False and its draws with uniforms under (count, blocks).
+# {("draws", word, False or counts, key shape, key bytes): (words, normals,
+# uniforms)} of _first_draws, a key stack's tape of normals under False and
+# its draws with uniforms under their block sizes.
 _SAMPLE_MEMO = ContextVar("sample_memo", default=None)
 
 
@@ -603,33 +605,33 @@ def _gaussian_directions(spec: DomainSpec, normals: np.ndarray) -> np.ndarray:
 _TAPE_DEPTH = 64
 
 
-def _first_draws(rows: np.ndarray, count: int, word: bool = False, uniform: bool = False,
-                 blocks: int = 1) -> tuple:
+def _first_draws(rows: np.ndarray, counts: tuple, word: bool = False,
+                 uniform: bool = False) -> tuple:
     """The first draws of every key row's stream, in stream order: one raw
-    64-bit word if ``word``, then ``blocks`` blocks of ``count`` normals, each
-    block followed by one uniform if ``uniform``.  Returns (words, normals,
-    uniforms): shapes ``(len(rows),)``, ``(len(rows), blocks, count)`` and
-    ``(len(rows), blocks)``, None for words or uniforms not drawn.  Each key
-    draws each block with one ``standard_normal`` call
-    (``linalg.gaussian_blocks``), a run of blocks with no uniforms between
-    them with one call.
+    64-bit word if ``word``, then a block of ``c`` normals for each ``c`` of
+    the block sizes ``counts``, each block followed by one uniform if
+    ``uniform``.  Returns (words, normals, uniforms): shapes ``(len(rows),)``,
+    ``(len(rows), sum(counts))`` and ``(len(rows), len(counts))``, None for
+    words or uniforms not drawn.  Each key draws each block with one
+    ``standard_normal`` call (``linalg.gaussian_blocks``), a run of blocks
+    with no uniforms between them with one call.
 
     While the run memo is open (:func:`_sample_memo`) it keeps the draws per
     key stack as arrays: draws of normals only share one tape, drawn at
     least ``_TAPE_DEPTH`` normals deep and again, deeper, for a longer read,
     so every such read is a prefix of it; draws with uniforms are kept per
-    ``(count, blocks)``."""
-    memo, depth = _SAMPLE_MEMO.get(), count * blocks
-    entry = ("draws", word, uniform and (count, blocks), rows.shape, rows.tobytes())
+    ``counts``."""
+    memo, depth = _SAMPLE_MEMO.get(), sum(counts)
+    entry = ("draws", word, uniform and counts, rows.shape, rows.tobytes())
     drawn = None if memo is None else memo.get(entry)
     if drawn is None or not uniform and drawn[1].shape[1] < depth:
         rngs = key_generators(rows)
         words = (np.array([rng.bit_generator.random_raw() for rng in rngs], dtype=np.uint64)
                  if word else None)
         if uniform:
-            normals, uniforms = np.empty((len(rows), blocks, count)), np.empty((len(rows), blocks))
-            for b in range(blocks):
-                [normals[:, b]] = gaussian_blocks(rngs, [(count,)], real=True)
+            normals, uniforms = np.empty((len(rows), depth)), np.empty((len(rows), len(counts)))
+            for b, block in enumerate(np.split(normals, np.cumsum(counts)[:-1], axis=1)):
+                [block[:]] = gaussian_blocks(rngs, [block.shape[1:]], real=True)
                 uniforms[:, b] = [rng.random() for rng in rngs]
         else:
             tape = depth if memo is None else max(depth, _TAPE_DEPTH)
@@ -637,9 +639,7 @@ def _first_draws(rows: np.ndarray, count: int, word: bool = False, uniform: bool
         drawn = words, normals, uniforms
         if memo is not None:
             memo[entry] = drawn
-    if uniform:
-        return drawn
-    return drawn[0], drawn[1][:, :depth].reshape(len(rows), blocks, count), None
+    return drawn if uniform else (drawn[0], drawn[1][:, :depth], None)
 
 
 def sample_points(spec: DomainSpec, region: str, keys) -> np.ndarray:
@@ -697,8 +697,8 @@ def _draw_points(spec: DomainSpec, region: str, rows: np.ndarray) -> np.ndarray:
 
     def draw(pending, attempt):
         # attempt a of a key reads the last of the first a + 1 blocks of its stream
-        _, normals, rho = _first_draws(rows[pending], count, uniform=interior, blocks=attempt + 1)
-        g = _gaussian_directions(spec, normals[:, -1])
+        _, normals, rho = _first_draws(rows[pending], (count,) * (attempt + 1), uniform=interior)
+        g = _gaussian_directions(spec, normals[:, -count:])
         top = _spectral_squares(spec, g)[:, 0]
         valid = top > 0.0
         scale = (rho[valid, -1] if interior else 1.0) / np.sqrt(top[valid])

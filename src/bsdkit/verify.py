@@ -32,33 +32,34 @@ check draws every trial's parameters as one stack from
 Keys are the flat ``uint32`` rows of ``_key_rows``: the seed's words by
 ``linalg._key_words``, the one rule that also turns every key into a row at
 the samplers' API edge, then the counters.  A row seeds the stream of the
-nested key ``[[[seed, stream], k], 2a]``.  The samplers seed a whole key
-array at once through ``domains.key_generators``, and each key
-then draws a group of Gaussians (a sample's direction, an element's
-isotropy or boost sources) in one ``standard_normal`` call through
-``linalg.gaussian_blocks``, bit for bit the draws of one call per real and
-imaginary block.
+nested key ``[[[seed, stream], k], 2a]``.  Every sample, element and
+isotropy reads its key's stream through the one reader
+``domains._first_draws``, which seeds a whole key array at once through
+``domains.key_generators``, and each key then draws a group of Gaussians
+(a sample's direction, an element's isotropy or boost sources) in one
+``standard_normal`` call through ``linalg.gaussian_blocks``, bit for bit
+the draws of one call per real and imaginary block.
 
 Within one ``run_all`` each key stack is sampled once and hashed once:
 ``domains`` keeps a run memo open while the checks run, and a later check
 that asks for the same spec, region and key stack gets the same points,
 read-only.  The memo also keeps each stack's ``SeedSequence`` pool states,
 so the ``[seed, k, c]`` stacks that the F_U, coefficient lemma and isotropy
-reports share are hashed once per run, and each stack's first draws, read
-through the one reader ``domains._first_draws``, so each draw is made once
-per run: the reads of normals only (boundary points, kind I/II/III
-isotropies, and after a raw word kind I/II/III elements) take prefixes of
-one tape per key stack, and the interior specs with the same normal count
-read the same normals and rho.  Only a redraw, or a tape too short for a
-read, seeds a key again: at seed 42 the samplers seed 4,038 keys, not
-7,988, and make no redraw.  The 8 kind I/II/III F_U reports read their
-elements' streams from the tape of the ``[seed, k, 0]`` stack, which is
-seeded once and deepened once (for II:5), so their 200 keys are seeded 400
-times, not 1,600; the 2 kind IV reports seed them once each; and the two
-isotropy reports read their parameters from the same two tapes of 100
-keys.  In all ``run_all(42)`` hands 5,038 keys to ``key_generators``.  This
-is exact, since a stack is a pure function of its spec, region and keys,
-and a key's draws are its stream's whoever reads them.
+reports share are hashed once per run, and each stack's first draws, so
+each draw is made once per run: the reads of normals only (boundary
+points, kind I/II/III isotropies, and after a raw word kind I/II/III
+elements) take prefixes of one tape per key stack, and the reads with
+uniforms with the same block sizes (interior points, kind IV isotropies
+and elements) read the same draws.  Only a redraw, or a tape too short
+for a read, seeds a key again: at seed 42 the point samplers seed 4,038 keys
+and make no redraw.  The 8 kind I/II/III F_U reports read their elements'
+streams from the tape of the ``[seed, k, 0]`` stack, which is seeded once
+and deepened once (for II:5), so their 200 keys are seeded 400 times; the
+2 kind IV reports seed them once each; and the two isotropy reports read
+their parameters from the same two tapes of 100 keys.  In all
+``run_all(42)`` seeds 5,038 keys.  This is exact, since a stack is a pure
+function of its spec, region and keys, and a key's draws are its stream's
+whoever reads them.
 """
 
 import itertools

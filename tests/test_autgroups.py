@@ -221,13 +221,47 @@ class TestStackedAction:
             assert np.max(np.abs(one[k] - act(elements[0], Point(spec, z[k])).value)) <= 1e-13
 
     @pytest.mark.parametrize("text,shape", [("I:2,2", (3, 3)), ("II:3", (2, 2)), ("IV:3", (3,)),
-                                            ("IV:3", (3, 1))])
-    def test_a_stack_of_another_point_shape_is_a_shape_error(self, text, shape):
+                                            ("IV:3", (3, 1)), ("IV:3", (1, 4))])
+    @pytest.mark.parametrize("kernel", [act_points, automorphy_denominators])
+    def test_a_stack_of_another_point_shape_is_a_shape_error(self, text, shape, kernel):
         # not NumPy's untyped ValueError, nor a silent image
         spec = parse_spec(text)
-        z = np.full((2, *shape), 0.1, dtype=complex)
-        with pytest.raises(ShapeError, match=r"^point stack shape \(2, "):
-            act_points(random_automorphisms(spec, [[40, 0], [40, 1]]), z)
+        z = np.full((5, *shape), 0.1, dtype=complex)
+        with pytest.raises(ShapeError, match=r"^point stack shape \(5, "):
+            kernel(random_automorphisms(spec, [[40, 0], [40, 1]]), z)
+
+    @pytest.mark.parametrize("own,other", [("III:2", "I:2,2"), ("IV:3", "I:1,3")])
+    def test_a_point_of_another_domain_is_a_shape_error(self, own, other):
+        # the point has the element's point shape, so only the spec tells
+        e = random_automorphism(parse_spec(own), 41)
+        p = sample_point(parse_spec(other), "interior", 42)
+        assert p.value.shape == e.spec.shape
+        message = f"^element of {own} cannot act on point of {other}$"
+        for one_point in (act, automorphy_denominator):
+            with pytest.raises(ShapeError, match=message):
+                one_point(e, p)
+        with pytest.raises(ShapeError, match=message):
+            automorphy_factor(e, p, p)
+
+    def test_iv_action_denominator_of_another_kind_is_a_shape_error(self):
+        spec = parse_spec("I:1,3")
+        e, p = random_automorphism(spec, 43), sample_point(spec, "interior", 44)
+        with pytest.raises(ShapeError, match="^iv_action_denominator needs a kind IV element, "
+                                             "got I:1,3$"):
+            iv_action_denominator(e, p)
+
+    @pytest.mark.parametrize("text", ["I:2,2", "II:3", "IV:3"])
+    @pytest.mark.parametrize("one_point", [
+        act, automorphy_denominator, lambda e, p: automorphy_factor(e, p, p),
+        lambda e, p: check_membership(e),
+    ], ids=["act", "automorphy_denominator", "automorphy_factor", "check_membership"])
+    def test_the_one_point_functions_take_one_element(self, text, one_point):
+        # not a Point of shape (3, ...) from act, nor an untyped TypeError
+        spec = parse_spec(text)
+        stack, p = random_automorphisms(spec, [1, 2, 3]), sample_point(spec, "interior", 45)
+        n = autgroups.matrix_size(spec)
+        with pytest.raises(ShapeError, match=rf"^matrix for {text} must be {n}x{n}, got \(3, "):
+            one_point(stack, p)
 
     @pytest.mark.parametrize("text", ["II:3", "III:2"])
     def test_asymmetric_image_in_stack_raises(self, text):
@@ -516,8 +550,9 @@ EXPM_SPECS = [*RANK_DEFICIENT, "I:1,1", "II:2", "III:1", "I:3,3", "III:3", "IV:3
 
 
 def block_stack(spec, seed, norms):
-    """Blocks Y of the spec's boost generator, projected as ``_boosts`` projects
-    them and scaled to the given operator norms."""
+    """Blocks Y of the spec's boost generator, projected as
+    ``random_automorphisms`` projects them and scaled to the given operator
+    norms."""
     rng = np.random.default_rng(seed)
     if spec.kind == "IV":
         y = 1j * rng.standard_normal((len(norms), spec.n, 2))
@@ -645,8 +680,9 @@ class CountingGenerator:
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Make ``key_generators`` hand out counting generators; the list of every
-    generator made, in order."""
+    """Make ``domains.key_generators``, which seeds every key of every
+    sampler through ``domains._first_draws``, hand out counting generators;
+    the list of every generator made, in order."""
     made = []
     real = domains.key_generators
 
@@ -656,7 +692,6 @@ def counted(monkeypatch):
         return rngs
 
     monkeypatch.setattr(domains, "key_generators", key_generators)
-    monkeypatch.setattr(autgroups, "key_generators", key_generators)
     return made
 
 
@@ -720,13 +755,13 @@ class TestDrawCalls:
     @pytest.mark.parametrize("text", AUT_SPECS)
     @pytest.mark.parametrize("flavor", FLAVORS)
     def test_automorphism_draws_once_per_group(self, text, flavor, counted):
-        # kinds I/II/III draw a key's whole tape in one call; kind IV draws its
-        # angle between the isotropy and the boost Gaussians
+        # kinds I/II/III draw a key's whole tape in one call; every kind IV key
+        # draws its angle between the isotropy and the boost Gaussians
         spec = parse_spec(text)
         keys = keys_drawing(flavor, AUT_KEYS)
         assert keys
         random_automorphisms(spec, keys)
-        calls = 2 if spec.kind == "IV" and flavor == "boost" else 1
+        calls = 2 if spec.kind == "IV" else 1
         assert [rng.normal_calls for rng in counted] == [calls] * len(keys)
 
 
@@ -749,9 +784,31 @@ class TestElementTape:
                 assert np.array_equal(got.matrix, want), spec
                 depths.append(domains._SAMPLE_MEMO.get()[entry][1].shape[1])
         # I:2,2 draws a tape 64 normals deep, which II:5 (100 normals) deepens;
-        # kind IV seeds its keys on every call and keeps no tape
+        # IV:3 and IV:4 each keep their draws with uniforms under their block sizes
         assert depths == [64] * 7 + [100] * 3
         assert len(counted) == 4 * len(self.KEYS)
+
+    @pytest.mark.parametrize("text,counts", [("IV:1", (1, 2)), ("IV:3", (9, 6))])
+    def test_a_second_kind_iv_call_under_one_memo_seeds_no_key(self, text, counts, counted,
+                                                               monkeypatch):
+        reads, first_draws = [], autgroups._first_draws
+
+        def recorded(rows, counts, word=False, uniform=False):
+            reads.append((counts, word, uniform))
+            return first_draws(rows, counts, word, uniform)
+
+        monkeypatch.setattr(autgroups, "_first_draws", recorded)
+        spec = parse_spec(text)
+        alone = random_automorphisms(spec, self.KEYS).matrix
+        del counted[:]
+        with domains._sample_memo():
+            first = random_automorphisms(spec, self.KEYS).matrix
+            assert len(counted) == len(self.KEYS)
+            again = random_automorphisms(spec, self.KEYS).matrix
+        assert len(counted) == len(self.KEYS)
+        assert np.array_equal(first, alone) and np.array_equal(again, alone)
+        # one read per call: a raw word, the n * n normals of P, theta, the 2n of B
+        assert reads == [(counts, True, True)] * 3
 
     @pytest.mark.parametrize("text", AUT_SPECS)
     def test_isotropy_elements_match_the_reference_under_the_memo(self, text):

@@ -644,29 +644,29 @@ class TestDrawLog:
             head = (self.KEYS.shape, self.KEYS.tobytes())
             draws = {k[1:3]: v for k, v in memo.items() if k[0] == "draws" and k[3:] == head}
         # first attempts only: the tape of normals and (normals, rho) of count 8
-        assert set(draws) == {(False, False), (False, (8, 1))}
-        (none, tape, no_rho), (no_words, normals, rho) = draws[False, False], draws[False, (8, 1)]
+        assert set(draws) == {(False, False), (False, (8,))}
+        (none, tape, no_rho), (no_words, normals, rho) = draws[False, False], draws[False, (8,)]
         assert none is None and no_rho is None and no_words is None
-        assert tape.shape == (30, 64) and normals.shape == (30, 1, 8) and rho.shape == (30, 1)
+        assert tape.shape == (30, 64) and normals.shape == (30, 8) and rho.shape == (30, 1)
         assert all(isinstance(v, np.ndarray) for v in (tape, normals, rho))
         for k, key in enumerate(self.KEYS):
             assert np.array_equal(tape[k], np.random.default_rng(key).standard_normal(64))
             rng = np.random.default_rng(key)
-            assert np.array_equal(normals[k, 0], rng.standard_normal(8))
+            assert np.array_equal(normals[k], rng.standard_normal(8))
             assert rho[k, 0] == rng.random()
 
 
-def stream_draws(key, count, word, uniform, blocks):
+def stream_draws(key, counts, word, uniform):
     """One key at a time: what ``domains._first_draws`` reads from the key's
-    stream, as (word or None, normals of shape (blocks, count), uniforms of
-    shape (blocks,) or None)."""
+    stream, as (word or None, normals of shape (sum(counts),), uniforms of
+    shape (len(counts),) or None)."""
     rng = np.random.default_rng(key)
     raw = rng.bit_generator.random_raw() if word else None
     normals, uniforms = [], []
-    for _ in range(blocks):
+    for count in counts:
         normals.append(rng.standard_normal(count))
         uniforms.append(rng.random() if uniform else None)
-    return raw, np.array(normals), np.array(uniforms) if uniform else None
+    return raw, np.concatenate(normals), np.array(uniforms) if uniform else None
 
 
 def assert_draws_equal(got, want):
@@ -685,9 +685,8 @@ class TestFirstDraws:
 
     KEYS = np.array([[46, k, 0] for k in range(20)], dtype=np.uint32)
 
-    def reference(self, rows, count, word, uniform, blocks):
-        words, normals, uniforms = zip(*[stream_draws(row, count, word, uniform, blocks)
-                                          for row in rows])
+    def reference(self, rows, counts, word, uniform):
+        words, normals, uniforms = zip(*[stream_draws(row, counts, word, uniform) for row in rows])
         return (np.array(words, dtype=np.uint64) if word else None, np.array(normals),
                 np.array(uniforms) if uniform else None)
 
@@ -707,17 +706,17 @@ class TestFirstDraws:
             for blocks in (1, 2):
                 del built[:]
                 with domains._sample_memo():
-                    shared = [domains._first_draws(self.KEYS, c, word, uniform, blocks)
+                    shared = [domains._first_draws(self.KEYS, (c,) * blocks, word, uniform)
                               for c in counts]
                     memo = domains._SAMPLE_MEMO.get()
                     tapes = [v[1] for k, v in memo.items() if k[:3] == ("draws", word, False)]
                 seeded = list(built)
                 for count, got in zip(counts, shared):
-                    want = self.reference(self.KEYS, count, word, uniform, blocks)
+                    want = self.reference(self.KEYS, (count,) * blocks, word, uniform)
                     assert_draws_equal(got, want)
-                    alone = domains._first_draws(self.KEYS, count, word, uniform, blocks)
+                    alone = domains._first_draws(self.KEYS, (count,) * blocks, word, uniform)
                     assert_draws_equal(alone, want)
-                if uniform:  # seeded once per distinct count, kept per (count, blocks)
+                if uniform:  # seeded once per distinct count, kept per block sizes
                     assert not tapes and seeded == [len(self.KEYS)] * len(set(counts))
                 else:  # one tape, 64 deep and then as deep as each longer read
                     depths, depth = [], 0
@@ -729,14 +728,26 @@ class TestFirstDraws:
                     assert [t.shape[1] for t in tapes] == [depths[-1]]
                     assert seeded == [len(self.KEYS)] * len(depths)
 
+    @pytest.mark.parametrize("counts", [(1, 2), (9, 6)])
+    @pytest.mark.parametrize("word,uniform", MIXES)
+    def test_unequal_block_sizes(self, counts, word, uniform, monkeypatch):
+        # the block sizes of an IV:1 element (its boost block the longer) and
+        # of an IV:3 element; a second read under one memo seeds no key
+        want = self.reference(self.KEYS, counts, word, uniform)
+        built = count_built(monkeypatch)
+        assert_draws_equal(domains._first_draws(self.KEYS, counts, word, uniform), want)
+        with domains._sample_memo():
+            for _ in range(2):
+                assert_draws_equal(domains._first_draws(self.KEYS, counts, word, uniform), want)
+        assert built == [len(self.KEYS)] * 2
 
     @pytest.mark.parametrize("word,uniform", MIXES)
     def test_an_empty_key_stack(self, word, uniform):
         rows = np.empty((0, 3), dtype=np.uint32)
         for memo in (False, True):
             with domains._sample_memo() if memo else contextlib.nullcontext():
-                words, normals, uniforms = domains._first_draws(rows, 8, word, uniform, blocks=2)
-            assert normals.shape == (0, 2, 8)
+                words, normals, uniforms = domains._first_draws(rows, (8, 8), word, uniform)
+            assert normals.shape == (0, 16)
             assert (words is None) != word and (uniforms is None) != uniform
             if word:
                 assert words.shape == (0,) and words.dtype == np.uint64

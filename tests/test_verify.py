@@ -798,9 +798,9 @@ def record_hashed_stacks(monkeypatch):
 
 def count_sampled_keys(monkeypatch):
     """A list that gains the number of generators ``domains.key_generators``
-    builds on each call from now on: for every draw of ``sample_points``, and
-    of ``random_isotropy_stack`` and the kind I/II/III ``random_automorphisms``,
-    which read their keys' streams through ``domains._first_draws`` too."""
+    builds on each call from now on: for every draw of ``sample_points``,
+    ``random_isotropy_stack`` and ``random_automorphisms``, which all read
+    their keys' streams through ``domains._first_draws``."""
     counts = []
     build = bsdkit.domains.key_generators
 
@@ -870,31 +870,20 @@ class TestSampleMemo:
         assert len(hashed) == 2
 
     def test_run_all_builds_one_generator_per_distinct_sample_key(self, monkeypatch):
-        # 16,928 generators without the memo, 7,988 with the points memo alone.
-        # The samplers' draws seed each row of a boundary stack once (its tape
-        # is 64 normals deep, and no boundary spec reads more): 40 + 50 + 500 =
-        # 590.  An interior stack seeds each row once per normal count: 160 and
-        # 200 rows under 5 counts (8, 12, 18, 32, 50), 150 under 2 (6, 8), 20
-        # under 5, two stacks of 100 under 2 (4, 8), and two each of 20, 33 and
-        # 371 under 1: 3,448, so 4,038 in all.  The same reader seeds the 200
-        # keys of the 8 kind I/II/III F_U reports' element tape twice (64
-        # normals deep, then 100 for II:5), and the 2 x 100 keys of the two
-        # isotropy reports' stacks once, since both read prefixes of the same
-        # tapes: 4,638.
+        # Every key is seeded by domains._first_draws.  The points seed each
+        # row of a boundary stack once (its tape is 64 normals deep, and no
+        # boundary spec reads more): 40 + 50 + 500 = 590.  An interior stack
+        # seeds each row once per normal count: 160 and 200 rows under 5
+        # counts (8, 12, 18, 32, 50), 150 under 2 (6, 8), 20 under 5, two
+        # stacks of 100 under 2 (4, 8), and two each of 20, 33 and 371 under
+        # 1: 3,448, so 4,038 in all.  The 200 keys of the 8 kind I/II/III F_U
+        # reports' element tape are seeded twice (64 normals deep, then 100
+        # for II:5), the 2 x 100 keys of the two isotropy reports' stacks
+        # once, since both read prefixes of the same tapes, and the 200 keys
+        # of each of the 2 kind IV F_U reports once: 5,038.
         counts = count_sampled_keys(monkeypatch)
-        everything = []
-        for module in (bsdkit.domains, bsdkit.autgroups):
-            def counted(keys, _build=module.key_generators):
-                everything.append(len(keys))
-                return _build(keys)
-
-            monkeypatch.setattr(module, "key_generators", counted)
         run_all(42)
-        assert sum(counts) == 4638
-        # with the 200 keys each of the 2 kind IV F_U reports, which seed their
-        # keys themselves: 5,038 (6,438 when every report seeded its own 200
-        # element keys and 5,238 when the isotropy reports seeded theirs)
-        assert sum(everything) == 5038
+        assert sum(counts) == 5038
 
     def test_no_generator_outlives_a_sampler_call(self, monkeypatch):
         memos = []
@@ -955,11 +944,12 @@ class TestFirstAttempts:
             verdicts.append(bool(out.all()))
             return out
 
-        def counted(rows, count, word=False, uniform=False, blocks=1):
-            read_blocks.add(blocks)
-            return first_draws(rows, count, word, uniform, blocks)
+        def counted(rows, counts, word=False, uniform=False):
+            read_blocks.add(len(counts))
+            return first_draws(rows, counts, word, uniform)
 
         monkeypatch.setattr(bsdkit.domains, "_accepted", recorded)
+        # the samplers' reads only: autgroups calls its own imported name
         monkeypatch.setattr(bsdkit.domains, "_first_draws", counted)
         run_all(seed)
         assert len(verdicts) > 40 and all(verdicts)
@@ -1056,8 +1046,7 @@ class TestKeyRows:
             seen.append(keys)
             return build(keys)
 
-        for module in (bsdkit.domains, bsdkit.autgroups):
-            monkeypatch.setattr(module, "key_generators", recorded)
+        monkeypatch.setattr(bsdkit.domains, "key_generators", recorded)
         run_all(2**40 + 3)
         assert seen and all(isinstance(keys, np.ndarray) for keys in seen)
         assert all(keys.ndim == 2 and keys.dtype == np.uint32 for keys in seen)
