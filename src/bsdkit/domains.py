@@ -58,6 +58,10 @@ Classification reads the margin 1 - t_1^2, the sampler scales by rho / t_1,
 the generic norm is prod_j (1 - t_j^2) for every kind (``generic_norms``),
 and ``verify.check_properness`` reads both the margin and that norm of its
 images from it.
+
+Kind IV's polarized norm is its quadric lift's: S(Z, W) = -1/2 l(Z) J l(W)*
+with l = ``borel_lifts``, the lift its group acts through, and J =
+diag(I_n, -1, -1), so its ``norm_features`` are the lift itself.
 """
 
 from contextlib import contextmanager
@@ -249,11 +253,6 @@ def norm_gram(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.eye(z.shape[-2]) - z @ np.conj(w).swapaxes(-1, -2)
 
 
-def _row_product(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # kind IV row vectors: ZW^t over the stack
-    return (z @ w.swapaxes(-1, -2))[..., 0, 0]
-
-
 def _spectral_squares(spec: DomainSpec, z: np.ndarray) -> np.ndarray:
     """The squares t_1^2 >= ... >= t_r^2 of the spectral values of the stack
     ``z`` (shape ``(..., *spec.shape)``), shape ``(..., r)`` with r the rank
@@ -345,14 +344,16 @@ def polarized_norms(spec: DomainSpec, z: np.ndarray, w: np.ndarray) -> np.ndarra
 
     Kind I/III: det(I - ZW*).  Kind II: (-1)^(n(n-1)/2) Pf([[Z, I], [-I, conj W]])
     (Loos, *Bounded Symmetric Domains and Jordan Pairs*, 1977), whose square
-    is det(I - ZW*).  Kind IV: 1 - 2ZW* + (ZZ^t) conj(WW^t).  The diagonal
-    S(Z, Z) is the generic norm (:func:`generic_norms`).
+    is det(I - ZW*).  Kind IV: -1/2 l(Z) J l(W)* over the quadric lifts l
+    (:func:`borel_lifts`), J = diag(I_n, -1, -1), read from its
+    :func:`norm_features`.  The diagonal S(Z, Z) is the generic norm
+    (:func:`generic_norms`).
     """
     _require_stack(spec, z)
     _require_stack(spec, w)
     if spec.kind == "IV":
-        zw = _row_product(z, np.conj(w))
-        return 1.0 - 2.0 * zw + _row_product(z, z) * np.conj(_row_product(w, w))
+        (phi, sigma), (psi, _) = norm_features(spec, z), norm_features(spec, w)
+        return np.sum(phi * sigma * np.conj(psi), axis=-1)
     if spec.kind == "II":
         z, w_bar = np.broadcast_arrays(z, np.conj(w))
         eye = np.broadcast_to(np.eye(spec.n), z.shape)
@@ -373,15 +374,15 @@ def norm_features(spec: DomainSpec, z: np.ndarray) -> tuple:
     Kinds I/III: all minors det Z[I, J] with |I| = |J|, sigma = (-1)^|I|
     (Cauchy-Binet on det(I - ZW*)).  Kind II: the principal Pfaffian minors
     Pf Z[I] over even |I|, sigma = (-1)^(|I|/2) (the minor summation formula
-    of Ishikawa and Wakayama, 1995).  Kind IV: (1, Z, ZZ^t) with sigma =
-    (1, -2, ..., -2, 1).  The empty minor is the leading feature 1.
+    of Ishikawa and Wakayama, 1995); the empty minor is the leading feature
+    1.  Kind IV: its quadric lift l(Z) (:func:`borel_lifts`), sigma = (-1/2,
+    ..., -1/2, 1/2, 1/2), so S(Z, W) = -1/2 l(Z) J l(W)* with J = diag(I_n,
+    -1, -1).
     """
     _require_stack(spec, z)
-    lead = z.shape[:-2]
     if spec.kind == "IV":
-        phi = np.concatenate([np.ones((*lead, 1)), z[..., 0, :], _row_product(z, z)[..., None]],
-                             axis=-1)
-        return phi, np.concatenate([[1.0], np.full(spec.n, -2.0), [1.0]])
+        return borel_lifts(z), np.concatenate([np.full(spec.n, -0.5), [0.5, 0.5]])
+    lead = z.shape[:-2]
     blocks, signs = [np.ones((*lead, 1), dtype=complex)], [np.ones(1)]
     rows, cols = spec.shape
     if spec.kind == "II":
@@ -600,9 +601,12 @@ def _gaussian_directions(spec: DomainSpec, normals: np.ndarray) -> np.ndarray:
 
 # A key stack's tape of normals is drawn at least this many normals deep while
 # the run memo keeps it: a normal costs about 16 ns and seeding a generator
-# about 2 us, so the later specs of a run (the deepest boundary spec, II:5,
-# reads 50) read a prefix instead of seeding every key again.
-_TAPE_DEPTH = 64
+# about 2 us, so the later specs of a run read a prefix instead of seeding
+# every key again.  The deepest normals-only read of run_all is II:5's group
+# element, 50 isotropy and 50 boost normals after its raw word, so the 8 kind
+# I/II/III F_U reports seed their 200 element keys once; the deepest boundary
+# spec, II:5, reads 50.
+_TAPE_DEPTH = 100
 
 
 def _first_draws(rows: np.ndarray, counts: tuple, word: bool = False,

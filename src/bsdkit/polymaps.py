@@ -666,9 +666,11 @@ def polymap_to_json(f: PolyMap) -> dict:
 
 def polymap_from_json(data: dict) -> PolyMap:
     """Inverse of :func:`polymap_to_json`; a missing key, a non-numeric or
-    non-finite value, or a row, column or exponent that is not an integer
-    (``polymap``'s rule) raises ``ParameterError``, an unknown variable or a
-    position outside the target ``ShapeError``; both name the 1-based row
+    non-finite value, a row, column or exponent that is not an integer
+    (``polymap``'s rule), or a second entry at one position or a second term
+    with the same exponents in one entry raises ``ParameterError``, an
+    unknown variable or a position outside the target ``ShapeError``; the
+    errors of a position and of a second entry or term name the 1-based row
     and column as written."""
     try:
         source = parse_spec(data["source"])
@@ -677,16 +679,22 @@ def polymap_from_json(data: dict) -> PolyMap:
         entries = {}
         for item in data["entries"]:
             row, col = item["row"], item["col"]
+            where = f"(row {row!r}, col {col!r})"
             try:
-                terms = entries[(operator.index(row) - 1, operator.index(col) - 1)] = {}
+                pos = operator.index(row) - 1, operator.index(col) - 1
             except TypeError:
-                raise ParameterError(f"non-integer entry position (row {row!r}, col {col!r})") from None
+                raise ParameterError(f"non-integer entry position {where}") from None
+            if pos in entries:
+                raise ParameterError(f"duplicate entry at {where}")
+            terms = entries[pos] = {}
             for term in item["terms"]:
                 exps = [0] * len(index)
                 for name, e in term["exps"].items():
                     if name not in index:
                         raise ShapeError(f"unknown variable {name!r} for source {source}")
                     exps[index[name]] = e
+                if tuple(exps) in terms:
+                    raise ParameterError(f"duplicate term {term['exps']!r} in the entry at {where}")
                 terms[tuple(exps)] = complex(term["re"], term.get("im", 0.0))
     except BsdkitError:
         raise

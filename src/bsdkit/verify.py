@@ -51,15 +51,15 @@ points, kind I/II/III isotropies, and after a raw word kind I/II/III
 elements) take prefixes of one tape per key stack, and the reads with
 uniforms with the same block sizes (interior points, kind IV isotropies
 and elements) read the same draws.  Only a redraw, or a tape too short
-for a read, seeds a key again: at seed 42 the point samplers seed 4,038 keys
-and make no redraw.  The 8 kind I/II/III F_U reports read their elements'
-streams from the tape of the ``[seed, k, 0]`` stack, which is seeded once
-and deepened once (for II:5), so their 200 keys are seeded 400 times; the
-2 kind IV reports seed them once each; and the two isotropy reports read
-their parameters from the same two tapes of 100 keys.  In all
-``run_all(42)`` seeds 5,038 keys.  This is exact, since a stack is a pure
-function of its spec, region and keys, and a key's draws are its stream's
-whoever reads them.
+for a read, seeds a key again.  ``run_all`` reads no deeper than
+``domains._TAPE_DEPTH`` and makes no redraw at seeds 42, 7 and 1234, so
+there a boundary row is seeded once, an interior row once per normal
+count, and an element or isotropy key once per read layout.  All ten F_U reports
+sample Z from the same boundary and interior key stacks, the 8 kind
+I/II/III ones read their elements from one tape of the ``[seed, k, 0]``
+stack, and the two isotropy reports read their parameters from the same
+two tapes.  This is exact, since a stack is a pure function of its spec,
+region and keys, and a key's draws are its stream's whoever reads them.
 """
 
 import itertools
@@ -340,50 +340,47 @@ def check_F_U_lemma(spec: DomainSpec, n_samples: int = 200, tol: float = 1e-9,
 
     Every kind computes one quantity per sample, S(MZ, MW) d(Z) conj d(W)
     against S(Z, W), with d the automorphy denominator (det(A+ZC) for kinds
-    I/II/III, lambda(Z) for kind IV).  Each element acts once, through one
-    ``act_points`` and one ``automorphy_denominators`` call on the stacked
-    pair (Z, W), and the norms of (Z, MZ) against (W, MW) are one stack.
-    Kinds I/II/III check that the two are equal, with every norm read as
-    det(I - ZW*): the norm itself for kinds I/III, and for kind II its
-    square (Loos 1977), so kind II checks its squared law with no Pfaffian
-    (its unsquared law needs a branch of the square root of det(A+ZC)).
-    Kind IV takes W = Z, acts on Z alone, and adjudicates which candidate
-    constant c makes the quantity equal c S(Z, Z) on every sample, with
-    residuals |quantity - c S(Z, Z)| / max(1, |S(Z, Z)|): the report carries
-    the residuals of the best candidate, so it passes when exactly one
-    candidate fits.  It also fails when more than one fits, although its max
-    residual is then within ``tol``: the one exception to the pass rule of
-    ``_report``.  The notes record the empirically fitted constant, the
-    median ratio over the samples with |S(Z, Z)| > 0.1, either way.
+    I/II/III, lambda(Z) for kind IV), in one flow: Z is a boundary point for
+    the keys k % 4 == 3 and an interior point else, W an interior point for
+    kinds I/II/III and Z itself for kind IV.  Each element acts once,
+    through one ``act_points`` and one ``automorphy_denominators`` call on
+    the stacked pair (Z, W), and the norms of (Z, MZ) against (W, MW) are
+    one ``polarized_norms`` call; kind II reads them as det(I - ZW*), the
+    square of its norm (Loos 1977), so it checks its squared law with no
+    Pfaffian (its unsquared law needs a branch of the square root of
+    det(A+ZC)).  Every residual is that of ``_relative``.  Kinds I/II/III
+    check that the two are equal.  Kind IV adjudicates which candidate
+    constant c makes the quantity equal c S(Z, Z) on every sample: the
+    report carries the residuals of the best candidate, so it passes when
+    exactly one candidate fits.  It also fails when more than one fits,
+    although its max residual is then within ``tol``: the one exception to
+    the pass rule of ``_report``.  The notes record the empirically fitted
+    constant, the median ratio over the samples with |S(Z, Z)| > 0.1,
+    either way.
     """
     check_id = check_id or f"fu:{spec}"
     n_samples = _require_count("n_samples", n_samples)
-    notes = []
     ks = np.arange(n_samples)
-    e = random_automorphisms(spec, _key_rows(seed, ks, 0))
-    period = 4 if spec.kind == "IV" else 5
-    on_boundary = ks % period == period - 1
+    # Each element acts on its Z and W as one (sample, 2) stack.
+    e = AutElement(spec, random_automorphisms(spec, _key_rows(seed, ks, 0)).matrix[:, None])
+    on_boundary = ks % 4 == 3
     z = np.empty((n_samples, *spec.shape), dtype=complex)
     keys = _key_rows(seed, ks, 1)
     for region, mask in (("boundary", on_boundary), ("interior", ~on_boundary)):
         z[mask] = sample_points(spec, region, keys[mask])
+    w = z if spec.kind == "IV" else sample_points(spec, "interior", _key_rows(seed, ks, 2))
+    pair = np.stack([z, w], axis=1)
+    both = np.stack([pair, act_points(e, pair)], axis=1)  # (sample, before/after, Z/W)
+    dz, dw = automorphy_denominators(e, pair).T
+    zs, ws = both[:, :, 0], both[:, :, 1]
+    norms = np.linalg.det(norm_gram(zs, ws)) if spec.kind == "II" else polarized_norms(spec, zs, ws)
+    s_before, s_after = norms.T
+    moved = s_after * dz * np.conj(dw)
+    notes = ["kind II identity verified in squared (determinant) form"] if spec.kind == "II" else []
     if spec.kind != "IV":
-        # Each element acts on its Z and W as one (sample, 2) stack.
-        e = AutElement(spec, e.matrix[:, None])
-        pair = np.stack([z, sample_points(spec, "interior", _key_rows(seed, ks, 2))], axis=1)
-        both = np.stack([pair, act_points(e, pair)], axis=1)  # (sample, before/after, Z/W)
-        dz, dw = automorphy_denominators(e, pair).T
-        s_before, s_after = np.linalg.det(norm_gram(both[:, :, 0], both[:, :, 1])).T
-        if spec.kind == "II":
-            notes.append(f"kind {spec.kind} identity verified in squared (determinant) form")
-        moved = s_after * dz * np.conj(dw)
         return _report(check_id, [spec], n_samples, seed, _relative(moved, s_before), tol, notes)
 
-    both, dz = np.stack([z, act_points(e, z)]), automorphy_denominators(e, z)
-    s_before, s_after = polarized_norms(spec, both, both)
-    moved = s_after * dz * np.conj(dz)
-    scale = np.maximum(1.0, np.abs(s_before))
-    residuals = {c: np.abs(moved - c * s_before) / scale for c in IV_FACTOR_CANDIDATES}
+    residuals = {c: _relative(moved, c * s_before) for c in IV_FACTOR_CANDIDATES}
     cand_worst = {c: float(np.max(r, initial=0.0)) for c, r in residuals.items()}
     kept = np.abs(s_before) > 0.1
     fits = [c for c in IV_FACTOR_CANDIDATES if cand_worst[c] <= tol]

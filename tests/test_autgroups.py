@@ -783,10 +783,10 @@ class TestElementTape:
                 got = random_automorphisms(spec, self.KEYS)
                 assert np.array_equal(got.matrix, want), spec
                 depths.append(domains._SAMPLE_MEMO.get()[entry][1].shape[1])
-        # I:2,2 draws a tape 64 normals deep, which II:5 (100 normals) deepens;
+        # I:2,2 draws a tape 100 normals deep, as deep as II:5 (100 normals) reads;
         # IV:3 and IV:4 each keep their draws with uniforms under their block sizes
-        assert depths == [64] * 7 + [100] * 3
-        assert len(counted) == 4 * len(self.KEYS)
+        assert depths == [100] * 10
+        assert len(counted) == 3 * len(self.KEYS)
 
     @pytest.mark.parametrize("text,counts", [("IV:1", (1, 2)), ("IV:3", (9, 6))])
     def test_a_second_kind_iv_call_under_one_memo_seeds_no_key(self, text, counts, counted,

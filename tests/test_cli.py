@@ -423,6 +423,18 @@ class TestMalformedFiles:
         assert rc == 2 and not out.exists()
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_a_map_with_a_duplicate_entry_exits_two_with_one_error_line(self, tmp_path, capsys):
+        # z11 and then z11^2 at row 1, col 1 once loaded as z11^2 alone
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps({**self.MAP, "entries": [
+            *self.MAP["entries"],
+            {"row": 1, "col": 1, "terms": [{"exps": {"z11": 2}, "re": 1.0}]}]}))
+        rc, out = run(tmp_path, "verify", "properness", "--map-file", str(path),
+                      "--no-timestamp")
+        err = capsys.readouterr().err
+        assert rc == 2 and not out.exists()
+        assert err == "error: duplicate entry at (row 1, col 1)\n"
+
     def test_well_formed_map_still_loads(self, tmp_path):
         path = tmp_path / "map.json"
         path.write_text(json.dumps(self.MAP))

@@ -227,6 +227,31 @@ class TestNormFeatures:
         assert np.array_equal(one_sigma, sigma)
 
 
+class TestKindIVNormOracle:
+    """Kind IV's norm is read from its quadric lift, -1/2 l(Z) J l(W)*; its
+    expansion 1 - 2ZW* + (ZZ^t) conj(WW^t) is the oracle of both kernels."""
+
+    @staticmethod
+    def closed_form(z, w):
+        z, w = z[..., 0, :], w[..., 0, :]
+        return (1.0 - 2.0 * np.sum(z * np.conj(w), axis=-1)
+                + np.sum(z * z, axis=-1) * np.conj(np.sum(w * w, axis=-1)))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_polarized_norms_and_the_feature_gram_are_the_closed_form(self, n):
+        spec = parse_spec(f"IV:{n}")
+        z = np.concatenate([sample_points(spec, region, [[13, k] for k in range(2)])
+                            for region in ("interior", "boundary")])
+        w = np.concatenate([sample_points(spec, "interior", [[14, k] for k in range(3)]),
+                            sample_points(spec, "boundary", [[15, k] for k in range(2)])])
+        want = self.closed_form(z[:, None], w[None, :])
+        got = polarized_norms(spec, z[:, None], w[None, :])  # stacks (4, 1) x (1, 5)
+        assert got.shape == (4, 5) and np.max(np.abs(got - want)) <= 1e-14
+        phi, sigma = norm_features(spec, z)
+        psi, _ = norm_features(spec, w)
+        assert np.max(np.abs((phi * sigma) @ np.conj(psi).T - want)) <= 1e-14
+
+
 class TestKindIICrossKindOracles:
     """The unsquared Pfaffian norm, sign and branch included, against the
     low-rank isomorphisms II:2 = disc, II:3 = ball and II:4 = IV:6."""
@@ -568,16 +593,16 @@ class TestDrawLog:
 
     @pytest.mark.parametrize("region", ["interior", "boundary"])
     def test_specs_of_rising_falling_and_shared_counts_read_one_log(self, region, monkeypatch):
-        # normal counts 8, 50, 6, 18, 8, 8, 72: three specs share the count 8,
-        # and I:6,6 reads past the tape's first depth of 64
+        # normal counts 8, 50, 6, 18, 8, 8, 108: three specs share the count 8,
+        # and I:6,9 reads past the tape's first depth of 100
         built = count_built(monkeypatch)
         with domains._sample_memo():
-            for text in ["I:2,2", "II:5", "I:1,3", "III:3", "III:2", "I:1,4", "I:6,6"]:
+            for text in ["I:2,2", "II:5", "I:1,3", "III:3", "III:2", "I:1,4", "I:6,9"]:
                 spec = parse_spec(text)
                 got = sample_points(spec, region, self.KEYS)
                 assert np.array_equal(got, self.reference(spec, region))
-        # boundary: the tape is drawn 64 deep, then rebuilt and drawn 72 deep for I:6,6;
-        # interior: one first attempt per normal count (8, 50, 6, 18, 72)
+        # boundary: the tape is drawn 100 deep, then rebuilt and drawn 108 deep for I:6,9;
+        # interior: one first attempt per normal count (8, 50, 6, 18, 108)
         assert built == [30] * (2 if region == "boundary" else 5)
 
     @pytest.mark.parametrize("region,texts", [("interior", ["I:2,2", "I:1,4"]),
@@ -587,7 +612,7 @@ class TestDrawLog:
                                                                      monkeypatch):
         # The spec at index ``first`` rejects every candidate whose corner entry
         # has a positive real part; the other spec takes its keys at once.  A
-        # boundary redraw of II:5 reads normals 50 to 100, past the tape's 64.
+        # boundary redraw of II:5 reads normals 50 to 100, the end of the tape.
         accepted, rejecting, rejected = domains._accepted, [False], []
 
         def corner_rule(region, z, margin):
@@ -647,10 +672,10 @@ class TestDrawLog:
         assert set(draws) == {(False, False), (False, (8,))}
         (none, tape, no_rho), (no_words, normals, rho) = draws[False, False], draws[False, (8,)]
         assert none is None and no_rho is None and no_words is None
-        assert tape.shape == (30, 64) and normals.shape == (30, 8) and rho.shape == (30, 1)
+        assert tape.shape == (30, 100) and normals.shape == (30, 8) and rho.shape == (30, 1)
         assert all(isinstance(v, np.ndarray) for v in (tape, normals, rho))
         for k, key in enumerate(self.KEYS):
-            assert np.array_equal(tape[k], np.random.default_rng(key).standard_normal(64))
+            assert np.array_equal(tape[k], np.random.default_rng(key).standard_normal(100))
             rng = np.random.default_rng(key)
             assert np.array_equal(normals[k], rng.standard_normal(8))
             assert rho[k, 0] == rng.random()
@@ -692,8 +717,8 @@ class TestFirstDraws:
 
     def test_the_plan_order_reads_the_same_draws_with_and_without_the_memo(self, monkeypatch):
         # the normal counts of the F_U reports' elements and points in the
-        # plan's spec order: I:2,2 draws the first tape 64 normals deep, and
-        # II:5's 100 normals deepen it
+        # plan's spec order: I:2,2 draws the first tape 100 normals deep, as
+        # deep as II:5 reads in one block; two blocks of I:3,3 (108) deepen it
         specs = [args[0] for check_id, _, args, _ in verify._plan(42, 10, 10)
                  if check_id.startswith("fu:")]
         counts = []
@@ -718,13 +743,13 @@ class TestFirstDraws:
                     assert_draws_equal(alone, want)
                 if uniform:  # seeded once per distinct count, kept per block sizes
                     assert not tapes and seeded == [len(self.KEYS)] * len(set(counts))
-                else:  # one tape, 64 deep and then as deep as each longer read
+                else:  # one tape, 100 deep and then as deep as each longer read
                     depths, depth = [], 0
                     for c in counts:
                         if c * blocks > depth:
                             depth = max(c * blocks, domains._TAPE_DEPTH)
                             depths.append(depth)
-                    assert depths[:2] == ([64, 100] if blocks == 1 else [64, 76])
+                    assert depths[:2] == ([100] if blocks == 1 else [100, 108])
                     assert [t.shape[1] for t in tapes] == [depths[-1]]
                     assert seeded == [len(self.KEYS)] * len(depths)
 

@@ -804,6 +804,23 @@ class TestIntegerInput:
             polymap_from_json(data)
         assert named in str(info.value)
 
+    @pytest.mark.parametrize("entries,named", [
+        ([{"row": 1, "col": 1, "terms": [{"exps": {"z11": 1}, "re": 1.0}]},
+          {"row": 1, "col": 1, "terms": [{"exps": {"z11": 2}, "re": 1.0}]}],
+         "duplicate entry at (row 1, col 1)"),
+        ([{"row": 2, "col": 1, "terms": [{"exps": {"z12": 1}, "re": 1.0},
+                                         {"exps": {"z12": 1, "z11": 0}, "re": 2.0}]}],
+         "duplicate term {'z12': 1, 'z11': 0} in the entry at (row 2, col 1)"),
+        ([{"row": 1, "col": 2, "terms": [{"exps": {}, "re": 1.0}, {"exps": {}, "re": 0.5}]}],
+         "duplicate term {} in the entry at (row 1, col 2)"),
+    ], ids=["entry", "term", "constant-term"])
+    def test_json_rejects_a_duplicate_entry_or_term(self, entries, named):
+        # each would keep only its last entry or term, a map other than the one written
+        data = {"source": "I:2,2", "target": "I:2,2", "entries": entries}
+        with pytest.raises(ParameterError) as info:
+            polymap_from_json(data)
+        assert str(info.value) == named
+
 
 class TestHighDegree:
     def test_a_degree_far_past_the_recursion_limit_builds(self):

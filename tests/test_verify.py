@@ -356,16 +356,42 @@ class TestFULemma:
                                       "IV:4"])
     def test_one_action_and_one_denominator_call_per_report(self, text, monkeypatch):
         spec, calls = parse_spec(text), []
-        for name in ("act_points", "automorphy_denominators"):
-            def counted(e, z, _name=name, _real=getattr(bsdkit.verify, name)):
-                calls.append((_name, z.shape))
-                return _real(e, z)
+        for name in ("act_points", "automorphy_denominators", "polarized_norms", "norm_gram"):
+            def counted(*args, _name=name, _real=getattr(bsdkit.verify, name)):
+                calls.append((_name, args[-1].shape))
+                return _real(*args)
 
             monkeypatch.setattr(bsdkit.verify, name, counted)
         assert check_F_U_lemma(spec, n_samples=30, seed=12).passed is (spec.kind != "IV")
-        # Z and W as one (sample, 2) stack; kind IV has W = Z and acts on Z alone
-        points = (30, *spec.shape) if spec.kind == "IV" else (30, 2, *spec.shape)
-        assert calls == [("act_points", points), ("automorphy_denominators", points)]
+        # Z and W as one (sample, 2) stack for every kind (kind IV's W is Z);
+        # the norms of (Z, MZ) against (W, MW), kind II's as det(I - ZW*)
+        points = (30, 2, *spec.shape)
+        norm = "norm_gram" if spec.kind == "II" else "polarized_norms"
+        assert calls == [("act_points", points), ("automorphy_denominators", points),
+                         (norm, points)]
+
+    def test_every_report_samples_z_from_one_boundary_and_one_interior_key_stack(self,
+                                                                                 monkeypatch):
+        sampler, stacks = bsdkit.verify.sample_points, []
+
+        def record(spec, region, keys):
+            stacks[-1].append((region, keys.tolist()))
+            return sampler(spec, region, keys)
+
+        monkeypatch.setattr(bsdkit.verify, "sample_points", record)
+        rows = [row for row in _plan(42, 10, 20) if row[0].startswith("fu:")]
+        assert len(rows) == 10
+        for check_id, check, args, kwargs in rows:
+            stacks.append([])
+            check(*args, check_id=check_id, **kwargs)
+        # Z of every kind from the keys [seed, k, 1]: boundary where k % 4 == 3
+        ks = np.arange(20)
+        z_keys = [("boundary", _key_rows(42, ks[ks % 4 == 3], 1).tolist()),
+                  ("interior", _key_rows(42, ks[ks % 4 != 3], 1).tolist())]
+        assert [calls[:2] for calls in stacks] == [z_keys] * 10
+        # W of kinds I/II/III from [seed, k, 2]; kind IV's W is Z
+        w_keys = [("interior", _key_rows(42, ks, 2).tolist())]
+        assert [calls[2:] for calls in stacks] == [w_keys] * 8 + [[]] * 2
 
     def test_deterministic_reports(self):
         a = check_F_U_lemma(parse_spec("I:2,2"), n_samples=50, seed=10).to_dict()
@@ -871,19 +897,19 @@ class TestSampleMemo:
 
     def test_run_all_builds_one_generator_per_distinct_sample_key(self, monkeypatch):
         # Every key is seeded by domains._first_draws.  The points seed each
-        # row of a boundary stack once (its tape is 64 normals deep, and no
-        # boundary spec reads more): 40 + 50 + 500 = 590.  An interior stack
-        # seeds each row once per normal count: 160 and 200 rows under 5
-        # counts (8, 12, 18, 32, 50), 150 under 2 (6, 8), 20 under 5, two
-        # stacks of 100 under 2 (4, 8), and two each of 20, 33 and 371 under
-        # 1: 3,448, so 4,038 in all.  The 200 keys of the 8 kind I/II/III F_U
-        # reports' element tape are seeded twice (64 normals deep, then 100
-        # for II:5), the 2 x 100 keys of the two isotropy reports' stacks
-        # once, since both read prefixes of the same tapes, and the 200 keys
-        # of each of the 2 kind IV F_U reports once: 5,038.
+        # row of a boundary stack once (its tape is 100 normals deep, and no
+        # boundary spec reads more): 50 + 500 = 550.  An interior stack
+        # seeds each row once per normal count: the 150 F_U Z rows under 6
+        # counts (8, 12, 18, 32, 50, 6), the 200 F_U W rows under 5, 20 under
+        # 5, two stacks of 100 under 2 (4, 8), and two each of 20, 33 and 371
+        # under 1: 3,248, so 3,798 in all.  The 200 keys of the 8 kind
+        # I/II/III F_U reports' element tape are seeded once (100 normals
+        # deep, as deep as II:5 reads), the 2 x 100 keys of the two isotropy
+        # reports' stacks once, since both read prefixes of the same tapes,
+        # and the 200 keys of each of the 2 kind IV F_U reports once: 4,598.
         counts = count_sampled_keys(monkeypatch)
         run_all(42)
-        assert sum(counts) == 5038
+        assert sum(counts) == 4598
 
     def test_no_generator_outlives_a_sampler_call(self, monkeypatch):
         memos = []
@@ -921,12 +947,12 @@ class TestSampleMemo:
         assert words.dtype == np.uint64 and tape.ndim == 2 and none is None
 
     def test_run_all_hashes_each_distinct_key_stack_once(self, monkeypatch):
-        # 65 hashes of 10,388 key rows without the seed memo; the samplers,
-        # random_automorphisms and random_isotropy_stack share 18 stacks
+        # the samplers, random_automorphisms and random_isotropy_stack share
+        # 16 stacks
         hashed = record_hashed_stacks(monkeypatch)
         run_all(42)
-        assert len(set(hashed)) == len(hashed) == 18
-        assert sum(shape[0] for shape, _ in hashed) == 2568
+        assert len(set(hashed)) == len(hashed) == 16
+        assert sum(shape[0] for shape, _ in hashed) == 2368
 
 
 class TestFirstAttempts:
