@@ -28,9 +28,13 @@ one-trial case and builds its result from arrays.
 The catalog holds the proper polynomial map families used throughout:
 standard block embeddings, the D'Angelo ball family, the ball and
 generalized Whitney maps, two quadratic maps between 2x2-block domains,
-and the one-parameter families f_t, g_t, G_t, h_t connecting them.  Four
-coefficient tables build them all: the standard, D'Angelo, G_t and f_t
-tables, and six entries are special cases of these.  Both Whitney maps are
+and the one-parameter families f_t, g_t, G_t, h_t connecting them.  Each
+catalog builder gives its map's table (source, target, entries), which
+``polymap`` converts.  Four coefficient tables build them all: the
+standard, D'Angelo, G_t and f_t tables, and six entries are special cases
+of these.  The G_t and f_t tables, and h_t's from f_t's, take a float or
+an array of t, so ``verify.check_family_continuity`` reads a family on its
+whole grid from one table evaluation, with no map built.  Both Whitney maps are
 family endpoints with their zero column dropped: the ball map is the
 D'Angelo map (z', cos theta z_n, sin theta z_n z) at theta = pi/2 (built
 with cos and sin exactly 0 and 1), and the generalized map is G_t at
@@ -297,10 +301,13 @@ def polymap(source: DomainSpec, target: DomainSpec, entries: dict) -> PolyMap:
     return PolyMap(source, target, exponents, coeffs, degrees)
 
 
-def _efmt(t: float) -> float:
-    if not 0.0 <= t <= 1.0:
-        raise ParameterError(f"family parameter t must lie in [0, 1], got {t}")
-    return float(t)
+def _efmt(t):
+    """t as a float in [0, 1], or an array of t as a float array of points in
+    [0, 1]; the first point outside, NaN included, raises ``ParameterError``."""
+    for point in t if np.ndim(t) else [t]:
+        if not 0.0 <= point <= 1.0:
+            raise ParameterError(f"family parameter t must lie in [0, 1], got {point}")
+    return np.asarray(t, dtype=float) if np.ndim(t) else float(t)
 
 
 def _unit(nvars: int, *slots) -> tuple:
@@ -310,14 +317,14 @@ def _unit(nvars: int, *slots) -> tuple:
     return tuple(exps)
 
 
-def _build_standard(r: int, s: int, r2: int, s2: int) -> PolyMap:
+def _build_standard(r: int, s: int, r2: int, s2: int) -> tuple:
     source = DomainSpec("I", r=r, s=s)
     target = DomainSpec("I", r=r2, s=s2)
     if r2 < r or s2 < s:
         raise ParameterError("standard embedding target must contain the source block")
     nv = r * s
     entries = {(i, j): {_unit(nv, i * s + j): 1.0} for i in range(r) for j in range(s)}
-    return polymap(source, target, entries)
+    return source, target, entries
 
 
 def _ball_entries(n: int, cos: float, sin: float) -> dict:
@@ -328,11 +335,12 @@ def _ball_entries(n: int, cos: float, sin: float) -> dict:
     return entries
 
 
-def _block_entries(r: int, s: int, t: float) -> dict:
+def _block_entries(r: int, s: int, t) -> dict:
     """Entries of G_t of I:r,s into I:2r-1,2s (1-based): sqrt(t) z_i1 z_1j at
     (i, j), sqrt(1 - t) z_i1 at (i, s + 1), and z_ij at (i, s + j) for j > 1
-    and at (r + i - 1, j) for i > 1."""
-    nv, rt, rmt = r * s, math.sqrt(t), math.sqrt(1.0 - t)
+    and at (r + i - 1, j) for i > 1; t is a float or an array of t, as in
+    ``_f_t_entries``."""
+    nv, rt, rmt = r * s, np.sqrt(t), np.sqrt(1.0 - t)
     entries = {}
     for i in range(r):
         entries[(i, s)] = {_unit(nv, i * s): rmt}
@@ -350,37 +358,38 @@ def _without_column(entries: dict, col: int) -> dict:
     return {(i, j - (j > col)): terms for (i, j), terms in entries.items() if j != col}
 
 
-def _build_whitney_ball(n: int) -> PolyMap:
+def _build_whitney_ball(n: int) -> tuple:
     """The D'Angelo map at theta = pi/2 without its zero column (index n - 1)."""
     if n < 2:
         raise ParameterError("whitney-ball needs n >= 2")
     source = DomainSpec("I", r=1, s=n)
     target = DomainSpec("I", r=1, s=2 * n - 1)
-    return polymap(source, target, _without_column(_ball_entries(n, 0.0, 1.0), n - 1))
+    return source, target, _without_column(_ball_entries(n, 0.0, 1.0), n - 1)
 
 
-def _build_dangelo(n: int, theta: float) -> PolyMap:
+def _build_dangelo(n: int, theta: float) -> tuple:
     if n < 1:
         raise ParameterError("dangelo needs n >= 1")
     if not 0.0 <= theta <= math.pi / 2.0 + 1e-15:
         raise ParameterError(f"theta must lie in [0, pi/2], got {theta}")
     source = DomainSpec("I", r=1, s=n)
     target = DomainSpec("I", r=1, s=2 * n)
-    return polymap(source, target, _ball_entries(n, math.cos(theta), math.sin(theta)))
+    return source, target, _ball_entries(n, math.cos(theta), math.sin(theta))
 
 
-def _build_gen_whitney(r: int, s: int) -> PolyMap:
+def _build_gen_whitney(r: int, s: int) -> tuple:
     """G_t at t = 1 without its zero column (index s)."""
     source = DomainSpec("I", r=r, s=s)
     target = DomainSpec("I", r=2 * r - 1, s=2 * s - 1)
-    return polymap(source, target, _without_column(_block_entries(r, s, 1.0), s))
+    return source, target, _without_column(_block_entries(r, s, 1.0), s)
 
 
-def _f_t_entries(t: float) -> dict:
+def _f_t_entries(t) -> dict:
     """Entries of Seo's f_t of I:2,2 into I:4,4, variables (z11, z12, z21, z22);
-    at t = 0 its fourth row and column are zero."""
-    rt, r1, r2 = math.sqrt(t), math.sqrt(1.0 - t), math.sqrt(2.0 - t)
-    mixed, corner = 2.0 * math.sqrt((1.0 - t) / (2.0 - t)), math.sqrt(t / (2.0 - t))
+    at t = 0 its fourth row and column are zero.  t is a float or an array of
+    t, and each coefficient that depends on t is then an array over it."""
+    rt, r1, r2 = np.sqrt(t), np.sqrt(1.0 - t), np.sqrt(2.0 - t)
+    mixed, corner = 2.0 * np.sqrt((1.0 - t) / (2.0 - t)), np.sqrt(t / (2.0 - t))
     return {
         (0, 0): {_unit(4, 0, 0): 1.0},
         (0, 1): {_unit(4, 0, 1): r2},
@@ -398,31 +407,32 @@ def _f_t_entries(t: float) -> dict:
     }
 
 
-def _build_g_sec4() -> PolyMap:
+def _build_g_sec4() -> tuple:
     """f_t at t = 0 into I:3,3, without its zero fourth row and column."""
     entries = {(i, j): terms for (i, j), terms in _f_t_entries(0.0).items() if 3 not in (i, j)}
-    return polymap(DomainSpec("I", r=2, s=2), DomainSpec("I", r=3, s=3), entries)
+    return DomainSpec("I", r=2, s=2), DomainSpec("I", r=3, s=3), entries
 
 
-def _build_f_t(t: float) -> PolyMap:
-    return polymap(DomainSpec("I", r=2, s=2), DomainSpec("I", r=4, s=4), _f_t_entries(_efmt(t)))
+def _build_f_t(t: float) -> tuple:
+    return DomainSpec("I", r=2, s=2), DomainSpec("I", r=4, s=4), _f_t_entries(_efmt(t))
 
 
-def _build_G_t(r: int, s: int, t: float) -> PolyMap:
+def _build_G_t(r: int, s: int, t: float) -> tuple:
     t = _efmt(t)
     source = DomainSpec("I", r=r, s=s)
     target = DomainSpec("I", r=2 * r - 1, s=2 * s)
-    return polymap(source, target, _block_entries(r, s, t))
+    return source, target, _block_entries(r, s, t)
 
 
-def _build_h_t(t: float) -> PolyMap:
+def _build_h_t(t: float) -> tuple:
     """f_t on the symmetric source z21 = z12, variables (z11, z12, z22), into
     III:4; no entry of f_t has two terms that meet there."""
     entries = {pos: {(a, b + c, d): coeff for (a, b, c, d), coeff in terms.items()}
                for pos, terms in _f_t_entries(_efmt(t)).items()}
-    return polymap(DomainSpec("III", n=2), DomainSpec("III", n=4), entries)
+    return DomainSpec("III", n=2), DomainSpec("III", n=4), entries
 
 
+# Each builder gives the table (source, target, entries) that ``polymap`` turns into its map.
 _BUILDERS = {
     "standard": _build_standard,
     "whitney-ball": _build_whitney_ball,
@@ -452,7 +462,7 @@ def catalog(map_id: str, **params) -> PolyMap:
     ``_build_*`` function, e.g. ``catalog("G_t", r=2, s=3, t=0.5)``."""
     _, builder, _ = _builder(map_id)
     try:
-        return builder(**params)
+        return polymap(*builder(**params))
     except TypeError as exc:
         raise ParameterError(f"bad parameters for catalog map {map_id!r}: {exc}") from None
 
@@ -468,13 +478,18 @@ def select_map(selector: str, dims=None, **flags) -> PolyMap:
     ``dangelo:2,0.5``, ``dangelo:0.5`` with ``dims=(2,)`` and ``dangelo:2``
     with ``theta=0.5`` are the same map.
     """
+    return polymap(*_selected_table(selector, dims, **flags))
+
+
+def _selected_table(selector: str, dims=None, **flags) -> tuple:
+    """The table (source, target, entries) of the map ``select_map`` builds,
+    with its grammar and its errors: the one place a selector, or a family
+    id with its dims, meets its builder.  A family's flag ``t`` may also be
+    an array of t, which gives each coefficient that depends on t as an
+    array over it (see ``_f_t_entries``)."""
     name, _, text = selector.partition(":")
     key, builder, params = _builder(name)
     ints = [p for p, v in params.items() if v.annotation is int]
-    hints = [f"--{p}" for p, v in params.items() if v.annotation is float]
-    if ints:
-        hints.insert(0, "a dimension" if len(ints) == 1 else f"--dims {','.join(ints)}")
-    needs = f"{key} needs {' and '.join(hints)}"
     values = {p: v for p, v in flags.items() if p in params and v is not None}
     if dims is not None:
         if len(dims) != len(ints):
@@ -488,11 +503,21 @@ def select_map(selector: str, dims=None, **flags) -> PolyMap:
         try:
             values[p] = params[p].annotation(v)
         except ValueError:
-            msg = f"malformed {p} {v!r} in map selector {selector!r}; {needs}"
+            msg = f"malformed {p} {v!r} in map selector {selector!r}; {_needs(key, params)}"
             raise ParameterError(msg) from None
     if len(values) < len(params):
-        raise ParameterError(needs)
+        raise ParameterError(_needs(key, params))
     return builder(**values)
+
+
+def _needs(key: str, params) -> str:
+    """The error text that names what a selector of ``key`` must give, e.g.
+    ``G_t needs --dims r,s and --t``; formatted only for an error."""
+    ints = [p for p, v in params.items() if v.annotation is int]
+    hints = [f"--{p}" for p, v in params.items() if v.annotation is float]
+    if ints:
+        hints.insert(0, "a dimension" if len(ints) == 1 else f"--dims {','.join(ints)}")
+    return f"{key} needs {' and '.join(hints)}"
 
 
 def _monomial_values(spec: DomainSpec, z: np.ndarray, exponents: np.ndarray) -> np.ndarray:
@@ -669,9 +694,9 @@ def polymap_from_json(data: dict) -> PolyMap:
     non-finite value, a row, column or exponent that is not an integer
     (``polymap``'s rule), or a second entry at one position or a second term
     with the same exponents in one entry raises ``ParameterError``, an
-    unknown variable or a position outside the target ``ShapeError``; the
-    errors of a position and of a second entry or term name the 1-based row
-    and column as written."""
+    unknown variable, a negative exponent or a position outside the target
+    ``ShapeError``; the errors of a position, of an exponent and of a second
+    entry or term name the 1-based row and column as written."""
     try:
         source = parse_spec(data["source"])
         target = parse_spec(data["target"])
@@ -692,6 +717,13 @@ def polymap_from_json(data: dict) -> PolyMap:
                 for name, e in term["exps"].items():
                     if name not in index:
                         raise ShapeError(f"unknown variable {name!r} for source {source}")
+                    try:
+                        e = operator.index(e)
+                    except TypeError:
+                        raise ParameterError(f"non-integer exponent {e!r} of {name} "
+                                             f"in the entry at {where}") from None
+                    if e < 0:
+                        raise ShapeError(f"negative exponent {e} of {name} in the entry at {where}")
                     exps[index[name]] = e
                 if tuple(exps) in terms:
                     raise ParameterError(f"duplicate term {term['exps']!r} in the entry at {where}")

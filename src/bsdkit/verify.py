@@ -102,11 +102,10 @@ from .polymaps import (
     PolyMap,
     _embedding,
     _monomial_values,
+    _selected_table,
     catalog,
-    coeff_distance,
     eval_points,
     monomials_of_degree,
-    select_map,
     source_positions,
     variable_names,
 )
@@ -530,23 +529,28 @@ _FAMILIES = ("f_t", "g_t", "G_t", "h_t")  # also the choices of ``bsdkit sweep -
 def check_family_continuity(family: str, t_grid, tol: float = 3.0, dims=None,
                             check_id: str = None) -> VerificationReport:
     """Hoelder-1/2 continuity of family coefficients along a parameter grid
-    of at least two distinct points (fewer raise ``ParameterError``, as does
-    a point outside [0, 1], through the family builder).
+    of at least two distinct points (fewer raise ``ParameterError``).
 
-    The residual is the max over adjacent grid maps of
-    coefficient distance / sqrt(dt) (square-root coefficients are only
-    Hoelder-1/2 at the ends of [0, 1]).
+    The residual is the max over adjacent distinct grid points of the
+    largest coefficient change / sqrt(dt), which is ``coeff_distance`` of
+    their maps / sqrt(dt) (square-root coefficients are only Hoelder-1/2 at
+    the ends of [0, 1]).  The family's table is read once on the whole
+    sorted grid (``polymaps._selected_table``), so no map is built; bad
+    ``dims`` raise ``select_map``'s errors, and a point outside [0, 1] the
+    builder's error at the first such point.
     """
     if family not in _FAMILIES:
         raise ParameterError(f"unknown family {family!r}")
     grid = sorted(float(t) for t in t_grid)
     if len(set(grid)) < 2:  # a report over no adjacent pair would pass with max_residual 0.0
         raise ParameterError(f"parameter grid needs two distinct points, got {len(set(grid))}")
-    maps = [select_map(family, dims=dims, t=t) for t in grid]
-    steps = [coeff_distance(m0, m1) / math.sqrt(t1 - t0)
-             for t0, t1, m0, m1 in zip(grid, grid[1:], maps, maps[1:]) if t1 > t0]
-    return _report(check_id or f"continuity:{family}", [maps[0].source, maps[0].target],
-                   len(grid), 0, steps, tol)
+    source, target, entries = _selected_table(family, dims, t=np.array(grid))
+    # a coefficient that does not depend on t is a float, which never changes
+    table = [c for terms in entries.values() for c in terms.values() if isinstance(c, np.ndarray)]
+    dt = np.diff(grid)
+    change = np.abs(np.diff(table, axis=1)).max(axis=0)
+    steps = change[dt > 0] / np.sqrt(dt[dt > 0])
+    return _report(check_id or f"continuity:{family}", [source, target], len(grid), 0, steps, tol)
 
 
 def _plan(seed: int, properness_samples: int, fu_samples: int) -> list:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import bsdkit.autgroups
+import bsdkit.polymaps
 from bsdkit.autgroups import _params_at, act, isotropy, random_isotropy_params, random_isotropy_stack
 from bsdkit.domains import (DomainSpec, Point, origin, parse_spec, point, sample_point,
                             sample_points)
@@ -416,6 +417,18 @@ class TestSelectMap:
         with pytest.raises(ParameterError, match=message):
             select_map(selector, dims)
 
+    def test_what_a_selector_needs_is_formatted_only_for_an_error(self, monkeypatch):
+        needs = bsdkit.polymaps._needs
+        calls = []
+        monkeypatch.setattr(bsdkit.polymaps, "_needs",
+                            lambda *args: calls.append(args) or needs(*args))
+        for selector, map_id, params in SELECTED:
+            select_map(selector)
+        assert calls == []
+        with pytest.raises(ParameterError, match="^G_t needs --dims r,s and --t$"):
+            select_map("G_t")
+        assert len(calls) == 1
+
 
 def power_reference(spec, z, exponents):
     """prod(vals ** E) with NumPy's complex power, vals the independent entries."""
@@ -821,6 +834,18 @@ class TestIntegerInput:
             polymap_from_json(data)
         assert str(info.value) == named
 
+
+    @pytest.mark.parametrize("exps,error,named", [
+        ({"z21": 1, "z11": 2.5}, ParameterError,
+         "non-integer exponent 2.5 of z11 in the entry at (row 2, col 1)"),
+        ({"z11": -1}, ShapeError, "negative exponent -1 of z11 in the entry at (row 2, col 1)"),
+    ], ids=["non-integer", "negative"])
+    def test_json_exponent_errors_name_the_entry_as_written(self, exps, error, named):
+        data = {"source": "I:2,2", "target": "I:2,2",
+                "entries": [{"row": 2, "col": 1, "terms": [{"exps": exps, "re": 1.0}]}]}
+        with pytest.raises(error) as info:
+            polymap_from_json(data)
+        assert str(info.value) == named
 
 class TestHighDegree:
     def test_a_degree_far_past_the_recursion_limit_builds(self):

@@ -61,3 +61,18 @@ def test_sample_digest_moves_with_one_draw_of_one_report(monkeypatch, capsys):
     rows = capsys.readouterr().out.splitlines()
     assert [row.split()[1] for row in rows] == [*first, "total"]
     assert [row.split()[0] for row in rows[:-1]] == list(first.values())
+
+
+def test_report_times_prints_a_median_per_report_family_and_pass(capsys):
+    report_times = load_tool("report_times")
+    checks = {name: getattr(bsdkit.verify, name) for name in bsdkit.verify.__all__}
+    assert report_times.main(["7", "2"]) == 0
+    assert {name: getattr(bsdkit.verify, name) for name in checks} == checks
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    ids = [row.check_id for row in bsdkit.verify.run_all(7)]
+    families = list(dict.fromkeys(f"family:{check_id.partition(':')[0]}" for check_id in ids))
+    assert [key for _, key in rows] == [*ids, *families, "pass"]
+    ms = {key: float(value) for value, key in rows}
+    assert all(value > 0 for value in ms.values())
+    # with two passes each median is a mean, and the reports run inside their pass
+    assert sum(ms[key] for key in families) <= ms["pass"] + 0.01

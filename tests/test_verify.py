@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import bsdkit.polymaps
 import bsdkit.verify
 from bsdkit.autgroups import (
     IV_FACTOR_CANDIDATES,
@@ -17,8 +18,8 @@ from bsdkit.domains import (generic_norms, key_generators, norm_gram, parse_spec
                             polarized_norms, sample_point, sample_points)
 from bsdkit.errors import ConfigurationError, ParameterError, ShapeError
 from bsdkit.invariants import INDISTINGUISHABLE, distinguish, invariant_spectrum
-from bsdkit.polymaps import (catalog, conjugate, embed_map, monomials_of_degree, pad_map, polymap,
-                             source_positions, variable_names)
+from bsdkit.polymaps import (catalog, coeff_distance, conjugate, embed_map, monomials_of_degree,
+                             pad_map, polymap, select_map, source_positions, variable_names)
 from bsdkit.verify import (
     _key_rows,
     _korobov_lattice,
@@ -757,13 +758,60 @@ class TestFamilyContinuity:
         with pytest.raises(ParameterError, match="needs two distinct points"):
             check_family_continuity(family, grid)
 
-    @pytest.mark.parametrize("family", ["f_t", "g_t", "h_t"])
-    def test_a_grid_point_outside_the_unit_interval_gets_the_builder_error(self, family):
-        with pytest.raises(ParameterError, match=r"family parameter t must lie in \[0, 1\], got 1.5"):
-            check_family_continuity(family, [0.0, 1.5])
+    @pytest.mark.parametrize("family,dims", [("f_t", None), ("g_t", None), ("h_t", None),
+                                             ("G_t", (2, 2)), ("G_t", (2, 3))])
+    def test_residual_is_the_coefficient_distance_of_adjacent_maps(self, family, dims):
+        grid = [0.7, 0, 0.35, 0.35, 1, 0.05]
+        points = sorted(set(grid))
+        maps = [select_map(family, dims, t=t) for t in points]
+        expected = max(coeff_distance(m0, m1) / math.sqrt(t1 - t0)
+                       for t0, t1, m0, m1 in zip(points, points[1:], maps, maps[1:]))
+        rep = check_family_continuity(family, grid, dims=dims)
+        assert rep.max_residual == expected
+        assert (rep.specs, rep.samples) == ([str(maps[0].source), str(maps[0].target)], 6)
+
+    @pytest.mark.parametrize("family,dims", [("f_t", None), ("h_t", None), ("G_t", (2, 2))])
+    def test_a_report_builds_at_most_one_map(self, family, dims, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return polymap(*args)
+
+        monkeypatch.setattr(bsdkit.polymaps, "polymap", counted)
+        check_family_continuity(family, [k / 100 for k in range(101)], dims=dims)
+        assert len(built) <= 1
+
+    @pytest.mark.parametrize("family,dims,grid,offending", [
+        ("f_t", None, [0.0, 1.5], 1.5), ("g_t", None, [0.0, 1.5], 1.5),
+        ("h_t", None, [0.0, 1.5], 1.5), ("G_t", (2, 3), [0.2, 1.5, 0.5], 1.5),
+        ("f_t", None, [0.5, -0.1, 0.2], -0.1), ("h_t", None, [1.5, 0.5, -0.1], -0.1),
+        ("f_t", None, [0.0, float("nan"), 0.5], float("nan")),
+    ])
+    def test_a_grid_point_outside_the_unit_interval_gets_the_builder_error(
+            self, family, dims, grid, offending):
+        with pytest.raises(ParameterError) as builder:
+            select_map(family, dims, t=offending)
+        assert "family parameter t must lie in [0, 1]" in str(builder.value)
+        with pytest.raises(ParameterError) as info:
+            check_family_continuity(family, grid, dims=dims)
+        assert str(info.value) == str(builder.value)
+
+    @pytest.mark.parametrize("family,dims,message", [
+        ("f_t", (2, 2), "f_t takes 0 dimensions, got 2 in --dims"),
+        ("G_t", None, "G_t needs --dims r,s and --t"),
+        ("G_t", (2, 2, 2), "G_t takes 2 dimensions, got 3 in --dims"),
+    ])
+    def test_bad_dims_get_the_selector_error(self, family, dims, message):
+        with pytest.raises(ParameterError) as builder:
+            select_map(family, dims, t=0.5)
+        assert str(builder.value) == message
+        with pytest.raises(ParameterError) as info:
+            check_family_continuity(family, [0.0, 1.5], dims=dims)
+        assert str(info.value) == message
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="^unknown family 'q_t'$"):
             check_family_continuity("q_t", [0.0, 1.0])
 
 
