@@ -55,9 +55,12 @@ squares t_1^2 >= ... >= t_r^2 of its spectral values: a closed form for
 kind IV and for a Gram ZZ* of size 1 or 2 (kinds I/III with at most two
 rows, kind II with n <= 3), else one ``eigvalsh`` of the Gram over a stack.
 Classification reads the margin 1 - t_1^2, the sampler scales by rho / t_1,
-the generic norm is prod_j (1 - t_j^2) for every kind (``generic_norms``),
-and ``verify.check_properness`` reads both the margin and that norm of its
-images from it.
+and the generic norm is prod_j (1 - t_j^2) for every kind (``generic_norms``).
+``verify.check_properness`` needs of its images only |S(Z, Z)| and whether
+the margin is within a band, and reads both from ``_boundary_screen``: for
+an image stack whose Gram would take an ``eigvalsh`` (kinds I/III with at
+least 3 rows), one Cholesky factor and two determinants, and
+``_spectral_squares`` only for the images that they leave unproven.
 
 Kind IV's polarized norm is its quadric lift's: S(Z, W) = -1/2 l(Z) J l(W)*
 with l = ``borel_lifts``, the lift its group acts through, and J =
@@ -296,6 +299,50 @@ def _spectral_squares(spec: DomainSpec, z: np.ndarray) -> np.ndarray:
         return np.stack([mid + half, mid - half], axis=-1)
     squares = np.linalg.eigvalsh(z @ np.conj(z).swapaxes(-1, -2))[..., ::-1]
     return squares[..., 1::2] if spec.kind == "II" else squares
+
+
+def _boundary_screen(spec: DomainSpec, z: np.ndarray, band: float) -> tuple:
+    """(|S(Z, Z)|, margins) of the stack ``z`` for a boundary test at width
+    ``band``: the generic norms' absolute values, and the margins 1 - t_1^2
+    of the rows not proven to have |1 - t_1^2| <= band, 0.0 on the rows that
+    are.
+
+    A stack whose :func:`_spectral_squares` would call ``eigvalsh`` (kinds
+    I/III with at least 3 rows) is screened without it when ``band > 0``.
+    The norm is |det(I - ZZ*)|.  One stacked Cholesky factor of
+    (1 + band)I - ZZ* proves t_1^2 < 1 + band on every row.  Then
+    det(cI - ZZ*) <= 0 proves t_1^2 >= c on its row, since a positive
+    definite matrix has a positive determinant (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, ch. 10): the norm's own
+    determinant (c = 1) proves about half the rows of a boundary stack, and
+    det((1 - band)I - ZZ*) is taken on the rest.  The rows left unproven
+    (an interior image, or an even number of t_j^2 in the band) take their
+    norm and margin from ``_spectral_squares``, and so does the whole stack
+    when the Cholesky factor does not exist or ``band`` is 0.  Kind II
+    keeps the spectral path: its t_j^2 come in pairs, so the determinant at
+    any shift is a square and would prove no row.
+    """
+    def spectral(w):
+        squares = _spectral_squares(spec, w)
+        return np.abs(np.prod(1.0 - squares, axis=-1)), 1.0 - squares[..., 0]
+
+    _require_stack(spec, z)
+    rows = spec.shape[0]
+    if spec.kind not in ("I", "III") or rows < 3 or not band > 0:
+        return spectral(z)
+    gram = z @ np.conj(z).swapaxes(-1, -2)
+    eye = np.eye(rows)
+    try:
+        np.linalg.cholesky((1.0 + band) * eye - gram)
+    except np.linalg.LinAlgError:
+        return spectral(z)
+    dets = np.linalg.det(eye - gram).real
+    norms, margins = np.abs(dets), np.zeros(dets.shape)
+    loose = dets > 0.0
+    loose[loose] = np.linalg.det((1.0 - band) * eye - gram[loose]).real > 0.0
+    if np.any(loose):
+        norms[loose], margins[loose] = spectral(z[loose])
+    return norms, margins
 
 
 def _regions(margin: np.ndarray, tol: float) -> np.ndarray:

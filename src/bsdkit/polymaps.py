@@ -47,6 +47,7 @@ symmetric source z21 = z12, into III:4.
 import cmath
 import inspect
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
@@ -476,8 +477,13 @@ def select_map(selector: str, dims=None, **flags) -> PolyMap:
     or name a parameter the map does not take are ignored), and the
     selector's values fill the remaining parameters in signature order, so
     ``dangelo:2,0.5``, ``dangelo:0.5`` with ``dims=(2,)`` and ``dangelo:2``
-    with ``theta=0.5`` are the same map.
+    with ``theta=0.5`` are the same map.  A flag that is neither None nor a
+    real number (a list, an array, a string) raises ``ParameterError``.
     """
+    for name, value in flags.items():
+        if value is not None and not isinstance(value, numbers.Real):
+            raise ParameterError(f"map parameter {name} must be a real number, "
+                                 f"got {type(value).__name__}")
     return polymap(*_selected_table(selector, dims, **flags))
 
 

@@ -66,7 +66,8 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cache, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -80,9 +81,9 @@ from .autgroups import (
 )
 from .domains import (
     DomainSpec,
+    _boundary_screen,
     _redraw,
     _sample_memo,
-    _spectral_squares,
     classify_points,
     norm_features,
     norm_gram,
@@ -194,14 +195,15 @@ def check_properness(f: PolyMap, n_samples: int = 500, tol: float = 1e-7, seed: 
 
     Residual per sample is |generic norm of the image|, prod_j (1 - t_j^2),
     widened by the classification margin 1 - t_1^2 when the image is not
-    classified as boundary at 10x the tolerance; both come from one
-    ``domains._spectral_squares`` call on the image stack.
+    classified as boundary at 10x the tolerance.  Both come from one
+    ``domains._boundary_screen`` call on the image stack: a Cholesky factor
+    and two determinants where that proves every image within the margin
+    band, else the spectral values of ``domains._spectral_squares`` on the
+    images it does not prove.
     """
     n_samples = _require_count("n_samples", n_samples)
     z = sample_points(f.source, "boundary", _key_rows(seed, np.arange(n_samples)))
-    squares = _spectral_squares(f.target, eval_points(f, z))
-    res = np.abs(np.prod(1.0 - squares, axis=-1))
-    margins = 1.0 - squares[:, 0]
+    res, margins = _boundary_screen(f.target, eval_points(f, z), 10.0 * tol)
     off = np.abs(margins) > 10.0 * tol
     res[off] = np.maximum(res[off], np.abs(margins[off]))
     misclassified = int(np.count_nonzero(off))
@@ -553,13 +555,12 @@ def check_family_continuity(family: str, t_grid, tol: float = 3.0, dims=None,
     return _report(check_id or f"continuity:{family}", [source, target], len(grid), 0, steps, tol)
 
 
-def _plan(seed: int, properness_samples: int, fu_samples: int) -> list:
-    """The reports of ``run_all`` in order, one ``(check_id, check, args,
-    kwargs)`` row each: the report is ``check(*args, check_id=check_id,
-    **kwargs)``, so every id can be read without running a check.  The rows
-    are built on each call from this module's ``check_*`` names, so a check
-    rebound on the module (a timing hook, a recorder) is the one that runs."""
-    # The 22 properness targets, which the later rows also take their maps from.
+@cache
+def _plan_maps() -> tuple:
+    """The catalog maps of ``_plan``, built once per process (a ``PolyMap``
+    is read-only): the 22 properness targets by label, which the later rows
+    also take their maps from, then the two maps that only a later row
+    takes, standard(1,3,1,5) and f_t(0.3)."""
     maps = {"standard(2,2,3,3)": catalog("standard", r=2, s=2, r2=3, s2=3),
             "f-sec4": catalog("f-sec4"), "g-sec4": catalog("g-sec4"),
             "gen-whitney(2,2)": catalog("gen-whitney", r=2, s=2),
@@ -572,6 +573,18 @@ def _plan(seed: int, properness_samples: int, fu_samples: int) -> list:
     for t in (0.0, 0.5, 1.0):
         for family in ("f_t", "g_t", "h_t"):
             maps[f"{family}({t})"] = catalog(family, t=t)
+    return (MappingProxyType(maps), catalog("standard", r=1, s=3, r2=1, s2=5),
+            catalog("f_t", t=0.3))
+
+
+def _plan(seed: int, properness_samples: int, fu_samples: int) -> list:
+    """The reports of ``run_all`` in order, one ``(check_id, check, args,
+    kwargs)`` row each: the report is ``check(*args, check_id=check_id,
+    **kwargs)``, so every id can be read without running a check.  The rows
+    are built on each call from this module's ``check_*`` names, so a check
+    rebound on the module (a timing hook, a recorder) is the one that runs;
+    the maps are ``_plan_maps``'s."""
+    maps, standard_ball, f_t_03 = _plan_maps()
     rows = [(f"fu:{text}", check_F_U_lemma, (parse_spec(text),),
              {"n_samples": fu_samples, "seed": seed})
             for text in ("I:2,2", "I:2,3", "I:3,3", "III:2", "III:3",
@@ -581,8 +594,7 @@ def _plan(seed: int, properness_samples: int, fu_samples: int) -> list:
     for spec in map(parse_spec, ("I:2,2", "I:2,3", "I:3,3", "II:4", "II:5", "III:2", "III:3")):
         rows += [(f"coeff:{spec}:({i + 1},{j + 1})", check_coefficient_lemma, (spec, i, j),
                   {"seed": seed}) for i, j in source_positions(spec)]
-    pairs = (("standard.whitney-ball", catalog("standard", r=1, s=3, r2=1, s2=5),
-              maps["whitney-ball(2)"]),
+    pairs = (("standard.whitney-ball", standard_ball, maps["whitney-ball(2)"]),
              ("whitney-ball.whitney-ball", maps["whitney-ball(3)"], maps["whitney-ball(2)"]),
              ("gen-whitney.gen-whitney", maps["gen-whitney(3,3)"], maps["gen-whitney(2,2)"]))
     rows += [(f"composition:{label}", check_composition_rule, (f, g), {"seed": seed})
@@ -591,7 +603,7 @@ def _plan(seed: int, properness_samples: int, fu_samples: int) -> list:
               {"degree_bound": bound, "seed": seed})
              for label, bound in (("whitney-ball(2)", 2), ("standard(2,2,3,3)", 2), ("f-sec4", 4))]
     rows += [(f"isotropy:{label}", check_isotropy_consistency, (f,), {"seed": seed})
-             for label, f in (("f_t(0.3)", catalog("f_t", t=0.3)),
+             for label, f in (("f_t(0.3)", f_t_03),
                               ("gen-whitney(2,2)", maps["gen-whitney(2,2)"]))]
     grid = [k / 20.0 for k in range(21)]
     rows += [(f"continuity:{family}", check_family_continuity, (family, grid), {})

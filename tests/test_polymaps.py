@@ -417,6 +417,18 @@ class TestSelectMap:
         with pytest.raises(ParameterError, match=message):
             select_map(selector, dims)
 
+    @pytest.mark.parametrize("selector,flags,kind", [
+        ("f_t", {"t": [0.5]}, "list"),
+        ("G_t:2,2", {"t": np.array([0.2, 0.5])}, "ndarray"),
+        ("h_t", {"t": "0.5"}, "str"),
+        ("dangelo:2", {"theta": np.array(0.5)}, "ndarray"),
+    ])
+    def test_rejects_a_flag_that_is_not_a_number(self, selector, flags, kind):
+        (name, _), = flags.items()
+        with pytest.raises(ParameterError, match=f"^map parameter {name} must be a real number, "
+                                                 f"got {kind}$"):
+            select_map(selector, **flags)
+
     def test_what_a_selector_needs_is_formatted_only_for_an_error(self, monkeypatch):
         needs = bsdkit.polymaps._needs
         calls = []

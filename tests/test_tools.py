@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import bsdkit.verify
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -76,3 +78,17 @@ def test_report_times_prints_a_median_per_report_family_and_pass(capsys):
     assert all(value > 0 for value in ms.values())
     # with two passes each median is a mean, and the reports run inside their pass
     assert sum(ms[key] for key in families) <= ms["pass"] + 0.01
+
+
+def test_report_times_prefix_runs_only_the_reports_that_start_with_it(capsys, monkeypatch):
+    report_times = load_tool("report_times")
+    ran, check = [], bsdkit.verify.check_properness
+    monkeypatch.setattr(bsdkit.verify, "check_properness",
+                        lambda *a, **k: ran.append(k["check_id"]) or check(*a, **k))
+    assert report_times.main(["7", "1", "properness:dangelo"]) == 0
+    keys = [line.split()[1] for line in capsys.readouterr().out.splitlines()]
+    ids = [f"properness:dangelo({n},pi/4)" for n in (2, 3, 4)]
+    assert keys == [*ids, "family:properness", "pass"]
+    assert ran == 2 * ids  # the untimed pass, then the timed one
+    with pytest.raises(ValueError, match="^no report id starts with 'nothing'$"):
+        report_times.main(["7", "1", "nothing"])

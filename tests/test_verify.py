@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,8 +19,9 @@ from bsdkit.domains import (generic_norms, key_generators, norm_gram, parse_spec
                             polarized_norms, sample_point, sample_points)
 from bsdkit.errors import ConfigurationError, ParameterError, ShapeError
 from bsdkit.invariants import INDISTINGUISHABLE, distinguish, invariant_spectrum
-from bsdkit.polymaps import (catalog, coeff_distance, conjugate, embed_map, monomials_of_degree,
-                             pad_map, polymap, select_map, source_positions, variable_names)
+from bsdkit.polymaps import (PolyMap, catalog, coeff_distance, conjugate, embed_map,
+                             eval_points, monomials_of_degree, pad_map, polymap, select_map,
+                             source_positions, variable_names)
 from bsdkit.verify import (
     _key_rows,
     _korobov_lattice,
@@ -63,18 +65,117 @@ class TestProperness:
 # size 1 or 2 (I:1,n, I:2,s, III:1, III:2) and kind II of rank one (II:2, II:3).
 CLOSED_FORM_SPECS = ("I:1,1", "I:1,4", "I:2,2", "I:2,3", "II:2", "II:3", "III:1", "III:2",
                      "IV:1", "IV:4")
+# The kernels of the boundary screen on one image stack that it proves whole.
+SCREEN = ["cholesky", "det", "det"]
+
+
+def scaled_gen_whitney(factor):
+    """gen-whitney(2, 2), I:2,2 -> I:3,3, with every coefficient times ``factor``."""
+    f = catalog("gen-whitney", r=2, s=2)
+    return polymap(f.source, f.target, {pos: {exps: factor * c for exps, c in terms.items()}
+                                        for pos, terms in f.entries.items()})
+
+
+def spectral_properness(f, n_samples=500, tol=1e-7, seed=42):
+    """(residuals, off mask, report) of ``check_properness`` read from the
+    spectral values of every image alone, as it was before the boundary
+    screen."""
+    z = sample_points(f.source, "boundary", _key_rows(seed, np.arange(n_samples)))
+    squares = bsdkit.domains._spectral_squares(f.target, eval_points(f, z))
+    res = np.abs(np.prod(1.0 - squares, axis=-1))
+    margins = 1.0 - squares[:, 0]
+    off = np.abs(margins) > 10.0 * tol
+    res[off] = np.maximum(res[off], np.abs(margins[off]))
+    count = int(np.count_nonzero(off))
+    notes = [f"{count} images not classified as boundary at {10.0 * tol:g}"] if count else []
+    report = bsdkit.verify._report("properness", [f.source, f.target], n_samples, seed, res, tol,
+                                   notes)
+    return res, off, report
+
+
+def diagonal_pair():
+    """z -> diag(z, z, 0) of I:1,1 into I:3,3: two unit spectral values on the boundary."""
+    entries = {(0, 0): {(1,): 1.0}, (1, 1): {(1,): 1.0}}
+    return polymap(parse_spec("I:1,1"), parse_spec("I:3,3"), entries)
+
+
+def kind_ii_inclusion():
+    """II:4 -> II:4, Z -> Z, padded into II:6."""
+    spec = parse_spec("II:4")
+    positions = source_positions(spec)
+    entries = {pos: {tuple(int(u == v) for u in range(len(positions))): 1.0}
+               for v, pos in enumerate(positions)}
+    return pad_map(polymap(spec, spec, entries), parse_spec("II:6"))
+
+
+class TestScreenedProperness:
+    """The boundary screen gives every properness report the spectral path's
+    residuals (to roundoff), off-boundary images and notes."""
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_every_plan_target_matches_the_spectral_formula(self, seed, monkeypatch):
+        recorded = []
+        report = bsdkit.verify._report
+        monkeypatch.setattr(bsdkit.verify, "_report",
+                            lambda *args: recorded.append(args[4].copy()) or report(*args))
+        targets = [args[0] for check_id, _, args, _ in _plan(seed, 500, 200)
+                   if check_id.startswith("properness:")]
+        assert len(targets) == 22
+        for f in targets:
+            res, off, expected = spectral_properness(f, seed=seed)
+            recorded.clear()
+            rep = check_properness(f, seed=seed)
+            z = sample_points(f.source, "boundary", _key_rows(seed, np.arange(500)))
+            _, margins = bsdkit.domains._boundary_screen(f.target, eval_points(f, z), 1e-6)
+            assert np.array_equal(np.abs(margins) > 1e-6, off)
+            assert np.max(np.abs(recorded[0] - res)) <= 1e-15
+            assert rep.notes == expected.notes and rep.passed == expected.passed
+
+    @pytest.mark.parametrize("build,tol,samples,exact", [
+        (lambda: scaled_gen_whitney(0.9), 1e-7, (200, 5), True),  # interior
+        (lambda: scaled_gen_whitney(1.05), 1e-7, (200, 5), True),  # exterior
+        # margins -+5e-6, just outside the band 1e-6 on either side
+        (lambda: scaled_gen_whitney(math.sqrt(1 + 5e-6)), 1e-7, (200, 5), True),
+        (lambda: scaled_gen_whitney(math.sqrt(1 - 5e-6)), 1e-7, (200, 5), True),
+        (diagonal_pair, 1e-7, (200, 5), True),           # two unit spectral values
+        (kind_ii_inclusion, 1e-7, (200, 5), True),       # kind II keeps the spectral path
+        (lambda: catalog("h_t", t=0.5), 1e-7, (200, 5), False),  # kind III, every image proven
+        # no band to prove, also where I - ZZ* of all 3 images has a Cholesky factor
+        (lambda: catalog("gen-whitney", r=2, s=2), 0.0, (3, 0), True),
+    ])
+    def test_negative_controls_reproduce_the_spectral_report(self, build, tol, samples, exact):
+        f, (n_samples, seed) = build(), samples
+        _, _, expected = spectral_properness(f, n_samples=n_samples, tol=tol, seed=seed)
+        rep = check_properness(f, n_samples=n_samples, tol=tol, seed=seed)
+        if exact:
+            assert rep.to_dict() == expected.to_dict()
+        else:
+            assert abs(rep.max_residual - expected.max_residual) <= 1e-15
+            assert replace(rep, max_residual=0.0) == replace(expected, max_residual=0.0)
+
+    def test_the_controls_pass_and_fail_as_expected(self):
+        # the shrunken and the stretched map miss the boundary; the others do not
+        verdicts = [check_properness(f, n_samples=100, seed=5).passed
+                    for f in (scaled_gen_whitney(0.9),
+                              scaled_gen_whitney(1.05),
+                              diagonal_pair(), kind_ii_inclusion(), catalog("h_t", t=0.5))]
+        assert verdicts == [False, False, True, True, True]
 
 
 class TestNoSvdOnTheSamplingPath:
-    """Sampling, classification and the properness check read every point
-    through ``domains._spectral_squares``: no SVD, no ``det``, and one
-    ``eigvalsh`` per sampler attempt or image stack, none for the specs
-    of ``CLOSED_FORM_SPECS``."""
+    """Sampling and classification read every point through
+    ``domains._spectral_squares``: no SVD, ``det`` or Cholesky, and one
+    ``eigvalsh`` per sampler attempt, none for the specs of
+    ``CLOSED_FORM_SPECS``.  The properness check reads its images through
+    ``domains._boundary_screen``: an image stack of kind I/III with at least
+    3 rows takes one Cholesky and two ``det`` calls, and one ``eigvalsh``
+    only when some image is left unproven; other image stacks take
+    ``_spectral_squares``'s kernels."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         made = []
-        for name in ("svd", "eigvalsh", "eigh", "det"):
+        for name in ("svd", "eigvalsh", "eigh", "det", "cholesky"):
             def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
                 made.append(_name)
                 return _real(*args, **kwargs)
@@ -113,15 +214,25 @@ class TestNoSvdOnTheSamplingPath:
     @pytest.mark.parametrize("map_id,params,expected", [
         ("whitney-ball", {"n": 2}, []),                               # I:1,2 -> I:1,3
         ("dangelo", {"n": 3, "theta": math.pi / 4}, []),              # I:1,3 -> I:1,6
-        ("gen-whitney", {"r": 2, "s": 2}, ["eigvalsh"]),              # I:2,2 -> I:3,3
-        ("h_t", {"t": 0.5}, ["eigvalsh"]),                            # III:2 -> III:4
-        ("G_t", {"r": 3, "s": 3, "t": 0.5}, ["eigvalsh", "eigvalsh"]),  # I:3,3 -> I:5,6
+        ("gen-whitney", {"r": 2, "s": 2}, SCREEN),                    # I:2,2 -> I:3,3
+        ("h_t", {"t": 0.5}, SCREEN),                                  # III:2 -> III:4
+        ("G_t", {"r": 3, "s": 3, "t": 0.5}, ["eigvalsh", *SCREEN]),   # I:3,3 -> I:5,6
     ])
     def test_properness(self, map_id, params, expected, calls):
         f = catalog(map_id, **params)
         calls.clear()
         check_properness(f, n_samples=40, seed=3)
         assert calls == expected  # the boundary samples, then their images
+
+    @pytest.mark.parametrize("scale,expected", [
+        (0.9, [*SCREEN, "eigvalsh"]),    # interior images: the screen proves no row
+        (1.05, ["cholesky", "eigvalsh"]),  # exterior images: no Cholesky factor
+    ])
+    def test_properness_fallback(self, scale, expected, calls):
+        f = scaled_gen_whitney(scale)
+        calls.clear()
+        check_properness(f, n_samples=40, seed=3)
+        assert calls == expected
 
     def test_lie_algebra_scale(self, calls):
         # keys whose element is a boost: the first raw word of a key's stream
@@ -831,6 +942,17 @@ class TestSuite:
         ids = [check_id for check_id, _, _, _ in _plan(42, 500, 200)]
         assert len(set(ids)) == len(ids) == 88
         assert ids == [r.check_id for r in run_all(7, properness_samples=10, fu_samples=10)]
+
+    def test_the_plan_maps_are_built_once_per_process(self, monkeypatch):
+        pairs = [(a[2], b[2]) for a, b in zip(_plan(42, 10, 10), _plan(7, 20, 20))
+                 if isinstance(a[2][0], PolyMap)]
+        assert len(pairs) == 22 + 3 + 3 + 2  # properness, composition, factorization, isotropy
+        assert all(f is g for a, b in pairs for f, g in zip(a, b, strict=True))
+        run_all(7, properness_samples=10, fu_samples=10)
+        built = []
+        monkeypatch.setattr(bsdkit.verify, "catalog", lambda *a, **k: built.append(a))
+        run_all(7, properness_samples=10, fu_samples=10)
+        assert built == []
 
     def test_run_all_is_deterministic(self):
         a = run_all(seed=123, properness_samples=20, fu_samples=20)
