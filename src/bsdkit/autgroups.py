@@ -2,11 +2,16 @@
 
 Elements are stored as a single block matrix together with the domain spec.
 Kinds I/II/III act by the fractional-linear rule Z -> (A + ZC)^{-1}(B + ZD)
-in the row convention [X] -> [XM].  The action and its denominators
-(``act_points``, ``automorphy_denominators``) take point stacks with leading
-axes, and an element whose matrix has leading axes is a stack of elements
-broadcast against them; ``act`` and ``automorphy_denominator`` are the same
-kernels on one point.  Kind IV acts through the quadric lift
+in the row convention [X] -> [XM]: ``act_points`` forms
+[A + ZC, B + ZD] = [I Z] M as one product, the first k rows of M plus Z
+times the rest, and solves with its two column blocks.  The action and its
+denominators (``act_points``, ``automorphy_denominators``) take point
+stacks with leading axes, and an element whose matrix has leading axes is a
+stack of elements broadcast against them; ``act`` and
+``automorphy_denominator`` are the same kernels on one point.  Their
+products, the unitarity check of isotropy factors and those of ``expm`` go
+through ``linalg._stack_product``, which sums small ones as outer products
+instead of one BLAS call per matrix.  Kind IV acts through the quadric lift
 l(Z) = (-2iZ, 1 + ZZ^t, i(1 - ZZ^t)) of ``domains.borel_lift_iv``: l(Z) is
 the point of the quadric sum_k x_k^2 = 0 with first entries -2iZ and
 i x_{n+1} + x_{n+2} = 2i.  M^t M = I keeps x = l(Z) M on the quadric, so
@@ -66,7 +71,8 @@ from .domains import (DomainSpec, Point, _as_key_rows, _first_draws, _gaussian_d
                       _require_stack, borel_lifts, check_shapes, classify_points, parse_spec)
 from .errors import (ActionSingularityError, BsdkitError, DomainError, ParameterError,
                      ShapeError)
-from .linalg import _cut_blocks, as_matrix, haar_normalize, hybrid_tol, psd_inv_sqrt
+from .linalg import (_cut_blocks, _stack_product, as_matrix, haar_normalize, hybrid_tol,
+                     psd_inv_sqrt)
 
 __all__ = [
     "AutElement",
@@ -195,7 +201,7 @@ def _require_element(e: AutElement, *points: Point) -> None:
 
 def _iv_lifted_images(e: AutElement, z: np.ndarray) -> tuple:
     """x = l(Z) M and lambda(Z) = i x_{n+1} + x_{n+2} over a kind IV point stack."""
-    x = (borel_lifts(z)[..., None, :] @ e.matrix)[..., 0, :]
+    x = _stack_product(borel_lifts(z)[..., None, :], e.matrix)[..., 0, :]
     return x, 1j * x[..., -2] + x[..., -1]
 
 
@@ -211,7 +217,8 @@ def act_points(e: AutElement, z: np.ndarray) -> np.ndarray:
     """Apply the element (or element stack) to the point stack ``z`` of shape
     ``(..., *spec.shape)``; returns the image stack.
 
-    Kinds I/II/III solve (A + ZC) W = B + ZD and check every image for the
+    Kinds I/II/III form [A + ZC, B + ZD] = [I Z] M as one product (module
+    docstring), solve (A + ZC) W = B + ZD and check every image for the
     kind's symmetry; kind IV divides the lifted image by lambda(Z).  Raises
     :class:`ActionSingularityError` when a denominator degenerates (possible
     only off the closed domain).
@@ -222,9 +229,10 @@ def act_points(e: AutElement, z: np.ndarray) -> np.ndarray:
         if np.any(np.abs(lam) < 1e-14):
             raise ActionSingularityError("vanishing kind IV action denominator")
         return -x[..., None, :-2] / lam[..., None, None]
-    a, b, c, d = e.blocks
+    k, m = _block_split(e.spec), e.matrix
+    x = m[..., :k, :] + _stack_product(z, m[..., k:, :])
     try:
-        w = np.linalg.solve(a + z @ c, b + z @ d)
+        w = np.linalg.solve(x[..., :k], x[..., k:])
     except np.linalg.LinAlgError as exc:
         raise ActionSingularityError("singular A + ZC in fractional-linear action") from exc
     check_shapes(e.spec, w, tol=1e-10)
@@ -291,7 +299,7 @@ def isotropy(spec: DomainSpec, params) -> AutElement:
         return AutElement(spec, _direct_sum(parts[0], second))
     p, theta = parts
     _require_unitary(p, spec.n, "P")
-    if np.linalg.norm(p.imag) > 1e-10:
+    if np.any(np.linalg.norm(p.imag, axis=(-2, -1)) > 1e-10):
         raise ParameterError("kind IV isotropy needs a real orthogonal P")
     rotation = np.empty((*np.shape(theta), 2, 2))
     rotation[..., 0, 0] = rotation[..., 1, 1] = np.cos(theta)
@@ -303,7 +311,8 @@ def isotropy(spec: DomainSpec, params) -> AutElement:
 def _require_unitary(u: np.ndarray, n: int, name: str):
     if u.shape[-2:] != (n, n):
         raise ParameterError(f"{name} must be {n}x{n}, got {u.shape}")
-    if np.any(np.linalg.norm(u @ u.conj().swapaxes(-1, -2) - np.eye(n), axis=(-2, -1)) > 1e-10):
+    gram = _stack_product(u, u.conj().swapaxes(-1, -2))
+    if np.any(np.linalg.norm(gram - np.eye(n), axis=(-2, -1)) > 1e-10):
         raise ParameterError(f"{name} is not unitary within 1e-10")
 
 
@@ -400,15 +409,19 @@ def expm(y: np.ndarray) -> np.ndarray:
     the polar form of a transvection (Helgason 1978): cosh sqrt(YY*) is
     I + Y f(Y*Y) Y* with f(t) = (cosh sqrt(t) - 1) / t, and sinhc, cosh and f
     are entire in s^2, so a zero or repeated s (a rank-deficient Y*Y) needs
-    no special case, and Y = 0 gives the identity exactly."""
-    k = y.shape[-2]
-    w, v = np.linalg.eigh(y.conj().swapaxes(-1, -2) @ y)
+    no special case, and Y = 0 gives the identity exactly.  Every product
+    goes through ``linalg._stack_product``, each block straight into one
+    preallocated array."""
+    k, m = y.shape[-2:]
+    w, v = np.linalg.eigh(_stack_product(y.conj().swapaxes(-1, -2), y))
     s = np.sqrt(np.maximum(w, 0.0))[..., :, None]
-    yv = y @ v
+    yv = _stack_product(y, v)
     yv_star, v_star, sinhc = yv.conj().swapaxes(-1, -2), v.conj().swapaxes(-1, -2), _sinhc(s)
-    top = yv @ np.concatenate([_sinhc(s / 2.0) ** 2 / 2.0 * yv_star, sinhc * v_star], axis=-1)
-    bottom = v @ np.concatenate([sinhc * yv_star, np.cosh(s) * v_star], axis=-1)
-    out = np.concatenate([top, bottom], axis=-2)
+    out = np.empty((*y.shape[:-2], k + m, k + m), dtype=complex)
+    out[..., :k, :k] = _stack_product(yv, _sinhc(s / 2.0) ** 2 / 2.0 * yv_star)
+    out[..., :k, k:] = _stack_product(yv, sinhc * v_star)
+    out[..., k:, :k] = _stack_product(v, sinhc * yv_star)
+    out[..., k:, k:] = _stack_product(v, np.cosh(s) * v_star)
     out[..., range(k), range(k)] += 1.0
     return out
 
@@ -486,7 +499,7 @@ def automorphy_denominators(e: AutElement, z: np.ndarray) -> np.ndarray:
     if e.spec.kind == "IV":
         return _iv_lifted_images(e, z)[1]
     a, _, c, _ = e.blocks
-    return np.linalg.det(a + z @ c)
+    return np.linalg.det(a + _stack_product(z, c))
 
 
 def automorphy_denominator(e: AutElement, p: Point) -> complex:

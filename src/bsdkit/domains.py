@@ -76,7 +76,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ParameterError, SamplingError, ShapeError
-from .linalg import _cut_blocks, _key_words, _require_count, as_matrix, gaussian_blocks, pfaffian
+from .linalg import (_cut_blocks, _key_words, _require_count, _stack_product, as_matrix,
+                     gaussian_blocks, pfaffian)
 
 __all__ = [
     "DomainSpec",
@@ -252,8 +253,9 @@ class Classification:
 
 
 def norm_gram(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The Gram matrices I - ZW* over the leading stack axes of ``z`` and ``w``."""
-    return np.eye(z.shape[-2]) - z @ np.conj(w).swapaxes(-1, -2)
+    """The Gram matrices I - ZW* over the leading stack axes of ``z`` and ``w``
+    (one ``linalg._stack_product``)."""
+    return np.eye(z.shape[-2]) - _stack_product(z, np.conj(w).swapaxes(-1, -2))
 
 
 def _spectral_squares(spec: DomainSpec, z: np.ndarray) -> np.ndarray:
@@ -297,6 +299,8 @@ def _spectral_squares(spec: DomainSpec, z: np.ndarray) -> np.ndarray:
         mid = (a + d) / 2.0
         half = np.hypot((a - d) / 2.0, np.abs(np.sum(z[..., 0, :] * np.conj(z[..., 1, :]), axis=-1)))
         return np.stack([mid + half, mid - half], axis=-1)
+    # ``@``, not ``linalg._stack_product``: the samplers scale by these
+    # values, so keeping the product keeps every sample point bit for bit
     squares = np.linalg.eigvalsh(z @ np.conj(z).swapaxes(-1, -2))[..., ::-1]
     return squares[..., 1::2] if spec.kind == "II" else squares
 
@@ -330,7 +334,7 @@ def _boundary_screen(spec: DomainSpec, z: np.ndarray, band: float) -> tuple:
     rows = spec.shape[0]
     if spec.kind not in ("I", "III") or rows < 3 or not band > 0:
         return spectral(z)
-    gram = z @ np.conj(z).swapaxes(-1, -2)
+    gram = _stack_product(z, np.conj(z).swapaxes(-1, -2))
     eye = np.eye(rows)
     try:
         np.linalg.cholesky((1.0 + band) * eye - gram)

@@ -278,6 +278,51 @@ class TestStackedAction:
             act(aut_element(spec, bad), Point(spec, z[0]))
 
 
+ORACLE_SPECS = [text for text in ALL_SPECS if not text.startswith("IV")] + ["I:1,1", "II:2",
+                                                                          "III:1"]
+
+
+def block_oracle(spec, m, z):
+    """Independent oracle for one element matrix and one point: the image
+    (A + ZC)^{-1}(B + ZD) and the denominator det(A + ZC) from the explicit
+    blocks of ``m``, with ``@``."""
+    k = spec.r if spec.kind == "I" else spec.n
+    a, b, c, d = m[:k, :k], m[:k, k:], m[k:, :k], m[k:, k:]
+    return np.linalg.solve(a + z @ c, b + z @ d), np.linalg.det(a + z @ c)
+
+
+class TestActionOracle:
+    @pytest.mark.parametrize("text", ORACLE_SPECS)
+    def test_element_stack_against_point_stack(self, text):
+        spec = parse_spec(text)
+        keys = [[53, k] for k in range(8)]
+        e = random_automorphisms(spec, keys)
+        z = np.concatenate([sample_points(spec, "interior", keys[:4]),
+                            sample_points(spec, "boundary", keys[4:])])
+        images, dens = act_points(e, z), automorphy_denominators(e, z)
+        for k in range(len(z)):
+            image, den = block_oracle(spec, e.matrix[k], z[k])
+            assert np.max(np.abs(images[k] - image)) <= 1e-13
+            assert abs(dens[k] - den) <= 1e-13
+
+    @pytest.mark.parametrize("text", ORACLE_SPECS)
+    def test_the_f_u_layout(self, text):
+        # an element stack (S, 1, N, N) against a pair stack (S, 2, *shape), as
+        # check_F_U_lemma acts on its (Z, W) pairs
+        spec = parse_spec(text)
+        keys = [[54, k] for k in range(6)]
+        e = AutElement(spec, random_automorphisms(spec, keys).matrix[:, None])
+        pair = np.stack([sample_points(spec, "boundary", keys),
+                         sample_points(spec, "interior", keys)], axis=1)
+        images, dens = act_points(e, pair), automorphy_denominators(e, pair)
+        assert images.shape == pair.shape and dens.shape == (6, 2)
+        for k in range(6):
+            for t in range(2):
+                image, den = block_oracle(spec, e.matrix[k, 0], pair[k, t])
+                assert np.max(np.abs(images[k, t] - image)) <= 1e-13
+                assert abs(dens[k, t] - den) <= 1e-13
+
+
 class TestIsotropy:
     def test_kind_i_identity_params(self):
         spec = parse_spec("I:2,3")
@@ -340,6 +385,18 @@ class TestIsotropy:
     def test_rejects_complex_p_for_kind_iv(self):
         with pytest.raises(ParameterError):
             isotropy(parse_spec("IV:2"), (random_unitary(2, 1), 0.5))
+
+    def test_kind_iv_realness_is_judged_per_matrix(self):
+        # each P + 4e-12j has an imaginary part of norm 1.2e-11, within 1e-10,
+        # though the whole stack's is 6.6e-10: its size alone rejects nothing
+        spec = parse_spec("IV:3")
+        p, theta = random_isotropy_stack(spec, [[52, k] for k in range(3000)])
+        e = isotropy(spec, (p + 4e-12j, theta))
+        assert e.matrix.shape == (3000, 5, 5)
+        p = p.astype(complex)
+        p[1234] *= np.exp(1e-9j)  # still unitary, with an imaginary part of norm 1.7e-9
+        with pytest.raises(ParameterError, match="^kind IV isotropy needs a real orthogonal P$"):
+            isotropy(spec, (p, theta))
 
 
 class TestTransvection:

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bsdkit import domains, linalg
+from bsdkit.domains import parse_spec, sample_points
 from bsdkit.errors import DomainError, ParameterError, ShapeError
 from bsdkit.linalg import (
+    _stack_product,
     det,
     gaussian_blocks,
     haar_normalize,
@@ -17,8 +20,8 @@ from bsdkit.linalg import (
 )
 
 
-def rng_matrix(rng, rows, cols):
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+def rng_matrix(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def cofactor_det(m):
@@ -195,6 +198,71 @@ class TestHaarNormalize:
         q, r = np.linalg.qr(np.random.default_rng(8).standard_normal((3, 3)))
         assert np.array_equal(random_orthogonal(3, 8), q * np.sign(np.diagonal(r)))
         assert random_orthogonal(3, 8).dtype == float
+
+
+def frobenius(x):
+    return np.linalg.norm(x, axis=(-2, -1))
+
+
+class TestStackProduct:
+    @pytest.mark.parametrize("inner", range(1, 7))
+    def test_equals_matmul_on_both_sides_of_the_cutoff(self, inner):
+        rng = np.random.default_rng(inner)
+        a, b = rng_matrix(rng, 40, 3, inner), rng_matrix(rng, 40, inner, 4)
+        got, want = _stack_product(a, b), a @ b
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.all(frobenius(got - want) <= 1e-15 * frobenius(a) * frobenius(b))
+        if inner > linalg._OUTER_MAX_INNER:
+            assert np.array_equal(got, want)
+
+    def test_broadcasts_leading_axes(self):
+        # the action's layout: an element stack (S, 1) against a pair stack (S, 2)
+        rng = np.random.default_rng(11)
+        a, b = rng_matrix(rng, 7, 2, 2, 3), rng_matrix(rng, 7, 1, 3, 5)
+        got = _stack_product(a, b)
+        assert got.shape == (7, 2, 2, 5)
+        assert np.all(frobenius(got - a @ b) <= 1e-15 * frobenius(a) * frobenius(b))
+
+    @pytest.mark.parametrize("sa,sb", [((0, 3, 2), (0, 2, 4)), ((3, 3, 0), (3, 0, 2))])
+    def test_empty_stack_or_inner_dimension(self, sa, sb):
+        a, b = np.ones(sa, dtype=complex), np.ones(sb, dtype=complex)
+        assert np.array_equal(_stack_product(a, b), a @ b)
+
+    def test_non_contiguous_operand(self):
+        rng = np.random.default_rng(12)
+        z, w = rng_matrix(rng, 30, 3, 4), rng_matrix(rng, 30, 3, 4)
+        w_star = np.conj(w).swapaxes(-1, -2)
+        assert not w_star.flags.c_contiguous
+        got = _stack_product(z, w_star)
+        assert np.all(frobenius(got - z @ w_star) <= 1e-15 * frobenius(z) * frobenius(w))
+
+    def test_real_times_complex(self):
+        rng = np.random.default_rng(13)
+        a, b = rng.standard_normal((20, 3, 2)), rng_matrix(rng, 20, 2, 3)
+        got = _stack_product(a, b)
+        assert got.dtype == complex
+        assert np.all(frobenius(got - a @ b) <= 1e-15 * frobenius(a) * frobenius(b))
+
+    def test_mismatched_inner_dimension_is_a_shape_error(self):
+        # not a silently broadcast product
+        with pytest.raises(ShapeError, match="^inner dimensions differ"):
+            _stack_product(np.ones((2, 3, 1)), np.ones((2, 2, 3)))
+
+    @pytest.mark.parametrize("text", ["I:3,3", "III:3", "II:5"])
+    @pytest.mark.parametrize("region", ["interior", "boundary"])
+    def test_the_sampler_makes_no_call(self, text, region, monkeypatch):
+        # these specs scale by one eigvalsh of the Gram ZZ*, which stays ``@``,
+        # so that every sample point is bit for bit what it was
+        calls = []
+
+        def counted(a, b):
+            calls.append((a.shape, b.shape))
+            return _stack_product(a, b)
+
+        monkeypatch.setattr(linalg, "_stack_product", counted)
+        monkeypatch.setattr(domains, "_stack_product", counted)
+        z = sample_points(parse_spec(text), region, [[51, k] for k in range(20)])
+        assert len(z) == 20 and calls == []
 
 
 class TestRandomUnitary:

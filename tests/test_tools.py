@@ -92,3 +92,23 @@ def test_report_times_prefix_runs_only_the_reports_that_start_with_it(capsys, mo
     assert ran == 2 * ids  # the untimed pass, then the timed one
     with pytest.raises(ValueError, match="^no report id starts with 'nothing'$"):
         report_times.main(["7", "1", "nothing"])
+
+
+def test_product_times_prints_both_forms_of_every_product_of_a_pass(capsys):
+    product_times = load_tool("product_times")
+    kernel, cutoff = bsdkit.linalg._stack_product, bsdkit.linalg._OUTER_MAX_INNER
+    served = product_times.served(7)
+    assert bsdkit.domains._stack_product is kernel and bsdkit.autgroups._stack_product is kernel
+    assert served and all(count >= 1 for count, _, _ in served.values())
+    assert all((a.shape, b.shape) == key for key, (_, a, b) in served.items())
+    assert product_times.main(["7", "2"]) == 0
+    assert bsdkit.linalg._OUTER_MAX_INNER == cutoff
+    *rows, total = capsys.readouterr().out.splitlines()
+    assert len(rows) == len(served)
+    for row, ((sa, sb), (count, _, _)) in zip(rows, served.items()):
+        calls, inner, matmul, outer, pick = row.split()[:5]
+        assert (int(calls), int(inner)) == (count, sa[-1])
+        assert float(matmul) > 0 and float(outer) > 0
+        assert pick.rstrip("*") == ("outer" if 0 < sa[-1] <= cutoff else "@")
+        assert row.endswith(f"{sa} x {sb}")
+    assert total.startswith("total  @ ") and total.endswith(" us per pass")
